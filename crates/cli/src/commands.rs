@@ -749,6 +749,8 @@ fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
 /// deviation delta (`+` new findings, `-` fixed ones). The engine — and
 /// therefore the in-memory per-file cache — stays alive across runs, so
 /// each re-analysis costs roughly one changed file, not the whole tree.
+/// Polls go through one [`ofence::walk::SourceIndex`]: a poll of an
+/// unchanged tree stats every file and reads none.
 fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
     let (mut engine, events) = build_engine(&opts.run)?;
     let cache_dir = cache_dir_of(&opts.run);
@@ -772,19 +774,11 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
 
     // Fail fast on unwatchable paths (nonexistent directory, no .c files)
     // before entering the loop.
-    let mut sources = collect_sources(&opts.run.paths)?;
-    let hash_all = |sources: &[ofence::SourceFile]| -> Vec<(String, u64)> {
-        sources
-            .iter()
-            .map(|s| {
-                (
-                    s.name.clone(),
-                    ofence::cache::content_hash(s.content.as_bytes()),
-                )
-            })
-            .collect()
-    };
-    let mut last_hashes = hash_all(&sources);
+    let mut index = ofence::walk::SourceIndex::default();
+    let (mut sources, _) = index.refresh(&opts.run.paths)?;
+    let corpus_key =
+        |sources: &[ofence::SourceFile]| ofence::session::corpus_key(sources, &opts.run.config);
+    let mut last_key = corpus_key(&sources);
     // A baseline seeds the known set, so long-known findings don't show
     // up as `+` noise on the first iteration.
     let mut known: Vec<FindingRecord> = match opts.run.baseline.as_deref() {
@@ -867,10 +861,10 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         // Poll until something changes.
         loop {
             std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms));
-            sources = collect_sources(&opts.run.paths)?;
-            let hashes = hash_all(&sources);
-            if hashes != last_hashes {
-                last_hashes = hashes;
+            sources = index.refresh(&opts.run.paths)?.0;
+            let key = corpus_key(&sources);
+            if key != last_key {
+                last_key = key;
                 break;
             }
         }

@@ -6,29 +6,44 @@
 //! second `ofence analyze` (or every iteration of `ofence watch`) only
 //! re-parses the files that actually changed.
 //!
-//! ## Format
+//! ## Format (v4)
 //!
 //! The cache is **sharded**: entries are distributed across
-//! [`SHARD_COUNT`] files (`shard-00.json` … `shard-15.json`) by a hash
-//! of the entry's path. Each shard is a self-contained JSON document
-//! with its own header and entry list:
+//! [`SHARD_COUNT`] (256) files, `shard-00.json` … `shard-255.json`, by an
+//! FNV hash of the entry's path. Each shard is a self-contained JSON
+//! document with its own header and entry list:
 //!
 //! ```json
 //! {
-//!   "format_version": 3,
+//!   "format_version": 4,
+//!   "summary_version": 1,
 //!   "tool_version": "0.1.0",
 //!   "config_fingerprint": 1234567890,
 //!   "entries": [ { "path": "...", "hash": 42, "analysis": { ... } } ]
 //! }
 //! ```
 //!
-//! Sharding buys two things on monorepo-scale corpora: shards are
-//! written and loaded **in parallel** (serialization of a 100k-file
-//! cache is the save-path bottleneck, and JSON encoding cost grows
-//! superlinearly with single-document size), and corruption is
-//! **isolated** — a truncated or hand-edited shard only drops its own
-//! entries (they become cold misses) instead of poisoning the whole
-//! cache.
+//! Sharding buys three things on monorepo-scale corpora:
+//!
+//! * **Dirty-shard saves.** A [`Store`] remembers which shards differ
+//!   from the copy on disk, and a save writes only those. A one-file edit
+//!   rewrites one shard — about 1/256 of the cache, ~260 KB at 12k files
+//!   — instead of the whole cache. v3 had 16 shards and rewrote all of
+//!   them on every save.
+//! * **Parallel I/O.** A cold save or load spreads its shards over one
+//!   worker per core.
+//! * **Isolated corruption.** A truncated or hand-edited shard only drops
+//!   its own entries (they become cold misses) instead of poisoning the
+//!   whole cache.
+//!
+//! A shard is dirty when an entry in it was inserted or evicted, when it
+//! was absent, corrupt or stale at load, when its last save failed, or
+//! when the save goes to a different directory than the one the store
+//! was loaded from or last saved to (or that directory has vanished).
+//! Every other shard on disk already holds exactly the store's entries.
+//! Shards written by different runs or processes can coexist: entries
+//! are keyed by path *and* content hash, so at worst a stale shard means
+//! a cold miss, never a wrong result.
 //!
 //! ## Invalidation rules
 //!
@@ -66,21 +81,26 @@ use ckit::ast::{FunctionDef, FunctionSig, Type};
 use ckit::span::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Bump on any change to the serialized cache shape.
 /// v3: sharded container (`shard-NN.json` per path-hash bucket) replaced
 /// the single monolithic `cache.json`.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+/// v4: 256 shards instead of 16, so a dirty-shard save stays small.
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// Number of shard files the cache is split into. Path-hash modulo; a
 /// power of two so the bucket spread is uniform under FNV.
-pub const SHARD_COUNT: usize = 16;
+pub const SHARD_COUNT: usize = 256;
+
+/// path -> (content hash, cached per-file analysis).
+pub type Entries = HashMap<String, (u64, Arc<FileAnalysis>)>;
 
 /// Per-shard load result: `None` = file absent, `Ok` = decoded entries,
 /// `Err` = corruption/version reason.
-type ShardOutcome = std::sync::Mutex<Option<Result<Vec<CacheEntry>, String>>>;
+type ShardOutcome = Option<Result<Vec<CacheEntry>, String>>;
 
 /// Legacy (format < 3) monolithic cache file name, recognized only to
 /// report a clean "stale cache" outcome instead of "missing".
@@ -89,14 +109,23 @@ pub const CACHE_FILE_NAME: &str = "cache.json";
 /// Default cache directory name (relative to the working directory).
 pub const DEFAULT_CACHE_DIR: &str = ".ofence-cache";
 
-/// FNV-1a content hash — the cache key component for file contents.
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+/// FNV-1a offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Continue an FNV-1a hash `h` over `bytes`. Hashing a sequence of
+/// fields this way equals [`content_hash`] of their concatenation,
+/// without building it.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// FNV-1a content hash — the cache key component for file contents.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 /// Which shard a path's entry lives in.
@@ -109,13 +138,25 @@ pub fn shard_file_name(i: usize) -> String {
     format!("shard-{i:02}.json")
 }
 
-/// How many threads load/save shards concurrently: one per core, at
-/// most one per shard.
-fn shard_workers() -> usize {
-    std::thread::available_parallelism()
+/// Run `work` on each item from a shared queue, on one worker per core
+/// (at most one per item). Decoding and encoding are allocation-heavy:
+/// more threads than cores just serialize on the allocator (measured
+/// 5-8x slower at 16 threads on one core), so the count stays bounded.
+fn on_workers<T: Sync>(items: &[T], work: impl Fn(&T) + Sync) {
+    let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(SHARD_COUNT)
+        .min(items.len());
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    work(item);
+                }
+            });
+        }
+    });
 }
 
 /// Fingerprint of the analysis configuration: any config change must
@@ -304,51 +345,35 @@ fn encode_doc(mut entries: Vec<CacheEntry>, fp: u64) -> String {
     serde_json::to_string(&doc).expect("cache serializes")
 }
 
-/// Load the cache from `dir`. Never fails: stale or corrupt shards are
-/// dropped (reported in the outcome only when *nothing* was usable) and
-/// treated as empty. Shards are read and decoded in parallel.
-pub fn load(
-    dir: &Path,
-    config: &AnalysisConfig,
-) -> (HashMap<String, (u64, Arc<FileAnalysis>)>, LoadOutcome) {
-    let fp = config_fingerprint(config);
-    // Per-shard results: None = file absent, Ok = decoded, Err = reason.
-    // Decoding is allocation-heavy, so the worker count is bounded by
-    // the core count: more threads than cores just serialize on the
-    // allocator (measured 5-8x slower at 16 threads on one core).
-    let outcomes: Vec<ShardOutcome> = (0..SHARD_COUNT)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..shard_workers() {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= SHARD_COUNT {
-                    return;
-                }
-                let path = dir.join(shard_file_name(i));
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                *outcomes[i].lock().expect("shard slot") = Some(decode_shard(&text, fp));
-            });
+/// Read and decode every shard in `dir`, in parallel.
+fn read_shards(dir: &Path, fp: u64) -> Vec<ShardOutcome> {
+    let slots: Vec<(usize, Mutex<ShardOutcome>)> =
+        (0..SHARD_COUNT).map(|i| (i, Mutex::new(None))).collect();
+    on_workers(&slots, |(i, slot)| {
+        if let Ok(text) = std::fs::read_to_string(dir.join(shard_file_name(*i))) {
+            *slot.lock().expect("shard slot") = Some(decode_shard(&text, fp));
         }
     });
-    let outcomes: Vec<_> = outcomes
+    slots
         .into_iter()
-        .map(|m| m.into_inner().expect("shard slot"))
-        .collect();
+        .map(|(_, slot)| slot.into_inner().expect("shard slot"))
+        .collect()
+}
+
+/// The entries of every usable shard, what the load amounts to, and
+/// which shards were usable.
+fn hydrate(dir: &Path, outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
     let mut map = HashMap::new();
+    let mut valid = vec![false; SHARD_COUNT];
     let mut entries = 0usize;
     let mut present = 0usize;
     let mut first_reason: Option<String> = None;
-    for outcome in outcomes {
+    for (i, outcome) in outcomes.into_iter().enumerate() {
         let Some(result) = outcome else { continue };
         present += 1;
         match result {
             Ok(shard_entries) => {
+                valid[i] = true;
                 entries += shard_entries.len();
                 for e in shard_entries {
                     map.insert(e.path, (e.hash, Arc::new(e.analysis.into_analysis())));
@@ -361,92 +386,192 @@ pub fn load(
             }
         }
     }
-    if present == 0 {
+    let outcome = if present == 0 {
         // Recognize a pre-v3 monolithic cache so the caller sees a clean
         // "stale, discarded" instead of "missing".
         if dir.join(CACHE_FILE_NAME).exists() {
-            return (
-                map,
-                LoadOutcome::Discarded {
-                    reason: format!("monolithic cache from format < {CACHE_FORMAT_VERSION}"),
-                },
-            );
+            LoadOutcome::Discarded {
+                reason: format!("monolithic cache from format < {CACHE_FORMAT_VERSION}"),
+            }
+        } else {
+            LoadOutcome::Missing
         }
-        return (map, LoadOutcome::Missing);
-    }
-    match first_reason {
-        // Some shards were unusable but others loaded: partial hydration.
-        Some(_) if entries > 0 => (map, LoadOutcome::Loaded { entries }),
-        Some(reason) => (map, LoadOutcome::Discarded { reason }),
-        None => (map, LoadOutcome::Loaded { entries }),
+    } else {
+        match first_reason {
+            // Some shards were unusable but others loaded: partial hydration.
+            Some(_) if entries > 0 => LoadOutcome::Loaded { entries },
+            Some(reason) => LoadOutcome::Discarded { reason },
+            None => LoadOutcome::Loaded { entries },
+        }
+    };
+    (map, outcome, valid)
+}
+
+/// Load the cache from `dir`. Never fails: stale or corrupt shards are
+/// dropped (reported in the outcome only when *nothing* was usable) and
+/// treated as empty. Shards are read and decoded in parallel.
+pub fn load(dir: &Path, config: &AnalysisConfig) -> (Entries, LoadOutcome) {
+    let (map, outcome, _) = hydrate(dir, read_shards(dir, config_fingerprint(config)));
+    (map, outcome)
+}
+
+/// What one [`Store::save`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SaveStats {
+    /// Entries in the store, all of them now on disk.
+    pub entries: usize,
+    /// Shard files written; the others already matched the store.
+    pub shards_written: usize,
+}
+
+/// The engine's per-file cache, plus what a save needs to write only the
+/// shards that changed (see the module docs for the dirty rules).
+#[derive(Debug)]
+pub(crate) struct Store {
+    entries: Entries,
+    /// Per shard: its entries may differ from the copy in `synced`.
+    dirty: Vec<bool>,
+    /// The directory whose clean shards match `entries`: the last load or
+    /// save target. `None` until then, when every shard is dirty.
+    synced: Option<PathBuf>,
+}
+
+impl Default for Store {
+    fn default() -> Store {
+        Store {
+            entries: HashMap::new(),
+            dirty: vec![true; SHARD_COUNT],
+            synced: None,
+        }
     }
 }
 
-/// Write the cache to `dir` (created if needed). Every shard is written
-/// in parallel, each to a temporary file first and renamed, so a crashed
-/// writer never leaves a truncated shard behind. All [`SHARD_COUNT`]
-/// shards are always (re)written — an entry that moved out of a shard
-/// can never linger in a stale file.
-pub fn save(
-    dir: &Path,
-    config: &AnalysisConfig,
-    cache: &HashMap<String, (u64, Arc<FileAnalysis>)>,
-) -> Result<usize, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let fp = config_fingerprint(config);
-    let mut shards: Vec<Vec<CacheEntry>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-    let mut n = 0usize;
-    for (path, (hash, fa)) in cache {
-        shards[shard_of(path)].push(CacheEntry {
-            path: path.clone(),
-            hash: *hash,
-            analysis: CachedFile::from_analysis(fa),
+impl Store {
+    /// `path`'s entry. Edits through it dirty no shard: the engine only
+    /// re-stamps the corpus position and restores the source text, which
+    /// every hit on a loaded entry redoes anyway.
+    pub fn get_mut(&mut self, path: &str) -> Option<&mut (u64, Arc<FileAnalysis>)> {
+        self.entries.get_mut(path)
+    }
+
+    /// Insert or replace `path`'s entry, dirtying its shard.
+    pub fn insert(&mut self, path: String, hash: u64, analysis: Arc<FileAnalysis>) {
+        self.dirty[shard_of(&path)] = true;
+        self.entries.insert(path, (hash, analysis));
+    }
+
+    /// Evict every entry whose path fails `keep`, dirtying the evicted
+    /// entries' shards. Returns how many were evicted.
+    pub fn retain(&mut self, keep: impl Fn(&str) -> bool) -> usize {
+        let dirty = &mut self.dirty;
+        let before = self.entries.len();
+        self.entries.retain(|path, _| {
+            let kept = keep(path);
+            if !kept {
+                dirty[shard_of(path)] = true;
+            }
+            kept
         });
-        n += 1;
+        before - self.entries.len()
     }
-    // Same bounded-worker rule as `load`: encoding builds large value
-    // trees, and oversubscribing the allocator is slower than queueing.
-    let shards: Vec<std::sync::Mutex<Option<Vec<CacheEntry>>>> = shards
-        .into_iter()
-        .map(|v| std::sync::Mutex::new(Some(v)))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let errors = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..shard_workers() {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= SHARD_COUNT {
-                    return;
-                }
-                let entries = shards[i]
-                    .lock()
-                    .expect("shard slot")
-                    .take()
-                    .expect("taken once");
-                let text = encode_doc(entries, fp);
-                let name = shard_file_name(i);
-                let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
-                let path = dir.join(&name);
-                let result = std::fs::write(&tmp, text)
-                    .map_err(|e| format!("{}: {e}", tmp.display()))
-                    .and_then(|()| {
-                        std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))
-                    });
-                if let Err(e) = result {
-                    errors.lock().expect("error list").push(e);
-                }
-            });
+
+    /// Which shards a save to `dir` would write.
+    pub fn dirty_shards(&self, dir: &Path) -> Vec<usize> {
+        let all = self.synced.as_deref() != Some(dir) || !dir.is_dir();
+        (0..SHARD_COUNT).filter(|&i| all || self.dirty[i]).collect()
+    }
+
+    /// Merge the cache in `dir` into the store (disk entries win) and
+    /// return how many entries it held. Afterwards a shard is clean iff it
+    /// loaded cleanly and the store held none of its paths before.
+    pub fn load(&mut self, dir: &Path, config: &AnalysisConfig) -> (usize, LoadOutcome) {
+        let (map, outcome, valid) = hydrate(dir, read_shards(dir, config_fingerprint(config)));
+        let mut held = vec![false; SHARD_COUNT];
+        for path in self.entries.keys() {
+            held[shard_of(path)] = true;
         }
-    });
-    let errors = errors.into_inner().expect("error list");
-    if let Some(e) = errors.into_iter().next() {
-        return Err(e);
+        for i in 0..SHARD_COUNT {
+            self.dirty[i] = held[i] || !valid[i];
+        }
+        self.synced = Some(dir.to_path_buf());
+        let loaded = map.len();
+        self.entries.extend(map);
+        (loaded, outcome)
     }
-    // Drop a leftover pre-v3 monolithic file so it can't shadow the
-    // sharded cache in external tooling.
-    let _ = std::fs::remove_file(dir.join(CACHE_FILE_NAME));
-    Ok(n)
+
+    /// Write the dirty shards to `dir` (created if needed), in parallel,
+    /// each to a temporary file first and renamed, so a crashed writer
+    /// never leaves a truncated shard behind. A shard whose write fails
+    /// stays dirty for the next save; the first error is returned.
+    pub fn save(&mut self, dir: &Path, config: &AnalysisConfig) -> Result<SaveStats, String> {
+        let todo = self.dirty_shards(dir);
+        let mut stats = SaveStats {
+            entries: self.entries.len(),
+            shards_written: 0,
+        };
+        if todo.is_empty() {
+            return Ok(stats);
+        }
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let fp = config_fingerprint(config);
+        let mut buckets: Vec<Option<Vec<CacheEntry>>> = (0..SHARD_COUNT).map(|_| None).collect();
+        for &i in &todo {
+            buckets[i] = Some(Vec::new());
+        }
+        for (path, (hash, fa)) in &self.entries {
+            if let Some(bucket) = &mut buckets[shard_of(path)] {
+                bucket.push(CacheEntry {
+                    path: path.clone(),
+                    hash: *hash,
+                    analysis: CachedFile::from_analysis(fa),
+                });
+            }
+        }
+        let jobs: Vec<(usize, Mutex<Vec<CacheEntry>>)> = todo
+            .iter()
+            .map(|&i| (i, Mutex::new(buckets[i].take().unwrap_or_default())))
+            .collect();
+        let results = Mutex::new(Vec::with_capacity(jobs.len()));
+        on_workers(&jobs, |(i, entries)| {
+            let entries = std::mem::take(&mut *entries.lock().expect("shard slot"));
+            let result = write_shard(dir, *i, encode_doc(entries, fp));
+            results.lock().expect("shard results").push((*i, result));
+        });
+        let mut first_error = None;
+        for (i, result) in results.into_inner().expect("shard results") {
+            match result {
+                Ok(()) => {
+                    self.dirty[i] = false;
+                    stats.shards_written += 1;
+                }
+                Err(e) => {
+                    self.dirty[i] = true;
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        self.synced = Some(dir.to_path_buf());
+        // Drop a leftover pre-v3 monolithic file so it can't shadow the
+        // sharded cache in external tooling.
+        let _ = std::fs::remove_file(dir.join(CACHE_FILE_NAME));
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(stats),
+        }
+    }
+}
+
+/// Write shard `i`'s text via a temporary file and a rename.
+fn write_shard(dir: &Path, i: usize, text: String) -> Result<(), String> {
+    let name = shard_file_name(i);
+    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
+    let path = dir.join(&name);
+    std::fs::write(&tmp, text)
+        .map_err(|e| format!("{}: {e}", tmp.display()))
+        .and_then(|()| std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display())))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 #[cfg(test)]
@@ -618,6 +743,153 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Inode of every shard file present in `dir`.
+    fn inodes(dir: &Path) -> Vec<Option<u64>> {
+        use std::os::unix::fs::MetadataExt;
+        (0..SHARD_COUNT)
+            .map(|i| {
+                std::fs::metadata(dir.join(shard_file_name(i)))
+                    .ok()
+                    .map(|m| m.ino())
+            })
+            .collect()
+    }
+
+    fn changed(before: &[Option<u64>], after: &[Option<u64>]) -> Vec<usize> {
+        (0..SHARD_COUNT)
+            .filter(|&i| before[i] != after[i])
+            .collect()
+    }
+
+    #[test]
+    fn cold_save_writes_every_shard_and_a_clean_save_none() {
+        let dir = tempdir("dirty-cold");
+        let mut e = Engine::new(AnalysisConfig::default());
+        e.analyze(&demo_files());
+        let mut store = std::mem::take(&mut e.cache);
+        let stats = store.save(&dir, &e.config).unwrap();
+        assert_eq!(
+            stats,
+            SaveStats {
+                entries: 2,
+                shards_written: SHARD_COUNT
+            }
+        );
+        assert!(inodes(&dir).iter().all(Option::is_some));
+        assert_eq!(store.save(&dir, &e.config).unwrap().shards_written, 0);
+        // Another directory has none of the shards yet.
+        let other = dir.join("elsewhere");
+        assert_eq!(
+            store.save(&other, &e.config).unwrap().shards_written,
+            SHARD_COUNT
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_edit_after_a_warm_load_rewrites_one_shard() {
+        let dir = tempdir("dirty-edit");
+        let config = AnalysisConfig::default();
+        let mut files = demo_files();
+        let mut cold = Engine::new(config.clone());
+        cold.analyze(&files);
+        cold.save_disk_cache(&dir).unwrap();
+
+        let mut warm = Engine::new(config.clone());
+        warm.load_disk_cache(&dir);
+        let before = inodes(&dir);
+        files[1] = SourceFile::new("plain.c", "int helper(int x) { return x + 2; }\n");
+        warm.analyze(&files);
+        warm.save_disk_cache(&dir).unwrap();
+        assert_eq!(changed(&before, &inodes(&dir)), [shard_of("plain.c")]);
+        let r = warm.analyze(&files);
+        assert_eq!(r.obs.count_of("cache_shards_written"), 1);
+
+        // Nothing changed since: the next save writes nothing.
+        warm.save_disk_cache(&dir).unwrap();
+        let r = warm.analyze(&files);
+        assert_eq!(r.obs.count_of("cache_shards_written"), 0);
+
+        // The rewritten shard loads warm.
+        let mut again = Engine::new(config);
+        again.load_disk_cache(&dir);
+        assert_eq!(again.analyze(&files).obs.count_of("engine_cache_hits"), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_dirties_the_evicted_path_shard() {
+        let dir = tempdir("dirty-evict");
+        let config = AnalysisConfig::default();
+        let files = demo_files();
+        let mut e = Engine::new(config.clone());
+        e.analyze(&files);
+        e.save_disk_cache(&dir).unwrap();
+        assert!(e.cache.dirty_shards(&dir).is_empty());
+        e.analyze(&files[..1]);
+        assert_eq!(e.cache.dirty_shards(&dir), [shard_of("plain.c")]);
+        e.save_disk_cache(&dir).unwrap();
+        let (map, _) = load(&dir, &config);
+        assert!(map.contains_key("m.c") && !map.contains_key("plain.c"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_or_missing_shards_load_dirty() {
+        let dir = tempdir("dirty-load");
+        let config = AnalysisConfig::default();
+        let mut e = Engine::new(config.clone());
+        e.analyze(&demo_files());
+        e.save_disk_cache(&dir).unwrap();
+        std::fs::write(shard_path(&dir, "m.c"), "{ truncated").unwrap();
+        std::fs::remove_file(shard_path(&dir, "plain.c")).unwrap();
+        let mut store = Store::default();
+        store.load(&dir, &config);
+        let mut expected = vec![shard_of("m.c"), shard_of("plain.c")];
+        expected.sort();
+        assert_eq!(store.dirty_shards(&dir), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_saves_leave_their_shards_dirty() {
+        let root = tempdir("dirty-fail");
+        let dir = root.join("cache");
+        let config = AnalysisConfig::default();
+        let mut e = Engine::new(config.clone());
+        e.analyze(&demo_files());
+
+        // A file where the directory should be: nothing can be written.
+        std::fs::write(&dir, "blocker").unwrap();
+        assert!(e.save_disk_cache(&dir).is_err());
+        std::fs::remove_file(&dir).unwrap();
+        assert_eq!(e.cache.dirty_shards(&dir).len(), SHARD_COUNT);
+        assert_eq!(
+            e.cache.save(&dir, &config).unwrap().shards_written,
+            SHARD_COUNT
+        );
+
+        // A directory where one shard should be: only that shard fails,
+        // and only it is written once the blocker is gone.
+        let blocked = shard_of("plain.c");
+        let shard = dir.join(shard_file_name(blocked));
+        std::fs::remove_file(&shard).unwrap();
+        std::fs::create_dir(&shard).unwrap();
+        e.analyze(&demo_files()[..1]);
+        assert!(e.save_disk_cache(&dir).is_err());
+        assert_eq!(e.cache.dirty_shards(&dir), [blocked]);
+        assert!(std::fs::read_dir(&dir).unwrap().all(|f| !f
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .contains(".tmp.")));
+        std::fs::remove_dir(&shard).unwrap();
+        assert_eq!(e.cache.save(&dir, &config).unwrap().shards_written, 1);
+        let (map, _) = load(&dir, &config);
+        assert_eq!(map.len(), 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -14,23 +14,66 @@ use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
 use crate::report::{DistanceHistogram, Stats};
 use crate::sites::{analyze_file_traced, FileAnalysis};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An input file.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct SourceFile {
     pub name: String,
     pub content: std::sync::Arc<str>,
+    /// FNV-1a hash of `content`, computed once when the file was read.
+    hashed: Hashed,
+}
+
+/// A content hash and the text it was computed from. Holding that `Arc`
+/// (a refcount, not a copy) lets [`SourceFile::hash`] notice a caller
+/// that assigned new text to the public `content` field.
+#[derive(Clone)]
+struct Hashed {
+    of: Arc<str>,
+    hash: u64,
 }
 
 impl SourceFile {
     pub fn new(name: impl Into<String>, content: impl Into<std::sync::Arc<str>>) -> Self {
+        let content: Arc<str> = content.into();
+        let hashed = Hashed {
+            of: content.clone(),
+            hash: fnv1a(content.as_bytes()),
+        };
         SourceFile {
             name: name.into(),
-            content: content.into(),
+            content,
+            hashed,
         }
+    }
+
+    /// FNV-1a hash of `content` — the cache and snapshot key — computed
+    /// once per text, not once per use.
+    pub fn hash(&self) -> u64 {
+        if Arc::ptr_eq(&self.hashed.of, &self.content) {
+            self.hashed.hash
+        } else {
+            fnv1a(self.content.as_bytes())
+        }
+    }
+}
+
+impl PartialEq for SourceFile {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.content == other.content
+    }
+}
+
+impl Eq for SourceFile {}
+
+impl std::fmt::Debug for SourceFile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SourceFile")
+            .field("name", &self.name)
+            .field("content", &self.content)
+            .finish()
     }
 }
 
@@ -111,8 +154,9 @@ pub struct Engine {
     /// used only when both the path and the content hash match; entries
     /// whose path vanished from the corpus are evicted on every run.
     /// Entries are `Arc`-shared with run results, so a warm hit is a
-    /// refcount bump instead of a deep `FileAnalysis` clone.
-    cache: HashMap<String, (u64, Arc<FileAnalysis>)>,
+    /// refcount bump instead of a deep `FileAnalysis` clone. The store
+    /// tracks which disk shards its inserts and evictions dirtied.
+    pub(crate) cache: crate::cache::Store,
     /// Observability recorder, reset at the start of every run so spans
     /// and counters are per-run (never cumulative across incremental
     /// re-analyses).
@@ -131,7 +175,7 @@ impl Engine {
     pub fn new(config: AnalysisConfig) -> Engine {
         Engine {
             config,
-            cache: HashMap::new(),
+            cache: crate::cache::Store::default(),
             recorder: obs::Recorder::new(),
             pending_counts: Vec::new(),
             slow_files: DEFAULT_SLOW_FILES,
@@ -155,29 +199,35 @@ impl Engine {
     /// counters.
     pub fn load_disk_cache(&mut self, dir: &std::path::Path) -> crate::cache::LoadOutcome {
         let t0 = std::time::Instant::now();
-        let (entries, outcome) = crate::cache::load(dir, &self.config);
+        let (loaded, outcome) = self.cache.load(dir, &self.config);
         self.pending_counts
             .push(("shard_load_us".to_string(), t0.elapsed().as_micros() as u64));
         self.pending_counts
-            .push(("cache_loads".to_string(), entries.len() as u64));
+            .push(("cache_loads".to_string(), loaded as u64));
         if matches!(outcome, crate::cache::LoadOutcome::Discarded { .. }) {
             self.pending_counts.push(("cache_discarded".to_string(), 1));
         }
-        self.cache.extend(entries);
         outcome
     }
 
-    /// Flush the incremental cache to `dir`, creating it if needed.
-    /// Returns the number of entries written. The wall time spent
-    /// writing shards is queued as `shard_save_us` for the *next* run's
-    /// snapshot (a save happens after the current run's snapshot is
-    /// already taken).
+    /// Flush the incremental cache to `dir`, creating it if needed: only
+    /// the shards whose entries changed since the last load or save are
+    /// written. Returns the number of entries in the cache. The wall time
+    /// and the shard count are queued as `shard_save_us` and
+    /// `cache_shards_written` for the *next* run's snapshot (a save
+    /// happens after the current run's snapshot is already taken).
     pub fn save_disk_cache(&mut self, dir: &std::path::Path) -> Result<usize, String> {
         let t0 = std::time::Instant::now();
-        let n = crate::cache::save(dir, &self.config, &self.cache)?;
+        let saved = self.cache.save(dir, &self.config);
         self.pending_counts
             .push(("shard_save_us".to_string(), t0.elapsed().as_micros() as u64));
-        Ok(n)
+        let written = match &saved {
+            Ok(stats) => stats.shards_written,
+            Err(_) => 0,
+        };
+        self.pending_counts
+            .push(("cache_shards_written".to_string(), written as u64));
+        saved.map(|stats| stats.entries)
     }
 
     /// Queue a counter for the next run's snapshot (used by drivers that
@@ -212,17 +262,14 @@ impl Engine {
         // would write back to disk.
         let current: std::collections::HashSet<&str> =
             files.iter().map(|f| f.name.as_str()).collect();
-        let before = self.cache.len();
-        self.cache.retain(|path, _| current.contains(path.as_str()));
-        self.recorder
-            .count("cache_evictions", (before - self.cache.len()) as u64);
+        let evicted = self.cache.retain(|path| current.contains(path));
+        self.recorder.count("cache_evictions", evicted as u64);
         // Split into cached and to-do.
         let mut results: Vec<Option<Arc<FileAnalysis>>> = vec![None; files.len()];
         let mut todo: Vec<usize> = Vec::new();
         for (i, f) in files.iter().enumerate() {
-            let h = fnv1a(f.content.as_bytes());
             match self.cache.get_mut(&f.name) {
-                Some((ch, fa)) if *ch == h => {
+                Some((ch, fa)) if *ch == f.hash() => {
                     // Warm hit: a refcount bump. The cached entry is
                     // patched in place (copy-on-write) the first time it
                     // is served at a new corpus position or without its
@@ -291,10 +338,8 @@ impl Engine {
                 // The cache and the result share the same `Arc`: no deep
                 // clone on insert, and `finish`'s mutations copy-on-write
                 // only the files they touch.
-                self.cache.insert(
-                    files[i].name.clone(),
-                    (fnv1a(files[i].content.as_bytes()), fa.clone()),
-                );
+                self.cache
+                    .insert(files[i].name.clone(), files[i].hash(), fa.clone());
                 results[i] = Some(fa);
             }
         }

@@ -15,12 +15,20 @@
 //! Requests race with editors, so a naive single pass over the files
 //! could observe file A before an edit and file B after it — a **torn**
 //! corpus whose findings belong to two different snapshots. The session
-//! instead reads the corpus repeatedly until two consecutive passes hash
-//! identically ([`SNAPSHOT_ATTEMPTS`] tries): any edit landing inside a
-//! pass flips the next pass's hash, so a stable double read is a
+//! instead passes over the corpus repeatedly until two consecutive passes
+//! hash identically ([`SNAPSHOT_ATTEMPTS`] tries): any edit landing inside
+//! a pass flips the next pass's hash, so a stable double pass is a
 //! consistent snapshot (assuming writers replace files atomically, the
 //! usual tmp+rename discipline). The analysis then runs entirely from
 //! that in-memory snapshot — the response is a pure function of it.
+//!
+//! A pass goes through the session's one [`SourceIndex`], so it costs a
+//! `stat` per file: only files whose stamp changed (or that are racily
+//! clean, see [`crate::walk`]) are read and hashed again, and the corpus
+//! key reuses each file's hash. An edit changes the stamp it lands in,
+//! so the double pass still catches it. Each request reports the files
+//! it statted and read as `snapshot_files_statted` / `snapshot_files_read`
+//! attributes on its `request` span.
 //!
 //! ## Batching and coalescing
 //!
@@ -38,6 +46,7 @@ use crate::cache;
 use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::{finding_records, FindingRecord};
+use crate::walk::{PassStats, SourceIndex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -159,6 +168,9 @@ pub struct SessionCounters {
     pub queue_dequeued: AtomicU64,
     pub snapshot_retries: AtomicU64,
     pub snapshot_unstable: AtomicU64,
+    /// Files statted / read by snapshot passes, all requests together.
+    pub snapshot_files_statted: AtomicU64,
+    pub snapshot_files_read: AtomicU64,
 }
 
 impl SessionCounters {
@@ -195,6 +207,14 @@ impl SessionCounters {
                 "serve_snapshot_unstable",
                 Self::get(&self.snapshot_unstable),
             ),
+            (
+                "serve_snapshot_files_statted",
+                Self::get(&self.snapshot_files_statted),
+            ),
+            (
+                "serve_snapshot_files_read",
+                Self::get(&self.snapshot_files_read),
+            ),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
@@ -208,6 +228,9 @@ pub struct Session {
     /// shared by every request. One analysis at a time; the per-file
     /// parallelism inside a run comes from the persistent global pool.
     engine: Mutex<Engine>,
+    /// Stamps and texts of the corpus as the last snapshot pass saw it.
+    /// Passes hold the lock, so concurrent requests take turns walking.
+    index: Mutex<SourceIndex>,
     /// In-flight analyses by snapshot key, for coalescing.
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     pub counters: SessionCounters,
@@ -241,6 +264,7 @@ impl Session {
         Session {
             opts,
             engine: Mutex::new(engine),
+            index: Mutex::new(SourceIndex::default()),
             inflight: Mutex::new(HashMap::new()),
             counters: SessionCounters::default(),
             live: Arc::new(obs::Live::new()),
@@ -269,23 +293,38 @@ impl Session {
         self.started.elapsed().as_micros() as u64
     }
 
-    /// Snapshot the corpus from disk, re-reading until two consecutive
-    /// passes hash identically (see module docs). Returns the sources
-    /// and the snapshot key (corpus hash ⊕ config fingerprint).
-    fn snapshot_sources(&self) -> Result<(Vec<SourceFile>, u64), String> {
-        let mut prev: Option<(Vec<SourceFile>, u64)> = None;
-        for _ in 0..SNAPSHOT_ATTEMPTS {
-            let sources = crate::walk::collect_sources(&self.opts.paths)?;
-            let key = corpus_key(&sources, &self.opts.config);
-            match prev {
-                Some((_, prev_key)) if prev_key == key => return Ok((sources, key)),
-                Some(_) => SessionCounters::bump(&self.counters.snapshot_retries),
-                None => {}
+    /// Snapshot the corpus from disk, passing over it until two
+    /// consecutive passes hash identically (see module docs). Returns the
+    /// sources, the snapshot key (corpus hash ⊕ config fingerprint), and
+    /// the files the passes statted and read, all passes together.
+    fn snapshot_sources(&self) -> Result<(Vec<SourceFile>, u64, PassStats), String> {
+        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let mut total = PassStats::default();
+        let mut passes = || {
+            let mut prev: Option<(Vec<SourceFile>, u64)> = None;
+            for _ in 0..SNAPSHOT_ATTEMPTS {
+                let (sources, pass) = index.refresh(&self.opts.paths)?;
+                total.statted += pass.statted;
+                total.read += pass.read;
+                let key = corpus_key(&sources, &self.opts.config);
+                match prev {
+                    Some((_, prev_key)) if prev_key == key => return Ok((sources, key)),
+                    Some(_) => SessionCounters::bump(&self.counters.snapshot_retries),
+                    None => {}
+                }
+                prev = Some((sources, key));
             }
-            prev = Some((sources, key));
-        }
-        SessionCounters::bump(&self.counters.snapshot_unstable);
-        Ok(prev.expect("at least one snapshot pass ran"))
+            SessionCounters::bump(&self.counters.snapshot_unstable);
+            Ok(prev.expect("at least one snapshot pass ran"))
+        };
+        let outcome = passes();
+        self.counters
+            .snapshot_files_statted
+            .fetch_add(total.statted as u64, Ordering::Relaxed);
+        self.counters
+            .snapshot_files_read
+            .fetch_add(total.read as u64, Ordering::Relaxed);
+        outcome.map(|(sources, key)| (sources, key, total))
     }
 
     /// A fresh server-assigned request id (`r000001`, `r000002`, ...).
@@ -430,7 +469,14 @@ impl Session {
     }
 
     fn current_run_inner(&self, ctx: &RequestCtx) -> Result<Arc<RunHandle>, String> {
-        let (sources, key) = self.snapshot_sources()?;
+        let (sources, key, pass) = self.snapshot_sources()?;
+        ctx.rec.annotate(
+            "request",
+            &[
+                ("snapshot_files_statted", &pass.statted.to_string()),
+                ("snapshot_files_read", &pass.read.to_string()),
+            ],
+        );
         // Join an in-flight run of the same snapshot, or lead a new one.
         let (flight, leader) = {
             let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
@@ -786,20 +832,16 @@ fn name_matches(name: &str, wanted: &str) -> bool {
 
 /// The coalescing key: FNV over every `(path, content hash)` pair plus
 /// the config fingerprint. Two requests share a key iff they observe the
-/// same corpus bytes under the same analysis configuration.
+/// same corpus bytes under the same analysis configuration. Each file's
+/// hash was computed when it was read, so the key costs O(paths).
 pub fn corpus_key(sources: &[SourceFile], config: &AnalysisConfig) -> u64 {
-    let mut acc = String::new();
+    let mut h = cache::FNV_OFFSET;
     for s in sources {
-        acc.push_str(&s.name);
-        acc.push(':');
-        acc.push_str(&format!(
-            "{:016x}",
-            cache::content_hash(s.content.as_bytes())
-        ));
-        acc.push('\n');
+        h = cache::fnv1a_extend(h, s.name.as_bytes());
+        h = cache::fnv1a_extend(h, &[0]);
+        h = cache::fnv1a_extend(h, &s.hash().to_le_bytes());
     }
-    acc.push_str(&format!("{:016x}", cache::config_fingerprint(config)));
-    cache::content_hash(acc.as_bytes())
+    cache::fnv1a_extend(h, &cache::config_fingerprint(config).to_le_bytes())
 }
 
 #[cfg(test)]
@@ -847,12 +889,12 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let dir = tempdir("key");
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
-        let (s1, k1) = session.snapshot_sources().unwrap();
-        let (_, k2) = session.snapshot_sources().unwrap();
+        let (s1, k1, _) = session.snapshot_sources().unwrap();
+        let (_, k2, _) = session.snapshot_sources().unwrap();
         assert_eq!(k1, k2);
         assert_eq!(s1.len(), 1);
         std::fs::write(dir.join("m.c"), format!("{CLEAN}\nint pad;\n")).unwrap();
-        let (_, k3) = session.snapshot_sources().unwrap();
+        let (_, k3, _) = session.snapshot_sources().unwrap();
         assert_ne!(k1, k3);
         // Config changes the key too: same bytes, different analysis.
         let other = Session::new(SessionOptions {
@@ -864,8 +906,49 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
             cache_dir: None,
             history_dir: None,
         });
-        let (_, k4) = other.snapshot_sources().unwrap();
+        let (_, k4, _) = other.snapshot_sources().unwrap();
         assert_ne!(k3, k4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `touch` changes the stamp but not the bytes: the file is read
+    /// again, and neither the key nor the engine notices.
+    #[test]
+    fn touch_keeps_the_key_and_reanalyzes_nothing() {
+        let dir = tempdir("touch");
+        let file = dir.join("m.c");
+        std::fs::write(&file, CLEAN).unwrap();
+        let session = session_over(&dir);
+        let first = session.current_run().unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(&file)
+            .unwrap()
+            .set_modified(std::time::SystemTime::now() + std::time::Duration::from_secs(5))
+            .unwrap();
+        let second = session.current_run().unwrap();
+        assert_eq!(first.corpus_key, second.corpus_key);
+        assert_eq!(second.result.obs.count_of("engine_files_analyzed"), 0);
+        assert_eq!(second.result.obs.count_of("engine_cache_hits"), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_report_what_their_snapshot_statted_and_read() {
+        let dir = tempdir("snapshot-attrs");
+        std::fs::write(dir.join("a.c"), CLEAN).unwrap();
+        std::fs::write(dir.join("b.c"), "int b;\n").unwrap();
+        let session = session_over(&dir);
+        session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        let doc = session.trace_document("r000001").unwrap();
+        let attrs = &doc["spans"][0]["attrs"];
+        // Two passes over two files; the second pass re-reads both
+        // because they were written moments before the first read them.
+        assert_eq!(attrs["snapshot_files_statted"], "4", "{doc}");
+        assert_eq!(attrs["snapshot_files_read"], "4", "{doc}");
+        let counters: BTreeMap<String, u64> = session.counters.export().into_iter().collect();
+        assert_eq!(counters["serve_snapshot_files_statted"], 4);
+        assert_eq!(counters["serve_snapshot_files_read"], 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1233,4 +1316,131 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         assert!(!records[0].request_id.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[cfg(test)]
+mod snapshot_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Texts a step can write: a clean pair, a misplaced-access bug, a
+    /// barrier-free helper, and an unparseable file.
+    const TEXTS: &[&str] = &[
+        "struct m { int init; int y; };\n\
+void reader(struct m *a) { if (!a->init) return; smp_rmb(); f(a->y); }\n\
+void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n",
+        "struct rpc { int len; int recd; };\n\
+void complete(struct rpc *req) { req->len = 4; smp_wmb(); req->recd = 1; }\n\
+void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }\n",
+        "int helper(int x) { return x + 1; }\n",
+        "int @ garbage",
+    ];
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Edit(usize, usize),
+        Add(usize),
+        Delete(usize),
+        Rename(usize),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0usize..8, 0usize..TEXTS.len()).prop_map(|(f, t)| Step::Edit(f, t)),
+            (0usize..TEXTS.len()).prop_map(Step::Add),
+            (0usize..8).prop_map(Step::Delete),
+            (0usize..8).prop_map(Step::Rename),
+        ]
+    }
+
+    fn corpus_files(dir: &std::path::Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = ["", "sub"]
+            .iter()
+            .flat_map(|d| std::fs::read_dir(dir.join(d)).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "c"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn apply(dir: &std::path::Path, step: Step, serial: &mut usize) {
+        let files = corpus_files(dir);
+        *serial += 1;
+        let fresh = dir
+            .join(if serial.is_multiple_of(2) { "sub" } else { "" })
+            .join(format!("n{serial}.c"));
+        match step {
+            Step::Edit(f, t) => std::fs::write(&files[f % files.len()], TEXTS[t]).unwrap(),
+            Step::Add(t) => std::fs::write(fresh, TEXTS[t]).unwrap(),
+            // Never empty the corpus: an empty tree is an error, not a report.
+            Step::Delete(f) if files.len() > 1 => {
+                std::fs::remove_file(&files[f % files.len()]).unwrap()
+            }
+            Step::Delete(_) => {}
+            Step::Rename(f) => std::fs::rename(&files[f % files.len()], fresh).unwrap(),
+        }
+    }
+
+    fn scrubbed(result: &AnalysisResult) -> serde_json::Value {
+        let mut doc = result.to_json();
+        if let serde_json::Value::Object(map) = &mut doc {
+            for key in ["run_id", "stats", "observability"] {
+                map.insert(key.to_string(), serde_json::Value::Null);
+            }
+        }
+        doc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Whatever the edit history, a session's report equals a cold
+        /// analysis of the tree, and its dirty-shard saves leave a cache
+        /// that a new engine hits on every file.
+        #[test]
+        fn session_runs_match_cold_analysis(steps in proptest::collection::vec(arb_step(), 1..8)) {
+            let root = std::env::temp_dir().join(format!(
+                "ofence-session-props-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let (dir, cache_dir) = (root.join("src"), root.join("cache"));
+            let _ = std::fs::remove_dir_all(&root);
+            std::fs::create_dir_all(dir.join("sub")).unwrap();
+            for (i, text) in TEXTS.iter().enumerate() {
+                std::fs::write(dir.join(format!("f{i}.c")), text).unwrap();
+            }
+            let config = AnalysisConfig::default();
+            let paths = vec![dir.display().to_string()];
+            let session = Session::new(SessionOptions {
+                config: config.clone(),
+                paths: paths.clone(),
+                cache_dir: Some(cache_dir.clone()),
+                history_dir: None,
+            });
+            session.current_run().unwrap();
+            let mut serial = 0;
+            for step in steps {
+                apply(&dir, step, &mut serial);
+                let served = session.current_run().unwrap();
+                let sources = crate::walk::collect_sources(&paths).unwrap();
+                let cold = Engine::new(config.clone()).analyze(&sources);
+                prop_assert_eq!(scrubbed(&served.result), scrubbed(&cold), "after {:?}", step);
+
+                let mut reloaded = Engine::new(config.clone());
+                reloaded.load_disk_cache(&cache_dir);
+                let warm = reloaded.analyze(&sources);
+                prop_assert_eq!(
+                    warm.obs.count_of("engine_cache_hits"),
+                    sources.len() as u64,
+                    "after {:?}",
+                    step
+                );
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    static SEQ: AtomicU64 = AtomicU64::new(0);
 }

@@ -261,6 +261,19 @@ impl Recorder {
         self.close_span(id);
     }
 
+    /// Add attributes to the innermost span named `name` still open on
+    /// this thread, for values known only after the span was opened. A
+    /// no-op when there is no such span.
+    pub fn annotate(&self, name: &str, attrs: &[(&str, &str)]) {
+        let tid = std::thread::current().id();
+        let mut inner = self.lock();
+        let open = inner.open.entry(tid).or_default();
+        if let Some(span) = open.iter_mut().rev().find(|s| s.name == name) {
+            span.attrs
+                .extend(attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+        }
+    }
+
     /// Add to a named monotonic counter.
     pub fn count(&self, name: &str, delta: u64) {
         if delta == 0 {
@@ -554,6 +567,22 @@ mod tests {
         assert_eq!(outer.parent, None);
         assert!(outer.contains(inner));
         assert_eq!(inner.attr("file"), Some("a.c"));
+    }
+
+    #[test]
+    fn annotate_reaches_the_innermost_open_span_of_that_name() {
+        let rec = Recorder::new();
+        {
+            let _outer = rec.span_with("request", &[("method", "analyze")]);
+            let _inner = rec.span("walk");
+            rec.annotate("request", &[("files", "3")]);
+            rec.annotate("absent", &[("ignored", "1")]);
+        }
+        let snap = rec.snapshot();
+        let request = snap.spans_named("request").next().unwrap();
+        assert_eq!(request.attr("method"), Some("analyze"));
+        assert_eq!(request.attr("files"), Some("3"));
+        assert!(snap.spans_named("walk").next().unwrap().attrs.is_empty());
     }
 
     #[test]

@@ -47,13 +47,19 @@ fn scrub(v: serde_json::Value) -> serde_json::Value {
     match v {
         // Worker counters are dropped (not value-scrubbed) because their
         // *presence* is run-dependent: a zero-valued counter (e.g. no
-        // worker idle time on a tiny corpus) is never created at all.
+        // worker idle time on a tiny corpus, or no steal because the
+        // worker that was dealt the file got to it first) is never
+        // created at all.
         Value::Object(m) => Value::Object(
             m.into_iter()
                 .filter(|(k, _)| {
                     !matches!(
                         k.as_str(),
-                        "workers" | "worker_busy_us" | "worker_idle_us" | "worker_utilization"
+                        "workers"
+                            | "worker_busy_us"
+                            | "worker_idle_us"
+                            | "worker_utilization"
+                            | "pool_steals"
                     )
                 })
                 .map(|(k, v)| {
