@@ -13,6 +13,7 @@ usage:
   ofence watch    <paths...> [--interval-ms N] [--max-iterations N]
                   [--serve-metrics ADDR] [...]
   ofence serve    <paths...> [--addr HOST:PORT] [--metrics HOST:PORT]
+                  [--events-out FILE] [--slow-files N]
                   [cache/history/window options]
   ofence call     <host:port> <method> [--params JSON]
   ofence trace    <host:port> <request-id> [--json]
@@ -63,21 +64,23 @@ window options:
 the candidate set, shared-object overlap, distance-product weights, and
 why the winner won (or why the barrier stayed unpaired).
 
-`watch` polls the given paths (mtime-free content hashing, no inotify
-dependency) and re-runs the incremental analysis when a file changes,
-printing only the finding delta (+ new, - fixed). `--interval-ms`
-sets the poll period (default 500); `--max-iterations` exits after N
-analysis runs (default: run until interrupted). `--serve-metrics ADDR`
-(e.g. 127.0.0.1:9464, port 0 for an OS-picked port) serves live
-`GET /metrics` (Prometheus text) and `GET /health` (JSON) from the
-latest iteration on a background thread.
+`watch` polls the given paths (a stat per file, no inotify dependency)
+and re-runs the incremental analysis when a file changes, printing only
+the finding delta (+ new, - fixed). `--interval-ms` sets the poll period
+(default 500); `--max-iterations` exits after N analysis runs (default:
+run until interrupted). `--serve-metrics ADDR` (e.g. 127.0.0.1:9464,
+port 0 for an OS-picked port) serves live `GET /metrics` (Prometheus
+text) and `GET /health` (JSON) from the latest run on a background
+thread.
 
 `serve` runs the analysis daemon: newline-delimited JSON-RPC over TCP
-(default --addr 127.0.0.1:0; the bound address is printed). Concurrent
-clients share one warm engine cache and worker pool, and identical
-overlapping requests coalesce into a single analysis. Methods: ping,
-status, trace, analyze, analyze-file, explain, diff, baseline-gate,
-shutdown. `--metrics HOST:PORT` additionally serves live
+(default --addr 127.0.0.1:0; the bound address is printed). Per-run
+outputs (--trace-out, --metrics-out, --sarif-out) and exit policies
+(--baseline, --fail-on) are refused; --events-out streams every run's
+events. Concurrent clients share one warm engine cache and worker pool,
+and identical overlapping requests coalesce into a single analysis.
+Methods: ping, status, trace, analyze, analyze-file, explain, diff,
+baseline-gate, shutdown. `--metrics HOST:PORT` additionally serves live
 `GET /metrics` + `GET /health` + `GET /debug/requests` +
 `GET /debug/trace/<request-id>`. `call` is the matching one-shot
 client: it sends one request and pretty-prints the `result` document
@@ -91,15 +94,16 @@ it as an indented tree with per-span durations, marking the slowest
 child at each level; `--json` prints the raw tree document instead.
 
 `perf` reads the performance ledger (DIR/perf.jsonl, appended by every
-analysis run and watch iteration) and prints the last `--last N`
+analysis run) and prints the last `--last N`
 records as a trend table (default 10). With `--gate`, the newest
 record is compared against the median elapsed time of earlier
 comparable records (same config fingerprint, corpus size, and
 cold/warm mode) and the command exits non-zero when it is more than
 `--max-regress-pct P` percent slower (default 10). With `--requests`,
-the daemon request ledger (DIR/requests.jsonl, appended by every
-completed `serve` request) is read instead and summarised as a
-per-method latency table (count, errors, coalesced, p50/p95/p99).
+the request ledger (DIR/requests.jsonl, appended by every completed
+`serve` request, CLI analysis and watch run) is read instead and
+summarised as a per-method latency table (count, errors, coalesced,
+p50/p95/p99).
 
 `diff` classifies findings as new / fixed / unchanged by their stable
 fingerprints. <old> and <new> are ledger run ids (prefixes work) or
@@ -554,6 +558,21 @@ fn parse_serve(argv: &[String]) -> Result<ServeOpts, String> {
     if run.json {
         return Err("--json is not supported by serve (responses are always JSON)".into());
     }
+    // Per-run files and exit policies mean nothing to a daemon serving
+    // many requests: refuse them rather than drop them silently.
+    let refused = [
+        ("--trace-out", run.trace_out.is_some()),
+        ("--metrics-out", run.metrics_out.is_some()),
+        ("--sarif-out", run.sarif_out.is_some()),
+        ("--baseline", run.baseline.is_some()),
+        ("--fail-on", run.fail_on.is_some()),
+    ];
+    if let Some((flag, _)) = refused.iter().find(|(_, given)| *given) {
+        return Err(format!(
+            "{flag} is not supported by serve (it applies to one run; \
+             use `ofence trace` or the baseline-gate method)"
+        ));
+    }
     Ok(ServeOpts { run, addr, metrics })
 }
 
@@ -947,6 +966,31 @@ mod tests {
         assert!(parse(&argv("serve src/ --addr")).is_err());
         assert!(parse(&argv("serve src/ --apply")).is_err());
         assert!(parse(&argv("serve src/ --json")).is_err());
+        // Engine-level flags flow through to the session's engine.
+        match parse(&argv("serve src/ --events-out ev.ndjson --slow-files 3")).unwrap() {
+            Command::Serve(o) => {
+                assert_eq!(o.run.events_out.as_deref(), Some("ev.ndjson"));
+                assert_eq!(o.run.slow_files, Some(3));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn serve_rejects_per_run_flags() {
+        for flag in [
+            "--trace-out t.json",
+            "--metrics-out m.txt",
+            "--sarif-out f.sarif",
+            "--baseline b.json",
+            "--fail-on new",
+            "--fail-on=none",
+        ] {
+            let err = parse(&argv(&format!("serve src/ {flag}"))).unwrap_err();
+            let name = flag.split([' ', '=']).next().unwrap();
+            assert!(err.starts_with(name), "{flag}: {err}");
+            assert!(err.contains("not supported by serve"), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@ use crate::args::{
     BaselineWriteOpts, CallOpts, Command, DiffOpts, ExplainOpts, GenOpts, PerfOpts, RunOpts,
     ServeOpts, TraceOpts, WatchOpts,
 };
-use crate::walk::collect_sources;
 use ofence::obs::NdjsonSink;
-use ofence::{AnalysisResult, Engine, FailOn, FindingRecord, LoadOutcome, Patch};
+use ofence::session::RunHandle;
+use ofence::{AnalysisResult, DiffReport, Engine, FailOn, FindingRecord, LoadOutcome, Patch};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -31,46 +31,20 @@ pub fn run(cmd: Command) -> Result<ExitCode, String> {
 
 /// Where this invocation keeps its on-disk cache, if anywhere.
 fn cache_dir_of(opts: &RunOpts) -> Option<PathBuf> {
-    if opts.no_cache {
-        return None;
-    }
-    Some(PathBuf::from(
-        opts.cache_dir
-            .as_deref()
-            .unwrap_or(ofence::cache::DEFAULT_CACHE_DIR),
-    ))
+    let dir = opts.cache_dir.as_deref();
+    (!opts.no_cache).then(|| dir.unwrap_or(ofence::cache::DEFAULT_CACHE_DIR).into())
 }
 
-/// Load the on-disk cache into `engine` (never fatal: a stale or corrupt
-/// cache is discarded with a note and the run proceeds cold).
-fn load_cache(engine: &mut Engine, dir: &std::path::Path) {
-    if let LoadOutcome::Discarded { reason } = engine.load_disk_cache(dir) {
-        eprintln!(
-            "ofence: discarding cache in {} ({reason}); analyzing cold",
-            dir.display()
-        );
-    }
-}
-
-/// Flush the engine's cache to disk. Failing to write an explicitly
-/// requested `--cache-dir` is an error; the implicit default directory
-/// only warns (the analysis itself succeeded).
-fn save_cache(engine: &mut Engine, opts: &RunOpts, dir: &std::path::Path) -> Result<(), String> {
-    match engine.save_disk_cache(dir) {
-        Ok(_) => Ok(()),
-        Err(e) if opts.cache_dir.is_some() => Err(format!("--cache-dir {}: {e}", dir.display())),
-        Err(e) => {
-            eprintln!("ofence: could not write cache to {}: {e}", dir.display());
-            Ok(())
-        }
-    }
+/// Where this invocation appends its ledgers, if anywhere.
+fn history_dir_of(opts: &RunOpts) -> Option<PathBuf> {
+    let dir = opts.history_dir.as_deref();
+    (!opts.no_history).then(|| dir.unwrap_or(ofence::history::DEFAULT_HISTORY_DIR).into())
 }
 
 /// Build the engine for an invocation: config, presentation knobs, and
 /// the live event stream (`--events-out`), which attaches before any
 /// analysis so the stream covers the whole run. The sink handle comes
-/// back too, so the caller can flush it and report write errors when
-/// the run ends.
+/// back too, so the caller can report write errors when it is done.
 fn build_engine(opts: &RunOpts) -> Result<(Engine, Option<Arc<NdjsonSink>>), String> {
     let mut engine = Engine::new(opts.config.clone());
     if let Some(n) = opts.slow_files {
@@ -91,13 +65,64 @@ fn build_engine(opts: &RunOpts) -> Result<(Engine, Option<Arc<NdjsonSink>>), Str
     Ok((engine, events))
 }
 
-/// Flush the event stream and warn (never fail) on write errors — a
-/// broken event stream must not turn a finished analysis into a
-/// failure.
-fn finish_events(engine: &Engine, events: &Option<Arc<NdjsonSink>>) {
-    let Some(sink) = events else { return };
-    engine.recorder().flush_sinks();
-    if sink.write_errors() > 0 {
+/// The session an invocation analyzes through: its engine behind the
+/// cache and ledger directories the flags select.
+fn open_session(opts: &RunOpts) -> Result<(ofence::Session, Option<Arc<NdjsonSink>>), String> {
+    let (engine, events) = build_engine(opts)?;
+    let session_opts = ofence::SessionOptions {
+        config: opts.config.clone(),
+        paths: opts.paths.clone(),
+        cache_dir: cache_dir_of(opts),
+        history_dir: history_dir_of(opts),
+    };
+    Ok((ofence::Session::with_engine(session_opts, engine), events))
+}
+
+/// Analyze `opts.paths` as a one-request session: the same snapshot,
+/// cache and ledger path the daemon serves from.
+fn run_once(opts: &RunOpts) -> Result<Arc<RunHandle>, String> {
+    let (session, events) = open_session(opts)?;
+    let handle = session.current_run()?;
+    check_faults(opts, &handle)?;
+    finish_events(&events);
+    Ok(handle)
+}
+
+/// The CLI's policy for a run's disk-side faults: a discarded cache is a
+/// note. Failing to write an explicitly requested `--cache-dir` or
+/// `--history-dir` is an error; the implicit default directories only
+/// warn (the analysis itself succeeded).
+fn check_faults(opts: &RunOpts, handle: &RunHandle) -> Result<(), String> {
+    let cache_dir = cache_dir_of(opts).unwrap_or_default();
+    if let Some(LoadOutcome::Discarded { reason }) = &handle.cache_load {
+        eprintln!(
+            "ofence: discarding cache in {} ({reason}); analyzing cold",
+            cache_dir.display()
+        );
+    }
+    if let Some(e) = &handle.cache_save_error {
+        if opts.cache_dir.is_some() {
+            return Err(format!("--cache-dir {}: {e}", cache_dir.display()));
+        }
+        eprintln!(
+            "ofence: could not write cache to {}: {e}",
+            cache_dir.display()
+        );
+    }
+    if let Some(e) = &handle.ledger_error {
+        if opts.history_dir.is_some() {
+            return Err(format!("--history-dir: {e}"));
+        }
+        eprintln!("ofence: could not append run ledger: {e}");
+    }
+    Ok(())
+}
+
+/// Warn (never fail) on event-stream write errors — a broken event
+/// stream must not turn a finished analysis into a failure. The session
+/// flushes the stream after every run.
+fn finish_events(events: &Option<Arc<NdjsonSink>>) {
+    if let Some(sink) = events.as_ref().filter(|s| s.write_errors() > 0) {
         eprintln!(
             "ofence: {} event(s) lost to write errors on the --events-out stream",
             sink.write_errors()
@@ -105,84 +130,21 @@ fn finish_events(engine: &Engine, events: &Option<Arc<NdjsonSink>>) {
     }
 }
 
-/// Run the engine over `opts.paths` without writing any observability
-/// outputs — callers that inject their own counters (analyze, diff,
-/// baseline) do that first and then call [`write_observability`].
-fn run_engine_raw(opts: &RunOpts) -> Result<AnalysisResult, String> {
-    let sources = collect_sources(&opts.paths)?;
-    let (mut engine, events) = build_engine(opts)?;
-    let cache_dir = cache_dir_of(opts);
-    if let Some(dir) = &cache_dir {
-        load_cache(&mut engine, dir);
-    }
-    let result = engine.analyze(&sources);
-    if let Some(dir) = &cache_dir {
-        save_cache(&mut engine, opts, dir)?;
-    }
-    finish_events(&engine, &events);
-    append_perf(opts, &result, None)?;
-    Ok(result)
-}
-
-fn run_engine(opts: &RunOpts) -> Result<AnalysisResult, String> {
-    let result = run_engine_raw(opts)?;
-    write_observability(opts, &result)?;
-    Ok(result)
-}
-
-/// Where this invocation appends its run ledger, if anywhere.
-fn history_dir_of(opts: &RunOpts) -> Option<PathBuf> {
-    if opts.no_history {
-        return None;
-    }
-    Some(PathBuf::from(
-        opts.history_dir
-            .as_deref()
-            .unwrap_or(ofence::history::DEFAULT_HISTORY_DIR),
-    ))
-}
-
-/// Append the run to the ledger. Failing to write an explicitly
-/// requested `--history-dir` is an error; the implicit default directory
-/// only warns (mirrors the cache policy).
-fn append_history(
-    opts: &RunOpts,
-    result: &AnalysisResult,
-    records: &[FindingRecord],
-) -> Result<(), String> {
-    let Some(dir) = history_dir_of(opts) else {
-        return Ok(());
-    };
-    let record = ofence::history::record_of(result, &opts.config, records.to_vec());
-    match ofence::history::append(&dir, &record) {
-        Ok(()) => Ok(()),
-        Err(e) if opts.history_dir.is_some() => Err(format!("--history-dir: {e}")),
-        Err(e) => {
-            eprintln!("ofence: could not append run ledger: {e}");
-            Ok(())
-        }
+/// The findings of `--baseline FILE`; none without one.
+fn baseline_findings(opts: &RunOpts) -> Result<Vec<FindingRecord>, String> {
+    match opts.baseline.as_deref() {
+        Some(path) => Ok(ofence::diffing::load_baseline(Path::new(path))?.findings),
+        None => Ok(Vec::new()),
     }
 }
 
-/// Append the run's timing profile to the perf ledger (next to the
-/// history ledger, same `--history-dir` / `--no-history` policy).
-fn append_perf(
-    opts: &RunOpts,
-    result: &AnalysisResult,
-    iteration_us: Option<u64>,
-) -> Result<(), String> {
-    let Some(dir) = history_dir_of(opts) else {
-        return Ok(());
-    };
-    let record = ofence::perf::record_of(result, &opts.config, iteration_us);
-    match ofence::perf::append(&dir, &record) {
-        Ok(()) => Ok(()),
-        Err(e) if opts.history_dir.is_some() => Err(format!("--history-dir: {e}")),
-        Err(e) => {
-            eprintln!("ofence: could not append perf ledger: {e}");
-            Ok(())
-        }
-    }
+/// The run's observability snapshot plus the finding delta against a
+/// baseline (`findings_new` / `findings_fixed`).
+fn with_delta(result: &AnalysisResult, delta: &DiffReport) -> ofence::obs::Snapshot {
+    result.obs.with_counters([
+        ("findings_new".to_string(), delta.new.len() as u64),
+        ("findings_fixed".to_string(), delta.fixed.len() as u64),
+    ])
 }
 
 /// `ofence perf` — print the perf-ledger trend, or gate CI on a
@@ -193,13 +155,12 @@ fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
             .as_deref()
             .unwrap_or(ofence::history::DEFAULT_HISTORY_DIR),
     );
+    // `--ledger FILE` overrides the ledger's place in the history dir.
+    let ledger = |default: PathBuf| opts.ledger.as_ref().map_or(default, PathBuf::from);
     if opts.requests {
-        // Daemon request ledger instead of the analysis perf ledger.
-        let ledger = match &opts.ledger {
-            Some(path) => PathBuf::from(path),
-            None => ofence::perf::requests_path(history_dir),
-        };
-        let (records, skipped) = ofence::perf::load_requests_file(&ledger)?;
+        // The request ledger instead of the analysis perf ledger.
+        let ledger = ledger(ofence::perf::requests_path(history_dir));
+        let (records, skipped) = ofence::perf::load_file::<ofence::perf::RequestRecord>(&ledger)?;
         if skipped > 0 {
             eprintln!("ofence: skipped {skipped} corrupt request-ledger line(s)");
         }
@@ -214,11 +175,8 @@ fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let ledger = match &opts.ledger {
-        Some(path) => PathBuf::from(path),
-        None => ofence::perf::ledger_path(history_dir),
-    };
-    let (records, skipped) = ofence::perf::load_file(&ledger)?;
+    let ledger = ledger(ofence::perf::ledger_path(history_dir));
+    let (records, skipped) = ofence::perf::load_file::<ofence::PerfRecord>(&ledger)?;
     if skipped > 0 {
         eprintln!("ofence: skipped {skipped} corrupt perf-ledger line(s)");
     }
@@ -229,11 +187,7 @@ fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
         } else {
             println!("perf gate: {}", outcome.note);
         }
-        return Ok(if outcome.pass {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        });
+        return Ok(ExitCode::from(u8::from(!outcome.pass)));
     }
     if opts.json {
         let shown = &records[records.len().saturating_sub(opts.last)..];
@@ -255,13 +209,13 @@ fn write_sarif(opts: &RunOpts, result: &AnalysisResult) -> Result<(), String> {
 }
 
 /// Honor `--trace-out` / `--metrics-out` for any analysis subcommand.
-fn write_observability(opts: &RunOpts, result: &AnalysisResult) -> Result<(), String> {
+fn write_observability(opts: &RunOpts, obs: &ofence::obs::Snapshot) -> Result<(), String> {
     if let Some(path) = &opts.trace_out {
-        std::fs::write(path, result.obs.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, obs.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, result.obs.prometheus_text()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, obs.prometheus_text()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote metrics to {path}");
     }
     Ok(())
@@ -271,31 +225,21 @@ fn write_observability(opts: &RunOpts, result: &AnalysisResult) -> Result<(), St
 /// the `--fail-on` policy (default `any`: exit 1 when any deviation was
 /// found, the historical CI-friendly behaviour).
 fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
-    let mut result = run_engine_raw(&opts)?;
-    let records = ofence::finding_records(&result.deviations, &result.sites, &result.files);
+    // Load the baseline first: a bad file fails before the analysis.
+    let known = baseline_findings(&opts)?;
+    let handle = run_once(&opts)?;
+    let result = &handle.result;
     // Against a baseline, classify so `--fail-on=new` gates only on
     // regressions; without one, every finding counts as new.
-    let baseline = opts
-        .baseline
-        .as_deref()
-        .map(|p| ofence::diffing::load_baseline(Path::new(p)))
-        .transpose()?;
-    let delta = match &baseline {
-        Some(b) => ofence::classify(&b.findings, &records),
-        None => ofence::classify(&[], &records),
-    };
-    result.obs = result.obs.with_counters([
-        ("findings_new".to_string(), delta.new.len() as u64),
-        ("findings_fixed".to_string(), delta.fixed.len() as u64),
-    ]);
-    write_observability(&opts, &result)?;
-    write_sarif(&opts, &result)?;
-    append_history(&opts, &result, &records)?;
+    let delta = ofence::classify(&known, &handle.records);
+    let obs = with_delta(result, &delta);
+    write_observability(&opts, &obs)?;
+    write_sarif(&opts, result)?;
     if opts.json {
         // The stable, versioned schema documented in docs/SCHEMA.md.
         println!(
             "{}",
-            serde_json::to_string_pretty(&result.to_json()).unwrap()
+            serde_json::to_string_pretty(&result.to_json_with(&obs)).unwrap()
         );
     } else {
         println!("{}", result.stats.render());
@@ -321,7 +265,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
                 println!("{}", d.render(&result.files[d.site.file].source));
             }
         }
-        if baseline.is_some() {
+        if opts.baseline.is_some() {
             println!(
                 "baseline: {} known, {} new, {} fixed",
                 delta.unchanged.len(),
@@ -330,16 +274,10 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
             );
         }
     }
-    let fail = match opts.fail_on.unwrap_or(FailOn::Any) {
-        FailOn::Any => !result.deviations.is_empty(),
-        FailOn::New => !delta.new.is_empty(),
-        FailOn::None => false,
-    };
-    Ok(if fail {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    // Every current finding is new or known, so `any` fails on any
+    // deviation at all.
+    let fail = delta.fails(opts.fail_on.unwrap_or(FailOn::Any));
+    Ok(ExitCode::from(u8::from(fail)))
 }
 
 /// `ofence serve` — the long-running analysis daemon: one shared
@@ -348,14 +286,10 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
 /// Runs until a client sends `shutdown`.
 fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
     // Fail fast on an unservable corpus (nonexistent path, no .c files)
-    // before binding anything.
+    // before loading the cache or binding anything.
     ofence::collect_sources(&opts.run.paths)?;
-    let session = Arc::new(ofence::Session::new(ofence::SessionOptions {
-        config: opts.run.config.clone(),
-        paths: opts.run.paths.clone(),
-        cache_dir: cache_dir_of(&opts.run),
-        history_dir: history_dir_of(&opts.run),
-    }));
+    let (session, events) = open_session(&opts.run)?;
+    let session = Arc::new(session);
     let metrics = match &opts.metrics {
         Some(addr) => {
             let s = ofence::obs::serve::serve(addr, session.live())
@@ -374,6 +308,7 @@ fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
     }
     server.shutdown();
     drop(metrics);
+    finish_events(&events);
     println!("serve: shut down");
     Ok(ExitCode::SUCCESS)
 }
@@ -549,18 +484,11 @@ fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
             ofence::classify(&old_records, &new_records)
         }
         _ => {
-            let path = opts.run.baseline.as_deref().expect("parser guarantees");
-            let baseline = ofence::diffing::load_baseline(Path::new(path))?;
-            let mut result = run_engine_raw(&opts.run)?;
-            let records = ofence::finding_records(&result.deviations, &result.sites, &result.files);
-            let report = ofence::classify(&baseline.findings, &records);
-            result.obs = result.obs.with_counters([
-                ("findings_new".to_string(), report.new.len() as u64),
-                ("findings_fixed".to_string(), report.fixed.len() as u64),
-            ]);
-            write_observability(&opts.run, &result)?;
-            write_sarif(&opts.run, &result)?;
-            append_history(&opts.run, &result, &records)?;
+            let known = baseline_findings(&opts.run)?;
+            let handle = run_once(&opts.run)?;
+            let report = ofence::classify(&known, &handle.records);
+            write_observability(&opts.run, &with_delta(&handle.result, &report))?;
+            write_sarif(&opts.run, &handle.result)?;
             report
         }
     };
@@ -572,16 +500,8 @@ fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
     } else {
         print!("{}", report.render());
     }
-    let fail = match opts.run.fail_on.unwrap_or(FailOn::New) {
-        FailOn::Any => !report.new.is_empty() || !report.unchanged.is_empty(),
-        FailOn::New => !report.new.is_empty(),
-        FailOn::None => false,
-    };
-    Ok(if fail {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    let fail = report.fails(opts.run.fail_on.unwrap_or(FailOn::New));
+    Ok(ExitCode::from(u8::from(fail)))
 }
 
 /// Resolve a diff operand: an existing file is parsed as a JSON document
@@ -604,22 +524,25 @@ fn resolve_operand(opts: &RunOpts, operand: &str) -> Result<Vec<FindingRecord>, 
 /// `ofence baseline write` — analyze the given paths and snapshot every
 /// current finding so future runs can gate on regressions only.
 fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
-    let result = run_engine(&opts.run)?;
-    let records = ofence::finding_records(&result.deviations, &result.sites, &result.files);
-    let count = records.len();
-    let baseline = ofence::Baseline::new(&result.run_id, records);
+    let handle = run_once(&opts.run)?;
+    write_observability(&opts.run, &handle.result.obs)?;
+    let run_id = &handle.result.run_id;
+    let count = handle.records.len();
+    let baseline = ofence::Baseline::new(run_id, handle.records.clone());
     ofence::diffing::write_baseline(Path::new(&opts.out), &baseline)
         .map_err(|e| format!("baseline: {e}"))?;
     println!(
-        "baseline: recorded {count} finding(s) from {} to {}",
-        result.run_id, opts.out
+        "baseline: recorded {count} finding(s) from {run_id} to {}",
+        opts.out
     );
     Ok(ExitCode::SUCCESS)
 }
 
 /// `ofence patch` — print (or apply) the generated fixes.
 fn patch(opts: RunOpts) -> Result<ExitCode, String> {
-    let result = run_engine(&opts)?;
+    let handle = run_once(&opts)?;
+    write_observability(&opts, &handle.result.obs)?;
+    let result = &handle.result;
     let patches: Vec<(usize, Patch)> = result
         .deviations
         .iter()
@@ -641,7 +564,7 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
         }
     }
     if opts.apply {
-        apply_grouped(&result, patches.iter().map(|(f, p)| (*f, p.edits.clone())))?;
+        apply_grouped(result, patches.iter().map(|(f, p)| (*f, p.edits.clone())))?;
     }
     Ok(if patches.is_empty() {
         ExitCode::SUCCESS
@@ -652,7 +575,9 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
 
 /// `ofence annotate` — §7 READ_ONCE/WRITE_ONCE patches.
 fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
-    let result = run_engine(&opts)?;
+    let handle = run_once(&opts)?;
+    write_observability(&opts, &handle.result.obs)?;
+    let result = &handle.result;
     // Compose per file so nested read/write annotations merge.
     let mut by_file: std::collections::BTreeMap<usize, Vec<&ofence::Deviation>> =
         Default::default();
@@ -682,14 +607,16 @@ fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
         }
     }
     if opts.apply {
-        apply_grouped(&result, grouped.into_iter())?;
+        apply_grouped(result, grouped.into_iter())?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
 /// `ofence stats` — statistics only.
 fn stats(opts: RunOpts) -> Result<ExitCode, String> {
-    let result = run_engine(&opts)?;
+    let handle = run_once(&opts)?;
+    write_observability(&opts, &handle.result.obs)?;
+    let result = &handle.result;
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&result.stats).unwrap());
     } else {
@@ -701,15 +628,12 @@ fn stats(opts: RunOpts) -> Result<ExitCode, String> {
 /// `ofence explain <file:line>` — replay the pairing decision for one
 /// barrier: candidate set, shared-object overlap, weights, outcome.
 fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
-    let result = run_engine(&opts.run)?;
-    // Match by exact name, then suffix, then basename, so both
-    // `ofence explain dir/f.c:12 dir/` and `ofence explain f.c:12 dir/`
-    // work.
-    let matches_file = |name: &str| {
-        name == opts.file
-            || name.ends_with(&format!("/{}", opts.file))
-            || opts.file.ends_with(&format!("/{name}"))
-    };
+    let handle = run_once(&opts.run)?;
+    write_observability(&opts.run, &handle.result.obs)?;
+    let result = &handle.result;
+    // Both `ofence explain dir/f.c:12 dir/` and `ofence explain f.c:12
+    // dir/` name the same file.
+    let matches_file = |name: &str| ofence::session::name_matches(name, &opts.file);
     let site = result
         .sites
         .iter()
@@ -744,90 +668,51 @@ fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `ofence watch` — poll the given paths and re-run the incremental
-/// analysis whenever a file's content hash changes, printing only the
-/// deviation delta (`+` new findings, `-` fixed ones). The engine — and
-/// therefore the in-memory per-file cache — stays alive across runs, so
-/// each re-analysis costs roughly one changed file, not the whole tree.
-/// Polls go through one [`ofence::walk::SourceIndex`]: a poll of an
-/// unchanged tree stats every file and reads none.
+/// `ofence watch` — a session plus a poll loop: re-run the analysis
+/// whenever the corpus changes, printing only the deviation delta (`+`
+/// new findings, `-` fixed ones). The session's engine — and therefore
+/// the in-memory per-file cache — stays alive across runs, so each
+/// re-analysis costs roughly one changed file, not the whole tree. A
+/// poll is one pass through the session's source index: on an unchanged
+/// tree it stats every file and reads none.
 fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
-    let (mut engine, events) = build_engine(&opts.run)?;
-    let cache_dir = cache_dir_of(&opts.run);
-    if let Some(dir) = &cache_dir {
-        load_cache(&mut engine, dir);
-    }
-
-    // `--serve-metrics`: live /metrics + /health on a background thread,
-    // fed after every iteration. The bound address is printed (port 0
-    // lets the OS pick, so scripts need to read it back).
-    let live = Arc::new(ofence::obs::Live::new());
+    let (session, events) = open_session(&opts.run)?;
+    // `--serve-metrics`: the session's live /metrics + /health on a
+    // background thread. The bound address is printed (port 0 lets the
+    // OS pick, so scripts need to read it back).
     let server = match &opts.serve_metrics {
         Some(addr) => {
-            let s = ofence::obs::serve::serve(addr, live.clone())
+            let s = ofence::obs::serve::serve(addr, session.live())
                 .map_err(|e| format!("--serve-metrics: {e}"))?;
             println!("watch: serving /metrics and /health on http://{}", s.addr());
             Some(s)
         }
         None => None,
     };
-
-    // Fail fast on unwatchable paths (nonexistent directory, no .c files)
-    // before entering the loop.
-    let mut index = ofence::walk::SourceIndex::default();
-    let (mut sources, _) = index.refresh(&opts.run.paths)?;
-    let corpus_key =
-        |sources: &[ofence::SourceFile]| ofence::session::corpus_key(sources, &opts.run.config);
-    let mut last_key = corpus_key(&sources);
     // A baseline seeds the known set, so long-known findings don't show
     // up as `+` noise on the first iteration.
-    let mut known: Vec<FindingRecord> = match opts.run.baseline.as_deref() {
-        Some(p) => ofence::diffing::load_baseline(Path::new(p))?.findings,
-        None => Vec::new(),
-    };
+    let mut known = baseline_findings(&opts.run)?;
     let mut runs = 0u64;
-    // Session-cumulative iteration-duration histogram: exported in every
-    // iteration's metrics and on /metrics, so scrapers see the full
-    // session's latency distribution, not just the last run.
-    let mut iteration_hist = ofence::obs::Histogram::default();
 
     loop {
         runs += 1;
-        let iteration_start = std::time::Instant::now();
-        // The recorder resets per run, so queue the cumulative count:
-        // every snapshot (and metrics file) reports total runs so far.
-        engine.queue_count("watch_iterations", runs);
-        let mut result = engine.analyze_incremental(&sources);
-        if let Some(dir) = &cache_dir {
-            save_cache(&mut engine, &opts.run, dir)?;
-        }
-
+        // The first run also fails fast on unwatchable paths
+        // (nonexistent directory, no .c files).
+        let handle = session.current_run()?;
+        check_faults(&opts.run, &handle)?;
+        let result = &handle.result;
         // The same fingerprint diff engine `ofence diff` uses: watch and
         // diff can never disagree about what counts as a new finding.
-        let records = ofence::finding_records(&result.deviations, &result.sites, &result.files);
-        let delta = ofence::classify(&known, &records);
-        result.obs = result.obs.with_counters([
-            ("findings_new".to_string(), delta.new.len() as u64),
-            ("findings_fixed".to_string(), delta.fixed.len() as u64),
-        ]);
-        let iteration_us = iteration_start.elapsed().as_micros() as u64;
-        iteration_hist.observe(iteration_us);
-        result.obs = result
-            .obs
-            .with_histogram("iteration_duration_us", iteration_hist.clone());
-        write_observability(&opts.run, &result)?;
-        append_history(&opts.run, &result, &records)?;
-        append_perf(&opts.run, &result, Some(iteration_us))?;
-        live.publish(&result.obs, records.len() as u64, iteration_us);
-        // Flush the event stream at every iteration boundary, so a
-        // consumer tailing `--events-out` (or a watch session that gets
-        // killed while polling) always sees complete, balanced events.
-        engine.recorder().flush_sinks();
+        let delta = ofence::classify(&known, &handle.records);
+        // Metrics files carry the session's cumulative counters too
+        // (`serve_runs`: total runs so far).
+        let obs = with_delta(result, &delta).with_counters(session.counters.export());
+        write_observability(&opts.run, &obs)?;
         println!(
             "watch: run {} — {} files, {} deviations ({} new, {} fixed)",
             runs,
-            sources.len(),
-            records.len(),
+            result.files.len(),
+            handle.records.len(),
             delta.new.len(),
             delta.fixed.len()
         );
@@ -848,10 +733,10 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         for r in &delta.fixed {
             println!("  - {}", r.render_line());
         }
-        known = records;
+        known = handle.records.clone();
 
         if opts.max_iterations.is_some_and(|max| runs >= max) {
-            finish_events(&engine, &events);
+            finish_events(&events);
             if let Some(s) = server {
                 s.shutdown();
             }
@@ -861,10 +746,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         // Poll until something changes.
         loop {
             std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms));
-            sources = index.refresh(&opts.run.paths)?.0;
-            let key = corpus_key(&sources);
-            if key != last_key {
-                last_key = key;
+            if session.snapshot_key()? != handle.corpus_key {
                 break;
             }
         }

@@ -59,7 +59,6 @@
 
 mod args;
 mod commands;
-mod walk;
 
 use std::process::ExitCode;
 

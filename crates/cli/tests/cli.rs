@@ -509,9 +509,9 @@ fn watch_reports_delta_on_change() {
     assert!(stdout.contains("watch: run 2"), "{stdout}");
     assert!(stdout.contains("0 deviations (0 new, 1 fixed)"), "{stdout}");
     assert!(stdout.contains("- "), "{stdout}");
-    // The per-run metrics carry the cumulative iteration counter.
+    // The per-run metrics carry the session's cumulative run counter.
     let text = std::fs::read_to_string(&metrics).unwrap();
-    assert!(text.contains("ofence_watch_iterations_total 2"), "{text}");
+    assert!(text.contains("ofence_serve_runs_total 2"), "{text}");
     assert!(dir.join("cache").join("shard-00.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -754,6 +754,58 @@ fn diff_resolves_ledger_run_ids() {
         String::from_utf8_lossy(&out.stderr).contains("no run"),
         "{out:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-shot `analyze` is one session request: it appends exactly one
+/// line to each ledger, and the three lines name the same run.
+#[test]
+fn one_analyze_appends_one_joined_line_per_ledger() {
+    let dir = tempdir("ledgers");
+    let f = dir.join("xprt.c");
+    let hist = dir.join("hist");
+    std::fs::write(&f, BUGGY).unwrap();
+    let out = ofence()
+        .arg("analyze")
+        .arg(&f)
+        .arg("--no-cache")
+        .arg("--history-dir")
+        .arg(&hist)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let run_ids: Vec<String> = ["history.jsonl", "perf.jsonl", "requests.jsonl"]
+        .iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(hist.join(name)).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 1, "{name}: {text}");
+            let v: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
+            v["run_id"].as_str().unwrap().to_string()
+        })
+        .collect();
+    assert!(run_ids.iter().all(|id| id == &run_ids[0]), "{run_ids:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_history_dir_is_a_clear_error() {
+    let dir = tempdir("history-unwritable");
+    let f = dir.join("clean.c");
+    std::fs::write(&f, CLEAN).unwrap();
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "not a directory").unwrap();
+    let out = ofence()
+        .arg("analyze")
+        .arg(&f)
+        .arg("--no-cache")
+        .arg("--history-dir")
+        .arg(blocker.join("sub"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--history-dir"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -102,10 +102,6 @@ pub type Entries = HashMap<String, (u64, Arc<FileAnalysis>)>;
 /// `Err` = corruption/version reason.
 type ShardOutcome = Option<Result<Vec<CacheEntry>, String>>;
 
-/// Legacy (format < 3) monolithic cache file name, recognized only to
-/// report a clean "stale cache" outcome instead of "missing".
-pub const CACHE_FILE_NAME: &str = "cache.json";
-
 /// Default cache directory name (relative to the working directory).
 pub const DEFAULT_CACHE_DIR: &str = ".ofence-cache";
 
@@ -362,7 +358,7 @@ fn read_shards(dir: &Path, fp: u64) -> Vec<ShardOutcome> {
 
 /// The entries of every usable shard, what the load amounts to, and
 /// which shards were usable.
-fn hydrate(dir: &Path, outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
+fn hydrate(outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
     let mut map = HashMap::new();
     let mut valid = vec![false; SHARD_COUNT];
     let mut entries = 0usize;
@@ -386,23 +382,12 @@ fn hydrate(dir: &Path, outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Ve
             }
         }
     }
-    let outcome = if present == 0 {
-        // Recognize a pre-v3 monolithic cache so the caller sees a clean
-        // "stale, discarded" instead of "missing".
-        if dir.join(CACHE_FILE_NAME).exists() {
-            LoadOutcome::Discarded {
-                reason: format!("monolithic cache from format < {CACHE_FORMAT_VERSION}"),
-            }
-        } else {
-            LoadOutcome::Missing
-        }
-    } else {
-        match first_reason {
-            // Some shards were unusable but others loaded: partial hydration.
-            Some(_) if entries > 0 => LoadOutcome::Loaded { entries },
-            Some(reason) => LoadOutcome::Discarded { reason },
-            None => LoadOutcome::Loaded { entries },
-        }
+    let outcome = match first_reason {
+        // Some shards were unusable but others loaded: partial hydration.
+        Some(_) if entries > 0 => LoadOutcome::Loaded { entries },
+        Some(reason) => LoadOutcome::Discarded { reason },
+        None if present == 0 => LoadOutcome::Missing,
+        None => LoadOutcome::Loaded { entries },
     };
     (map, outcome, valid)
 }
@@ -411,7 +396,7 @@ fn hydrate(dir: &Path, outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Ve
 /// dropped (reported in the outcome only when *nothing* was usable) and
 /// treated as empty. Shards are read and decoded in parallel.
 pub fn load(dir: &Path, config: &AnalysisConfig) -> (Entries, LoadOutcome) {
-    let (map, outcome, _) = hydrate(dir, read_shards(dir, config_fingerprint(config)));
+    let (map, outcome, _) = hydrate(read_shards(dir, config_fingerprint(config)));
     (map, outcome)
 }
 
@@ -485,7 +470,7 @@ impl Store {
     /// return how many entries it held. Afterwards a shard is clean iff it
     /// loaded cleanly and the store held none of its paths before.
     pub fn load(&mut self, dir: &Path, config: &AnalysisConfig) -> (usize, LoadOutcome) {
-        let (map, outcome, valid) = hydrate(dir, read_shards(dir, config_fingerprint(config)));
+        let (map, outcome, valid) = hydrate(read_shards(dir, config_fingerprint(config)));
         let mut held = vec![false; SHARD_COUNT];
         for path in self.entries.keys() {
             held[shard_of(path)] = true;
@@ -551,9 +536,6 @@ impl Store {
             }
         }
         self.synced = Some(dir.to_path_buf());
-        // Drop a leftover pre-v3 monolithic file so it can't shadow the
-        // sharded cache in external tooling.
-        let _ = std::fs::remove_file(dir.join(CACHE_FILE_NAME));
         match first_error {
             Some(e) => Err(e),
             None => Ok(stats),
@@ -913,21 +895,6 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             matches!(outcome, LoadOutcome::Discarded { .. }),
             "{outcome:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A pre-v3 monolithic `cache.json` is recognized and reported as
-    /// discarded (stale format), not as a missing cache.
-    #[test]
-    fn legacy_monolithic_cache_discarded() {
-        let dir = tempdir("legacy");
-        std::fs::write(dir.join(CACHE_FILE_NAME), "{\"format_version\":2}").unwrap();
-        let (map, outcome) = load(&dir, &AnalysisConfig::default());
-        assert!(map.is_empty());
-        match outcome {
-            LoadOutcome::Discarded { reason } => assert!(reason.contains("monolithic")),
-            other => panic!("{other:?}"),
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

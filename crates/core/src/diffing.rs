@@ -24,6 +24,16 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
+    /// Whether `policy` fails a run with this report: `new` on a new
+    /// finding, `any` on any current finding, `none` never.
+    pub fn fails(&self, policy: FailOn) -> bool {
+        match policy {
+            FailOn::Any => !self.new.is_empty() || !self.unchanged.is_empty(),
+            FailOn::New => !self.new.is_empty(),
+            FailOn::None => false,
+        }
+    }
+
     pub fn is_clean(&self) -> bool {
         self.new.is_empty() && self.fixed.is_empty()
     }

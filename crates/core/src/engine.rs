@@ -230,13 +230,6 @@ impl Engine {
         saved.map(|stats| stats.entries)
     }
 
-    /// Queue a counter for the next run's snapshot (used by drivers that
-    /// want their own counters — e.g. `watch_iterations` — exported next
-    /// to the engine's).
-    pub fn queue_count(&mut self, name: &str, delta: u64) {
-        self.pending_counts.push((name.to_string(), delta));
-    }
-
     /// Analyze a corpus from scratch (cache is still populated for
     /// subsequent incremental runs).
     pub fn analyze(&mut self, files: &[SourceFile]) -> AnalysisResult {

@@ -1,21 +1,21 @@
 //! The append-only run ledger: `.ofence/history.jsonl`.
 //!
-//! Every `analyze` (and each watch iteration) appends one [`RunRecord`]
-//! line — config fingerprint, corpus stats, per-check deviation counts,
-//! wall-time phases from the obs recorder, and the full finding list with
-//! fingerprints. `ofence diff <old-run-id> <new-run-id>` resolves its
+//! Every analysis session run (CLI, watch, daemon) appends one
+//! [`RunRecord`] line — config fingerprint, corpus stats, per-check
+//! deviation counts, wall-time phases from the obs recorder, and the full
+//! finding list with fingerprints. `ofence diff <old-run-id> <new-run-id>` resolves its
 //! operands here, so regressions can be traced across arbitrary history
 //! without keeping `--json` reports around.
 //!
-//! The format is one JSON object per line. Corrupt or unreadable lines
-//! are skipped on load (a crashed append must not brick the ledger);
-//! appends are O(1) and never rewrite existing lines.
+//! The format is one JSON object per line, shared with the other ledgers
+//! ([`crate::perf::append_to`] / [`crate::perf::load_file`]). Corrupt or
+//! unreadable lines are skipped on load (a crashed append must not brick
+//! the ledger); appends are O(1) and never rewrite existing lines.
 
 use crate::engine::AnalysisResult;
 use crate::fingerprint::FindingRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Default ledger directory, relative to the working directory.
@@ -55,13 +55,9 @@ pub fn record_of(
     config: &crate::config::AnalysisConfig,
     findings: Vec<FindingRecord>,
 ) -> RunRecord {
-    let timestamp_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
     RunRecord {
         run_id: result.run_id.clone(),
-        timestamp_ms,
+        timestamp_ms: crate::perf::now_ms(),
         schema_version: crate::json::SCHEMA_VERSION,
         tool_version: env!("CARGO_PKG_VERSION").to_string(),
         config_fingerprint: format!("{:016x}", crate::cache::config_fingerprint(config)),
@@ -84,38 +80,13 @@ pub fn ledger_path(dir: &Path) -> PathBuf {
 /// Append one record to the ledger in `dir`, creating the directory and
 /// file on first use.
 pub fn append(dir: &Path, record: &RunRecord) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = ledger_path(dir);
-    let mut line =
-        serde_json::to_string(record).map_err(|e| format!("serialize run record: {e}"))?;
-    line.push('\n');
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|e| format!("open {}: {e}", path.display()))?;
-    f.write_all(line.as_bytes())
-        .map_err(|e| format!("append to {}: {e}", path.display()))
+    crate::perf::append_to(&ledger_path(dir), record)
 }
 
 /// Load every parseable record, oldest first. Corrupt lines are counted,
 /// not fatal.
 pub fn load(dir: &Path) -> Result<(Vec<RunRecord>, usize), String> {
-    let path = ledger_path(dir);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<RunRecord>(line) {
-            Ok(r) => records.push(r),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((records, skipped))
+    crate::perf::load_file(&ledger_path(dir))
 }
 
 /// Find a run by id, allowing unambiguous prefixes (`run-3fa` or just

@@ -35,6 +35,13 @@ impl AnalysisResult {
     /// The full result as a `serde_json::Value` following the documented
     /// stable schema (see `docs/SCHEMA.md`).
     pub fn to_json(&self) -> serde_json::Value {
+        self.to_json_with(&self.obs)
+    }
+
+    /// [`Self::to_json`] reporting `obs` in place of the run's own
+    /// snapshot, for drivers that add counters of their own (e.g.
+    /// `findings_new` against a baseline).
+    pub fn to_json_with(&self, obs: &obs::Snapshot) -> serde_json::Value {
         let files: Vec<serde_json::Value> = self
             .files
             .iter()
@@ -100,11 +107,11 @@ impl AnalysisResult {
             "observability": {
                 "phase_us": self.stats.phase_us,
                 "slowest_files": self.stats.slowest_files,
-                "counters": self.obs.counters,
+                "counters": obs.counters,
                 "cache": {
-                    "hits": self.obs.count_of("engine_cache_hits"),
-                    "loads": self.obs.count_of("cache_loads"),
-                    "evictions": self.obs.count_of("cache_evictions"),
+                    "hits": obs.count_of("engine_cache_hits"),
+                    "loads": obs.count_of("cache_loads"),
+                    "evictions": obs.count_of("cache_evictions"),
                 },
             },
         })

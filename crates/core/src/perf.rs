@@ -3,8 +3,8 @@
 //! Where [`crate::history`] records *what* a run found (findings with
 //! stable fingerprints, for diffing), this ledger records *how fast* it
 //! ran: phase timings, throughput, cache economics, and worker
-//! utilization. Every `analyze` run, every `ofence watch` iteration, and
-//! the cache benchmark (`--perf-ledger`) append one [`PerfRecord`] line.
+//! utilization. Every analysis session run (CLI, watch, daemon) and the
+//! scale benchmark (`--perf-ledger`) append one [`PerfRecord`] line.
 //!
 //! `ofence perf` reads the ledger back as a trend table, and
 //! `ofence perf --gate --max-regress-pct <p>` turns it into a CI
@@ -13,8 +13,9 @@
 //! fingerprint, same corpus size, same cold/warm mode), and the command
 //! exits non-zero if it is more than `p` percent slower.
 //!
-//! Same file format and robustness rules as the history ledger: one JSON
-//! object per line, corrupt lines skipped on load, appends never rewrite
+//! All three ledgers (history, perf, requests) share one file format and
+//! one pair of functions, [`append_to`] and [`load_file`]: one JSON object
+//! per line, corrupt lines skipped on load, appends never rewrite
 //! existing lines.
 
 use crate::engine::AnalysisResult;
@@ -58,13 +59,9 @@ pub fn request_record_of(
     coalesced: bool,
     run_id: Option<String>,
 ) -> RequestRecord {
-    let timestamp_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
     RequestRecord {
         request_id: request_id.to_string(),
-        timestamp_ms,
+        timestamp_ms: now_ms(),
         method: method.to_string(),
         ok,
         latency_us,
@@ -78,38 +75,15 @@ pub fn requests_path(dir: &Path) -> PathBuf {
     dir.join(REQUESTS_FILE_NAME)
 }
 
-/// Append one request record to the ledger in `dir`, through the same
-/// rotation-safe process-global appender registry as the perf ledger.
+/// Append one request record to the ledger in `dir`.
 pub fn append_request(dir: &Path, record: &RequestRecord) -> Result<(), String> {
-    let mut line =
-        serde_json::to_string(record).map_err(|e| format!("serialize request record: {e}"))?;
-    line.push('\n');
-    appender_for(&requests_path(dir))?.append(line.as_bytes())
+    append_to(&requests_path(dir), record)
 }
 
-/// Load every parseable request record from `dir`'s ledger, oldest
-/// first. Corrupt lines are counted, not fatal.
+/// Load every parseable request record from `dir`'s ledger (see
+/// [`load_file`]).
 pub fn load_requests(dir: &Path) -> Result<(Vec<RequestRecord>, usize), String> {
-    load_requests_file(&requests_path(dir))
-}
-
-/// Load request records from an explicit ledger file (see
-/// [`load_requests`]).
-pub fn load_requests_file(path: &Path) -> Result<(Vec<RequestRecord>, usize), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<RequestRecord>(line) {
-            Ok(r) => records.push(r),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((records, skipped))
+    load_file(&requests_path(dir))
 }
 
 /// Render per-method latency trends over the last `last` request records
@@ -183,25 +157,17 @@ pub struct PerfRecord {
     pub files_per_sec: f64,
     /// Per-phase wall time in microseconds, from the obs recorder.
     pub phase_us: BTreeMap<String, u64>,
-    /// For watch iterations: the full iteration wall-clock (analysis
-    /// plus diffing and rendering), in microseconds. Absent for one-shot
-    /// runs.
-    pub iteration_us: Option<u64>,
     pub deviations_total: usize,
 }
 
-/// Build the perf record of a finished run. `iteration_us` is `Some` for
-/// watch iterations (full iteration wall-clock), `None` for one-shot
-/// analyze runs.
+/// Build the perf record of a finished run. The third argument is
+/// ignored: it carried watch's iteration wall-clock, which records no
+/// longer hold (older ledger lines with an `iteration_us` still load).
 pub fn record_of(
     result: &AnalysisResult,
     config: &crate::config::AnalysisConfig,
-    iteration_us: Option<u64>,
+    _iteration_us: Option<u64>,
 ) -> PerfRecord {
-    let timestamp_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
     let stats = &result.stats;
     let cache_hits = result.obs.count_of("engine_cache_hits");
     let elapsed_ms = stats.elapsed_ms;
@@ -212,7 +178,7 @@ pub fn record_of(
     };
     PerfRecord {
         run_id: result.run_id.clone(),
-        timestamp_ms,
+        timestamp_ms: now_ms(),
         tool_version: env!("CARGO_PKG_VERSION").to_string(),
         config_fingerprint: format!("{:016x}", crate::cache::config_fingerprint(config)),
         files_total: stats.files_total,
@@ -226,7 +192,6 @@ pub fn record_of(
         elapsed_ms,
         files_per_sec,
         phase_us: stats.phase_us.clone(),
-        iteration_us,
         deviations_total: stats.deviations_total,
     }
 }
@@ -242,19 +207,28 @@ pub fn append(dir: &Path, record: &PerfRecord) -> Result<(), String> {
     append_to(&ledger_path(dir), record)
 }
 
-/// Append one record to an explicit ledger file (the bench's
-/// `--perf-ledger FILE` path).
+/// Milliseconds since the Unix epoch: every ledger record's timestamp.
+pub(crate) fn now_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0)
+}
+
+/// Append one record as a JSON line to a ledger file, creating its
+/// directory and the file on first use (the bench's `--perf-ledger FILE`
+/// path, and under every ledger's `append`).
 ///
 /// All appends in the process go through one shared appender per ledger
-/// file: `ofence watch --serve-metrics` and `ofence serve` both write
-/// the same `.ofence/perf.jsonl`, and two writers opening the file
+/// file: several sessions in one process can write the same
+/// `.ofence/perf.jsonl`, and two writers opening the file
 /// independently could interleave partial lines. The appender serializes
 /// whole-line writes under a per-file mutex (and each write is a single
 /// `O_APPEND` `write_all`, so even writers in *different* processes
 /// interleave at line granularity on POSIX).
-pub fn append_to(path: &Path, record: &PerfRecord) -> Result<(), String> {
+pub fn append_to<T: Serialize>(path: &Path, record: &T) -> Result<(), String> {
     let mut line =
-        serde_json::to_string(record).map_err(|e| format!("serialize perf record: {e}"))?;
+        serde_json::to_string(record).map_err(|e| format!("serialize ledger record: {e}"))?;
     line.push('\n');
     appender_for(path)?.append(line.as_bytes())
 }
@@ -352,16 +326,13 @@ fn appender_for(path: &Path) -> Result<Arc<Appender>, String> {
 
 /// Load every parseable record from a ledger file, oldest first. Corrupt
 /// lines are counted, not fatal.
-pub fn load_file(path: &Path) -> Result<(Vec<PerfRecord>, usize), String> {
+pub fn load_file<T: Deserialize>(path: &Path) -> Result<(Vec<T>, usize), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let mut records = Vec::new();
     let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<PerfRecord>(line) {
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        match serde_json::from_str::<T>(line) {
             Ok(r) => records.push(r),
             Err(_) => skipped += 1,
         }
@@ -384,8 +355,8 @@ pub fn render_trend(records: &[PerfRecord], last: usize) -> String {
     }
     let start = records.len().saturating_sub(last);
     out.push_str(&format!(
-        "{:<14} {:>6} {:>5} {:>9} {:>10} {:>6} {:>7} {:>6}  {}\n",
-        "run", "files", "cold", "elapsed", "files/s", "hits", "busy%", "dev", "iter_ms"
+        "{:<14} {:>6} {:>5} {:>9} {:>10} {:>6} {:>7} {:>6}\n",
+        "run", "files", "cold", "elapsed", "files/s", "hits", "busy%", "dev"
     ));
     for r in &records[start..] {
         let short = r
@@ -403,12 +374,8 @@ pub fn render_trend(records: &[PerfRecord], last: usize) -> String {
                 0.0
             }
         };
-        let iter = match r.iteration_us {
-            Some(us) => format!("{:.1}", us as f64 / 1000.0),
-            None => "-".to_string(),
-        };
         out.push_str(&format!(
-            "{:<14} {:>6} {:>5} {:>7}ms {:>10.1} {:>6} {:>6.1}% {:>6}  {}\n",
+            "{:<14} {:>6} {:>5} {:>7}ms {:>10.1} {:>6} {:>6.1}% {:>6}\n",
             short,
             r.files_total,
             if r.cold { "cold" } else { "warm" },
@@ -416,8 +383,7 @@ pub fn render_trend(records: &[PerfRecord], last: usize) -> String {
             r.files_per_sec,
             r.cache_hits,
             busy_pct,
-            r.deviations_total,
-            iter
+            r.deviations_total
         ));
     }
     let shown = records.len() - start;
@@ -563,7 +529,6 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         assert_eq!(records[0].files_total, 1);
         assert!(records[0].cold);
         assert!(records[0].phase_us.contains_key("pair"));
-        assert!(records[0].iteration_us.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -582,17 +547,17 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         std::fs::rename(&path, &rotated).unwrap();
         rec.run_id = "after-rotate".to_string();
         append_to(&path, &rec).unwrap();
-        let (records, _) = load_file(&path).unwrap();
+        let (records, _) = load_file::<PerfRecord>(&path).unwrap();
         assert_eq!(records.len(), 1, "record lost to the rotated inode");
         assert_eq!(records[0].run_id, "after-rotate");
-        let (old, _) = load_file(&rotated).unwrap();
+        let (old, _) = load_file::<PerfRecord>(&rotated).unwrap();
         assert_eq!(old.len(), 1);
         assert_eq!(old[0].run_id, "before-rotate");
         // Delete: the handle points at an unlinked inode.
         std::fs::remove_file(&path).unwrap();
         rec.run_id = "after-delete".to_string();
         append_to(&path, &rec).unwrap();
-        let (records, _) = load_file(&path).unwrap();
+        let (records, _) = load_file::<PerfRecord>(&path).unwrap();
         assert_eq!(records.len(), 1, "record lost to the unlinked inode");
         assert_eq!(records[0].run_id, "after-delete");
         std::fs::remove_dir_all(&dir).ok();
@@ -620,7 +585,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
                 });
             }
         });
-        let (records, skipped) = load_file(&path).unwrap();
+        let (records, skipped) = load_file::<PerfRecord>(&path).unwrap();
         assert_eq!(skipped, 0, "torn JSONL lines");
         assert_eq!(records.len(), WRITERS * PER_WRITER);
         for w in 0..WRITERS {
@@ -644,7 +609,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         append_to(&path, &rec).unwrap();
         let respelled = dir.join(".").join(PERF_FILE_NAME);
         append_to(&respelled, &rec).unwrap();
-        let (records, skipped) = load_file(&path).unwrap();
+        let (records, skipped) = load_file::<PerfRecord>(&path).unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(records.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -657,11 +622,15 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         append(&dir, &rec).unwrap();
         let path = ledger_path(&dir);
         let mut text = std::fs::read_to_string(&path).unwrap();
+        // A line from an older tool that still recorded watch iterations:
+        // the unknown field is ignored, the record loads.
+        let legacy = text.replacen('{', "{\"iteration_us\":149435,", 1);
+        text.push_str(&legacy);
         text.push_str("{not json\n");
         std::fs::write(&path, text).unwrap();
         append(&dir, &rec).unwrap();
         let (records, skipped) = load(&dir).unwrap();
-        assert_eq!(records.len(), 2);
+        assert_eq!(records.len(), 3);
         assert_eq!(skipped, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,13 +1,18 @@
-//! A long-lived analysis session: the state `ofence serve` (and any
-//! other multi-request driver) shares between overlapping requests.
+//! An analysis session: the one pipeline that turns a tree into an
+//! [`AnalysisResult`].
 //!
-//! [`Session`] is the extraction ROADMAP item 1 asked for: the pieces a
-//! one-shot CLI invocation wires together ad hoc — the [`Engine`] with
-//! its parsed-AST/summary cache, the sharded disk cache, the history and
-//! perf ledgers, and the live telemetry publisher — owned by one object
-//! that can serve many concurrent `analyze` / `explain` / `diff` /
-//! `baseline-gate` requests against one warm cache and one persistent
-//! worker pool.
+//! [`Session`] owns every piece of a run — the [`Engine`] with its
+//! parsed-AST/summary cache, the sharded disk cache, the history and
+//! perf ledgers, and the live telemetry publisher. Every driver is a
+//! session: a one-shot CLI subcommand makes one request, `ofence watch`
+//! adds a poll loop ([`Session::snapshot_key`]), and `ofence serve` puts
+//! a socket in front of it, serving many concurrent `analyze` /
+//! `explain` / `diff` / `baseline-gate` requests against one warm cache
+//! and one persistent worker pool.
+//!
+//! The session never fails a run over its disk side: a discarded cache,
+//! a failed cache save or a failed ledger append is carried on the
+//! [`RunHandle`], and the driver decides what is fatal.
 //!
 //! ## Snapshot consistency
 //!
@@ -42,7 +47,7 @@
 //! request warmed. Coalesce and queue-depth counters are exported on
 //! `/metrics` via [`obs::Live`].
 
-use crate::cache;
+use crate::cache::{self, LoadOutcome};
 use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::{finding_records, FindingRecord};
@@ -81,6 +86,14 @@ pub struct RunHandle {
     pub result: Arc<AnalysisResult>,
     /// Diffable records of the run's deviations, in report order.
     pub records: Vec<FindingRecord>,
+    /// The disk-cache load the session started from: `Some` on the
+    /// session's first run only, and only with a cache directory.
+    pub cache_load: Option<LoadOutcome>,
+    /// Why saving the cache after this run failed. The findings stand;
+    /// the unwritten shards stay dirty for the next save.
+    pub cache_save_error: Option<String>,
+    /// Why appending this run to the history or perf ledger failed.
+    pub ledger_error: Option<String>,
 }
 
 /// An in-flight analysis other requests can join: the leader publishes
@@ -228,6 +241,9 @@ pub struct Session {
     /// shared by every request. One analysis at a time; the per-file
     /// parallelism inside a run comes from the persistent global pool.
     engine: Mutex<Engine>,
+    /// What loading the disk cache at start-up found, until the first
+    /// run takes it onto its [`RunHandle`].
+    cache_load: Mutex<Option<LoadOutcome>>,
     /// Stamps and texts of the corpus as the last snapshot pass saw it.
     /// Passes hold the lock, so concurrent requests take turns walking.
     index: Mutex<SourceIndex>,
@@ -254,16 +270,25 @@ pub struct Session {
 }
 
 impl Session {
-    /// Create a session and hydrate the engine from the disk cache (a
-    /// stale or corrupt cache is discarded silently, like the CLI path).
+    /// Create a session over a default engine for `opts.config`.
     pub fn new(opts: SessionOptions) -> Session {
-        let mut engine = Engine::new(opts.config.clone());
-        if let Some(dir) = &opts.cache_dir {
-            let _ = engine.load_disk_cache(dir);
-        }
+        let engine = Engine::new(opts.config.clone());
+        Session::with_engine(opts, engine)
+    }
+
+    /// Create a session around an engine the caller configured (event
+    /// sinks, slow-file ranking; its config must be `opts.config`) and
+    /// hydrate it from the disk cache. A stale or corrupt cache is
+    /// discarded; the first run reports that as its `cache_load`.
+    pub fn with_engine(opts: SessionOptions, mut engine: Engine) -> Session {
+        let cache_load = opts
+            .cache_dir
+            .as_ref()
+            .map(|dir| engine.load_disk_cache(dir));
         Session {
             opts,
             engine: Mutex::new(engine),
+            cache_load: Mutex::new(cache_load),
             index: Mutex::new(SourceIndex::default()),
             inflight: Mutex::new(HashMap::new()),
             counters: SessionCounters::default(),
@@ -278,19 +303,10 @@ impl Session {
         }
     }
 
-    pub fn options(&self) -> &SessionOptions {
-        &self.opts
-    }
-
     /// The live telemetry publisher (hand to [`obs::serve::serve`] for a
     /// `/metrics` + `/health` endpoint).
     pub fn live(&self) -> Arc<obs::Live> {
         self.live.clone()
-    }
-
-    /// Microseconds since the session started.
-    pub fn uptime_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
     }
 
     /// Snapshot the corpus from disk, passing over it until two
@@ -325,6 +341,15 @@ impl Session {
             .snapshot_files_read
             .fetch_add(total.read as u64, Ordering::Relaxed);
         outcome.map(|(sources, key)| (sources, key, total))
+    }
+
+    /// One stat-first pass over the corpus, without analyzing: the key a
+    /// run would get if nothing changes meanwhile. A poller compares it
+    /// with the last [`RunHandle::corpus_key`] to decide when to re-run.
+    pub fn snapshot_key(&self) -> Result<u64, String> {
+        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let (sources, _) = index.refresh(&self.opts.paths)?;
+        Ok(corpus_key(&sources, &self.opts.config))
     }
 
     /// A fresh server-assigned request id (`r000001`, `r000002`, ...).
@@ -387,21 +412,8 @@ impl Session {
                 stat.samples.pop_front();
             }
             stat.samples.push_back(latency_us);
-            let quantiles = stats
-                .iter()
-                .map(|(method, stat)| {
-                    let mut window: Vec<u64> = stat.samples.iter().copied().collect();
-                    let (p50_us, p95_us, p99_us) = obs::quantiles_us(&mut window);
-                    obs::MethodQuantiles {
-                        method: method.clone(),
-                        count: stat.hist.count,
-                        p50_us,
-                        p95_us,
-                        p99_us,
-                    }
-                })
-                .collect();
-            self.live.set_method_quantiles(quantiles);
+            // Published under the lock, so quantiles never go back in time.
+            self.live.set_method_quantiles(method_quantiles(&stats));
         }
         {
             let mut pending = self.pending_spans.lock().unwrap_or_else(|e| e.into_inner());
@@ -435,35 +447,12 @@ impl Session {
         });
     }
 
-    /// The per-method latency quantiles over the current sample windows,
-    /// for the in-band `status` document.
-    fn method_quantiles(&self) -> Vec<obs::MethodQuantiles> {
-        let stats = self.method_stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats
-            .iter()
-            .map(|(method, stat)| {
-                let mut window: Vec<u64> = stat.samples.iter().copied().collect();
-                let (p50_us, p95_us, p99_us) = obs::quantiles_us(&mut window);
-                obs::MethodQuantiles {
-                    method: method.clone(),
-                    count: stat.hist.count,
-                    p50_us,
-                    p95_us,
-                    p99_us,
-                }
-            })
-            .collect()
-    }
-
     /// The current analysis of the watched corpus: snapshot, coalesce,
     /// run. Every analysis-backed method funnels through here.
     pub fn current_run(&self) -> Result<Arc<RunHandle>, String> {
         let ctx = self.begin_request("analyze", None);
         self.tracked(&ctx, || {
-            let _span = ctx.rec.span_with(
-                "request",
-                &[("method", ctx.method()), ("request_id", ctx.request_id())],
-            );
+            let _span = self.request_span(&ctx);
             self.current_run_inner(&ctx)
         })
     }
@@ -553,67 +542,83 @@ impl Session {
         if self.panic_next_lead.swap(false, Ordering::SeqCst) {
             panic!("injected lead_run panic");
         }
+        let t0 = Instant::now();
         SessionCounters::bump(&self.counters.queue_enqueued);
         let run_span = ctx.rec.open("serve_run");
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
         SessionCounters::bump(&self.counters.queue_dequeued);
+        let cache_load = self
+            .cache_load
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
         let result = engine.analyze_incremental(sources);
-        if let Some(dir) = &self.opts.cache_dir {
-            // A full disk is not a failed analysis: the result stands,
-            // the next cold start just pays the re-parse.
-            let _ = engine.save_disk_cache(dir);
-        }
+        // A full disk is not a failed analysis: the result stands, the
+        // next save retries the dirty shards.
+        let cache_save_error = self
+            .opts
+            .cache_dir
+            .as_ref()
+            .and_then(|dir| engine.save_disk_cache(dir).err());
+        // Event streams end every run on a line boundary, so a consumer
+        // tailing one (or a driver killed between runs) sees whole events.
+        engine.recorder().flush_sinks();
         drop(engine);
         ctx.rec.close(run_span);
         SessionCounters::bump(&self.counters.runs);
         let records = finding_records(&result.deviations, &result.sites, &result.files);
-        if let Some(dir) = &self.opts.history_dir {
+        let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
             let run_record = crate::history::record_of(&result, &self.opts.config, records.clone());
-            let _ = crate::history::append(dir, &run_record);
+            let history = crate::history::append(dir, &run_record);
             let perf_record = crate::perf::record_of(&result, &self.opts.config, None);
-            let _ = crate::perf::append(dir, &perf_record);
-        }
+            history.and(crate::perf::append(dir, &perf_record)).err()
+        });
         let handle = Arc::new(RunHandle {
             corpus_key: key,
             result: Arc::new(result),
             records,
+            cache_load,
+            cache_save_error,
+            ledger_error,
         });
-        self.publish(&handle);
+        self.publish(&handle, t0.elapsed().as_micros() as u64);
         Ok(handle)
     }
 
-    /// Publish the latest run to the live endpoint: the engine's per-run
-    /// snapshot merged with the session's cumulative counters, request
-    /// spans since the last publish, and the request-latency histograms
+    /// Publish the latest run (which took `run_us`) to the live endpoint:
+    /// the engine's per-run snapshot (span totals, not every per-file
+    /// span) merged with the session's cumulative counters, request spans
+    /// since the last publish, and the request-latency histograms
     /// (all-methods plus one per method).
-    fn publish(&self, handle: &RunHandle) {
+    fn publish(&self, handle: &RunHandle, run_us: u64) {
         let request_spans = {
             let mut pending = self.pending_spans.lock().unwrap_or_else(|e| e.into_inner());
             std::mem::take(&mut *pending)
         };
-        let mut merged = handle.result.obs.with_counters(self.counters.export());
+        let mut merged = handle.result.obs.totals();
+        for (name, value) in self.counters.export() {
+            *merged.counters.entry(name).or_default() += value;
+        }
         merged.spans.extend(request_spans);
-        let mut merged = merged.with_histogram(
-            "serve_request_duration_us",
-            self.request_hist
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
-        );
+        let request_hist = self
+            .request_hist
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
+        merged
+            .histograms
+            .insert("serve_request_duration_us".to_string(), request_hist);
         {
             let stats = self.method_stats.lock().unwrap_or_else(|e| e.into_inner());
             for (method, stat) in stats.iter() {
-                merged = merged.with_histogram(
-                    &format!("serve_request_duration_us_{method}"),
+                merged.histograms.insert(
+                    format!("serve_request_duration_us_{method}"),
                     stat.hist.clone(),
                 );
             }
         }
-        self.live.publish(
-            &merged,
-            handle.records.len() as u64,
-            handle.result.stats.elapsed_ms * 1000,
-        );
+        self.live
+            .publish(&merged, handle.records.len() as u64, run_us);
         self.live.set_server_stats(
             self.counters.queue_depth(),
             SessionCounters::get(&self.counters.coalesced),
@@ -752,14 +757,9 @@ impl Session {
                 .map_err(|e| format!("baseline document: {e}"))?;
             let handle = self.current_run_inner(ctx)?;
             let report = crate::diffing::classify(&known, &handle.records);
-            let pass = match fail_on {
-                crate::diffing::FailOn::Any => report.new.is_empty() && report.unchanged.is_empty(),
-                crate::diffing::FailOn::New => report.new.is_empty(),
-                crate::diffing::FailOn::None => true,
-            };
             Ok(serde_json::json!({
                 "run_id": handle.result.run_id,
-                "pass": pass,
+                "pass": !report.fails(fail_on),
                 "report": report.to_json(),
             }))
         })
@@ -775,8 +775,9 @@ impl Session {
             .into_iter()
             .map(|(k, v)| (k, serde_json::Value::from(v)))
             .collect();
-        let methods: serde_json::Map<String, serde_json::Value> = self
-            .method_quantiles()
+        let quantiles =
+            method_quantiles(&self.method_stats.lock().unwrap_or_else(|e| e.into_inner()));
+        let methods: serde_json::Map<String, serde_json::Value> = quantiles
             .into_iter()
             .map(|q| {
                 (
@@ -791,7 +792,7 @@ impl Session {
             })
             .collect();
         serde_json::json!({
-            "uptime_us": self.uptime_us(),
+            "uptime_us": self.started.elapsed().as_micros() as u64,
             "paths": self.opts.paths,
             "queue_depth": self.counters.queue_depth(),
             "counters": counters,
@@ -824,9 +825,27 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Exact name, or path-suffix match in either direction — the same rule
-/// `ofence explain` applies to its `<file:line>` target.
-fn name_matches(name: &str, wanted: &str) -> bool {
+/// The per-method latency quantiles over the current sample windows.
+fn method_quantiles(stats: &BTreeMap<String, MethodStat>) -> Vec<obs::MethodQuantiles> {
+    stats
+        .iter()
+        .map(|(method, stat)| {
+            let mut window: Vec<u64> = stat.samples.iter().copied().collect();
+            let (p50_us, p95_us, p99_us) = obs::quantiles_us(&mut window);
+            obs::MethodQuantiles {
+                method: method.clone(),
+                count: stat.hist.count,
+                p50_us,
+                p95_us,
+                p99_us,
+            }
+        })
+        .collect()
+}
+
+/// Exact name, or path-suffix match in either direction: how `explain`
+/// and `analyze-file` resolve a file a user names.
+pub fn name_matches(name: &str, wanted: &str) -> bool {
     name == wanted || name.ends_with(&format!("/{wanted}")) || wanted.ends_with(&format!("/{name}"))
 }
 
@@ -860,11 +879,19 @@ void reader(struct m *a) { if (!a->init) return; smp_rmb(); f(a->y); }\n\
 void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
 
     fn session_over(dir: &std::path::Path) -> Session {
+        session_with(dir, AnalysisConfig::default(), None)
+    }
+
+    fn session_with(
+        dir: &std::path::Path,
+        config: AnalysisConfig,
+        history_dir: Option<PathBuf>,
+    ) -> Session {
         Session::new(SessionOptions {
-            config: AnalysisConfig::default(),
+            config,
             paths: vec![dir.display().to_string()],
             cache_dir: None,
-            history_dir: None,
+            history_dir,
         })
     }
 
@@ -897,15 +924,11 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let (_, k3, _) = session.snapshot_sources().unwrap();
         assert_ne!(k1, k3);
         // Config changes the key too: same bytes, different analysis.
-        let other = Session::new(SessionOptions {
-            config: AnalysisConfig {
-                write_window: 9,
-                ..Default::default()
-            },
-            paths: vec![dir.display().to_string()],
-            cache_dir: None,
-            history_dir: None,
-        });
+        let config = AnalysisConfig {
+            write_window: 9,
+            ..Default::default()
+        };
+        let other = session_with(&dir, config, None);
         let (_, k4, _) = other.snapshot_sources().unwrap();
         assert_ne!(k3, k4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1029,12 +1052,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let corpus = dir.join("src");
         std::fs::create_dir_all(&corpus).unwrap();
         std::fs::write(corpus.join("m.c"), CLEAN).unwrap();
-        let session = Session::new(SessionOptions {
-            config: AnalysisConfig::default(),
-            paths: vec![corpus.display().to_string()],
-            cache_dir: None,
-            history_dir: Some(dir.join("ledger")),
-        });
+        let session = session_with(&corpus, AnalysisConfig::default(), Some(dir.join("ledger")));
         let a = session.current_run().unwrap().result.run_id.clone();
         // Introduce a bug: reader loses its fence ordering — simplest is
         // a misplaced access corpus pattern appended to the file.
@@ -1295,12 +1313,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         std::fs::create_dir_all(&corpus).unwrap();
         std::fs::write(corpus.join("m.c"), CLEAN).unwrap();
         let ledger = dir.join("ledger");
-        let session = Session::new(SessionOptions {
-            config: AnalysisConfig::default(),
-            paths: vec![corpus.display().to_string()],
-            cache_dir: None,
-            history_dir: Some(ledger.clone()),
-        });
+        let session = session_with(&corpus, AnalysisConfig::default(), Some(ledger.clone()));
         session.analyze_document(&ctx(&session, "analyze")).unwrap();
         assert!(session
             .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c")

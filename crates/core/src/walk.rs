@@ -259,6 +259,18 @@ mod tests {
         assert!(err.contains("no such file"), "{err}");
     }
 
+    /// A file named on the command line is collected whatever its
+    /// extension; only directory walks filter on `.c`.
+    #[test]
+    fn explicit_file_any_extension() {
+        let dir = tempdir("explicit");
+        let file = dir.join("x.inc");
+        std::fs::write(&file, "int x;").unwrap();
+        let sources = collect_sources(&[file.display().to_string()]).unwrap();
+        assert_eq!(names(&sources), ["x.inc"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn empty_corpus_is_an_error() {
         let dir = tempdir("empty");

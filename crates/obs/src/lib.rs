@@ -41,7 +41,7 @@ use std::thread::ThreadId;
 use std::time::Instant;
 
 /// A finished span: a named interval with attributes, thread, and parent.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id within this recorder (monotonic open order).
     pub id: u64,
@@ -390,15 +390,6 @@ impl Snapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Fold this run's counters into a cumulative map. Long-running
-    /// drivers (e.g. a watch loop) reset their recorder every iteration;
-    /// this keeps a process-lifetime view for exported metrics.
-    pub fn accumulate_counters(&self, acc: &mut BTreeMap<String, u64>) {
-        for (name, value) in &self.counters {
-            *acc.entry(name.clone()).or_default() += value;
-        }
-    }
-
     /// A copy of this snapshot with extra counters merged in (added to
     /// any existing value) — lets a driver export its own counters next
     /// to the engine's.
@@ -410,14 +401,28 @@ impl Snapshot {
         out
     }
 
-    /// A copy of this snapshot with a whole histogram inserted under
-    /// `name` (replacing any existing one) — lets a driver export a
-    /// session-cumulative histogram (e.g. `iteration_duration_us` across
-    /// all watch iterations) next to the engine's per-run data.
-    pub fn with_histogram(&self, name: &str, histogram: Histogram) -> Snapshot {
-        let mut out = self.clone();
-        out.histograms.insert(name.to_string(), histogram);
-        out
+    /// The counters and histograms, with the spans folded to one per
+    /// name carrying that name's total duration: all that
+    /// [`Snapshot::prometheus_text`] reads, without a copy of every
+    /// per-file span.
+    pub fn totals(&self) -> Snapshot {
+        let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+        for s in &self.spans {
+            *totals.entry(&s.name).or_default() += s.dur_us;
+        }
+        let spans = totals
+            .into_iter()
+            .map(|(name, dur_us)| SpanRecord {
+                name: name.to_string(),
+                dur_us,
+                ..SpanRecord::default()
+            })
+            .collect();
+        Snapshot {
+            spans,
+            counters: self.counters.clone(),
+            histograms: self.histograms.clone(),
+        }
     }
 
     /// All finished spans with the given name.
@@ -683,6 +688,21 @@ mod tests {
         assert!(text.contains("ofence_span_duration_seconds{span=\"pair\"}"));
         assert!(text.contains("ofence_window_stmts_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("ofence_window_stmts_count 1"));
+    }
+
+    #[test]
+    fn totals_render_the_same_prometheus_text() {
+        let rec = Recorder::new();
+        rec.count("files", 3);
+        rec.observe("window_stmts", 12);
+        for file in ["a.c", "b.c", "c.c"] {
+            drop(rec.span_with("parse", &[("file", file)]));
+        }
+        drop(rec.span("pair"));
+        let snap = rec.snapshot();
+        let totals = snap.totals();
+        assert_eq!(totals.spans.len(), 2);
+        assert_eq!(totals.prometheus_text(), snap.prometheus_text());
     }
 
     #[test]

@@ -77,21 +77,19 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(corpus_dir: &Path, cache_dir: &Path, history_dir: &Path) -> Daemon {
-        Daemon::spawn_inner(corpus_dir, cache_dir, history_dir, false)
+        Daemon::spawn_with(corpus_dir, cache_dir, history_dir, &[])
     }
 
-    /// Spawn with `--metrics 127.0.0.1:0`, parsing the bound HTTP address
-    /// off the same stdout contract scripts use (`ci/serve-soak.sh`).
-    fn spawn_with_metrics(corpus_dir: &Path, cache_dir: &Path, history_dir: &Path) -> Daemon {
-        Daemon::spawn_inner(corpus_dir, cache_dir, history_dir, true)
-    }
-
-    fn spawn_inner(
+    /// Spawn with extra `serve` flags. With `--metrics ADDR`, the bound
+    /// HTTP address is parsed off the same stdout contract scripts use
+    /// (`ci/serve-soak.sh`).
+    fn spawn_with(
         corpus_dir: &Path,
         cache_dir: &Path,
         history_dir: &Path,
-        metrics: bool,
+        extra: &[&str],
     ) -> Daemon {
+        let metrics = extra.contains(&"--metrics");
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_ofence"));
         cmd.arg("serve")
             .arg(corpus_dir)
@@ -100,11 +98,9 @@ impl Daemon {
             .arg(cache_dir)
             .arg("--history-dir")
             .arg(history_dir)
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
-        if metrics {
-            cmd.args(["--metrics", "127.0.0.1:0"]);
-        }
         let mut child = cmd.spawn().expect("spawn ofence serve");
         let stdout = child.stdout.take().unwrap();
         let mut reader = BufReader::new(stdout);
@@ -380,6 +376,41 @@ fn daemon_matches_single_shot_cli_byte_for_byte() {
         "analyze-file slice differs from the full document's findings"
     );
 
+    daemon.shutdown();
+}
+
+/// `serve --events-out` streams the session engine's events, and the
+/// session flushes them after every run: after one `analyze`, with the
+/// daemon still up, the file is whole NDJSON with every span closed.
+#[test]
+fn serve_events_out_streams_balanced_spans() {
+    let corpus_dir = temp_dir("events-corpus");
+    let state_dir = temp_dir("events-state");
+    write_corpus(&corpus_dir, &generate(&CorpusSpec::small(5)));
+    let events = state_dir.join("events.ndjson");
+    let events_arg = events.display().to_string();
+    let mut daemon = Daemon::spawn_with(
+        &corpus_dir,
+        &state_dir.join("cache"),
+        &state_dir.join("history"),
+        &["--events-out", &events_arg],
+    );
+    daemon
+        .client()
+        .ok(serde_json::json!({"id": 1, "method": "analyze"}));
+    let text = std::fs::read_to_string(&events).unwrap();
+    let mut open = HashSet::new();
+    for line in text.lines() {
+        let ev: Value = serde_json::from_str(line).expect("every event line is JSON");
+        let id = ev["id"].as_u64();
+        match ev["ev"].as_str() {
+            Some("span_open") => assert!(open.insert(id.unwrap()), "{line}"),
+            Some("span_close") => assert!(open.remove(&id.unwrap()), "{line}"),
+            _ => {}
+        }
+    }
+    assert!(!text.is_empty(), "no events streamed");
+    assert!(open.is_empty(), "unclosed spans: {open:?}");
     daemon.shutdown();
 }
 
@@ -770,7 +801,8 @@ fn trace_round_trips_from_wire_to_debug_routes_to_cli() {
     };
     write_corpus(&corpus_dir, &generate(&spec));
 
-    let mut daemon = Daemon::spawn_with_metrics(&corpus_dir, &cache_dir, &history_dir);
+    let metrics_flag = ["--metrics", "127.0.0.1:0"];
+    let mut daemon = Daemon::spawn_with(&corpus_dir, &cache_dir, &history_dir, &metrics_flag);
     let metrics_addr = daemon.metrics_addr.clone().unwrap();
     let mut client = daemon.client();
 

@@ -194,9 +194,11 @@ fn concurrent_scrape_during_reanalysis_never_tears() {
             let mut iterations = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 iterations += 1;
-                engine.queue_count("watch_iterations", iterations);
                 let result = engine.analyze_incremental(&sources);
-                live.publish(&result.obs, result.deviations.len() as u64, 1000);
+                let obs = result
+                    .obs
+                    .with_counters([("watch_iterations".to_string(), iterations)]);
+                live.publish(&obs, result.deviations.len() as u64, 1000);
             }
             iterations
         })
