@@ -6,7 +6,7 @@
 //! second `ofence analyze` (or every iteration of `ofence watch`) only
 //! re-parses the files that actually changed.
 //!
-//! ## Format (v4)
+//! ## Format (v5)
 //!
 //! The cache is **sharded**: entries are distributed across
 //! [`SHARD_COUNT`] (256) files, `shard-00.json` … `shard-255.json`, by an
@@ -15,7 +15,7 @@
 //!
 //! ```json
 //! {
-//!   "format_version": 4,
+//!   "format_version": 5,
 //!   "summary_version": 1,
 //!   "tool_version": "0.1.0",
 //!   "config_fingerprint": 1234567890,
@@ -27,9 +27,9 @@
 //!
 //! * **Dirty-shard saves.** A [`Store`] remembers which shards differ
 //!   from the copy on disk, and a save writes only those. A one-file edit
-//!   rewrites one shard — about 1/256 of the cache, ~260 KB at 12k files
-//!   — instead of the whole cache. v3 had 16 shards and rewrote all of
-//!   them on every save.
+//!   rewrites one shard — about 1/256 of the cache — instead of the
+//!   whole cache. v3 had 16 shards and rewrote all of them on every
+//!   save.
 //! * **Parallel I/O.** A cold save or load spreads its shards over one
 //!   worker per core.
 //! * **Isolated corruption.** A truncated or hand-edited shard only drops
@@ -55,30 +55,33 @@
 //! * `config_fingerprint` — a hash of the full [`AnalysisConfig`], so a
 //!   run with different windows/toggles never reuses results computed
 //!   under other settings;
-//! * any parse/decode failure — a truncated or hand-edited shard is
-//!   treated as absent, not as an error.
+//! * any read or decode failure — an unreadable, truncated or
+//!   hand-edited shard is dropped, not an error. Only a shard file that
+//!   does not exist counts as absent; every other failure is a discard.
 //!
 //! Per entry, the engine additionally compares the stored content hash
 //! against the current file content, so stale entries are simply misses.
 //!
 //! ## What is (and isn't) stored
 //!
-//! Entries do not store the file's source text: an entry is only ever
-//! used when its content hash matches the file on disk, so the engine
-//! restores `FileAnalysis::source` from the live corpus. Functions of
-//! files with no barrier sites are stored as name/span stubs without
-//! their CFG or AST: every downstream consumer of `FileAnalysis::
-//! functions` (re-read dataflow gate, patch synthesis, annotation
-//! synthesis) reaches a function only through a barrier site in the same
-//! file, and the missing-barrier detector re-lowers from source. This
-//! keeps warm loads cheap on realistic trees, where most files have no
-//! barriers at all.
+//! An entry holds only what the analysis under its config reads:
+//!
+//! * No source text: an entry is only ever used when its content hash
+//!   matches the file on disk, so the engine restores
+//!   `FileAnalysis::source` from the live corpus.
+//! * Functions (CFG and AST) only for files with barrier sites. Every
+//!   downstream consumer of `FileAnalysis::functions` (re-read dataflow
+//!   gate, patch synthesis, annotation synthesis) reaches a function
+//!   only through a barrier site in the same file, and the
+//!   missing-barrier detector re-lowers from source; site-free files —
+//!   most files of a realistic tree — store just `function_count`.
+//! * Function summaries only when `ipa_depth > 0`: nothing else reads
+//!   them, and the config fingerprint covers the depth, so a depth-0
+//!   entry is never served to a composing run.
 
 use crate::config::AnalysisConfig;
 use crate::ir::BarrierSite;
 use crate::sites::{FileAnalysis, FunctionInfo};
-use ckit::ast::{FunctionDef, FunctionSig, Type};
-use ckit::span::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -89,7 +92,10 @@ use std::sync::{Arc, Mutex};
 /// v3: sharded container (`shard-NN.json` per path-hash bucket) replaced
 /// the single monolithic `cache.json`.
 /// v4: 256 shards instead of 16, so a dirty-shard save stays small.
-pub const CACHE_FORMAT_VERSION: u32 = 4;
+/// v5: entries hold only what their config reads: no summaries at
+/// `ipa_depth` 0, and a function count instead of name/span stubs for
+/// site-free files.
+pub const CACHE_FORMAT_VERSION: u32 = 5;
 
 /// Number of shard files the cache is split into. Path-hash modulo; a
 /// power of two so the bucket spread is uniform under FNV.
@@ -99,7 +105,7 @@ pub const SHARD_COUNT: usize = 256;
 pub type Entries = HashMap<String, (u64, Arc<FileAnalysis>)>;
 
 /// Per-shard load result: `None` = file absent, `Ok` = decoded entries,
-/// `Err` = corruption/version reason.
+/// `Err` = read failure, corruption or version reason.
 type ShardOutcome = Option<Result<Vec<CacheEntry>, String>>;
 
 /// Default cache directory name (relative to the working directory).
@@ -196,52 +202,31 @@ struct CacheEntry {
     analysis: CachedFile,
 }
 
-/// `FileAnalysis` minus the source text (restored from the live corpus
-/// on a hash match), with site-free files' functions slimmed to stubs.
+/// `FileAnalysis` minus the source text, restored from the live corpus
+/// on a hash match.
 #[derive(Serialize, Deserialize)]
 struct CachedFile {
     name: String,
     sites: Vec<BarrierSite>,
-    functions: Vec<CachedFunction>,
+    /// Empty for site-free files, which keep only `function_count`.
+    functions: Vec<FunctionInfo>,
+    function_count: usize,
     parse_error_count: usize,
     /// Per-function summaries for the inter-procedural composition pass;
     /// cached so a warm run composes without re-parsing unchanged files.
+    /// Empty unless the config composes (`ipa_depth > 0`).
     summaries: Vec<crate::summary::FnSummary>,
     /// Window calls aligned with `sites` (see [`FileAnalysis`]).
     window_calls: Vec<Vec<crate::summary::WindowCall>>,
 }
 
-#[derive(Serialize, Deserialize)]
-enum CachedFunction {
-    Full(FunctionInfo),
-    /// Function of a file with no barrier sites: downstream passes never
-    /// consult its CFG or AST, only its existence (function counts).
-    Stub {
-        name: String,
-        span: Span,
-    },
-}
-
 impl CachedFile {
     fn from_analysis(fa: &FileAnalysis) -> CachedFile {
-        let slim = fa.sites.is_empty();
         CachedFile {
             name: fa.name.clone(),
             sites: fa.sites.clone(),
-            functions: fa
-                .functions
-                .iter()
-                .map(|f| {
-                    if slim {
-                        CachedFunction::Stub {
-                            name: f.name.clone(),
-                            span: f.span,
-                        }
-                    } else {
-                        CachedFunction::Full(f.clone())
-                    }
-                })
-                .collect(),
+            functions: fa.functions.clone(),
+            function_count: fa.function_count,
             parse_error_count: fa.parse_error_count,
             summaries: fa.summaries.clone(),
             window_calls: fa.window_calls.clone(),
@@ -254,36 +239,8 @@ impl CachedFile {
             name: self.name,
             source: "".into(), // restored from the live corpus
             sites: self.sites,
-            functions: self
-                .functions
-                .into_iter()
-                .map(|f| match f {
-                    CachedFunction::Full(info) => info,
-                    CachedFunction::Stub { name, span } => FunctionInfo {
-                        cfg: cfgir::Cfg {
-                            name: name.clone(),
-                            nodes: Vec::new(),
-                            entry: 0,
-                            exit: 0,
-                        },
-                        def: FunctionDef {
-                            sig: FunctionSig {
-                                name: name.as_str().into(),
-                                ret: Type::Void,
-                                params: Vec::new(),
-                                variadic: false,
-                                is_static: false,
-                                is_inline: false,
-                                span,
-                            },
-                            body: Vec::new(),
-                            span,
-                        },
-                        name,
-                        span,
-                    },
-                })
-                .collect(),
+            functions: self.functions,
+            function_count: self.function_count,
             parse_error_count: self.parse_error_count,
             summaries: self.summaries,
             window_calls: self.window_calls,
@@ -341,14 +298,20 @@ fn encode_doc(mut entries: Vec<CacheEntry>, fp: u64) -> String {
     serde_json::to_string(&doc).expect("cache serializes")
 }
 
-/// Read and decode every shard in `dir`, in parallel.
+/// Read and decode every shard in `dir`, in parallel. Only a shard that
+/// does not exist is absent: any other read failure (permissions, a
+/// directory in its place, invalid UTF-8) is that shard's discard reason.
 fn read_shards(dir: &Path, fp: u64) -> Vec<ShardOutcome> {
     let slots: Vec<(usize, Mutex<ShardOutcome>)> =
         (0..SHARD_COUNT).map(|i| (i, Mutex::new(None))).collect();
     on_workers(&slots, |(i, slot)| {
-        if let Ok(text) = std::fs::read_to_string(dir.join(shard_file_name(*i))) {
-            *slot.lock().expect("shard slot") = Some(decode_shard(&text, fp));
-        }
+        let path = dir.join(shard_file_name(*i));
+        let outcome = match std::fs::read_to_string(&path) {
+            Ok(text) => Some(decode_shard(&text, fp)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => Some(Err(format!("unreadable shard {}: {e}", path.display()))),
+        };
+        *slot.lock().expect("shard slot") = outcome;
     });
     slots
         .into_iter()
@@ -656,6 +619,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
                 serde_json::to_string(&fa.window_calls).unwrap()
             );
             assert_eq!(rebuilt.functions.len(), fa.functions.len());
+            assert_eq!(rebuilt.function_count, fa.function_count);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -898,6 +862,36 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A shard that exists but cannot be read is a discard, not an absent
+    /// cache: a directory in one shard's place and non-UTF-8 bytes in all
+    /// the others load as `Discarded`, and the engine counts it.
+    #[test]
+    fn unreadable_shards_are_discarded_not_missing() {
+        let dir = tempdir("unreadable");
+        std::fs::create_dir(dir.join(shard_file_name(0))).unwrap();
+        for i in 1..SHARD_COUNT {
+            std::fs::write(dir.join(shard_file_name(i)), [0xff, 0xfe, b'{']).unwrap();
+        }
+        let (map, outcome) = load(&dir, &AnalysisConfig::default());
+        assert!(map.is_empty());
+        match outcome {
+            LoadOutcome::Discarded { reason } => assert!(reason.contains("shard-00"), "{reason}"),
+            other => panic!("{other:?}"),
+        }
+        let mut e = Engine::new(AnalysisConfig::default());
+        e.load_disk_cache(&dir);
+        assert_eq!(e.analyze(&demo_files()).obs.count_of("cache_discarded"), 1);
+
+        // A lone unreadable shard beside healthy ones drops only itself.
+        let _ = std::fs::remove_dir_all(&dir);
+        e.save_disk_cache(&dir).unwrap();
+        std::fs::write(shard_path(&dir, "plain.c"), [0xff, 0xfe]).unwrap();
+        let (map, outcome) = load(&dir, &AnalysisConfig::default());
+        assert_eq!(outcome, LoadOutcome::Loaded { entries: 1 });
+        assert!(map.contains_key("m.c") && !map.contains_key("plain.c"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn format_version_mismatch_discarded() {
         let dir = tempdir("version");
@@ -957,9 +951,9 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
     }
 
     /// A warm cache written at one `--ipa-depth` must not be silently
-    /// reused at another: summaries are depth-independent but the
-    /// composed accesses derived from them are not, so the fingerprint
-    /// has to cover the depth.
+    /// reused at another: depth-0 entries carry no summaries, and the
+    /// composed accesses derived from them depend on the depth, so the
+    /// fingerprint has to cover the depth.
     #[test]
     fn ipa_depth_change_discards_cache() {
         let dir = tempdir("ipa-depth");
@@ -984,19 +978,27 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
     }
 
     #[test]
-    fn site_free_files_are_slimmed() {
+    fn site_free_files_round_trip_as_a_function_count() {
         let dir = tempdir("slim");
         let config = AnalysisConfig::default();
-        let mut e = Engine::new(config.clone());
-        e.analyze(&demo_files());
-        e.save_disk_cache(&dir).unwrap();
+        let files = demo_files();
+        let mut cold = Engine::new(config.clone());
+        let r_cold = cold.analyze(&files);
+        cold.save_disk_cache(&dir).unwrap();
         let text = std::fs::read_to_string(shard_path(&dir, "plain.c")).unwrap();
-        // plain.c has no barriers: its helper is a stub, not a full AST.
-        assert!(text.contains("Stub"), "expected slim entry");
+        // plain.c has no barriers: nothing of helper is stored.
+        assert!(!text.contains("helper"), "expected slim entry: {text}");
         let (map, _) = load(&dir, &config);
         let (_, fa) = &map["plain.c"];
-        assert_eq!(fa.functions.len(), 1);
-        assert_eq!(fa.functions[0].name, "helper");
+        assert!(fa.functions.is_empty());
+        assert_eq!(fa.function_count, 1);
+
+        let mut warm = Engine::new(config);
+        warm.load_disk_cache(&dir);
+        let r_warm = warm.analyze(&files);
+        assert_eq!(r_warm.obs.count_of("engine_cache_hits"), 2);
+        assert_eq!(r_cold.stats.functions_total, 3);
+        assert_eq!(r_warm.stats.functions_total, r_cold.stats.functions_total);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -315,6 +315,7 @@ impl Engine {
                         source: f.content.clone(),
                         sites: Vec::new(),
                         functions: Vec::new(),
+                        function_count: 0,
                         parse_error_count: 1,
                         summaries: Vec::new(),
                         window_calls: Vec::new(),

@@ -49,7 +49,7 @@ impl AnalysisResult {
                 serde_json::json!({
                     "name": fa.name,
                     "barriers": fa.sites.len(),
-                    "functions": fa.functions.len(),
+                    "functions": fa.function_count,
                     "parse_errors": fa.parse_error_count,
                 })
             })

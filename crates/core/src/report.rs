@@ -136,7 +136,7 @@ impl Stats {
             0.0
         };
         for fa in files {
-            s.functions_total += fa.functions.len();
+            s.functions_total += fa.function_count;
             s.parse_errors += fa.parse_error_count;
             if !fa.sites.is_empty() {
                 s.files_with_barriers += 1;

@@ -685,7 +685,7 @@ impl Session {
                 "run_id": result.run_id,
                 "file": fa.name,
                 "barriers": fa.sites.len(),
-                "functions": fa.functions.len(),
+                "functions": fa.function_count,
                 "parse_errors": fa.parse_error_count,
                 "findings": findings,
             }))
@@ -1337,7 +1337,9 @@ mod snapshot_props {
     use proptest::prelude::*;
 
     /// Texts a step can write: a clean pair, a misplaced-access bug, a
-    /// barrier-free helper, and an unparseable file.
+    /// barrier-free helper, an unparseable file, and a pair whose writer
+    /// reaches its payload only through `fill` in another file (composed
+    /// at `ipa_depth` ≥ 1).
     const TEXTS: &[&str] = &[
         "struct m { int init; int y; };\n\
 void reader(struct m *a) { if (!a->init) return; smp_rmb(); f(a->y); }\n\
@@ -1347,6 +1349,10 @@ void complete(struct rpc *req) { req->len = 4; smp_wmb(); req->recd = 1; }\n\
 void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }\n",
         "int helper(int x) { return x + 1; }\n",
         "int @ garbage",
+        "struct c { int a; int flag; };\n\
+void publish(struct c *p) { fill(p); smp_wmb(); p->flag = 1; }\n\
+void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
+        "struct c { int a; int flag; };\nvoid fill(struct c *p) { p->a = 7; }\n",
     ];
 
     #[derive(Clone, Copy, Debug)]
@@ -1408,11 +1414,14 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// Whatever the edit history, a session's report equals a cold
-        /// analysis of the tree, and its dirty-shard saves leave a cache
-        /// that a new engine hits on every file.
+        /// Whatever the edit history and composition depth, a session's
+        /// report equals a cold analysis of the tree, and its dirty-shard
+        /// saves leave a cache that a new engine hits on every file.
         #[test]
-        fn session_runs_match_cold_analysis(steps in proptest::collection::vec(arb_step(), 1..8)) {
+        fn session_runs_match_cold_analysis(
+            steps in proptest::collection::vec(arb_step(), 1..8),
+            ipa_depth in prop_oneof![Just(0u32), Just(2u32)],
+        ) {
             let root = std::env::temp_dir().join(format!(
                 "ofence-session-props-{}-{}",
                 std::process::id(),
@@ -1424,7 +1433,10 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             for (i, text) in TEXTS.iter().enumerate() {
                 std::fs::write(dir.join(format!("f{i}.c")), text).unwrap();
             }
-            let config = AnalysisConfig::default();
+            let config = AnalysisConfig {
+                ipa_depth,
+                ..Default::default()
+            };
             let paths = vec![dir.display().to_string()];
             let session = Session::new(SessionOptions {
                 config: config.clone(),
@@ -1453,6 +1465,56 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             }
             let _ = std::fs::remove_dir_all(&root);
         }
+    }
+
+    /// One cache dir reused at depth 0, then 2, then 0: each flip
+    /// discards the other depth's cache (and counts it), and every report
+    /// equals a fresh analysis at its own depth.
+    #[test]
+    fn depth_flips_discard_the_cache_and_match_cold_analysis() {
+        let root =
+            std::env::temp_dir().join(format!("ofence-session-depths-{}", std::process::id()));
+        let (dir, cache_dir) = (root.join("src"), root.join("cache"));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, text) in TEXTS.iter().enumerate() {
+            std::fs::write(dir.join(format!("f{i}.c")), text).unwrap();
+        }
+        let paths = vec![dir.display().to_string()];
+        let sources = crate::walk::collect_sources(&paths).unwrap();
+        let mut pairings = Vec::new();
+        for (run, ipa_depth) in [0u32, 2, 0].into_iter().enumerate() {
+            let config = AnalysisConfig {
+                ipa_depth,
+                ..Default::default()
+            };
+            let session = Session::new(SessionOptions {
+                config: config.clone(),
+                paths: paths.clone(),
+                cache_dir: Some(cache_dir.clone()),
+                history_dir: None,
+            });
+            let served = session.current_run().unwrap();
+            let cold = Engine::new(config).analyze(&sources);
+            assert_eq!(
+                scrubbed(&served.result),
+                scrubbed(&cold),
+                "depth {ipa_depth}"
+            );
+            let flipped = u64::from(run > 0);
+            assert_eq!(served.result.obs.count_of("cache_discarded"), flipped);
+            assert_eq!(
+                matches!(served.cache_load, Some(LoadOutcome::Discarded { .. })),
+                run > 0,
+                "{:?}",
+                served.cache_load
+            );
+            pairings.push(served.result.pairing.pairings.len());
+        }
+        // Composition changes the answer here, so the flips matter.
+        assert!(pairings[1] > pairings[0], "{pairings:?}");
+        assert_eq!(pairings[2], pairings[0]);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     static SEQ: AtomicU64 = AtomicU64::new(0);

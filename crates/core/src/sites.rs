@@ -26,37 +26,6 @@ pub struct FunctionInfo {
     pub def: ckit::ast::FunctionDef,
 }
 
-impl FunctionInfo {
-    /// A name/span stub with no CFG and no AST body — the retained shape
-    /// for functions of files without barrier sites (see
-    /// [`analyze_file`]) and for their disk-cached form.
-    pub fn stub(name: String, span: Span) -> FunctionInfo {
-        FunctionInfo {
-            cfg: Cfg {
-                name: name.clone(),
-                nodes: Vec::new(),
-                entry: 0,
-                exit: 0,
-            },
-            def: ckit::ast::FunctionDef {
-                sig: ckit::ast::FunctionSig {
-                    name: name.as_str().into(),
-                    ret: ckit::ast::Type::Void,
-                    params: Vec::new(),
-                    variadic: false,
-                    is_static: false,
-                    is_inline: false,
-                    span,
-                },
-                body: Vec::new(),
-                span,
-            },
-            name,
-            span,
-        }
-    }
-}
-
 /// Analysis result of one file.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct FileAnalysis {
@@ -64,10 +33,18 @@ pub struct FileAnalysis {
     pub name: String,
     pub source: std::sync::Arc<str>,
     pub sites: Vec<BarrierSite>,
+    /// The file's functions with their CFG and AST — empty iff `sites`
+    /// is: every consumer (re-read dataflow gate, patch and annotation
+    /// synthesis) reaches a function only through a barrier site in the
+    /// same file, and the missing-barrier detector re-lowers from source.
     pub functions: Vec<FunctionInfo>,
+    /// How many functions the file defines; always set, whether or not
+    /// `functions` holds them.
+    pub function_count: usize,
     pub parse_error_count: usize,
     /// Composable per-function summaries (inter-procedural pass input),
-    /// same order as the file's functions.
+    /// same order as the file's functions — extracted only when
+    /// `ipa_depth > 0`, empty otherwise.
     pub summaries: Vec<FnSummary>,
     /// Plain calls observed in each site's exploration window, aligned
     /// with `sites` — consumed by the corpus-global summary composition.
@@ -221,13 +198,17 @@ pub fn analyze_file_traced(
     }
 
     // Inter-procedural summaries for every function — cached with the
-    // file and composed corpus-globally by the engine.
-    let fn_summaries = crate::summary::extract_summaries(&lowered, &envs);
-    if config.ipa_depth > 0 {
-        // Counted only when the composition pass is live, so depth-0
-        // reports (and their goldens) carry no IPA counters.
+    // file and composed corpus-globally by the engine. Only composition
+    // reads them, so depth-0 runs neither extract nor cache them (the
+    // config fingerprint covers the depth, so a depth-0 cache entry is
+    // never served to a composing run).
+    let fn_summaries = if config.ipa_depth > 0 {
+        let fn_summaries = crate::summary::extract_summaries(&lowered, &envs);
         rec.count("ipa_summaries_extracted", fn_summaries.len() as u64);
-    }
+        fn_summaries
+    } else {
+        Vec::new()
+    };
     // Batched flush: one lock per counter per file, not per site.
     rec.count("extract_barriers_found", sites.len() as u64);
     rec.count("extract_windows_swept", ctr.windows_swept);
@@ -235,37 +216,31 @@ pub fn analyze_file_traced(
     rec.count("extract_callee_expansions", ctr.callee_expansions);
     rec.count("extract_promoted_atomics", ctr.promoted_atomics);
 
-    // Files without barrier sites keep their functions as name/span
-    // stubs, matching the shape the disk cache restores for them: every
-    // downstream consumer of `functions` (patch, deviation, annotation
-    // synthesis) reaches a function only through a barrier site in the
-    // same file, and the missing-barrier detector re-lowers from source.
-    // On a kernel-shaped corpus most files have no barriers, so this
-    // drops the bulk of the retained AST/CFG memory and makes cloning a
-    // cached analysis cheap.
-    let slim = sites.is_empty();
+    // Files without barrier sites keep only their function count: on a
+    // kernel-shaped corpus most files have no barriers, so this drops the
+    // bulk of the retained AST/CFG memory and of the disk cache.
+    let functions = if sites.is_empty() {
+        Vec::new()
+    } else {
+        lowered
+            .functions
+            .iter()
+            .zip(&lowered.cfgs)
+            .map(|(f, cfg)| FunctionInfo {
+                name: f.sig.name.to_string(),
+                cfg: cfg.clone(),
+                span: f.span,
+                def: (*f).clone(),
+            })
+            .collect()
+    };
     FileAnalysis {
         file,
         name: parsed.map.file.clone(),
         source: parsed.source.clone(),
         sites,
-        functions: lowered
-            .functions
-            .iter()
-            .zip(&lowered.cfgs)
-            .map(|(f, cfg)| {
-                if slim {
-                    FunctionInfo::stub(f.sig.name.to_string(), f.span)
-                } else {
-                    FunctionInfo {
-                        name: f.sig.name.to_string(),
-                        cfg: cfg.clone(),
-                        span: f.span,
-                        def: (*f).clone(),
-                    }
-                }
-            })
-            .collect(),
+        functions,
+        function_count: lowered.functions.len(),
         parse_error_count: parsed.errors.len(),
         summaries: fn_summaries,
         window_calls,
@@ -1205,5 +1180,29 @@ void f(struct s *p) {
             .find(|a| a.object == SharedObject::new("s", "c"))
             .unwrap();
         assert_eq!(c.side, Side::After);
+    }
+
+    #[test]
+    fn summaries_only_when_composition_runs() {
+        let parsed = ckit::parse_string("t.c", LISTING1).unwrap();
+        let flat = analyze_file(0, &parsed, &AnalysisConfig::default());
+        assert!(flat.summaries.is_empty());
+        let deep = AnalysisConfig {
+            ipa_depth: 1,
+            ..Default::default()
+        };
+        let fa = analyze_file(0, &parsed, &deep);
+        let names: Vec<&str> = fa.summaries.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["reader", "writer"]);
+    }
+
+    #[test]
+    fn site_free_files_keep_only_a_function_count() {
+        let fa = analyze("int f(int x) { return x; }\nint g(void) { return f(1); }\n");
+        assert!(fa.sites.is_empty() && fa.functions.is_empty());
+        assert_eq!(fa.function_count, 2);
+        let fa = analyze(LISTING1);
+        assert_eq!(fa.function_count, 2);
+        assert_eq!(fa.functions.len(), 2);
     }
 }

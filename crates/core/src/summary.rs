@@ -589,10 +589,16 @@ mod tests {
     use super::*;
     use crate::sites::analyze_file;
 
+    /// Analyze at `ipa_depth` 1: summaries are extracted only when the
+    /// composition pass runs.
     fn analyze_named(name: &str, src: &str) -> FileAnalysis {
         let parsed = ckit::parse_string(name, src).unwrap();
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        analyze_file(0, &parsed, &AnalysisConfig::default())
+        let config = AnalysisConfig {
+            ipa_depth: 1,
+            ..Default::default()
+        };
+        analyze_file(0, &parsed, &config)
     }
 
     #[test]
