@@ -37,12 +37,17 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// The expression evaluated at this node, if any.
-    pub fn expr(&self) -> Option<&ast::Expr> {
-        match self {
-            NodeKind::Expr(e) | NodeKind::Cond(e) | NodeKind::Return(Some(e)) => Some(e),
-            _ => None,
-        }
+    /// The expressions evaluated at this node: the statement, condition
+    /// or return value, or each declarator's initialiser in a `Decl`.
+    pub fn exprs(&self) -> impl Iterator<Item = &ast::Expr> {
+        let (single, decls) = match self {
+            NodeKind::Expr(e) | NodeKind::Cond(e) | NodeKind::Return(Some(e)) => (Some(e), &[][..]),
+            NodeKind::Decl(d) => (None, &d.decls[..]),
+            _ => (None, &[][..]),
+        };
+        single
+            .into_iter()
+            .chain(decls.iter().filter_map(|d| d.init.as_ref()))
     }
 
     /// Is this a "real" statement for distance counting? Labels and

@@ -175,19 +175,8 @@ fn collect(e: &Expr, env: &TypeEnv<'_>, ctx: Ctx, annotated: bool, out: &mut Vec
 /// Extract accesses from the expressions of a CFG node.
 pub fn accesses_in_node(kind: &cfgir::NodeKind, env: &TypeEnv<'_>) -> Vec<RawAccess> {
     let mut out = Vec::new();
-    match kind {
-        cfgir::NodeKind::Expr(e) | cfgir::NodeKind::Cond(e) => {
-            collect(e, env, Ctx::Read, false, &mut out)
-        }
-        cfgir::NodeKind::Return(Some(e)) => collect(e, env, Ctx::Read, false, &mut out),
-        cfgir::NodeKind::Decl(d) => {
-            for decl in &d.decls {
-                if let Some(init) = &decl.init {
-                    collect(init, env, Ctx::Read, false, &mut out);
-                }
-            }
-        }
-        _ => {}
+    for e in kind.exprs() {
+        collect(e, env, Ctx::Read, false, &mut out);
     }
     out
 }

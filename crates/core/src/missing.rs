@@ -190,22 +190,21 @@ fn collect_readers(files: &[std::sync::Arc<FileAnalysis>], config: &AnalysisConf
 /// barrier, seqcount API, wake-up, or full-barrier atomic)? Such functions
 /// are never "fence-less readers".
 fn function_has_fence(cfg: &Cfg) -> bool {
+    let mut found = false;
     for node in cfg.ids() {
-        let Some(expr) = cfg.node(node).kind.expr() else {
-            continue;
-        };
-        let mut found = false;
-        expr.walk(&mut |e| {
-            if let Some(name) = e.call_name() {
-                if matches!(
-                    kmodel::classify_call(name),
-                    kmodel::CallSemantics::Barrier(_) | kmodel::CallSemantics::Seqcount(_)
-                ) || kmodel::has_full_barrier_semantics(name)
-                {
-                    found = true;
+        for expr in cfg.node(node).kind.exprs() {
+            expr.walk(&mut |e| {
+                if let Some(name) = e.call_name() {
+                    if matches!(
+                        kmodel::classify_call(name),
+                        kmodel::CallSemantics::Barrier(_) | kmodel::CallSemantics::Seqcount(_)
+                    ) || kmodel::has_full_barrier_semantics(name)
+                    {
+                        found = true;
+                    }
                 }
-            }
-        });
+            });
+        }
         if found {
             return true;
         }

@@ -93,7 +93,41 @@ pub fn analyze_file(file: usize, parsed: &ParsedFile, config: &AnalysisConfig) -
 
 /// Analyze one parsed file, recording `cfg` and `extract` spans (per-file
 /// attribution) and the extraction counters into the given recorder.
+///
+/// Barrier-first: at `ipa_depth` 0 only a barrier site's surroundings are
+/// ever read, so a file whose AST names no site call is not lowered at
+/// all and returns the same site-free analysis the full path would.
 pub fn analyze_file_traced(
+    file: usize,
+    parsed: &ParsedFile,
+    config: &AnalysisConfig,
+    rec: &obs::Recorder,
+) -> FileAnalysis {
+    // A skipped file's `extract` span starts before the pre-check, so the
+    // check's time is counted. A lowered file keeps its usual `cfg` and
+    // `extract` spans, and its pre-check falls just before them. Either
+    // way each file has exactly one `extract` span.
+    let start = std::time::Instant::now();
+    if config.ipa_depth == 0 && !may_hold_site(&parsed.unit, config) {
+        let _span = rec.span_since("extract", &[("file", parsed.map.file.as_str())], start);
+        return FileAnalysis {
+            file,
+            name: parsed.map.file.clone(),
+            source: parsed.source.clone(),
+            sites: Vec::new(),
+            functions: Vec::new(),
+            function_count: parsed.unit.functions().count(),
+            parse_error_count: parsed.errors.len(),
+            summaries: Vec::new(),
+            window_calls: Vec::new(),
+        };
+    }
+    lower_and_extract(file, parsed, config, rec)
+}
+
+/// The full per-file path: lower every function, then find the sites and
+/// sweep their windows (and extract summaries at `ipa_depth` >= 1).
+fn lower_and_extract(
     file: usize,
     parsed: &ParsedFile,
     config: &AnalysisConfig,
@@ -109,35 +143,41 @@ pub fn analyze_file_traced(
     let mut found: Vec<FoundBarrier> = Vec::new();
     for (fi, cfg) in lowered.cfgs.iter().enumerate() {
         for node in cfg.ids() {
-            if let Some(expr) = cfg.node(node).kind.expr() {
-                let before = found.len();
-                find_barrier_calls(expr, &mut |kind, seqcount, span, args| {
-                    found.push(FoundBarrier {
+            // §6.4 extension: fully-ordered atomic RMWs become pairable
+            // sites unless the node already holds a real barrier, which
+            // subsumes the atomic's ordering role.
+            let mut atomics = Vec::new();
+            let before = found.len();
+            for expr in cfg.node(node).kind.exprs() {
+                expr.walk(&mut |e| {
+                    let ExprKind::Call { callee, args } = &e.kind else {
+                        return;
+                    };
+                    let Some(name) = callee.as_ident() else {
+                        return;
+                    };
+                    let fb = |kind, seqcount, from_atomic| FoundBarrier {
                         func: fi,
                         node,
                         kind,
                         seqcount,
-                        from_atomic: None,
-                        call_span: span,
-                        args: args.to_vec(),
-                    });
+                        from_atomic,
+                        call_span: e.span,
+                        args: args.clone(),
+                    };
+                    match site_call(name, config) {
+                        Some(SiteCall::Barrier(kind, seqcount)) => {
+                            found.push(fb(kind, seqcount, None))
+                        }
+                        Some(SiteCall::FullAtomic) => {
+                            atomics.push(fb(BarrierKind::Mb, None, Some(name.to_string())))
+                        }
+                        None => {}
+                    }
                 });
-                // §6.4 extension: promote fully-ordered atomic RMWs to
-                // pairable sites (unless the node already holds a real
-                // barrier, which subsumes the atomic's ordering role).
-                if config.pair_with_atomics && found.len() == before {
-                    find_full_atomic_calls(expr, &mut |name, span, args| {
-                        found.push(FoundBarrier {
-                            func: fi,
-                            node,
-                            kind: BarrierKind::Mb,
-                            seqcount: None,
-                            from_atomic: Some(name.to_string()),
-                            call_span: span,
-                            args: args.to_vec(),
-                        });
-                    });
-                }
+            }
+            if found.len() == before {
+                found.append(&mut atomics);
             }
         }
     }
@@ -170,7 +210,7 @@ pub fn analyze_file_traced(
     let mut callers: HashMap<String, Vec<(usize, NodeId)>> = HashMap::new();
     for (fi, cfg) in lowered.cfgs.iter().enumerate() {
         for node in cfg.ids() {
-            if let Some(expr) = cfg.node(node).kind.expr() {
+            for expr in cfg.node(node).kind.exprs() {
                 for (name, _) in plain_calls_in_expr(expr) {
                     if lowered.function_index(&name).is_some() {
                         callers.entry(name).or_default().push((fi, node));
@@ -247,49 +287,59 @@ pub fn analyze_file_traced(
     }
 }
 
-/// Find barrier/seqcount calls inside an expression.
-fn find_barrier_calls(
-    expr: &Expr,
-    f: &mut impl FnMut(BarrierKind, Option<SeqcountOp>, Span, &[Expr]),
-) {
-    expr.walk(&mut |e| {
-        if let ExprKind::Call { callee, args } = &e.kind {
-            if let Some(name) = callee.as_ident() {
-                match kmodel::classify_call(name) {
-                    CallSemantics::Barrier(kind) => f(kind, None, e.span, args),
-                    CallSemantics::Seqcount(op) => f(op.barrier(), Some(op), e.span, args),
-                    _ => {}
-                }
-            }
-        }
-    });
+/// How a call opens a barrier site.
+enum SiteCall {
+    /// An explicit barrier or seqcount primitive.
+    Barrier(BarrierKind, Option<SeqcountOp>),
+    /// A fully-ordered atomic RMW that reads or writes, promoted to a
+    /// site under `pair_with_atomics` (§6.4 extension).
+    FullAtomic,
 }
 
-/// Find fully-ordered atomic RMW calls (for the `pair_with_atomics`
-/// extension).
-fn find_full_atomic_calls(expr: &Expr, f: &mut impl FnMut(&str, Span, &[Expr])) {
-    expr.walk(&mut |e| {
-        if let ExprKind::Call { callee, args } = &e.kind {
-            if let Some(name) = callee.as_ident() {
-                if let CallSemantics::Atomic(sem) = kmodel::classify_call(name) {
-                    if sem.strength == kmodel::BarrierStrength::Full && (sem.reads || sem.writes) {
-                        f(name, e.span, args);
-                    }
-                }
-            }
+/// The site a call to `name` opens under `config`, if any. The one
+/// predicate behind both barrier discovery and [`may_hold_site`].
+fn site_call(name: &str, config: &AnalysisConfig) -> Option<SiteCall> {
+    match kmodel::classify_call(name) {
+        CallSemantics::Barrier(kind) => Some(SiteCall::Barrier(kind, None)),
+        CallSemantics::Seqcount(op) => Some(SiteCall::Barrier(op.barrier(), Some(op))),
+        CallSemantics::Atomic(sem)
+            if config.pair_with_atomics
+                && sem.strength == kmodel::BarrierStrength::Full
+                && (sem.reads || sem.writes) =>
+        {
+            Some(SiteCall::FullAtomic)
         }
-    });
+        _ => None,
+    }
+}
+
+/// Can any function of this file hold a barrier site? `Cfg::build` only
+/// clones expressions out of the function bodies and `walk_exprs` visits
+/// every one of them, so "no site call in the AST" implies "no site in
+/// the CFGs".
+fn may_hold_site(unit: &ckit::ast::TranslationUnit, config: &AnalysisConfig) -> bool {
+    let mut hit = false;
+    for stmt in unit.functions().flat_map(|f| &f.body) {
+        stmt.walk_exprs(&mut |e| {
+            if !hit {
+                hit = e
+                    .call_name()
+                    .is_some_and(|n| site_call(n, config).is_some());
+            }
+        });
+        if hit {
+            return true;
+        }
+    }
+    false
 }
 
 /// Classify how a node bounds a window.
 fn classify_node(cfg: &Cfg, node: NodeId) -> NodeClass {
-    let Some(expr) = cfg.node(node).kind.expr() else {
-        return NodeClass::Plain;
-    };
     let mut class = NodeClass::Plain;
-    expr.walk(&mut |e| {
-        if let ExprKind::Call { callee, .. } = &e.kind {
-            if let Some(name) = callee.as_ident() {
+    for expr in cfg.node(node).kind.exprs() {
+        expr.walk(&mut |e| {
+            if let Some(name) = e.call_name() {
                 match kmodel::classify_call(name) {
                     CallSemantics::Barrier(_) | CallSemantics::Seqcount(_) => {
                         class = NodeClass::Barrier;
@@ -305,8 +355,8 @@ fn classify_node(cfg: &Cfg, node: NodeId) -> NodeClass {
                     _ => {}
                 }
             }
-        }
-    });
+        });
+    }
     class
 }
 
@@ -379,7 +429,7 @@ fn build_site(
                         window_calls,
                     );
                     if dist == 1 {
-                        if let Some(name) = full_atomic_callee_name(cfg, node) {
+                        if let Some(name) = first_call_name(cfg, node, is_full_atomic) {
                             adjacent.get_or_insert(AdjacentBarrier {
                                 side,
                                 callee: name,
@@ -442,7 +492,7 @@ fn build_site(
         ] {
             for &n in neighbors.iter() {
                 if matches!(classify_node(cfg, n), NodeClass::Barrier) {
-                    if let Some(name) = barrier_callee_name(cfg, n) {
+                    if let Some(name) = first_call_name(cfg, n, is_barrier) {
                         adjacent = Some(AdjacentBarrier {
                             side,
                             callee: name,
@@ -505,42 +555,34 @@ fn build_site(
     }
 }
 
-/// Name of the full-barrier atomic call in a node, for adjacency reporting.
-fn full_atomic_callee_name(cfg: &Cfg, node: NodeId) -> Option<String> {
-    let expr = cfg.node(node).kind.expr()?;
+/// Name of the first call in a node whose semantics `accept` matches,
+/// for adjacency reporting.
+fn first_call_name(
+    cfg: &Cfg,
+    node: NodeId,
+    accept: impl Fn(CallSemantics) -> bool,
+) -> Option<String> {
     let mut name = None;
-    expr.walk(&mut |e| {
-        if name.is_none() {
-            if let Some(n) = e.call_name() {
-                if matches!(
-                    kmodel::classify_call(n),
-                    CallSemantics::Atomic(sem) if sem.strength == kmodel::BarrierStrength::Full
-                ) {
-                    name = Some(n.to_string());
+    for expr in cfg.node(node).kind.exprs() {
+        expr.walk(&mut |e| {
+            if name.is_none() {
+                if let Some(n) = e.call_name() {
+                    if accept(kmodel::classify_call(n)) {
+                        name = Some(n.to_string());
+                    }
                 }
             }
-        }
-    });
+        });
+    }
     name
 }
 
-/// Name of the barrier call in a node, for adjacency reporting.
-fn barrier_callee_name(cfg: &Cfg, node: NodeId) -> Option<String> {
-    let expr = cfg.node(node).kind.expr()?;
-    let mut name = None;
-    expr.walk(&mut |e| {
-        if name.is_none() {
-            if let Some(n) = e.call_name() {
-                if matches!(
-                    kmodel::classify_call(n),
-                    CallSemantics::Barrier(_) | CallSemantics::Seqcount(_)
-                ) {
-                    name = Some(n.to_string());
-                }
-            }
-        }
-    });
-    name
+fn is_full_atomic(sem: CallSemantics) -> bool {
+    matches!(sem, CallSemantics::Atomic(a) if a.strength == kmodel::BarrierStrength::Full)
+}
+
+fn is_barrier(sem: CallSemantics) -> bool {
+    matches!(sem, CallSemantics::Barrier(_) | CallSemantics::Seqcount(_))
 }
 
 /// The barrier primitive's own memory accesses (§4.1: store/load variants
@@ -647,7 +689,7 @@ fn collect_node(
     for raw in accesses_in_node(&cfg.node(node).kind, env) {
         push_access(accesses, raw, side, dist, false, config);
     }
-    if let Some(expr) = cfg.node(node).kind.expr() {
+    for expr in cfg.node(node).kind.exprs() {
         for (name, _) in plain_calls_in_expr(expr) {
             // Record every plain call for the corpus-global summary
             // composition pass (it resolves callees across files).
@@ -1204,5 +1246,200 @@ void f(struct s *p) {
         let fa = analyze(LISTING1);
         assert_eq!(fa.function_count, 2);
         assert_eq!(fa.functions.len(), 2);
+    }
+
+    /// A site's identity and accesses, without byte offsets.
+    fn site_shape(site: &BarrierSite) -> (BarrierKind, String, u32, Vec<String>) {
+        let accesses = site
+            .accesses
+            .iter()
+            .map(|a| format!("{:?} {:?} {:?} {}", a.object, a.kind, a.side, a.distance))
+            .collect();
+        (
+            site.kind,
+            site.site.function.clone(),
+            site.site.line,
+            accesses,
+        )
+    }
+
+    #[test]
+    fn declaration_initialiser_barrier_is_a_site() {
+        let assign = analyze(
+            "struct m { int flag; int y; };\nint r(struct m *m) { int f;\n    f = smp_load_acquire(&m->flag);\n    return f ? m->y : 0;\n}\n",
+        );
+        let decl = analyze(
+            "struct m { int flag; int y; };\nint r(struct m *m) {\n    int f = smp_load_acquire(&m->flag);\n    return f ? m->y : 0;\n}\n",
+        );
+        assert_eq!(assign.sites.len(), 1);
+        assert_eq!(decl.sites.len(), 1);
+        assert_eq!(site_shape(&decl.sites[0]), site_shape(&assign.sites[0]));
+    }
+
+    #[test]
+    fn declaration_form_rcu_reader_pairs_with_writer() {
+        let files = [
+            crate::SourceFile::new(
+                "w.c",
+                "struct item { int a; };\nstruct gate { struct item *cur; };\nvoid install(struct gate *g, struct item *it, int v) {\n    it->a = v;\n    rcu_assign_pointer(g->cur, it);\n}\n",
+            ),
+            crate::SourceFile::new(
+                "r.c",
+                "struct item { int a; };\nstruct gate { struct item *cur; };\nint lookup(struct gate *g) {\n    struct item *it = rcu_dereference(g->cur);\n    if (!it)\n        return 0;\n    return it->a;\n}\n",
+            ),
+        ];
+        let r = crate::Engine::new(AnalysisConfig::default()).analyze(&files);
+        assert_eq!(r.sites.len(), 2);
+        let reader = r
+            .sites
+            .iter()
+            .find(|s| s.site.function == "lookup")
+            .unwrap();
+        assert_eq!(reader.kind, BarrierKind::LoadAcquire);
+        let pairing = r.pairing.pairing_of(reader.id).expect("reader is paired");
+        assert_eq!(pairing.members.len(), 2);
+    }
+
+    /// Every source the pre-check soundness test runs over: the paper
+    /// fixtures, a generated corpus with bugs and cross-file call chains
+    /// (whose intermediate files hold no barrier), and hand-written edge
+    /// cases.
+    fn precheck_sources() -> Vec<(String, String)> {
+        use ofence_corpus::fixtures::*;
+        let mut out: Vec<(String, String)> = [
+            LISTING1,
+            LISTING2,
+            LISTING3,
+            LISTING4_BNX2X,
+            PATCH1_BUGGY,
+            PATCH1_FIXED,
+            PATCH3_BUGGY,
+            PATCH4_BUGGY,
+            PATCH5_UNANNOTATED,
+            PERF_RB_MISSING_RMB,
+            PERF_RB_FIXED,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, src)| (format!("fixture{i}.c"), src.to_string()))
+        .collect();
+        let spec = ofence_corpus::CorpusSpec {
+            seed: 7,
+            files: 300,
+            patterns_per_file: 1,
+            noise_per_file: 2,
+            decoy_pairs: 15,
+            far_decoy_pairs: 0,
+            lone_per_file: 1,
+            split_fraction: 0.2,
+            reread_decoys: 0,
+            unfenced_decoys: 0,
+            filler_files: 0,
+            cross_file_chains: 8,
+            chain_depth: 3,
+            chain_bugs: 0,
+            bugs: ofence_corpus::BugPlan {
+                misplaced: 30,
+                repeated_read: 15,
+                wrong_type: 1,
+                unneeded: 30,
+                missing_barrier: 15,
+            },
+        };
+        out.extend(
+            ofence_corpus::generate(&spec)
+                .files
+                .into_iter()
+                .map(|f| (f.name, f.content)),
+        );
+        out.push(("plain.c".into(), "int f(int x) { return x; }\n".into()));
+        out.push((
+            "decl_only.c".into(),
+            "struct m { int flag; };\nint r(struct m *m) { int f = smp_load_acquire(&m->flag); return f; }\n".into(),
+        ));
+        out.push((
+            "atomic_only.c".into(),
+            "struct s { atomic_t n; int x; };\nint f(struct s *p) { p->x = 1; return atomic_inc_return(&p->n); }\n".into(),
+        ));
+        out
+    }
+
+    #[test]
+    fn precheck_never_skips_a_site() {
+        let sources = precheck_sources();
+        for config in [
+            AnalysisConfig::default(),
+            AnalysisConfig {
+                pair_with_atomics: true,
+                ..Default::default()
+            },
+        ] {
+            let (mut skipped, mut lowered) = (0, 0);
+            for (name, src) in &sources {
+                let parsed = ckit::parse_string(name, src).unwrap();
+                let full = lower_and_extract(0, &parsed, &config, &obs::Recorder::new());
+                if may_hold_site(&parsed.unit, &config) {
+                    lowered += 1;
+                    continue;
+                }
+                skipped += 1;
+                assert!(full.sites.is_empty(), "{name}: pre-check skipped a site");
+                // The skip path returns exactly what the full path does:
+                // cache shards stay byte-identical.
+                let fast = analyze_file(0, &parsed, &config);
+                assert_eq!(fast.function_count, full.function_count, "{name}");
+                assert_eq!(fast.parse_error_count, full.parse_error_count, "{name}");
+                assert_eq!(
+                    serde_json::to_string(&fast).unwrap(),
+                    serde_json::to_string(&full).unwrap(),
+                    "{name}"
+                );
+            }
+            // Both paths are exercised.
+            assert!(
+                skipped > 0 && lowered > 0,
+                "skipped {skipped}, lowered {lowered}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_files_that_can_hold_a_site_are_lowered() {
+        let files = [
+            crate::SourceFile::new("b.c", LISTING1),
+            crate::SourceFile::new(
+                "free.c",
+                "int f(int x) { return x; }\nint g(void) { return f(1); }\nint h(void) { return g(); }\n",
+            ),
+        ];
+        let run = |config: AnalysisConfig| crate::Engine::new(config).analyze(&files);
+        let r = run(AnalysisConfig::default());
+        assert_eq!(r.obs.count_of("cfgir_cfgs_built"), 2);
+        assert_eq!(r.obs.count_of("ckit_functions"), 5);
+        assert_eq!(r.stats.functions_total, 5);
+        let r = run(AnalysisConfig {
+            ipa_depth: 1,
+            ..Default::default()
+        });
+        assert_eq!(r.obs.count_of("cfgir_cfgs_built"), 5);
+
+        // A file whose only ordering is a full atomic is lowered only
+        // when atomics are paired.
+        let atomic = [crate::SourceFile::new(
+            "a.c",
+            "struct s { atomic_t n; int x; };\nint f(struct s *p) { p->x = 1; return atomic_inc_return(&p->n); }\n",
+        )];
+        let built = |pair_with_atomics: bool| {
+            let config = AnalysisConfig {
+                pair_with_atomics,
+                ..Default::default()
+            };
+            crate::Engine::new(config)
+                .analyze(&atomic)
+                .obs
+                .count_of("cfgir_cfgs_built")
+        };
+        assert_eq!(built(true), 1);
+        assert_eq!(built(false), 0);
     }
 }

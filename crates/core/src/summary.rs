@@ -142,7 +142,7 @@ pub fn extract_summaries(lowered: &LoweredFile<'_>, envs: &[TypeEnv<'_>]) -> Vec
                         }
                     }
                 }
-                if let Some(expr) = cfg.node(node).kind.expr() {
+                for expr in cfg.node(node).kind.exprs() {
                     expr.walk(&mut |e| {
                         if let Some(name) = e.call_name() {
                             barrier = barrier.join(kmodel::summary_barrier_of_call(name));

@@ -217,8 +217,14 @@ impl Recorder {
 
     /// Open a span with attributes (e.g. `[("file", "mm/ksm.c")]`).
     pub fn span_with(&self, name: &str, attrs: &[(&str, &str)]) -> SpanGuard<'_> {
+        self.span_since(name, attrs, Instant::now())
+    }
+
+    /// Open a span that started at `start`, for work that ran before the
+    /// caller knew it would be recorded (e.g. a check that decides
+    /// whether the rest of a phase runs at all).
+    pub fn span_since(&self, name: &str, attrs: &[(&str, &str)], start: Instant) -> SpanGuard<'_> {
         let tid = std::thread::current().id();
-        let start = Instant::now();
         let mut inner = self.lock();
         let id = inner.next_span_id;
         inner.next_span_id += 1;
@@ -588,6 +594,16 @@ mod tests {
         assert_eq!(request.attr("method"), Some("analyze"));
         assert_eq!(request.attr("files"), Some("3"));
         assert!(snap.spans_named("walk").next().unwrap().attrs.is_empty());
+    }
+
+    #[test]
+    fn span_since_counts_work_done_before_it_opened() {
+        let rec = Recorder::new();
+        let start = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        drop(rec.span_since("check", &[], start));
+        let span = rec.snapshot().spans_named("check").next().unwrap().clone();
+        assert!(span.dur_us >= 5_000, "{span:?}");
     }
 
     #[test]
