@@ -303,10 +303,7 @@ fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
     // Scripts read the bound address back from this line (port 0 lets
     // the OS pick) — same contract as watch's --serve-metrics print.
     println!("serve: listening on {}", server.addr());
-    while !server.stopped() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    server.shutdown();
+    server.wait();
     drop(metrics);
     finish_events(&events);
     println!("serve: shut down");

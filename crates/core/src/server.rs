@@ -18,8 +18,10 @@
 //! (`analyze --json`, `explain --json`, `diff --json`), so a client can
 //! swap between the two without reparsing.
 //!
-//! The transport is deliberately boring — `std::net`, thread per
-//! connection, no async runtime — mirroring `obs/serve.rs`. What makes
+//! The transport is deliberately boring: the connections come from the
+//! workspace's one accept loop, [`obs::serve::listen`] (`std::net`,
+//! thread per connection, no async runtime), and this module only
+//! supplies the per-connection handler. What makes
 //! it safe under fire is the error discipline: every malformed input
 //! (truncated line, oversized payload, invalid UTF-8, unknown method,
 //! non-object request) produces a structured error response on the same
@@ -30,11 +32,10 @@
 
 use crate::session::{panic_message, Session, SessionCounters};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Longest accepted request line, newline excluded. Anything longer is
 /// answered with an `oversized` error; the remainder of the line is
@@ -68,122 +69,35 @@ impl RpcError {
     }
 }
 
-/// Handle on a running analysis server. Dropping it (or calling
-/// [`Server::shutdown`]) stops the listener thread; connection threads
-/// end when their clients disconnect.
-pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    session: Arc<Session>,
-}
-
-impl Server {
-    /// The actually bound address — with port `0` the OS picks, and this
-    /// is where callers learn it.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub fn session(&self) -> Arc<Session> {
-        self.session.clone()
-    }
-
-    /// True once a client's `shutdown` request (or [`Server::shutdown`])
-    /// has stopped the listener.
-    pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Stop accepting connections and join the listener thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock accept() with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_and_join();
-        }
-    }
-}
-
 /// Bind `addr` (e.g. `127.0.0.1:7433`, or port `0` to let the OS pick)
-/// and serve the session's methods until the handle is shut down, a
-/// client sends `shutdown`, or the handle is dropped.
-pub fn serve(addr: &str, session: Arc<Session>) -> Result<Server, String> {
-    let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = stop.clone();
-    let thread_session = session.clone();
-    let handle = std::thread::Builder::new()
-        .name("ofence-serve".into())
-        .spawn(move || {
-            // Numbered connection threads (`serve-conn-<n>`) so a stuck
-            // connection is identifiable in /proc, plus an active-count
-            // gauge on /metrics + /health.
-            let conn_seq = AtomicU64::new(0);
-            let active = Arc::new(AtomicU64::new(0));
-            for stream in listener.incoming() {
-                if thread_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let session = thread_session.clone();
-                let stop = thread_stop.clone();
-                let n = conn_seq.fetch_add(1, Ordering::Relaxed);
-                let gauge = ConnGauge::open(active.clone(), session.live());
-                let _ = std::thread::Builder::new()
-                    .name(format!("serve-conn-{n}"))
-                    .spawn(move || {
-                        let _gauge = gauge;
-                        handle_connection(stream, session, local, stop)
-                    });
-            }
-        })
-        .map_err(|e| format!("spawn listener thread: {e}"))?;
-    Ok(Server {
-        addr: local,
-        stop,
-        handle: Some(handle),
-        session,
+/// and serve the session's methods on the shared [`obs::serve::listen`]
+/// loop until the handle is shut down or dropped, or a client sends
+/// `shutdown` ([`obs::Listener::wait`] returns then). Connection threads
+/// are named `serve-conn-<n>`, so a stuck connection is identifiable in
+/// /proc, and counted in the `serve_connections_active` gauge on
+/// /metrics + /health.
+pub fn serve(addr: &str, session: Arc<Session>) -> Result<obs::Listener, String> {
+    obs::serve::listen(addr, "serve", move |stream| {
+        let _gauge = ConnGauge::open(session.live());
+        handle_connection(stream, &session)
     })
 }
 
 /// Keeps the `serve_connections_active` gauge honest: incremented when a
-/// connection is accepted, decremented when its handler thread ends —
-/// including panics and spawn failures, since the decrement lives in
-/// `Drop`.
-struct ConnGauge {
-    active: Arc<AtomicU64>,
-    live: Arc<obs::Live>,
-}
+/// connection's handler starts, decremented when it ends — including
+/// panics, since the decrement lives in `Drop`.
+struct ConnGauge(Arc<obs::Live>);
 
 impl ConnGauge {
-    fn open(active: Arc<AtomicU64>, live: Arc<obs::Live>) -> ConnGauge {
-        let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-        live.set_gauge("serve_connections_active", now);
-        ConnGauge { active, live }
+    fn open(live: Arc<obs::Live>) -> ConnGauge {
+        live.add_gauge("serve_connections_active", 1);
+        ConnGauge(live)
     }
 }
 
 impl Drop for ConnGauge {
     fn drop(&mut self) {
-        let now = self.active.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
-        self.live.set_gauge("serve_connections_active", now);
+        self.0.add_gauge("serve_connections_active", -1);
     }
 }
 
@@ -234,21 +148,18 @@ fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> LineRead {
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    session: Arc<Session>,
-    server_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-) {
+/// Serve one connection's requests in order; `Break` once a client asked
+/// the daemon to shut down.
+fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
     let Ok(read_half) = stream.try_clone() else {
-        return;
+        return ControlFlow::Continue(());
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let line = match read_line_capped(&mut reader, &mut buf) {
-            LineRead::Eof => return,
+            LineRead::Eof => return ControlFlow::Continue(()),
             LineRead::Oversized => {
                 SessionCounters::bump_errors(&session.counters);
                 let resp = error_response(
@@ -258,7 +169,7 @@ fn handle_connection(
                     &format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
                 );
                 if write_line(&mut writer, &resp).is_err() {
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 continue;
             }
@@ -267,15 +178,12 @@ fn handle_connection(
         if line.iter().all(|b| b.is_ascii_whitespace()) {
             continue;
         }
-        let (response, shutdown) = respond(&session, line);
+        let (response, shutdown) = respond(session, line);
         if write_line(&mut writer, &response).is_err() {
-            return;
+            return ControlFlow::Continue(());
         }
         if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            // Unblock the listener's accept() so it observes the flag.
-            let _ = TcpStream::connect_timeout(&server_addr, Duration::from_millis(250));
-            return;
+            return ControlFlow::Break(());
         }
     }
 }
@@ -499,7 +407,9 @@ mod tests {
     use super::*;
     use crate::config::AnalysisConfig;
     use crate::session::SessionOptions;
-    use std::io::BufRead;
+    use std::io::{BufRead, Read};
+    use std::net::{SocketAddr, TcpListener};
+    use std::time::{Duration, Instant};
 
     const CLEAN: &str = "struct m { int init; int y; };\n\
 void reader(struct m *a) { if (!a->init) return; smp_rmb(); f(a->y); }\n\
@@ -513,14 +423,17 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         dir
     }
 
-    fn start(dir: &std::path::Path) -> Server {
-        let session = Arc::new(Session::new(SessionOptions {
+    fn session_over(dir: &std::path::Path) -> Arc<Session> {
+        Arc::new(Session::new(SessionOptions {
             config: AnalysisConfig::default(),
             paths: vec![dir.display().to_string()],
             cache_dir: None,
             history_dir: None,
-        }));
-        serve("127.0.0.1:0", session).unwrap()
+        }))
+    }
+
+    fn start(dir: &std::path::Path) -> obs::Listener {
+        serve("127.0.0.1:0", session_over(dir)).unwrap()
     }
 
     struct Client {
@@ -620,23 +533,73 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The body of an HTTP GET against a metrics endpoint.
+    fn http_get(addr: SocketAddr, path: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response.split_once("\r\n\r\n").unwrap().1.to_string()
+    }
+
+    /// Both servers run on the one accept loop: shutting either down
+    /// returns promptly while a client sits idle on a connection, and
+    /// frees the port.
+    fn assert_prompt_shutdown_frees_the_port(server: obs::Listener) {
+        let addr = server.addr();
+        let idle = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        let rebound = TcpListener::bind(addr);
+        assert!(rebound.is_ok(), "{rebound:?}");
+        drop(idle);
+    }
+
     #[test]
     fn shutdown_method_stops_the_listener() {
         let dir = corpus("shutdown");
-        let server = start(&dir);
-        let addr = server.addr();
-        let mut client = Client::connect(addr);
-        let ack = client.call(serde_json::json!({"id": 1, "method": "shutdown"}));
-        assert_eq!(ack["result"]["stopping"], true);
-        // The listener notices promptly; poll until the flag flips.
-        for _ in 0..100 {
-            if server.stopped() {
-                break;
-            }
+        let session = session_over(&dir);
+        // Watch-only: a session behind just a metrics endpoint never
+        // shows the connection gauge.
+        session.current_run().unwrap();
+        let metrics = obs::serve::serve("127.0.0.1:0", session.live()).unwrap();
+        let body = http_get(metrics.addr(), "/metrics");
+        assert!(body.contains("ofence_serve_runs_total 1"), "{body}");
+        assert!(!body.contains("serve_connections_active"), "{body}");
+        assert_prompt_shutdown_frees_the_port(metrics);
+
+        // Daemon: the gauge counts live connections and returns to 0
+        // once every client has gone.
+        let server = serve("127.0.0.1:0", session.clone()).unwrap();
+        let mut clients: Vec<Client> = (0..3).map(|_| Client::connect(server.addr())).collect();
+        for client in &mut clients {
+            let pong = client.call(serde_json::json!({"id": 1, "method": "ping"}));
+            assert_eq!(pong["ok"], true);
+        }
+        let gauge = |n: u64| format!("ofence_serve_connections_active {n}\n");
+        assert!(session.live().metrics_text().contains(&gauge(3)));
+        drop(clients);
+        let t0 = Instant::now();
+        while !session.live().metrics_text().contains(&gauge(0)) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "gauge stuck above 0");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(server.stopped());
-        server.shutdown();
+        assert_prompt_shutdown_frees_the_port(server);
+
+        // A client's `shutdown` request stops the listener: `wait`
+        // returns.
+        let server = serve("127.0.0.1:0", session).unwrap();
+        let mut client = Client::connect(server.addr());
+        let ack = client.call(serde_json::json!({"id": 1, "method": "shutdown"}));
+        assert_eq!(ack["result"]["stopping"], true);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.wait();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("listener stops after a shutdown request");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,7 +52,7 @@ use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::{finding_records, FindingRecord};
 use crate::walk::{PassStats, SourceIndex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,16 +103,6 @@ struct Flight {
     done: Condvar,
 }
 
-/// Latency samples kept per method for exact quantile computation; the
-/// window is small enough to re-sort per request and large enough that
-/// p99 over it is meaningful.
-const QUANTILE_WINDOW: usize = 512;
-
-/// Upper bound on request spans buffered between two publishes, so a
-/// daemon hammered with failing requests (which never trigger a publish)
-/// stays bounded. Oldest spans are dropped first.
-const PENDING_SPAN_CAP: usize = 8192;
-
 /// One request's identity and trace state, created at the server
 /// boundary ([`Session::begin_request`]) and threaded through the
 /// session method handling it. Every span the request emits goes into
@@ -157,15 +147,6 @@ impl RequestCtx {
     fn set_run_id(&self, run_id: &str) {
         *self.run_id.lock().unwrap_or_else(|e| e.into_inner()) = Some(run_id.to_string());
     }
-}
-
-/// Per-method latency accounting: a cumulative histogram (exported as
-/// `serve_request_duration_us_<method>`) plus a bounded sample window
-/// for exact p50/p95/p99.
-#[derive(Debug, Default)]
-struct MethodStat {
-    hist: obs::Histogram,
-    samples: VecDeque<u64>,
 }
 
 /// Cumulative session counters, exported on `/metrics` (as
@@ -250,16 +231,10 @@ pub struct Session {
     /// In-flight analyses by snapshot key, for coalescing.
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     pub counters: SessionCounters,
-    /// Live telemetry published after every engine run; `ofence serve
-    /// --metrics-addr` scrapes it.
+    /// Live telemetry: every engine run is published to it and every
+    /// completed request recorded in it; `ofence serve --metrics`
+    /// scrapes it.
     live: Arc<obs::Live>,
-    /// Per-request latency across all methods, coalesced joins included.
-    request_hist: Mutex<obs::Histogram>,
-    /// Per-method latency histograms + quantile sample windows.
-    method_stats: Mutex<BTreeMap<String, MethodStat>>,
-    /// Finished request spans awaiting the next publish (drained there so
-    /// a long-lived daemon's span list stays bounded).
-    pending_spans: Mutex<Vec<obs::SpanRecord>>,
     /// Monotonic source of server-assigned request ids.
     request_seq: AtomicU64,
     started: Instant,
@@ -293,9 +268,6 @@ impl Session {
             inflight: Mutex::new(HashMap::new()),
             counters: SessionCounters::default(),
             live: Arc::new(obs::Live::new()),
-            request_hist: Mutex::new(obs::Histogram::default()),
-            method_stats: Mutex::new(BTreeMap::new()),
-            pending_spans: Mutex::new(Vec::new()),
             request_seq: AtomicU64::new(0),
             started: Instant::now(),
             #[cfg(test)]
@@ -377,8 +349,8 @@ impl Session {
     }
 
     /// Count and time one request around `f` (joins included): bumps
-    /// `serve_requests`, bumps `serve_errors` on failure, feeds the
-    /// latency histograms, and retains the request's trace.
+    /// `serve_requests`, bumps `serve_errors` on failure, and records the
+    /// request's trace, which the latency metrics derive from.
     fn tracked<T>(
         &self,
         ctx: &RequestCtx,
@@ -391,38 +363,13 @@ impl Session {
             SessionCounters::bump(&self.counters.errors);
         }
         let latency_us = t0.elapsed().as_micros() as u64;
-        self.request_hist
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(latency_us);
         self.finish_request(ctx, out.is_ok(), latency_us);
         out
     }
 
-    /// Close out a completed request: fold its latency into the
-    /// per-method stats (republishing quantiles), queue its spans for the
-    /// next publish, retain its trace, and append its ledger line.
+    /// Close out a completed request: append its ledger line and record
+    /// its trace in the live telemetry.
     fn finish_request(&self, ctx: &RequestCtx, ok: bool, latency_us: u64) {
-        let spans = ctx.rec.snapshot().spans;
-        {
-            let mut stats = self.method_stats.lock().unwrap_or_else(|e| e.into_inner());
-            let stat = stats.entry(ctx.method.clone()).or_default();
-            stat.hist.observe(latency_us);
-            if stat.samples.len() == QUANTILE_WINDOW {
-                stat.samples.pop_front();
-            }
-            stat.samples.push_back(latency_us);
-            // Published under the lock, so quantiles never go back in time.
-            self.live.set_method_quantiles(method_quantiles(&stats));
-        }
-        {
-            let mut pending = self.pending_spans.lock().unwrap_or_else(|e| e.into_inner());
-            pending.extend(spans.iter().cloned());
-            if pending.len() > PENDING_SPAN_CAP {
-                let excess = pending.len() - PENDING_SPAN_CAP;
-                pending.drain(..excess);
-            }
-        }
         if let Some(dir) = &self.opts.history_dir {
             let _ = crate::perf::append_request(
                 dir,
@@ -443,7 +390,7 @@ impl Session {
             outcome: if ok { "ok" } else { "error" }.to_string(),
             coalesced: ctx.coalesced(),
             run_id: ctx.run_id(),
-            spans,
+            spans: ctx.rec.snapshot().spans,
         });
     }
 
@@ -587,36 +534,13 @@ impl Session {
 
     /// Publish the latest run (which took `run_us`) to the live endpoint:
     /// the engine's per-run snapshot (span totals, not every per-file
-    /// span) merged with the session's cumulative counters, request spans
-    /// since the last publish, and the request-latency histograms
-    /// (all-methods plus one per method).
+    /// span) merged with the session's cumulative counters.
     fn publish(&self, handle: &RunHandle, run_us: u64) {
-        let request_spans = {
-            let mut pending = self.pending_spans.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *pending)
-        };
-        let mut merged = handle.result.obs.totals();
-        for (name, value) in self.counters.export() {
-            *merged.counters.entry(name).or_default() += value;
-        }
-        merged.spans.extend(request_spans);
-        let request_hist = self
-            .request_hist
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        merged
-            .histograms
-            .insert("serve_request_duration_us".to_string(), request_hist);
-        {
-            let stats = self.method_stats.lock().unwrap_or_else(|e| e.into_inner());
-            for (method, stat) in stats.iter() {
-                merged.histograms.insert(
-                    format!("serve_request_duration_us_{method}"),
-                    stat.hist.clone(),
-                );
-            }
-        }
+        let merged = handle
+            .result
+            .obs
+            .totals()
+            .with_counters(self.counters.export());
         self.live
             .publish(&merged, handle.records.len() as u64, run_us);
         self.live.set_server_stats(
@@ -775,9 +699,9 @@ impl Session {
             .into_iter()
             .map(|(k, v)| (k, serde_json::Value::from(v)))
             .collect();
-        let quantiles =
-            method_quantiles(&self.method_stats.lock().unwrap_or_else(|e| e.into_inner()));
-        let methods: serde_json::Map<String, serde_json::Value> = quantiles
+        let methods: serde_json::Map<String, serde_json::Value> = self
+            .live
+            .request_quantiles()
             .into_iter()
             .map(|q| {
                 (
@@ -825,24 +749,6 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The per-method latency quantiles over the current sample windows.
-fn method_quantiles(stats: &BTreeMap<String, MethodStat>) -> Vec<obs::MethodQuantiles> {
-    stats
-        .iter()
-        .map(|(method, stat)| {
-            let mut window: Vec<u64> = stat.samples.iter().copied().collect();
-            let (p50_us, p95_us, p99_us) = obs::quantiles_us(&mut window);
-            obs::MethodQuantiles {
-                method: method.clone(),
-                count: stat.hist.count,
-                p50_us,
-                p95_us,
-                p99_us,
-            }
-        })
-        .collect()
-}
-
 /// Exact name, or path-suffix match in either direction: how `explain`
 /// and `analyze-file` resolve a file a user names.
 pub fn name_matches(name: &str, wanted: &str) -> bool {
@@ -866,6 +772,7 @@ pub fn corpus_key(sources: &[SourceFile], config: &AnalysisConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ofence-session-{tag}-{}", std::process::id()));
@@ -1282,27 +1189,61 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
     }
 
     #[test]
-    fn status_reports_per_method_quantiles() {
+    fn request_metrics_agree_within_one_scrape() {
         let dir = tempdir("quantiles");
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
+        // Four tracked requests over two methods. The last one fails
+        // after its analysis ran, so the final publish precedes its end.
+        const N: u64 = 4;
+        session.analyze_document(&ctx(&session, "analyze")).unwrap();
         session.analyze_document(&ctx(&session, "analyze")).unwrap();
         session
             .explain_document(&ctx(&session, "explain"), "m.c", 2)
             .unwrap();
-        let status = session.status_document();
-        for method in ["analyze", "explain"] {
-            let q = &status["methods"][method];
-            assert_eq!(q["count"], 1, "{status}");
-            assert!(q["p50_us"].as_u64().unwrap() <= q["p99_us"].as_u64().unwrap());
-        }
-        // The live endpoint carries the same quantiles.
+        assert!(session
+            .explain_document(&ctx(&session, "explain"), "m.c", 999)
+            .is_err());
+        // One scrape: the all-methods histogram, the per-method
+        // histograms, the quantile summaries and `status` all count
+        // every completed request.
         let metrics = session.live().metrics_text();
-        assert!(
-            metrics
-                .contains("ofence_serve_method_duration_us{method=\"analyze\",quantile=\"0.99\"}"),
-            "{metrics}"
-        );
+        let value = |name: &str| -> u64 {
+            let prefix = format!("{name} ");
+            let line = metrics.lines().find_map(|l| l.strip_prefix(&prefix));
+            line.unwrap_or_else(|| panic!("no `{name}` in:\n{metrics}"))
+                .parse()
+                .unwrap()
+        };
+        assert_eq!(value("ofence_serve_request_duration_us_count"), N);
+        let status = session.status_document();
+        assert_eq!(status["methods"].as_object().unwrap().len(), 2, "{status}");
+        let mut sum = 0;
+        for method in ["analyze", "explain"] {
+            let count = value(&format!("ofence_serve_request_duration_us_{method}_count"));
+            assert_eq!(count, 2, "{metrics}");
+            assert_eq!(
+                value(&format!(
+                    "ofence_serve_method_duration_us_count{{method=\"{method}\"}}"
+                )),
+                count
+            );
+            let q = &status["methods"][method];
+            assert_eq!(q["count"], count, "{status}");
+            assert!(q["p50_us"].as_u64().unwrap() <= q["p99_us"].as_u64().unwrap());
+            assert!(
+                value(&format!(
+                    "ofence_serve_method_duration_us{{method=\"{method}\",quantile=\"0.99\"}}"
+                )) > 0
+            );
+            sum += count;
+        }
+        assert_eq!(sum, N);
+        // Request span time still reaches the span gauge.
+        for span in ["request", "serve_run"] {
+            let line = format!("ofence_span_duration_seconds{{span=\"{span}\"}} ");
+            assert!(metrics.contains(&line), "{metrics}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

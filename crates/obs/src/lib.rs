@@ -33,7 +33,7 @@ pub mod serve;
 
 pub use event::{Event, EventSink, NdjsonSink, RingSink};
 pub use request::{quantiles_us, MethodQuantiles, RequestTrace, TraceStore};
-pub use serve::{Live, MetricsServer};
+pub use serve::{Listener, Live};
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -509,20 +509,25 @@ impl Snapshot {
             }
         }
         for (name, h) in &self.histograms {
-            let metric = sanitize_metric_name(&format!("ofence_{name}"));
-            out.push_str(&format!("# TYPE {metric} histogram\n"));
-            for (i, &bound) in BUCKET_BOUNDS.iter().enumerate() {
-                out.push_str(&format!(
-                    "{metric}_bucket{{le=\"{bound}\"}} {}\n",
-                    h.buckets[i]
-                ));
-            }
-            out.push_str(&format!("{metric}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{metric}_sum {}\n", h.sum));
-            out.push_str(&format!("{metric}_count {}\n", h.count));
+            render_histogram(&mut out, name, h);
         }
         out
     }
+}
+
+/// Append one histogram in Prometheus text format as `ofence_<name>`.
+pub(crate) fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
+    let metric = sanitize_metric_name(&format!("ofence_{name}"));
+    out.push_str(&format!("# TYPE {metric} histogram\n"));
+    for (i, &bound) in BUCKET_BOUNDS.iter().enumerate() {
+        out.push_str(&format!(
+            "{metric}_bucket{{le=\"{bound}\"}} {}\n",
+            h.buckets[i]
+        ));
+    }
+    out.push_str(&format!("{metric}_bucket{{le=\"+Inf\"}} {}\n", h.count));
+    out.push_str(&format!("{metric}_sum {}\n", h.sum));
+    out.push_str(&format!("{metric}_count {}\n", h.count));
 }
 
 /// JSON-escape a string, with quotes.

@@ -1,20 +1,22 @@
-//! Request-scoped trace capture for the analysis daemon.
+//! Request-scoped trace capture and request metrics.
 //!
-//! Each daemon request records its spans into a private [`crate::Recorder`]
+//! Each request records its spans into a private [`crate::Recorder`]
 //! owned by the request context; when the request completes, the session
 //! folds the finished spans plus outcome metadata into a [`RequestTrace`]
-//! and hands it to [`crate::Live::record_trace`]. A bounded [`TraceStore`]
-//! keeps the N most recent and N slowest completed traces so `GET
-//! /debug/requests`, `GET /debug/trace/<id>`, and the in-band `trace`
-//! method can answer "what did request X spend its time on?" long after
-//! the request returned.
+//! and hands it to [`crate::Live::record_trace`]. Every request metric —
+//! latency histograms, per-method quantiles, request-span totals — is
+//! derived from that one record. A bounded [`TraceStore`] keeps the N
+//! most recent and N slowest completed traces so `GET /debug/requests`,
+//! `GET /debug/trace/<id>`, and the in-band `trace` method can answer
+//! "what did request X spend its time on?" long after the request
+//! returned.
 //!
 //! Everything here is hand-rendered JSON (this crate is dependency-free);
 //! the consumers (`ofence trace`, CI gates) parse it with whatever JSON
 //! reader they already have.
 
-use crate::{json_string, SpanRecord};
-use std::collections::{HashMap, VecDeque};
+use crate::{json_string, render_histogram, Histogram, SpanRecord};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// One completed daemon request: identity, outcome, and its span tree.
@@ -200,6 +202,87 @@ impl TraceStore {
             render(&mut self.recent.iter().rev()),
             render(&mut self.slowest.iter())
         )
+    }
+}
+
+/// Latency samples kept per method for exact quantiles: small enough to
+/// re-sort per scrape, large enough that p99 over it is meaningful.
+const QUANTILE_WINDOW: usize = 512;
+
+/// Request telemetry derived from completed [`RequestTrace`]s, one
+/// [`RequestStats::record`] per request: cumulative latency histograms
+/// (all methods, and one per method), a bounded sample window per
+/// method for exact quantiles, and span time by span name since the
+/// last publish. Not itself synchronized — [`crate::Live`] keeps it
+/// under its state lock, so one scrape sees all of it at one instant.
+#[derive(Debug, Default)]
+pub(crate) struct RequestStats {
+    all: Histogram,
+    methods: BTreeMap<String, (Histogram, VecDeque<u64>)>,
+    span_us: BTreeMap<String, u64>,
+}
+
+impl RequestStats {
+    pub(crate) fn record(&mut self, trace: &RequestTrace) {
+        self.all.observe(trace.latency_us);
+        let (hist, window) = self.methods.entry(trace.method.clone()).or_default();
+        hist.observe(trace.latency_us);
+        if window.len() == QUANTILE_WINDOW {
+            window.pop_front();
+        }
+        window.push_back(trace.latency_us);
+        for span in &trace.spans {
+            *self.span_us.entry(span.name.clone()).or_default() += span.dur_us;
+        }
+    }
+
+    /// Span time per span name since the previous call.
+    pub(crate) fn take_span_totals(&mut self) -> BTreeMap<String, u64> {
+        std::mem::take(&mut self.span_us)
+    }
+
+    /// Count and p50/p95/p99 per method, method order.
+    pub(crate) fn quantiles(&self) -> Vec<MethodQuantiles> {
+        self.methods
+            .iter()
+            .map(|(method, (hist, window))| {
+                let mut samples: Vec<u64> = window.iter().copied().collect();
+                let (p50_us, p95_us, p99_us) = quantiles_us(&mut samples);
+                MethodQuantiles {
+                    method: method.clone(),
+                    count: hist.count,
+                    p50_us,
+                    p95_us,
+                    p99_us,
+                }
+            })
+            .collect()
+    }
+
+    /// Append the `serve_request_duration_us` histograms (all methods,
+    /// then `_<method>`) and the per-method quantile summary; nothing
+    /// before the first request.
+    pub(crate) fn render_prometheus(&self, out: &mut String) {
+        if self.methods.is_empty() {
+            return;
+        }
+        render_histogram(out, "serve_request_duration_us", &self.all);
+        for (method, (hist, _)) in &self.methods {
+            render_histogram(out, &format!("serve_request_duration_us_{method}"), hist);
+        }
+        out.push_str("# TYPE ofence_serve_method_duration_us summary\n");
+        for q in self.quantiles() {
+            let method = json_string(&q.method);
+            for (label, value) in [("0.5", q.p50_us), ("0.95", q.p95_us), ("0.99", q.p99_us)] {
+                out.push_str(&format!(
+                    "ofence_serve_method_duration_us{{method={method},quantile=\"{label}\"}} {value}\n"
+                ));
+            }
+            out.push_str(&format!(
+                "ofence_serve_method_duration_us_count{{method={method}}} {}\n",
+                q.count
+            ));
+        }
     }
 }
 

@@ -1,32 +1,45 @@
-//! A zero-dependency live metrics endpoint.
+//! The workspace's one TCP accept loop, and the live metrics endpoint
+//! built on it.
 //!
-//! [`Live`] is the shared state a long-running driver (today: `ofence
-//! watch`; tomorrow: the analysis daemon of ROADMAP item 1) publishes
-//! into after every analysis run. [`serve`] binds a `std::net::
-//! TcpListener` and answers two routes from that state on a background
-//! thread:
+//! [`listen`] binds a `std::net::TcpListener` and hands every accepted
+//! connection to a handler on its own named thread (`<name>-conn-<n>`),
+//! so a slow or stuck client never blocks the next one. Both servers use
+//! it: [`serve`] (`/metrics` and friends, below) and the analysis daemon
+//! (`ofence::server`). A handler returns [`ControlFlow::Break`] to stop
+//! the listener — the daemon's `shutdown` method; [`Listener::shutdown`]
+//! or dropping the handle stops it from outside.
+//!
+//! [`Live`] is the shared state a long-running driver (`ofence watch`,
+//! `ofence serve`) publishes into. Every engine run publishes its
+//! snapshot ([`Live::publish`]); every completed request is recorded
+//! exactly once ([`Live::record_trace`]), and that record alone feeds
+//! the request-latency histograms, the per-method quantiles and the
+//! trace rings. [`serve`] answers from that state:
 //!
 //! * `GET /metrics` — the latest run's Prometheus text (the exact output
-//!   of [`crate::Snapshot::prometheus_text`]), pre-rendered at publish
-//!   time so a scrape never observes a half-updated snapshot;
+//!   of [`crate::Snapshot::prometheus_text`], pre-rendered at publish
+//!   time so a scrape never observes a half-updated snapshot), followed
+//!   by gauges, request histograms and quantiles rendered at scrape time
+//!   under the same lock;
 //! * `GET /health` — a small JSON document: run count, last-iteration
-//!   duration, cache hit rate, and deviation totals.
+//!   duration, cache hit rate, and deviation totals;
+//! * `GET /debug/requests`, `GET /debug/trace/<id>` — captured traces.
 //!
-//! The server is deliberately minimal — HTTP/1.x, `Connection: close`,
-//! one short-lived thread per connection — because its only clients are
-//! scrapers (`curl`, Prometheus) hitting it a few times a minute. No
-//! external crates, no async runtime.
+//! The endpoint is deliberately minimal — HTTP/1.x, `Connection: close`
+//! — because its only clients are scrapers (`curl`, Prometheus) hitting
+//! it a few times a minute. No external crates, no async runtime.
 
-use crate::request::{MethodQuantiles, RequestTrace, TraceStore};
-use crate::{json_string, Snapshot};
+use crate::request::{MethodQuantiles, RequestStats, RequestTrace, TraceStore};
+use crate::{json_string, Snapshot, SpanRecord};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct LiveState {
     /// Pre-rendered Prometheus text of the latest published snapshot.
     metrics_text: String,
@@ -42,14 +55,14 @@ struct LiveState {
     /// Daemon-mode request stats ([`Live::set_server_stats`]); `None`
     /// outside `ofence serve`, and the `/health` body omits them then.
     server: Option<ServerStats>,
-    /// Point-in-time gauges ([`Live::set_gauge`], e.g.
+    /// Point-in-time gauges ([`Live::add_gauge`], e.g.
     /// `serve_connections_active`). Rendered into `/metrics` and `/health`
     /// only once set, so drivers that never set one (watch, one-shot
     /// analyze) keep byte-identical output.
     gauges: BTreeMap<String, u64>,
-    /// Per-method latency quantiles ([`Live::set_method_quantiles`]);
-    /// empty outside the daemon, and omitted from all bodies then.
-    method_quantiles: Vec<MethodQuantiles>,
+    /// Completed-request telemetry ([`Live::record_trace`]); empty, and
+    /// omitted from all bodies, until the first request completes.
+    requests: RequestStats,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -68,8 +81,8 @@ struct ServerStats {
 #[derive(Debug, Default)]
 pub struct Live {
     inner: Mutex<LiveState>,
-    /// Completed request traces, behind their own lock so recording a
-    /// trace never contends with a concurrent scrape.
+    /// Completed request traces, behind their own lock so rendering a
+    /// trace tree never holds up a scrape.
     traces: Mutex<TraceStore>,
 }
 
@@ -78,11 +91,26 @@ impl Live {
         Live::default()
     }
 
+    fn state(&self) -> MutexGuard<'_, LiveState> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Publish a finished run: its observability snapshot, the number of
-    /// deviations it reported, and its wall-clock duration.
+    /// deviations it reported, and its wall-clock duration. Span time of
+    /// the requests completed since the previous publish is folded into
+    /// the snapshot's span gauge.
     pub fn publish(&self, snapshot: &Snapshot, deviations_total: u64, iteration_us: u64) {
-        let metrics_text = snapshot.prometheus_text();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let request_spans = self.state().requests.take_span_totals();
+        let mut merged = snapshot.clone();
+        merged
+            .spans
+            .extend(request_spans.into_iter().map(|(name, dur_us)| SpanRecord {
+                name,
+                dur_us,
+                ..SpanRecord::default()
+            }));
+        let metrics_text = merged.prometheus_text();
+        let mut inner = self.state();
         inner.metrics_text = metrics_text;
         inner.runs += 1;
         inner.last_iteration_us = iteration_us;
@@ -95,35 +123,38 @@ impl Live {
     /// queue depth plus cumulative coalesced-join and request counts.
     /// Once set, `/health` carries them.
     pub fn set_server_stats(&self, queue_depth: u64, coalesced: u64, requests: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.server = Some(ServerStats {
+        self.state().server = Some(ServerStats {
             queue_depth,
             coalesced,
             requests,
         });
     }
 
-    /// Publish a point-in-time gauge (e.g. `serve_connections_active`).
-    /// Gauges render into `/metrics` and `/health` from the first call
-    /// on; drivers that never set one see unchanged output.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.gauges.insert(name.to_string(), value);
+    /// Move a point-in-time gauge (e.g. `serve_connections_active`) by
+    /// `delta`, saturating at zero. Under the state lock, so concurrent
+    /// movers never publish a stale value. Gauges render into `/metrics`
+    /// and `/health` from the first call on; drivers that never move one
+    /// see unchanged output.
+    pub fn add_gauge(&self, name: &str, delta: i64) {
+        let mut inner = self.state();
+        let value = inner.gauges.entry(name.to_string()).or_default();
+        *value = value.saturating_add_signed(delta);
     }
 
-    /// Publish per-method request-latency quantiles; they render into
-    /// `/metrics` (summary lines) and `/health` (a `methods` object)
-    /// once non-empty.
-    pub fn set_method_quantiles(&self, quantiles: Vec<MethodQuantiles>) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.method_quantiles = quantiles;
-    }
-
-    /// Retain a completed request trace in the bounded recent/slowest
-    /// rings behind `/debug/requests` and `/debug/trace/<id>`.
+    /// Record one completed request — the only place requests are
+    /// counted. Feeds the request-latency histograms, the per-method
+    /// quantile window and the request-span totals, and retains the
+    /// trace in the bounded recent/slowest rings behind
+    /// `/debug/requests` and `/debug/trace/<id>`.
     pub fn record_trace(&self, trace: RequestTrace) {
+        self.state().requests.record(&trace);
         let mut traces = self.traces.lock().unwrap_or_else(|e| e.into_inner());
         traces.record(Arc::new(trace));
+    }
+
+    /// Per-method request count and latency quantiles, method order.
+    pub fn request_quantiles(&self) -> Vec<MethodQuantiles> {
+        self.state().requests.quantiles()
     }
 
     /// The full span tree of a captured trace, as JSON; `None` when the
@@ -141,39 +172,26 @@ impl Live {
 
     /// Runs published so far.
     pub fn runs(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).runs
+        self.state().runs
     }
 
-    /// The latest `/metrics` body (empty before the first publish),
-    /// plus any gauges and per-method quantile summaries set since.
+    /// The `/metrics` body: the latest published run (empty before the
+    /// first publish), then any gauges, then the request histograms and
+    /// per-method quantile summaries as of this scrape.
     pub fn metrics_text(&self) -> String {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.state();
         let mut out = inner.metrics_text.clone();
         for (name, value) in &inner.gauges {
             let metric = crate::sanitize_metric_name(&format!("ofence_{name}"));
             out.push_str(&format!("# TYPE {metric} gauge\n{metric} {value}\n"));
         }
-        if !inner.method_quantiles.is_empty() {
-            out.push_str("# TYPE ofence_serve_method_duration_us summary\n");
-            for q in &inner.method_quantiles {
-                let method = json_string(&q.method);
-                for (label, value) in [("0.5", q.p50_us), ("0.95", q.p95_us), ("0.99", q.p99_us)] {
-                    out.push_str(&format!(
-                        "ofence_serve_method_duration_us{{method={method},quantile=\"{label}\"}} {value}\n"
-                    ));
-                }
-                out.push_str(&format!(
-                    "ofence_serve_method_duration_us_count{{method={method}}} {}\n",
-                    q.count
-                ));
-            }
-        }
+        inner.requests.render_prometheus(&mut out);
         out
     }
 
     /// The `/health` body: one flat JSON object.
     pub fn health_json(&self) -> String {
-        let s = self.inner.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let s = self.state();
         let seen = s.cache_hits + s.files_analyzed;
         let hit_rate = if seen > 0 {
             s.cache_hits as f64 / seen as f64
@@ -191,9 +209,10 @@ impl Live {
         for (name, value) in &s.gauges {
             extra.push_str(&format!(",{}:{value}", json_string(name)));
         }
-        if !s.method_quantiles.is_empty() {
+        let quantiles = s.requests.quantiles();
+        if !quantiles.is_empty() {
             extra.push_str(",\"methods\":{");
-            for (i, q) in s.method_quantiles.iter().enumerate() {
+            for (i, q) in quantiles.iter().enumerate() {
                 if i > 0 {
                     extra.push(',');
                 }
@@ -219,75 +238,105 @@ impl Live {
     }
 }
 
-/// Handle on a running metrics server. Dropping it (or calling
-/// [`MetricsServer::shutdown`]) stops the listener thread.
-pub struct MetricsServer {
+/// Handle on a running [`listen`] loop. Dropping it (or calling
+/// [`Listener::shutdown`]) stops accepting; connection threads end when
+/// their handlers return.
+pub struct Listener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl MetricsServer {
-    /// The actually bound address — with `addr:0` the OS picks the port,
-    /// and this is where callers learn it.
+impl Listener {
+    /// The actually bound address — with port `0` the OS picks, and this
+    /// is where callers learn it.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stop accepting connections and join the listener thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    /// Block until a connection handler stops the listener (returns
+    /// [`ControlFlow::Break`]).
+    pub fn wait(mut self) {
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept() call with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+    /// Stop accepting connections and join the listener thread. Open
+    /// connections are not waited for.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
+            stop_listener(&self.stop, self.addr);
             let _ = handle.join();
         }
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_and_join();
-        }
-    }
+/// Raise the stop flag and unblock `accept()` with a throwaway
+/// connection, so the loop observes the flag.
+fn stop_listener(stop: &AtomicBool, addr: SocketAddr) {
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
 }
 
 /// Bind `addr` (e.g. `127.0.0.1:9464`, or port `0` to let the OS pick)
-/// and serve `GET /metrics` + `GET /health` from `live` on a background
-/// thread until the returned handle is shut down or dropped.
-pub fn serve(addr: &str, live: Arc<Live>) -> Result<MetricsServer, String> {
+/// and run `handler` on every accepted connection, each on its own
+/// thread named `<name>-conn-<n>` (the accept thread is
+/// `ofence-<name>`), until a handler returns [`ControlFlow::Break`] or
+/// the returned handle is shut down or dropped.
+pub fn listen<H>(addr: &str, name: &str, handler: H) -> Result<Listener, String>
+where
+    H: Fn(TcpStream) -> ControlFlow<()> + Send + Sync + 'static,
+{
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
     let stop = Arc::new(AtomicBool::new(false));
     let thread_stop = stop.clone();
+    let handler = Arc::new(handler);
+    let conn_name = format!("{name}-conn");
     let handle = std::thread::Builder::new()
-        .name("ofence-metrics".into())
+        .name(format!("ofence-{name}"))
         .spawn(move || {
+            let mut accepted = 0u64;
             for stream in listener.incoming() {
                 if thread_stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let live = live.clone();
-                // One short-lived thread per connection: a slow or stuck
-                // client must not block the next scrape.
+                let handler = handler.clone();
+                let stop = thread_stop.clone();
                 let _ = std::thread::Builder::new()
-                    .name("ofence-metrics-conn".into())
-                    .spawn(move || handle_connection(stream, &live));
+                    .name(format!("{conn_name}-{accepted}"))
+                    .spawn(move || {
+                        if handler(stream).is_break() {
+                            stop_listener(&stop, local);
+                        }
+                    });
+                accepted += 1;
             }
         })
         .map_err(|e| format!("spawn listener thread: {e}"))?;
-    Ok(MetricsServer {
+    Ok(Listener {
         addr: local,
         stop,
         handle: Some(handle),
+    })
+}
+
+/// Serve `GET /metrics`, `/health` and the `/debug` routes from `live`
+/// on `addr` until the returned handle is shut down or dropped.
+pub fn serve(addr: &str, live: Arc<Live>) -> Result<Listener, String> {
+    listen(addr, "metrics", move |stream| {
+        handle_connection(stream, &live);
+        ControlFlow::Continue(())
     })
 }
 
@@ -486,14 +535,21 @@ mod tests {
         assert!(!before_metrics.contains("serve_connections_active"));
         assert!(!before_metrics.contains("quantile"));
         assert!(!before_health.contains("methods"));
-        live.set_gauge("serve_connections_active", 3);
-        live.set_method_quantiles(vec![crate::MethodQuantiles {
-            method: "analyze".into(),
-            count: 12,
-            p50_us: 100,
-            p95_us: 900,
-            p99_us: 2000,
-        }]);
+        live.add_gauge("serve_connections_active", 4);
+        live.add_gauge("serve_connections_active", -1);
+        // Twelve `analyze` requests, 1..=12 ms: nearest-rank quantiles
+        // over the window.
+        for ms in 1..=12u64 {
+            live.record_trace(crate::RequestTrace {
+                request_id: format!("r{ms}"),
+                method: "analyze".into(),
+                latency_us: ms * 1000,
+                outcome: "ok".into(),
+                coalesced: false,
+                run_id: None,
+                spans: vec![],
+            });
+        }
         let metrics = live.metrics_text();
         assert!(
             metrics.contains("# TYPE ofence_serve_connections_active gauge"),
@@ -505,7 +561,7 @@ mod tests {
         );
         assert!(
             metrics.contains(
-                "ofence_serve_method_duration_us{method=\"analyze\",quantile=\"0.99\"} 2000"
+                "ofence_serve_method_duration_us{method=\"analyze\",quantile=\"0.99\"} 12000"
             ),
             "{metrics}"
         );
@@ -520,7 +576,7 @@ mod tests {
         );
         assert!(
             health.contains(
-                "\"analyze\":{\"count\":12,\"p50_us\":100,\"p95_us\":900,\"p99_us\":2000}"
+                "\"analyze\":{\"count\":12,\"p50_us\":6000,\"p95_us\":12000,\"p99_us\":12000}"
             ),
             "{health}"
         );
@@ -541,14 +597,23 @@ mod tests {
 
     #[test]
     fn shutdown_frees_the_port() {
-        let live = Arc::new(Live::new());
-        let server = serve("127.0.0.1:0", live.clone()).unwrap();
+        // A handler that blocks until its client hangs up: shutdown must
+        // not wait for it.
+        let server = listen("127.0.0.1:0", "test", |mut stream| {
+            let _ = stream.read(&mut [0u8; 1]);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
         let addr = server.addr();
+        let idle = TcpStream::connect(addr).unwrap();
+        let t0 = std::time::Instant::now();
         server.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
         // After shutdown the listener is gone: a fresh bind to the same
-        // port succeeds.
+        // port succeeds, the idle connection notwithstanding.
         let rebound = TcpListener::bind(addr);
         assert!(rebound.is_ok(), "{rebound:?}");
+        drop(idle);
     }
 
     #[test]
