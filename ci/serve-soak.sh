@@ -11,7 +11,10 @@
 #   4. `/metrics` publishes a per-method p99 quantile after the soak,
 #   5. `/debug/requests` retains at least one captured trace whose span
 #      tree is balanced (node count == span_count),
-#   6. the disk cache survives: a fresh single-shot run over the soaked
+#   6. the traces add up: over every captured `analyze` trace, the median
+#      share of the `request` span covered by its child spans (snapshot,
+#      coalesce, serve_run, ledger, render) is at least 0.95,
+#   7. the disk cache survives: a fresh single-shot run over the soaked
 #      cache dir reloads the shards instead of discarding them.
 #
 # Environment: OFENCE (binary path), SOAK_SECONDS (default 30).
@@ -137,11 +140,25 @@ listing = json.loads(http_get("/debug/requests"))
 summaries = listing["recent"] + listing["slowest"]
 assert summaries, "no captured traces in /debug/requests"
 balanced = 0
-for summary in summaries:
-    trace = json.loads(http_get(f"/debug/trace/{summary['request_id']}"))
+coverage = []
+for request_id in sorted({s["request_id"] for s in summaries}):
+    trace = json.loads(http_get(f"/debug/trace/{request_id}"))
     if tree_nodes(trace["spans"]) == trace["span_count"]:
         balanced += 1
+    root = trace["spans"][0] if trace["spans"] else None
+    if trace["method"] == "analyze" and root and root["name"] == "request":
+        children = sum(c["dur_us"] for c in root["children"])
+        coverage.append(children / max(root["dur_us"], 1))
 assert balanced >= 1, f"no balanced trace among {len(summaries)} captured"
+
+# Gate 6: the child spans account for (nearly) all of an analyze request.
+assert coverage, "no analyze trace captured"
+coverage.sort()
+median = coverage[len(coverage) // 2]
+assert median >= 0.95, (
+    f"analyze traces explain only {median:.3f} of a request (median of "
+    f"{len(coverage)}; lowest {coverage[0]:.3f})"
+)
 
 sock, io = connect()
 status = call(io, {"id": "final", "method": "status"})["result"]
@@ -162,14 +179,14 @@ print(
     f"soak OK: {counters['serve_requests']} requests, "
     f"{counters['serve_runs']} runs, "
     f"{counters['serve_coalesced']} coalesced, 0 errors, "
-    f"{balanced} balanced traces"
+    f"{balanced} balanced traces, analyze trace coverage median {median:.3f}"
 )
 EOF
 
 wait "$SERVE"
 SERVE=""
 
-# Gate 3: the soaked cache dir must reload cleanly. `cache_discarded` is
+# Gate 7: the soaked cache dir must reload cleanly. `cache_discarded` is
 # only emitted when shards fail validation, so its absence is the pass.
 "$BIN" analyze "$WORK/corpus" --cache-dir "$WORK/cache" --no-history \
   --fail-on none --metrics-out "$WORK/verify-metrics.txt" > /dev/null

@@ -162,6 +162,10 @@ impl serde::Serialize for Name {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.as_str().to_string())
     }
+
+    fn write_json(&self, w: &mut serde::Writer<'_>) {
+        w.str(self.as_str());
+    }
 }
 
 impl serde::Deserialize for Name {

@@ -7,6 +7,7 @@ use crate::args::{
 use ofence::obs::NdjsonSink;
 use ofence::session::RunHandle;
 use ofence::{AnalysisResult, DiffReport, Engine, FailOn, FindingRecord, LoadOutcome, Patch};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -236,11 +237,14 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
     write_observability(&opts, &obs)?;
     write_sarif(&opts, result)?;
     if opts.json {
-        // The stable, versioned schema documented in docs/SCHEMA.md.
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&result.to_json_with(&obs)).unwrap()
-        );
+        // The stable, versioned schema documented in docs/SCHEMA.md,
+        // rendered straight from the result.
+        let mut text = serde_json::to_string_pretty(&result.report_with(&obs)).unwrap();
+        text.push('\n');
+        std::io::stdout()
+            .lock()
+            .write_all(text.as_bytes())
+            .map_err(|e| format!("stdout: {e}"))?;
     } else {
         println!("{}", result.stats.render());
         if !result.pairing.pairings.is_empty() {

@@ -36,25 +36,22 @@ pub struct SiteSummary {
 
 // Hand-written so `via_chains` is omitted when empty: explain output at
 // depth 0 stays byte-identical to pre-IPA reports.
-impl Serialize for SiteSummary {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("id".to_string(), self.id.to_value());
-        m.insert("kind".to_string(), self.kind.to_value());
-        m.insert("file".to_string(), self.file.to_value());
-        m.insert("function".to_string(), self.function.to_value());
-        m.insert("line".to_string(), self.line.to_value());
-        m.insert(
-            "is_write_barrier".to_string(),
-            self.is_write_barrier.to_value(),
-        );
-        m.insert("objects".to_string(), self.objects.to_value());
+impl serde::Record for SiteSummary {
+    fn fields<F: serde::Fields>(&self, f: &mut F) {
+        f.field("id", &self.id);
+        f.field("kind", &self.kind);
+        f.field("file", &self.file);
+        f.field("function", &self.function);
+        f.field("line", &self.line);
+        f.field("is_write_barrier", &self.is_write_barrier);
+        f.field("objects", &self.objects);
         if !self.via_chains.is_empty() {
-            m.insert("via_chains".to_string(), self.via_chains.to_value());
+            f.field("via_chains", &self.via_chains);
         }
-        serde::Value::Object(m)
     }
 }
+
+serde::serialize_record!(SiteSummary);
 
 impl Deserialize for SiteSummary {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {

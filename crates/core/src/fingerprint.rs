@@ -27,7 +27,7 @@ use crate::deviation::{Deviation, DeviationKind};
 use crate::ir::BarrierSite;
 use crate::sites::FileAnalysis;
 use ckit::span::Span;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// Bump when the fingerprint recipe changes; stored in SARIF as the
 /// `partialFingerprints` key suffix (`ofenceFingerprint/v1`).
@@ -66,24 +66,24 @@ pub struct FindingRecord {
     pub via_calls: Vec<String>,
 }
 
-impl Serialize for FindingRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("fingerprint".to_string(), self.fingerprint.to_value());
-        m.insert("class".to_string(), self.class.to_value());
-        m.insert("rule".to_string(), self.rule.to_value());
-        m.insert("file".to_string(), self.file.to_value());
-        m.insert("function".to_string(), self.function.to_value());
-        m.insert("line".to_string(), self.line.to_value());
-        m.insert("column".to_string(), self.column.to_value());
-        m.insert("object".to_string(), self.object.to_value());
-        m.insert("message".to_string(), self.message.to_value());
+impl serde::Record for FindingRecord {
+    fn fields<F: serde::Fields>(&self, f: &mut F) {
+        f.field("fingerprint", &self.fingerprint);
+        f.field("class", &self.class);
+        f.field("rule", &self.rule);
+        f.field("file", &self.file);
+        f.field("function", &self.function);
+        f.field("line", &self.line);
+        f.field("column", &self.column);
+        f.field("object", &self.object);
+        f.field("message", &self.message);
         if !self.via_calls.is_empty() {
-            m.insert("via_calls".to_string(), self.via_calls.to_value());
+            f.field("via_calls", &self.via_calls);
         }
-        serde::Value::Object(m)
     }
 }
+
+serde::serialize_record!(FindingRecord);
 
 impl Deserialize for FindingRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {

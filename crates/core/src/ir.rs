@@ -102,22 +102,22 @@ pub struct Access {
     pub via_calls: Vec<String>,
 }
 
-impl Serialize for Access {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("object".to_string(), self.object.to_value());
-        m.insert("kind".to_string(), self.kind.to_value());
-        m.insert("side".to_string(), self.side.to_value());
-        m.insert("distance".to_string(), self.distance.to_value());
-        m.insert("span".to_string(), self.span.to_value());
-        m.insert("annotated".to_string(), self.annotated.to_value());
-        m.insert("cross_function".to_string(), self.cross_function.to_value());
+impl serde::Record for Access {
+    fn fields<F: serde::Fields>(&self, f: &mut F) {
+        f.field("object", &self.object);
+        f.field("kind", &self.kind);
+        f.field("side", &self.side);
+        f.field("distance", &self.distance);
+        f.field("span", &self.span);
+        f.field("annotated", &self.annotated);
+        f.field("cross_function", &self.cross_function);
         if !self.via_calls.is_empty() {
-            m.insert("via_calls".to_string(), self.via_calls.to_value());
+            f.field("via_calls", &self.via_calls);
         }
-        serde::Value::Object(m)
     }
 }
+
+serde::serialize_record!(Access);
 
 impl Deserialize for Access {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {

@@ -8,6 +8,10 @@
 //! site list, unpaired reasons, patches, annotations, per-file summaries,
 //! and the run's observability data (per-phase timings and counters).
 //!
+//! The document is defined once, by [`ReportDoc`]: a borrowed view of the
+//! result that the serializer writes straight to text (what the CLI and
+//! the daemon send) or turns into a tree ([`AnalysisResult::to_json`]).
+//!
 //! Compatibility rule: within a `schema_version`, keys are only added,
 //! never renamed or removed. Renames/removals bump the version.
 //!
@@ -22,9 +26,13 @@
 //! when empty, so depth-0 reports are byte-identical to v2 apart from
 //! the version number. All v2 keys are preserved unchanged.
 
+use crate::deviation::Deviation;
 use crate::engine::AnalysisResult;
-use crate::fingerprint::finding_records;
-use crate::ir::UnpairedReason;
+use crate::fingerprint::{finding_records, FindingRecord};
+use crate::ir::{BarrierId, UnpairedReason};
+use crate::sites::FileAnalysis;
+use serde::{Fields, Record, Serialize, Writer};
+use std::sync::Arc;
 
 /// Bump on any backwards-incompatible change to [`AnalysisResult::to_json`].
 /// v2: stable fingerprints on every finding, `run_id`, `findings` array.
@@ -35,88 +43,164 @@ impl AnalysisResult {
     /// The full result as a `serde_json::Value` following the documented
     /// stable schema (see `docs/SCHEMA.md`).
     pub fn to_json(&self) -> serde_json::Value {
-        self.to_json_with(&self.obs)
+        serde_json::to_value(&self.report())
     }
 
     /// [`Self::to_json`] reporting `obs` in place of the run's own
     /// snapshot, for drivers that add counters of their own (e.g.
     /// `findings_new` against a baseline).
     pub fn to_json_with(&self, obs: &obs::Snapshot) -> serde_json::Value {
-        let files: Vec<serde_json::Value> = self
-            .files
-            .iter()
-            .map(|fa| {
-                serde_json::json!({
-                    "name": fa.name,
-                    "barriers": fa.sites.len(),
-                    "functions": fa.function_count,
-                    "parse_errors": fa.parse_error_count,
-                })
-            })
-            .collect();
-        let unpaired: Vec<serde_json::Value> = self
-            .pairing
-            .unpaired
-            .iter()
-            .map(|(id, reason)| {
-                serde_json::json!({
-                    "id": id.0,
-                    "reason": match reason {
-                        UnpairedReason::ImplicitIpc => "implicit_ipc",
-                        UnpairedReason::NoMatch => "no_match",
-                    },
-                })
-            })
-            .collect();
-        // Schema v2: every finding entry carries its stable fingerprint
-        // plus the full diffable record (what `ofence diff` consumes).
-        let dev_records = finding_records(&self.deviations, &self.sites, &self.files);
-        let ann_records = finding_records(&self.annotations, &self.sites, &self.files);
-        let with_provenance =
-            |items: &[crate::deviation::Deviation],
-             records: &[crate::fingerprint::FindingRecord]| {
-                items
-                    .iter()
-                    .zip(records)
-                    .map(|(d, r)| {
-                        let mut v = serde_json::to_value(d);
-                        if let serde_json::Value::Object(ref mut obj) = v {
-                            obj.insert(
-                                "fingerprint".to_string(),
-                                serde_json::to_value(&r.fingerprint),
-                            );
-                            obj.insert("finding".to_string(), serde_json::to_value(r));
-                        }
-                        v
-                    })
-                    .collect::<Vec<serde_json::Value>>()
-            };
-        serde_json::json!({
-            "schema_version": SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "stats": self.stats,
-            "sites": self.sites,
-            "pairings": self.pairing.pairings,
-            "unpaired": unpaired,
-            "findings": dev_records,
-            "deviations": with_provenance(&self.deviations, &dev_records),
-            "patches": self.patches,
-            "annotations": with_provenance(&self.annotations, &ann_records),
-            "annotation_patches": self.annotation_patches,
-            "files": files,
-            "observability": {
-                "phase_us": self.stats.phase_us,
-                "slowest_files": self.stats.slowest_files,
-                "counters": obs.counters,
-                "cache": {
-                    "hits": obs.count_of("engine_cache_hits"),
-                    "loads": obs.count_of("cache_loads"),
-                    "evictions": obs.count_of("cache_evictions"),
-                },
-            },
-        })
+        serde_json::to_value(&self.report_with(obs))
+    }
+
+    /// The schema-v3 report as a serializable view: render it with
+    /// `serde_json::to_string` / `to_string_pretty`, no tree built.
+    pub fn report(&self) -> ReportDoc<'_> {
+        self.report_with(&self.obs)
+    }
+
+    /// [`Self::report`] with `obs` in place of the run's own snapshot.
+    pub fn report_with<'a>(&'a self, obs: &'a obs::Snapshot) -> ReportDoc<'a> {
+        ReportDoc {
+            result: self,
+            obs,
+            dev_records: finding_records(&self.deviations, &self.sites, &self.files),
+            ann_records: finding_records(&self.annotations, &self.sites, &self.files),
+        }
     }
 }
+
+/// The schema-v3 document of one [`AnalysisResult`], borrowed: the one
+/// definition of the report, behind both the text the CLI and the daemon
+/// write and the tree [`AnalysisResult::to_json`] returns.
+pub struct ReportDoc<'a> {
+    result: &'a AnalysisResult,
+    obs: &'a obs::Snapshot,
+    /// Diffable records of the deviations / annotations, in report order.
+    dev_records: Vec<FindingRecord>,
+    ann_records: Vec<FindingRecord>,
+}
+
+impl Record for ReportDoc<'_> {
+    fn fields<F: Fields>(&self, f: &mut F) {
+        let r = self.result;
+        f.field("schema_version", &SCHEMA_VERSION);
+        f.field("run_id", &r.run_id);
+        f.field("stats", &r.stats);
+        f.field("sites", &r.sites);
+        f.field("pairings", &r.pairing.pairings);
+        f.field("unpaired", &Rows(&r.pairing.unpaired, Unpaired));
+        f.field("findings", &self.dev_records);
+        f.field(
+            "deviations",
+            &Rows(&zip(&r.deviations, &self.dev_records), Finding),
+        );
+        f.field("patches", &r.patches);
+        f.field(
+            "annotations",
+            &Rows(&zip(&r.annotations, &self.ann_records), Finding),
+        );
+        f.field("annotation_patches", &r.annotation_patches);
+        f.field("files", &Rows(&r.files, FileRow));
+        f.field("observability", &Observability(r, self.obs));
+    }
+}
+
+fn zip<'a>(
+    items: &'a [Deviation],
+    records: &'a [FindingRecord],
+) -> Vec<(&'a Deviation, &'a FindingRecord)> {
+    items.iter().zip(records).collect()
+}
+
+/// A slice written as an array of per-item views.
+struct Rows<'s, T, V>(&'s [T], fn(&'s T) -> V);
+
+impl<'s, T, V: Serialize> Serialize for Rows<'s, T, V> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(self.0.iter().map(|x| (self.1)(x).to_value()).collect())
+    }
+
+    fn write_json(&self, w: &mut Writer<'_>) {
+        let mut a = w.array();
+        for x in self.0 {
+            a.elem(&(self.1)(x));
+        }
+        a.end();
+    }
+}
+
+struct Unpaired<'a>(&'a (BarrierId, UnpairedReason));
+
+impl Record for Unpaired<'_> {
+    fn fields<F: Fields>(&self, f: &mut F) {
+        let (id, reason) = self.0;
+        f.field("id", &id.0);
+        f.field(
+            "reason",
+            match reason {
+                UnpairedReason::ImplicitIpc => "implicit_ipc",
+                UnpairedReason::NoMatch => "no_match",
+            },
+        );
+    }
+}
+
+/// Schema v2: every finding entry carries its stable fingerprint plus
+/// the full diffable record (what `ofence diff` consumes).
+struct Finding<'a>(&'a (&'a Deviation, &'a FindingRecord));
+
+impl Record for Finding<'_> {
+    fn fields<F: Fields>(&self, f: &mut F) {
+        let (dev, record) = *self.0;
+        dev.fields(f);
+        f.field("fingerprint", &record.fingerprint);
+        f.field("finding", record);
+    }
+}
+
+struct FileRow<'a>(&'a Arc<FileAnalysis>);
+
+impl Record for FileRow<'_> {
+    fn fields<F: Fields>(&self, f: &mut F) {
+        let fa = self.0;
+        f.field("name", &fa.name);
+        f.field("barriers", &fa.sites.len());
+        f.field("functions", &fa.function_count);
+        f.field("parse_errors", &fa.parse_error_count);
+    }
+}
+
+struct Observability<'a>(&'a AnalysisResult, &'a obs::Snapshot);
+
+impl Record for Observability<'_> {
+    fn fields<F: Fields>(&self, f: &mut F) {
+        let Observability(r, obs) = *self;
+        f.field("phase_us", &r.stats.phase_us);
+        f.field("slowest_files", &r.stats.slowest_files);
+        f.field("counters", &obs.counters);
+        f.field("cache", &CacheCounters(obs));
+    }
+}
+
+struct CacheCounters<'a>(&'a obs::Snapshot);
+
+impl Record for CacheCounters<'_> {
+    fn fields<F: Fields>(&self, f: &mut F) {
+        f.field("hits", &self.0.count_of("engine_cache_hits"));
+        f.field("loads", &self.0.count_of("cache_loads"));
+        f.field("evictions", &self.0.count_of("cache_evictions"));
+    }
+}
+
+serde::serialize_record!(
+    ReportDoc<'_>,
+    Unpaired<'_>,
+    Finding<'_>,
+    FileRow<'_>,
+    Observability<'_>,
+    CacheCounters<'_>,
+);
 
 #[cfg(test)]
 mod tests {

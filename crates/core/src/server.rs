@@ -31,6 +31,7 @@
 //! to exactly that contract.
 
 use crate::session::{panic_message, Session, SessionCounters};
+use serde::Fields;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::ops::ControlFlow;
@@ -163,7 +164,7 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
             LineRead::Oversized => {
                 SessionCounters::bump_errors(&session.counters);
                 let resp = error_response(
-                    serde_json::Value::Null,
+                    &serde_json::Value::Null,
                     &session.assign_request_id(),
                     "oversized",
                     &format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
@@ -188,47 +189,56 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
     }
 }
 
-fn write_line(writer: &mut TcpStream, response: &serde_json::Value) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(response).expect("response serializes");
-    line.push('\n');
+/// Write one response line (newline included) with a single write.
+fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
-fn ok_response(
-    id: serde_json::Value,
-    request_id: &str,
-    result: serde_json::Value,
-) -> serde_json::Value {
-    serde_json::json!({ "id": id, "request_id": request_id, "ok": true, "result": result })
+/// A success envelope around `result`, the method's document already
+/// rendered as compact JSON text, spliced in without re-parsing.
+fn ok_response(id: &serde_json::Value, request_id: &str, result: &str) -> String {
+    let mut line = String::with_capacity(result.len() + 64);
+    let mut w = serde_json::Writer::compact(&mut line);
+    let mut envelope = w.object();
+    envelope.field("id", id);
+    envelope.field("request_id", request_id);
+    envelope.field("ok", &true);
+    envelope.key("result").raw(result);
+    envelope.end();
+    line.push('\n');
+    line
 }
 
-fn error_response(
-    id: serde_json::Value,
-    request_id: &str,
-    code: &str,
-    message: &str,
-) -> serde_json::Value {
-    serde_json::json!({
+fn error_response(id: &serde_json::Value, request_id: &str, code: &str, message: &str) -> String {
+    let mut line = serde_json::to_string(&serde_json::json!({
         "id": id,
         "request_id": request_id,
         "ok": false,
         "error": { "code": code, "message": message },
-    })
+    }))
+    .expect("response serializes");
+    line.push('\n');
+    line
 }
 
-/// Parse and dispatch one request line. Returns the response and whether
-/// the client asked the daemon to shut down.
+/// A method's document as compact JSON text.
+fn render(doc: serde_json::Value) -> String {
+    serde_json::to_string(&doc).expect("document serializes")
+}
+
+/// Parse and dispatch one request line. Returns the response line and
+/// whether the client asked the daemon to shut down.
 ///
 /// Every response — success or any flavor of failure — carries a
 /// `request_id`: the client's, when the envelope supplied a valid one,
 /// or a server-assigned id otherwise. Requests too broken to parse get a
 /// server-assigned id too, so a daemon-side log line exists for every
 /// answered request.
-fn respond(session: &Session, line: &[u8]) -> (serde_json::Value, bool) {
+fn respond(session: &Session, line: &[u8]) -> (String, bool) {
     let fail = |id: serde_json::Value, request_id: &str, e: RpcError| {
         SessionCounters::bump_errors(&session.counters);
-        (error_response(id, request_id, e.code, &e.message), false)
+        (error_response(&id, request_id, e.code, &e.message), false)
     };
     let text = match std::str::from_utf8(line) {
         Ok(t) => t,
@@ -283,10 +293,8 @@ fn respond(session: &Session, line: &[u8]) -> (serde_json::Value, bool) {
         );
     };
     if method == "shutdown" {
-        return (
-            ok_response(id, &request_id, serde_json::json!({ "stopping": true })),
-            true,
-        );
+        let result = render(serde_json::json!({ "stopping": true }));
+        return (ok_response(&id, &request_id, &result), true);
     }
     let params = obj.get("params");
     // A handler panic must kill neither the daemon nor the connection:
@@ -296,7 +304,7 @@ fn respond(session: &Session, line: &[u8]) -> (serde_json::Value, bool) {
         dispatch(session, method, params, &request_id)
     }));
     match outcome {
-        Ok(Ok(result)) => (ok_response(id, &request_id, result), false),
+        Ok(Ok(result)) => (ok_response(&id, &request_id, &result), false),
         Ok(Err(e)) => {
             // `failed` errors come from session methods, whose whole
             // bodies run inside the session's request tracking — already
@@ -305,14 +313,14 @@ fn respond(session: &Session, line: &[u8]) -> (serde_json::Value, bool) {
             if e.code != "failed" {
                 SessionCounters::bump_errors(&session.counters);
             }
-            (error_response(id, &request_id, e.code, &e.message), false)
+            (error_response(&id, &request_id, e.code, &e.message), false)
         }
         Err(panic) => {
             let message = panic_message(panic.as_ref());
             SessionCounters::bump_errors(&session.counters);
             (
                 error_response(
-                    id,
+                    &id,
                     &request_id,
                     "internal",
                     &format!("handler panicked: {message}"),
@@ -323,28 +331,33 @@ fn respond(session: &Session, line: &[u8]) -> (serde_json::Value, bool) {
     }
 }
 
+/// Run one method; its document comes back as compact JSON text.
 fn dispatch(
     session: &Session,
     method: &str,
     params: Option<&serde_json::Value>,
     request_id: &str,
-) -> Result<serde_json::Value, RpcError> {
+) -> Result<String, RpcError> {
     // Tracked methods get a request context carrying the wire-level id,
     // so their spans, trace, and ledger line all correlate with the
     // response envelope.
     let ctx = || session.begin_request(method, Some(request_id.to_string()));
     match method {
-        "ping" => Ok(serde_json::json!({ "pong": true })),
-        "status" => Ok(session.status_document()),
+        "ping" => Ok(render(serde_json::json!({ "pong": true }))),
+        "status" => Ok(render(session.status_document())),
         "trace" => {
             let wanted = param_str(params, "request_id")?;
-            session.trace_document(wanted).map_err(RpcError::failed)
+            session
+                .trace_document(wanted)
+                .map(render)
+                .map_err(RpcError::failed)
         }
         "analyze" => session.analyze_document(&ctx()).map_err(RpcError::failed),
         "analyze-file" => {
             let file = param_str(params, "file")?;
             session
                 .analyze_file_document(&ctx(), file)
+                .map(render)
                 .map_err(RpcError::failed)
         }
         "explain" => {
@@ -352,6 +365,7 @@ fn dispatch(
             let line = param_u32(params, "line")?;
             session
                 .explain_document(&ctx(), file, line)
+                .map(render)
                 .map_err(RpcError::failed)
         }
         "diff" => {
@@ -359,6 +373,7 @@ fn dispatch(
             let new = param_str(params, "new")?;
             session
                 .diff_document(&ctx(), old, new)
+                .map(render)
                 .map_err(RpcError::failed)
         }
         "baseline-gate" => {
@@ -376,6 +391,7 @@ fn dispatch(
             };
             session
                 .baseline_gate_document(&ctx(), baseline, fail_on)
+                .map(render)
                 .map_err(RpcError::failed)
         }
         other => Err(RpcError {

@@ -35,6 +35,13 @@
 //! it statted and read as `snapshot_files_statted` / `snapshot_files_read`
 //! attributes on its `request` span.
 //!
+//! Every pass stats every file. A second pass that re-stats only the
+//! files the first one read would tear snapshots under writers that
+//! rewrite files in place: pass 1 stats A (unchanged), an editor then
+//! rewrites A and B, and pass 1 reads the new B. Re-statting only B
+//! agrees with pass 1, and the request would return {A_old, B_new}; a
+//! full pass 2 sees A's new stamp and retries.
+//!
 //! ## Batching and coalescing
 //!
 //! Requests are keyed by `(corpus snapshot hash, config fingerprint)`.
@@ -284,26 +291,43 @@ impl Session {
     /// Snapshot the corpus from disk, passing over it until two
     /// consecutive passes hash identically (see module docs). Returns the
     /// sources, the snapshot key (corpus hash ⊕ config fingerprint), and
-    /// the files the passes statted and read, all passes together.
-    fn snapshot_sources(&self) -> Result<(Vec<SourceFile>, u64, PassStats), String> {
+    /// the files the passes statted and read, all passes together. `rec`
+    /// gets a `snapshot` span, the wait for the index included, with one
+    /// `snapshot_pass` child per pass.
+    fn snapshot_sources(
+        &self,
+        rec: &obs::Recorder,
+    ) -> Result<(Arc<Vec<SourceFile>>, u64, PassStats), String> {
+        let _span = rec.span("snapshot");
         let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
         let mut total = PassStats::default();
         let mut passes = || {
-            let mut prev: Option<(Vec<SourceFile>, u64)> = None;
+            let mut last: Option<(Arc<Vec<SourceFile>>, u64)> = None;
             for _ in 0..SNAPSHOT_ATTEMPTS {
+                // Let go of the last pass's corpus first, so the index
+                // updates it in place instead of copying it.
+                let prev_key = last.take().map(|(_, key)| key);
+                let _pass = rec.span("snapshot_pass");
                 let (sources, pass) = index.refresh(&self.opts.paths)?;
+                rec.annotate(
+                    "snapshot_pass",
+                    &[
+                        ("statted", &pass.statted.to_string()),
+                        ("read", &pass.read.to_string()),
+                    ],
+                );
                 total.statted += pass.statted;
                 total.read += pass.read;
                 let key = corpus_key(&sources, &self.opts.config);
-                match prev {
-                    Some((_, prev_key)) if prev_key == key => return Ok((sources, key)),
+                match prev_key {
+                    Some(prev_key) if prev_key == key => return Ok((sources, key)),
                     Some(_) => SessionCounters::bump(&self.counters.snapshot_retries),
                     None => {}
                 }
-                prev = Some((sources, key));
+                last = Some((sources, key));
             }
             SessionCounters::bump(&self.counters.snapshot_unstable);
-            Ok(prev.expect("at least one snapshot pass ran"))
+            Ok(last.expect("at least one snapshot pass ran"))
         };
         let outcome = passes();
         self.counters
@@ -405,7 +429,7 @@ impl Session {
     }
 
     fn current_run_inner(&self, ctx: &RequestCtx) -> Result<Arc<RunHandle>, String> {
-        let (sources, key, pass) = self.snapshot_sources()?;
+        let (sources, key, pass) = self.snapshot_sources(&ctx.rec)?;
         ctx.rec.annotate(
             "request",
             &[
@@ -432,6 +456,7 @@ impl Session {
             }
         };
         if !leader {
+            drop(sources);
             ctx.coalesced.store(true, Ordering::Relaxed);
             let outcome = {
                 let _span = ctx
@@ -455,6 +480,7 @@ impl Session {
         // future request for this key on the condvar forever. Convert
         // the panic to an error so joiners are notified and the flight
         // retires; the engine's own lock recovers from the poisoning.
+        let t0 = Instant::now();
         let outcome = match catch_unwind(AssertUnwindSafe(|| self.lead_run(ctx, &sources, key))) {
             Ok(outcome) => outcome,
             Err(panic) => Err(format!(
@@ -462,12 +488,16 @@ impl Session {
                 panic_message(panic.as_ref())
             )),
         };
+        // The index updates its corpus in place only once nobody holds it.
+        drop(sources);
+        // Publish to the live telemetry and to joiners, and retire the
+        // flight — later identical requests start a fresh (warm, cheap)
+        // run rather than receiving a stale result forever.
+        let _span = ctx.rec.span("publish");
         if let Ok(handle) = &outcome {
             ctx.set_run_id(&handle.result.run_id);
+            self.publish(handle, t0.elapsed().as_micros() as u64);
         }
-        // Publish to joiners and retire the flight — later identical
-        // requests start a fresh (warm, cheap) run rather than receiving
-        // a stale result forever.
         {
             let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
             map.remove(&key);
@@ -489,7 +519,6 @@ impl Session {
         if self.panic_next_lead.swap(false, Ordering::SeqCst) {
             panic!("injected lead_run panic");
         }
-        let t0 = Instant::now();
         SessionCounters::bump(&self.counters.queue_enqueued);
         let run_span = ctx.rec.open("serve_run");
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
@@ -513,6 +542,7 @@ impl Session {
         drop(engine);
         ctx.rec.close(run_span);
         SessionCounters::bump(&self.counters.runs);
+        let ledger_span = ctx.rec.span("ledger");
         let records = finding_records(&result.deviations, &result.sites, &result.files);
         let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
             let run_record = crate::history::record_of(&result, &self.opts.config, records.clone());
@@ -520,16 +550,15 @@ impl Session {
             let perf_record = crate::perf::record_of(&result, &self.opts.config, None);
             history.and(crate::perf::append(dir, &perf_record)).err()
         });
-        let handle = Arc::new(RunHandle {
+        drop(ledger_span);
+        Ok(Arc::new(RunHandle {
             corpus_key: key,
             result: Arc::new(result),
             records,
             cache_load,
             cache_save_error,
             ledger_error,
-        });
-        self.publish(&handle, t0.elapsed().as_micros() as u64);
-        Ok(handle)
+        }))
     }
 
     /// Publish the latest run (which took `run_us`) to the live endpoint:
@@ -560,13 +589,19 @@ impl Session {
         )
     }
 
-    /// `analyze`: the full schema-v3 report — the exact document
-    /// `ofence analyze --json` prints for the same snapshot.
-    pub fn analyze_document(&self, ctx: &RequestCtx) -> Result<serde_json::Value, String> {
+    /// `analyze`: the full schema-v3 report as compact JSON text — the
+    /// document `ofence analyze --json` prints for the same snapshot —
+    /// rendered straight from the result inside the request (its
+    /// `render` span).
+    pub fn analyze_document(&self, ctx: &RequestCtx) -> Result<String, String> {
         self.tracked(ctx, || {
             let _span = self.request_span(ctx);
             let handle = self.current_run_inner(ctx)?;
-            Ok(handle.result.to_json())
+            let _render = ctx.rec.span("render");
+            let text = serde_json::to_string(&handle.result.report()).expect("report serializes");
+            // The last request to let go of a run frees it: inside the span.
+            drop(handle);
+            Ok(text)
         })
     }
 
@@ -811,7 +846,8 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let dir = tempdir("doc");
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
-        let doc = session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        let text = session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(doc["schema_version"], crate::json::SCHEMA_VERSION);
         assert_eq!(doc["sites"].as_array().unwrap().len(), 2);
         assert_eq!(doc["pairings"].as_array().unwrap().len(), 1);
@@ -823,12 +859,13 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let dir = tempdir("key");
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
-        let (s1, k1, _) = session.snapshot_sources().unwrap();
-        let (_, k2, _) = session.snapshot_sources().unwrap();
+        let rec = obs::Recorder::new();
+        let (s1, k1, _) = session.snapshot_sources(&rec).unwrap();
+        let (_, k2, _) = session.snapshot_sources(&rec).unwrap();
         assert_eq!(k1, k2);
         assert_eq!(s1.len(), 1);
         std::fs::write(dir.join("m.c"), format!("{CLEAN}\nint pad;\n")).unwrap();
-        let (_, k3, _) = session.snapshot_sources().unwrap();
+        let (_, k3, _) = session.snapshot_sources(&rec).unwrap();
         assert_ne!(k1, k3);
         // Config changes the key too: same bytes, different analysis.
         let config = AnalysisConfig {
@@ -836,7 +873,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
             ..Default::default()
         };
         let other = session_with(&dir, config, None);
-        let (_, k4, _) = other.snapshot_sources().unwrap();
+        let (_, k4, _) = other.snapshot_sources(&rec).unwrap();
         assert_ne!(k3, k4);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -997,7 +1034,8 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             .unwrap();
         assert_eq!(out["pass"], false, "{out}");
         // Baseline = current findings: nothing new, the gate passes.
-        let doc = session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        let text = session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
         let out = session
             .baseline_gate_document(
                 &ctx(&session, "baseline-gate"),

@@ -129,3 +129,82 @@ fn explain_json_listing1_matches_golden() {
     text.push('\n');
     check_golden("explain_listing1.json", &text);
 }
+
+/// The report view writes exactly the bytes of its own tree, compact and
+/// pretty: over every paper fixture and over a 1.2k corpus with injected
+/// bugs, at depth 0, at depth 2, and with missing-barrier detection.
+#[test]
+fn report_text_matches_its_tree() {
+    let configs = [
+        AnalysisConfig::default(),
+        AnalysisConfig {
+            ipa_depth: 2,
+            ..AnalysisConfig::default()
+        },
+        AnalysisConfig {
+            detect_missing: true,
+            ..AnalysisConfig::default()
+        },
+    ];
+    let fixture_files: Vec<SourceFile> = [
+        ("listing1.c", fixtures::LISTING1),
+        ("listing2.c", fixtures::LISTING2),
+        ("listing3.c", fixtures::LISTING3),
+        ("bnx2x.c", fixtures::LISTING4_BNX2X),
+        ("patch1_buggy.c", fixtures::PATCH1_BUGGY),
+        ("patch1_fixed.c", fixtures::PATCH1_FIXED),
+        ("patch3_buggy.c", fixtures::PATCH3_BUGGY),
+        ("patch4_buggy.c", fixtures::PATCH4_BUGGY),
+        ("patch5_unannotated.c", fixtures::PATCH5_UNANNOTATED),
+        ("perf_rb_missing_rmb.c", fixtures::PERF_RB_MISSING_RMB),
+        ("perf_rb_fixed.c", fixtures::PERF_RB_FIXED),
+    ]
+    .into_iter()
+    .map(|(name, text)| SourceFile::new(name, text))
+    .collect();
+    let spec = ofence_corpus::CorpusSpec {
+        bugs: ofence_corpus::BugPlan {
+            misplaced: 4,
+            repeated_read: 2,
+            wrong_type: 1,
+            unneeded: 4,
+            missing_barrier: 2,
+        },
+        ..ofence_corpus::CorpusSpec::tier("1200", 7).unwrap()
+    };
+    let generated: Vec<SourceFile> = ofence_corpus::generate(&spec)
+        .files
+        .into_iter()
+        .map(|f| SourceFile::new(f.name, f.content))
+        .collect();
+    for config in &configs {
+        let mut results: Vec<(String, ofence::AnalysisResult)> = fixture_files
+            .iter()
+            .map(|f| {
+                let r = Engine::new(config.clone()).analyze(std::slice::from_ref(f));
+                (f.name.clone(), r)
+            })
+            .collect();
+        let corpus = Engine::new(config.clone()).analyze(&generated);
+        assert!(!corpus.deviations.is_empty());
+        results.push(("1.2k corpus".to_string(), corpus));
+        for (what, r) in &results {
+            let view = r.report();
+            let tree = serde_json::to_value(&view);
+            assert_eq!(
+                serde_json::to_string(&view).unwrap(),
+                tree.to_string(),
+                "{what} (ipa_depth {}, missing {})",
+                config.ipa_depth,
+                config.detect_missing
+            );
+            assert_eq!(
+                serde_json::to_string_pretty(&view).unwrap(),
+                serde_json::to_string_pretty(&tree).unwrap(),
+                "{what} (ipa_depth {}, missing {})",
+                config.ipa_depth,
+                config.detect_missing
+            );
+        }
+    }
+}

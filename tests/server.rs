@@ -968,3 +968,89 @@ fn trace_round_trips_from_wire_to_debug_routes_to_cli() {
 
     daemon.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Request traces cover the layers of a one-edit `analyze`.
+// ---------------------------------------------------------------------------
+
+/// The children of a request's root span, and the share of the root's
+/// time they cover.
+fn trace_coverage(doc: &Value) -> (Vec<Value>, f64) {
+    let root = &doc["spans"][0];
+    assert_eq!(root["name"], "request", "{doc}");
+    let children = root["children"].as_array().unwrap().to_vec();
+    let covered: u64 = children.iter().map(|c| c["dur_us"].as_u64().unwrap()).sum();
+    let total = root["dur_us"].as_u64().unwrap().max(1);
+    (children, covered as f64 / total as f64)
+}
+
+#[test]
+fn one_edit_analyze_traces_cover_the_request() {
+    let corpus_dir = temp_dir("cover-corpus");
+    let cache_dir = temp_dir("cover-cache");
+    let history_dir = temp_dir("cover-history");
+    let mut corpus = generate(&CorpusSpec::tier("1200", 23).unwrap());
+    write_corpus(&corpus_dir, &corpus);
+    // Backdate the tree so only edited files are racily clean.
+    let an_hour_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
+    for f in &corpus.files {
+        std::fs::File::options()
+            .write(true)
+            .open(corpus_dir.join(&f.name))
+            .unwrap()
+            .set_modified(an_hour_ago)
+            .unwrap();
+    }
+    let mut daemon = Daemon::spawn(&corpus_dir, &cache_dir, &history_dir);
+    let mut client = daemon.client();
+    client.ok(serde_json::json!({"id": 0, "method": "analyze"}));
+
+    // Every round edits the same file, so it is the only racily clean one.
+    let edited = inject_edit(&mut corpus, 100);
+    let mut content = corpus
+        .files
+        .iter()
+        .find(|f| f.name == edited)
+        .unwrap()
+        .content
+        .clone();
+    let mut coverages = Vec::new();
+    for round in 0..3u64 {
+        content.push_str(&format!(
+            "int cover_edit_{round}(void) {{ return {round}; }}\n"
+        ));
+        rewrite_file_atomic(&corpus_dir, &edited, &content);
+        let request_id = format!("edit-{round}");
+        client.ok(serde_json::json!({
+            "id": round, "request_id": request_id, "method": "analyze",
+        }));
+        let doc = client.ok(serde_json::json!({
+            "id": "t", "method": "trace", "params": {"request_id": request_id},
+        }));
+        let (children, coverage) = trace_coverage(&doc);
+        let names: Vec<&str> = children
+            .iter()
+            .map(|c| c["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            ["snapshot", "serve_run", "ledger", "publish", "render"],
+            "{doc}"
+        );
+        // Two full stat passes, each reading only the edited file (racily
+        // clean on the second pass, as it was just written).
+        let passes = children[0]["children"].as_array().unwrap();
+        assert_eq!(passes.len(), 2, "{doc}");
+        for pass in passes {
+            assert_eq!(pass["name"], "snapshot_pass");
+            assert_eq!(pass["attrs"]["statted"], "1200", "{doc}");
+            assert_eq!(pass["attrs"]["read"], "1", "{doc}");
+        }
+        coverages.push(coverage);
+    }
+    assert!(
+        coverages.iter().any(|&c| c >= 0.95),
+        "no one-edit request had ≥ 95% of its time in child spans: {coverages:?}"
+    );
+    daemon.shutdown();
+}
