@@ -15,7 +15,12 @@
 #      share of the `request` span covered by its child spans (snapshot,
 #      coalesce, serve_run, ledger, render) is at least 0.95,
 #   7. the disk cache survives: a fresh single-shot run over the soaked
-#      cache dir reloads the shards instead of discarding them.
+#      cache dir reloads the shards instead of discarding them,
+#   8. the counters agree once the soak is over (no request in flight):
+#      one `/metrics` scrape shows `ofence_serve_requests_total` equal to
+#      `ofence_serve_request_duration_us_count`, `/health` `requests`
+#      equals the sum of its per-method counts, and the final `status`
+#      `serve_requests` matches both.
 #
 # Environment: OFENCE (binary path), SOAK_SECONDS (default 30).
 set -euo pipefail
@@ -135,6 +140,26 @@ assert 'quantile="0.99"' in metrics and 'method="analyze"' in metrics, (
     "no per-method p99 in /metrics:\n" + metrics
 )
 
+def metric(name):
+    for line in metrics.splitlines():
+        if line.startswith(name + " "):
+            return int(line.split()[1])
+    raise AssertionError(f"no {name} in /metrics:\n{metrics}")
+
+# Gate 8 (first half): within that one scrape, the request counter and
+# the latency histogram count the same requests, and so does /health.
+scraped_requests = metric("ofence_serve_requests_total")
+histogram_count = metric("ofence_serve_request_duration_us_count")
+assert scraped_requests == histogram_count, (
+    f"/metrics: {scraped_requests} requests vs {histogram_count} in the histogram"
+)
+health = json.loads(http_get("/health"))
+per_method = sum(m["count"] for m in health["methods"].values())
+assert health["requests"] == per_method == scraped_requests, (
+    f"/health: {health['requests']} requests vs {per_method} per method "
+    f"vs {scraped_requests} scraped"
+)
+
 # Gate 5: at least one captured trace reconstructs into a balanced tree.
 listing = json.loads(http_get("/debug/requests"))
 summaries = listing["recent"] + listing["slowest"]
@@ -170,6 +195,10 @@ assert not errors, f"{len(errors)} error responses, first: {errors[0]}"
 assert counters["serve_errors"] == 0, counters
 assert counters["serve_coalesced"] > 0, f"soak never coalesced: {counters}"
 assert counters["serve_runs"] > 0, counters
+# Gate 8 (second half): `status` counts what the scrape counted.
+assert counters["serve_requests"] == scraped_requests, (
+    f"status: {counters['serve_requests']} requests vs {scraped_requests} scraped"
+)
 # Gate 3: request ids everywhere.
 assert not missing_request_ids, (
     f"{len(missing_request_ids)} responses without a request_id, "
@@ -179,7 +208,8 @@ print(
     f"soak OK: {counters['serve_requests']} requests, "
     f"{counters['serve_runs']} runs, "
     f"{counters['serve_coalesced']} coalesced, 0 errors, "
-    f"{balanced} balanced traces, analyze trace coverage median {median:.3f}"
+    f"{balanced} balanced traces, analyze trace coverage median {median:.3f}, "
+    f"counters agree ({scraped_requests} requests)"
 )
 EOF
 

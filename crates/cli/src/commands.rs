@@ -707,7 +707,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         let delta = ofence::classify(&known, &handle.records);
         // Metrics files carry the session's cumulative counters too
         // (`serve_runs`: total runs so far).
-        let obs = with_delta(result, &delta).with_counters(session.counters.export());
+        let obs = with_delta(result, &delta).with_counters(session.live().counters());
         write_observability(&opts.run, &obs)?;
         println!(
             "watch: run {} — {} files, {} deviations ({} new, {} fixed)",

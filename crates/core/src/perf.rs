@@ -50,23 +50,19 @@ pub struct RequestRecord {
     pub run_id: Option<String>,
 }
 
-/// Build the ledger record of one completed daemon request.
-pub fn request_record_of(
-    request_id: &str,
-    method: &str,
-    ok: bool,
-    latency_us: u64,
-    coalesced: bool,
-    run_id: Option<String>,
-) -> RequestRecord {
-    RequestRecord {
-        request_id: request_id.to_string(),
-        timestamp_ms: now_ms(),
-        method: method.to_string(),
-        ok,
-        latency_us,
-        coalesced,
-        run_id,
+/// The ledger line of one completed request, stamped now: its trace
+/// minus the spans.
+impl From<&obs::RequestTrace> for RequestRecord {
+    fn from(trace: &obs::RequestTrace) -> RequestRecord {
+        RequestRecord {
+            request_id: trace.request_id.clone(),
+            timestamp_ms: now_ms(),
+            method: trace.method.clone(),
+            ok: trace.outcome == "ok",
+            latency_us: trace.latency_us,
+            coalesced: trace.coalesced,
+            run_id: trace.run_id.clone(),
+        }
     }
 }
 
@@ -680,15 +676,16 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
     fn request_ledger_roundtrip_and_trends() {
         let dir = tmp("requests");
         for i in 0..6 {
-            let rec = request_record_of(
-                &format!("r{i:06}"),
-                if i % 2 == 0 { "analyze" } else { "explain" },
-                i != 5,
-                (i as u64 + 1) * 100,
-                i == 4,
-                (i != 5).then(|| format!("run-{i}")),
-            );
-            append_request(&dir, &rec).unwrap();
+            let trace = obs::RequestTrace {
+                request_id: format!("r{i:06}"),
+                method: if i % 2 == 0 { "analyze" } else { "explain" }.into(),
+                latency_us: (i as u64 + 1) * 100,
+                outcome: if i != 5 { "ok" } else { "error" }.into(),
+                coalesced: i == 4,
+                run_id: (i != 5).then(|| format!("run-{i}")),
+                spans: vec![],
+            };
+            append_request(&dir, &RequestRecord::from(&trace)).unwrap();
         }
         let (records, skipped) = load_requests(&dir).unwrap();
         assert_eq!(skipped, 0);

@@ -30,7 +30,7 @@
 //! thread. The protocol fuzz suite in `tests/server.rs` holds the daemon
 //! to exactly that contract.
 
-use crate::session::{panic_message, Session, SessionCounters};
+use crate::session::{panic_message, Session};
 use serde::Fields;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -162,7 +162,7 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
         let line = match read_line_capped(&mut reader, &mut buf) {
             LineRead::Eof => return ControlFlow::Continue(()),
             LineRead::Oversized => {
-                SessionCounters::bump_errors(&session.counters);
+                session.live().count("serve_errors", 1);
                 let resp = error_response(
                     &serde_json::Value::Null,
                     &session.assign_request_id(),
@@ -237,7 +237,7 @@ fn render(doc: serde_json::Value) -> String {
 /// answered request.
 fn respond(session: &Session, line: &[u8]) -> (String, bool) {
     let fail = |id: serde_json::Value, request_id: &str, e: RpcError| {
-        SessionCounters::bump_errors(&session.counters);
+        session.live().count("serve_errors", 1);
         (error_response(&id, request_id, e.code, &e.message), false)
     };
     let text = match std::str::from_utf8(line) {
@@ -308,16 +308,17 @@ fn respond(session: &Session, line: &[u8]) -> (String, bool) {
         Ok(Err(e)) => {
             // `failed` errors come from session methods, whose whole
             // bodies run inside the session's request tracking — already
-            // counted in `serve_errors`. Protocol-level errors never
-            // reach a session method, so they are counted here.
+            // counted in `serve_errors` from the request's trace.
+            // Protocol-level errors never reach a session method, so
+            // they are counted here.
             if e.code != "failed" {
-                SessionCounters::bump_errors(&session.counters);
+                session.live().count("serve_errors", 1);
             }
             (error_response(&id, &request_id, e.code, &e.message), false)
         }
         Err(panic) => {
             let message = panic_message(panic.as_ref());
-            SessionCounters::bump_errors(&session.counters);
+            session.live().count("serve_errors", 1);
             (
                 error_response(
                     &id,
@@ -347,10 +348,11 @@ fn dispatch(
         "status" => Ok(render(session.status_document())),
         "trace" => {
             let wanted = param_str(params, "request_id")?;
-            session
-                .trace_document(wanted)
-                .map(render)
-                .map_err(RpcError::failed)
+            // Untracked, so a failed lookup is counted here.
+            session.trace_document(wanted).map(render).map_err(|e| {
+                session.live().count("serve_errors", 1);
+                RpcError::failed(e)
+            })
         }
         "analyze" => session.analyze_document(&ctx()).map_err(RpcError::failed),
         "analyze-file" => {
@@ -663,7 +665,8 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
     #[test]
     fn trace_method_returns_the_span_tree_of_a_prior_request() {
         let dir = corpus("trace");
-        let server = start(&dir);
+        let session = session_over(&dir);
+        let server = serve("127.0.0.1:0", session.clone()).unwrap();
         let mut client = Client::connect(server.addr());
         let report = client.call(serde_json::json!({
             "id": 1, "request_id": "want-this-trace", "method": "analyze",
@@ -685,6 +688,8 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         assert_eq!(err["error"]["code"], "failed", "{err}");
         let err = client.call(serde_json::json!({"id": 4, "method": "trace"}));
         assert_eq!(err["error"]["code"], "bad_request", "{err}");
+        // `trace` is untracked, yet both error responses are counted.
+        assert_eq!(session.live().counters()["serve_errors"], 2);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

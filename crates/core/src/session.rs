@@ -156,72 +156,24 @@ impl RequestCtx {
     }
 }
 
-/// Cumulative session counters, exported on `/metrics` (as
-/// `ofence_serve_*_total`) and in `status` responses. Queue depth is
-/// `queue_enqueued - queue_dequeued`.
-#[derive(Debug, Default)]
-pub struct SessionCounters {
-    pub requests: AtomicU64,
-    pub errors: AtomicU64,
-    pub coalesced: AtomicU64,
-    pub runs: AtomicU64,
-    pub queue_enqueued: AtomicU64,
-    pub queue_dequeued: AtomicU64,
-    pub snapshot_retries: AtomicU64,
-    pub snapshot_unstable: AtomicU64,
-    /// Files statted / read by snapshot passes, all requests together.
-    pub snapshot_files_statted: AtomicU64,
-    pub snapshot_files_read: AtomicU64,
-}
-
-impl SessionCounters {
-    fn get(v: &AtomicU64) -> u64 {
-        v.load(Ordering::Relaxed)
-    }
-
-    fn bump(v: &AtomicU64) {
-        v.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one error response (the wire protocol calls this for
-    /// failures that never reach a session method, e.g. parse errors).
-    pub fn bump_errors(&self) {
-        Self::bump(&self.errors);
-    }
-
-    /// Requests currently waiting for (or holding) the engine.
-    pub fn queue_depth(&self) -> u64 {
-        Self::get(&self.queue_enqueued).saturating_sub(Self::get(&self.queue_dequeued))
-    }
-
-    /// The counter pairs exported next to the engine's per-run counters.
-    pub fn export(&self) -> Vec<(String, u64)> {
-        [
-            ("serve_requests", Self::get(&self.requests)),
-            ("serve_errors", Self::get(&self.errors)),
-            ("serve_coalesced", Self::get(&self.coalesced)),
-            ("serve_runs", Self::get(&self.runs)),
-            ("serve_queue_enqueued", Self::get(&self.queue_enqueued)),
-            ("serve_queue_dequeued", Self::get(&self.queue_dequeued)),
-            ("serve_snapshot_retries", Self::get(&self.snapshot_retries)),
-            (
-                "serve_snapshot_unstable",
-                Self::get(&self.snapshot_unstable),
-            ),
-            (
-                "serve_snapshot_files_statted",
-                Self::get(&self.snapshot_files_statted),
-            ),
-            (
-                "serve_snapshot_files_read",
-                Self::get(&self.snapshot_files_read),
-            ),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
-    }
-}
+/// The session's cumulative counters, kept in [`obs::Live`] and
+/// registered at zero so `status` and `/metrics` show every one from the
+/// start (as `ofence_serve_*_total`). `serve_requests`, `serve_errors`
+/// and `serve_coalesced` are counted from each completed request's trace
+/// ([`obs::Live::record_trace`]); the wire layer adds the errors that
+/// never reach a session method. `serve_runs` is the live run count.
+const COUNTERS: [&str; 9] = [
+    "serve_requests",
+    "serve_errors",
+    "serve_coalesced",
+    "serve_queue_enqueued",
+    "serve_queue_dequeued",
+    "serve_snapshot_retries",
+    "serve_snapshot_unstable",
+    // Files statted / read by snapshot passes, all requests together.
+    "serve_snapshot_files_statted",
+    "serve_snapshot_files_read",
+];
 
 pub struct Session {
     opts: SessionOptions,
@@ -237,10 +189,9 @@ pub struct Session {
     index: Mutex<SourceIndex>,
     /// In-flight analyses by snapshot key, for coalescing.
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
-    pub counters: SessionCounters,
-    /// Live telemetry: every engine run is published to it and every
-    /// completed request recorded in it; `ofence serve --metrics`
-    /// scrapes it.
+    /// Live telemetry: every engine run is published to it, every
+    /// completed request recorded in it, and every session counter kept
+    /// in it; `ofence serve --metrics` and `status` read it.
     live: Arc<obs::Live>,
     /// Monotonic source of server-assigned request ids.
     request_seq: AtomicU64,
@@ -267,14 +218,17 @@ impl Session {
             .cache_dir
             .as_ref()
             .map(|dir| engine.load_disk_cache(dir));
+        let live = Arc::new(obs::Live::new());
+        for name in COUNTERS {
+            live.count(name, 0);
+        }
         Session {
             opts,
             engine: Mutex::new(engine),
             cache_load: Mutex::new(cache_load),
             index: Mutex::new(SourceIndex::default()),
             inflight: Mutex::new(HashMap::new()),
-            counters: SessionCounters::default(),
-            live: Arc::new(obs::Live::new()),
+            live,
             request_seq: AtomicU64::new(0),
             started: Instant::now(),
             #[cfg(test)]
@@ -321,21 +275,19 @@ impl Session {
                 let key = corpus_key(&sources, &self.opts.config);
                 match prev_key {
                     Some(prev_key) if prev_key == key => return Ok((sources, key)),
-                    Some(_) => SessionCounters::bump(&self.counters.snapshot_retries),
+                    Some(_) => self.live.count("serve_snapshot_retries", 1),
                     None => {}
                 }
                 last = Some((sources, key));
             }
-            SessionCounters::bump(&self.counters.snapshot_unstable);
+            self.live.count("serve_snapshot_unstable", 1);
             Ok(last.expect("at least one snapshot pass ran"))
         };
         let outcome = passes();
-        self.counters
-            .snapshot_files_statted
-            .fetch_add(total.statted as u64, Ordering::Relaxed);
-        self.counters
-            .snapshot_files_read
-            .fetch_add(total.read as u64, Ordering::Relaxed);
+        self.live
+            .count("serve_snapshot_files_statted", total.statted as u64);
+        self.live
+            .count("serve_snapshot_files_read", total.read as u64);
         outcome.map(|(sources, key)| (sources, key, total))
     }
 
@@ -372,50 +324,32 @@ impl Session {
         })
     }
 
-    /// Count and time one request around `f` (joins included): bumps
-    /// `serve_requests`, bumps `serve_errors` on failure, and records the
-    /// request's trace, which the latency metrics derive from.
+    /// Run one request around `f` (joins included), then finish it:
+    /// build its one trace, append the ledger line derived from it, and
+    /// record it in the live telemetry, which counts the request and
+    /// derives its latency metrics. A request is counted when it
+    /// completes.
     fn tracked<T>(
         &self,
         ctx: &RequestCtx,
         f: impl FnOnce() -> Result<T, String>,
     ) -> Result<T, String> {
         let t0 = Instant::now();
-        SessionCounters::bump(&self.counters.requests);
         let out = f();
-        if out.is_err() {
-            SessionCounters::bump(&self.counters.errors);
-        }
-        let latency_us = t0.elapsed().as_micros() as u64;
-        self.finish_request(ctx, out.is_ok(), latency_us);
-        out
-    }
-
-    /// Close out a completed request: append its ledger line and record
-    /// its trace in the live telemetry.
-    fn finish_request(&self, ctx: &RequestCtx, ok: bool, latency_us: u64) {
-        if let Some(dir) = &self.opts.history_dir {
-            let _ = crate::perf::append_request(
-                dir,
-                &crate::perf::request_record_of(
-                    ctx.request_id(),
-                    ctx.method(),
-                    ok,
-                    latency_us,
-                    ctx.coalesced(),
-                    ctx.run_id(),
-                ),
-            );
-        }
-        self.live.record_trace(obs::RequestTrace {
+        let trace = obs::RequestTrace {
             request_id: ctx.id.clone(),
             method: ctx.method.clone(),
-            latency_us,
-            outcome: if ok { "ok" } else { "error" }.to_string(),
+            latency_us: t0.elapsed().as_micros() as u64,
+            outcome: if out.is_ok() { "ok" } else { "error" }.to_string(),
             coalesced: ctx.coalesced(),
             run_id: ctx.run_id(),
             spans: ctx.rec.snapshot().spans,
-        });
+        };
+        if let Some(dir) = &self.opts.history_dir {
+            let _ = crate::perf::append_request(dir, &(&trace).into());
+        }
+        self.live.record_trace(trace);
+        out
     }
 
     /// The current analysis of the watched corpus: snapshot, coalesce,
@@ -441,10 +375,7 @@ impl Session {
         let (flight, leader) = {
             let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
             match map.get(&key) {
-                Some(f) => {
-                    SessionCounters::bump(&self.counters.coalesced);
-                    (f.clone(), false)
-                }
+                Some(f) => (f.clone(), false),
                 None => {
                     let f = Arc::new(Flight {
                         slot: Mutex::new(None),
@@ -496,7 +427,13 @@ impl Session {
         let _span = ctx.rec.span("publish");
         if let Ok(handle) = &outcome {
             ctx.set_run_id(&handle.result.run_id);
-            self.publish(handle, t0.elapsed().as_micros() as u64);
+            // The engine's per-run snapshot: span totals, not every
+            // per-file span. Publishing counts the run (`serve_runs`).
+            self.live.publish(
+                &handle.result.obs.totals(),
+                handle.records.len() as u64,
+                t0.elapsed().as_micros() as u64,
+            );
         }
         {
             let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
@@ -519,10 +456,10 @@ impl Session {
         if self.panic_next_lead.swap(false, Ordering::SeqCst) {
             panic!("injected lead_run panic");
         }
-        SessionCounters::bump(&self.counters.queue_enqueued);
+        self.live.count("serve_queue_enqueued", 1);
         let run_span = ctx.rec.open("serve_run");
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
-        SessionCounters::bump(&self.counters.queue_dequeued);
+        self.live.count("serve_queue_dequeued", 1);
         let cache_load = self
             .cache_load
             .lock()
@@ -541,7 +478,6 @@ impl Session {
         engine.recorder().flush_sinks();
         drop(engine);
         ctx.rec.close(run_span);
-        SessionCounters::bump(&self.counters.runs);
         let ledger_span = ctx.rec.span("ledger");
         let records = finding_records(&result.deviations, &result.sites, &result.files);
         let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
@@ -559,24 +495,6 @@ impl Session {
             cache_save_error,
             ledger_error,
         }))
-    }
-
-    /// Publish the latest run (which took `run_us`) to the live endpoint:
-    /// the engine's per-run snapshot (span totals, not every per-file
-    /// span) merged with the session's cumulative counters.
-    fn publish(&self, handle: &RunHandle, run_us: u64) {
-        let merged = handle
-            .result
-            .obs
-            .totals()
-            .with_counters(self.counters.export());
-        self.live
-            .publish(&merged, handle.records.len() as u64, run_us);
-        self.live.set_server_stats(
-            self.counters.queue_depth(),
-            SessionCounters::get(&self.counters.coalesced),
-            SessionCounters::get(&self.counters.requests),
-        );
     }
 
     /// Open this request's root span on its private recorder; every
@@ -729,8 +647,8 @@ impl Session {
     /// triggers an analysis.
     pub fn status_document(&self) -> serde_json::Value {
         let counters: serde_json::Map<String, serde_json::Value> = self
-            .counters
-            .export()
+            .live
+            .counters()
             .into_iter()
             .map(|(k, v)| (k, serde_json::Value::from(v)))
             .collect();
@@ -753,7 +671,7 @@ impl Session {
         serde_json::json!({
             "uptime_us": self.started.elapsed().as_micros() as u64,
             "paths": self.opts.paths,
-            "queue_depth": self.counters.queue_depth(),
+            "queue_depth": self.live.queue_depth(),
             "counters": counters,
             "methods": methods,
         })
@@ -807,7 +725,6 @@ pub fn corpus_key(sources: &[SourceFile], config: &AnalysisConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ofence-session-{tag}-{}", std::process::id()));
@@ -839,6 +756,10 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
 
     fn ctx(session: &Session, method: &str) -> Arc<RequestCtx> {
         session.begin_request(method, None)
+    }
+
+    fn counter(session: &Session, name: &str) -> u64 {
+        session.live().counters()[name]
     }
 
     #[test]
@@ -913,9 +834,8 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         // because they were written moments before the first read them.
         assert_eq!(attrs["snapshot_files_statted"], "4", "{doc}");
         assert_eq!(attrs["snapshot_files_read"], "4", "{doc}");
-        let counters: BTreeMap<String, u64> = session.counters.export().into_iter().collect();
-        assert_eq!(counters["serve_snapshot_files_statted"], 4);
-        assert_eq!(counters["serve_snapshot_files_read"], 4);
+        assert_eq!(counter(&session, "serve_snapshot_files_statted"), 4);
+        assert_eq!(counter(&session, "serve_snapshot_files_read"), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -929,7 +849,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         // Two sequential runs: distinct run ids, zero coalescing, warm
         // second run.
         assert_ne!(a.result.run_id, b.result.run_id);
-        assert_eq!(SessionCounters::get(&session.counters.coalesced), 0);
+        assert_eq!(counter(&session, "serve_coalesced"), 0);
         assert_eq!(b.result.obs.count_of("engine_cache_hits"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -953,7 +873,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         });
         run_ids.sort();
         run_ids.dedup();
-        let coalesced = SessionCounters::get(&session.counters.coalesced);
+        let coalesced = counter(&session, "serve_coalesced");
         // Exactly one engine run per distinct run id; every other
         // request joined one of them.
         assert_eq!(
@@ -961,10 +881,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
             8,
             "run_ids={run_ids:?} coalesced={coalesced}"
         );
-        assert_eq!(
-            SessionCounters::get(&session.counters.runs),
-            run_ids.len() as u64
-        );
+        assert_eq!(counter(&session, "serve_runs"), run_ids.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1060,7 +977,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         let err = session.current_run().err().expect("leader panic surfaced");
         assert!(err.contains("analysis panicked"), "{err}");
         assert!(err.contains("injected lead_run panic"), "{err}");
-        assert_eq!(SessionCounters::get(&session.counters.errors), 1);
+        assert_eq!(counter(&session, "serve_errors"), 1);
         // The dead flight was removed: the same key leads a fresh run
         // instead of joining it (which would hang forever).
         assert!(
@@ -1073,7 +990,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         );
         let handle = session.current_run().unwrap();
         assert!(!handle.records.is_empty() || handle.result.stats.files_total == 1);
-        assert_eq!(SessionCounters::get(&session.counters.coalesced), 0);
+        assert_eq!(counter(&session, "serve_coalesced"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1137,8 +1054,8 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             .is_err());
         // Each failed request counted exactly once — including failures
         // that happen *after* the underlying analysis succeeded.
-        assert_eq!(SessionCounters::get(&session.counters.errors), 3);
-        assert_eq!(SessionCounters::get(&session.counters.requests), 3);
+        assert_eq!(counter(&session, "serve_errors"), 3);
+        assert_eq!(counter(&session, "serve_requests"), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1149,7 +1066,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         let session = session_over(&dir);
         let status = session.status_document();
         assert_eq!(status["queue_depth"], 0);
-        assert_eq!(SessionCounters::get(&session.counters.runs), 0);
+        assert_eq!(counter(&session, "serve_runs"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1177,7 +1094,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         assert!(root["dur_us"].as_u64().unwrap() <= latency, "{doc}");
         // Unknown ids fail cleanly, without counting a request.
         assert!(session.trace_document("nope").is_err());
-        assert_eq!(SessionCounters::get(&session.counters.requests), 1);
+        assert_eq!(counter(&session, "serve_requests"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1214,7 +1131,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             serde_json::from_str(&session.live().traces_summary_json()).unwrap();
         let recent = summary["recent"].as_array().unwrap();
         assert_eq!(recent.len(), 8);
-        let coalesced = SessionCounters::get(&session.counters.coalesced);
+        let coalesced = counter(&session, "serve_coalesced");
         let marked = recent.iter().filter(|t| t["coalesced"] == true).count() as u64;
         assert_eq!(marked, coalesced, "{summary}");
         for t in recent {
@@ -1231,9 +1148,11 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         let dir = tempdir("quantiles");
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
-        // Four tracked requests over two methods. The last one fails
-        // after its analysis ran, so the final publish precedes its end.
-        const N: u64 = 4;
+        // Five tracked requests over three methods. The fourth fails
+        // after its analysis ran, so the final publish precedes its end;
+        // the fifth, a `diff` on a session with no ledger, fails without
+        // producing a run.
+        const N: u64 = 5;
         session.analyze_document(&ctx(&session, "analyze")).unwrap();
         session.analyze_document(&ctx(&session, "analyze")).unwrap();
         session
@@ -1242,9 +1161,12 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         assert!(session
             .explain_document(&ctx(&session, "explain"), "m.c", 999)
             .is_err());
-        // One scrape: the all-methods histogram, the per-method
-        // histograms, the quantile summaries and `status` all count
-        // every completed request.
+        assert!(session
+            .diff_document(&ctx(&session, "diff"), "a", "b")
+            .is_err());
+        // One scrape: the request and error counters, the all-methods
+        // histogram, the per-method histograms, the quantile summaries,
+        // `/health` and `status` all count every completed request.
         let metrics = session.live().metrics_text();
         let value = |name: &str| -> u64 {
             let prefix = format!("{name} ");
@@ -1254,8 +1176,10 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
                 .unwrap()
         };
         assert_eq!(value("ofence_serve_request_duration_us_count"), N);
+        assert_eq!(value("ofence_serve_requests_total"), N);
+        assert_eq!(value("ofence_serve_errors_total"), 2);
         let status = session.status_document();
-        assert_eq!(status["methods"].as_object().unwrap().len(), 2, "{status}");
+        assert_eq!(status["methods"].as_object().unwrap().len(), 3, "{status}");
         let mut sum = 0;
         for method in ["analyze", "explain"] {
             let count = value(&format!("ofence_serve_request_duration_us_{method}_count"));
@@ -1276,7 +1200,27 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             );
             sum += count;
         }
-        assert_eq!(sum, N);
+        let diffs = value("ofence_serve_method_duration_us_count{method=\"diff\"}");
+        assert_eq!(diffs, 1);
+        assert_eq!(status["methods"]["diff"]["count"], diffs, "{status}");
+        assert_eq!(sum + diffs, N);
+        // `status` reports exactly the scrape's counters.
+        let counters = status["counters"].as_object().unwrap();
+        assert_eq!(counters.len(), COUNTERS.len() + 1, "{status}");
+        for (name, count) in counters.iter() {
+            assert_eq!(*count, value(&format!("ofence_{name}_total")), "{name}");
+        }
+        // `/health` counts the requests its per-method counts add up to.
+        let health: serde_json::Value =
+            serde_json::from_str(&session.live().health_json()).unwrap();
+        let per_method: u64 = health["methods"]
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(_, m)| m["count"].as_u64().unwrap())
+            .sum();
+        assert_eq!(health["requests"], N, "{health}");
+        assert_eq!(per_method, N, "{health}");
         // Request span time still reaches the span gauge.
         for span in ["request", "serve_run"] {
             let line = format!("ofence_span_duration_seconds{{span=\"{span}\"}} ");

@@ -13,16 +13,19 @@
 //! `ofence serve`) publishes into. Every engine run publishes its
 //! snapshot ([`Live::publish`]); every completed request is recorded
 //! exactly once ([`Live::record_trace`]), and that record alone feeds
-//! the request-latency histograms, the per-method quantiles and the
-//! trace rings. [`serve`] answers from that state:
+//! the request-latency histograms, the per-method quantiles, the
+//! request and error counters and the trace rings. Everything else a
+//! session counts goes into the same cumulative counter map
+//! ([`Live::count`]). [`serve`] answers from that state:
 //!
 //! * `GET /metrics` — the latest run's Prometheus text (the exact output
 //!   of [`crate::Snapshot::prometheus_text`], pre-rendered at publish
 //!   time so a scrape never observes a half-updated snapshot), followed
-//!   by gauges, request histograms and quantiles rendered at scrape time
-//!   under the same lock;
+//!   by the cumulative counters, gauges, request histograms and
+//!   quantiles rendered at scrape time under the same lock;
 //! * `GET /health` — a small JSON document: run count, last-iteration
-//!   duration, cache hit rate, and deviation totals;
+//!   duration, cache hit rate, deviation totals, and — once a counter is
+//!   counted — queue depth, coalesced joins and completed requests;
 //! * `GET /debug/requests`, `GET /debug/trace/<id>` — captured traces.
 //!
 //! The endpoint is deliberately minimal — HTTP/1.x, `Connection: close`
@@ -52,9 +55,10 @@ struct LiveState {
     /// Cumulative cache hits / files analyzed across all published runs.
     cache_hits: u64,
     files_analyzed: u64,
-    /// Daemon-mode request stats ([`Live::set_server_stats`]); `None`
-    /// outside `ofence serve`, and the `/health` body omits them then.
-    server: Option<ServerStats>,
+    /// Cumulative counters ([`Live::count`], [`Live::record_trace`]),
+    /// e.g. `serve_requests`. Empty, and omitted from all bodies, until
+    /// the first count.
+    counters: BTreeMap<String, u64>,
     /// Point-in-time gauges ([`Live::add_gauge`], e.g.
     /// `serve_connections_active`). Rendered into `/metrics` and `/health`
     /// only once set, so drivers that never set one (watch, one-shot
@@ -65,11 +69,30 @@ struct LiveState {
     requests: RequestStats,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct ServerStats {
-    queue_depth: u64,
-    coalesced: u64,
-    requests: u64,
+impl LiveState {
+    fn count(&mut self, name: &str, delta: u64) {
+        *self.counters.entry(name.to_string()).or_default() += delta;
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// The counter map plus `serve_runs` — the run count, not a stored
+    /// counter — once any counter exists.
+    fn counters(&self) -> BTreeMap<String, u64> {
+        let mut out = self.counters.clone();
+        if !out.is_empty() {
+            out.insert("serve_runs".to_string(), self.runs);
+        }
+        out
+    }
+
+    /// See [`Live::queue_depth`].
+    fn queue_depth(&self) -> u64 {
+        self.counter("serve_queue_enqueued")
+            .saturating_sub(self.counter("serve_queue_dequeued"))
+    }
 }
 
 /// Shared live telemetry: the publisher half is the analysis driver, the
@@ -119,15 +142,25 @@ impl Live {
         inner.files_analyzed += snapshot.count_of("engine_files_analyzed");
     }
 
-    /// Publish daemon request stats (analysis daemon only): current
-    /// queue depth plus cumulative coalesced-join and request counts.
-    /// Once set, `/health` carries them.
-    pub fn set_server_stats(&self, queue_depth: u64, coalesced: u64, requests: u64) {
-        self.state().server = Some(ServerStats {
-            queue_depth,
-            coalesced,
-            requests,
-        });
+    /// Add `delta` to the cumulative counter `name` (`0` registers it).
+    /// Counters render into `/metrics` as `ofence_<name>_total` and drive
+    /// `/health`'s queue, coalesced and request fields from the first
+    /// call on; publishers that never count see unchanged output.
+    pub fn count(&self, name: &str, delta: u64) {
+        self.state().count(name, delta);
+    }
+
+    /// Every cumulative counter as of now, plus `serve_runs` (the run
+    /// count) once any counter exists: what `/metrics` renders.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        self.state().counters()
+    }
+
+    /// Requests waiting for the engine lock, from the queue counters.
+    /// `serve_queue_dequeued` is counted as soon as a request takes the
+    /// lock, so the request holding the engine is not part of the depth.
+    pub fn queue_depth(&self) -> u64 {
+        self.state().queue_depth()
     }
 
     /// Move a point-in-time gauge (e.g. `serve_connections_active`) by
@@ -143,11 +176,19 @@ impl Live {
 
     /// Record one completed request — the only place requests are
     /// counted. Feeds the request-latency histograms, the per-method
-    /// quantile window and the request-span totals, and retains the
-    /// trace in the bounded recent/slowest rings behind
-    /// `/debug/requests` and `/debug/trace/<id>`.
+    /// quantile window, the request-span totals and the
+    /// `serve_requests` / `serve_errors` / `serve_coalesced` counters,
+    /// all under one lock, and retains the trace in the bounded
+    /// recent/slowest rings behind `/debug/requests` and
+    /// `/debug/trace/<id>`.
     pub fn record_trace(&self, trace: RequestTrace) {
-        self.state().requests.record(&trace);
+        {
+            let mut inner = self.state();
+            inner.requests.record(&trace);
+            inner.count("serve_requests", 1);
+            inner.count("serve_errors", u64::from(trace.outcome != "ok"));
+            inner.count("serve_coalesced", u64::from(trace.coalesced));
+        }
         let mut traces = self.traces.lock().unwrap_or_else(|e| e.into_inner());
         traces.record(Arc::new(trace));
     }
@@ -176,11 +217,16 @@ impl Live {
     }
 
     /// The `/metrics` body: the latest published run (empty before the
-    /// first publish), then any gauges, then the request histograms and
-    /// per-method quantile summaries as of this scrape.
+    /// first publish), then the cumulative counters, any gauges, and the
+    /// request histograms and per-method quantile summaries as of this
+    /// scrape.
     pub fn metrics_text(&self) -> String {
         let inner = self.state();
         let mut out = inner.metrics_text.clone();
+        for (name, value) in inner.counters() {
+            let metric = crate::sanitize_metric_name(&format!("ofence_{name}_total"));
+            out.push_str(&format!("# TYPE {metric} counter\n{metric} {value}\n"));
+        }
         for (name, value) in &inner.gauges {
             let metric = crate::sanitize_metric_name(&format!("ofence_{name}"));
             out.push_str(&format!("# TYPE {metric} gauge\n{metric} {value}\n"));
@@ -198,12 +244,15 @@ impl Live {
         } else {
             0.0
         };
-        let server = match s.server {
-            Some(v) => format!(
+        let server = if s.counters.is_empty() {
+            String::new()
+        } else {
+            format!(
                 ",\"queue_depth\":{},\"coalesced\":{},\"requests\":{}",
-                v.queue_depth, v.coalesced, v.requests
-            ),
-            None => String::new(),
+                s.queue_depth(),
+                s.counter("serve_coalesced"),
+                s.counter("serve_requests")
+            )
         };
         let mut extra = String::new();
         for (name, value) in &s.gauges {
@@ -617,15 +666,43 @@ mod tests {
     }
 
     #[test]
-    fn server_stats_appear_in_health_once_set() {
+    fn counters_drive_health_server_fields_and_metrics() {
         let live = Arc::new(Live::new());
         live.publish(&sample_snapshot(), 0, 10);
+        // Before any request or count: no server fields, no counters.
         assert!(!live.health_json().contains("queue_depth"));
-        live.set_server_stats(2, 7, 40);
+        assert!(live.counters().is_empty());
+        live.count("serve_queue_enqueued", 3);
+        live.count("serve_queue_dequeued", 1);
+        for (i, (outcome, coalesced)) in [("ok", false), ("ok", true), ("error", true)]
+            .into_iter()
+            .enumerate()
+        {
+            live.record_trace(crate::RequestTrace {
+                request_id: format!("r{i}"),
+                method: "analyze".into(),
+                latency_us: 100,
+                outcome: outcome.into(),
+                coalesced,
+                run_id: None,
+                spans: vec![],
+            });
+        }
         let body = live.health_json();
         assert!(body.contains("\"queue_depth\":2"), "{body}");
-        assert!(body.contains("\"coalesced\":7"), "{body}");
-        assert!(body.contains("\"requests\":40"), "{body}");
+        assert!(body.contains("\"coalesced\":2"), "{body}");
+        assert!(body.contains("\"requests\":3"), "{body}");
+        assert!(body.contains("\"analyze\":{\"count\":3,"), "{body}");
+        let counters = live.counters();
+        assert_eq!(counters["serve_requests"], 3);
+        assert_eq!(counters["serve_errors"], 1);
+        assert_eq!(counters["serve_runs"], 1, "the run count: {counters:?}");
+        let metrics = live.metrics_text();
+        for (name, value) in &counters {
+            let line = format!("ofence_{name}_total {value}\n");
+            assert!(metrics.contains(&line), "{line} in:\n{metrics}");
+        }
+        assert!(metrics.contains("ofence_serve_request_duration_us_count 3\n"));
     }
 
     #[test]

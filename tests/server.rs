@@ -661,7 +661,15 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
     let history_dir = temp_dir("fuzz-history");
     write_corpus(&corpus_dir, &generate(&CorpusSpec::small(5)));
 
-    let mut daemon = Daemon::spawn(&corpus_dir, &cache_dir, &history_dir);
+    let metrics_flag = ["--metrics", "127.0.0.1:0"];
+    let mut daemon = Daemon::spawn_with(&corpus_dir, &cache_dir, &history_dir, &metrics_flag);
+    let metrics_addr = daemon.metrics_addr.clone().unwrap();
+    // Every error response the storm receives; `serve_errors` must match.
+    let mut error_responses = 0u64;
+    let mut expect_error = |r: &Value, code: &str| {
+        assert_eq!(error_code(r), code, "{r}");
+        error_responses += 1;
+    };
 
     // Warm up: one analyze so the engine's worker pool exists, then take
     // the thread baseline the storm must return to.
@@ -671,20 +679,20 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
 
     // Garbage that is not JSON.
     let r = raw_exchange(&daemon.addr, b"this is not json\n", true).unwrap();
-    assert_eq!(error_code(&r), "bad_request");
+    expect_error(&r, "bad_request");
 
     // Valid JSON that is not a request object.
     let r = raw_exchange(&daemon.addr, b"[1,2,3]\n", true).unwrap();
-    assert_eq!(error_code(&r), "bad_request");
+    expect_error(&r, "bad_request");
 
     // Missing method.
     let r = raw_exchange(&daemon.addr, b"{\"id\": 9}\n", true).unwrap();
-    assert_eq!(error_code(&r), "bad_request");
+    expect_error(&r, "bad_request");
     assert_eq!(r["id"], 9, "the request id is echoed even on errors");
 
     // Invalid UTF-8.
     let r = raw_exchange(&daemon.addr, b"\xff\xfe{\"id\":1}\n", true).unwrap();
-    assert_eq!(error_code(&r), "bad_request");
+    expect_error(&r, "bad_request");
 
     // Unknown method.
     let r = raw_exchange(
@@ -693,7 +701,7 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
         true,
     )
     .unwrap();
-    assert_eq!(error_code(&r), "unknown_method");
+    expect_error(&r, "unknown_method");
 
     // Missing params for a method that requires them.
     let r = raw_exchange(
@@ -702,7 +710,7 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
         true,
     )
     .unwrap();
-    assert_eq!(error_code(&r), "bad_request");
+    expect_error(&r, "bad_request");
 
     // Oversized line (> 4 MiB): rejected, and the connection survives to
     // serve the next request.
@@ -718,7 +726,7 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         let r: Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(error_code(&r), "oversized");
+        expect_error(&r, "oversized");
         stream
             .write_all(b"{\"id\": \"after\", \"method\": \"ping\"}\n")
             .unwrap();
@@ -756,6 +764,22 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+
+    // Protocol errors never reach a session method, yet `status` and
+    // `/metrics` both count every one of them, with no analysis run
+    // since the warm-up to publish them.
+    let status = client.ok(serde_json::json!({"id": "count", "method": "status"}));
+    assert_eq!(
+        status["counters"]["serve_errors"], error_responses,
+        "{status}"
+    );
+    assert_eq!(status["counters"]["serve_runs"], 1, "{status}");
+    let (_, metrics) = http_get(&metrics_addr, "/metrics");
+    let errors_line = format!("ofence_serve_errors_total {error_responses}\n");
+    assert!(
+        metrics.contains(&errors_line),
+        "want {errors_line} in:\n{metrics}"
+    );
 
     daemon.shutdown();
 }
