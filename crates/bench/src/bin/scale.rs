@@ -259,7 +259,7 @@ fn main() {
     if let Some(ledger) = perf_ledger {
         let path = std::path::Path::new(&ledger);
         for record in &ledger_records {
-            ofence::perf::append_to(path, record).expect("append perf ledger");
+            ofence::ledger::append_file(path, record).expect("append perf ledger");
         }
         eprintln!("appended {} records to {ledger}", ledger_records.len());
     }

@@ -4,6 +4,7 @@ use crate::args::{
     BaselineWriteOpts, CallOpts, Command, DiffOpts, ExplainOpts, GenOpts, PerfOpts, RunOpts,
     ServeOpts, TraceOpts, WatchOpts,
 };
+use ofence::ledger::{self, Record};
 use ofence::obs::NdjsonSink;
 use ofence::session::RunHandle;
 use ofence::{AnalysisResult, DiffReport, Engine, FailOn, FindingRecord, LoadOutcome, Patch};
@@ -39,7 +40,7 @@ fn cache_dir_of(opts: &RunOpts) -> Option<PathBuf> {
 /// Where this invocation appends its ledgers, if anywhere.
 fn history_dir_of(opts: &RunOpts) -> Option<PathBuf> {
     let dir = opts.history_dir.as_deref();
-    (!opts.no_history).then(|| dir.unwrap_or(ofence::history::DEFAULT_HISTORY_DIR).into())
+    (!opts.no_history).then(|| dir.unwrap_or(ledger::DEFAULT_DIR).into())
 }
 
 /// Build the engine for an invocation: config, presentation knobs, and
@@ -151,52 +152,51 @@ fn with_delta(result: &AnalysisResult, delta: &DiffReport) -> ofence::obs::Snaps
 /// `ofence perf` — print the perf-ledger trend, or gate CI on a
 /// regression of the newest record against the baseline median.
 fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
-    let history_dir = Path::new(
-        opts.history_dir
-            .as_deref()
-            .unwrap_or(ofence::history::DEFAULT_HISTORY_DIR),
-    );
-    // `--ledger FILE` overrides the ledger's place in the history dir.
-    let ledger = |default: PathBuf| opts.ledger.as_ref().map_or(default, PathBuf::from);
     if opts.requests {
         // The request ledger instead of the analysis perf ledger.
-        let ledger = ledger(ofence::perf::requests_path(history_dir));
-        let (records, skipped) = ofence::perf::load_file::<ofence::perf::RequestRecord>(&ledger)?;
-        if skipped > 0 {
-            eprintln!("ofence: skipped {skipped} corrupt request-ledger line(s)");
-        }
-        if opts.json {
-            let shown = &records[records.len().saturating_sub(opts.last)..];
-            println!("{}", serde_json::to_string_pretty(&shown).unwrap());
-        } else {
-            print!(
-                "{}",
-                ofence::perf::render_request_trends(&records, opts.last)
-            );
-        }
+        show_ledger(&opts, "request", ofence::perf::render_request_trends)?;
         return Ok(ExitCode::SUCCESS);
     }
-    let ledger = ledger(ofence::perf::ledger_path(history_dir));
-    let (records, skipped) = ofence::perf::load_file::<ofence::PerfRecord>(&ledger)?;
+    let records = show_ledger(&opts, "perf", ofence::perf::render_trend)?;
+    if !opts.gate {
+        return Ok(ExitCode::SUCCESS);
+    }
+    let outcome = ofence::perf::gate(&records, opts.max_regress_pct)?;
+    if opts.json {
+        println!("{}", serde_json::to_string_pretty(&outcome).unwrap());
+    } else {
+        println!("perf gate: {}", outcome.note);
+    }
+    Ok(ExitCode::from(u8::from(!outcome.pass)))
+}
+
+/// Load `T`'s ledger from `--history-dir` (or the `--ledger FILE`
+/// override) and warn about skipped corrupt lines. Unless `--gate` is
+/// to judge the records, print the last `--last` of them: as JSON under
+/// `--json`, else through `render`.
+fn show_ledger<T: Record>(
+    opts: &PerfOpts,
+    what: &str,
+    render: fn(&[T], usize) -> String,
+) -> Result<Vec<T>, String> {
+    let dir = opts.history_dir.as_deref().unwrap_or(ledger::DEFAULT_DIR);
+    let (records, skipped) = match &opts.ledger {
+        Some(file) => ledger::load_file(Path::new(file))?,
+        None => ledger::load::<T>(Path::new(dir))?,
+    };
     if skipped > 0 {
-        eprintln!("ofence: skipped {skipped} corrupt perf-ledger line(s)");
+        eprintln!("ofence: skipped {skipped} corrupt {what}-ledger line(s)");
     }
     if opts.gate {
-        let outcome = ofence::perf::gate(&records, opts.max_regress_pct)?;
-        if opts.json {
-            println!("{}", serde_json::to_string_pretty(&outcome).unwrap());
-        } else {
-            println!("perf gate: {}", outcome.note);
-        }
-        return Ok(ExitCode::from(u8::from(!outcome.pass)));
+        return Ok(records);
     }
     if opts.json {
         let shown = &records[records.len().saturating_sub(opts.last)..];
         println!("{}", serde_json::to_string_pretty(&shown).unwrap());
     } else {
-        print!("{}", ofence::perf::render_trend(&records, opts.last));
+        print!("{}", render(&records, opts.last));
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(records)
 }
 
 /// Honor `--sarif-out` for any subcommand that ran the engine.

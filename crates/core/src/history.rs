@@ -7,21 +7,17 @@
 //! operands here, so regressions can be traced across arbitrary history
 //! without keeping `--json` reports around.
 //!
-//! The format is one JSON object per line, shared with the other ledgers
-//! ([`crate::perf::append_to`] / [`crate::perf::load_file`]). Corrupt or
-//! unreadable lines are skipped on load (a crashed append must not brick
-//! the ledger); appends are O(1) and never rewrite existing lines.
+//! The file format, appends, loads and their crash rules live in
+//! [`crate::ledger`].
 
 use crate::engine::AnalysisResult;
 use crate::fingerprint::FindingRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Default ledger directory, relative to the working directory.
-pub const DEFAULT_HISTORY_DIR: &str = ".ofence";
-/// Ledger file name inside the history directory.
-pub const HISTORY_FILE_NAME: &str = "history.jsonl";
+/// [`crate::ledger::append`] under the old name `bench-e2e` still calls.
+pub use crate::ledger::append;
 
 /// One ledger line: everything needed to diff against this run later
 /// and to read corpus/timing trends straight off the file.
@@ -57,7 +53,7 @@ pub fn record_of(
 ) -> RunRecord {
     RunRecord {
         run_id: result.run_id.clone(),
-        timestamp_ms: crate::perf::now_ms(),
+        timestamp_ms: crate::ledger::now_ms(),
         schema_version: crate::json::SCHEMA_VERSION,
         tool_version: env!("CARGO_PKG_VERSION").to_string(),
         config_fingerprint: format!("{:016x}", crate::cache::config_fingerprint(config)),
@@ -72,21 +68,10 @@ pub fn record_of(
     }
 }
 
-/// Path of the ledger file inside `dir`.
-pub fn ledger_path(dir: &Path) -> PathBuf {
-    dir.join(HISTORY_FILE_NAME)
-}
-
-/// Append one record to the ledger in `dir`, creating the directory and
-/// file on first use.
-pub fn append(dir: &Path, record: &RunRecord) -> Result<(), String> {
-    crate::perf::append_to(&ledger_path(dir), record)
-}
-
-/// Load every parseable record, oldest first. Corrupt lines are counted,
-/// not fatal.
+/// [`crate::ledger::load`] of run records, for `bench-e2e`: concrete,
+/// because it reads fields off the result with no `T` to infer.
 pub fn load(dir: &Path) -> Result<(Vec<RunRecord>, usize), String> {
-    crate::perf::load_file(&ledger_path(dir))
+    crate::ledger::load(dir)
 }
 
 /// Find a run by id, allowing unambiguous prefixes (`run-3fa` or just
@@ -108,7 +93,7 @@ pub fn find(dir: &Path, id: &str) -> Result<RunRecord, String> {
     match matches.len() {
         0 => Err(format!(
             "no run '{id}' in {} ({} runs recorded)",
-            ledger_path(dir).display(),
+            crate::ledger::path::<RunRecord>(dir).display(),
             records.len()
         )),
         1 => Ok(matches[0].clone()),
@@ -126,6 +111,7 @@ mod tests {
     use crate::config::AnalysisConfig;
     use crate::engine::{Engine, SourceFile};
     use crate::fingerprint::finding_records;
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ofence-history-{tag}-{}", std::process::id()));
@@ -145,38 +131,6 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         )]);
         let findings = finding_records(&r.deviations, &r.sites, &r.files);
         (record_of(&r, &config, findings), config)
-    }
-
-    #[test]
-    fn append_load_roundtrip() {
-        let dir = tmp("roundtrip");
-        let (rec, _) = run_once();
-        append(&dir, &rec).unwrap();
-        append(&dir, &rec).unwrap();
-        let (records, skipped) = load(&dir).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(skipped, 0);
-        assert_eq!(records[0].run_id, rec.run_id);
-        assert_eq!(records[0].schema_version, crate::json::SCHEMA_VERSION);
-        assert!(records[0].phase_us.contains_key("pair"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_lines_are_skipped_not_fatal() {
-        let dir = tmp("corrupt");
-        let (rec, _) = run_once();
-        append(&dir, &rec).unwrap();
-        let path = ledger_path(&dir);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{not json\n");
-        text.push_str("{\"run_id\": 42}\n");
-        std::fs::write(&path, text).unwrap();
-        append(&dir, &rec).unwrap();
-        let (records, skipped) = load(&dir).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(skipped, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod fingerprint;
 pub mod history;
 pub mod ir;
 pub mod json;
+pub mod ledger;
 pub mod missing;
 pub mod pairing;
 pub mod patch;

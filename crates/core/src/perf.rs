@@ -13,25 +13,14 @@
 //! fingerprint, same corpus size, same cold/warm mode), and the command
 //! exits non-zero if it is more than `p` percent slower.
 //!
-//! All three ledgers (history, perf, requests) share one file format and
-//! one pair of functions, [`append_to`] and [`load_file`]: one JSON object
-//! per line, corrupt lines skipped on load, appends never rewrite
-//! existing lines.
+//! The file format, appends and loads live in [`crate::ledger`].
 
 use crate::engine::AnalysisResult;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeMap;
 
-/// Ledger file name inside the history directory (next to
-/// [`crate::history::HISTORY_FILE_NAME`]).
-pub const PERF_FILE_NAME: &str = "perf.jsonl";
-
-/// Request ledger file name inside the history directory: one line per
-/// completed daemon request (`ofence perf --requests` reads it back).
-pub const REQUESTS_FILE_NAME: &str = "requests.jsonl";
+/// [`crate::ledger::append`] under the old name `bench-e2e` still calls.
+pub use crate::ledger::append;
 
 /// One request ledger line: who asked, what happened, how long it took.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -56,7 +45,7 @@ impl From<&obs::RequestTrace> for RequestRecord {
     fn from(trace: &obs::RequestTrace) -> RequestRecord {
         RequestRecord {
             request_id: trace.request_id.clone(),
-            timestamp_ms: now_ms(),
+            timestamp_ms: crate::ledger::now_ms(),
             method: trace.method.clone(),
             ok: trace.outcome == "ok",
             latency_us: trace.latency_us,
@@ -64,22 +53,6 @@ impl From<&obs::RequestTrace> for RequestRecord {
             run_id: trace.run_id.clone(),
         }
     }
-}
-
-/// Path of the request ledger file inside `dir`.
-pub fn requests_path(dir: &Path) -> PathBuf {
-    dir.join(REQUESTS_FILE_NAME)
-}
-
-/// Append one request record to the ledger in `dir`.
-pub fn append_request(dir: &Path, record: &RequestRecord) -> Result<(), String> {
-    append_to(&requests_path(dir), record)
-}
-
-/// Load every parseable request record from `dir`'s ledger (see
-/// [`load_file`]).
-pub fn load_requests(dir: &Path) -> Result<(Vec<RequestRecord>, usize), String> {
-    load_file(&requests_path(dir))
 }
 
 /// Render per-method latency trends over the last `last` request records
@@ -159,6 +132,7 @@ pub struct PerfRecord {
 /// Build the perf record of a finished run. The third argument is
 /// ignored: it carried watch's iteration wall-clock, which records no
 /// longer hold (older ledger lines with an `iteration_us` still load).
+/// It stays because `bench-e2e` still passes it.
 pub fn record_of(
     result: &AnalysisResult,
     config: &crate::config::AnalysisConfig,
@@ -174,7 +148,7 @@ pub fn record_of(
     };
     PerfRecord {
         run_id: result.run_id.clone(),
-        timestamp_ms: now_ms(),
+        timestamp_ms: crate::ledger::now_ms(),
         tool_version: env!("CARGO_PKG_VERSION").to_string(),
         config_fingerprint: format!("{:016x}", crate::cache::config_fingerprint(config)),
         files_total: stats.files_total,
@@ -190,155 +164,6 @@ pub fn record_of(
         phase_us: stats.phase_us.clone(),
         deviations_total: stats.deviations_total,
     }
-}
-
-/// Path of the perf ledger file inside `dir`.
-pub fn ledger_path(dir: &Path) -> PathBuf {
-    dir.join(PERF_FILE_NAME)
-}
-
-/// Append one record to the ledger in `dir`, creating the directory and
-/// file on first use.
-pub fn append(dir: &Path, record: &PerfRecord) -> Result<(), String> {
-    append_to(&ledger_path(dir), record)
-}
-
-/// Milliseconds since the Unix epoch: every ledger record's timestamp.
-pub(crate) fn now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Append one record as a JSON line to a ledger file, creating its
-/// directory and the file on first use (the bench's `--perf-ledger FILE`
-/// path, and under every ledger's `append`).
-///
-/// All appends in the process go through one shared appender per ledger
-/// file: several sessions in one process can write the same
-/// `.ofence/perf.jsonl`, and two writers opening the file
-/// independently could interleave partial lines. The appender serializes
-/// whole-line writes under a per-file mutex (and each write is a single
-/// `O_APPEND` `write_all`, so even writers in *different* processes
-/// interleave at line granularity on POSIX).
-pub fn append_to<T: Serialize>(path: &Path, record: &T) -> Result<(), String> {
-    let mut line =
-        serde_json::to_string(record).map_err(|e| format!("serialize ledger record: {e}"))?;
-    line.push('\n');
-    appender_for(path)?.append(line.as_bytes())
-}
-
-/// One ledger file's process-wide append handle.
-struct Appender {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
-}
-
-impl Appender {
-    fn append(&self, line: &[u8]) -> Result<(), String> {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        // The ledger can be rotated or deleted externally while the
-        // daemon runs; a cached handle would then append to the unlinked
-        // inode and silently lose the record. Re-stat the path before
-        // every write and reopen when the handle no longer matches.
-        if !handle_is_current(&file, &self.path) {
-            if let Some(parent) = self.path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-            }
-            *file = open_append(&self.path)?;
-        }
-        file.write_all(line)
-            .map_err(|e| format!("append to {}: {e}", self.path.display()))
-    }
-}
-
-/// True when the open handle still refers to the file at `path` (same
-/// device and inode). A missing path or unreadable metadata counts as
-/// stale so the appender reopens.
-fn handle_is_current(file: &std::fs::File, path: &Path) -> bool {
-    let Ok(on_disk) = std::fs::metadata(path) else {
-        return false;
-    };
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt;
-        file.metadata()
-            .map(|held| held.dev() == on_disk.dev() && held.ino() == on_disk.ino())
-            .unwrap_or(false)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (file, on_disk);
-        true
-    }
-}
-
-fn open_append(path: &Path) -> Result<std::fs::File, String> {
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {}: {e}", path.display()))
-}
-
-/// The process-global appender registry: canonical ledger path → shared
-/// handle. The file is opened (and its directory created) on first
-/// append; [`Appender::append`] reopens it if the ledger is rotated or
-/// deleted underneath the cached handle.
-fn appender_for(path: &Path) -> Result<Arc<Appender>, String> {
-    static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Arc<Appender>>>> = OnceLock::new();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("create {}: {e}", parent.display()))?;
-        }
-    }
-    // Canonicalize so `.ofence/perf.jsonl` and an absolute spelling of
-    // the same file share one handle (the file exists by open time; the
-    // parent was just created, so canonicalize the parent + file name).
-    let canonical = match (path.parent(), path.file_name()) {
-        (Some(parent), Some(name)) if !parent.as_os_str().is_empty() => parent
-            .canonicalize()
-            .map(|p| p.join(name))
-            .unwrap_or_else(|_| path.to_path_buf()),
-        _ => path.to_path_buf(),
-    };
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut registry = registry.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(appender) = registry.get(&canonical) {
-        return Ok(appender.clone());
-    }
-    let file = open_append(path)?;
-    let appender = Arc::new(Appender {
-        path: canonical.clone(),
-        file: Mutex::new(file),
-    });
-    registry.insert(canonical, appender.clone());
-    Ok(appender)
-}
-
-/// Load every parseable record from a ledger file, oldest first. Corrupt
-/// lines are counted, not fatal.
-pub fn load_file<T: Deserialize>(path: &Path) -> Result<(Vec<T>, usize), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match serde_json::from_str::<T>(line) {
-            Ok(r) => records.push(r),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((records, skipped))
-}
-
-/// Load the ledger in `dir` (see [`load_file`]).
-pub fn load(dir: &Path) -> Result<(Vec<PerfRecord>, usize), String> {
-    load_file(&ledger_path(dir))
 }
 
 /// Render the last `last` records as a fixed-width trend table, newest
@@ -486,6 +311,10 @@ mod tests {
     use super::*;
     use crate::config::AnalysisConfig;
     use crate::engine::{Engine, SourceFile};
+    // The appender tests below drive `crate::ledger` with perf records:
+    // the ledger every run and the scale bench append to.
+    use crate::ledger::{load, load_file};
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ofence-perf-{tag}-{}", std::process::id()));
@@ -513,37 +342,21 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
     }
 
     #[test]
-    fn append_load_roundtrip() {
-        let dir = tmp("roundtrip");
-        let rec = run_once();
-        append(&dir, &rec).unwrap();
-        append(&dir, &rec).unwrap();
-        let (records, skipped) = load(&dir).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(skipped, 0);
-        assert_eq!(records[0].run_id, rec.run_id);
-        assert_eq!(records[0].files_total, 1);
-        assert!(records[0].cold);
-        assert!(records[0].phase_us.contains_key("pair"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn appender_survives_ledger_rotation_and_deletion() {
         // The registry caches one handle per ledger for the process
         // lifetime; rotating or deleting the file must not send later
         // appends to the unlinked inode.
         let dir = tmp("rotate");
-        let path = ledger_path(&dir);
+        let path = crate::ledger::path::<PerfRecord>(&dir);
         let mut rec = run_once();
         rec.run_id = "before-rotate".to_string();
-        append_to(&path, &rec).unwrap();
+        append(&dir, &rec).unwrap();
         // Rotate: the cached handle now points at the renamed inode.
         let rotated = dir.join("perf.jsonl.1");
         std::fs::rename(&path, &rotated).unwrap();
         rec.run_id = "after-rotate".to_string();
-        append_to(&path, &rec).unwrap();
-        let (records, _) = load_file::<PerfRecord>(&path).unwrap();
+        append(&dir, &rec).unwrap();
+        let (records, _) = load::<PerfRecord>(&dir).unwrap();
         assert_eq!(records.len(), 1, "record lost to the rotated inode");
         assert_eq!(records[0].run_id, "after-rotate");
         let (old, _) = load_file::<PerfRecord>(&rotated).unwrap();
@@ -552,10 +365,17 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         // Delete: the handle points at an unlinked inode.
         std::fs::remove_file(&path).unwrap();
         rec.run_id = "after-delete".to_string();
-        append_to(&path, &rec).unwrap();
-        let (records, _) = load_file::<PerfRecord>(&path).unwrap();
+        append(&dir, &rec).unwrap();
+        let (records, _) = load::<PerfRecord>(&dir).unwrap();
         assert_eq!(records.len(), 1, "record lost to the unlinked inode");
         assert_eq!(records[0].run_id, "after-delete");
+        // Remove the whole ledger directory: the appender recreates it.
+        std::fs::remove_dir_all(&dir).unwrap();
+        rec.run_id = "after-rmdir".to_string();
+        append(&dir, &rec).unwrap();
+        let (records, _) = load::<PerfRecord>(&dir).unwrap();
+        assert_eq!(records.len(), 1, "record lost with the removed directory");
+        assert_eq!(records[0].run_id, "after-rmdir");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -565,7 +385,6 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         // simultaneous appends must interleave at line granularity —
         // every line parseable, every record accounted for.
         let dir = tmp("interleave");
-        let path = ledger_path(&dir);
         let template = run_once();
         const WRITERS: usize = 4;
         const PER_WRITER: usize = 50;
@@ -573,15 +392,15 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             for w in 0..WRITERS {
                 let mut record = template.clone();
                 record.run_id = format!("writer-{w}");
-                let path = &path;
+                let dir = &dir;
                 scope.spawn(move || {
                     for _ in 0..PER_WRITER {
-                        append_to(path, &record).unwrap();
+                        append(dir, &record).unwrap();
                     }
                 });
             }
         });
-        let (records, skipped) = load_file::<PerfRecord>(&path).unwrap();
+        let (records, skipped) = load::<PerfRecord>(&dir).unwrap();
         assert_eq!(skipped, 0, "torn JSONL lines");
         assert_eq!(records.len(), WRITERS * PER_WRITER);
         for w in 0..WRITERS {
@@ -600,34 +419,12 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         // resolve to the same process-wide appender (the registry keys
         // by canonical path), so they serialize against each other.
         let dir = tmp("spelling");
-        let path = ledger_path(&dir);
         let rec = run_once();
-        append_to(&path, &rec).unwrap();
-        let respelled = dir.join(".").join(PERF_FILE_NAME);
-        append_to(&respelled, &rec).unwrap();
-        let (records, skipped) = load_file::<PerfRecord>(&path).unwrap();
+        append(&dir, &rec).unwrap();
+        append(&dir.join("."), &rec).unwrap();
+        let (records, skipped) = load::<PerfRecord>(&dir).unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(records.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_lines_are_skipped_not_fatal() {
-        let dir = tmp("corrupt");
-        let rec = run_once();
-        append(&dir, &rec).unwrap();
-        let path = ledger_path(&dir);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        // A line from an older tool that still recorded watch iterations:
-        // the unknown field is ignored, the record loads.
-        let legacy = text.replacen('{', "{\"iteration_us\":149435,", 1);
-        text.push_str(&legacy);
-        text.push_str("{not json\n");
-        std::fs::write(&path, text).unwrap();
-        append(&dir, &rec).unwrap();
-        let (records, skipped) = load(&dir).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(skipped, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -685,9 +482,9 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
                 run_id: (i != 5).then(|| format!("run-{i}")),
                 spans: vec![],
             };
-            append_request(&dir, &RequestRecord::from(&trace)).unwrap();
+            append(&dir, &RequestRecord::from(&trace)).unwrap();
         }
-        let (records, skipped) = load_requests(&dir).unwrap();
+        let (records, skipped) = load::<RequestRecord>(&dir).unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(records.len(), 6);
         assert_eq!(records[0].request_id, "r000000");

@@ -233,8 +233,11 @@ fn render(doc: serde_json::Value) -> String {
 /// Every response — success or any flavor of failure — carries a
 /// `request_id`: the client's, when the envelope supplied a valid one,
 /// or a server-assigned id otherwise. Requests too broken to parse get a
-/// server-assigned id too, so a daemon-side log line exists for every
-/// answered request.
+/// server-assigned id too. Only requests that reach a session method
+/// (`analyze`, `analyze-file`, `explain`, `diff`, `baseline-gate`) get a
+/// `requests.jsonl` line. Protocol errors and bad params (counted in
+/// `serve_errors` where they fail), `ping`, `status`, `trace` and
+/// `shutdown` leave none.
 fn respond(session: &Session, line: &[u8]) -> (String, bool) {
     let fail = |id: serde_json::Value, request_id: &str, e: RpcError| {
         session.live().count("serve_errors", 1);

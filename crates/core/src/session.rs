@@ -58,10 +58,11 @@ use crate::cache::{self, LoadOutcome};
 use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::{finding_records, FindingRecord};
+use crate::ledger::Record;
 use crate::walk::{PassStats, SourceIndex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -346,7 +347,7 @@ impl Session {
             spans: ctx.rec.snapshot().spans,
         };
         if let Some(dir) = &self.opts.history_dir {
-            let _ = crate::perf::append_request(dir, &(&trace).into());
+            let _ = crate::ledger::append(dir, &crate::perf::RequestRecord::from(&trace));
         }
         self.live.record_trace(trace);
         out
@@ -482,9 +483,10 @@ impl Session {
         let records = finding_records(&result.deviations, &result.sites, &result.files);
         let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
             let run_record = crate::history::record_of(&result, &self.opts.config, records.clone());
-            let history = crate::history::append(dir, &run_record);
+            let history = append_traced(&ctx.rec, dir, &run_record);
             let perf_record = crate::perf::record_of(&result, &self.opts.config, None);
-            history.and(crate::perf::append(dir, &perf_record)).err()
+            let perf = append_traced(&ctx.rec, dir, &perf_record);
+            history.and(perf).err()
         });
         drop(ledger_span);
         Ok(Arc::new(RunHandle {
@@ -688,6 +690,13 @@ impl Session {
         serde_json::from_str(&json)
             .map_err(|e| format!("internal: captured trace is not valid JSON: {e}"))
     }
+}
+
+/// Append one record to its ledger in `dir` under an `append` span whose
+/// `ledger` attribute names the file.
+fn append_traced<T: Record>(rec: &obs::Recorder, dir: &Path, record: &T) -> Result<(), String> {
+    let _span = rec.span_with("append", &[("ledger", T::FILE_NAME)]);
+    crate::ledger::append(dir, record)
 }
 
 /// Best-effort text of a caught panic payload (shared with the wire
@@ -1241,7 +1250,8 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         assert!(session
             .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c")
             .is_err());
-        let (records, skipped) = crate::perf::load_requests(&ledger).unwrap();
+        let (records, skipped) =
+            crate::ledger::load::<crate::perf::RequestRecord>(&ledger).unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].method, "analyze");

@@ -982,7 +982,8 @@ fn trace_round_trips_from_wire_to_debug_routes_to_cli() {
     );
 
     // The request ledger recorded every completed request.
-    let (records, skipped) = ofence::perf::load_requests(&history_dir).unwrap();
+    let (records, skipped) =
+        ofence::ledger::load::<ofence::perf::RequestRecord>(&history_dir).unwrap();
     assert_eq!(skipped, 0);
     let ids: HashSet<&str> = records.iter().map(|r| r.request_id.as_str()).collect();
     assert!(ids.contains("want-this-trace"));
