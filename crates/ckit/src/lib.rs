@@ -24,7 +24,7 @@ pub mod token;
 pub use ast::TranslationUnit;
 pub use error::{Error, Result};
 pub use intern::{Interner, Name};
-pub use parser::{ParseOutput, ParserConfig};
+pub use parser::{Counts, ParseOutput, ParserConfig};
 pub use pp::{PpConfig, PpOutput};
 pub use span::{SourceMap, Span};
 
@@ -84,6 +84,35 @@ pub fn parse_traced_shared(
     config: &FrontendConfig,
     rec: &obs::Recorder,
 ) -> Result<ParsedFile> {
+    match count_or_parse_traced(file, src, config, rec, None)? {
+        FrontEnd::Parsed(parsed) => Ok(parsed),
+        FrontEnd::Counted(_) => unreachable!("only a watched parse counts"),
+    }
+}
+
+/// What [`count_or_parse_traced`] kept of a file.
+#[derive(Debug)]
+pub enum FrontEnd {
+    /// The full parse: some call name passed the watch, or there was none.
+    Parsed(ParsedFile),
+    /// Only the counts: no call name passed the watch, so no AST was
+    /// built.
+    Counted(Counts),
+}
+
+/// Count first, parse only if needed: run the grammar once without
+/// building a tree ([`parser::count_tokens`]), and parse the same tokens
+/// again in full only when some call's callee passed `watch`. Without a
+/// watch, parse in full at once. The spans are those of
+/// [`parse_traced`]; both parses fall in `parse-tokens`. A watched parse
+/// counts `ckit_files_counted` or `ckit_files_reparsed`.
+pub fn count_or_parse_traced(
+    file: &str,
+    src: &std::sync::Arc<str>,
+    config: &FrontendConfig,
+    rec: &obs::Recorder,
+    watch: Option<&dyn Fn(&str) -> bool>,
+) -> Result<FrontEnd> {
     let _span = rec.span_with("parse", &[("file", file)]);
     let tokens = {
         let _lex = rec.span_with("lex", &[("file", file)]);
@@ -96,16 +125,34 @@ pub fn parse_traced_shared(
     };
     let out = {
         let _parse = rec.span_with("parse-tokens", &[("file", file)]);
-        parser::parse_tokens(ppo.tokens, &config.parser)
+        match watch.map(|w| parser::count_tokens(&ppo.tokens, &config.parser, w)) {
+            Some(counts) if !counts.watched_call => {
+                drop(ppo.tokens);
+                Err(counts)
+            }
+            _ => Ok(parser::parse_tokens(ppo.tokens, &config.parser)),
+        }
     };
     rec.count("ckit_files_parsed", 1);
+    let out = match out {
+        Err(counts) => {
+            rec.count("ckit_files_counted", 1);
+            rec.count("ckit_parse_errors", counts.parse_error_count as u64);
+            rec.count("ckit_functions", counts.function_count as u64);
+            return Ok(FrontEnd::Counted(counts));
+        }
+        Ok(out) => out,
+    };
+    if watch.is_some() {
+        rec.count("ckit_files_reparsed", 1);
+    }
     rec.count("ckit_parse_errors", out.errors.len() as u64);
     rec.count("ckit_functions", out.unit.functions().count() as u64);
-    Ok(ParsedFile {
+    Ok(FrontEnd::Parsed(ParsedFile {
         unit: out.unit,
         map: SourceMap::new(file, src),
         source: src.clone(),
         errors: out.errors,
         includes: ppo.includes,
-    })
+    }))
 }

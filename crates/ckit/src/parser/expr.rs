@@ -1,34 +1,25 @@
 //! Expression parsing — precedence climbing over the full C operator set.
 
+use super::sink::{NodeList, Sink};
 use super::Parser;
 use crate::ast::*;
 use crate::error::{Error, Result};
-#[cfg(test)]
-use crate::span::Span;
 use crate::token::TokenKind;
 
-impl Parser {
+impl<'t, S: Sink<'t>> Parser<'t, S> {
     /// Full expression, including the comma operator.
-    pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
-        let first = self.parse_assignment()?;
-        if self.at(&TokenKind::Comma) {
-            let mut expr = first;
-            while self.eat(&TokenKind::Comma) {
-                let rhs = self.parse_assignment()?;
-                let span = expr.span.to(rhs.span);
-                expr = Expr {
-                    kind: ExprKind::Comma(Box::new(expr), Box::new(rhs)),
-                    span,
-                };
-            }
-            return Ok(expr);
+    pub(crate) fn parse_expr(&mut self) -> Result<S::Expr> {
+        let mut expr = self.parse_assignment()?;
+        while self.eat(&TokenKind::Comma) {
+            let rhs = self.parse_assignment()?;
+            expr = self.sink.comma(expr, rhs);
         }
-        Ok(first)
+        Ok(expr)
     }
 
     /// Assignment expression (no top-level comma) — the grammar production
     /// used for call arguments and initializers.
-    pub(crate) fn parse_assignment(&mut self) -> Result<Expr> {
+    pub(crate) fn parse_assignment(&mut self) -> Result<S::Expr> {
         let lhs = self.parse_conditional()?;
         let op = match self.peek() {
             TokenKind::Assign => AssignOp::Assign,
@@ -46,16 +37,12 @@ impl Parser {
         };
         self.bump();
         let rhs = self.parse_assignment()?; // right-associative
-        let span = lhs.span.to(rhs.span);
-        Ok(Expr {
-            kind: ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
-            span,
-        })
+        Ok(self.sink.assign(op, lhs, rhs))
     }
 
     /// Conditional (ternary) expression; also the "constant expression"
     /// production used by enum values, case labels, bitfields.
-    pub(crate) fn parse_conditional(&mut self) -> Result<Expr> {
+    pub(crate) fn parse_conditional(&mut self) -> Result<S::Expr> {
         let cond = self.parse_binary(0)?;
         if !self.eat(&TokenKind::Question) {
             return Ok(cond);
@@ -63,15 +50,7 @@ impl Parser {
         let then_expr = self.parse_expr()?;
         self.expect(&TokenKind::Colon)?;
         let else_expr = self.parse_assignment()?;
-        let span = cond.span.to(else_expr.span);
-        Ok(Expr {
-            kind: ExprKind::Ternary {
-                cond: Box::new(cond),
-                then_expr: Box::new(then_expr),
-                else_expr: Box::new(else_expr),
-            },
-            span,
-        })
+        Ok(self.sink.ternary(cond, then_expr, else_expr))
     }
 
     fn binop(kind: &TokenKind) -> Option<(BinOp, u8)> {
@@ -99,7 +78,7 @@ impl Parser {
         })
     }
 
-    fn parse_binary(&mut self, min_bp: u8) -> Result<Expr> {
+    fn parse_binary(&mut self, min_bp: u8) -> Result<S::Expr> {
         let mut lhs = self.parse_unary()?;
         while let Some((op, bp)) = Self::binop(self.peek()) {
             if bp < min_bp {
@@ -107,16 +86,12 @@ impl Parser {
             }
             self.bump();
             let rhs = self.parse_binary(bp + 1)?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
+            lhs = self.sink.binary(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
+    fn parse_unary(&mut self) -> Result<S::Expr> {
         let start = self.span();
         let op = match self.peek() {
             TokenKind::Minus => Some(UnOp::Neg),
@@ -132,11 +107,7 @@ impl Parser {
         if let Some(op) = op {
             self.bump();
             let operand = self.parse_unary()?;
-            let span = start.to(operand.span);
-            return Ok(Expr {
-                kind: ExprKind::Unary(op, Box::new(operand)),
-                span,
-            });
+            return Ok(self.sink.unary(op, operand, start));
         }
         if self.at_ident("sizeof") {
             self.bump();
@@ -145,17 +116,10 @@ impl Parser {
                 let (base, _) = self.parse_decl_specifiers()?;
                 let (_, ty, _) = self.parse_declarator(base)?;
                 let end = self.expect(&TokenKind::RParen)?;
-                return Ok(Expr {
-                    kind: ExprKind::SizeofType(ty),
-                    span: start.to(end),
-                });
+                return Ok(self.sink.sizeof_type(ty, start.to(end)));
             }
             let operand = self.parse_unary()?;
-            let span = start.to(operand.span);
-            return Ok(Expr {
-                kind: ExprKind::SizeofExpr(Box::new(operand)),
-                span,
-            });
+            return Ok(self.sink.sizeof_expr(operand, start));
         }
         // Cast or compound literal: `(type) expr` / `(type){...}`.
         if self.at(&TokenKind::LParen) && self.type_in_parens() {
@@ -163,20 +127,12 @@ impl Parser {
             let (base, _) = self.parse_decl_specifiers()?;
             let (_, ty, _) = self.parse_declarator(base)?;
             self.expect(&TokenKind::RParen)?;
-            if self.at(&TokenKind::LBrace) {
-                let init = self.parse_initializer()?;
-                let span = start.to(init.span);
-                return Ok(Expr {
-                    kind: ExprKind::Cast(ty, Box::new(init)),
-                    span,
-                });
-            }
-            let operand = self.parse_unary()?;
-            let span = start.to(operand.span);
-            return Ok(Expr {
-                kind: ExprKind::Cast(ty, Box::new(operand)),
-                span,
-            });
+            let operand = if self.at(&TokenKind::LBrace) {
+                self.parse_initializer()?
+            } else {
+                self.parse_unary()?
+            };
+            return Ok(self.sink.cast(ty, operand, start));
         }
         self.parse_postfix()
     }
@@ -205,7 +161,7 @@ impl Parser {
                 | "enum"
                 | "const"
                 | "volatile"
-        ) || self.typedefs.contains(name);
+        ) || self.is_typedef(name);
         if !typeish {
             return false;
         }
@@ -240,13 +196,13 @@ impl Parser {
         }
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr> {
+    fn parse_postfix(&mut self) -> Result<S::Expr> {
         let mut expr = self.parse_primary()?;
         loop {
             match self.peek() {
                 TokenKind::LParen => {
                     self.bump();
-                    let mut args = Vec::new();
+                    let mut args = S::List::default();
                     if !self.at(&TokenKind::RParen) {
                         loop {
                             args.push(self.parse_assignment()?);
@@ -256,56 +212,29 @@ impl Parser {
                         }
                     }
                     let end = self.expect(&TokenKind::RParen)?;
-                    let span = expr.span.to(end);
-                    expr = Expr {
-                        kind: ExprKind::Call {
-                            callee: Box::new(expr),
-                            args,
-                        },
-                        span,
-                    };
+                    expr = self.sink.call(expr, args, end);
                 }
                 TokenKind::LBracket => {
                     self.bump();
                     let index = self.parse_expr()?;
                     let end = self.expect(&TokenKind::RBracket)?;
-                    let span = expr.span.to(end);
-                    expr = Expr {
-                        kind: ExprKind::Index(Box::new(expr), Box::new(index)),
-                        span,
-                    };
+                    expr = self.sink.index(expr, index, end);
                 }
                 TokenKind::Dot | TokenKind::Arrow => {
                     let arrow = self.at(&TokenKind::Arrow);
                     self.bump();
                     let (field, fspan) = self.expect_ident()?;
-                    let span = expr.span.to(fspan);
-                    expr = Expr {
-                        kind: ExprKind::Member {
-                            base: Box::new(expr),
-                            field,
-                            arrow,
-                        },
-                        span,
-                    };
+                    expr = self.sink.member(expr, field, arrow, fspan);
                 }
-                TokenKind::PlusPlus => {
+                TokenKind::PlusPlus | TokenKind::MinusMinus => {
+                    let op = if self.at(&TokenKind::PlusPlus) {
+                        PostOp::Inc
+                    } else {
+                        PostOp::Dec
+                    };
                     let end = self.span();
                     self.bump();
-                    let span = expr.span.to(end);
-                    expr = Expr {
-                        kind: ExprKind::Post(PostOp::Inc, Box::new(expr)),
-                        span,
-                    };
-                }
-                TokenKind::MinusMinus => {
-                    let end = self.span();
-                    self.bump();
-                    let span = expr.span.to(end);
-                    expr = Expr {
-                        kind: ExprKind::Post(PostOp::Dec, Box::new(expr)),
-                        span,
-                    };
+                    expr = self.sink.post(op, expr, end);
                 }
                 _ => break,
             }
@@ -313,55 +242,33 @@ impl Parser {
         Ok(expr)
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
+    fn parse_primary(&mut self) -> Result<S::Expr> {
         let span = self.span();
-        match self.peek().clone() {
+        let tok = self.peek();
+        match tok {
             TokenKind::Ident(name) => {
-                if crate::token::is_keyword(&name) && name != "sizeof" {
+                if crate::token::is_keyword(name) && name != "sizeof" {
                     return Err(Error::parse(
                         format!("unexpected keyword `{name}` in expression"),
                         span,
                     ));
                 }
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Ident(name),
-                    span,
-                })
+                Ok(self.sink.ident(name, span))
             }
-            TokenKind::Int { raw, value } => {
+            TokenKind::Int { .. } | TokenKind::Float(_) | TokenKind::Char(_) => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::IntLit { raw, value },
-                    span,
-                })
+                Ok(self.sink.literal(tok, span))
             }
-            TokenKind::Float(raw) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::FloatLit(raw),
-                    span,
-                })
-            }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
                 // Adjacent string literals concatenate.
-                let mut text = s;
-                while let TokenKind::Str(next) = self.peek() {
-                    text.push_str(next);
+                let first = self.pos;
+                self.bump();
+                while let TokenKind::Str(_) = self.peek() {
                     self.bump();
                 }
-                Ok(Expr {
-                    kind: ExprKind::StrLit(text),
-                    span: span.to(self.prev_span()),
-                })
-            }
-            TokenKind::Char(c) => {
-                self.bump();
-                Ok(Expr {
-                    kind: ExprKind::CharLit(c),
-                    span,
-                })
+                let strings = &self.toks[first..self.pos];
+                Ok(self.sink.string(strings, span.to(self.prev_span())))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -370,17 +277,11 @@ impl Parser {
                     self.bump();
                     let stmts = self.parse_block_stmts()?;
                     let end = self.expect(&TokenKind::RParen)?;
-                    return Ok(Expr {
-                        kind: ExprKind::StmtExpr(stmts),
-                        span: span.to(end),
-                    });
+                    return Ok(self.sink.stmt_expr(stmts, span.to(end)));
                 }
                 let inner = self.parse_expr()?;
                 let end = self.expect(&TokenKind::RParen)?;
-                Ok(Expr {
-                    kind: inner.kind,
-                    span: span.to(end),
-                })
+                Ok(self.sink.paren(inner, span.to(end)))
             }
             TokenKind::LBrace => self.parse_initializer(),
             other => Err(Error::parse(
@@ -392,13 +293,13 @@ impl Parser {
 
     /// Initializer: either a plain assignment expression or a brace list
     /// with optional designators.
-    pub(crate) fn parse_initializer(&mut self) -> Result<Expr> {
+    pub(crate) fn parse_initializer(&mut self) -> Result<S::Expr> {
         if !self.at(&TokenKind::LBrace) {
             return self.parse_assignment();
         }
         let start = self.span();
         self.bump();
-        let mut inits = Vec::new();
+        let mut inits = S::List::default();
         while !self.at(&TokenKind::RBrace) && !self.at_eof() {
             let designator = if self.at(&TokenKind::Dot) {
                 self.bump();
@@ -416,21 +317,12 @@ impl Parser {
                 None
             };
             let value = self.parse_initializer()?;
-            inits.push(Initializer { designator, value });
+            inits.push(self.sink.initializer(designator, value));
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
         }
         let end = self.expect(&TokenKind::RBrace)?;
-        Ok(Expr {
-            kind: ExprKind::InitList(inits),
-            span: start.to(end),
-        })
-    }
-
-    /// Span helper for tests.
-    #[cfg(test)]
-    pub(crate) fn _span_of(e: &Expr) -> Span {
-        e.span
+        Ok(self.sink.init_list(inits, start.to(end)))
     }
 }

@@ -6,6 +6,7 @@
 //! understands, the way Smatch does.
 
 mod expr;
+mod sink;
 mod stmt;
 mod types;
 
@@ -17,7 +18,9 @@ use crate::error::{Error, Result};
 use crate::intern::Name;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use sink::{Ast, Count, NodeList, Sink};
 use std::collections::HashSet;
+use std::sync::{LazyLock, OnceLock};
 
 /// Typedef names assumed known even without their headers: the common
 /// kernel and libc type vocabulary. Anything else can be registered through
@@ -77,6 +80,12 @@ const BUILTIN_TYPEDEFS: &[&str] = &[
     "uchar",
 ];
 
+/// The [`BUILTIN_TYPEDEFS`] lookup set, built once per process.
+fn builtin_typedefs() -> &'static HashSet<&'static str> {
+    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    SET.get_or_init(|| BUILTIN_TYPEDEFS.iter().copied().collect())
+}
+
 /// Declaration-specifier keywords and kernel annotations that we accept and
 /// discard (they never affect the barrier analysis).
 const SKIPPED_ATTRS: &[&str] = &[
@@ -114,6 +123,16 @@ const SKIPPED_ATTRS: &[&str] = &[
     "__private",
 ];
 
+/// Can `name` be a kernel annotation [`Parser::skip_attributes`] skips?
+/// A first-byte filter in front of the [`SKIPPED_ATTRS`] scan: nearly
+/// every identifier fails it at once.
+fn may_be_attribute(name: &str) -> bool {
+    matches!(name.as_bytes().first(), Some(b'_' | b'a' | b'n'))
+}
+
+/// The name of an abstract declarator (and of an anonymous tag).
+static NO_NAME: LazyLock<Name> = LazyLock::new(Name::default);
+
 /// Parser options.
 #[derive(Clone, Debug, Default)]
 pub struct ParserConfig {
@@ -129,43 +148,101 @@ pub struct ParseOutput {
     pub errors: Vec<Error>,
 }
 
+/// What a counting parse ([`count_tokens`]) reports: exactly the numbers a
+/// full parse would give, and no tree.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Counts {
+    /// Function definitions, as `unit.functions().count()` would give.
+    pub function_count: usize,
+    /// Recovered item-level errors, as `errors.len()` would give.
+    pub parse_error_count: usize,
+    /// Did some call's callee, a bare identifier, satisfy the watch
+    /// predicate? A superset of what a walk of the full AST's function
+    /// bodies finds: calls outside function bodies, and in items that
+    /// later failed to parse, count too.
+    pub watched_call: bool,
+}
+
 /// Parse a preprocessed token stream.
 pub fn parse_tokens(tokens: Vec<Token>, config: &ParserConfig) -> ParseOutput {
-    let mut typedefs: HashSet<String> = BUILTIN_TYPEDEFS.iter().map(|s| s.to_string()).collect();
-    typedefs.extend(config.typedefs.iter().cloned());
-    let mut p = Parser {
-        toks: tokens,
-        pos: 0,
-        typedefs,
-        errors: Vec::new(),
-        last_params: Vec::new(),
-    };
-    let unit = p.parse_unit();
+    parse_token_slice(&tokens, config)
+}
+
+/// Parse a preprocessed token stream without taking it, so the same
+/// tokens can be parsed again (see [`count_tokens`]).
+pub fn parse_token_slice(tokens: &[Token], config: &ParserConfig) -> ParseOutput {
+    let mut p = Parser::new(tokens, config, Ast);
+    let items = p.parse_unit();
     ParseOutput {
-        unit,
+        unit: TranslationUnit { items },
         errors: p.errors,
     }
 }
 
-pub(crate) struct Parser {
-    toks: Vec<Token>,
+/// Run the grammar over a token stream without building a tree: the
+/// same productions and recovery as [`parse_tokens`], so the counts match
+/// a full parse exactly. `watch` is asked about each call whose callee is
+/// a bare identifier, and only about those.
+pub fn count_tokens(
+    tokens: &[Token],
+    config: &ParserConfig,
+    watch: &dyn Fn(&str) -> bool,
+) -> Counts {
+    let mut p = Parser::new(tokens, config, Count { watch, hit: false });
+    p.parse_unit();
+    Counts {
+        function_count: p.functions,
+        parse_error_count: p.errors.len(),
+        watched_call: p.sink.hit,
+    }
+}
+
+pub(crate) struct Parser<'t, S: Sink<'t>> {
+    toks: &'t [Token],
     pos: usize,
-    pub(crate) typedefs: HashSet<String>,
+    sink: S,
+    /// Typedef names this file declares, plus [`ParserConfig::typedefs`];
+    /// [`BUILTIN_TYPEDEFS`] is looked up separately.
+    typedefs: HashSet<Name>,
     errors: Vec<Error>,
+    /// Function definitions parsed so far.
+    functions: usize,
     /// Parameters of the most recently parsed function declarator; consumed
     /// by `take_last_params` when a declarator turns out to be a function
     /// definition or prototype.
-    pub(crate) last_params: Vec<Param>,
+    last_params: S::List<S::Param>,
 }
 
-impl Parser {
+impl<'t, S: Sink<'t>> Parser<'t, S> {
+    fn new(toks: &'t [Token], config: &ParserConfig, sink: S) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            sink,
+            typedefs: config
+                .typedefs
+                .iter()
+                .map(|t| Name::from(t.as_str()))
+                .collect(),
+            errors: Vec::new(),
+            functions: 0,
+            last_params: Default::default(),
+        }
+    }
+
+    /// Is `name` a known typedef name?
+    pub(crate) fn is_typedef(&self, name: &str) -> bool {
+        builtin_typedefs().contains(name)
+            || (!self.typedefs.is_empty() && self.typedefs.contains(name))
+    }
+
     // ---- cursor -------------------------------------------------------
 
-    pub(crate) fn peek(&self) -> &TokenKind {
+    pub(crate) fn peek(&self) -> &'t TokenKind {
         &self.toks[self.pos.min(self.toks.len() - 1)].kind
     }
 
-    pub(crate) fn peek_n(&self, n: usize) -> &TokenKind {
+    pub(crate) fn peek_n(&self, n: usize) -> &'t TokenKind {
         &self.toks[(self.pos + n).min(self.toks.len() - 1)].kind
     }
 
@@ -177,12 +254,10 @@ impl Parser {
         self.toks[self.pos.saturating_sub(1).min(self.toks.len() - 1)].span
     }
 
-    pub(crate) fn bump(&mut self) -> TokenKind {
-        let k = self.peek().clone();
+    pub(crate) fn bump(&mut self) {
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
-        k
     }
 
     pub(crate) fn at(&self, kind: &TokenKind) -> bool {
@@ -228,8 +303,8 @@ impl Parser {
         }
     }
 
-    pub(crate) fn expect_ident(&mut self) -> Result<(Name, Span)> {
-        match self.peek().clone() {
+    pub(crate) fn expect_ident(&mut self) -> Result<(&'t Name, Span)> {
+        match self.peek() {
             TokenKind::Ident(s) => {
                 let sp = self.span();
                 self.bump();
@@ -248,8 +323,11 @@ impl Parser {
 
     /// Skip `__attribute__((...))` and bare kernel annotation identifiers.
     pub(crate) fn skip_attributes(&mut self) {
-        loop {
-            if self.at_ident("__attribute__") || self.at_ident("__attribute") {
+        while let Some(name) = self.peek().ident() {
+            if !may_be_attribute(name) {
+                break;
+            }
+            if name == "__attribute__" || name == "__attribute" {
                 self.bump();
                 if self.at(&TokenKind::LParen) {
                     self.skip_balanced_parens();
@@ -257,18 +335,16 @@ impl Parser {
                 continue;
             }
             // `__aligned(8)`, `__section("...")`-style annotations.
-            if let Some(name) = self.peek().ident() {
-                if matches!(name, "__aligned" | "__section" | "____cacheline_aligned")
-                    && self.peek_n(1) == &TokenKind::LParen
-                {
-                    self.bump();
-                    self.skip_balanced_parens();
-                    continue;
-                }
-                if SKIPPED_ATTRS.contains(&name) {
-                    self.bump();
-                    continue;
-                }
+            if matches!(name, "__aligned" | "__section" | "____cacheline_aligned")
+                && self.peek_n(1) == &TokenKind::LParen
+            {
+                self.bump();
+                self.skip_balanced_parens();
+                continue;
+            }
+            if SKIPPED_ATTRS.contains(&name) {
+                self.bump();
+                continue;
             }
             break;
         }
@@ -296,19 +372,19 @@ impl Parser {
 
     // ---- items --------------------------------------------------------
 
-    fn parse_unit(&mut self) -> TranslationUnit {
-        let mut items = Vec::new();
+    fn parse_unit(&mut self) -> S::List<S::Item> {
+        let mut items = S::List::default();
         while !self.at_eof() {
             let before = self.pos;
             match self.parse_item() {
-                Ok(mut new_items) => items.append(&mut new_items),
+                Ok(new_items) => items.append(new_items),
                 Err(e) => {
                     self.errors.push(e);
                     self.recover_item(before);
                 }
             }
         }
-        TranslationUnit { items }
+        items
     }
 
     /// Skip to the next plausible item start after a parse error.
@@ -340,14 +416,14 @@ impl Parser {
 
     /// Parse one top-level item. May produce several AST items (e.g.
     /// `struct s { ... } v;` yields a struct def and a global).
-    fn parse_item(&mut self) -> Result<Vec<Item>> {
+    fn parse_item(&mut self) -> Result<S::List<S::Item>> {
         self.skip_attributes();
         if self.eat(&TokenKind::Semi) {
-            return Ok(vec![]);
+            return Ok(S::List::default());
         }
         // `typedef ...`
         if self.at_ident("typedef") {
-            return self.parse_typedef().map(|t| vec![Item::Typedef(t)]);
+            return self.parse_typedef().map(one);
         }
         // struct/union/enum definitions (possibly with trailing declarators).
         if self.at_ident("struct") || self.at_ident("union") || self.at_ident("enum") {
@@ -359,7 +435,7 @@ impl Parser {
         self.parse_function_or_global()
     }
 
-    fn parse_typedef(&mut self) -> Result<Typedef> {
+    fn parse_typedef(&mut self) -> Result<S::Item> {
         let start = self.span();
         self.bump(); // typedef
         let (base, _flags) = self.parse_decl_specifiers()?;
@@ -369,73 +445,58 @@ impl Parser {
         if name.is_empty() {
             return Err(Error::parse("typedef without a name", span));
         }
-        self.typedefs.insert(name.to_string());
-        Ok(Typedef { name, ty, span })
+        self.typedefs.insert(name.clone());
+        Ok(self.sink.typedef(name, ty, span))
     }
 
     /// Try to parse `struct X { ... } [declarators] ;` or `enum X { ... };`.
     /// Returns `None` if this is just a type reference (`struct X *p = ...`),
     /// letting the general declaration path handle it.
-    fn try_parse_tag_definition(&mut self) -> Result<Option<Vec<Item>>> {
+    fn try_parse_tag_definition(&mut self) -> Result<Option<S::List<S::Item>>> {
         let start = self.span();
-        let keyword = self.peek().ident().unwrap_or("").to_string();
+        let keyword = self.peek().ident().unwrap_or("");
         // Lookahead: `struct [name] {` is a definition.
-        let (name_off, has_name) = match self.peek_n(1) {
-            TokenKind::Ident(_) => (1, true),
-            _ => (0, false),
-        };
+        let has_name = matches!(self.peek_n(1), TokenKind::Ident(_));
         let brace_off = if has_name { 2 } else { 1 };
         if self.peek_n(brace_off) != &TokenKind::LBrace {
             return Ok(None);
         }
         self.bump(); // struct/union/enum
         let name = if has_name {
-            let _ = name_off;
-            let (n, _) = self.expect_ident()?;
-            n
+            self.expect_ident()?.0
         } else {
-            Name::default()
+            &*NO_NAME
         };
         self.expect(&TokenKind::LBrace)?;
-        let mut items = Vec::new();
+        let mut items = S::List::default();
+        let is_union = keyword == "union";
         if keyword == "enum" {
             let variants = self.parse_enum_body()?;
             let span = start.to(self.prev_span());
-            items.push(Item::Enum(EnumDef {
-                name: name.clone(),
-                variants,
-                span,
-            }));
+            items.push(self.sink.enum_def(name, variants, span));
         } else {
             let fields = self.parse_struct_body()?;
             let span = start.to(self.prev_span());
-            items.push(Item::Struct(StructDef {
-                name: name.clone(),
-                is_union: keyword == "union",
-                fields,
-                span,
-            }));
+            items.push(self.sink.struct_def(name, is_union, fields, span));
         }
         self.skip_attributes();
         // Optional trailing declarators: `struct s { ... } a, *b;`
         if !self.at(&TokenKind::Semi) {
-            let base = if keyword == "enum" {
+            let name = name.clone();
+            let base = self.sink.leaf_type(if keyword == "enum" {
                 Type::Enum(name)
             } else {
-                Type::Struct {
-                    name,
-                    is_union: keyword == "union",
-                }
-            };
+                Type::Struct { name, is_union }
+            });
             let decl = self.parse_declarator_list(base, start)?;
-            items.push(Item::Global(decl));
+            items.push(self.sink.global(decl));
         }
         self.expect(&TokenKind::Semi)?;
         Ok(Some(items))
     }
 
-    pub(crate) fn parse_struct_body(&mut self) -> Result<Vec<FieldDecl>> {
-        let mut fields = Vec::new();
+    pub(crate) fn parse_struct_body(&mut self) -> Result<S::List<S::Field>> {
+        let mut fields = S::List::default();
         while !self.at(&TokenKind::RBrace) && !self.at_eof() {
             self.skip_attributes();
             if self.eat(&TokenKind::Semi) {
@@ -452,19 +513,16 @@ impl Parser {
                 self.skip_attributes();
                 if self.at(&TokenKind::Semi) {
                     // truly anonymous: flatten
-                    fields.extend(inner);
+                    fields.append(inner);
                     self.bump();
                 } else {
                     // named member of anonymous struct type: keep the member
                     let (mname, msp) = self.expect_ident()?;
-                    fields.push(FieldDecl {
-                        name: mname,
-                        ty: Type::Struct {
-                            name: Name::default(),
-                            is_union: false,
-                        },
-                        span: msp,
+                    let ty = self.sink.leaf_type(Type::Struct {
+                        name: Name::default(),
+                        is_union: false,
                     });
+                    fields.push(self.sink.field(mname, ty, msp));
                     self.expect(&TokenKind::Semi)?;
                 }
                 continue;
@@ -477,11 +535,7 @@ impl Parser {
                     let _width = self.parse_conditional()?;
                 }
                 if !name.is_empty() {
-                    fields.push(FieldDecl {
-                        name,
-                        ty,
-                        span: dspan,
-                    });
+                    fields.push(self.sink.field(name, ty, dspan));
                 }
                 if !self.eat(&TokenKind::Comma) {
                     break;
@@ -493,8 +547,8 @@ impl Parser {
         Ok(fields)
     }
 
-    fn parse_enum_body(&mut self) -> Result<Vec<(Name, Option<Expr>)>> {
-        let mut variants = Vec::new();
+    fn parse_enum_body(&mut self) -> Result<S::List<S::Variant>> {
+        let mut variants = S::List::default();
         while !self.at(&TokenKind::RBrace) && !self.at_eof() {
             let (name, _) = self.expect_ident()?;
             let value = if self.eat(&TokenKind::Assign) {
@@ -502,7 +556,7 @@ impl Parser {
             } else {
                 None
             };
-            variants.push((name, value));
+            variants.push(self.sink.variant(name, value));
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
@@ -511,53 +565,35 @@ impl Parser {
         Ok(variants)
     }
 
-    fn parse_function_or_global(&mut self) -> Result<Vec<Item>> {
+    fn parse_function_or_global(&mut self) -> Result<S::List<S::Item>> {
         let start = self.span();
         let (base, flags) = self.parse_decl_specifiers()?;
         // `int;` — pointless but legal-ish; skip.
         if self.eat(&TokenKind::Semi) {
-            return Ok(vec![]);
+            return Ok(S::List::default());
         }
         let (name, ty, _dspan) = self.parse_declarator(base.clone())?;
         self.skip_attributes();
         // Function definition?
-        if let Type::Func {
-            ret,
-            params: ptypes,
-            variadic,
-        } = &ty
-        {
+        if let Some(arity) = S::func_arity(&ty) {
             if self.at(&TokenKind::LBrace) {
-                let params = self.take_last_params(ptypes.len());
-                let sig = FunctionSig {
-                    name,
-                    ret: (**ret).clone(),
-                    params,
-                    variadic: *variadic,
-                    is_static: flags.is_static,
-                    is_inline: flags.is_inline,
-                    span: start.to(self.prev_span()),
-                };
-                let body_start = self.span();
+                let params = self.take_last_params(arity);
+                let sig_span = start.to(self.prev_span());
+                let sig = self.sink.sig(name, &ty, params, flags, sig_span);
                 self.expect(&TokenKind::LBrace)?;
                 let body = self.parse_block_stmts()?;
                 let span = start.to(self.prev_span());
-                let _ = body_start;
-                return Ok(vec![Item::Function(FunctionDef { sig, body, span })]);
+                self.functions += 1;
+                return Ok(one(self.sink.function(sig, body, span)));
             }
             // Prototype.
             if self.at(&TokenKind::Semi) {
                 self.bump();
-                let params = self.take_last_params(ptypes.len());
-                return Ok(vec![Item::Prototype(FunctionSig {
-                    name,
-                    ret: (**ret).clone(),
-                    params,
-                    variadic: *variadic,
-                    is_static: flags.is_static,
-                    is_inline: flags.is_inline,
-                    span: start.to(self.prev_span()),
-                })]);
+                let params = self.take_last_params(arity);
+                let sig = self
+                    .sink
+                    .sig(name, &ty, params, flags, start.to(self.prev_span()));
+                return Ok(one(self.sink.prototype(sig)));
             }
         }
         // Global variable(s).
@@ -566,12 +602,9 @@ impl Parser {
         } else {
             None
         };
-        let mut decls = vec![Declarator {
-            name,
-            ty,
-            init,
-            span: start.to(self.prev_span()),
-        }];
+        let mut decls = S::List::default();
+        let span = start.to(self.prev_span());
+        decls.push(self.sink.declarator(name, ty, init, span));
         while self.eat(&TokenKind::Comma) {
             let (n2, t2, sp2) = self.parse_declarator(base.clone())?;
             let init2 = if self.eat(&TokenKind::Assign) {
@@ -579,24 +612,17 @@ impl Parser {
             } else {
                 None
             };
-            decls.push(Declarator {
-                name: n2,
-                ty: t2,
-                init: init2,
-                span: sp2,
-            });
+            decls.push(self.sink.declarator(n2, t2, init2, sp2));
         }
         self.expect(&TokenKind::Semi)?;
-        Ok(vec![Item::Global(DeclStmt {
-            decls,
-            span: start.to(self.prev_span()),
-        })])
+        let decls = self.sink.decls(decls, start.to(self.prev_span()));
+        Ok(one(self.sink.global(decls)))
     }
 
     /// Parse `base d1 [, d2]* ;`-style declarator lists (used after a tag
     /// definition). Does not consume the trailing `;`.
-    fn parse_declarator_list(&mut self, base: Type, start: Span) -> Result<DeclStmt> {
-        let mut decls = Vec::new();
+    fn parse_declarator_list(&mut self, base: S::Type, start: Span) -> Result<S::DeclStmt> {
+        let mut decls = S::List::default();
         loop {
             let (name, ty, dspan) = self.parse_declarator(base.clone())?;
             let init = if self.eat(&TokenKind::Assign) {
@@ -604,21 +630,20 @@ impl Parser {
             } else {
                 None
             };
-            decls.push(Declarator {
-                name,
-                ty,
-                init,
-                span: dspan,
-            });
+            decls.push(self.sink.declarator(name, ty, init, dspan));
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
         }
-        Ok(DeclStmt {
-            decls,
-            span: start.to(self.prev_span()),
-        })
+        Ok(self.sink.decls(decls, start.to(self.prev_span())))
     }
+}
+
+/// A one-node list.
+fn one<T, L: NodeList<T>>(node: T) -> L {
+    let mut list = L::default();
+    list.push(node);
+    list
 }
 
 #[derive(Clone, Copy, Debug, Default)]

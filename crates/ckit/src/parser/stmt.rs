@@ -1,15 +1,16 @@
 //! Statement parsing.
 
+use super::sink::{NodeList, Sink};
 use super::Parser;
 use crate::ast::*;
 use crate::error::Result;
 use crate::token::TokenKind;
 
-impl Parser {
+impl<'t, S: Sink<'t>> Parser<'t, S> {
     /// Parse statements until the closing `}` of the current block (the
     /// opening brace has been consumed by the caller).
-    pub(crate) fn parse_block_stmts(&mut self) -> Result<Vec<Stmt>> {
-        let mut stmts = Vec::new();
+    pub(crate) fn parse_block_stmts(&mut self) -> Result<S::List<S::Stmt>> {
+        let mut stmts = S::List::default();
         while !self.at(&TokenKind::RBrace) && !self.at_eof() {
             stmts.push(self.parse_stmt()?);
         }
@@ -17,49 +18,36 @@ impl Parser {
         Ok(stmts)
     }
 
-    pub(crate) fn parse_stmt(&mut self) -> Result<Stmt> {
+    /// The statement after a label or case: one may end a block
+    /// (`out: }`), which labels an empty statement.
+    fn parse_labeled(&mut self) -> Result<S::Stmt> {
+        if self.at(&TokenKind::RBrace) {
+            Ok(self.sink.leaf_stmt(StmtKind::Empty, self.prev_span()))
+        } else {
+            self.parse_stmt()
+        }
+    }
+
+    pub(crate) fn parse_stmt(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         // Label: `name: stmt` (but not `default:` which is handled below,
         // and not ternary — a label is an identifier directly followed by
         // `:` at statement position).
         if let TokenKind::Ident(name) = self.peek() {
             if !crate::token::is_keyword(name) && self.peek_n(1) == &TokenKind::Colon {
-                let name = name.clone();
                 self.bump();
                 self.bump();
-                // A label can end a block: `out: ;` or `out: }`. Treat a
-                // following `}` as labeling an empty statement.
-                let stmt = if self.at(&TokenKind::RBrace) {
-                    Stmt {
-                        kind: StmtKind::Empty,
-                        span: self.prev_span(),
-                    }
-                } else {
-                    self.parse_stmt()?
-                };
-                let span = start.to(stmt.span);
-                return Ok(Stmt {
-                    kind: StmtKind::Label {
-                        name,
-                        stmt: Box::new(stmt),
-                    },
-                    span,
-                });
+                let stmt = self.parse_labeled()?;
+                return Ok(self.sink.label(name, stmt, start));
             }
         }
         if self.at(&TokenKind::LBrace) {
             self.bump();
             let stmts = self.parse_block_stmts()?;
-            return Ok(Stmt {
-                kind: StmtKind::Block(stmts),
-                span: start.to(self.prev_span()),
-            });
+            return Ok(self.sink.block(stmts, start.to(self.prev_span())));
         }
         if self.eat(&TokenKind::Semi) {
-            return Ok(Stmt {
-                kind: StmtKind::Empty,
-                span: start,
-            });
+            return Ok(self.sink.leaf_stmt(StmtKind::Empty, start));
         }
         if let Some(kw) = self.peek().ident() {
             match kw {
@@ -78,52 +66,21 @@ impl Parser {
                         let _ = self.parse_conditional()?;
                     }
                     self.expect(&TokenKind::Colon)?;
-                    let stmt = if self.at(&TokenKind::RBrace) {
-                        Stmt {
-                            kind: StmtKind::Empty,
-                            span: self.prev_span(),
-                        }
-                    } else {
-                        self.parse_stmt()?
-                    };
-                    let span = start.to(stmt.span);
-                    return Ok(Stmt {
-                        kind: StmtKind::Case {
-                            value: Some(value),
-                            stmt: Box::new(stmt),
-                        },
-                        span,
-                    });
+                    let stmt = self.parse_labeled()?;
+                    return Ok(self.sink.case(Some(value), stmt, start));
                 }
                 "default" => {
                     self.bump();
                     self.expect(&TokenKind::Colon)?;
-                    let stmt = if self.at(&TokenKind::RBrace) {
-                        Stmt {
-                            kind: StmtKind::Empty,
-                            span: self.prev_span(),
-                        }
-                    } else {
-                        self.parse_stmt()?
-                    };
-                    let span = start.to(stmt.span);
-                    return Ok(Stmt {
-                        kind: StmtKind::Case {
-                            value: None,
-                            stmt: Box::new(stmt),
-                        },
-                        span,
-                    });
+                    let stmt = self.parse_labeled()?;
+                    return Ok(self.sink.case(None, stmt, start));
                 }
                 "goto" => {
                     self.bump();
                     let (label, _) = self.expect_ident()?;
                     let span = start.to(self.span());
                     self.expect(&TokenKind::Semi)?;
-                    return Ok(Stmt {
-                        kind: StmtKind::Goto(label),
-                        span,
-                    });
+                    return Ok(self.sink.leaf_stmt(StmtKind::Goto(label.clone()), span));
                 }
                 "return" => {
                     self.bump();
@@ -134,28 +91,18 @@ impl Parser {
                     };
                     let span = start.to(self.span());
                     self.expect(&TokenKind::Semi)?;
-                    return Ok(Stmt {
-                        kind: StmtKind::Return(value),
-                        span,
-                    });
+                    return Ok(self.sink.ret(value, span));
                 }
-                "break" => {
+                "break" | "continue" => {
+                    let kind = if kw == "break" {
+                        StmtKind::Break
+                    } else {
+                        StmtKind::Continue
+                    };
                     self.bump();
                     let span = start.to(self.span());
                     self.expect(&TokenKind::Semi)?;
-                    return Ok(Stmt {
-                        kind: StmtKind::Break,
-                        span,
-                    });
-                }
-                "continue" => {
-                    self.bump();
-                    let span = start.to(self.span());
-                    self.expect(&TokenKind::Semi)?;
-                    return Ok(Stmt {
-                        kind: StmtKind::Continue,
-                        span,
-                    });
+                    return Ok(self.sink.leaf_stmt(kind, span));
                 }
                 _ => {}
             }
@@ -163,26 +110,19 @@ impl Parser {
         // Declaration?
         if self.at_decl_start() && !self.at_ident("sizeof") {
             let decl = self.parse_local_decl()?;
-            let span = decl.span;
-            return Ok(Stmt {
-                kind: StmtKind::Decl(decl),
-                span,
-            });
+            return Ok(self.sink.decl_stmt(decl));
         }
         // Expression statement.
         let expr = self.parse_expr()?;
         let span = start.to(self.span());
         self.expect(&TokenKind::Semi)?;
-        Ok(Stmt {
-            kind: StmtKind::Expr(expr),
-            span,
-        })
+        Ok(self.sink.expr_stmt(expr, span))
     }
 
-    pub(crate) fn parse_local_decl(&mut self) -> Result<DeclStmt> {
+    pub(crate) fn parse_local_decl(&mut self) -> Result<S::DeclStmt> {
         let start = self.span();
         let (base, _flags) = self.parse_decl_specifiers()?;
-        let mut decls = Vec::new();
+        let mut decls = S::List::default();
         loop {
             let (name, ty, dspan) = self.parse_declarator(base.clone())?;
             let init = if self.eat(&TokenKind::Assign) {
@@ -190,24 +130,19 @@ impl Parser {
             } else {
                 None
             };
-            decls.push(Declarator {
-                name,
-                ty,
-                init,
-                span: dspan,
-            });
+            decls.push(self.sink.declarator(name, ty, init, dspan));
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
         }
         let span = start.to(self.span());
         self.expect(&TokenKind::Semi)?;
-        Ok(DeclStmt { decls, span })
+        Ok(self.sink.decls(decls, span))
     }
 
     /// `asm [volatile|goto] ( ... ) ;` — the parenthesized blob is kept as
     /// raw token text.
-    fn parse_asm(&mut self) -> Result<Stmt> {
+    fn parse_asm(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         self.bump(); // asm
         let mut volatile = false;
@@ -224,16 +159,17 @@ impl Parser {
             }
         }
         self.expect(&TokenKind::LParen)?;
-        let mut body = String::new();
+        let body_start = self.pos;
         let mut depth = 1usize;
-        loop {
+        let body_end = loop {
             match self.peek() {
                 TokenKind::LParen => depth += 1,
                 TokenKind::RParen => {
                     depth -= 1;
                     if depth == 0 {
+                        let end = self.pos;
                         self.bump();
-                        break;
+                        break end;
                     }
                 }
                 TokenKind::Eof => {
@@ -244,72 +180,44 @@ impl Parser {
                 }
                 _ => {}
             }
-            let span = self.span();
-            let k = self.bump();
-            if !body.is_empty() {
-                body.push(' ');
-            }
-            match &k {
-                TokenKind::Ident(s) => body.push_str(s),
-                TokenKind::Str(s) => body.push_str(s),
-                TokenKind::Int { raw, .. } => body.push_str(raw),
-                other => body.push_str(other.lexeme()),
-            }
-            let _ = span;
-        }
+            self.bump();
+        };
         let span = start.to(self.span());
         self.expect(&TokenKind::Semi)?;
-        Ok(Stmt {
-            kind: StmtKind::Asm { volatile, body },
-            span,
-        })
+        let body = &self.toks[body_start..body_end];
+        Ok(self.sink.asm(volatile, body, span))
     }
 
-    fn parse_if(&mut self) -> Result<Stmt> {
+    fn parse_if(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         self.bump(); // if
         self.expect(&TokenKind::LParen)?;
         let cond = self.parse_expr()?;
         self.expect(&TokenKind::RParen)?;
-        let then_branch = Box::new(self.parse_stmt()?);
+        let then_branch = self.parse_stmt()?;
         let else_branch = if self.at_ident("else") {
             self.bump();
-            Some(Box::new(self.parse_stmt()?))
+            Some(self.parse_stmt()?)
         } else {
             None
         };
-        let span = start.to(else_branch
-            .as_ref()
-            .map(|e| e.span)
-            .unwrap_or(then_branch.span));
-        Ok(Stmt {
-            kind: StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            },
-            span,
-        })
+        Ok(self.sink.if_stmt(cond, then_branch, else_branch, start))
     }
 
-    fn parse_while(&mut self) -> Result<Stmt> {
+    fn parse_while(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         self.bump(); // while
         self.expect(&TokenKind::LParen)?;
         let cond = self.parse_expr()?;
         self.expect(&TokenKind::RParen)?;
-        let body = Box::new(self.parse_stmt()?);
-        let span = start.to(body.span);
-        Ok(Stmt {
-            kind: StmtKind::While { cond, body },
-            span,
-        })
+        let body = self.parse_stmt()?;
+        Ok(self.sink.while_stmt(cond, body, start))
     }
 
-    fn parse_do_while(&mut self) -> Result<Stmt> {
+    fn parse_do_while(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         self.bump(); // do
-        let body = Box::new(self.parse_stmt()?);
+        let body = self.parse_stmt()?;
         if !self.eat_ident("while") {
             return Err(crate::error::Error::parse(
                 "expected `while` after do-block",
@@ -321,13 +229,10 @@ impl Parser {
         self.expect(&TokenKind::RParen)?;
         let span = start.to(self.span());
         self.expect(&TokenKind::Semi)?;
-        Ok(Stmt {
-            kind: StmtKind::DoWhile { body, cond },
-            span,
-        })
+        Ok(self.sink.do_while(body, cond, span))
     }
 
-    fn parse_for(&mut self) -> Result<Stmt> {
+    fn parse_for(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         self.bump(); // for
         self.expect(&TokenKind::LParen)?;
@@ -336,19 +241,12 @@ impl Parser {
             None
         } else if self.at_decl_start() {
             let d = self.parse_local_decl()?;
-            let span = d.span;
-            Some(Box::new(Stmt {
-                kind: StmtKind::Decl(d),
-                span,
-            }))
+            Some(self.sink.decl_stmt(d))
         } else {
             let e = self.parse_expr()?;
-            let span = e.span;
+            let span = S::expr_span(&e);
             self.expect(&TokenKind::Semi)?;
-            Some(Box::new(Stmt {
-                kind: StmtKind::Expr(e),
-                span,
-            }))
+            Some(self.sink.expr_stmt(e, span))
         };
         let cond = if self.at(&TokenKind::Semi) {
             None
@@ -362,30 +260,17 @@ impl Parser {
             Some(self.parse_expr()?)
         };
         self.expect(&TokenKind::RParen)?;
-        let body = Box::new(self.parse_stmt()?);
-        let span = start.to(body.span);
-        Ok(Stmt {
-            kind: StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            },
-            span,
-        })
+        let body = self.parse_stmt()?;
+        Ok(self.sink.for_stmt(init, cond, step, body, start))
     }
 
-    fn parse_switch(&mut self) -> Result<Stmt> {
+    fn parse_switch(&mut self) -> Result<S::Stmt> {
         let start = self.span();
         self.bump(); // switch
         self.expect(&TokenKind::LParen)?;
         let cond = self.parse_expr()?;
         self.expect(&TokenKind::RParen)?;
-        let body = Box::new(self.parse_stmt()?);
-        let span = start.to(body.span);
-        Ok(Stmt {
-            kind: StmtKind::Switch { cond, body },
-            span,
-        })
+        let body = self.parse_stmt()?;
+        Ok(self.sink.switch(cond, body, start))
     }
 }

@@ -537,3 +537,83 @@ fn string_concatenation() {
         other => panic!("{other:?}"),
     }
 }
+
+#[test]
+fn typedef_name_then_paren_is_an_expression() {
+    // A typedef name starts a declaration only when a declarator follows:
+    // `u32 (x);` is a call through `u32`, `u32 x;` and `u32 *p;` declare.
+    let f = only_fn("void f(void) { u32 (x); u32 y; u32 *p; }");
+    match &f.body[0].kind {
+        StmtKind::Expr(e) => assert_eq!(e.call_name(), Some("u32")),
+        other => panic!("expected a call statement, got {other:?}"),
+    }
+    for stmt in &f.body[1..] {
+        assert!(matches!(stmt.kind, StmtKind::Decl(_)), "{stmt:?}");
+    }
+    // The same holds for a file's own typedefs.
+    let unit = parse_ok("typedef int my_t; void f(void) { my_t (x); my_t y; }");
+    let f = unit.functions().next().unwrap();
+    assert!(matches!(f.body[0].kind, StmtKind::Expr(_)));
+    assert!(matches!(f.body[1].kind, StmtKind::Decl(_)));
+}
+
+#[test]
+fn every_skipped_attribute_passes_the_first_byte_filter() {
+    for name in super::SKIPPED_ATTRS
+        .iter()
+        .chain(&["__attribute__", "__attribute", "__aligned", "__section"])
+        .chain(&["____cacheline_aligned"])
+    {
+        assert!(super::may_be_attribute(name), "{name}");
+    }
+}
+
+/// Tokens of `src`, preprocessed.
+fn pp_tokens(src: &str) -> Vec<crate::token::Token> {
+    let toks = crate::lexer::lex(src).unwrap();
+    crate::pp::preprocess(toks, &Default::default())
+        .unwrap()
+        .tokens
+}
+
+#[test]
+fn counting_parse_reports_the_full_parse_counts() {
+    let config = super::ParserConfig::default();
+    for src in [
+        "",
+        "int f(void) { return 1; }\nint g(int x) { return x; }",
+        "int broken( { ; }\nint ok(void) { return 0; }\nstruct s { int a; };",
+        "typedef unsigned int u; u h(u x) { u y = x; return y; }\nint p(void);",
+        "void w(int *p) { for (int i = 0; i < 3; i++) { *p = i; } smp_wmb(); }",
+    ] {
+        let toks = pp_tokens(src);
+        let full = super::parse_token_slice(&toks, &config);
+        let counts = super::count_tokens(&toks, &config, &|_| false);
+        assert_eq!(
+            counts.function_count,
+            full.unit.functions().count(),
+            "{src}"
+        );
+        assert_eq!(counts.parse_error_count, full.errors.len(), "{src}");
+        assert!(!counts.watched_call);
+    }
+}
+
+#[test]
+fn counting_parse_watches_only_bare_callee_names() {
+    let config = super::ParserConfig::default();
+    let watched = |src: &str| {
+        let toks = pp_tokens(src);
+        super::count_tokens(&toks, &config, &|n| n == "smp_wmb").watched_call
+    };
+    assert!(watched("void f(void) { smp_wmb(); }"));
+    // A parenthesized callee is still a bare name, as in the AST.
+    assert!(watched("void f(void) { (smp_wmb)(); }"));
+    // Nested in an argument, a statement expression, an initializer.
+    assert!(watched("void f(void) { g(1, smp_wmb()); }"));
+    assert!(watched("void f(void) { int x = ({ smp_wmb(); 1; }); }"));
+    // Named but not called, or called through a member: not a site call.
+    assert!(!watched("void f(void) { void *p = smp_wmb; }"));
+    assert!(!watched("void f(struct o *o) { o->smp_wmb(); }"));
+    assert!(!watched("void f(void) { smp_rmb(); }"));
+}

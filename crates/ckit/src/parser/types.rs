@@ -1,13 +1,14 @@
 //! Declaration specifiers and declarators.
 
-use super::{Parser, SpecFlags};
+use super::sink::{NodeList, Sink};
+use super::{Parser, SpecFlags, NO_NAME};
 use crate::ast::*;
 use crate::error::{Error, Result};
 use crate::intern::Name;
 use crate::span::Span;
 use crate::token::TokenKind;
 
-impl Parser {
+impl<'t, S: Sink<'t>> Parser<'t, S> {
     /// Does the current token begin a type (declaration specifiers)?
     pub(crate) fn at_type_start(&self) -> bool {
         let Some(name) = self.peek().ident() else {
@@ -41,7 +42,7 @@ impl Parser {
                 | "typeof"
                 | "__typeof__"
                 | "__typeof"
-        ) || self.typedefs.contains(name)
+        ) || self.is_typedef(name)
     }
 
     /// Heuristic: does a declaration start here? Covers `at_type_start`
@@ -51,14 +52,11 @@ impl Parser {
         if self.at_type_start() {
             // `ident` alone could still be an expression if the next token
             // is an operator — but for real type keywords it's always a
-            // declaration. For typedef names check what follows.
+            // declaration. A typedef name starts one only when a
+            // declarator follows: `T (x)` is a call through `T`.
             if let Some(name) = self.peek().ident() {
-                if self.typedefs.contains(name) {
-                    return matches!(
-                        self.peek_n(1),
-                        TokenKind::Ident(_) | TokenKind::Star | TokenKind::LParen
-                    ) && !matches!(self.peek_n(1), TokenKind::LParen if true)
-                        || matches!(self.peek_n(1), TokenKind::Ident(_) | TokenKind::Star);
+                if self.is_typedef(name) {
+                    return matches!(self.peek_n(1), TokenKind::Ident(_) | TokenKind::Star);
                 }
             }
             return true;
@@ -97,16 +95,16 @@ impl Parser {
     }
 
     /// Parse declaration specifiers into a base type + flags.
-    pub(crate) fn parse_decl_specifiers(&mut self) -> Result<(Type, SpecFlags)> {
+    pub(crate) fn parse_decl_specifiers(&mut self) -> Result<(S::Type, SpecFlags)> {
         let mut flags = SpecFlags::default();
         let mut unsigned: Option<bool> = None;
         let mut rank: Option<IntRank> = None;
         let mut longs = 0u8;
-        let mut base: Option<Type> = None;
+        let mut base: Option<S::Type> = None;
         let start = self.span();
         loop {
             self.skip_attributes();
-            let Some(name) = self.peek().ident().map(str::to_string) else {
+            let Some(name) = self.peek().ident_name() else {
                 break;
             };
             match name.as_str() {
@@ -138,11 +136,11 @@ impl Parser {
                     self.bump();
                 }
                 "void" => {
-                    base = Some(Type::Void);
+                    base = Some(self.sink.leaf_type(Type::Void));
                     self.bump();
                 }
                 "bool" | "_Bool" => {
-                    base = Some(Type::Bool);
+                    base = Some(self.sink.leaf_type(Type::Bool));
                     self.bump();
                 }
                 "char" => {
@@ -164,28 +162,26 @@ impl Parser {
                     self.bump();
                 }
                 "float" => {
-                    base = Some(Type::Float);
+                    base = Some(self.sink.leaf_type(Type::Float));
                     self.bump();
                 }
                 "typeof" | "__typeof__" | "__typeof" => {
-                    // GNU typeof: capture as an opaque named type whose
-                    // name is the canonical `typeof(...)` text, so
-                    // printing round-trips.
+                    // GNU typeof: the sink makes an opaque named type.
                     self.bump();
                     self.expect(&TokenKind::LParen)?;
-                    let inner = if self.at_type_start() {
+                    let ty = if self.at_type_start() {
                         let (b, _) = self.parse_decl_specifiers()?;
                         let (_, ty, _) = self.parse_declarator(b)?;
-                        crate::pretty::print_decl(&ty, "")
+                        self.sink.typeof_type(&ty)
                     } else {
                         let e = self.parse_expr()?;
-                        crate::pretty::print_expr(&e)
+                        self.sink.typeof_expr(&e)
                     };
                     self.expect(&TokenKind::RParen)?;
-                    base = Some(Type::Named(format!("typeof({inner})").into()));
+                    base = Some(ty);
                 }
                 "double" => {
-                    base = Some(Type::Double);
+                    base = Some(self.sink.leaf_type(Type::Double));
                     self.bump();
                 }
                 "struct" | "union" => {
@@ -194,9 +190,8 @@ impl Parser {
                     self.skip_attributes();
                     let tag = match self.peek() {
                         TokenKind::Ident(n) => {
-                            let n = n.clone();
                             self.bump();
-                            n
+                            n.clone()
                         }
                         _ => Name::default(),
                     };
@@ -208,18 +203,17 @@ impl Parser {
                         self.bump();
                         let _fields = self.parse_struct_body()?;
                     }
-                    base = Some(Type::Struct {
+                    base = Some(self.sink.leaf_type(Type::Struct {
                         name: tag,
                         is_union,
-                    });
+                    }));
                 }
                 "enum" => {
                     self.bump();
                     let tag = match self.peek() {
                         TokenKind::Ident(n) => {
-                            let n = n.clone();
                             self.bump();
-                            n
+                            n.clone()
                         }
                         _ => Name::default(),
                     };
@@ -242,7 +236,7 @@ impl Parser {
                             self.bump();
                         }
                     }
-                    base = Some(Type::Enum(tag));
+                    base = Some(self.sink.leaf_type(Type::Enum(tag)));
                 }
                 other => {
                     // Typedef name — only if we have no base yet and the
@@ -254,11 +248,11 @@ impl Parser {
                         && unsigned.is_none()
                         && !crate::token::is_keyword(other)
                     {
-                        let known = self.typedefs.contains(other);
+                        let known = self.is_typedef(other);
                         let next_is_declaratorish =
                             matches!(self.peek_n(1), TokenKind::Ident(_) | TokenKind::Star);
                         if known || next_is_declaratorish {
-                            base = Some(Type::Named(other.into()));
+                            base = Some(self.sink.leaf_type(Type::Named(name.clone())));
                             self.bump();
                         }
                     }
@@ -276,7 +270,7 @@ impl Parser {
             }
         }
         let ty = if let Some(b) = base {
-            b
+            return Ok((b, flags));
         } else if longs > 0 {
             Type::Int {
                 unsigned: unsigned.unwrap_or(false),
@@ -302,7 +296,7 @@ impl Parser {
                 start,
             ));
         };
-        Ok((ty, flags))
+        Ok((self.sink.leaf_type(ty), flags))
     }
 
     /// Parse a declarator against a base type. Returns the declared name
@@ -310,7 +304,7 @@ impl Parser {
     ///
     /// Handles pointers (`*`, with qualifiers), parenthesized declarators
     /// (function pointers), array suffixes, and function parameter lists.
-    pub(crate) fn parse_declarator(&mut self, base: Type) -> Result<(Name, Type, Span)> {
+    pub(crate) fn parse_declarator(&mut self, base: S::Type) -> Result<(&'t Name, S::Type, Span)> {
         let mut ty = base;
         self.skip_attributes();
         while self.at(&TokenKind::Star) {
@@ -320,12 +314,12 @@ impl Parser {
                 self.bump();
             }
             self.skip_attributes();
-            ty = ty.ptr();
+            ty = self.sink.ptr(ty);
         }
         self.skip_attributes();
         // Direct declarator.
-        let (name, name_span, inner_is_ptr) = match self.peek().clone() {
-            TokenKind::Ident(n) if !crate::token::is_keyword(&n) => {
+        let (name, name_span, inner_is_ptr) = match self.peek() {
+            TokenKind::Ident(n) if !crate::token::is_keyword(n) => {
                 let sp = self.span();
                 self.bump();
                 (n, sp, false)
@@ -339,18 +333,18 @@ impl Parser {
                     }
                 }
                 self.skip_attributes();
-                let (n, sp) = match self.peek().clone() {
+                let (n, sp) = match self.peek() {
                     TokenKind::Ident(n) => {
                         let sp = self.span();
                         self.bump();
                         (n, sp)
                     }
-                    _ => (Name::default(), self.span()),
+                    _ => (&*NO_NAME, self.span()),
                 };
                 self.expect(&TokenKind::RParen)?;
                 (n, sp, true)
             }
-            _ => (Name::default(), self.span(), false),
+            _ => (&*NO_NAME, self.span(), false),
         };
         // Suffixes: arrays and parameter lists.
         loop {
@@ -371,21 +365,20 @@ impl Parser {
                     }
                 };
                 self.expect(&TokenKind::RBracket)?;
-                ty = Type::Array(Box::new(ty), len);
+                ty = self.sink.array(ty, len);
                 continue;
             }
             if self.at(&TokenKind::LParen) {
                 self.bump();
                 let (params, variadic) = self.parse_param_list()?;
                 self.expect(&TokenKind::RParen)?;
-                let ptypes = params.iter().map(|p| p.ty.clone()).collect();
+                let fty = self.sink.func_type(ty, &params, variadic);
                 self.last_params = params;
-                let fty = Type::Func {
-                    ret: Box::new(ty),
-                    params: ptypes,
-                    variadic,
+                ty = if inner_is_ptr {
+                    self.sink.ptr(fty)
+                } else {
+                    fty
                 };
-                ty = if inner_is_ptr { fty.ptr() } else { fty };
                 self.skip_attributes();
                 continue;
             }
@@ -401,8 +394,8 @@ impl Parser {
         matches!(self.peek_n(1), TokenKind::Star)
     }
 
-    fn parse_param_list(&mut self) -> Result<(Vec<Param>, bool)> {
-        let mut params = Vec::new();
+    fn parse_param_list(&mut self) -> Result<(S::List<S::Param>, bool)> {
+        let mut params = S::List::default();
         let mut variadic = false;
         if self.at(&TokenKind::RParen) {
             return Ok((params, variadic));
@@ -421,11 +414,8 @@ impl Parser {
             let start = self.span();
             let (base, _) = self.parse_decl_specifiers()?;
             let (name, ty, _) = self.parse_declarator(base)?;
-            params.push(Param {
-                name,
-                ty,
-                span: start.to(self.prev_span()),
-            });
+            let span = start.to(self.prev_span());
+            params.push(self.sink.param(name, ty, span));
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
@@ -436,14 +426,9 @@ impl Parser {
     /// Retrieve the parameters recorded for the most recently parsed
     /// function declarator (see `last_params`). Falls back to synthesized
     /// unnamed parameters when counts disagree (nested declarators).
-    pub(crate) fn take_last_params(&mut self, expected: usize) -> Vec<Param> {
-        if self.last_params.len() == expected {
-            std::mem::take(&mut self.last_params)
-        } else {
-            std::mem::take(&mut self.last_params)
-                .into_iter()
-                .take(expected)
-                .collect()
-        }
+    pub(crate) fn take_last_params(&mut self, expected: usize) -> S::List<S::Param> {
+        let mut params = std::mem::take(&mut self.last_params);
+        params.truncate(expected);
+        params
     }
 }

@@ -91,11 +91,13 @@ pub struct PpOutput {
 
 /// Preprocess a lexed token stream.
 pub fn preprocess(tokens: Vec<Token>, config: &PpConfig) -> Result<PpOutput> {
+    // Most files define no macros, so the output is about as long as
+    // the input: one allocation instead of a doubling series.
     let mut pp = Pp {
+        out: Vec::with_capacity(tokens.len() + 1),
         toks: tokens,
         pos: 0,
         macros: config.defines.clone(),
-        out: Vec::new(),
         includes: Vec::new(),
         // Condition stack: (currently_active, any_branch_taken_yet)
         conds: Vec::new(),
@@ -111,6 +113,8 @@ pub fn preprocess(tokens: Vec<Token>, config: &PpConfig) -> Result<PpOutput> {
 }
 
 struct Pp {
+    /// The input. Tokens before `pos` may have been moved out (see
+    /// [`Pp::take`]); only their spans are left.
     toks: Vec<Token>,
     pos: usize,
     macros: HashMap<String, MacroDef>,
@@ -128,17 +132,28 @@ impl Pp {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
+    /// Move the current token out of the input and advance. The slot
+    /// keeps the token's span in a payload-free placeholder, so passing a
+    /// token through costs no refcount traffic and no allocation.
+    fn take(&mut self) -> Token {
+        let slot = &mut self.toks[self.pos];
+        let placeholder = Token::new(TokenKind::Eof, slot.span);
+        self.pos += 1;
+        std::mem::replace(slot, placeholder)
+    }
+
     fn run(&mut self) -> Result<()> {
         while self.pos < self.toks.len() {
-            let tok = self.toks[self.pos].clone();
-            match tok.kind {
+            let head = &self.toks[self.pos];
+            match head.kind {
                 TokenKind::Eof => break,
-                TokenKind::Hash if tok.at_line_start => {
+                TokenKind::Hash if head.at_line_start => {
+                    let span = head.span;
                     self.pos += 1;
-                    self.directive(tok.span)?;
+                    self.directive(span)?;
                 }
                 _ => {
-                    self.pos += 1;
+                    let tok = self.take();
                     if self.active() {
                         // Fast path: a token that can't start a macro
                         // expansion goes straight to the output. This is
@@ -176,8 +191,7 @@ impl Pp {
             if t.kind.is_eof() || t.at_line_start {
                 break;
             }
-            line.push(t.clone());
-            self.pos += 1;
+            line.push(self.take());
         }
         line
     }
@@ -396,8 +410,7 @@ impl Pp {
             if self.pos >= self.toks.len() || self.peek().kind.is_eof() {
                 return Err(Error::pp("unterminated macro invocation", call_span));
             }
-            let t = self.toks[self.pos].clone();
-            self.pos += 1;
+            let t = self.take();
             match t.kind {
                 TokenKind::Hash if t.at_line_start => {
                     return Err(Error::pp(
@@ -790,7 +803,18 @@ mod tests {
     #[test]
     fn unterminated_if_errors() {
         let toks = lex("#if 1\nint x;\n").unwrap();
-        assert!(preprocess(toks, &PpConfig::default()).is_err());
+        let last = toks.last().unwrap().span;
+        let err = preprocess(toks, &PpConfig::default()).unwrap_err();
+        assert_eq!(err.phase, crate::error::Phase::Preprocess);
+        // The span points at the input's last token (its `Eof`).
+        assert_eq!(err.span, last);
+        // Without a trailing `Eof`, the last token was moved out on the
+        // way; its span still stands.
+        let mut toks = lex("#if 1\nint x;\n").unwrap();
+        toks.pop();
+        let semi = toks.last().unwrap().span;
+        let err = preprocess(toks, &PpConfig::default()).unwrap_err();
+        assert_eq!(err.span, semi);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::ir::*;
 use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
 use crate::report::{DistanceHistogram, Stats};
-use crate::sites::{analyze_file_traced, FileAnalysis};
+use crate::sites::FileAnalysis;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -302,26 +302,8 @@ impl Engine {
             .collect();
         let config = &self.config;
         let rec = &self.recorder;
-        let frontend = &ckit::FrontendConfig::default();
         pool.run_batch(&todo, rec, &|w, i| {
-            let f = &files[i];
-            let fa = match ckit::parse_traced_shared(&f.name, &f.content, frontend, rec) {
-                Ok(parsed) => analyze_file_traced(i, &parsed, config, rec),
-                Err(_) => {
-                    rec.count("engine_unparseable_files", 1);
-                    FileAnalysis {
-                        file: i,
-                        name: f.name.clone(),
-                        source: f.content.clone(),
-                        sites: Vec::new(),
-                        functions: Vec::new(),
-                        function_count: 0,
-                        parse_error_count: 1,
-                        summaries: Vec::new(),
-                        window_calls: Vec::new(),
-                    }
-                }
-            };
+            let fa = crate::sites::analyze_source_traced(i, &files[i], config, rec);
             slots[w]
                 .lock()
                 .expect("worker slot")

@@ -103,38 +103,114 @@ pub fn analyze_file_traced(
     config: &AnalysisConfig,
     rec: &obs::Recorder,
 ) -> FileAnalysis {
+    extract_traced(file, parsed, config, rec).0
+}
+
+/// Front end and extraction for one source file, as the engine runs
+/// them. The parse is freed inside the file's `extract` span, so the
+/// per-file spans account for the whole of a worker's time on the file.
+///
+/// At `ipa_depth` 0 without `--missing`, only a barrier site's
+/// surroundings are ever read, so the parse is count-first: a counting
+/// parse builds no AST and notes whether any call name passes
+/// [`site_call`] — exactly the calls [`may_hold_site`] tests, and more.
+/// Only a file with such a call is parsed again in full; every other file
+/// gets the site-free analysis the full path would have returned.
+pub fn analyze_source_traced(
+    file: usize,
+    src: &crate::SourceFile,
+    config: &AnalysisConfig,
+    rec: &obs::Recorder,
+) -> FileAnalysis {
+    let opens_site = |name: &str| site_call(name, config).is_some();
+    let watch: Option<&dyn Fn(&str) -> bool> =
+        (config.ipa_depth == 0 && !config.detect_missing).then_some(&opens_site);
+    let frontend = ckit::FrontendConfig::default();
+    match ckit::count_or_parse_traced(&src.name, &src.content, &frontend, rec, watch) {
+        Ok(ckit::FrontEnd::Parsed(parsed)) => {
+            let (fa, span) = extract_traced(file, &parsed, config, rec);
+            drop(parsed);
+            drop(span);
+            fa
+        }
+        Ok(ckit::FrontEnd::Counted(counts)) => {
+            let _span = rec.span_with("extract", &[("file", src.name.as_str())]);
+            FileAnalysis::site_free(
+                file,
+                src.name.clone(),
+                src.content.clone(),
+                counts.function_count,
+                counts.parse_error_count,
+            )
+        }
+        Err(_) => {
+            rec.count("engine_unparseable_files", 1);
+            FileAnalysis::site_free(file, src.name.clone(), src.content.clone(), 0, 1)
+        }
+    }
+}
+
+/// [`analyze_file_traced`], handing back the file's still-open `extract`
+/// span so a caller that owns the parse can free it inside the span.
+fn extract_traced<'r>(
+    file: usize,
+    parsed: &ParsedFile,
+    config: &AnalysisConfig,
+    rec: &'r obs::Recorder,
+) -> (FileAnalysis, obs::SpanGuard<'r>) {
     // A skipped file's `extract` span starts before the pre-check, so the
     // check's time is counted. A lowered file keeps its usual `cfg` and
     // `extract` spans, and its pre-check falls just before them. Either
     // way each file has exactly one `extract` span.
     let start = std::time::Instant::now();
     if config.ipa_depth == 0 && !may_hold_site(&parsed.unit, config) {
-        let _span = rec.span_since("extract", &[("file", parsed.map.file.as_str())], start);
-        return FileAnalysis {
+        let span = rec.span_since("extract", &[("file", parsed.map.file.as_str())], start);
+        let fa = FileAnalysis::site_free(
             file,
-            name: parsed.map.file.clone(),
-            source: parsed.source.clone(),
-            sites: Vec::new(),
-            functions: Vec::new(),
-            function_count: parsed.unit.functions().count(),
-            parse_error_count: parsed.errors.len(),
-            summaries: Vec::new(),
-            window_calls: Vec::new(),
-        };
+            parsed.map.file.clone(),
+            parsed.source.clone(),
+            parsed.unit.functions().count(),
+            parsed.errors.len(),
+        );
+        return (fa, span);
     }
     lower_and_extract(file, parsed, config, rec)
 }
 
+impl FileAnalysis {
+    /// The analysis of a file with no barrier site: only its counts.
+    fn site_free(
+        file: usize,
+        name: String,
+        source: std::sync::Arc<str>,
+        function_count: usize,
+        parse_error_count: usize,
+    ) -> FileAnalysis {
+        FileAnalysis {
+            file,
+            name,
+            source,
+            sites: Vec::new(),
+            functions: Vec::new(),
+            function_count,
+            parse_error_count,
+            summaries: Vec::new(),
+            window_calls: Vec::new(),
+        }
+    }
+}
+
 /// The full per-file path: lower every function, then find the sites and
-/// sweep their windows (and extract summaries at `ipa_depth` >= 1).
-fn lower_and_extract(
+/// sweep their windows (and extract summaries at `ipa_depth` >= 1). The
+/// `extract` span is handed back open; the lowered CFGs are freed in it.
+fn lower_and_extract<'r>(
     file: usize,
     parsed: &ParsedFile,
     config: &AnalysisConfig,
-    rec: &obs::Recorder,
-) -> FileAnalysis {
+    rec: &'r obs::Recorder,
+) -> (FileAnalysis, obs::SpanGuard<'r>) {
     let lowered = LoweredFile::lower_traced(parsed, rec);
-    let _span = rec.span_with("extract", &[("file", parsed.map.file.as_str())]);
+    let span = rec.span_with("extract", &[("file", parsed.map.file.as_str())]);
     let envs: Vec<TypeEnv<'_>> = (0..lowered.functions.len())
         .map(|i| lowered.env(i))
         .collect();
@@ -274,7 +350,7 @@ fn lower_and_extract(
             })
             .collect()
     };
-    FileAnalysis {
+    let fa = FileAnalysis {
         file,
         name: parsed.map.file.clone(),
         source: parsed.source.clone(),
@@ -284,7 +360,10 @@ fn lower_and_extract(
         parse_error_count: parsed.errors.len(),
         summaries: fn_summaries,
         window_calls,
-    }
+    };
+    drop(envs);
+    drop(lowered);
+    (fa, span)
 }
 
 /// How a call opens a barrier site.
@@ -1354,6 +1433,10 @@ void f(struct s *p) {
         );
         out.push(("plain.c".into(), "int f(int x) { return x; }\n".into()));
         out.push((
+            "paren_callee.c".into(),
+            "struct m { int flag; };\nvoid w(struct m *m) { m->flag = 1; (smp_wmb)(); }\n".into(),
+        ));
+        out.push((
             "decl_only.c".into(),
             "struct m { int flag; };\nint r(struct m *m) { int f = smp_load_acquire(&m->flag); return f; }\n".into(),
         ));
@@ -1362,6 +1445,143 @@ void f(struct s *p) {
             "struct s { atomic_t n; int x; };\nint f(struct s *p) { p->x = 1; return atomic_inc_return(&p->n); }\n".into(),
         ));
         out
+    }
+
+    /// Count-first against the full parse on one source, at both
+    /// `pair_with_atomics` settings: the counting parse reports the full
+    /// parse's counts, flags the file whenever `may_hold_site` would lower
+    /// it, and the engine's per-file result is byte-identical either way.
+    fn assert_count_first_matches_full(name: &str, src: &str) {
+        let Ok(toks) = ckit::lexer::lex(src) else {
+            return;
+        };
+        let Ok(ppo) = ckit::pp::preprocess(toks, &Default::default()) else {
+            return;
+        };
+        let parser = ckit::ParserConfig::default();
+        let full = ckit::parser::parse_token_slice(&ppo.tokens, &parser);
+        let parsed = ckit::parse_string(name, src).expect("lex and pp passed");
+        for pair_with_atomics in [false, true] {
+            let config = AnalysisConfig {
+                pair_with_atomics,
+                ..Default::default()
+            };
+            let opens_site = |n: &str| site_call(n, &config).is_some();
+            let counts = ckit::parser::count_tokens(&ppo.tokens, &parser, &opens_site);
+            assert_eq!(
+                (counts.function_count, counts.parse_error_count),
+                (full.unit.functions().count(), full.errors.len()),
+                "{name}: counting and full parse disagree"
+            );
+            if may_hold_site(&full.unit, &config) {
+                assert!(
+                    counts.watched_call,
+                    "{name}: counting parse missed a site call"
+                );
+            }
+            let source = crate::SourceFile::new(name, src);
+            let fast = analyze_source_traced(0, &source, &config, &obs::Recorder::new());
+            let slow = analyze_file(0, &parsed, &config);
+            assert_eq!(
+                serde_json::to_string(&fast).unwrap(),
+                serde_json::to_string(&slow).unwrap(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn count_first_matches_the_full_parse_on_fixtures_and_corpora() {
+        for (name, src) in precheck_sources() {
+            assert_count_first_matches_full(&name, &src);
+        }
+        // Bug-free corpora with barrier-free filler files, as the
+        // throughput tiers are shaped.
+        for seed in [1, 2] {
+            let spec = ofence_corpus::CorpusSpec {
+                filler_files: 30,
+                noise_per_file: 2,
+                ..ofence_corpus::CorpusSpec::small(seed)
+            };
+            for f in ofence_corpus::generate(&spec).files {
+                assert_count_first_matches_full(&f.name, &f.content);
+            }
+        }
+    }
+
+    /// Source-ish token soup, biased towards barrier and atomic calls and
+    /// towards the grammar's corners (casts, labels, typedefs, asm).
+    fn arb_soup() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let token = prop_oneof![
+            Just("int"),
+            Just("u32"),
+            Just("struct"),
+            Just("typedef"),
+            Just("if"),
+            Just("else"),
+            Just("return"),
+            Just("for"),
+            Just("case"),
+            Just("sizeof"),
+            Just("asm"),
+            Just("smp_wmb"),
+            Just("smp_load_acquire"),
+            Just("atomic_inc_return"),
+            Just("atomic_read"),
+            Just("f"),
+            Just("x"),
+            Just("("),
+            Just(")"),
+            Just("{"),
+            Just("}"),
+            Just("["),
+            Just("]"),
+            Just(";"),
+            Just(","),
+            Just(":"),
+            Just("?"),
+            Just("*"),
+            Just("->"),
+            Just("="),
+            Just("&"),
+            Just("1"),
+            Just("\"s\""),
+            Just("#define"),
+            Just("#if"),
+            Just("#endif"),
+            Just("\n"),
+        ];
+        proptest::collection::vec(token, 0..80).prop_map(|v| v.join(" "))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn count_first_matches_the_full_parse_on_token_soup(src in arb_soup()) {
+            assert_count_first_matches_full("soup.c", &src);
+        }
+
+        /// Generated files cut short: malformed, but mostly real code.
+        #[test]
+        fn count_first_matches_the_full_parse_on_truncated_files(
+            seed in proptest::prelude::any::<u64>(),
+            cut in 0.0f64..1.0,
+        ) {
+            let spec = ofence_corpus::CorpusSpec {
+                files: 2,
+                bugs: ofence_corpus::BugPlan::none(),
+                ..ofence_corpus::CorpusSpec::small(seed)
+            };
+            for f in ofence_corpus::generate(&spec).files {
+                let mut end = (f.content.len() as f64 * cut) as usize;
+                while !f.content.is_char_boundary(end) {
+                    end -= 1;
+                }
+                assert_count_first_matches_full(&f.name, &f.content[..end]);
+            }
+        }
     }
 
     #[test]
@@ -1377,7 +1597,7 @@ void f(struct s *p) {
             let (mut skipped, mut lowered) = (0, 0);
             for (name, src) in &sources {
                 let parsed = ckit::parse_string(name, src).unwrap();
-                let full = lower_and_extract(0, &parsed, &config, &obs::Recorder::new());
+                let full = lower_and_extract(0, &parsed, &config, &obs::Recorder::new()).0;
                 if may_hold_site(&parsed.unit, &config) {
                     lowered += 1;
                     continue;
