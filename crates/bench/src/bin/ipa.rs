@@ -16,6 +16,7 @@
 //! dominated by scheduler noise, while the span isolates exactly the
 //! work depth adds. Raw cold/warm times per depth are reported too.
 //! Results land in `BENCH_ipa.json`.
+#![deny(unsafe_code)]
 
 use std::time::Instant;
 

@@ -7,6 +7,7 @@
 //! Each section prints the paper's artifact next to the measured value so
 //! the shape comparison is immediate. `--json` additionally dumps the raw
 //! numbers for archival (EXPERIMENTS.md is generated from this output).
+#![deny(unsafe_code)]
 
 use ofence::{AnalysisConfig, DeviationKind, Engine, SourceFile};
 use ofence_bench::harness;

@@ -11,13 +11,14 @@
 //! re-analyzes after a one-file edit with the sharded disk cache loaded
 //! in a fresh engine (a new process image), so warm cost scales with the
 //! edit set, not the corpus. Per-tier phase timings, cache economics, and
-//! worker utilization (busy/idle/steals) come from the run's obs
+//! worker utilization (busy/idle) come from the run's obs
 //! snapshot, so the report shows *where* the time goes, not just totals.
 //!
 //! `--baseline FILE` merges a previously recorded BENCH_scale.json (e.g.
 //! one captured before a refactor) and reports cold/warm speedups per
 //! tier against it. `--perf-ledger FILE` appends the best cold and warm
 //! 1.2k-tier runs as [`ofence::perf`] records for `ofence perf --gate`.
+#![deny(unsafe_code)]
 
 use std::time::Instant;
 
@@ -138,7 +139,7 @@ fn main() {
             }
         }
         let cold_counts: std::collections::HashMap<&str, u64> =
-            ["workers", "worker_busy_us", "worker_idle_us", "pool_steals"]
+            ["workers", "worker_busy_us", "worker_idle_us"]
                 .into_iter()
                 .map(|c| (c, cold_result.obs.count_of(c)))
                 .collect();
@@ -202,7 +203,6 @@ fn main() {
             "workers": cold_counts["workers"],
             "worker_busy_us": cold_counts["worker_busy_us"],
             "worker_idle_us": cold_counts["worker_idle_us"],
-            "pool_steals": cold_counts["pool_steals"],
             "shard_load_us": warm_result.obs.count_of("shard_load_us"),
         }));
 

@@ -1,3 +1,4 @@
 //! Benchmark/report harness for the OFence reproduction.
+#![deny(unsafe_code)]
 
 pub mod harness;

@@ -11,6 +11,7 @@
 //! let lowered = cfgir::LoweredFile::lower(&parsed);
 //! assert_eq!(lowered.cfgs.len(), 1);
 //! ```
+#![deny(unsafe_code)]
 
 pub mod callgraph;
 pub mod cfg;

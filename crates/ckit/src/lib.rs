@@ -10,6 +10,7 @@
 //! assert!(out.errors.is_empty());
 //! assert_eq!(out.unit.functions().count(), 1);
 //! ```
+#![deny(unsafe_code)]
 
 pub mod ast;
 pub mod error;

@@ -77,8 +77,8 @@ thread.
 (default --addr 127.0.0.1:0; the bound address is printed). Per-run
 outputs (--trace-out, --metrics-out, --sarif-out) and exit policies
 (--baseline, --fail-on) are refused; --events-out streams every run's
-events. Concurrent clients share one warm engine cache and worker pool,
-and identical overlapping requests coalesce into a single analysis.
+events. Concurrent clients share one warm engine cache, and identical
+overlapping requests coalesce into a single analysis.
 Methods: ping, status, trace, analyze, analyze-file, explain, diff,
 baseline-gate, shutdown. `--metrics HOST:PORT` additionally serves live
 `GET /metrics` + `GET /health` + `GET /debug/requests` +

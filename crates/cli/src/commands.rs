@@ -285,8 +285,9 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
 }
 
 /// `ofence serve` — the long-running analysis daemon: one shared
-/// [`ofence::Session`] (warm engine cache, persistent worker pool,
-/// coalesced identical requests) behind newline-delimited JSON-RPC.
+/// [`ofence::Session`] (warm engine cache, coalesced identical requests,
+/// a panicking analysis failing its requests instead of hanging them)
+/// behind newline-delimited JSON-RPC.
 /// Runs until a client sends `shutdown`.
 fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
     // Fail fast on an unservable corpus (nonexistent path, no .c files)

@@ -56,6 +56,7 @@
 //! ```
 //!
 //! Paths may be files or directories (searched recursively for `*.c`).
+#![deny(unsafe_code)]
 
 mod args;
 mod commands;

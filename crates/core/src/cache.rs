@@ -85,7 +85,6 @@ use crate::sites::{FileAnalysis, FunctionInfo};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bump on any change to the serialized cache shape.
@@ -138,27 +137,6 @@ pub fn shard_of(path: &str) -> usize {
 /// File name of shard `i` inside the cache directory.
 pub fn shard_file_name(i: usize) -> String {
     format!("shard-{i:02}.json")
-}
-
-/// Run `work` on each item from a shared queue, on one worker per core
-/// (at most one per item). Decoding and encoding are allocation-heavy:
-/// more threads than cores just serialize on the allocator (measured
-/// 5-8x slower at 16 threads on one core), so the count stays bounded.
-fn on_workers<T: Sync>(items: &[T], work: impl Fn(&T) + Sync) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    work(item);
-                }
-            });
-        }
-    });
 }
 
 /// Fingerprint of the analysis configuration: any config change must
@@ -304,7 +282,7 @@ fn encode_doc(mut entries: Vec<CacheEntry>, fp: u64) -> String {
 fn read_shards(dir: &Path, fp: u64) -> Vec<ShardOutcome> {
     let slots: Vec<(usize, Mutex<ShardOutcome>)> =
         (0..SHARD_COUNT).map(|i| (i, Mutex::new(None))).collect();
-    on_workers(&slots, |(i, slot)| {
+    crate::pool::for_each(&slots, None, |_w, (i, slot)| {
         let path = dir.join(shard_file_name(*i));
         let outcome = match std::fs::read_to_string(&path) {
             Ok(text) => Some(decode_shard(&text, fp)),
@@ -480,7 +458,7 @@ impl Store {
             .map(|&i| (i, Mutex::new(buckets[i].take().unwrap_or_default())))
             .collect();
         let results = Mutex::new(Vec::with_capacity(jobs.len()));
-        on_workers(&jobs, |(i, entries)| {
+        crate::pool::for_each(&jobs, None, |_w, (i, entries)| {
             let entries = std::mem::take(&mut *entries.lock().expect("shard slot"));
             let result = write_shard(dir, *i, encode_doc(entries, fp));
             results.lock().expect("shard results").push((*i, result));

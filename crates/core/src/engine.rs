@@ -143,11 +143,11 @@ impl AnalysisResult {
     }
 }
 
-/// The analysis engine. Holds configuration, the incremental cache, and
-/// the run recorder.
 /// Per-worker result slot: locked only by its owning worker.
 type WorkerSlot = Mutex<Vec<(usize, Arc<FileAnalysis>)>>;
 
+/// The analysis engine. Holds configuration, the incremental cache, and
+/// the run recorder.
 pub struct Engine {
     pub config: AnalysisConfig,
     /// file path -> (content hash, cached per-file analysis). An entry is
@@ -169,6 +169,32 @@ pub struct Engine {
     /// Presentation only — deliberately not part of [`AnalysisConfig`],
     /// so changing it never invalidates caches or fingerprints.
     slow_files: usize,
+    /// Test hook: panic inside one file's per-file analysis, to prove a
+    /// worker's panic fails the request instead of hanging it.
+    #[cfg(test)]
+    pub(crate) panic_on_file: Option<PanicOnFile>,
+}
+
+/// Test hook (see [`Engine::panic_on_file`]): the analysis of the file
+/// whose name ends with `file` waits until `release` is set, then panics.
+#[cfg(test)]
+pub(crate) struct PanicOnFile {
+    pub file: String,
+    pub release: Arc<std::sync::atomic::AtomicBool>,
+}
+
+#[cfg(test)]
+impl PanicOnFile {
+    fn hit(&self, name: &str) {
+        if !name.ends_with(&self.file) {
+            return;
+        }
+        let t0 = std::time::Instant::now();
+        while !self.release.load(Ordering::SeqCst) && t0.elapsed().as_secs() < 30 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("injected panic analyzing {name}");
+    }
 }
 
 impl Engine {
@@ -179,6 +205,8 @@ impl Engine {
             recorder: obs::Recorder::new(),
             pending_counts: Vec::new(),
             slow_files: DEFAULT_SLOW_FILES,
+            #[cfg(test)]
+            panic_on_file: None,
         }
     }
 
@@ -230,8 +258,9 @@ impl Engine {
         saved.map(|stats| stats.entries)
     }
 
-    /// Analyze a corpus from scratch (cache is still populated for
-    /// subsequent incremental runs).
+    /// Analyze a corpus: files whose path and content hash match a cache
+    /// entry are served from the cache, the rest are analyzed and cached
+    /// for the next run. Pairing and checking always run over every site.
     pub fn analyze(&mut self, files: &[SourceFile]) -> AnalysisResult {
         self.recorder.reset();
         for (name, delta) in self.pending_counts.drain(..) {
@@ -287,22 +316,22 @@ impl Engine {
         }
         self.recorder
             .count("engine_files_analyzed", todo.len() as u64);
-        // Parallel per-file analysis of the remainder on the persistent
-        // work-stealing pool. Largest files first: the round-robin deal
-        // spreads the heavy head across worker deques, and stealing only
-        // has to trim the tail.
+        // Parallel per-file analysis of the remainder, largest files
+        // first: workers take files in order, so the heavy head spreads
+        // across them and the tail is one small file.
         todo.sort_by_key(|&i| std::cmp::Reverse(files[i].content.len()));
-        let pool = crate::pool::global();
-        self.recorder
-            .count("workers", pool.workers().min(todo.len().max(1)) as u64);
-        // Per-worker result vectors: each slot is locked only by its
-        // owning worker, replacing the old contended `Mutex<Vec<_>>`.
-        let slots: Vec<WorkerSlot> = (0..pool.workers())
+        let slots: Vec<WorkerSlot> = (0..crate::pool::threads().min(todo.len()))
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         let config = &self.config;
         let rec = &self.recorder;
-        pool.run_batch(&todo, rec, &|w, i| {
+        #[cfg(test)]
+        let panic_on_file = &self.panic_on_file;
+        crate::pool::for_each(&todo, Some(rec), |w, &i| {
+            #[cfg(test)]
+            if let Some(hook) = panic_on_file {
+                hook.hit(&files[i].name);
+            }
             let fa = crate::sites::analyze_source_traced(i, &files[i], config, rec);
             slots[w]
                 .lock()

@@ -36,6 +36,7 @@
 //! let result = Engine::new(AnalysisConfig::default()).analyze(&files);
 //! assert_eq!(result.pairing.pairings.len(), 1);
 //! ```
+#![deny(unsafe_code)]
 
 pub mod annotate;
 pub mod cache;

@@ -1,319 +1,116 @@
-//! Persistent work-stealing worker pool.
+//! The one parallel loop: [`for_each`] runs a closure over a slice on
+//! scoped threads.
 //!
-//! The engine used to spawn a fresh `thread::scope` per run and feed
-//! workers from a single atomic cursor, collecting results through one
-//! contended `Mutex<Vec<_>>`. This module replaces that with a pool of
-//! long-lived workers (reused across watch iterations and repeated
-//! [`crate::engine::Engine`] runs) fed from per-worker deques:
+//! * At most one thread per core, and never more than there are items:
+//!   decoding, encoding and parsing are allocation-heavy, and more
+//!   threads than cores just serialize on the allocator (measured 5-8x
+//!   slower with 16 threads on one core).
+//! * The caller's thread works as worker 0, so a one-item batch (a
+//!   one-file edit) spawns no thread at all.
+//! * Items are taken in order from one shared cursor. Callers that sort
+//!   their items largest-first get a longest-first schedule: the heavy
+//!   head spreads across workers and the tail is one small item.
+//! * A panicking item fails the whole call: no worker takes another
+//!   item, every worker is joined, and then the first panic payload is
+//!   re-raised on the caller with `resume_unwind`, so a `catch_unwind`
+//!   around the caller sees the original message.
 //!
-//! * each worker owns a deque seeded round-robin with the batch's tasks
-//!   (the caller pre-sorts tasks largest-first, so the round-robin deal
-//!   spreads the heavy head across workers);
-//! * a worker pops from the **back** of its own deque and, when empty,
-//!   steals from the **front** of a sibling's — stolen tasks are the
-//!   ones their owner would reach last, which keeps the steal rate and
-//!   the idle tail low;
-//! * results never funnel through a shared vector: the job closure
-//!   receives `(worker, task)` so callers keep per-worker result
-//!   vectors, each locked only by its owning worker.
-//!
-//! Telemetry per batch, recorded into the caller's [`obs::Recorder`]:
-//! `worker_busy_us` / `worker_idle_us` (idle = batch wall minus own busy
-//! time, i.e. wake-up latency plus the queue-exhaustion tail),
-//! `pool_steals`, and a `worker_files` histogram sample per worker.
-//!
-//! # Safety
-//!
-//! `run_batch` hands the workers a borrowed closure and recorder via
-//! type-erased pointers. It does not return until every task has
-//! finished **and** every worker has dropped out of the batch, so the
-//! borrows strictly outlive all use — the classic scoped-pool contract,
-//! enforced by the `remaining`/`active` accounting under the state lock.
+//! With a recorder, each call records `workers` (the threads it used)
+//! plus one `worker_busy_us` / `worker_idle_us` count and one
+//! `worker_files` histogram sample per worker. Idle is the worker's
+//! lifetime minus its busy time: spawn latency plus the cursor's tail.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// A batch job: type-erased borrowed closure plus the batch start time.
-/// Only dereferenced while the owning `run_batch` call is blocked.
-struct Job {
-    run: *const (dyn Fn(usize, usize) + Sync),
-    started: Instant,
-}
-
-// SAFETY: the pointer targets live on the `run_batch` caller's stack and
-// are only dereferenced between batch publication and the final worker
-// sign-off, both of which happen before `run_batch` returns.
-unsafe impl Send for Job {}
-
-struct State {
-    /// Current batch, if any. `epoch` distinguishes batches so a worker
-    /// never re-enters one it already finished.
-    job: Option<Job>,
-    epoch: u64,
-    deques: Vec<VecDeque<usize>>,
-    /// Tasks not yet completed in the current batch.
-    remaining: usize,
-    /// Workers still inside the current batch.
-    active: usize,
-    shutdown: bool,
-}
-
-struct PerWorker {
-    busy_us: AtomicU64,
-    idle_us: AtomicU64,
-    tasks: AtomicU64,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Wakes workers when a batch is published (or on shutdown).
-    work_ready: Condvar,
-    /// Wakes the submitter when the last worker signs off.
-    batch_done: Condvar,
-    per_worker: Vec<PerWorker>,
-    steals: AtomicU64,
-}
-
-/// Per-batch utilization, also flushed into the recorder by `run_batch`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    pub busy_us: u64,
-    pub idle_us: u64,
-    pub steals: u64,
-}
-
-/// A persistent pool of `n` workers. One global instance (sized to the
-/// machine) is shared by every engine via [`global`]; tests build small
-/// explicit pools to exercise stealing deterministically.
-pub struct Pool {
-    shared: &'static Shared,
-    workers: usize,
-    /// Serializes batches: the pool runs one batch at a time, so two
-    /// engines analyzing concurrently take turns rather than interleave.
-    submit: Mutex<()>,
-}
-
-impl Pool {
-    /// Spawn a pool with `n` workers (at least 1). Workers park on a
-    /// condvar between batches; an idle pool costs nothing but memory.
-    pub fn new(n: usize) -> Pool {
-        let n = n.max(1);
-        // The pool's threads never terminate (workers of the global pool
-        // outlive every engine), so the shared block is simply leaked —
-        // one allocation per pool, and tests create only a handful.
-        let shared: &'static Shared = Box::leak(Box::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                epoch: 0,
-                deques: (0..n).map(|_| VecDeque::new()).collect(),
-                remaining: 0,
-                active: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
-            per_worker: (0..n)
-                .map(|_| PerWorker {
-                    busy_us: AtomicU64::new(0),
-                    idle_us: AtomicU64::new(0),
-                    tasks: AtomicU64::new(0),
-                })
-                .collect(),
-            steals: AtomicU64::new(0),
-        }));
-        for w in 0..n {
-            std::thread::Builder::new()
-                .name(format!("ofence-pool-{w}"))
-                .spawn(move || worker_loop(shared, w))
-                .expect("spawn pool worker");
-        }
-        Pool {
-            shared,
-            workers: n,
-            submit: Mutex::new(()),
-        }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Run `f(worker, task)` for every task index in `tasks`, blocking
-    /// until all complete. Tasks are dealt round-robin to the worker
-    /// deques in the given order — pass them sorted by decreasing cost
-    /// so the deal balances and stealing only has to trim the tail.
-    ///
-    /// Utilization counters and a `pool_steals` count for this batch are
-    /// recorded into `rec`.
-    pub fn run_batch(
-        &self,
-        tasks: &[usize],
-        rec: &obs::Recorder,
-        f: &(dyn Fn(usize, usize) + Sync),
-    ) -> BatchStats {
-        if tasks.is_empty() {
-            return BatchStats::default();
-        }
-        let _turn = self.submit.lock().expect("pool submit");
-        let shared = self.shared;
-        for pw in &shared.per_worker {
-            pw.busy_us.store(0, Ordering::Relaxed);
-            pw.idle_us.store(0, Ordering::Relaxed);
-            pw.tasks.store(0, Ordering::Relaxed);
-        }
-        shared.steals.store(0, Ordering::Relaxed);
-        {
-            let mut st = shared.state.lock().expect("pool state");
-            for (k, &t) in tasks.iter().enumerate() {
-                st.deques[k % self.workers].push_back(t);
-            }
-            st.remaining = tasks.len();
-            st.active = self.workers;
-            st.epoch += 1;
-            // SAFETY: see module docs — cleared below before returning.
-            st.job = Some(Job {
-                run: unsafe {
-                    std::mem::transmute::<
-                        *const (dyn Fn(usize, usize) + Sync),
-                        *const (dyn Fn(usize, usize) + Sync),
-                    >(f as *const _)
-                },
-                started: Instant::now(),
-            });
-            shared.work_ready.notify_all();
-            let mut st = shared
-                .batch_done
-                .wait_while(st, |st| st.remaining > 0 || st.active > 0)
-                .expect("pool batch");
-            st.job = None;
-        }
-        let mut stats = BatchStats::default();
-        for pw in &shared.per_worker {
-            let busy = pw.busy_us.load(Ordering::Relaxed);
-            let idle = pw.idle_us.load(Ordering::Relaxed);
-            stats.busy_us += busy;
-            stats.idle_us += idle;
-            rec.count("worker_busy_us", busy);
-            rec.count("worker_idle_us", idle);
-            rec.observe("worker_files", pw.tasks.load(Ordering::Relaxed));
-        }
-        stats.steals = shared.steals.load(Ordering::Relaxed);
-        rec.count("pool_steals", stats.steals);
-        stats
-    }
-}
-
-/// The process-wide pool, sized to the machine, created on first use and
-/// reused by every subsequent engine run.
-pub fn global() -> &'static Pool {
-    static GLOBAL: OnceLock<Pool> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        Pool::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
+/// Threads a batch may use: the machine's parallelism, computed once per
+/// process.
+pub fn threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     })
 }
 
-fn worker_loop(shared: &'static Shared, w: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        // Park until a batch newer than the last one we worked appears.
-        let (run, started, epoch) = {
-            let mut st = shared.state.lock().expect("pool state");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(job) = &st.job {
-                    if st.epoch > seen_epoch {
-                        break (job.run, job.started, st.epoch);
-                    }
-                }
-                st = shared.work_ready.wait(st).expect("pool state");
-            }
-        };
-        seen_epoch = epoch;
-        let mut busy_us = 0u64;
-        let mut tasks_done = 0u64;
-        loop {
-            // Own deque from the back; steal from a sibling's front.
-            let task = {
-                let mut st = shared.state.lock().expect("pool state");
-                if st.epoch != epoch {
-                    None
-                } else if let Some(t) = st.deques[w].pop_back() {
-                    Some(t)
-                } else {
-                    let n = st.deques.len();
-                    let mut stolen = None;
-                    for off in 1..n {
-                        if let Some(t) = st.deques[(w + off) % n].pop_front() {
-                            stolen = Some(t);
-                            break;
-                        }
-                    }
-                    if stolen.is_some() {
-                        shared.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    stolen
-                }
-            };
-            let Some(task) = task else { break };
+/// Run `work(worker, item)` for every item, on `min(threads(),
+/// items.len())` threads, and return once all are done. `worker` is
+/// below that thread count, so callers can keep per-worker result slots.
+/// A panic in `work` is re-raised here after every worker has stopped.
+pub fn for_each<T: Sync>(
+    items: &[T],
+    rec: Option<&obs::Recorder>,
+    work: impl Fn(usize, &T) + Sync,
+) {
+    let workers = threads().min(items.len());
+    if workers == 0 {
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let started = Instant::now();
+    let run = |w: usize| -> std::thread::Result<()> {
+        let (mut busy_us, mut done) = (0u64, 0u64);
+        while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
             let t0 = Instant::now();
-            // SAFETY: `remaining > 0` (this task), so the submitter is
-            // still blocked and the closure borrow is live.
-            unsafe { (*run)(w, task) };
+            catch_unwind(AssertUnwindSafe(|| work(w, item))).inspect_err(|_| {
+                // The batch has failed: no worker takes another item.
+                next.store(items.len(), Ordering::Relaxed);
+            })?;
             busy_us += t0.elapsed().as_micros() as u64;
-            tasks_done += 1;
-            let mut st = shared.state.lock().expect("pool state");
-            st.remaining -= 1;
+            done += 1;
         }
-        // Publish this worker's utilization, then sign off. The slots
-        // are written strictly before the last `active` decrement wakes
-        // the submitter, which reads them after the condvar handoff.
-        let wall_us = started.elapsed().as_micros() as u64;
-        let pw = &shared.per_worker[w];
-        pw.busy_us.store(busy_us, Ordering::Relaxed);
-        pw.idle_us
-            .store(wall_us.saturating_sub(busy_us), Ordering::Relaxed);
-        pw.tasks.store(tasks_done, Ordering::Relaxed);
-        let mut st = shared.state.lock().expect("pool state");
-        st.active -= 1;
-        if st.remaining == 0 && st.active == 0 {
-            shared.batch_done.notify_all();
+        if let Some(rec) = rec {
+            let idle_us = (started.elapsed().as_micros() as u64).saturating_sub(busy_us);
+            rec.count("worker_busy_us", busy_us);
+            rec.count("worker_idle_us", idle_us);
+            rec.observe("worker_files", done);
         }
+        Ok(())
+    };
+    let outcome = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || run(w))).collect();
+        let own = run(0);
+        // Join every worker, keeping the first panic in worker order.
+        spawned
+            .into_iter()
+            .map(|h| h.join().and_then(|r| r))
+            .fold(own, Result::and)
+    });
+    if let Err(payload) = outcome {
+        resume_unwind(payload);
+    }
+    if let Some(rec) = rec {
+        rec.count("workers", workers as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     #[test]
     fn runs_every_task_once() {
-        let pool = Pool::new(4);
-        let rec = obs::Recorder::new();
         let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        let tasks: Vec<usize> = (0..64).collect();
-        pool.run_batch(&tasks, &rec, &|_w, t| {
+        let items: Vec<usize> = (0..64).collect();
+        let rec = obs::Recorder::new();
+        for_each(&items, Some(&rec), |_w, &t| {
             hits[t].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+        let snap = rec.snapshot();
+        assert_eq!(snap.count_of("workers"), threads().min(64) as u64);
     }
 
     #[test]
     fn reuse_across_batches() {
-        let pool = Pool::new(2);
-        let rec = obs::Recorder::new();
         let total = AtomicUsize::new(0);
         for round in 1..=5usize {
-            let tasks: Vec<usize> = (0..round * 3).collect();
-            pool.run_batch(&tasks, &rec, &|_w, _t| {
+            let items: Vec<usize> = (0..round * 3).collect();
+            for_each(&items, None, |_w, _t| {
                 total.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -321,44 +118,23 @@ mod tests {
     }
 
     #[test]
-    fn steals_close_the_idle_tail() {
-        // One long task dealt to worker 0, many short ones to the rest:
-        // with 4 workers and a round-robin deal every worker gets work,
-        // and once the short queues drain the idle workers must steal
-        // worker 0's remaining tasks for the batch to finish quickly.
-        let pool = Pool::new(4);
-        let rec = obs::Recorder::new();
-        let tasks: Vec<usize> = (0..32).collect();
-        let stats = pool.run_batch(&tasks, &rec, &|_w, t| {
-            if t % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        });
-        // All of worker 0's tasks sleep; siblings finish early and steal.
-        assert!(
-            stats.steals > 0,
-            "expected steals in an unbalanced batch, got {stats:?}"
-        );
-        assert_eq!(rec.snapshot().count_of("pool_steals"), stats.steals);
-    }
-
-    #[test]
     fn empty_batch_is_a_noop() {
-        let pool = Pool::new(2);
         let rec = obs::Recorder::new();
-        let stats = pool.run_batch(&[], &rec, &|_w, _t| panic!("no tasks"));
-        assert_eq!(stats, BatchStats::default());
+        for_each(&[] as &[usize], Some(&rec), |_w, _t| panic!("no items"));
+        let snap = rec.snapshot();
+        assert_eq!(snap.count_of("workers"), 0);
+        assert_eq!(snap.count_of("worker_busy_us"), 0);
     }
 
     #[test]
     fn per_worker_slots_are_disjoint() {
-        // The (worker, task) contract: per-worker result vectors need no
-        // cross-worker synchronization beyond their own mutex.
-        let pool = Pool::new(3);
-        let rec = obs::Recorder::new();
-        let slots: Vec<Mutex<Vec<usize>>> = (0..3).map(|_| Mutex::new(Vec::new())).collect();
-        let tasks: Vec<usize> = (0..48).collect();
-        pool.run_batch(&tasks, &rec, &|w, t| {
+        // The (worker, item) contract: `worker` indexes a slot vector of
+        // `threads()` entries, each locked only by its owning worker.
+        let slots: Vec<Mutex<Vec<usize>>> =
+            (0..threads()).map(|_| Mutex::new(Vec::new())).collect();
+        let items: Vec<usize> = (0..48).collect();
+        for_each(&items, None, |w, &t| {
+            assert!(w < threads().min(items.len()), "worker {w} out of range");
             slots[w].lock().unwrap().push(t);
         });
         let mut all: Vec<usize> = slots
@@ -367,5 +143,63 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..48).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_item_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for_each(&[7], None, |w, _t| {
+            assert_eq!(w, 0);
+            assert_eq!(std::thread::current().id(), caller);
+        });
+    }
+
+    #[test]
+    fn panic_payload_reaches_the_caller() {
+        // Whichever worker takes the hostile item, the call returns (no
+        // hang) with the original payload.
+        let items: Vec<usize> = (0..16).collect();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for_each(&items, None, |_w, &t| {
+                if t == 5 {
+                    panic!("item {t} is hostile");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("item 5 is hostile")
+        );
+    }
+
+    #[test]
+    fn a_spawned_workers_panic_reaches_the_caller() {
+        // A panic off the caller's thread must still reach the caller.
+        // The caller's item waits until a spawned worker has taken one,
+        // so the panic is never the caller's own.
+        if threads() < 2 {
+            return;
+        }
+        let caller = std::thread::current().id();
+        let spawned_ran = std::sync::atomic::AtomicBool::new(false);
+        let items: Vec<usize> = (0..threads() * 4).collect();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for_each(&items, None, |_w, _t| {
+                if std::thread::current().id() != caller {
+                    spawned_ran.store(true, Ordering::SeqCst);
+                    panic!("spawned worker failed");
+                }
+                let t0 = Instant::now();
+                while !spawned_ran.load(Ordering::SeqCst) && t0.elapsed().as_secs() < 30 {
+                    std::thread::yield_now();
+                }
+            })
+        }));
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"spawned worker failed")
+        );
     }
 }

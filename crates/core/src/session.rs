@@ -7,8 +7,10 @@
 //! session: a one-shot CLI subcommand makes one request, `ofence watch`
 //! adds a poll loop ([`Session::snapshot_key`]), and `ofence serve` puts
 //! a socket in front of it, serving many concurrent `analyze` /
-//! `explain` / `diff` / `baseline-gate` requests against one warm cache
-//! and one persistent worker pool.
+//! `explain` / `diff` / `baseline-gate` requests against one warm cache.
+//! A run analyzes its changed files in parallel with
+//! [`crate::pool::for_each`]; a panic there fails the request that ran
+//! it, like any other panic in the analysis.
 //!
 //! The session never fails a run over its disk side: a discarded cache,
 //! a failed cache save or a failed ledger append is carried on the
@@ -180,7 +182,7 @@ pub struct Session {
     opts: SessionOptions,
     /// The engine — and with it the in-memory parsed-AST/summary cache —
     /// shared by every request. One analysis at a time; the per-file
-    /// parallelism inside a run comes from the persistent global pool.
+    /// parallelism inside a run comes from [`crate::pool::for_each`].
     engine: Mutex<Engine>,
     /// What loading the disk cache at start-up found, until the first
     /// run takes it onto its [`RunHandle`].
@@ -827,6 +829,10 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         assert_eq!(first.corpus_key, second.corpus_key);
         assert_eq!(second.result.obs.count_of("engine_files_analyzed"), 0);
         assert_eq!(second.result.obs.count_of("engine_cache_hits"), 1);
+        // No per-file work ran, so no worker did either.
+        assert_eq!(first.result.stats.workers, 1);
+        assert_eq!(second.result.stats.workers, 0);
+        assert_eq!(second.result.stats.worker_busy_us, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1000,6 +1006,81 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         let handle = session.current_run().unwrap();
         assert!(!handle.records.is_empty() || handle.result.stats.files_total == 1);
         assert_eq!(counter(&session, "serve_coalesced"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_file_fails_its_request_instead_of_hanging_it() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let dir = tempdir("file-panic");
+        for i in 0..8 {
+            std::fs::write(dir.join(format!("f{i:02}.c")), CLEAN).unwrap();
+        }
+        let session = Arc::new(session_over(&dir));
+        // One file's per-file analysis panics, on whichever worker takes
+        // it, once it is released.
+        let release = Arc::new(AtomicBool::new(false));
+        session.engine.lock().unwrap().panic_on_file = Some(crate::engine::PanicOnFile {
+            file: "f03.c".to_string(),
+            release: release.clone(),
+        });
+        // Requests report over a channel and are joined only once all
+        // have reported, so a hung request fails this test by timeout
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let request = || {
+            let (session, tx) = (session.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let _ = tx.send(session.current_run().map(|_| ()));
+            })
+        };
+        let flight_holders = || {
+            let map = session.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            map.values().map(Arc::strong_count).max().unwrap_or(0)
+        };
+        let wait_for = |holders: usize| {
+            let t0 = Instant::now();
+            while flight_holders() < holders {
+                assert!(t0.elapsed() < Duration::from_secs(30), "no flight");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // The leader's flight is held by the map and the leader; each
+        // joiner that coalesces onto it holds one more.
+        let mut threads = vec![request()];
+        wait_for(2);
+        threads.extend([request(), request()]);
+        wait_for(4);
+        release.store(true, Ordering::SeqCst);
+        for _ in 0..3 {
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("request hung on a panicking file");
+            let err = outcome.expect_err("the panic fails the request");
+            assert!(err.contains("analysis panicked"), "{err}");
+            assert!(err.contains("injected panic analyzing"), "{err}");
+            assert!(err.contains("f03.c"), "{err}");
+        }
+        for t in threads {
+            t.join().expect("request thread");
+        }
+        assert_eq!(counter(&session, "serve_errors"), 3);
+        assert_eq!(counter(&session, "serve_coalesced"), 2);
+        assert!(session
+            .inflight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty());
+        // The engine lock recovers from the poisoning and the next
+        // request analyzes the file it failed on.
+        session
+            .engine
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .panic_on_file = None;
+        let handle = session.current_run().unwrap();
+        assert_eq!(handle.result.stats.files_total, 8);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

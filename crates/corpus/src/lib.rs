@@ -18,6 +18,7 @@
 //! assert_eq!(corpus.files.len(), 8);
 //! assert!(corpus.manifest.expected_pairings.len() > 0);
 //! ```
+#![deny(unsafe_code)]
 
 pub mod eval;
 pub mod fixtures;

@@ -2,3 +2,4 @@
 //! `examples/` directory (see `Cargo.toml`'s `[[example]]` entries).
 //! Intentionally empty: the examples exercise the public APIs of
 //! `ofence`, `ofence-corpus`, `ckit`, `cfgir`, and `kmodel`.
+#![deny(unsafe_code)]

@@ -13,6 +13,7 @@
 //! Maintaining such lists is standard practice in kernel static analysis —
 //! the paper compares it to allocation-function lists in use-after-free
 //! checkers.
+#![deny(unsafe_code)]
 
 pub mod atomics;
 pub mod barriers;

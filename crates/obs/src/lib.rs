@@ -26,6 +26,7 @@
 //! assert_eq!(snap.count_of("barriers_seen"), 2);
 //! assert!(snap.chrome_trace_json().contains("\"parse\""));
 //! ```
+#![deny(unsafe_code)]
 
 mod event;
 pub mod request;

@@ -671,8 +671,8 @@ fn protocol_fuzz_yields_structured_errors_and_no_thread_leak() {
         error_responses += 1;
     };
 
-    // Warm up: one analyze so the engine's worker pool exists, then take
-    // the thread baseline the storm must return to.
+    // Warm up: one analyze (its worker threads are gone once it
+    // replies), then take the thread baseline the storm must return to.
     let mut client = daemon.client();
     client.ok(serde_json::json!({"id": 0, "method": "analyze"}));
     let baseline = daemon.thread_count();
