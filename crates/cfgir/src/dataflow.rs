@@ -1,27 +1,22 @@
 //! Intra-procedural dataflow analyses over a [`Cfg`].
 //!
-//! Three classic frameworks, sized for the small per-function CFGs this
+//! Two classic frameworks, sized for the small per-function CFGs this
 //! workspace builds:
 //!
-//! * **dominator / post-dominator trees** (iterative Cooper–Harvey–Kennedy
-//!   over a reverse-postorder numbering),
+//! * **dominator trees** (iterative Cooper–Harvey–Kennedy over a
+//!   reverse-postorder numbering),
 //! * **reaching definitions** (forward may-analysis over caller-supplied
 //!   definition sites, so the framework stays agnostic of what a
 //!   "variable" is — `crates/core` instantiates it with shared-object
-//!   keys),
-//! * **def-use chains** derived from the reaching-definitions solution.
+//!   keys).
 //!
-//! All three tolerate unreachable nodes (the CFG builder keeps statements
+//! Both tolerate unreachable nodes (the CFG builder keeps statements
 //! after a `return`): such nodes are reported as unreachable and excluded
 //! from dominance and dataflow facts.
 
 use crate::cfg::{Cfg, NodeId};
 
-/// A dominator (or post-dominator) tree.
-///
-/// For dominators the root is the CFG entry and edges are successor
-/// edges; for post-dominators the root is the exit and edges are
-/// predecessor edges.
+/// A dominator tree, rooted at the CFG entry over successor edges.
 #[derive(Clone, Debug)]
 pub struct DomTree {
     root: NodeId,
@@ -62,41 +57,15 @@ impl DomTree {
             cur = self.idom[cur].expect("reachable non-root has an idom");
         }
     }
-
-    /// `a` dominates `b` and `a != b`.
-    pub fn strictly_dominates(&self, a: NodeId, b: NodeId) -> bool {
-        a != b && self.dominates(a, b)
-    }
 }
 
 /// Dominator tree rooted at the CFG entry.
 pub fn dominators(cfg: &Cfg) -> DomTree {
-    build_dom_tree(cfg, cfg.entry, |n| &cfg.node(n).succs)
-}
-
-/// Post-dominator tree rooted at the CFG exit.
-pub fn post_dominators(cfg: &Cfg) -> DomTree {
-    build_dom_tree(cfg, cfg.exit, |n| &cfg.node(n).preds)
-}
-
-fn build_dom_tree<'a>(
-    cfg: &'a Cfg,
-    root: NodeId,
-    fwd: impl Fn(NodeId) -> &'a Vec<NodeId>,
-) -> DomTree {
-    let n = cfg.nodes.len();
-    // Reverse postorder from the root along `fwd` edges.
-    let rpo = reverse_postorder(n, root, &fwd);
+    let (n, root) = (cfg.nodes.len(), cfg.entry);
+    let rpo = reverse_postorder(n, root, &|id| &cfg.node(id).succs);
     let mut rpo_num = vec![usize::MAX; n];
     for (i, &node) in rpo.iter().enumerate() {
         rpo_num[node] = i;
-    }
-    // Predecessors along the analyzed direction.
-    let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for &node in &rpo {
-        for &s in fwd(node) {
-            preds[s].push(node);
-        }
     }
     let mut idom: Vec<Option<NodeId>> = vec![None; n];
     idom[root] = Some(root);
@@ -105,7 +74,8 @@ fn build_dom_tree<'a>(
         changed = false;
         for &node in rpo.iter().skip(1) {
             let mut new_idom: Option<NodeId> = None;
-            for &p in &preds[node] {
+            // Unreachable predecessors never get an idom and are skipped.
+            for &p in &cfg.node(node).preds {
                 if idom[p].is_none() {
                     continue;
                 }
@@ -177,13 +147,6 @@ pub struct Def<K> {
     pub key: K,
 }
 
-/// A use site: node `node` reads the value named by `key`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Use<K> {
-    pub node: NodeId,
-    pub key: K,
-}
-
 /// The reaching-definitions solution: for every node, which definition
 /// sites (by index into the `defs` slice passed to
 /// [`reaching_definitions`]) may reach the *entry* of that node.
@@ -198,20 +161,6 @@ impl ReachingDefs {
     pub fn reaches(&self, def_index: usize, node: NodeId) -> bool {
         let bit = self.in_sets[node * self.words + def_index / 64];
         bit >> (def_index % 64) & 1 == 1
-    }
-
-    /// Indices of all definitions reaching the entry of `node`.
-    pub fn defs_reaching(&self, node: NodeId) -> Vec<usize> {
-        let mut out = Vec::new();
-        for w in 0..self.words {
-            let mut bits = self.in_sets[node * self.words + w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(w * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
     }
 }
 
@@ -259,30 +208,6 @@ pub fn reaching_definitions<K: PartialEq>(cfg: &Cfg, defs: &[Def<K>]) -> Reachin
         }
     }
     ReachingDefs { words, in_sets }
-}
-
-/// A (definition, use) link: the use at `uses[chain.1]` may observe the
-/// value written by `defs[chain.0]`.
-pub type DefUseChain = (usize, usize);
-
-/// Def-use chains from the reaching-definitions solution. A use at node
-/// `n` links to every definition of the same key reaching the entry of
-/// `n` (reads in a statement happen before that statement's own writes).
-pub fn def_use_chains<K: PartialEq>(
-    cfg: &Cfg,
-    defs: &[Def<K>],
-    uses: &[Use<K>],
-) -> Vec<DefUseChain> {
-    let rd = reaching_definitions(cfg, defs);
-    let mut chains = Vec::new();
-    for (ui, u) in uses.iter().enumerate() {
-        for (di, d) in defs.iter().enumerate() {
-            if d.key == u.key && rd.reaches(di, u.node) {
-                chains.push((di, ui));
-            }
-        }
-    }
-    chains
 }
 
 #[cfg(test)]
@@ -347,18 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn post_dominators_mirror() {
-        let src = "void f(int a) { a = 0; if (a) { a = 1; } else { a = 2; } a = 3; }";
-        let cfg = cfg_of(src);
-        let pdom = post_dominators(&cfg);
-        let t = node_containing(&cfg, src, "a = 1");
-        let join = node_containing(&cfg, src, "a = 3");
-        assert!(pdom.dominates(join, t));
-        assert!(pdom.dominates(cfg.exit, t));
-        assert!(!pdom.dominates(t, join));
-    }
-
-    #[test]
     fn loop_head_dominates_body() {
         let src = "void f(int n) { n = 0; while (n < 3) { n++; } n = 9; }";
         let cfg = cfg_of(src);
@@ -420,7 +333,6 @@ mod tests {
         let rd = reaching_definitions(&cfg, &defs);
         assert!(rd.reaches(0, join));
         assert!(rd.reaches(1, join));
-        assert_eq!(rd.defs_reaching(join), vec![0, 1]);
     }
 
     #[test]
@@ -454,10 +366,9 @@ mod tests {
         let d2 = node_containing(&cfg, src, "a = 2");
         let u = node_containing(&cfg, src, "c = a");
         let defs = vec![Def { node: d1, key: "a" }, Def { node: d2, key: "a" }];
-        let uses = vec![Use { node: u, key: "a" }];
-        let chains = def_use_chains(&cfg, &defs, &uses);
-        assert!(chains.contains(&(0, 0)));
-        assert!(chains.contains(&(1, 0)));
+        let rd = reaching_definitions(&cfg, &defs);
+        assert!(rd.reaches(0, u));
+        assert!(rd.reaches(1, u));
     }
 
     #[test]
@@ -468,9 +379,9 @@ mod tests {
         let d2 = node_containing(&cfg, src, "a = 2");
         let u = node_containing(&cfg, src, "c = a");
         let defs = vec![Def { node: d1, key: "a" }, Def { node: d2, key: "a" }];
-        let uses = vec![Use { node: u, key: "a" }];
-        let chains = def_use_chains(&cfg, &defs, &uses);
-        assert_eq!(chains, vec![(1, 0)]);
+        let rd = reaching_definitions(&cfg, &defs);
+        assert!(!rd.reaches(0, u));
+        assert!(rd.reaches(1, u));
     }
 
     #[test]
@@ -492,6 +403,7 @@ mod tests {
             .collect();
         let rd = reaching_definitions(&cfg, &defs);
         // Only the last assignment survives.
-        assert_eq!(rd.defs_reaching(u), vec![69]);
+        let reaching: Vec<usize> = (0..70).filter(|&d| rd.reaches(d, u)).collect();
+        assert_eq!(reaching, vec![69]);
     }
 }

@@ -22,10 +22,7 @@ pub mod walk;
 
 pub use callgraph::{CallGraph, Condensation};
 pub use cfg::{Cfg, Node, NodeId, NodeKind};
-pub use dataflow::{
-    def_use_chains, dominators, post_dominators, reaching_definitions, Def, DomTree, ReachingDefs,
-    Use,
-};
+pub use dataflow::{dominators, reaching_definitions, Def, DomTree, ReachingDefs};
 pub use symbols::{FileSymbols, FnSig};
 pub use types::TypeEnv;
 pub use walk::{walk, Dir, Step};

@@ -571,10 +571,6 @@ impl TranslationUnit {
             _ => None,
         })
     }
-
-    pub fn find_function(&self, name: &str) -> Option<&FunctionDef> {
-        self.functions().find(|f| f.sig.name == name)
-    }
 }
 
 #[cfg(test)]

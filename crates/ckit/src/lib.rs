@@ -54,38 +54,8 @@ pub struct FrontendConfig {
 /// item-level parse errors are recovered from and reported in
 /// [`ParseOutput::errors`] / [`ParsedFile::errors`].
 pub fn parse_string(file: &str, src: &str) -> Result<ParsedFile> {
-    parse_with(file, src, &FrontendConfig::default())
-}
-
-/// Parse a source string with explicit configuration.
-pub fn parse_with(file: &str, src: &str, config: &FrontendConfig) -> Result<ParsedFile> {
-    let rec = obs::Recorder::new();
-    parse_traced(file, src, config, &rec)
-}
-
-/// Parse a source string, recording a per-file `parse` span (with nested
-/// `lex`/`pp`/`parse-tokens` sub-spans) and front-end counters into the
-/// given recorder.
-pub fn parse_traced(
-    file: &str,
-    src: &str,
-    config: &FrontendConfig,
-    rec: &obs::Recorder,
-) -> Result<ParsedFile> {
-    parse_traced_shared(file, &std::sync::Arc::from(src), config, rec)
-}
-
-/// Like [`parse_traced`], but shares an already-`Arc`ed source instead of
-/// copying it — the engine holds file contents as `Arc<str>` and every
-/// downstream layer (the parsed file, `FileAnalysis`, patch synthesis)
-/// borrows the same buffer.
-pub fn parse_traced_shared(
-    file: &str,
-    src: &std::sync::Arc<str>,
-    config: &FrontendConfig,
-    rec: &obs::Recorder,
-) -> Result<ParsedFile> {
-    match count_or_parse_traced(file, src, config, rec, None)? {
+    let (config, rec) = (FrontendConfig::default(), obs::Recorder::new());
+    match count_or_parse_traced(file, &std::sync::Arc::from(src), &config, &rec, None)? {
         FrontEnd::Parsed(parsed) => Ok(parsed),
         FrontEnd::Counted(_) => unreachable!("only a watched parse counts"),
     }
@@ -104,9 +74,10 @@ pub enum FrontEnd {
 /// Count first, parse only if needed: run the grammar once without
 /// building a tree ([`parser::count_tokens`]), and parse the same tokens
 /// again in full only when some call's callee passed `watch`. Without a
-/// watch, parse in full at once. The spans are those of
-/// [`parse_traced`]; both parses fall in `parse-tokens`. A watched parse
-/// counts `ckit_files_counted` or `ckit_files_reparsed`.
+/// watch, parse in full at once. Records a per-file `parse` span (with
+/// nested `lex`/`pp`/`parse-tokens` sub-spans; both parses fall in
+/// `parse-tokens`) and the front-end counters. A watched parse counts
+/// `ckit_files_counted` or `ckit_files_reparsed`.
 pub fn count_or_parse_traced(
     file: &str,
     src: &std::sync::Arc<str>,

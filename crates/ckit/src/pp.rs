@@ -62,20 +62,6 @@ impl PpConfig {
         );
         self
     }
-
-    /// Define an object-like macro with an empty body (like `-DNAME`).
-    pub fn define_flag(&mut self, name: &str) -> &mut Self {
-        self.defines.insert(
-            name.to_string(),
-            MacroDef {
-                name: name.to_string(),
-                params: None,
-                variadic: false,
-                body: Vec::new(),
-            },
-        );
-        self
-    }
 }
 
 /// Result of preprocessing one file.

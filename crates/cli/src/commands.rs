@@ -232,7 +232,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
     let result = &handle.result;
     // Against a baseline, classify so `--fail-on=new` gates only on
     // regressions; without one, every finding counts as new.
-    let delta = ofence::classify(&known, &handle.records);
+    let delta = ofence::classify(&known, &result.deviation_records);
     let obs = with_delta(result, &delta);
     write_observability(&opts, &obs)?;
     write_sarif(&opts, result)?;
@@ -488,7 +488,7 @@ fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
         _ => {
             let known = baseline_findings(&opts.run)?;
             let handle = run_once(&opts.run)?;
-            let report = ofence::classify(&known, &handle.records);
+            let report = ofence::classify(&known, &handle.result.deviation_records);
             write_observability(&opts.run, &with_delta(&handle.result, &report))?;
             write_sarif(&opts.run, &handle.result)?;
             report
@@ -529,8 +529,8 @@ fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts.run)?;
     write_observability(&opts.run, &handle.result.obs)?;
     let run_id = &handle.result.run_id;
-    let count = handle.records.len();
-    let baseline = ofence::Baseline::new(run_id, handle.records.clone());
+    let count = handle.result.deviation_records.len();
+    let baseline = ofence::Baseline::new(run_id, handle.result.deviation_records.clone());
     ofence::diffing::write_baseline(Path::new(&opts.out), &baseline)
         .map_err(|e| format!("baseline: {e}"))?;
     println!(
@@ -632,36 +632,7 @@ fn stats(opts: RunOpts) -> Result<ExitCode, String> {
 fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts.run)?;
     write_observability(&opts.run, &handle.result.obs)?;
-    let result = &handle.result;
-    // Both `ofence explain dir/f.c:12 dir/` and `ofence explain f.c:12
-    // dir/` name the same file.
-    let matches_file = |name: &str| ofence::session::name_matches(name, &opts.file);
-    let site = result
-        .sites
-        .iter()
-        .find(|s| matches_file(&s.site.file_name) && s.site.line == opts.line);
-    let Some(site) = site else {
-        let mut lines: Vec<String> = result
-            .sites
-            .iter()
-            .filter(|s| matches_file(&s.site.file_name))
-            .map(|s| format!("{}:{} ({})", s.site.file_name, s.site.line, s.kind.name()))
-            .collect();
-        lines.sort();
-        return Err(if lines.is_empty() {
-            format!("no barrier found in `{}`", opts.file)
-        } else {
-            format!(
-                "no barrier at {}:{}; barriers in that file:\n  {}",
-                opts.file,
-                opts.line,
-                lines.join("\n  ")
-            )
-        });
-    };
-    let explanation =
-        ofence::explain_site_with(&result.sites, &result.pairing, &opts.run.config, site.id)
-            .expect("site id comes from this result");
+    let explanation = ofence::explain_at(&handle.result, &opts.run.config, &opts.file, opts.line)?;
     if opts.run.json {
         println!("{}", serde_json::to_string_pretty(&explanation).unwrap());
     } else {
@@ -705,7 +676,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         let result = &handle.result;
         // The same fingerprint diff engine `ofence diff` uses: watch and
         // diff can never disagree about what counts as a new finding.
-        let delta = ofence::classify(&known, &handle.records);
+        let delta = ofence::classify(&known, &result.deviation_records);
         // Metrics files carry the session's cumulative counters too
         // (`serve_runs`: total runs so far).
         let obs = with_delta(result, &delta).with_counters(session.live().counters());
@@ -714,7 +685,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
             "watch: run {} — {} files, {} deviations ({} new, {} fixed)",
             runs,
             result.files.len(),
-            handle.records.len(),
+            result.deviation_records.len(),
             delta.new.len(),
             delta.fixed.len()
         );
@@ -735,7 +706,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         for r in &delta.fixed {
             println!("  - {}", r.render_line());
         }
-        known = handle.records.clone();
+        known = result.deviation_records.clone();
 
         if opts.max_iterations.is_some_and(|max| runs >= max) {
             finish_events(&events);

@@ -1,10 +1,23 @@
 //! End-to-end tests of the `ofence` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The binary, run in a fresh working directory of its own, so the
+/// default `.ofence/` ledgers and `.ofence-cache/` of a run without
+/// `--history-dir` / `--cache-dir` land there: never in the package
+/// directory, never shared with another test or a later `cargo test`.
 fn ofence() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_ofence"))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    ofence_in(&tempdir(&format!("cwd-{n}")))
+}
+
+fn ofence_in(cwd: &Path) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ofence"));
+    cmd.current_dir(cwd);
+    cmd
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -56,6 +69,18 @@ fn analyze_clean_file_exits_zero() {
     );
     assert!(stdout.contains("pairings:"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn default_ledger_and_cache_land_in_the_working_directory() {
+    let cwd = tempdir("default-dirs");
+    let f = cwd.join("clean.c");
+    std::fs::write(&f, CLEAN).unwrap();
+    let out = ofence_in(&cwd).arg("analyze").arg(&f).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(cwd.join(".ofence/history.jsonl").is_file());
+    assert!(cwd.join(".ofence-cache/shard-00.json").is_file());
+    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 #[test]

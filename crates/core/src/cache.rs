@@ -101,7 +101,7 @@ pub const CACHE_FORMAT_VERSION: u32 = 5;
 pub const SHARD_COUNT: usize = 256;
 
 /// path -> (content hash, cached per-file analysis).
-pub type Entries = HashMap<String, (u64, Arc<FileAnalysis>)>;
+type Entries = HashMap<String, (u64, Arc<FileAnalysis>)>;
 
 /// Per-shard load result: `None` = file absent, `Ok` = decoded entries,
 /// `Err` = read failure, corruption or version reason.
@@ -333,14 +333,6 @@ fn hydrate(outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
     (map, outcome, valid)
 }
 
-/// Load the cache from `dir`. Never fails: stale or corrupt shards are
-/// dropped (reported in the outcome only when *nothing* was usable) and
-/// treated as empty. Shards are read and decoded in parallel.
-pub fn load(dir: &Path, config: &AnalysisConfig) -> (Entries, LoadOutcome) {
-    let (map, outcome, _) = hydrate(read_shards(dir, config_fingerprint(config)));
-    (map, outcome)
-}
-
 /// What one [`Store::save`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SaveStats {
@@ -408,8 +400,11 @@ impl Store {
     }
 
     /// Merge the cache in `dir` into the store (disk entries win) and
-    /// return how many entries it held. Afterwards a shard is clean iff it
-    /// loaded cleanly and the store held none of its paths before.
+    /// return how many entries it held. Never fails: stale or corrupt
+    /// shards are dropped (reported in the outcome only when *nothing* was
+    /// usable) and treated as empty. Shards are read and decoded in
+    /// parallel. Afterwards a shard is clean iff it loaded cleanly and the
+    /// store held none of its paths before.
     pub fn load(&mut self, dir: &Path, config: &AnalysisConfig) -> (usize, LoadOutcome) {
         let (map, outcome, valid) = hydrate(read_shards(dir, config_fingerprint(config)));
         let mut held = vec![false; SHARD_COUNT];
@@ -501,6 +496,14 @@ fn write_shard(dir: &Path, i: usize, text: String) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, SourceFile};
+
+    /// Load `dir` into a fresh store, as the engine does, and hand back
+    /// its entries.
+    fn load(dir: &Path, config: &AnalysisConfig) -> (Entries, LoadOutcome) {
+        let mut store = Store::default();
+        let (_, outcome) = store.load(dir, config);
+        (store.entries, outcome)
+    }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir =

@@ -9,6 +9,7 @@
 use crate::annotate;
 use crate::config::AnalysisConfig;
 use crate::deviation::{check_all_traced, Deviation};
+use crate::fingerprint::{finding_records, FindingRecord};
 use crate::ir::*;
 use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
@@ -96,6 +97,11 @@ pub struct AnalysisResult {
     /// §7 annotation findings and patches, kept separate from bug fixes.
     pub annotations: Vec<Deviation>,
     pub annotation_patches: Vec<Patch>,
+    /// Diffable, fingerprinted records of `deviations` / `annotations`,
+    /// in report order: computed once per run, read by the JSON and SARIF
+    /// reports, the history ledger, baselines and diffs.
+    pub deviation_records: Vec<FindingRecord>,
+    pub annotation_records: Vec<FindingRecord>,
     pub stats: Stats,
     /// Observability snapshot of this run: phase spans with per-file
     /// attribution, decision counters, histograms. Feeds `--trace-out`
@@ -435,6 +441,8 @@ impl Engine {
             (annotations, annotation_patches)
         };
         rec.count("annotations_emitted", annotations.len() as u64);
+        let deviation_records = finding_records(&deviations, &sites, &files);
+        let annotation_records = finding_records(&annotations, &sites, &files);
         // Close the root span so the snapshot contains it, then derive the
         // run's wall-clock from that span (replaces the old ad-hoc Instant).
         rec.close(root);
@@ -457,6 +465,8 @@ impl Engine {
             patches,
             annotations,
             annotation_patches,
+            deviation_records,
+            annotation_records,
             stats,
             obs,
         }

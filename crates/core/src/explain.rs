@@ -11,8 +11,10 @@
 //! disagree with the analysis.
 
 use crate::config::AnalysisConfig;
+use crate::engine::AnalysisResult;
 use crate::ir::*;
-use crate::pairing::{pair_barriers, PairingResult};
+use crate::pairing::PairingResult;
+use crate::session::name_matches;
 use serde::{Deserialize, Serialize};
 
 /// A compact, self-contained description of one barrier site.
@@ -217,19 +219,47 @@ pub struct Explanation {
     pub outcome: Outcome,
 }
 
-/// Explain the pairing decision for `target`, given the sites of a run.
-/// Re-runs the (cheap, deterministic) global pairing internally.
-pub fn explain_site(
-    sites: &[BarrierSite],
+/// Explain the barrier at `file:line` of a finished run — the one lookup
+/// behind `ofence explain` and the daemon's `explain` method. `file` may
+/// be a path suffix or extend the corpus name ([`name_matches`]). A line
+/// with no barrier is an error that lists the file's barriers.
+pub fn explain_at(
+    result: &AnalysisResult,
     config: &AnalysisConfig,
-    target: BarrierId,
-) -> Option<Explanation> {
-    let pairing = pair_barriers(sites, config);
-    explain_site_with(sites, &pairing, config, target)
+    file: &str,
+    line: u32,
+) -> Result<Explanation, String> {
+    let in_file = |s: &&BarrierSite| name_matches(&s.site.file_name, file);
+    let Some(site) = result
+        .sites
+        .iter()
+        .filter(in_file)
+        .find(|s| s.site.line == line)
+    else {
+        let mut lines: Vec<String> = result
+            .sites
+            .iter()
+            .filter(in_file)
+            .map(|s| format!("{}:{} ({})", s.site.file_name, s.site.line, s.kind.name()))
+            .collect();
+        lines.sort();
+        return Err(if lines.is_empty() {
+            format!("no barrier found in `{file}`")
+        } else {
+            format!(
+                "no barrier at {file}:{line}; barriers in that file:\n  {}",
+                lines.join("\n  ")
+            )
+        });
+    };
+    Ok(
+        explain_site_with(&result.sites, &result.pairing, config, site.id)
+            .expect("site id comes from this result"),
+    )
 }
 
-/// Explain against an existing pairing result (avoids re-pairing when
-/// the caller already ran the analysis).
+/// Explain the pairing decision for `target` against the run's pairing
+/// result, so the explanation can never disagree with the analysis.
 pub fn explain_site_with(
     sites: &[BarrierSite],
     pairing: &PairingResult,
@@ -455,16 +485,19 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairing::pair_barriers;
     use crate::sites::analyze_file;
 
-    fn sites_of(src: &str, config: &AnalysisConfig) -> Vec<BarrierSite> {
+    /// One file's sites, numbered, and their pairing — what a run holds.
+    fn sites_of(src: &str, config: &AnalysisConfig) -> (Vec<BarrierSite>, PairingResult) {
         let parsed = ckit::parse_string("t.c", src).unwrap();
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
         let mut fa = analyze_file(0, &parsed, config);
         for (i, s) in fa.sites.iter_mut().enumerate() {
             s.id = BarrierId(i as u32);
         }
-        fa.sites
+        let pairing = pair_barriers(&fa.sites, config);
+        (fa.sites, pairing)
     }
 
     const LISTING1: &str = r#"
@@ -485,9 +518,9 @@ void writer(struct my_struct *b) {
     #[test]
     fn paired_barrier_explains_winner() {
         let config = AnalysisConfig::default();
-        let sites = sites_of(LISTING1, &config);
+        let (sites, pairing) = sites_of(LISTING1, &config);
         let wmb = sites.iter().find(|s| s.is_write_barrier()).unwrap().id;
-        let e = explain_site(&sites, &config, wmb).unwrap();
+        let e = explain_site_with(&sites, &pairing, &config, wmb).unwrap();
         assert!(e.target.is_write_barrier);
         assert_eq!(e.candidates.len(), 1);
         assert_eq!(e.candidates[0].verdict, Verdict::Won);
@@ -526,9 +559,9 @@ void writer(struct s *p) {
 }
 "#;
         let config = AnalysisConfig::default();
-        let sites = sites_of(src, &config);
+        let (sites, pairing) = sites_of(src, &config);
         let wmb = sites.iter().find(|s| s.is_write_barrier()).unwrap().id;
-        let e = explain_site(&sites, &config, wmb).unwrap();
+        let e = explain_site_with(&sites, &pairing, &config, wmb).unwrap();
         // Both readers share both objects; the near one pairs (the far one
         // may still join via the multi extension — but its base weight is
         // higher).
@@ -566,13 +599,13 @@ void reader(struct d *p) {
 }
 "#;
         let config = AnalysisConfig::default();
-        let sites = sites_of(src, &config);
+        let (sites, pairing) = sites_of(src, &config);
         let wmb = sites
             .iter()
             .find(|s| s.site.function == "waker")
             .unwrap()
             .id;
-        let e = explain_site(&sites, &config, wmb).unwrap();
+        let e = explain_site_with(&sites, &pairing, &config, wmb).unwrap();
         assert!(
             matches!(e.outcome, Outcome::UnpairedImplicitIpc { .. }),
             "{e:?}"
@@ -591,8 +624,8 @@ void writer(struct a *p) {
 }
 "#;
         let config = AnalysisConfig::default();
-        let sites = sites_of(src, &config);
-        let e = explain_site(&sites, &config, sites[0].id).unwrap();
+        let (sites, pairing) = sites_of(src, &config);
+        let e = explain_site_with(&sites, &pairing, &config, sites[0].id).unwrap();
         assert!(matches!(e.outcome, Outcome::UnpairedNoMatch), "{e:?}");
         assert!(e.render().contains("UNPAIRED"));
     }
@@ -610,8 +643,8 @@ void f(struct s *p) {
 }
 "#;
         let config = AnalysisConfig::default();
-        let sites = sites_of(src, &config);
-        let e = explain_site(&sites, &config, sites[0].id).unwrap();
+        let (sites, pairing) = sites_of(src, &config);
+        let e = explain_site_with(&sites, &pairing, &config, sites[0].id).unwrap();
         assert_eq!(e.candidates.len(), 1);
         assert_eq!(e.candidates[0].verdict, Verdict::SameFunction);
     }
@@ -619,8 +652,8 @@ void f(struct s *p) {
     #[test]
     fn explanation_serializes() {
         let config = AnalysisConfig::default();
-        let sites = sites_of(LISTING1, &config);
-        let e = explain_site(&sites, &config, sites[0].id).unwrap();
+        let (sites, pairing) = sites_of(LISTING1, &config);
+        let e = explain_site_with(&sites, &pairing, &config, sites[0].id).unwrap();
         let json = serde_json::to_string(&e).unwrap();
         assert!(json.contains("\"outcome\""), "{json}");
         let back: Explanation = serde_json::from_str(&json).unwrap();

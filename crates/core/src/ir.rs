@@ -31,10 +31,6 @@ impl SharedObject {
             field: name.into(),
         }
     }
-
-    pub fn is_global(&self) -> bool {
-        self.strukt.is_empty()
-    }
 }
 
 impl fmt::Display for SharedObject {

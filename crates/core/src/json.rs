@@ -28,7 +28,7 @@
 
 use crate::deviation::Deviation;
 use crate::engine::AnalysisResult;
-use crate::fingerprint::{finding_records, FindingRecord};
+use crate::fingerprint::FindingRecord;
 use crate::ir::{BarrierId, UnpairedReason};
 use crate::sites::FileAnalysis;
 use serde::{Fields, Record, Serialize, Writer};
@@ -46,13 +46,6 @@ impl AnalysisResult {
         serde_json::to_value(&self.report())
     }
 
-    /// [`Self::to_json`] reporting `obs` in place of the run's own
-    /// snapshot, for drivers that add counters of their own (e.g.
-    /// `findings_new` against a baseline).
-    pub fn to_json_with(&self, obs: &obs::Snapshot) -> serde_json::Value {
-        serde_json::to_value(&self.report_with(obs))
-    }
-
     /// The schema-v3 report as a serializable view: render it with
     /// `serde_json::to_string` / `to_string_pretty`, no tree built.
     pub fn report(&self) -> ReportDoc<'_> {
@@ -61,12 +54,7 @@ impl AnalysisResult {
 
     /// [`Self::report`] with `obs` in place of the run's own snapshot.
     pub fn report_with<'a>(&'a self, obs: &'a obs::Snapshot) -> ReportDoc<'a> {
-        ReportDoc {
-            result: self,
-            obs,
-            dev_records: finding_records(&self.deviations, &self.sites, &self.files),
-            ann_records: finding_records(&self.annotations, &self.sites, &self.files),
-        }
+        ReportDoc { result: self, obs }
     }
 }
 
@@ -76,9 +64,6 @@ impl AnalysisResult {
 pub struct ReportDoc<'a> {
     result: &'a AnalysisResult,
     obs: &'a obs::Snapshot,
-    /// Diffable records of the deviations / annotations, in report order.
-    dev_records: Vec<FindingRecord>,
-    ann_records: Vec<FindingRecord>,
 }
 
 impl Record for ReportDoc<'_> {
@@ -90,15 +75,15 @@ impl Record for ReportDoc<'_> {
         f.field("sites", &r.sites);
         f.field("pairings", &r.pairing.pairings);
         f.field("unpaired", &Rows(&r.pairing.unpaired, Unpaired));
-        f.field("findings", &self.dev_records);
+        f.field("findings", &r.deviation_records);
         f.field(
             "deviations",
-            &Rows(&zip(&r.deviations, &self.dev_records), Finding),
+            &Rows(&zip(&r.deviations, &r.deviation_records), Finding),
         );
         f.field("patches", &r.patches);
         f.field(
             "annotations",
-            &Rows(&zip(&r.annotations, &self.ann_records), Finding),
+            &Rows(&zip(&r.annotations, &r.annotation_records), Finding),
         );
         f.field("annotation_patches", &r.annotation_patches);
         f.field("files", &Rows(&r.files, FileRow));

@@ -71,7 +71,7 @@ pub use config::AnalysisConfig;
 pub use deviation::{Deviation, DeviationKind};
 pub use diffing::{classify, Baseline, DiffReport, FailOn};
 pub use engine::{AnalysisResult, Engine, SourceFile};
-pub use explain::{explain_site, explain_site_with, Explanation};
+pub use explain::{explain_at, explain_site_with, Explanation};
 pub use fingerprint::{finding_records, FindingRecord};
 pub use history::RunRecord;
 pub use ir::*;

@@ -62,19 +62,8 @@ struct Candidate<'a> {
 }
 
 /// Detect missing read-side fences for every unpaired-without-match write
-/// barrier. Called by the engine when
-/// [`AnalysisConfig::detect_missing`] is set.
-pub fn detect(
-    files: &[std::sync::Arc<FileAnalysis>],
-    sites: &[BarrierSite],
-    pairing: &PairingResult,
-    config: &AnalysisConfig,
-) -> Vec<Deviation> {
-    let rec = obs::Recorder::new();
-    detect_traced(files, sites, pairing, config, None, &rec)
-}
-
-/// [`detect`] with a `missing` phase span and decision counters. When a
+/// barrier, under a `missing` phase span with decision counters. Called by
+/// the engine when [`AnalysisConfig::detect_missing`] is set. When a
 /// [`ComposedIndex`] is supplied (`ipa_depth > 0`), readers whose fence
 /// lives in a transitively reachable callee are exonerated — corpus-wide
 /// evidence the ±1 view cannot provide.
@@ -399,6 +388,31 @@ int consume(struct box *b) {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// At depth 0 the front end is count-first under `--missing` too: the
+    /// fence-less reader's file holds no barrier, so it is only counted
+    /// (no AST), and the detector still finds the reader by re-parsing
+    /// the file's source.
+    #[test]
+    fn depth0_run_counts_the_site_free_reader_file_and_still_reports_it() {
+        let (writer, reader) =
+            UNFENCED_READER.split_at(UNFENCED_READER.find("int consume").unwrap());
+        let files = vec![
+            SourceFile::new("writer.c", writer),
+            SourceFile::new(
+                "reader.c",
+                format!("struct box {{ int ready; int value; }};\n{reader}"),
+            ),
+            SourceFile::new("plain.c", "int helper(int x) { return x + 1; }\n"),
+        ];
+        let r = Engine::new(config_missing()).analyze(&files);
+        assert_eq!(r.obs.count_of("ckit_files_counted"), 2);
+        assert_eq!(r.obs.count_of("ckit_files_reparsed"), 1);
+        let miss = missing_of(&r.deviations);
+        assert_eq!(miss.len(), 1, "{:?}", r.deviations);
+        assert_eq!(miss[0].site.file_name, "reader.c");
+        assert_eq!(miss[0].site.function, "consume");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `docs/SCHEMA.md`.
 
 use crate::engine::AnalysisResult;
-use crate::fingerprint::{finding_records, FindingRecord};
+use crate::fingerprint::FindingRecord;
 
 /// The `partialFingerprints` key carrying the ofence fingerprint. Keep
 /// the literal in sync with [`FINGERPRINT_VERSION`] (asserted in tests).
@@ -86,7 +86,6 @@ fn result_value(rec: &FindingRecord) -> serde_json::Value {
 /// run-level provenance (run id, schema version) rides in
 /// `runs[0].properties`.
 pub fn to_sarif(result: &AnalysisResult) -> serde_json::Value {
-    let records = finding_records(&result.deviations, &result.sites, &result.files);
     let rules: Vec<serde_json::Value> = RULES
         .iter()
         .map(|(id, desc)| {
@@ -96,7 +95,8 @@ pub fn to_sarif(result: &AnalysisResult) -> serde_json::Value {
             })
         })
         .collect();
-    let results: Vec<serde_json::Value> = records.iter().map(result_value).collect();
+    let results: Vec<serde_json::Value> =
+        result.deviation_records.iter().map(result_value).collect();
     serde_json::json!({
         "version": SARIF_VERSION,
         "$schema": SARIF_SCHEMA,

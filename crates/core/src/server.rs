@@ -8,7 +8,7 @@
 //! → {"id": 1, "method": "analyze"}
 //! ← {"id": 1, "ok": true, "result": { ...schema v3 report... }}
 //! → {"id": 2, "method": "explain", "params": {"file": "m.c", "line": 7}}
-//! ← {"id": 2, "ok": false, "error": {"code": "failed", "message": "no barrier at m.c:7"}}
+//! ← {"id": 2, "ok": false, "error": {"code": "failed", "message": "no barrier at m.c:7; barriers in that file:\n  m.c:4 (smp_wmb)"}}
 //! ```
 //!
 //! `id` is echoed verbatim (any JSON value; `null` when the request was

@@ -59,7 +59,7 @@
 use crate::cache::{self, LoadOutcome};
 use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
-use crate::fingerprint::{finding_records, FindingRecord};
+use crate::fingerprint::FindingRecord;
 use crate::ledger::Record;
 use crate::walk::{PassStats, SourceIndex};
 use std::collections::HashMap;
@@ -94,8 +94,6 @@ pub struct RunHandle {
     pub corpus_key: u64,
     /// The full analysis result (sites, pairing, findings, stats, obs).
     pub result: Arc<AnalysisResult>,
-    /// Diffable records of the run's deviations, in report order.
-    pub records: Vec<FindingRecord>,
     /// The disk-cache load the session started from: `Some` on the
     /// session's first run only, and only with a cache directory.
     pub cache_load: Option<LoadOutcome>,
@@ -434,7 +432,7 @@ impl Session {
             // per-file span. Publishing counts the run (`serve_runs`).
             self.live.publish(
                 &handle.result.obs.totals(),
-                handle.records.len() as u64,
+                handle.result.deviation_records.len() as u64,
                 t0.elapsed().as_micros() as u64,
             );
         }
@@ -482,9 +480,9 @@ impl Session {
         drop(engine);
         ctx.rec.close(run_span);
         let ledger_span = ctx.rec.span("ledger");
-        let records = finding_records(&result.deviations, &result.sites, &result.files);
         let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
-            let run_record = crate::history::record_of(&result, &self.opts.config, records.clone());
+            let records = result.deviation_records.clone();
+            let run_record = crate::history::record_of(&result, &self.opts.config, records);
             let history = append_traced(&ctx.rec, dir, &run_record);
             let perf_record = crate::perf::record_of(&result, &self.opts.config, None);
             let perf = append_traced(&ctx.rec, dir, &perf_record);
@@ -494,7 +492,6 @@ impl Session {
         Ok(Arc::new(RunHandle {
             corpus_key: key,
             result: Arc::new(result),
-            records,
             cache_load,
             cache_save_error,
             ledger_error,
@@ -556,8 +553,8 @@ impl Session {
                 }
             };
             let fa = &result.files[idx];
-            let findings: Vec<&FindingRecord> = handle
-                .records
+            let findings: Vec<&FindingRecord> = result
+                .deviation_records
                 .iter()
                 .filter(|r| r.file == fa.name)
                 .collect();
@@ -584,19 +581,8 @@ impl Session {
         self.tracked(ctx, || {
             let _span = self.request_span(ctx);
             let handle = self.current_run_inner(ctx)?;
-            let result = &handle.result;
-            let site = result
-                .sites
-                .iter()
-                .find(|s| name_matches(&s.site.file_name, file) && s.site.line == line)
-                .ok_or_else(|| format!("no barrier at {file}:{line}"))?;
-            let explanation = crate::explain::explain_site_with(
-                &result.sites,
-                &result.pairing,
-                &self.opts.config,
-                site.id,
-            )
-            .expect("site id comes from this result");
+            let explanation =
+                crate::explain::explain_at(&handle.result, &self.opts.config, file, line)?;
             Ok(serde_json::to_value(&explanation))
         })
     }
@@ -637,7 +623,7 @@ impl Session {
             let known = crate::diffing::records_from_json(baseline)
                 .map_err(|e| format!("baseline document: {e}"))?;
             let handle = self.current_run_inner(ctx)?;
-            let report = crate::diffing::classify(&known, &handle.records);
+            let report = crate::diffing::classify(&known, &handle.result.deviation_records);
             Ok(serde_json::json!({
                 "run_id": handle.result.run_id,
                 "pass": !report.fails(fail_on),
@@ -1004,7 +990,9 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
             "panicked flight left in the inflight map"
         );
         let handle = session.current_run().unwrap();
-        assert!(!handle.records.is_empty() || handle.result.stats.files_total == 1);
+        assert!(
+            !handle.result.deviation_records.is_empty() || handle.result.stats.files_total == 1
+        );
         assert_eq!(counter(&session, "serve_coalesced"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -86,34 +86,23 @@ enum NodeClass {
 }
 
 /// Analyze one parsed file.
-pub fn analyze_file(file: usize, parsed: &ParsedFile, config: &AnalysisConfig) -> FileAnalysis {
-    let rec = obs::Recorder::new();
-    analyze_file_traced(file, parsed, config, &rec)
-}
-
-/// Analyze one parsed file, recording `cfg` and `extract` spans (per-file
-/// attribution) and the extraction counters into the given recorder.
 ///
 /// Barrier-first: at `ipa_depth` 0 only a barrier site's surroundings are
 /// ever read, so a file whose AST names no site call is not lowered at
 /// all and returns the same site-free analysis the full path would.
-pub fn analyze_file_traced(
-    file: usize,
-    parsed: &ParsedFile,
-    config: &AnalysisConfig,
-    rec: &obs::Recorder,
-) -> FileAnalysis {
-    extract_traced(file, parsed, config, rec).0
+pub fn analyze_file(file: usize, parsed: &ParsedFile, config: &AnalysisConfig) -> FileAnalysis {
+    extract_traced(file, parsed, config, &obs::Recorder::new()).0
 }
 
 /// Front end and extraction for one source file, as the engine runs
 /// them. The parse is freed inside the file's `extract` span, so the
 /// per-file spans account for the whole of a worker's time on the file.
 ///
-/// At `ipa_depth` 0 without `--missing`, only a barrier site's
-/// surroundings are ever read, so the parse is count-first: a counting
-/// parse builds no AST and notes whether any call name passes
-/// [`site_call`] — exactly the calls [`may_hold_site`] tests, and more.
+/// At `ipa_depth` 0 only a barrier site's surroundings are ever read (the
+/// missing-barrier detector re-parses from `source`), so the parse is
+/// count-first: a counting parse builds no AST and notes whether any call
+/// name passes [`site_call`] — exactly the calls [`may_hold_site`] tests,
+/// and more.
 /// Only a file with such a call is parsed again in full; every other file
 /// gets the site-free analysis the full path would have returned.
 pub fn analyze_source_traced(
@@ -123,8 +112,7 @@ pub fn analyze_source_traced(
     rec: &obs::Recorder,
 ) -> FileAnalysis {
     let opens_site = |name: &str| site_call(name, config).is_some();
-    let watch: Option<&dyn Fn(&str) -> bool> =
-        (config.ipa_depth == 0 && !config.detect_missing).then_some(&opens_site);
+    let watch: Option<&dyn Fn(&str) -> bool> = (config.ipa_depth == 0).then_some(&opens_site);
     let frontend = ckit::FrontendConfig::default();
     match ckit::count_or_parse_traced(&src.name, &src.content, &frontend, rec, watch) {
         Ok(ckit::FrontEnd::Parsed(parsed)) => {
@@ -150,8 +138,9 @@ pub fn analyze_source_traced(
     }
 }
 
-/// [`analyze_file_traced`], handing back the file's still-open `extract`
-/// span so a caller that owns the parse can free it inside the span.
+/// [`analyze_file`] into the given recorder, handing back the file's
+/// still-open `extract` span so a caller that owns the parse can free it
+/// inside the span.
 fn extract_traced<'r>(
     file: usize,
     parsed: &ParsedFile,
@@ -1448,9 +1437,10 @@ void f(struct s *p) {
     }
 
     /// Count-first against the full parse on one source, at both
-    /// `pair_with_atomics` settings: the counting parse reports the full
-    /// parse's counts, flags the file whenever `may_hold_site` would lower
-    /// it, and the engine's per-file result is byte-identical either way.
+    /// `pair_with_atomics` and both `detect_missing` settings: the counting
+    /// parse reports the full parse's counts, flags the file whenever
+    /// `may_hold_site` would lower it, and the engine's per-file result is
+    /// byte-identical either way.
     fn assert_count_first_matches_full(name: &str, src: &str) {
         let Ok(toks) = ckit::lexer::lex(src) else {
             return;
@@ -1461,9 +1451,12 @@ void f(struct s *p) {
         let parser = ckit::ParserConfig::default();
         let full = ckit::parser::parse_token_slice(&ppo.tokens, &parser);
         let parsed = ckit::parse_string(name, src).expect("lex and pp passed");
-        for pair_with_atomics in [false, true] {
+        for (pair_with_atomics, detect_missing) in
+            [(false, false), (true, false), (false, true), (true, true)]
+        {
             let config = AnalysisConfig {
                 pair_with_atomics,
+                detect_missing,
                 ..Default::default()
             };
             let opens_site = |n: &str| site_call(n, &config).is_some();

@@ -199,33 +199,18 @@ pub struct ComposedIndex {
 }
 
 impl ComposedIndex {
-    /// Build and compose summaries for the whole corpus up to `depth`
-    /// call edges. `depth == 0` yields an index whose composed sets are
-    /// just each function's own accesses (callers then merge nothing).
-    pub fn build(files: &[std::sync::Arc<FileAnalysis>], depth: u32) -> ComposedIndex {
-        Self::build_inner(files, depth, None)
-    }
-
-    /// [`ComposedIndex::build`], composing only the functions reachable
-    /// within `depth` call edges from the given `(file, function)` roots
-    /// — the engine passes every callee named in a barrier window.
-    /// Functions outside that cone keep empty composed sets (nothing
-    /// downstream asks for them; `fence_within` walks raw summaries),
-    /// which keeps the pass proportional to the barrier neighborhood
-    /// rather than the corpus: on a kernel-shaped tree most functions
-    /// are nowhere near a barrier.
+    /// Build and compose summaries up to `depth` call edges, composing
+    /// only the functions reachable within `depth` edges from the given
+    /// `(file, function)` roots — the engine passes every callee named in
+    /// a barrier window. Functions outside that cone keep empty composed
+    /// sets (nothing downstream asks for them; `fence_within` walks raw
+    /// summaries), which keeps the pass proportional to the barrier
+    /// neighborhood rather than the corpus: on a kernel-shaped tree most
+    /// functions are nowhere near a barrier.
     pub fn build_rooted(
         files: &[std::sync::Arc<FileAnalysis>],
         depth: u32,
         roots: &[(usize, String)],
-    ) -> ComposedIndex {
-        Self::build_inner(files, depth, Some(roots))
-    }
-
-    fn build_inner(
-        files: &[std::sync::Arc<FileAnalysis>],
-        depth: u32,
-        roots: Option<&[(usize, String)]>,
     ) -> ComposedIndex {
         let mut nodes: Vec<(usize, FnSummary)> = Vec::new();
         let mut by_file_name: HashMap<(usize, String), usize> = HashMap::new();
@@ -268,42 +253,36 @@ impl ComposedIndex {
         }
         let cond = graph.condense();
 
-        // Which handles need a composed set at all? With roots given,
-        // BFS `depth` call edges down from them; accesses any deeper
-        // could never survive the `ipa_depth` filter at a splice site,
-        // so pruned handles' sets are never observed incomplete.
-        let active = match roots {
-            None => vec![true; nodes.len()],
-            Some(roots) => {
-                let mut active = vec![false; nodes.len()];
-                let mut frontier: Vec<usize> = Vec::new();
-                for (file, name) in roots {
-                    let target = by_file_name
-                        .get(&(*file, name.clone()))
-                        .copied()
-                        .or_else(|| by_name.get(name).filter(|c| c.len() == 1).map(|c| c[0]));
-                    if let Some(h) = target {
-                        if !active[h] {
-                            active[h] = true;
-                            frontier.push(h);
-                        }
-                    }
+        // Which handles need a composed set at all? BFS `depth` call
+        // edges down from the roots; accesses any deeper could never
+        // survive the `ipa_depth` filter at a splice site, so pruned
+        // handles' sets are never observed incomplete.
+        let mut active = vec![false; nodes.len()];
+        let mut frontier: Vec<usize> = Vec::new();
+        for (file, name) in roots {
+            let target = by_file_name
+                .get(&(*file, name.clone()))
+                .copied()
+                .or_else(|| by_name.get(name).filter(|c| c.len() == 1).map(|c| c[0]));
+            if let Some(h) = target {
+                if !active[h] {
+                    active[h] = true;
+                    frontier.push(h);
                 }
-                for _ in 0..depth {
-                    let mut next = Vec::new();
-                    for &h in &frontier {
-                        for &t in graph.callees(h) {
-                            if !active[t] {
-                                active[t] = true;
-                                next.push(t);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                active
             }
-        };
+        }
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for &h in &frontier {
+                for &t in graph.callees(h) {
+                    if !active[t] {
+                        active[t] = true;
+                        next.push(t);
+                    }
+                }
+            }
+            frontier = next;
+        }
         for h in 0..nodes.len() {
             if active[h] {
                 let (pos, si) = origin[h];
@@ -601,6 +580,17 @@ mod tests {
         analyze_file(0, &parsed, &config)
     }
 
+    /// The engine's composition, rooted at one function as a barrier
+    /// window naming it would root it.
+    fn rooted(
+        files: &[std::sync::Arc<FileAnalysis>],
+        depth: u32,
+        file: usize,
+        root: &str,
+    ) -> ComposedIndex {
+        ComposedIndex::build_rooted(files, depth, &[(file, root.to_string())])
+    }
+
     #[test]
     fn summaries_extracted_for_every_function() {
         let fa = analyze_named(
@@ -671,7 +661,7 @@ void deep_fill(struct s *p) { p->a = 7; }
         }
         let files: Vec<std::sync::Arc<FileAnalysis>> =
             files.into_iter().map(std::sync::Arc::new).collect();
-        let index = ComposedIndex::build(&files, 2);
+        let index = rooted(&files, 2, 0, "fill");
         let h = index.resolve(0, "fill").expect("fill resolved cross-file");
         let composed = index.composed(h);
         let a = composed
@@ -704,7 +694,7 @@ void fenced(struct s *p) { smp_mb(); p->x = 1; }
         }
         let files: Vec<std::sync::Arc<FileAnalysis>> =
             files.into_iter().map(std::sync::Arc::new).collect();
-        let index = ComposedIndex::build(&files, 4);
+        let index = rooted(&files, 4, 0, "outer");
         let h = index.resolve(0, "outer").unwrap();
         // outer's composed set must not contain fenced's access.
         assert!(index
@@ -727,7 +717,7 @@ void user(struct s *p) { rec(p, 3); }
         files[0].file = 0;
         let files: Vec<std::sync::Arc<FileAnalysis>> =
             files.into_iter().map(std::sync::Arc::new).collect();
-        let index = ComposedIndex::build(&files, 8);
+        let index = rooted(&files, 8, 0, "user");
         let h = index.resolve(0, "rec").unwrap();
         // One access, despite the self-call (SCC collapsed).
         let xs: Vec<_> = index
@@ -760,7 +750,7 @@ void pong(struct s *p, int n) { if (n) ping(p, n - 1); p->y = 1; }
         files[0].file = 0;
         let files: Vec<std::sync::Arc<FileAnalysis>> =
             files.into_iter().map(std::sync::Arc::new).collect();
-        let index = ComposedIndex::build(&files, 8);
+        let index = rooted(&files, 8, 0, "ping");
         let h = index.resolve(0, "ping").unwrap();
         let objs: Vec<_> = index.composed(h).iter().map(|c| &c.object).collect();
         assert!(objs.contains(&&SharedObject::new("s", "x")));
@@ -787,7 +777,7 @@ void pong(struct s *p, int n) { if (n) ping(p, n - 1); p->y = 1; }
         }
         let files: Vec<std::sync::Arc<FileAnalysis>> =
             files.into_iter().map(std::sync::Arc::new).collect();
-        let index = ComposedIndex::build(&files, 2);
+        let index = rooted(&files, 2, 2, "top");
         assert!(index.resolve(2, "helper").is_none());
         let h = index.resolve(2, "top").unwrap();
         assert_eq!(index.composed(h).len(), 0);

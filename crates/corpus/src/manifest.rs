@@ -54,12 +54,6 @@ impl PatternKind {
         PatternKind::AfterAtomic,
         PatternKind::CrossFileChain,
     ];
-
-    /// Does this pattern produce a pairing (vs an intentionally unpaired
-    /// barrier)?
-    pub fn expects_pairing(self) -> bool {
-        !matches!(self, PatternKind::WakeupPublish)
-    }
 }
 
 /// Class of injected bug — mirrors paper Table 3 plus unneeded barriers.
@@ -195,7 +189,10 @@ mod tests {
 
     #[test]
     fn wakeup_pattern_expects_no_pairing() {
-        assert!(!PatternKind::WakeupPublish.expects_pairing());
-        assert!(PatternKind::Seqcount.expects_pairing());
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let emit = |kind, rng: &mut _| crate::patterns::emit(kind, 1, rng, None).expected;
+        assert!(emit(PatternKind::WakeupPublish, &mut rng).is_none());
+        assert!(emit(PatternKind::Seqcount, &mut rng).is_some());
     }
 }

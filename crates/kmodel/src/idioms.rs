@@ -3,7 +3,7 @@
 //! The missing-barrier detector (ofence `missing` module) recognizes
 //! readers that consume a publish/subscribe protocol *without* the read
 //! fence the protocol requires. This table names the idioms it matches
-//! and the fence each one conventionally uses, mirroring the style of
+//! and the write-side primitive each one pairs with, mirroring the style of
 //! kernel code the paper analyzed (init-flag publication, ring-buffer
 //! index handshakes, pointer publication via release stores).
 
@@ -39,16 +39,6 @@ impl ReaderIdiom {
             ReaderIdiom::IndexGuard => "index guard",
             ReaderIdiom::PublishedPointer => "published pointer",
             ReaderIdiom::SeqcountSection => "seqcount read section",
-        }
-    }
-
-    /// The read fence the idiom conventionally places between the guard
-    /// load and the dependent loads.
-    pub fn expected_fence(self) -> &'static str {
-        match self {
-            ReaderIdiom::InitFlag | ReaderIdiom::IndexGuard => "smp_rmb",
-            ReaderIdiom::PublishedPointer => "smp_load_acquire",
-            ReaderIdiom::SeqcountSection => "read_seqcount_begin",
         }
     }
 
@@ -99,17 +89,12 @@ mod tests {
         for idiom in ReaderIdiom::ALL {
             assert!(!idiom.name().is_empty());
             assert!(!idiom.description().is_empty());
-            // Every read fence has a write-side counterpart of the
-            // matching flavor.
-            match idiom.expected_fence() {
-                "smp_rmb" => assert_eq!(idiom.write_side_counterpart(), "smp_wmb"),
-                "smp_load_acquire" => {
-                    assert_eq!(idiom.write_side_counterpart(), "smp_store_release")
-                }
-                "read_seqcount_begin" => {
-                    assert_eq!(idiom.write_side_counterpart(), "write_seqcount_begin")
-                }
-                other => panic!("unexpected fence {other}"),
+            // Every write-side counterpart is a write-side primitive.
+            let name = idiom.write_side_counterpart();
+            match crate::classify_call(name) {
+                crate::CallSemantics::Barrier(kind) => assert!(kind.is_write_side(), "{name}"),
+                crate::CallSemantics::Seqcount(op) => assert!(!op.is_reader(), "{name}"),
+                other => panic!("{name} is not a barrier: {other:?}"),
             }
         }
     }

@@ -41,16 +41,6 @@ pub fn has_rcu_full_barrier(name: &str) -> bool {
     )
 }
 
-/// Read-side critical-section markers. NOT barriers (see Torvalds,
-/// "rcu_read_lock lost its compiler barrier", ref \[24\] of the paper) —
-/// listed so callers can assert we never misclassify them.
-pub fn is_rcu_marker(name: &str) -> bool {
-    matches!(
-        name,
-        "rcu_read_lock" | "rcu_read_unlock" | "rcu_read_lock_sched" | "rcu_read_unlock_sched"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,11 +64,19 @@ mod tests {
         }
     }
 
+    /// Read-side critical-section markers are NOT barriers (see Torvalds,
+    /// "rcu_read_lock lost its compiler barrier", ref \[24\] of the paper).
     #[test]
     fn markers_are_not_barriers() {
-        assert!(is_rcu_marker("rcu_read_lock"));
-        assert_eq!(rcu_barrier_equivalent("rcu_read_lock"), None);
-        assert!(!has_rcu_full_barrier("rcu_read_unlock"));
+        for name in [
+            "rcu_read_lock",
+            "rcu_read_unlock",
+            "rcu_read_lock_sched",
+            "rcu_read_unlock_sched",
+        ] {
+            assert_eq!(rcu_barrier_equivalent(name), None, "{name}");
+            assert!(!has_rcu_full_barrier(name), "{name}");
+        }
     }
 
     #[test]

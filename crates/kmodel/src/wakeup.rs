@@ -44,11 +44,6 @@ pub fn is_wakeup_function(name: &str) -> bool {
     WAKEUP_FUNCTIONS.binary_search(&name).is_ok()
 }
 
-/// The full list, for documentation and the Table 2 report.
-pub fn wakeup_functions() -> &'static [&'static str] {
-    WAKEUP_FUNCTIONS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,27 +1,20 @@
 //! Streaming telemetry events.
 //!
-//! A [`Recorder`](crate::Recorder) with one or more [`EventSink`]s
+//! A [`Recorder`](crate::Recorder) with one or more [`NdjsonSink`]s
 //! attached emits an [`Event`] for every span open, span close, counter
 //! increment, and histogram observation — *while* the run is executing,
 //! not as an end-of-run snapshot. Long-running drivers (`ofence watch`,
-//! the future analysis server) use this to expose live progress without
-//! waiting for a run to finish.
+//! `ofence serve`) use this to expose live progress without waiting for
+//! a run to finish.
 //!
-//! Two sinks ship with the crate:
-//!
-//! * [`NdjsonSink`] — serializes every event as one JSON object per line
-//!   (NDJSON) into any `Write` target; `ofence analyze --events-out`
-//!   streams a whole run to a file or stdout.
-//! * [`RingSink`] — keeps the last `capacity` events in a bounded
-//!   in-memory ring buffer, so an unbounded watch session holds a
-//!   constant amount of telemetry memory. Older events are dropped (and
-//!   counted) rather than accumulated.
+//! [`NdjsonSink`] serializes every event as one JSON object per line
+//! (NDJSON) into any `Write` target; `ofence analyze --events-out`
+//! streams a whole run to a file or stdout.
 //!
 //! Events are emitted under the recorder's internal lock, so the stream
 //! is totally ordered: a `span_open` always precedes its `span_close`,
 //! and sinks never observe a close without its open.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -132,22 +125,12 @@ impl Event {
     }
 }
 
-/// A live consumer of telemetry events.
-///
-/// Implementations must be cheap and must never panic: sinks run inside
-/// the recorder's lock on the analysis hot path. I/O errors are the
-/// sink's problem (count them, drop the event) — telemetry must not be
-/// able to fail an analysis.
-pub trait EventSink: Send + Sync {
-    fn emit(&self, event: &Event);
-
-    /// Flush any buffered output. Called by drivers at end of run / end
-    /// of iteration; a no-op for unbuffered sinks.
-    fn flush(&self) {}
-}
-
 /// Streams events as NDJSON into any `Write` target (file, stdout,
 /// `Vec<u8>`); writes are buffered by the caller's writer choice.
+///
+/// The sink runs inside the recorder's lock on the analysis hot path, so
+/// it never panics: a failed write is counted and the event dropped —
+/// telemetry must not be able to fail an analysis.
 pub struct NdjsonSink {
     out: Mutex<Box<dyn Write + Send>>,
     emitted: AtomicU64,
@@ -172,10 +155,9 @@ impl NdjsonSink {
     pub fn write_errors(&self) -> u64 {
         self.write_errors.load(Ordering::Relaxed)
     }
-}
 
-impl EventSink for NdjsonSink {
-    fn emit(&self, event: &Event) {
+    /// Write one event as a line.
+    pub(crate) fn emit(&self, event: &Event) {
         let mut line = event.to_ndjson();
         line.push('\n');
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
@@ -186,84 +168,10 @@ impl EventSink for NdjsonSink {
         }
     }
 
-    fn flush(&self) {
+    /// Flush the writer (drivers call this at end of run).
+    pub(crate) fn flush(&self) {
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         let _ = out.flush();
-    }
-}
-
-/// Bounded in-memory event buffer: keeps the newest `capacity` events,
-/// dropping (and counting) the oldest. Memory use is O(capacity) no
-/// matter how long the session runs.
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
-    total: AtomicU64,
-}
-
-impl RingSink {
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
-            dropped: AtomicU64::new(0),
-            total: AtomicU64::new(0),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events currently buffered (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever emitted into this sink.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Events evicted to keep the buffer bounded.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// A copy of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Drain the buffer, returning the events oldest first.
-    pub fn drain(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect()
-    }
-}
-
-impl EventSink for RingSink {
-    fn emit(&self, event: &Event) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(event.clone());
     }
 }
 
@@ -344,47 +252,27 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_is_bounded() {
-        let ring = RingSink::new(4);
-        for i in 0..10 {
-            ring.emit(&Event::Counter {
-                name: format!("c{i}"),
-                delta: 1,
-                ts_us: i,
-            });
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.total(), 10);
-        assert_eq!(ring.dropped(), 6);
-        let kept = ring.events();
-        assert!(matches!(&kept[0], Event::Counter { ts_us: 6, .. }));
-        assert!(matches!(&kept[3], Event::Counter { ts_us: 9, .. }));
-        assert_eq!(ring.drain().len(), 4);
-        assert!(ring.is_empty());
-    }
-
-    #[test]
     fn sinks_do_not_alter_snapshots() {
-        let ring = Arc::new(RingSink::new(16));
+        let sink = Arc::new(NdjsonSink::new(std::io::sink()));
         let rec = Recorder::new();
-        rec.add_sink(ring.clone());
+        rec.add_sink(sink.clone());
         drop(rec.span("a"));
         rec.count("x", 3);
         let snap = rec.snapshot();
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.count_of("x"), 3);
-        assert_eq!(ring.total(), 3); // open + close + counter
+        assert_eq!(sink.emitted(), 3); // open + close + counter
     }
 
     #[test]
     fn reset_keeps_sinks_attached() {
-        let ring = Arc::new(RingSink::new(16));
+        let sink = Arc::new(NdjsonSink::new(std::io::sink()));
         let rec = Recorder::new();
-        rec.add_sink(ring.clone());
+        rec.add_sink(sink.clone());
         rec.count("x", 1);
         rec.reset();
         rec.count("x", 1);
-        assert_eq!(ring.total(), 2, "events keep flowing across resets");
+        assert_eq!(sink.emitted(), 2, "events keep flowing across resets");
     }
 
     #[test]

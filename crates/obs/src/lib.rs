@@ -32,7 +32,7 @@ mod event;
 pub mod request;
 pub mod serve;
 
-pub use event::{Event, EventSink, NdjsonSink, RingSink};
+pub use event::{Event, NdjsonSink};
 pub use request::{quantiles_us, MethodQuantiles, RequestTrace, TraceStore};
 pub use serve::{Listener, Live};
 
@@ -125,7 +125,7 @@ struct Inner {
     /// Live event consumers. Emission happens under this struct's lock,
     /// so every sink observes a totally ordered stream (an open always
     /// precedes its close).
-    sinks: Vec<Arc<dyn EventSink>>,
+    sinks: Vec<Arc<NdjsonSink>>,
 }
 
 impl Inner {
@@ -192,13 +192,8 @@ impl Recorder {
     /// histogram observation is forwarded to it as it happens. Multiple
     /// sinks all receive every event. With no sinks attached (the
     /// default), the streaming path costs one empty-vec check.
-    pub fn add_sink(&self, sink: Arc<dyn EventSink>) {
+    pub fn add_sink(&self, sink: Arc<NdjsonSink>) {
         self.lock().sinks.push(sink);
-    }
-
-    /// Detach all sinks (the reverse of [`Recorder::add_sink`]).
-    pub fn clear_sinks(&self) {
-        self.lock().sinks.clear();
     }
 
     /// Flush every attached sink (end of run / end of iteration).
@@ -312,11 +307,6 @@ impl Recorder {
                 ts_us: self.epoch.elapsed().as_micros() as u64,
             });
         }
-    }
-
-    /// Microseconds since creation/last `Instant` epoch.
-    pub fn elapsed_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Copy out everything recorded so far.

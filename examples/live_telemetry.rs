@@ -1,19 +1,21 @@
-//! Live telemetry: attach event sinks to the engine, analyze a small
-//! corpus, and show what streamed out — the in-process mirror of
+//! Live telemetry: attach an event sink to the engine, analyze a small
+//! corpus, and count what streamed out — the in-process mirror of
 //! `ofence analyze --events-out` and `ofence watch --serve-metrics`.
 //!
-//! Two sinks observe the same run: an NDJSON sink writing every event to
-//! a file, and a bounded ring buffer keeping the most recent events in
-//! memory. At the end the run is also published to a [`Live`] endpoint
-//! state, the same object the `/metrics` + `/health` server reads from.
+//! An NDJSON sink writes every event of the run to a file; the example
+//! reads the file back, counts its events by kind and checks that every
+//! span that opened also closed. At the end the run is also published to
+//! a [`Live`] endpoint state, the same object the `/metrics` + `/health`
+//! server reads from.
 //!
 //! ```text
 //! cargo run -p ofence-examples --example live_telemetry [files] [seed]
 //! ```
 
-use ofence::obs::{Event, Live, NdjsonSink, RingSink};
+use ofence::obs::{Live, NdjsonSink};
 use ofence::{AnalysisConfig, Engine, SourceFile};
 use ofence_corpus::{generate, CorpusSpec};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn main() {
@@ -31,18 +33,14 @@ fn main() {
         .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
         .collect();
 
-    // Sink 1: every event as one NDJSON line, streamed while the
-    // analysis runs (what `--events-out` wires up in the CLI).
+    // Every event as one NDJSON line, streamed while the analysis runs
+    // (what `--events-out` wires up in the CLI).
     let path = std::env::temp_dir().join("ofence-live-telemetry.ndjson");
     let file = std::fs::File::create(&path).expect("create event log");
     let ndjson = Arc::new(NdjsonSink::new(std::io::BufWriter::new(file)));
 
-    // Sink 2: a bounded in-memory ring holding the last 64 events.
-    let ring = Arc::new(RingSink::new(64));
-
     let mut engine = Engine::new(AnalysisConfig::default());
     engine.recorder().add_sink(ndjson.clone());
-    engine.recorder().add_sink(ring.clone());
 
     let result = engine.analyze(&sources);
     engine.recorder().flush_sinks();
@@ -55,27 +53,28 @@ fn main() {
         result.stats.deviations_total
     );
 
-    // Count what streamed, by kind.
-    let (mut opens, mut closes, mut counters, mut observes) = (0u64, 0u64, 0u64, 0u64);
-    for ev in ring.events() {
-        match ev {
-            Event::SpanOpen { .. } => opens += 1,
-            Event::SpanClose { .. } => closes += 1,
-            Event::Counter { .. } => counters += 1,
-            Event::Observe { .. } => observes += 1,
-        }
+    // Count what streamed, by kind: each line opens `{"ev":"<kind>"`.
+    let text = std::fs::read_to_string(&path).expect("read event log");
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for line in text.lines() {
+        let kind = line
+            .strip_prefix("{\"ev\":\"")
+            .and_then(|rest| rest.split('"').next())
+            .unwrap_or_else(|| panic!("not an event line: {line}"));
+        *by_kind.entry(kind).or_default() += 1;
     }
+    let of = |kind: &str| by_kind.get(kind).copied().unwrap_or(0);
+    assert_eq!(text.lines().count() as u64, ndjson.emitted());
+    assert!(of("span_open") > 0, "the run opened no span");
+    assert_eq!(of("span_open"), of("span_close"), "a span never closed");
     println!(
-        "ndjson sink: {} events written to {}",
+        "ndjson sink: {} events written to {} — {} opens, {} closes, {} counters, {} observes",
         ndjson.emitted(),
-        path.display()
-    );
-    println!(
-        "ring sink:   {} of {} total events retained (capacity {}) — \
-         last window: {opens} opens, {closes} closes, {counters} counters, {observes} observes",
-        ring.len(),
-        ring.total(),
-        ring.capacity()
+        path.display(),
+        of("span_open"),
+        of("span_close"),
+        of("counter"),
+        of("observe")
     );
 
     // Publish to the same live state the /metrics server scrapes.

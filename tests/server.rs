@@ -379,6 +379,53 @@ fn daemon_matches_single_shot_cli_byte_for_byte() {
     daemon.shutdown();
 }
 
+/// A line with no barrier gets one answer from both front ends: the
+/// daemon's `explain` error lists the file's barriers, word for word the
+/// message `ofence explain` exits 2 with.
+#[test]
+fn daemon_explain_at_a_wrong_line_lists_the_files_barriers() {
+    let corpus_dir = temp_dir("explain-miss-corpus");
+    let state_dir = temp_dir("explain-miss-state");
+    write_corpus(&corpus_dir, &generate(&CorpusSpec::small(11)));
+    let mut daemon = Daemon::spawn(
+        &corpus_dir,
+        &state_dir.join("cache"),
+        &state_dir.join("history"),
+    );
+    let mut client = daemon.client();
+    let served = client.ok(serde_json::json!({"id": 1, "method": "analyze"}));
+    let site = &served["sites"][0]["site"];
+    let file = site["file_name"].as_str().unwrap().to_string();
+    let line = site["line"].as_u64().unwrap();
+    let response = client.call(serde_json::json!({
+        "id": 2,
+        "method": "explain",
+        "params": {"file": file, "line": 999_999},
+    }));
+    assert_eq!(response["ok"], false, "{response}");
+    let message = response["error"]["message"].as_str().unwrap();
+    assert!(
+        message.starts_with(&format!(
+            "no barrier at {file}:999999; barriers in that file:"
+        )),
+        "{message}"
+    );
+    assert!(
+        message.contains(&format!("\n  {file}:{line} (")),
+        "{message}"
+    );
+    let cli = Command::new(env!("CARGO_BIN_EXE_ofence"))
+        .args(["explain", &format!("{file}:999999")])
+        .arg(&corpus_dir)
+        .args(["--no-history", "--no-cache"])
+        .output()
+        .expect("run ofence CLI");
+    assert_eq!(cli.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&cli.stderr);
+    assert!(stderr.contains(message), "{stderr}");
+    daemon.shutdown();
+}
+
 /// `serve --events-out` streams the session engine's events, and the
 /// session flushes them after every run: after one `analyze`, with the
 /// daemon still up, the file is whole NDJSON with every span closed.

@@ -12,7 +12,7 @@
 //!   document, because the text is pre-rendered at publish time.
 
 use ofence::obs::serve::serve;
-use ofence::obs::{Event, Live, NdjsonSink, RingSink};
+use ofence::obs::{Live, NdjsonSink};
 use ofence::{AnalysisConfig, Engine, SourceFile};
 use ofence_corpus::{generate, CorpusSpec};
 use proptest::prelude::*;
@@ -134,30 +134,6 @@ fn ndjson_stream_is_well_formed_and_balanced() {
     }
 }
 
-#[test]
-fn ring_sink_sees_the_same_open_close_balance() {
-    let ring = Arc::new(RingSink::new(100_000));
-    let mut engine = Engine::new(AnalysisConfig::default());
-    engine.recorder().add_sink(ring.clone());
-    engine.analyze(&corpus_sources(11, 4));
-    let mut balance = 0i64;
-    let mut closes_before_opens = false;
-    for ev in ring.events() {
-        match ev {
-            Event::SpanOpen { .. } => balance += 1,
-            Event::SpanClose { .. } => {
-                balance -= 1;
-                if balance < 0 {
-                    closes_before_opens = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(balance, 0, "unbalanced span events");
-    assert!(!closes_before_opens, "a close preceded its open");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -246,60 +222,9 @@ fn concurrent_scrape_during_reanalysis_never_tears() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 10 satellites: RingSink overflow accounting under concurrent load,
-// and span trees of interleaved daemon requests staying balanced and
-// correctly attributed.
+// Span trees of interleaved daemon requests stay balanced and correctly
+// attributed.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn ring_sink_overflow_accounting_is_exact_under_concurrency() {
-    use ofence::obs::EventSink;
-
-    const CAPACITY: usize = 64;
-    const THREADS: u64 = 8;
-    const PER_THREAD: u64 = 100;
-    let ring = Arc::new(RingSink::new(CAPACITY));
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let ring = ring.clone();
-            scope.spawn(move || {
-                for i in 0..PER_THREAD {
-                    ring.emit(&Event::Counter {
-                        name: format!("t{t}-{i}"),
-                        delta: 1,
-                        ts_us: t * PER_THREAD + i,
-                    });
-                }
-            });
-        }
-    });
-    // Nothing lost from the books even though most events were evicted:
-    // total emitted, buffered, and dropped always reconcile.
-    assert_eq!(ring.total(), THREADS * PER_THREAD);
-    assert_eq!(ring.len(), CAPACITY);
-    assert_eq!(ring.dropped(), THREADS * PER_THREAD - CAPACITY as u64);
-
-    // Sequential overflow past a full ring keeps the newest events, in
-    // emission order.
-    for i in 0..10u64 {
-        ring.emit(&Event::Counter {
-            name: format!("tail-{i}"),
-            delta: 1,
-            ts_us: 10_000 + i,
-        });
-    }
-    assert_eq!(ring.len(), CAPACITY);
-    let names: Vec<String> = ring
-        .events()
-        .iter()
-        .map(|e| match e {
-            Event::Counter { name, .. } => name.clone(),
-            other => panic!("unexpected event {other:?}"),
-        })
-        .collect();
-    let tail: Vec<String> = (0..10).map(|i| format!("tail-{i}")).collect();
-    assert_eq!(&names[CAPACITY - 10..], &tail[..], "newest events survive");
-}
 
 /// Nodes in a `/debug/trace` span tree, counted recursively.
 fn count_trace_nodes(nodes: &[serde_json::Value]) -> u64 {
