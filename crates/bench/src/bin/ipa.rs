@@ -1,9 +1,5 @@
 //! Inter-procedural depth-sweep benchmark.
 //!
-//! ```text
-//! ipa [--seed N] [--out PATH] [--runs N]
-//! ```
-//!
 //! Measures what `--ipa-depth` costs on the kernel-shaped 1200-file
 //! corpus (a small barrier-heavy core plus cross-file accessor chains
 //! and hundreds of barrier-free filler files), cold and warm, at depths
@@ -20,8 +16,11 @@
 
 use std::time::Instant;
 
-use ofence::{AnalysisConfig, Engine, SourceFile};
+use ofence::{AnalysisConfig, Engine};
+use ofence_bench::harness;
 use ofence_corpus::{generate, CorpusSpec};
+
+const USAGE: &str = "ipa [--seed N] [--out PATH] [--runs N]";
 
 fn bench_spec(seed: u64) -> CorpusSpec {
     CorpusSpec {
@@ -54,39 +53,17 @@ struct DepthRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut out = "BENCH_ipa.json".to_string();
-    let mut runs = 3usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(42);
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or(out);
-                i += 2;
-            }
-            "--runs" => {
-                runs = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(3);
-                i += 2;
-            }
-            other => {
-                eprintln!("ipa: unknown option `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (seed, out, runs) = harness::cli(USAGE, &["--seed", "--out", "--runs"], &[], |a| {
+        Ok((
+            a.parsed("--seed", 42u64)?,
+            a.value("--out").unwrap_or("BENCH_ipa.json").to_string(),
+            a.parsed("--runs", 3usize)?,
+        ))
+    });
 
     eprintln!("generating corpus (seed={seed})...");
     let corpus = generate(&bench_spec(seed));
-    let files: Vec<SourceFile> = corpus
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect();
+    let files = harness::to_source_files(&corpus);
 
     let mut rows = Vec::new();
     for depth in [0u32, 2, 4] {

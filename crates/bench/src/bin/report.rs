@@ -1,9 +1,5 @@
 //! Regenerate every table and figure of the OFence paper's evaluation.
 //!
-//! ```text
-//! report [--scale small|paper] [--seed N] [--json PATH] [table1|table2|table3|fig6|fig7|runtime|patches|coverage|missing|reread|all]
-//! ```
-//!
 //! Each section prints the paper's artifact next to the measured value so
 //! the shape comparison is immediate. `--json` additionally dumps the raw
 //! numbers for archival (EXPERIMENTS.md is generated from this output).
@@ -14,41 +10,33 @@ use ofence_bench::harness;
 use ofence_corpus::{generate, BugKind, Corpus, CorpusSpec};
 use std::collections::BTreeMap;
 
+const USAGE: &str = "report [--scale small|paper] [--seed N] [--json PATH] \
+     [table1|table2|table3|fig6|fig7|runtime|patches|coverage|missing|reread|ablation|all]...";
+
+const SECTIONS: &[&str] = &[
+    "table1", "table2", "table3", "fig6", "fig7", "runtime", "patches", "coverage", "missing",
+    "reread", "ablation", "all",
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = "paper".to_string();
-    let mut seed = 42u64;
-    let mut json_path: Option<String> = None;
-    let mut sections: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale = args.get(i + 1).cloned().unwrap_or_default();
-                i += 2;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(42);
-                i += 2;
-            }
-            "--json" => {
-                json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            s => {
-                sections.push(s.trim_start_matches("--").to_string());
-                i += 1;
-            }
-        }
-    }
+    let flags = ["--scale", "--seed", "--json"];
+    let (scale, seed, json_path, mut sections) = harness::cli(USAGE, &flags, SECTIONS, |a| {
+        Ok((
+            a.one_of("--scale", &["small", "paper"], "paper")?,
+            a.parsed("--seed", 42u64)?,
+            a.value("--json").map(str::to_string),
+            a.words,
+        ))
+    });
     if sections.is_empty() {
         sections.push("all".into());
     }
     let want = |name: &str| sections.iter().any(|s| s == name || s == "all");
 
-    let spec = match scale.as_str() {
-        "small" => CorpusSpec::small(seed),
-        _ => CorpusSpec::paper_scale(seed),
+    let spec = if scale == "small" {
+        CorpusSpec::small(seed)
+    } else {
+        CorpusSpec::paper_scale(seed)
     };
     eprintln!("generating corpus (scale={scale}, seed={seed})...");
     let corpus = generate(&spec);
@@ -98,6 +86,9 @@ fn main() {
     }
     if want("reread") {
         reread(&corpus, &mut json);
+    }
+    if want("ablation") {
+        ablation(&corpus, &mut json);
     }
 
     if let Some(path) = json_path {
@@ -307,7 +298,7 @@ fn runtime(
     let _ = engine.analyze(&files);
     let touched = files.len() / 2;
     files[touched].content = format!("{}\n/* touched */\n", files[touched].content).into();
-    let inc = engine.analyze_incremental(&files);
+    let inc = engine.analyze(&files);
     println!(
         "single-file incremental:  {} ms  (paper: <30 s per file)",
         inc.stats.elapsed_ms
@@ -599,4 +590,123 @@ fn coverage(
             "fp_ratio": fp_ratio,
         }),
     );
+}
+
+/// The design choices DESIGN.md calls out, each switched off or widened
+/// against the default configuration.
+fn ablation_variants() -> Vec<(&'static str, AnalysisConfig)> {
+    let base = AnalysisConfig::default();
+    vec![
+        ("baseline", base.clone()),
+        (
+            "no_distance_weighting",
+            AnalysisConfig {
+                distance_weighting: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "no_callee_expansion",
+            AnalysisConfig {
+                callee_expansion: false,
+                caller_expansion: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "no_implicit_ipc",
+            AnalysisConfig {
+                implicit_ipc: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "min_objects_3",
+            AnalysisConfig {
+                min_shared_objects: 3,
+                ..base.clone()
+            },
+        ),
+        (
+            "narrow_windows_2_10",
+            AnalysisConfig {
+                write_window: 2,
+                read_window: 10,
+                ..base.clone()
+            },
+        ),
+        (
+            "wide_windows_20_100",
+            AnalysisConfig {
+                write_window: 20,
+                read_window: 100,
+                ..base.clone()
+            },
+        ),
+        (
+            "pair_with_atomics",
+            AnalysisConfig {
+                pair_with_atomics: true,
+                ..base.clone()
+            },
+        ),
+        // The bounded-window re-read heuristic instead of dataflow.
+        (
+            "window_reread",
+            AnalysisConfig {
+                dataflow_reread: false,
+                ..base.clone()
+            },
+        ),
+        // The missing-barrier detector on, then without its outlier rule.
+        (
+            "missing_detector",
+            AnalysisConfig {
+                detect_missing: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "missing_no_outlier",
+            AnalysisConfig {
+                detect_missing: true,
+                outlier_rule: false,
+                ..base
+            },
+        ),
+    ]
+}
+
+/// Ablations: each design choice's effect on pairing and bug quality,
+/// with the cost of the run.
+fn ablation(corpus: &Corpus, json: &mut serde_json::Map<String, serde_json::Value>) {
+    header("Ablations — design choices vs the default configuration");
+    println!(
+        "{:<22} {:>8} {:>7} {:>7} {:>9} {:>5} {:>7}",
+        "variant", "pairings", "recall", "decoys", "bugs", "FPs", "ms"
+    );
+    let mut rows = Vec::new();
+    for (name, config) in ablation_variants() {
+        let (result, summary) = harness::evaluate_corpus(corpus, config);
+        let bugs = format!("{}/{}", summary.bugs_found, summary.bugs_injected);
+        println!(
+            "{name:<22} {:>8} {:>7.3} {:>7} {bugs:>9} {:>5} {:>7}",
+            result.stats.pairings,
+            summary.pairing_recall,
+            summary.decoy_pairings_found,
+            summary.bug_false_positives,
+            result.stats.elapsed_ms
+        );
+        rows.push(serde_json::json!({
+            "name": name,
+            "pairings": result.stats.pairings,
+            "pairing_recall": summary.pairing_recall,
+            "decoy_pairings": summary.decoy_pairings_found,
+            "bugs_found": summary.bugs_found,
+            "bugs_injected": summary.bugs_injected,
+            "false_positives": summary.bug_false_positives,
+            "elapsed_ms": result.stats.elapsed_ms,
+        }));
+    }
+    json.insert("ablation".into(), rows.into());
 }

@@ -1,10 +1,5 @@
 //! Monorepo-scale throughput benchmark.
 //!
-//! ```text
-//! scale [--tiers 1200,12k[,100k]] [--seed N] [--out BENCH_scale.json]
-//!       [--runs N] [--baseline FILE] [--perf-ledger FILE]
-//! ```
-//!
 //! Measures cold and warm files-per-second at increasing corpus sizes
 //! (1.2k / 12k / 100k synthetic files, filler-dominated like a real
 //! kernel tree). Cold analyzes a fresh corpus with an empty cache; warm
@@ -22,8 +17,12 @@
 
 use std::time::Instant;
 
-use ofence::{AnalysisConfig, Engine, SourceFile};
+use ofence::{AnalysisConfig, Engine};
+use ofence_bench::harness;
 use ofence_corpus::{generate, inject_edit, CorpusSpec};
+
+const USAGE: &str = "scale [--tiers 1200,12k[,100k]] [--seed N] [--out BENCH_scale.json] \
+     [--runs N] [--baseline FILE] [--perf-ledger FILE]";
 
 /// Phase span names folded into the per-tier breakdown.
 const PHASES: &[&str] = &[
@@ -40,69 +39,48 @@ const PHASES: &[&str] = &[
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tiers = vec!["1200".to_string(), "12k".to_string()];
-    let mut seed = 42u64;
-    let mut out = "BENCH_scale.json".to_string();
-    let mut runs = 2usize;
-    let mut baseline: Option<String> = None;
-    let mut perf_ledger: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tiers" => {
-                tiers = args
-                    .get(i + 1)
-                    .map(|s| s.split(',').map(str::to_string).collect())
-                    .unwrap_or(tiers);
-                i += 2;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(42);
-                i += 2;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned().unwrap_or(out);
-                i += 2;
-            }
-            "--runs" => {
-                runs = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(2);
-                i += 2;
-            }
-            "--baseline" => {
-                baseline = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--perf-ledger" => {
-                perf_ledger = args.get(i + 1).cloned();
-                i += 2;
-            }
-            other => {
-                eprintln!("scale: unknown option `{other}`");
-                std::process::exit(2);
-            }
+    let flags = [
+        "--tiers",
+        "--seed",
+        "--out",
+        "--runs",
+        "--baseline",
+        "--perf-ledger",
+    ];
+    let (tiers, seed, out, runs, baseline, perf_ledger) = harness::cli(USAGE, &flags, &[], |a| {
+        let tiers: Vec<String> = a
+            .value("--tiers")
+            .unwrap_or("1200,12k")
+            .split(',')
+            .map(str::to_string)
+            .collect();
+        if let Some(bad) = tiers.iter().find(|t| CorpusSpec::tier(t, 0).is_none()) {
+            return Err(format!(
+                "unknown tier `{bad}` (expected 1200, 12k, or 100k)"
+            ));
         }
-    }
+        Ok((
+            tiers,
+            a.parsed("--seed", 42u64)?,
+            a.value("--out").unwrap_or("BENCH_scale.json").to_string(),
+            a.parsed("--runs", 2usize)?,
+            a.value("--baseline").map(str::to_string),
+            a.value("--perf-ledger").map(str::to_string),
+        ))
+    });
 
     let config = AnalysisConfig::default();
     let mut tier_reports: Vec<serde_json::Value> = Vec::new();
     let mut ledger_records = Vec::new();
 
     for tier in &tiers {
-        let spec = CorpusSpec::tier(tier, seed).unwrap_or_else(|| {
-            eprintln!("scale: unknown tier `{tier}` (expected 1200, 12k, or 100k)");
-            std::process::exit(2);
-        });
+        let spec = CorpusSpec::tier(tier, seed).expect("tiers are checked when parsed");
         eprintln!("tier {tier}: generating corpus...");
         let gen_start = Instant::now();
         let mut corpus = generate(&spec);
         let gen_ms = gen_start.elapsed().as_millis() as u64;
         let n_files = corpus.files.len();
-        let cold_files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let cold_files = harness::to_source_files(&corpus);
 
         let cache_dir =
             std::env::temp_dir().join(format!("ofence-scale-{tier}-{}", std::process::id()));
@@ -150,11 +128,7 @@ fn main() {
 
         // One edit, then warm runs in fresh engines (new process images).
         let edited = inject_edit(&mut corpus, seed ^ 1);
-        let warm_files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let warm_files = harness::to_source_files(&corpus);
         let mut warm_ms = u64::MAX;
         let mut load_ms = 0u64;
         let mut best_warm = None;

@@ -277,9 +277,8 @@ impl Engine {
         self.finish(analyses, root)
     }
 
-    /// Re-analyze after edits: unchanged files come from the cache, only
-    /// changed files are re-parsed; pairing and checking always re-run
-    /// globally (they are cheap relative to parsing).
+    /// Alias of [`Engine::analyze`], kept only because the frozen
+    /// `bench-e2e/` replay calls it; every other caller uses `analyze`.
     pub fn analyze_incremental(&mut self, files: &[SourceFile]) -> AnalysisResult {
         self.analyze(files)
     }
@@ -601,7 +600,7 @@ void writer(struct my_struct *b) {
         let mut engine = Engine::new(AnalysisConfig::default());
         let r1 = engine.analyze(&files);
         // Unchanged re-run: identical results.
-        let r2 = engine.analyze_incremental(&files);
+        let r2 = engine.analyze(&files);
         assert_eq!(r1.stats.pairings, r2.stats.pairings);
         assert_eq!(r1.sites.len(), r2.sites.len());
     }
@@ -614,7 +613,7 @@ void writer(struct my_struct *b) {
         assert_eq!(r1.pairing.pairings.len(), 1);
         // Break the reader: remove its barrier.
         files[0].content = files[0].content.replace("smp_rmb();", ";").into();
-        let r2 = engine.analyze_incremental(&files);
+        let r2 = engine.analyze(&files);
         assert_eq!(r2.sites.len(), 1);
         assert!(r2.pairing.pairings.is_empty());
     }

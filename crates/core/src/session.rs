@@ -466,7 +466,7 @@ impl Session {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take();
-        let result = engine.analyze_incremental(sources);
+        let result = engine.analyze(sources);
         // A full disk is not a failed analysis: the result stands, the
         // next save retries the dirty shards.
         let cache_save_error = self

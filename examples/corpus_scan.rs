@@ -6,8 +6,9 @@
 //! cargo run -p ofence-examples --example corpus_scan [files] [seed]
 //! ```
 
-use ofence::{AnalysisConfig, Engine, SourceFile};
-use ofence_corpus::{evaluate, generate, BugPlan, CorpusSpec, FoundBug, FoundPairing};
+use ofence::AnalysisConfig;
+use ofence_bench::harness;
+use ofence_corpus::{generate, BugPlan, CorpusSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,12 +46,7 @@ fn main() {
         corpus.manifest.decoy_pairings().count()
     );
 
-    let sources: Vec<SourceFile> = corpus
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect();
-    let result = Engine::new(AnalysisConfig::default()).analyze(&sources);
+    let (result, summary) = harness::evaluate_corpus(&corpus, AnalysisConfig::default());
     println!("{}", result.stats.render());
 
     println!("== findings");
@@ -58,54 +54,6 @@ fn main() {
         println!("  {}:{} {}", d.site.file_name, d.site.line, d.explanation);
     }
 
-    // Grade against the manifest.
-    let bugs: Vec<FoundBug> = result
-        .deviations
-        .iter()
-        .filter_map(|d| {
-            let kind = match &d.kind {
-                ofence::DeviationKind::Misplaced { .. } => ofence_corpus::BugKind::Misplaced,
-                ofence::DeviationKind::RepeatedRead { .. } => ofence_corpus::BugKind::RepeatedRead,
-                ofence::DeviationKind::WrongBarrierType { .. } => {
-                    ofence_corpus::BugKind::WrongBarrierType
-                }
-                ofence::DeviationKind::UnneededBarrier { .. } => {
-                    ofence_corpus::BugKind::UnneededBarrier
-                }
-                ofence::DeviationKind::MissingOnce { .. } => return None,
-                ofence::DeviationKind::MissingBarrier { .. } => {
-                    ofence_corpus::BugKind::MissingBarrier
-                }
-            };
-            Some(FoundBug {
-                function: d.site.function.clone(),
-                kind,
-                strukt: d
-                    .object
-                    .as_ref()
-                    .map(|o| o.strukt.clone())
-                    .unwrap_or_default(),
-                field: d
-                    .object
-                    .as_ref()
-                    .map(|o| o.field.clone())
-                    .unwrap_or_default(),
-            })
-        })
-        .collect();
-    let pairings: Vec<FoundPairing> = result
-        .pairing
-        .pairings
-        .iter()
-        .map(|p| FoundPairing {
-            functions: p
-                .members
-                .iter()
-                .map(|&m| result.site(m).site.function.clone())
-                .collect(),
-        })
-        .collect();
-    let summary = evaluate(&corpus.manifest, &bugs, &pairings);
     println!("\n== grading vs ground truth");
     println!(
         "  bug recall     {:.0}% ({}/{})",

@@ -13,7 +13,8 @@
 //! ```
 
 use ofence::obs::{Live, NdjsonSink};
-use ofence::{AnalysisConfig, Engine, SourceFile};
+use ofence::{AnalysisConfig, Engine};
+use ofence_bench::harness;
 use ofence_corpus::{generate, CorpusSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,11 +28,7 @@ fn main() {
         files,
         ..CorpusSpec::small(seed)
     };
-    let sources: Vec<SourceFile> = generate(&spec)
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect();
+    let sources = harness::to_source_files(&generate(&spec));
 
     // Every event as one NDJSON line, streamed while the analysis runs
     // (what `--events-out` wires up in the CLI).

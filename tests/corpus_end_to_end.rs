@@ -2,68 +2,12 @@
 //! ground truth at several scales and seeds. These tests pin the
 //! reproduction's quality bar (the §6 numbers).
 
-use ofence::{AnalysisConfig, Engine, SourceFile};
-use ofence_corpus::{evaluate, generate, BugKind, BugPlan, Corpus, CorpusSpec};
-
-fn sources(corpus: &Corpus) -> Vec<SourceFile> {
-    corpus
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect()
-}
+use ofence::{AnalysisConfig, Engine};
+use ofence_bench::harness::{evaluate_corpus, to_source_files};
+use ofence_corpus::{generate, BugKind, BugPlan, Corpus, CorpusSpec};
 
 fn grade(corpus: &Corpus) -> (ofence::AnalysisResult, ofence_corpus::EvalSummary) {
-    grade_with(corpus, AnalysisConfig::default())
-}
-
-fn grade_with(
-    corpus: &Corpus,
-    config: AnalysisConfig,
-) -> (ofence::AnalysisResult, ofence_corpus::EvalSummary) {
-    let result = Engine::new(config).analyze(&sources(corpus));
-    let bugs: Vec<ofence_corpus::FoundBug> = result
-        .deviations
-        .iter()
-        .filter_map(|d| {
-            let kind = match &d.kind {
-                ofence::DeviationKind::Misplaced { .. } => BugKind::Misplaced,
-                ofence::DeviationKind::RepeatedRead { .. } => BugKind::RepeatedRead,
-                ofence::DeviationKind::WrongBarrierType { .. } => BugKind::WrongBarrierType,
-                ofence::DeviationKind::UnneededBarrier { .. } => BugKind::UnneededBarrier,
-                ofence::DeviationKind::MissingBarrier { .. } => BugKind::MissingBarrier,
-                ofence::DeviationKind::MissingOnce { .. } => return None,
-            };
-            Some(ofence_corpus::FoundBug {
-                function: d.site.function.clone(),
-                kind,
-                strukt: d
-                    .object
-                    .as_ref()
-                    .map(|o| o.strukt.clone())
-                    .unwrap_or_default(),
-                field: d
-                    .object
-                    .as_ref()
-                    .map(|o| o.field.clone())
-                    .unwrap_or_default(),
-            })
-        })
-        .collect();
-    let pairings: Vec<ofence_corpus::FoundPairing> = result
-        .pairing
-        .pairings
-        .iter()
-        .map(|p| ofence_corpus::FoundPairing {
-            functions: p
-                .members
-                .iter()
-                .map(|&m| result.site(m).site.function.clone())
-                .collect(),
-        })
-        .collect();
-    let summary = evaluate(&corpus.manifest, &bugs, &pairings);
-    (result, summary)
+    evaluate_corpus(corpus, AnalysisConfig::default())
 }
 
 #[test]
@@ -107,7 +51,7 @@ fn all_bug_classes_detected_across_seeds() {
             },
         };
         let corpus = generate(&spec);
-        let (_, summary) = grade_with(
+        let (_, summary) = evaluate_corpus(
             &corpus,
             AnalysisConfig {
                 detect_missing: true,
@@ -151,7 +95,7 @@ fn paper_scale_shape_holds() {
 #[test]
 fn wakeup_writers_classified_implicit_ipc() {
     let corpus = generate(&CorpusSpec::small(11));
-    let result = Engine::new(AnalysisConfig::default()).analyze(&sources(&corpus));
+    let result = Engine::new(AnalysisConfig::default()).analyze(&to_source_files(&corpus));
     for writer in &corpus.manifest.implicit_ipc_writers {
         let site = result
             .sites
@@ -200,7 +144,7 @@ fn pattern_counts_recorded() {
 #[test]
 fn figure6_shape_rising_then_plateau() {
     let corpus = generate(&CorpusSpec::paper_scale(42));
-    let files = sources(&corpus);
+    let files = to_source_files(&corpus);
     let sweep =
         Engine::sweep_write_window(&files, &AnalysisConfig::default(), [1u32, 3, 5, 10, 20]);
     let counts: Vec<usize> = sweep.iter().map(|&(_, p)| p).collect();
@@ -246,7 +190,7 @@ fn missing_detector_full_recall_without_false_positives() {
 
     // Detector on: every fence-less guarded reader is found, and the
     // outlier rule keeps the unfenced decoys quiet.
-    let (_, on) = grade_with(
+    let (_, on) = evaluate_corpus(
         &corpus,
         AnalysisConfig {
             detect_missing: true,
@@ -259,7 +203,7 @@ fn missing_detector_full_recall_without_false_positives() {
 
     // Ablation: without the outlier rule the detector reports both
     // fence-less readers of every decoy.
-    let (_, no_outlier) = grade_with(
+    let (_, no_outlier) = evaluate_corpus(
         &corpus,
         AnalysisConfig {
             detect_missing: true,
@@ -298,7 +242,7 @@ fn dataflow_reread_strictly_fewer_false_positives_than_window() {
     };
     let corpus = generate(&spec);
     let (_, dataflow) = grade(&corpus);
-    let (_, window) = grade_with(
+    let (_, window) = evaluate_corpus(
         &corpus,
         AnalysisConfig {
             dataflow_reread: false,
@@ -318,7 +262,7 @@ fn dataflow_reread_strictly_fewer_false_positives_than_window() {
 #[test]
 fn figure7_read_distances_spread_out() {
     let corpus = generate(&CorpusSpec::paper_scale(42));
-    let result = Engine::new(AnalysisConfig::default()).analyze(&sources(&corpus));
+    let result = Engine::new(AnalysisConfig::default()).analyze(&to_source_files(&corpus));
     let h = result.read_distance_histogram();
     // Reads are spread: a meaningful share beyond 5 statements...
     assert!(

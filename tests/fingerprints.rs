@@ -3,7 +3,8 @@
 //! runs — line shifts, unrelated renames, reordered siblings — while any
 //! genuinely new deviation, and only it, classifies as new.
 
-use ofence::{classify, AnalysisConfig, Engine, FindingRecord, SourceFile};
+use ofence::{classify, AnalysisConfig, Engine, FindingRecord};
+use ofence_bench::harness;
 use ofence_corpus::{
     generate, inject_deviation, prepend_comment_lines, BugPlan, Corpus, CorpusSpec,
 };
@@ -23,11 +24,7 @@ fn buggy_spec(seed: u64) -> CorpusSpec {
 }
 
 fn records(corpus: &Corpus) -> Vec<FindingRecord> {
-    let sources: Vec<SourceFile> = corpus
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect();
+    let sources = harness::to_source_files(corpus);
     let result = Engine::new(AnalysisConfig::default()).analyze(&sources);
     ofence::finding_records(&result.deviations, &result.sites, &result.files)
 }

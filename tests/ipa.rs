@@ -3,16 +3,9 @@
 //! conservatism, and cache invalidation under `--ipa-depth`.
 
 use ofence::{AnalysisConfig, Engine, SourceFile};
-use ofence_corpus::{generate, BugKind, Corpus, CorpusSpec, PatternKind};
+use ofence_bench::harness::to_source_files;
+use ofence_corpus::{generate, BugKind, CorpusSpec, PatternKind};
 use proptest::prelude::*;
-
-fn sources(corpus: &Corpus) -> Vec<SourceFile> {
-    corpus
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect()
-}
 
 fn depth_config(depth: u32) -> AnalysisConfig {
     AnalysisConfig {
@@ -54,7 +47,7 @@ fn pairing_functions(result: &ofence::AnalysisResult) -> Vec<Vec<String>> {
 #[test]
 fn cross_file_chains_pair_only_at_sufficient_depth() {
     let corpus = generate(&chain_spec(51, 5, 2, 0));
-    let files = sources(&corpus);
+    let files = to_source_files(&corpus);
     let chains: Vec<_> = corpus
         .manifest
         .expected_pairings
@@ -116,7 +109,7 @@ fn cross_file_chains_pair_only_at_sufficient_depth() {
 #[test]
 fn deep_callee_misplaced_read_found_only_interprocedurally() {
     let corpus = generate(&chain_spec(52, 4, 2, 2));
-    let files = sources(&corpus);
+    let files = to_source_files(&corpus);
     let injected: Vec<_> = corpus
         .manifest
         .bugs
@@ -158,7 +151,7 @@ fn depth_zero_reports_identical_to_pre_ipa_pipeline() {
     // On a corpus with no chains, every depth-0 report must be exactly
     // the default pipeline's (the IPA pass is a strict no-op when off).
     let corpus = generate(&CorpusSpec::small(53));
-    let files = sources(&corpus);
+    let files = to_source_files(&corpus);
     let default = Engine::new(AnalysisConfig::default()).analyze(&files);
     let depth0 = Engine::new(depth_config(0)).analyze(&files);
     // Drop run-specific keys (run id, timings) before comparing.
@@ -246,7 +239,7 @@ proptest! {
     ) {
         let bugs = bugs.min(chains);
         let corpus = generate(&chain_spec(seed, chains, depth, bugs));
-        let composed = Engine::new(depth_config(depth as u32)).analyze(&sources(&corpus));
+        let composed = Engine::new(depth_config(depth as u32)).analyze(&to_source_files(&corpus));
 
         // The equivalent inlined program: same callers, no helpers.
         let inlined_files: Vec<SourceFile> = (0..chains)
@@ -435,7 +428,7 @@ fn warm_cache_at_new_depth_recomputes() {
     let dir = std::env::temp_dir().join(format!("ofence-ipa-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let corpus = generate(&chain_spec(54, 2, 2, 0));
-    let files = sources(&corpus);
+    let files = to_source_files(&corpus);
 
     let mut cold = Engine::new(depth_config(0));
     cold.analyze(&files);

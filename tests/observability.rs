@@ -84,7 +84,7 @@ fn counters_reset_between_incremental_runs() {
     assert_eq!(r1.obs.count_of("ckit_files_parsed"), 2);
 
     // Unchanged re-run: everything cached, counters must NOT accumulate.
-    let r2 = engine.analyze_incremental(&files);
+    let r2 = engine.analyze(&files);
     assert_eq!(r2.obs.count_of("pairings_formed"), 1, "accumulated!");
     assert_eq!(r2.obs.count_of("ckit_files_parsed"), 0, "cache was hot");
     assert_eq!(r2.obs.count_of("engine_cache_hits"), 2);
@@ -92,7 +92,7 @@ fn counters_reset_between_incremental_runs() {
     // Touch one file: exactly one re-parse.
     let mut files = files;
     files[0].content = format!("{}\n/* touched */\n", files[0].content).into();
-    let r3 = engine.analyze_incremental(&files);
+    let r3 = engine.analyze(&files);
     assert_eq!(r3.obs.count_of("ckit_files_parsed"), 1);
     assert_eq!(r3.obs.count_of("engine_cache_hits"), 1);
 }

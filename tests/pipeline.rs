@@ -99,7 +99,7 @@ fn editing_one_file_changes_only_its_sites() {
         files2[1].content
     )
     .into();
-    let r2 = engine.analyze_incremental(&files2);
+    let r2 = engine.analyze(&files2);
     // Cached writer analysis is reused: same span, same function.
     let writer_site2 = r2
         .sites

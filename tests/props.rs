@@ -2,6 +2,7 @@
 //! plans, and seeds must uphold the analyzer's invariants.
 
 use ofence::{AnalysisConfig, Engine, SourceFile};
+use ofence_bench::harness;
 use ofence_corpus::{generate, BugPlan, CorpusSpec};
 use proptest::prelude::*;
 
@@ -74,11 +75,7 @@ proptest! {
     #[test]
     fn analysis_invariants(spec in arb_spec()) {
         let corpus = generate(&spec);
-        let files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let files = harness::to_source_files(&corpus);
         let r = Engine::new(AnalysisConfig::default()).analyze(&files);
         for (i, s) in r.sites.iter().enumerate() {
             prop_assert_eq!(s.id.0 as usize, i);
@@ -125,11 +122,7 @@ proptest! {
     #[test]
     fn patches_always_apply_cleanly(spec in arb_spec()) {
         let corpus = generate(&spec);
-        let files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let files = harness::to_source_files(&corpus);
         let r = Engine::new(AnalysisConfig::default()).analyze(&files);
         for d in &r.deviations {
             let fa = &r.files[d.site.file];
@@ -153,11 +146,7 @@ proptest! {
     fn window_monotonicity(seed in any::<u64>()) {
         let spec = CorpusSpec::small(seed);
         let corpus = generate(&spec);
-        let files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let files = harness::to_source_files(&corpus);
         let narrow = Engine::new(AnalysisConfig {
             read_window: 10,
             ..Default::default()
@@ -206,11 +195,7 @@ proptest! {
         };
         let corpus = generate(&spec);
         prop_assert_eq!(corpus.manifest.bugs.len(), nbugs);
-        let files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let files = harness::to_source_files(&corpus);
         let config = AnalysisConfig {
             detect_missing: true,
             ..Default::default()
@@ -250,17 +235,13 @@ proptest! {
     #[test]
     fn incremental_equals_fresh(seed in any::<u64>(), touch in 0usize..8) {
         let corpus = generate(&CorpusSpec::small(seed));
-        let mut files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let mut files = harness::to_source_files(&corpus);
         let mut engine = Engine::new(AnalysisConfig::default());
         let _ = engine.analyze(&files);
         let idx = touch % files.len();
         files[idx].content =
             format!("{}\nint prop_added(void) {{ return 1; }}\n", files[idx].content).into();
-        let incremental = engine.analyze_incremental(&files);
+        let incremental = engine.analyze(&files);
         let fresh = Engine::new(AnalysisConfig::default()).analyze(&files);
         prop_assert_eq!(result_fingerprint(&incremental), result_fingerprint(&fresh));
     }
@@ -273,11 +254,7 @@ proptest! {
     #[test]
     fn disk_roundtrip_equals_fresh(spec in arb_spec(), edit_seed in any::<u64>()) {
         let mut corpus = generate(&spec);
-        let files: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let files = harness::to_source_files(&corpus);
         let dir = std::env::temp_dir().join(format!(
             "ofence-prop-cache-{}-{}-{}",
             std::process::id(),
@@ -291,11 +268,7 @@ proptest! {
         cold_engine.save_disk_cache(&dir).expect("save cache");
 
         let edited = ofence_corpus::inject_edit(&mut corpus, edit_seed);
-        let files2: Vec<SourceFile> = corpus
-            .files
-            .iter()
-            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-            .collect();
+        let files2 = harness::to_source_files(&corpus);
 
         let mut warm_engine = Engine::new(AnalysisConfig::default());
         let outcome = warm_engine.load_disk_cache(&dir);

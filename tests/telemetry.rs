@@ -14,6 +14,7 @@
 use ofence::obs::serve::serve;
 use ofence::obs::{Live, NdjsonSink};
 use ofence::{AnalysisConfig, Engine, SourceFile};
+use ofence_bench::harness;
 use ofence_corpus::{generate, CorpusSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -27,11 +28,7 @@ fn corpus_sources(seed: u64, files: usize) -> Vec<SourceFile> {
         files,
         ..CorpusSpec::small(seed)
     };
-    generate(&spec)
-        .files
-        .iter()
-        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
-        .collect()
+    harness::to_source_files(&generate(&spec))
 }
 
 /// Shared writer that collects the NDJSON stream into a buffer the test
@@ -170,7 +167,7 @@ fn concurrent_scrape_during_reanalysis_never_tears() {
             let mut iterations = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 iterations += 1;
-                let result = engine.analyze_incremental(&sources);
+                let result = engine.analyze(&sources);
                 let obs = result
                     .obs
                     .with_counters([("watch_iterations".to_string(), iterations)]);
