@@ -1,10 +1,8 @@
 //! Shared harness: run the analyzer on a generated corpus and convert the
-//! results into the corpus crate's evaluation records, plus the one
-//! command-line parser every bench bin uses.
+//! results into the corpus crate's evaluation records, plus the bench
+//! bins' command-line entry point over [`ofence::flags`].
 
-use std::collections::BTreeMap;
-use std::str::FromStr;
-
+use ofence::flags::{parse_args, Args};
 use ofence::{AnalysisConfig, AnalysisResult, DeviationKind, Engine, SourceFile};
 use ofence_corpus::{evaluate, BugKind, Corpus, EvalSummary, FoundBug, FoundPairing};
 
@@ -81,71 +79,9 @@ pub fn evaluate_corpus(corpus: &Corpus, config: AnalysisConfig) -> (AnalysisResu
     (result, summary)
 }
 
-/// A bench bin's command line: `--flag value` pairs and bare words.
-#[derive(Debug)]
-pub struct Args {
-    values: BTreeMap<String, String>,
-    /// Bare words in command-line order, each one the bin allows.
-    pub words: Vec<String>,
-}
-
-/// Parse `args` against a bin's `flags` (each takes one value) and its
-/// allowed bare `words`. An unknown flag or word, or a flag with no value,
-/// is an error.
-pub fn parse_args(args: &[String], flags: &[&str], words: &[&str]) -> Result<Args, String> {
-    let mut values = BTreeMap::new();
-    let mut bare = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if flags.contains(&arg.as_str()) {
-            let value = it
-                .next()
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("`{arg}` needs a value"))?;
-            values.insert(arg.clone(), value.clone());
-        } else if words.contains(&arg.as_str()) {
-            bare.push(arg.clone());
-        } else {
-            return Err(format!("unknown argument `{arg}`"));
-        }
-    }
-    Ok(Args {
-        values,
-        words: bare,
-    })
-}
-
-impl Args {
-    /// The raw value of `flag`, if given.
-    pub fn value(&self, flag: &str) -> Option<&str> {
-        self.values.get(flag).map(String::as_str)
-    }
-
-    /// The value of `flag` parsed as `T`, or `default` when absent.
-    pub fn parsed<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.value(flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("`{flag}` cannot take `{v}`")),
-        }
-    }
-
-    /// The value of `flag`, which must be one of `allowed`; `default`
-    /// when absent.
-    pub fn one_of(&self, flag: &str, allowed: &[&str], default: &str) -> Result<String, String> {
-        match self.value(flag) {
-            None => Ok(default.to_string()),
-            Some(v) if allowed.contains(&v) => Ok(v.to_string()),
-            Some(v) => Err(format!(
-                "`{flag}` cannot take `{v}` (expected {})",
-                allowed.join(" or ")
-            )),
-        }
-    }
-}
-
-/// Parse the process's command line with [`parse_args`] and turn it into
-/// the bin's options with `read`; on any error print it with the bin's
-/// `usage` line to stderr and exit 2.
+/// Parse the process's command line against the bin's valued `flags` and
+/// allowed bare `words` and turn it into the bin's options with `read`;
+/// on any error print it with the bin's `usage` line to stderr and exit 2.
 pub fn cli<T>(
     usage: &str,
     flags: &[&str],
@@ -153,7 +89,7 @@ pub fn cli<T>(
     read: impl FnOnce(Args) -> Result<T, String>,
 ) -> T {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_args(&args, flags, words)
+    parse_args(&args, flags, &[], Some(words))
         .and_then(read)
         .unwrap_or_else(|err| {
             eprintln!("error: {err}\nusage: {usage}");
@@ -161,16 +97,20 @@ pub fn cli<T>(
         })
 }
 
+/// The shared parser as the bench bins call it (valued flags, a fixed
+/// word list), plus the switches and `--flag=value` spelling the `ofence`
+/// binary also uses.
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const FLAGS: &[&str] = &["--scale", "--seed", "--json"];
+    const SWITCHES: &[&str] = &["--fast"];
     const WORDS: &[&str] = &["table3", "all"];
 
     fn parse(line: &str) -> Result<Args, String> {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        parse_args(&args, FLAGS, WORDS)
+        parse_args(&args, FLAGS, SWITCHES, Some(WORDS))
     }
 
     #[test]
@@ -183,6 +123,17 @@ mod tests {
         );
         assert_eq!(args.value("--json"), Some("out.json"));
         assert_eq!(args.words, ["table3", "all"]);
+        assert!(!args.has("--fast"));
+        // Switches take no value; `--flag=value` is the same as `--flag value`.
+        let args = parse("--fast --seed=7 --json=--out.json all").unwrap();
+        assert!(args.has("--fast"));
+        assert_eq!(args.parsed("--seed", 42u64), Ok(7));
+        assert_eq!(args.value("--json"), Some("--out.json"));
+        assert_eq!(
+            args.flags().collect::<Vec<_>>(),
+            ["--fast", "--seed", "--json"]
+        );
+        assert_eq!(args.words, ["all"]);
         let empty = parse("").unwrap();
         assert_eq!(empty.parsed("--seed", 42u64), Ok(42));
         assert_eq!(
@@ -196,6 +147,8 @@ mod tests {
     fn unknown_flag_is_rejected() {
         let err = parse("--sede 7").unwrap_err();
         assert!(err.contains("`--sede`"), "{err}");
+        let err = parse("--sede=7").unwrap_err();
+        assert!(err.contains("`--sede`"), "{err}");
     }
 
     #[test]
@@ -206,7 +159,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_rejected() {
-        for line in ["--seed", "--seed --json out.json"] {
+        for line in ["--seed", "--seed --json out.json", "--seed --fast"] {
             let err = parse(line).unwrap_err();
             assert!(err.contains("`--seed` needs a value"), "{line}: {err}");
         }
@@ -217,6 +170,14 @@ mod tests {
         let args = parse("--seed x").unwrap();
         let err = args.parsed("--seed", 42u64).unwrap_err();
         assert!(err.contains("`x`"), "{err}");
+        let err = parse("--seed=x").unwrap().get::<u64>("--seed").unwrap_err();
+        assert!(err.contains("`x`"), "{err}");
+    }
+
+    #[test]
+    fn switch_with_a_value_is_rejected() {
+        let err = parse("--fast=yes").unwrap_err();
+        assert!(err.contains("`--fast` takes no value"), "{err}");
     }
 
     #[test]

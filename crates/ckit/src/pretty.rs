@@ -1,8 +1,10 @@
 //! Pretty-printer: AST → C source.
 //!
-//! Used by patch synthesis (to re-emit moved statements) and by the
-//! property tests (print ∘ parse must be a projection: printing a parsed
-//! unit and reparsing it yields an identical AST).
+//! Used by the parser to name GNU `typeof(...)` types by their canonical
+//! text, and by the property tests (print ∘ parse must be a projection:
+//! printing a parsed unit and reparsing it yields an identical AST).
+//! Patch synthesis does not use it: patches are span edits over the
+//! original source.
 
 use crate::ast::*;
 use std::fmt::Write;

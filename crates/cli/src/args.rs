@@ -1,5 +1,7 @@
-//! Argument parsing (hand-rolled; the tool has a small, stable surface).
+//! Argument parsing: one table of the flags each subcommand reads, read
+//! through the shared [`ofence::flags`] parser.
 
+use ofence::flags::{self, Args};
 use ofence::{AnalysisConfig, FailOn};
 
 pub const USAGE: &str = "\
@@ -25,21 +27,27 @@ usage:
   ofence gen      --out DIR [--files N | --tier 1200|12k|100k] [--seed S]
                   [--bugs] [--chains N] [--chain-depth D] [--chain-bugs B]
 
+A valued flag also takes the `--flag=value` spelling (`--fail-on=new`);
+an argument that starts with `--` is never a flag's value. A subcommand
+rejects any flag it does not use (`analyze --apply`, `watch --json`).
+
 output options:
   --trace-out FILE   write a Chrome-tracing JSON trace of the run
   --metrics-out FILE write Prometheus text-format metrics of the run
   --events-out FILE  stream span/counter events as NDJSON while the
                      analysis runs (`-` for stdout)
   --sarif-out FILE   write findings as SARIF 2.1.0 with stable
-                     fingerprints in partialFingerprints
+                     fingerprints in partialFingerprints (analyze, diff)
   --slow-files N     list the top N slowest files in stats output
                      (default 5)
 
-triage options (analyze and watch):
+triage options:
   --baseline FILE    compare findings against this baseline; known
-                     findings are reported as baselined
+                     findings are reported as baselined (analyze, diff,
+                     watch)
   --fail-on POLICY   exit non-zero on: new (findings not in the
                      baseline), any (default; any finding), none
+                     (analyze, diff)
   --history-dir DIR  append the run record to DIR/history.jsonl
                      (default: .ofence)
   --no-history       do not write the run ledger
@@ -278,139 +286,249 @@ pub struct GenOpts {
     pub tier: Option<String>,
 }
 
+/// The valued flags and switches every analysis subcommand reads: the
+/// engine, window, cache and ledger options.
+#[rustfmt::skip]
+const RUN_FLAGS: &[&str] = &[
+    "--write-window", "--read-window", "--ipa-depth", "--slow-files", "--events-out",
+    "--cache-dir", "--history-dir",
+];
+#[rustfmt::skip]
+const RUN_SWITCHES: &[&str] = &[
+    "--no-ipc", "--no-expand", "--missing", "--no-outlier", "--window-reread", "--no-cache",
+    "--no-history",
+];
+
+/// The one flag table: per subcommand, whether it analyzes (and so also
+/// reads [`RUN_FLAGS`] and [`RUN_SWITCHES`]), then the other valued flags
+/// and switches it reads. A flag outside its row is refused.
+type Flags = &'static [&'static str];
+type Row = (&'static str, bool, Flags, Flags);
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Row] = &[
+    ("analyze", true, &["--trace-out", "--metrics-out", "--sarif-out", "--baseline", "--fail-on"],
+        &["--json"]),
+    ("patch", true, &["--trace-out", "--metrics-out"], &["--json", "--apply"]),
+    ("annotate", true, &["--trace-out", "--metrics-out"], &["--json", "--apply"]),
+    ("stats", true, &["--trace-out", "--metrics-out"], &["--json"]),
+    ("explain", true, &["--trace-out", "--metrics-out"], &["--json"]),
+    ("watch", true, &["--trace-out", "--metrics-out", "--baseline", "--interval-ms",
+        "--max-iterations", "--serve-metrics"], &[]),
+    ("serve", true, &["--addr", "--metrics"], &[]),
+    ("diff", true, &["--trace-out", "--metrics-out", "--sarif-out", "--baseline", "--fail-on"],
+        &["--json"]),
+    ("baseline", true, &["--trace-out", "--metrics-out", "--out"], &[]),
+    ("call", false, &["--params"], &[]),
+    ("trace", false, &[], &["--json"]),
+    ("perf", false, &["--ledger", "--history-dir", "--last", "--max-regress-pct"],
+        &["--gate", "--requests", "--json"]),
+    ("gen", false, &["--out", "--tier", "--files", "--seed", "--chains", "--chain-depth",
+        "--chain-bugs"], &["--bugs"]),
+];
+
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some(sub) = argv.first() else {
         return Err("missing subcommand".into());
     };
-    let rest = &argv[1..];
-    match sub.as_str() {
-        "analyze" => Ok(Command::Analyze(parse_run(rest)?)),
-        "patch" => Ok(Command::Patch(parse_run(rest)?)),
-        "annotate" => Ok(Command::Annotate(parse_run(rest)?)),
-        "stats" => Ok(Command::Stats(parse_run(rest)?)),
-        "explain" => Ok(Command::Explain(parse_explain(rest)?)),
-        "watch" => Ok(Command::Watch(parse_watch(rest)?)),
-        "serve" => Ok(Command::Serve(parse_serve(rest)?)),
-        "call" => Ok(Command::Call(parse_call(rest)?)),
-        "trace" => Ok(Command::Trace(parse_trace(rest)?)),
-        "diff" => Ok(Command::Diff(parse_diff(rest)?)),
-        "baseline" => Ok(Command::BaselineWrite(parse_baseline(rest)?)),
-        "perf" => Ok(Command::Perf(parse_perf(rest)?)),
-        "gen" => Ok(Command::Gen(parse_gen(rest)?)),
-        "--help" | "-h" | "help" => Err("".into()),
-        other => Err(format!("unknown subcommand `{other}`")),
+    if matches!(sub.as_str(), "--help" | "-h" | "help") {
+        return Err(String::new());
     }
+    let Some(&(sub, runs, valued, switches)) = SUBCOMMANDS.iter().find(|row| row.0 == sub) else {
+        return Err(format!("unknown subcommand `{sub}`"));
+    };
+    // Parse against every flag `ofence` knows, so one that another
+    // subcommand reads is refused by name rather than as unknown.
+    let (mut all_valued, mut all_switches) = (RUN_FLAGS.to_vec(), RUN_SWITCHES.to_vec());
+    for row in SUBCOMMANDS {
+        all_valued.extend(row.2);
+        all_switches.extend(row.3);
+    }
+    let a = flags::parse_args(&argv[1..], &all_valued, &all_switches, None)?;
+    let reads = |f: &str| {
+        [valued, switches].concat().contains(&f)
+            || runs && [RUN_FLAGS, RUN_SWITCHES].concat().contains(&f)
+    };
+    if let Some(flag) = a.flags().find(|f| !reads(f)) {
+        return Err(format!("{flag} is not supported by {sub}"));
+    }
+    let words = &a.words;
+    Ok(match sub {
+        "analyze" => Command::Analyze(run_opts(&a, paths(words)?)?),
+        "patch" => Command::Patch(run_opts(&a, paths(words)?)?),
+        "annotate" => Command::Annotate(run_opts(&a, paths(words)?)?),
+        "stats" => Command::Stats(run_opts(&a, paths(words)?)?),
+        "explain" => {
+            let Some(target) = words.first() else {
+                return Err("explain requires a <file:line> target".into());
+            };
+            let not_target = || format!("`{target}` is not a <file:line> target");
+            let (file, line) = target.rsplit_once(':').ok_or_else(not_target)?;
+            Command::Explain(ExplainOpts {
+                file: file.to_string(),
+                line: line.parse().map_err(|_| not_target())?,
+                run: run_opts(&a, paths(&words[1..])?)?,
+            })
+        }
+        "watch" => Command::Watch(WatchOpts {
+            run: run_opts(&a, paths(words)?)?,
+            interval_ms: a.parsed("--interval-ms", 500)?,
+            max_iterations: a.get("--max-iterations")?,
+            serve_metrics: a.value("--serve-metrics").map(str::to_string),
+        }),
+        "serve" => Command::Serve(ServeOpts {
+            run: run_opts(&a, paths(words)?)?,
+            addr: a.value("--addr").unwrap_or("127.0.0.1:0").to_string(),
+            metrics: a.value("--metrics").map(str::to_string),
+        }),
+        "diff" if a.value("--baseline").is_some() => {
+            // Baseline mode: analyze the given paths, compare to the file.
+            if words.is_empty() {
+                return Err("diff --baseline requires input paths to analyze".into());
+            }
+            Command::Diff(DiffOpts {
+                old: None,
+                new: None,
+                run: run_opts(&a, words.clone())?,
+            })
+        }
+        "diff" => {
+            // Two-operand mode: run ids or report files.
+            let [old, new] = words.as_slice() else {
+                return Err(
+                    "diff requires exactly two operands (ledger run ids or --json report files), \
+                     or --baseline FILE with input paths"
+                        .into(),
+                );
+            };
+            Command::Diff(DiffOpts {
+                old: Some(old.clone()),
+                new: Some(new.clone()),
+                run: run_opts(&a, Vec::new())?,
+            })
+        }
+        "baseline" => {
+            match words.first().map(String::as_str) {
+                Some("write") => {}
+                Some(other) => {
+                    return Err(format!(
+                        "unknown baseline action `{other}` (expected write)"
+                    ))
+                }
+                None => return Err("baseline requires an action (write)".into()),
+            }
+            Command::BaselineWrite(BaselineWriteOpts {
+                out: a
+                    .value("--out")
+                    .unwrap_or("ofence-baseline.json")
+                    .to_string(),
+                run: run_opts(&a, paths(&words[1..])?)?,
+            })
+        }
+        "call" => {
+            let [addr, method] = words.as_slice() else {
+                return Err("call requires exactly <host:port> and <method>".into());
+            };
+            Command::Call(CallOpts {
+                addr: addr.clone(),
+                method: method.clone(),
+                params: a.value("--params").map(str::to_string),
+            })
+        }
+        "trace" => {
+            let [addr, request_id] = words.as_slice() else {
+                return Err("trace requires exactly <host:port> and <request-id>".into());
+            };
+            Command::Trace(TraceOpts {
+                addr: addr.clone(),
+                request_id: request_id.clone(),
+                json: a.has("--json"),
+            })
+        }
+        "perf" => {
+            no_words(words)?;
+            let opts = PerfOpts {
+                ledger: a.value("--ledger").map(str::to_string),
+                history_dir: a.value("--history-dir").map(str::to_string),
+                last: a.parsed("--last", 10)?,
+                gate: a.has("--gate"),
+                max_regress_pct: a.parsed("--max-regress-pct", 10.0)?,
+                requests: a.has("--requests"),
+                json: a.has("--json"),
+            };
+            if opts.ledger.is_some() && opts.history_dir.is_some() {
+                return Err("--ledger and --history-dir are mutually exclusive".into());
+            }
+            if opts.requests && opts.gate {
+                return Err("--requests and --gate are mutually exclusive".into());
+            }
+            Command::Perf(opts)
+        }
+        "gen" => {
+            no_words(words)?;
+            Command::Gen(GenOpts {
+                out: a
+                    .value("--out")
+                    .ok_or("gen requires --out DIR")?
+                    .to_string(),
+                files: a.parsed("--files", 20)?,
+                seed: a.parsed("--seed", 1)?,
+                with_bugs: a.has("--bugs"),
+                chains: a.parsed("--chains", 0)?,
+                chain_depth: a.parsed("--chain-depth", 2)?,
+                chain_bugs: a.parsed("--chain-bugs", 0)?,
+                tier: a.value("--tier").map(str::to_string),
+            })
+        }
+        _ => unreachable!("every subcommand in the table has an arm"),
+    })
 }
 
-fn parse_run(argv: &[String]) -> Result<RunOpts, String> {
-    let opts = parse_run_inner(argv)?;
-    if opts.paths.is_empty() {
+/// The input paths of an analysis subcommand: at least one.
+fn paths(words: &[String]) -> Result<Vec<String>, String> {
+    if words.is_empty() {
         return Err("no input paths given".into());
     }
-    Ok(opts)
+    Ok(words.to_vec())
 }
 
-fn parse_run_inner(argv: &[String]) -> Result<RunOpts, String> {
-    let mut opts = RunOpts {
-        paths: Vec::new(),
-        json: false,
-        apply: false,
-        trace_out: None,
-        metrics_out: None,
-        events_out: None,
-        slow_files: None,
-        sarif_out: None,
-        baseline: None,
-        fail_on: None,
-        history_dir: None,
-        no_history: false,
-        cache_dir: None,
-        no_cache: false,
-        config: AnalysisConfig::default(),
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => opts.json = true,
-            "--apply" => opts.apply = true,
-            "--cache-dir" => {
-                i += 1;
-                opts.cache_dir = Some(
-                    argv.get(i)
-                        .ok_or("--cache-dir needs a directory")?
-                        .to_string(),
-                );
-            }
-            "--no-cache" => opts.no_cache = true,
-            "--trace-out" => {
-                i += 1;
-                opts.trace_out = Some(argv.get(i).ok_or("--trace-out needs a file")?.to_string());
-            }
-            "--metrics-out" => {
-                i += 1;
-                opts.metrics_out =
-                    Some(argv.get(i).ok_or("--metrics-out needs a file")?.to_string());
-            }
-            "--events-out" => {
-                i += 1;
-                opts.events_out = Some(argv.get(i).ok_or("--events-out needs a file")?.to_string());
-            }
-            "--slow-files" => {
-                i += 1;
-                opts.slow_files = Some(num(argv.get(i), "--slow-files")? as usize);
-            }
-            "--sarif-out" => {
-                i += 1;
-                opts.sarif_out = Some(argv.get(i).ok_or("--sarif-out needs a file")?.to_string());
-            }
-            "--baseline" => {
-                i += 1;
-                opts.baseline = Some(argv.get(i).ok_or("--baseline needs a file")?.to_string());
-            }
-            "--fail-on" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--fail-on needs new, any, or none")?;
-                opts.fail_on = Some(FailOn::parse(v)?);
-            }
-            flag if flag.starts_with("--fail-on=") => {
-                opts.fail_on = Some(FailOn::parse(&flag["--fail-on=".len()..])?);
-            }
-            "--history-dir" => {
-                i += 1;
-                opts.history_dir = Some(
-                    argv.get(i)
-                        .ok_or("--history-dir needs a directory")?
-                        .to_string(),
-                );
-            }
-            "--no-history" => opts.no_history = true,
-            "--no-ipc" => opts.config.implicit_ipc = false,
-            "--no-expand" => {
-                opts.config.callee_expansion = false;
-                opts.config.caller_expansion = false;
-            }
-            "--missing" => opts.config.detect_missing = true,
-            "--no-outlier" => opts.config.outlier_rule = false,
-            "--window-reread" => opts.config.dataflow_reread = false,
-            "--write-window" => {
-                i += 1;
-                opts.config.write_window = num(argv.get(i), "--write-window")?;
-            }
-            "--read-window" => {
-                i += 1;
-                opts.config.read_window = num(argv.get(i), "--read-window")?;
-            }
-            "--ipa-depth" => {
-                i += 1;
-                opts.config.ipa_depth = num(argv.get(i), "--ipa-depth")?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown option `{flag}`"));
-            }
-            path => opts.paths.push(path.to_string()),
-        }
-        i += 1;
+fn no_words(words: &[String]) -> Result<(), String> {
+    match words.first() {
+        Some(word) => Err(format!("unexpected argument `{word}`")),
+        None => Ok(()),
     }
+}
+
+/// The options every analysis subcommand shares, read from `a`.
+fn run_opts(a: &Args, paths: Vec<String>) -> Result<RunOpts, String> {
+    let d = AnalysisConfig::default();
+    let opts = RunOpts {
+        paths,
+        json: a.has("--json"),
+        apply: a.has("--apply"),
+        trace_out: a.value("--trace-out").map(str::to_string),
+        metrics_out: a.value("--metrics-out").map(str::to_string),
+        events_out: a.value("--events-out").map(str::to_string),
+        slow_files: a.get("--slow-files")?,
+        sarif_out: a.value("--sarif-out").map(str::to_string),
+        baseline: a.value("--baseline").map(str::to_string),
+        fail_on: a.value("--fail-on").map(FailOn::parse).transpose()?,
+        history_dir: a.value("--history-dir").map(str::to_string),
+        no_history: a.has("--no-history"),
+        cache_dir: a.value("--cache-dir").map(str::to_string),
+        no_cache: a.has("--no-cache"),
+        config: AnalysisConfig {
+            write_window: a.parsed("--write-window", d.write_window)?,
+            read_window: a.parsed("--read-window", d.read_window)?,
+            ipa_depth: a.parsed("--ipa-depth", d.ipa_depth)?,
+            implicit_ipc: d.implicit_ipc && !a.has("--no-ipc"),
+            callee_expansion: d.callee_expansion && !a.has("--no-expand"),
+            caller_expansion: d.caller_expansion && !a.has("--no-expand"),
+            detect_missing: d.detect_missing || a.has("--missing"),
+            outlier_rule: d.outlier_rule && !a.has("--no-outlier"),
+            dataflow_reread: d.dataflow_reread && !a.has("--window-reread"),
+            ..d
+        },
+    };
     if opts.no_cache && opts.cache_dir.is_some() {
         return Err("--cache-dir and --no-cache are mutually exclusive".into());
     }
@@ -418,350 +536,6 @@ fn parse_run_inner(argv: &[String]) -> Result<RunOpts, String> {
         return Err("--history-dir and --no-history are mutually exclusive".into());
     }
     Ok(opts)
-}
-
-fn parse_diff(argv: &[String]) -> Result<DiffOpts, String> {
-    let mut run = parse_run_inner(argv)?;
-    if run.apply {
-        return Err("--apply is not supported by diff".into());
-    }
-    if run.baseline.is_some() {
-        // Baseline mode: analyze the given paths, compare to the file.
-        if run.paths.is_empty() {
-            return Err("diff --baseline requires input paths to analyze".into());
-        }
-        return Ok(DiffOpts {
-            old: None,
-            new: None,
-            run,
-        });
-    }
-    // Two-operand mode: run ids or report files.
-    if run.paths.len() != 2 {
-        return Err(
-            "diff requires exactly two operands (ledger run ids or --json report files), \
-             or --baseline FILE with input paths"
-                .into(),
-        );
-    }
-    let new = run.paths.pop();
-    let old = run.paths.pop();
-    Ok(DiffOpts { old, new, run })
-}
-
-fn parse_baseline(argv: &[String]) -> Result<BaselineWriteOpts, String> {
-    match argv.first().map(String::as_str) {
-        Some("write") => {}
-        Some(other) => {
-            return Err(format!(
-                "unknown baseline action `{other}` (expected write)"
-            ))
-        }
-        None => return Err("baseline requires an action (write)".into()),
-    }
-    // Extract `--out FILE`; everything else goes to the shared parser.
-    let mut rest: Vec<String> = Vec::new();
-    let mut out = "ofence-baseline.json".to_string();
-    let args = &argv[1..];
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--out" {
-            i += 1;
-            out = args.get(i).ok_or("--out needs a file")?.to_string();
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
-    let run = parse_run(&rest)?;
-    if run.apply {
-        return Err("--apply is not supported by baseline write".into());
-    }
-    if run.baseline.is_some() {
-        return Err("--baseline is not supported by baseline write (use --out)".into());
-    }
-    Ok(BaselineWriteOpts { out, run })
-}
-
-fn parse_watch(argv: &[String]) -> Result<WatchOpts, String> {
-    // Split off the watch-specific flags, hand the rest to `parse_run`.
-    let mut rest: Vec<String> = Vec::new();
-    let mut interval_ms = 500u64;
-    let mut max_iterations = None;
-    let mut serve_metrics = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--interval-ms" => {
-                i += 1;
-                interval_ms = num64(argv.get(i), "--interval-ms")?;
-            }
-            "--max-iterations" => {
-                i += 1;
-                max_iterations = Some(num64(argv.get(i), "--max-iterations")?);
-            }
-            "--serve-metrics" => {
-                i += 1;
-                serve_metrics = Some(
-                    argv.get(i)
-                        .ok_or("--serve-metrics needs an address (host:port)")?
-                        .to_string(),
-                );
-            }
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let run = parse_run(&rest)?;
-    if run.apply {
-        return Err("--apply is not supported in watch mode".into());
-    }
-    Ok(WatchOpts {
-        run,
-        interval_ms,
-        max_iterations,
-        serve_metrics,
-    })
-}
-
-fn parse_serve(argv: &[String]) -> Result<ServeOpts, String> {
-    // Split off the serve-specific flags, hand the rest to `parse_run`.
-    let mut rest: Vec<String> = Vec::new();
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut metrics = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = argv
-                    .get(i)
-                    .ok_or("--addr needs an address (host:port)")?
-                    .to_string();
-            }
-            "--metrics" => {
-                i += 1;
-                metrics = Some(
-                    argv.get(i)
-                        .ok_or("--metrics needs an address (host:port)")?
-                        .to_string(),
-                );
-            }
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let run = parse_run(&rest)?;
-    if run.apply {
-        return Err("--apply is not supported by serve".into());
-    }
-    if run.json {
-        return Err("--json is not supported by serve (responses are always JSON)".into());
-    }
-    // Per-run files and exit policies mean nothing to a daemon serving
-    // many requests: refuse them rather than drop them silently.
-    let refused = [
-        ("--trace-out", run.trace_out.is_some()),
-        ("--metrics-out", run.metrics_out.is_some()),
-        ("--sarif-out", run.sarif_out.is_some()),
-        ("--baseline", run.baseline.is_some()),
-        ("--fail-on", run.fail_on.is_some()),
-    ];
-    if let Some((flag, _)) = refused.iter().find(|(_, given)| *given) {
-        return Err(format!(
-            "{flag} is not supported by serve (it applies to one run; \
-             use `ofence trace` or the baseline-gate method)"
-        ));
-    }
-    Ok(ServeOpts { run, addr, metrics })
-}
-
-fn parse_call(argv: &[String]) -> Result<CallOpts, String> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut params = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--params" => {
-                i += 1;
-                params = Some(
-                    argv.get(i)
-                        .ok_or("--params needs a JSON value")?
-                        .to_string(),
-                );
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown call option `{flag}`"));
-            }
-            other => positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let [addr, method] = positional.as_slice() else {
-        return Err("call requires exactly <host:port> and <method>".into());
-    };
-    Ok(CallOpts {
-        addr: addr.clone(),
-        method: method.clone(),
-        params,
-    })
-}
-
-fn parse_trace(argv: &[String]) -> Result<TraceOpts, String> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut json = false;
-    for arg in argv {
-        match arg.as_str() {
-            "--json" => json = true,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown trace option `{flag}`"));
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [addr, request_id] = positional.as_slice() else {
-        return Err("trace requires exactly <host:port> and <request-id>".into());
-    };
-    Ok(TraceOpts {
-        addr: addr.clone(),
-        request_id: request_id.clone(),
-        json,
-    })
-}
-
-fn parse_perf(argv: &[String]) -> Result<PerfOpts, String> {
-    let mut opts = PerfOpts {
-        ledger: None,
-        history_dir: None,
-        last: 10,
-        gate: false,
-        max_regress_pct: 10.0,
-        requests: false,
-        json: false,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--ledger" => {
-                i += 1;
-                opts.ledger = Some(argv.get(i).ok_or("--ledger needs a file")?.to_string());
-            }
-            "--history-dir" => {
-                i += 1;
-                opts.history_dir = Some(
-                    argv.get(i)
-                        .ok_or("--history-dir needs a directory")?
-                        .to_string(),
-                );
-            }
-            "--last" => {
-                i += 1;
-                opts.last = num(argv.get(i), "--last")? as usize;
-            }
-            "--gate" => opts.gate = true,
-            "--max-regress-pct" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--max-regress-pct needs a number")?;
-                opts.max_regress_pct = v
-                    .parse()
-                    .map_err(|_| "--max-regress-pct needs a number".to_string())?;
-            }
-            "--requests" => opts.requests = true,
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown perf option `{other}`")),
-        }
-        i += 1;
-    }
-    if opts.ledger.is_some() && opts.history_dir.is_some() {
-        return Err("--ledger and --history-dir are mutually exclusive".into());
-    }
-    if opts.requests && opts.gate {
-        return Err("--requests and --gate are mutually exclusive".into());
-    }
-    Ok(opts)
-}
-
-fn parse_explain(argv: &[String]) -> Result<ExplainOpts, String> {
-    let Some(target) = argv.first() else {
-        return Err("explain requires a <file:line> target".into());
-    };
-    let Some((file, line)) = target.rsplit_once(':') else {
-        return Err(format!("`{target}` is not a <file:line> target"));
-    };
-    let line: u32 = line
-        .parse()
-        .map_err(|_| format!("`{target}` is not a <file:line> target"))?;
-    let run = parse_run(&argv[1..])?;
-    Ok(ExplainOpts {
-        file: file.to_string(),
-        line,
-        run,
-    })
-}
-
-fn parse_gen(argv: &[String]) -> Result<GenOpts, String> {
-    let mut opts = GenOpts {
-        out: String::new(),
-        files: 20,
-        seed: 1,
-        with_bugs: false,
-        chains: 0,
-        chain_depth: 2,
-        chain_bugs: 0,
-        tier: None,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--out" => {
-                i += 1;
-                opts.out = argv.get(i).ok_or("--out needs a directory")?.to_string();
-            }
-            "--tier" => {
-                i += 1;
-                opts.tier = Some(argv.get(i).ok_or("--tier needs a name")?.to_string());
-            }
-            "--files" => {
-                i += 1;
-                opts.files = num(argv.get(i), "--files")? as usize;
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = num64(argv.get(i), "--seed")?;
-            }
-            "--bugs" => opts.with_bugs = true,
-            "--chains" => {
-                i += 1;
-                opts.chains = num(argv.get(i), "--chains")? as usize;
-            }
-            "--chain-depth" => {
-                i += 1;
-                opts.chain_depth = num(argv.get(i), "--chain-depth")? as usize;
-            }
-            "--chain-bugs" => {
-                i += 1;
-                opts.chain_bugs = num(argv.get(i), "--chain-bugs")? as usize;
-            }
-            other => return Err(format!("unknown gen option `{other}`")),
-        }
-        i += 1;
-    }
-    if opts.out.is_empty() {
-        return Err("gen requires --out DIR".into());
-    }
-    Ok(opts)
-}
-
-fn num(v: Option<&String>, flag: &str) -> Result<u32, String> {
-    v.ok_or_else(|| format!("{flag} needs a number"))?
-        .parse()
-        .map_err(|_| format!("{flag} needs a number"))
-}
-
-fn num64(v: Option<&String>, flag: &str) -> Result<u64, String> {
-    v.ok_or_else(|| format!("{flag} needs a number"))?
-        .parse()
-        .map_err(|_| format!("{flag} needs a number"))
 }
 
 #[cfg(test)]
@@ -1253,6 +1027,51 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("diff --baseline base.json")).is_err()); // no paths
+    }
+
+    #[test]
+    fn valued_flag_never_takes_a_flag_as_its_value() {
+        for line in [
+            "analyze x.c --trace-out --json",
+            "analyze x.c --cache-dir --no-cache",
+            "analyze x.c --history-dir --no-history",
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(err.contains("needs a value"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_refused() {
+        for (line, flag, sub) in [
+            ("analyze x.c --apply", "--apply", "analyze"),
+            ("stats x.c --sarif-out f", "--sarif-out", "stats"),
+            ("watch d --json", "--json", "watch"),
+            ("explain f.c:1 x.c --fail-on=new", "--fail-on", "explain"),
+            ("baseline write d --json", "--json", "baseline"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err, format!("{flag} is not supported by {sub}"), "{line}");
+        }
+        let err = parse(&argv("analyze x.c --bogus")).unwrap_err();
+        assert!(err.contains("unknown argument `--bogus`"), "{err}");
+    }
+
+    #[test]
+    fn equals_spelling() {
+        match parse(&argv(
+            "analyze x.c --cache-dir=/tmp/c --fail-on=new --ipa-depth=2",
+        ))
+        .unwrap()
+        {
+            Command::Analyze(o) => {
+                assert_eq!(o.cache_dir.as_deref(), Some("/tmp/c"));
+                assert_eq!(o.fail_on, Some(FailOn::New));
+                assert_eq!(o.config.ipa_depth, 2);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(parse(&argv("analyze x.c --json=yes")).is_err());
     }
 
     #[test]

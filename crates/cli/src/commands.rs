@@ -801,23 +801,9 @@ fn apply_grouped(
     for (file, edits) in groups {
         by_file.entry(file).or_default().extend(edits);
     }
-    for (file, mut edits) in by_file {
+    for (file, edits) in by_file {
         let fa = &result.files[file];
-        edits.sort_by_key(|e| (e.span.lo, e.span.hi));
-        edits.dedup();
-        let mut kept: Vec<ofence::patch::Edit> = Vec::new();
-        let mut dropped = 0;
-        for e in edits {
-            if kept
-                .last()
-                .map(|prev| e.span.lo >= prev.span.hi)
-                .unwrap_or(true)
-            {
-                kept.push(e);
-            } else {
-                dropped += 1;
-            }
-        }
+        let (kept, dropped) = ofence::patch::without_overlaps(edits);
         if dropped > 0 {
             eprintln!(
                 "{}: {dropped} conflicting edit(s) skipped — re-run after applying",

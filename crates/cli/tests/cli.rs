@@ -461,6 +461,33 @@ fn cache_dir_and_no_cache_conflict() {
 }
 
 #[test]
+fn flag_as_a_flags_value_exits_two_and_writes_nothing() {
+    let dir = tempdir("flag-value");
+    std::fs::write(dir.join("clean.c"), CLEAN).unwrap();
+    for flags in [
+        ["--trace-out", "--json", "--no-cache", "--no-history"],
+        ["--history-dir", "--no-history", "--no-cache", "--json"],
+    ] {
+        let cwd = tempdir("flag-value-cwd");
+        let out = ofence_in(&cwd)
+            .arg("analyze")
+            .arg(&dir)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("needs a value"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(!cwd.join(flags[1]).exists(), "{flags:?}");
+        let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(left.is_empty(), "{flags:?} wrote {left:?}");
+        let _ = std::fs::remove_dir_all(&cwd);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn watch_nonexistent_dir_exits_two() {
     let out = ofence()
         .args(["watch", "/no/such/ofence-dir", "--max-iterations", "1"])

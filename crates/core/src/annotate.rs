@@ -9,7 +9,7 @@
 use crate::deviation::{Deviation, DeviationKind};
 use crate::ir::*;
 use crate::pairing::PairingResult;
-use crate::patch::{apply_edits, line_diff, Edit, Patch};
+use crate::patch::{apply_edits, line_diff, without_overlaps, Edit, Patch};
 use crate::sites::FileAnalysis;
 use ckit::ast::{AssignOp, ExprKind, Stmt, StmtKind};
 use ckit::span::Span;
@@ -200,18 +200,7 @@ pub fn file_annotation_edits(devs: &[&Deviation], fa: &FileAnalysis) -> Vec<Edit
         }
     }
     // Drop any residual overlaps conservatively (outermost first).
-    out.sort_by_key(|e| (e.span.lo, e.span.hi));
-    let mut kept: Vec<Edit> = Vec::new();
-    for e in out {
-        if kept
-            .last()
-            .map(|prev| e.span.lo >= prev.span.hi)
-            .unwrap_or(true)
-        {
-            kept.push(e);
-        }
-    }
-    kept
+    without_overlaps(out).0
 }
 
 /// Split `lhs = rhs` at the top-level `=` (not `==`, `<=`, …).

@@ -18,7 +18,7 @@ use crate::session::name_matches;
 use serde::{Deserialize, Serialize};
 
 /// A compact, self-contained description of one barrier site.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SiteSummary {
     pub id: u32,
     pub kind: String,
@@ -32,48 +32,11 @@ pub struct SiteSummary {
     /// For objects only visible through the inter-procedural summary
     /// pass: `object label -> rendered call chain` (the callees walked
     /// from this site's function to reach the access, e.g.
-    /// `"fill() → deep_fill()"`). Empty below `--ipa-depth 1`.
+    /// `"fill() → deep_fill()"`). Empty below `--ipa-depth 1`, and then
+    /// omitted, so explain output at depth 0 stays byte-identical to
+    /// pre-IPA reports.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub via_chains: Vec<(String, String)>,
-}
-
-// Hand-written so `via_chains` is omitted when empty: explain output at
-// depth 0 stays byte-identical to pre-IPA reports.
-impl serde::Record for SiteSummary {
-    fn fields<F: serde::Fields>(&self, f: &mut F) {
-        f.field("id", &self.id);
-        f.field("kind", &self.kind);
-        f.field("file", &self.file);
-        f.field("function", &self.function);
-        f.field("line", &self.line);
-        f.field("is_write_barrier", &self.is_write_barrier);
-        f.field("objects", &self.objects);
-        if !self.via_chains.is_empty() {
-            f.field("via_chains", &self.via_chains);
-        }
-    }
-}
-
-serde::serialize_record!(SiteSummary);
-
-impl Deserialize for SiteSummary {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::new("SiteSummary: expected object"));
-        };
-        Ok(SiteSummary {
-            id: serde::de_field(m.get("id"), "id")?,
-            kind: serde::de_field(m.get("kind"), "kind")?,
-            file: serde::de_field(m.get("file"), "file")?,
-            function: serde::de_field(m.get("function"), "function")?,
-            line: serde::de_field(m.get("line"), "line")?,
-            is_write_barrier: serde::de_field(m.get("is_write_barrier"), "is_write_barrier")?,
-            objects: serde::de_field(m.get("objects"), "objects")?,
-            via_chains: match m.get("via_chains") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// Compact `struct.field` label (or the bare name for globals).

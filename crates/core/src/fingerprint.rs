@@ -27,7 +27,7 @@ use crate::deviation::{Deviation, DeviationKind};
 use crate::ir::BarrierSite;
 use crate::sites::FileAnalysis;
 use ckit::span::Span;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
 /// Bump when the fingerprint recipe changes; stored in SARIF as the
 /// `partialFingerprints` key suffix (`ofenceFingerprint/v1`).
@@ -36,11 +36,7 @@ pub const FINGERPRINT_VERSION: u32 = 1;
 /// A finding reduced to its longitudinal identity plus enough metadata
 /// to render a one-line report. This is the unit the ledger, baselines,
 /// and `ofence diff` operate on.
-///
-/// `Serialize`/`Deserialize` are hand-written so `via_calls` is omitted
-/// when empty: schema v2 consumers and depth-0 reports see the exact
-/// pre-IPA shape.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FindingRecord {
     /// Stable content-based identity, 16 hex digits.
     pub fingerprint: String,
@@ -63,49 +59,10 @@ pub struct FindingRecord {
     /// Empty for intra-procedural findings and below `--ipa-depth 1`.
     /// Provenance only — never part of the fingerprint, so a finding
     /// keeps its identity whether it was found directly or via calls.
+    /// Omitted when empty: schema v2 consumers and depth-0 reports see
+    /// the exact pre-IPA shape.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub via_calls: Vec<String>,
-}
-
-impl serde::Record for FindingRecord {
-    fn fields<F: serde::Fields>(&self, f: &mut F) {
-        f.field("fingerprint", &self.fingerprint);
-        f.field("class", &self.class);
-        f.field("rule", &self.rule);
-        f.field("file", &self.file);
-        f.field("function", &self.function);
-        f.field("line", &self.line);
-        f.field("column", &self.column);
-        f.field("object", &self.object);
-        f.field("message", &self.message);
-        if !self.via_calls.is_empty() {
-            f.field("via_calls", &self.via_calls);
-        }
-    }
-}
-
-serde::serialize_record!(FindingRecord);
-
-impl Deserialize for FindingRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::new("FindingRecord: expected object"));
-        };
-        Ok(FindingRecord {
-            fingerprint: serde::de_field(m.get("fingerprint"), "fingerprint")?,
-            class: serde::de_field(m.get("class"), "class")?,
-            rule: serde::de_field(m.get("rule"), "rule")?,
-            file: serde::de_field(m.get("file"), "file")?,
-            function: serde::de_field(m.get("function"), "function")?,
-            line: serde::de_field(m.get("line"), "line")?,
-            column: serde::de_field(m.get("column"), "column")?,
-            object: serde::de_field(m.get("object"), "object")?,
-            message: serde::de_field(m.get("message"), "message")?,
-            via_calls: match m.get("via_calls") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 impl FindingRecord {

@@ -73,11 +73,7 @@ impl Side {
 }
 
 /// One memory access found in the window around a barrier.
-///
-/// `Serialize`/`Deserialize` are hand-written (not derived) so that the
-/// `via_calls` provenance field is omitted when empty: reports produced
-/// at `--ipa-depth=0` stay byte-identical to the pre-IPA schema.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Access {
     pub object: SharedObject,
     pub kind: AccessKind,
@@ -95,45 +91,10 @@ pub struct Access {
     /// Call chain the inter-procedural summary pass walked to reach this
     /// access (outermost callee first), empty for direct and ±1-level
     /// accesses. Provenance only: excluded from finding fingerprints.
+    /// Omitted when empty, so reports produced at `--ipa-depth=0` stay
+    /// byte-identical to the pre-IPA schema.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub via_calls: Vec<String>,
-}
-
-impl serde::Record for Access {
-    fn fields<F: serde::Fields>(&self, f: &mut F) {
-        f.field("object", &self.object);
-        f.field("kind", &self.kind);
-        f.field("side", &self.side);
-        f.field("distance", &self.distance);
-        f.field("span", &self.span);
-        f.field("annotated", &self.annotated);
-        f.field("cross_function", &self.cross_function);
-        if !self.via_calls.is_empty() {
-            f.field("via_calls", &self.via_calls);
-        }
-    }
-}
-
-serde::serialize_record!(Access);
-
-impl Deserialize for Access {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::new("Access: expected object"));
-        };
-        Ok(Access {
-            object: serde::de_field(m.get("object"), "object")?,
-            kind: serde::de_field(m.get("kind"), "kind")?,
-            side: serde::de_field(m.get("side"), "side")?,
-            distance: serde::de_field(m.get("distance"), "distance")?,
-            span: serde::de_field(m.get("span"), "span")?,
-            annotated: serde::de_field(m.get("annotated"), "annotated")?,
-            cross_function: serde::de_field(m.get("cross_function"), "cross_function")?,
-            via_calls: match m.get("via_calls") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// Identifies a barrier site across the whole analyzed corpus.

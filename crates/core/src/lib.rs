@@ -47,6 +47,7 @@ pub mod engine;
 pub mod explain;
 pub mod extract;
 pub mod fingerprint;
+pub mod flags;
 pub mod history;
 pub mod ir;
 pub mod json;

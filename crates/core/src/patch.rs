@@ -58,6 +58,25 @@ pub fn apply_edits(source: &str, edits: &[Edit]) -> Option<String> {
     Some(out)
 }
 
+/// Make `edits` conflict-free, conservatively: sort them, drop exact
+/// duplicates, and drop every edit that overlaps one kept before it
+/// (outermost first). Returns the kept edits and how many were dropped
+/// for overlapping.
+pub fn without_overlaps(mut edits: Vec<Edit>) -> (Vec<Edit>, usize) {
+    edits.sort_by_key(|e| (e.span.lo, e.span.hi));
+    edits.dedup();
+    let mut kept: Vec<Edit> = Vec::new();
+    let mut dropped = 0;
+    for e in edits {
+        if kept.last().is_none_or(|prev| e.span.lo >= prev.span.hi) {
+            kept.push(e);
+        } else {
+            dropped += 1;
+        }
+    }
+    (kept, dropped)
+}
+
 /// Render a unified diff (line-based LCS, 3 lines of context).
 pub fn line_diff(old: &str, new: &str, file: &str) -> String {
     let a: Vec<&str> = old.lines().collect();
