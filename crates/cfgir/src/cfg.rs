@@ -8,13 +8,12 @@
 
 use ckit::ast::{self, Stmt, StmtKind};
 use ckit::span::Span;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 pub type NodeId = usize;
 
 /// Kind of a CFG node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum NodeKind {
     Entry,
     Exit,
@@ -65,7 +64,7 @@ impl NodeKind {
     }
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     pub kind: NodeKind,
     pub span: Span,
@@ -74,7 +73,7 @@ pub struct Node {
 }
 
 /// A function's CFG.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cfg {
     /// Function name.
     pub name: String,

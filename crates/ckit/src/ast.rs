@@ -2,8 +2,8 @@
 //!
 //! The AST is `Box`-based with interned [`Name`] identifiers: names are
 //! shared `Arc<str>`s from the file's lexer symbol table, so cloning a
-//! subtree (into `FunctionInfo`, CFG lowering, summaries) bumps
-//! refcounts instead of copying strings. Every node carries a [`Span`]
+//! subtree (into `FileAnalysis::functions`, CFG lowering, summaries)
+//! bumps refcounts instead of copying strings. Every node carries a [`Span`]
 //! back into the original source — patch synthesis depends on it.
 
 use crate::intern::Name;
@@ -165,14 +165,6 @@ impl Type {
         match self {
             Type::Ptr(t) | Type::Array(t, _) => t.base(),
             t => t,
-        }
-    }
-
-    /// Struct name if this (or its pointee) is a struct/union type.
-    pub fn struct_name(&self) -> Option<&str> {
-        match self.base() {
-            Type::Struct { name, .. } => Some(name),
-            _ => None,
         }
     }
 }
@@ -593,9 +585,9 @@ mod tests {
     #[test]
     fn type_base_strips_pointers() {
         let t = Type::strukt("req").ptr().ptr();
-        assert_eq!(t.struct_name(), Some("req"));
+        assert_eq!(t.base(), &Type::strukt("req"));
         let arr = Type::Array(Box::new(Type::strukt("sock").ptr()), Some(4));
-        assert_eq!(arr.struct_name(), Some("sock"));
+        assert_eq!(arr.base(), &Type::strukt("sock"));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! for a full copy again. A [`Name`] is a shared `Arc<str>`; a per-file
 //! [`Interner`] (the file's symbol table) hands out one allocation per
 //! *distinct* identifier, so token clones, macro expansion, AST clones
-//! into `FunctionInfo`, and CFG lowering all become reference-count
-//! bumps. An `Arc<str>` is used rather than a `u32` index so a `Name`
+//! into `FileAnalysis::functions`, and CFG lowering all become
+//! reference-count bumps. An `Arc<str>` is used rather than a `u32` index so a `Name`
 //! stays self-describing (no symbol-table handle to thread through
 //! spans, serde, or patch synthesis) and files can drop their interner
 //! after parsing without invalidating names.

@@ -19,7 +19,8 @@ usage:
                   [cache/history/window options]
   ofence call     <host:port> <method> [--params JSON]
   ofence trace    <host:port> <request-id> [--json]
-  ofence diff     <old> <new> [--json] [--history-dir DIR]
+  ofence diff     <old> <new> [--json] [--fail-on new|any|none]
+                  [--history-dir DIR | --no-history]
   ofence diff     --baseline FILE <paths...> [--json] [window options]
   ofence baseline write <paths...> [--out FILE] [window options]
   ofence perf     [--ledger FILE] [--history-dir DIR] [--last N]
@@ -115,8 +116,9 @@ p50/p95/p99).
 
 `diff` classifies findings as new / fixed / unchanged by their stable
 fingerprints. <old> and <new> are ledger run ids (prefixes work) or
-`analyze --json` report files; with `--baseline FILE` the given paths
-are analyzed and compared against the baseline instead.
+`analyze --json` report files, and no analysis flag applies; with
+`--baseline FILE` the given paths are analyzed and compared against the
+baseline instead.
 
 `baseline write` analyzes the given paths and records every current
 finding (default: ofence-baseline.json) so `--fail-on=new` only gates
@@ -392,7 +394,12 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "diff" => {
-            // Two-operand mode: run ids or report files.
+            // Two-operand mode: run ids or report files. It compares
+            // recorded findings, so it reads no analysis flag.
+            const READS: &[&str] = &["--json", "--fail-on", "--history-dir", "--no-history"];
+            if let Some(flag) = a.flags().find(|f| !READS.contains(f)) {
+                return Err(format!("{flag} is not supported by diff OLD NEW"));
+            }
             let [old, new] = words.as_slice() else {
                 return Err(
                     "diff requires exactly two operands (ledger run ids or --json report files), \
@@ -1027,6 +1034,28 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("diff --baseline base.json")).is_err()); // no paths
+    }
+
+    #[test]
+    fn diff_of_two_operands_refuses_analysis_flags() {
+        for flag in [
+            "--sarif-out x.sarif",
+            "--missing",
+            "--ipa-depth 2",
+            "--cache-dir /tmp/c",
+            "--trace-out t.json",
+            "--no-cache",
+        ] {
+            let err = parse(&argv(&format!("diff a.json b.json {flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(err, format!("{name} is not supported by diff OLD NEW"));
+        }
+        for ok in ["--json --fail-on=any --history-dir h", "--no-history"] {
+            assert!(
+                parse(&argv(&format!("diff a.json b.json {ok}"))).is_ok(),
+                "{ok}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::args::{
 use ofence::ledger::{self, Record};
 use ofence::obs::NdjsonSink;
 use ofence::session::RunHandle;
-use ofence::{AnalysisResult, DiffReport, Engine, FailOn, FindingRecord, LoadOutcome, Patch};
+use ofence::{AnalysisResult, DiffReport, Engine, FailOn, FindingRecord, LoadOutcome};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -545,18 +546,11 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
     write_observability(&opts, &handle.result.obs)?;
     let result = &handle.result;
-    let patches: Vec<(usize, Patch)> = result
-        .deviations
-        .iter()
-        .filter_map(|d| {
-            ofence::patch::synthesize(d, &result.files[d.site.file]).map(|p| (d.site.file, p))
-        })
-        .collect();
+    let patches = &result.patches;
     if opts.json {
-        let payload: Vec<_> = patches.iter().map(|(_, p)| p).collect();
-        println!("{}", serde_json::to_string_pretty(&payload).unwrap());
+        println!("{}", serde_json::to_string_pretty(patches).unwrap());
     } else {
-        for (_, p) in &patches {
+        for p in patches {
             println!("{}", p.title);
             println!("    {}", p.explanation);
             println!("{}", p.diff);
@@ -566,7 +560,18 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
         }
     }
     if opts.apply {
-        apply_grouped(result, patches.iter().map(|(f, p)| (*f, p.edits.clone())))?;
+        let index: HashMap<&str, usize> = result
+            .files
+            .iter()
+            .enumerate()
+            .map(|(i, fa)| (fa.name.as_str(), i))
+            .collect();
+        apply_grouped(
+            result,
+            patches
+                .iter()
+                .map(|p| (index[p.file.as_str()], p.edits.clone())),
+        )?;
     }
     Ok(if patches.is_empty() {
         ExitCode::SUCCESS

@@ -734,6 +734,34 @@ fn diff_two_json_reports_exact_delta() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two-operand `diff` compares recorded findings, so an analysis flag is
+/// refused rather than ignored, and nothing is written.
+#[test]
+fn diff_of_two_reports_refuses_analysis_flags_and_writes_nothing() {
+    let dir = tempdir("diff-flags");
+    let report = dir.join("r.json");
+    std::fs::write(&report, r#"{"schema_version": 3, "findings": []}"#).unwrap();
+    let cwd = tempdir("diff-flags-cwd");
+    let out = ofence_in(&cwd)
+        .arg("diff")
+        .arg(&report)
+        .arg(&report)
+        .args(["--sarif-out", "x.sarif", "--missing", "--ipa-depth", "2"])
+        .args(["--cache-dir", "c", "--no-history"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--sarif-out is not supported by diff OLD NEW"),
+        "{stderr}"
+    );
+    let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(left.is_empty(), "wrote {left:?}");
+    let _ = std::fs::remove_dir_all(&cwd);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn diff_resolves_ledger_run_ids() {
     let dir = tempdir("diff-ledger");

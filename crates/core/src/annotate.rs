@@ -21,7 +21,7 @@ pub fn find_missing_annotations(sites: &[BarrierSite], pairing: &PairingResult) 
     let mut seen_spans: std::collections::HashSet<(usize, Span)> = Default::default();
     for p in &pairing.pairings {
         for &member in &p.members {
-            let site = sites.iter().find(|s| s.id == member).expect("member site");
+            let site = &sites[member.0 as usize];
             for a in &site.accesses {
                 if a.annotated || a.cross_function {
                     continue;
@@ -85,7 +85,7 @@ pub fn synthesize_annotation(dev: &Deviation, fa: &FileAnalysis) -> Option<Patch
         return None;
     };
     let access_span = dev.access_span?;
-    let func = fa.functions.iter().find(|f| f.name == dev.site.function)?;
+    let func = fa.function(&dev.site.function)?;
     let edits = match once {
         OnceKind::Read => {
             let text = access_span.slice(&fa.source);
@@ -98,7 +98,7 @@ pub fn synthesize_annotation(dev: &Deviation, fa: &FileAnalysis) -> Option<Patch
             // Rewrite the enclosing simple assignment `x = v;` as
             // `WRITE_ONCE(x, v);`. Compound assignments and increments
             // are not annotatable this way — skip them.
-            let stmt = crate::patch::enclosing_stmt(&func.def.body, access_span)?;
+            let stmt = crate::patch::enclosing_stmt(&func.body, access_span)?;
             let (lhs_span, rhs_span, assign_span) = simple_assignment(stmt, access_span)?;
             let lhs = lhs_span.slice(&fa.source);
             let rhs = rhs_span.slice(&fa.source);

@@ -6,7 +6,7 @@
 //! second `ofence analyze` (or every iteration of `ofence watch`) only
 //! re-parses the files that actually changed.
 //!
-//! ## Format (v5)
+//! ## Format (v6)
 //!
 //! The cache is **sharded**: entries are distributed across
 //! [`SHARD_COUNT`] (256) files, `shard-00.json` … `shard-255.json`, by an
@@ -15,7 +15,7 @@
 //!
 //! ```json
 //! {
-//!   "format_version": 5,
+//!   "format_version": 6,
 //!   "summary_version": 1,
 //!   "tool_version": "0.1.0",
 //!   "config_fingerprint": 1234567890,
@@ -64,24 +64,26 @@
 //!
 //! ## What is (and isn't) stored
 //!
-//! An entry holds only what the analysis under its config reads:
+//! An entry's `analysis` is the engine's [`FileAnalysis`] itself, written
+//! and read with no per-field copy, and it holds only what the analysis
+//! under its config reads:
 //!
-//! * No source text: an entry is only ever used when its content hash
-//!   matches the file on disk, so the engine restores
-//!   `FileAnalysis::source` from the live corpus.
-//! * Functions (CFG and AST) only for files with barrier sites. Every
-//!   downstream consumer of `FileAnalysis::functions` (re-read dataflow
-//!   gate, patch synthesis, annotation synthesis) reaches a function
-//!   only through a barrier site in the same file, and the
-//!   missing-barrier detector re-lowers from source; site-free files —
-//!   most files of a realistic tree — store just `function_count`.
+//! * No source text and no corpus position (`#[serde(skip)]`): an entry
+//!   is only ever used when its content hash matches the file on disk,
+//!   so the engine restores `FileAnalysis::source` from the live corpus
+//!   and re-stamps `file` on every hit.
+//! * A function is stored once, as its AST, and only if it holds a
+//!   barrier site. Every consumer of `FileAnalysis::functions` (patch and
+//!   annotation synthesis, and the re-read dataflow gate, which rebuilds
+//!   the function's CFG with `Cfg::build`) reaches a function only
+//!   through a site in it; the missing-barrier detector and its patch
+//!   parse the source again. Every file keeps its `function_count`.
 //! * Function summaries only when `ipa_depth > 0`: nothing else reads
 //!   them, and the config fingerprint covers the depth, so a depth-0
 //!   entry is never served to a composing run.
 
 use crate::config::AnalysisConfig;
-use crate::ir::BarrierSite;
-use crate::sites::{FileAnalysis, FunctionInfo};
+use crate::sites::FileAnalysis;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -94,7 +96,10 @@ use std::sync::{Arc, Mutex};
 /// v5: entries hold only what their config reads: no summaries at
 /// `ipa_depth` 0, and a function count instead of name/span stubs for
 /// site-free files.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+/// v6: an entry's `analysis` is the `FileAnalysis` itself, and it keeps
+/// only the ASTs of the functions that hold a site: no CFGs, and no
+/// functions without a site.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// Number of shard files the cache is split into. Path-hash modulo; a
 /// power of two so the bucket spread is uniform under FNV.
@@ -173,57 +178,13 @@ struct CacheDoc {
     entries: Vec<CacheEntry>,
 }
 
+/// One cached file. `analysis` is written without its run-local fields
+/// (`file`, `source`), which the engine restores on every hit.
 #[derive(Serialize, Deserialize)]
 struct CacheEntry {
     path: String,
     hash: u64,
-    analysis: CachedFile,
-}
-
-/// `FileAnalysis` minus the source text, restored from the live corpus
-/// on a hash match.
-#[derive(Serialize, Deserialize)]
-struct CachedFile {
-    name: String,
-    sites: Vec<BarrierSite>,
-    /// Empty for site-free files, which keep only `function_count`.
-    functions: Vec<FunctionInfo>,
-    function_count: usize,
-    parse_error_count: usize,
-    /// Per-function summaries for the inter-procedural composition pass;
-    /// cached so a warm run composes without re-parsing unchanged files.
-    /// Empty unless the config composes (`ipa_depth > 0`).
-    summaries: Vec<crate::summary::FnSummary>,
-    /// Window calls aligned with `sites` (see [`FileAnalysis`]).
-    window_calls: Vec<Vec<crate::summary::WindowCall>>,
-}
-
-impl CachedFile {
-    fn from_analysis(fa: &FileAnalysis) -> CachedFile {
-        CachedFile {
-            name: fa.name.clone(),
-            sites: fa.sites.clone(),
-            functions: fa.functions.clone(),
-            function_count: fa.function_count,
-            parse_error_count: fa.parse_error_count,
-            summaries: fa.summaries.clone(),
-            window_calls: fa.window_calls.clone(),
-        }
-    }
-
-    fn into_analysis(self) -> FileAnalysis {
-        FileAnalysis {
-            file: 0, // re-indexed by the engine on every hit
-            name: self.name,
-            source: "".into(), // restored from the live corpus
-            sites: self.sites,
-            functions: self.functions,
-            function_count: self.function_count,
-            parse_error_count: self.parse_error_count,
-            summaries: self.summaries,
-            window_calls: self.window_calls,
-        }
-    }
+    analysis: Arc<FileAnalysis>,
 }
 
 fn doc_header_error(doc: &CacheDoc, fp: u64) -> Option<String> {
@@ -313,7 +274,7 @@ fn hydrate(outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
                 valid[i] = true;
                 entries += shard_entries.len();
                 for e in shard_entries {
-                    map.insert(e.path, (e.hash, Arc::new(e.analysis.into_analysis())));
+                    map.insert(e.path, (e.hash, e.analysis));
                 }
             }
             Err(reason) => {
@@ -444,7 +405,7 @@ impl Store {
                 bucket.push(CacheEntry {
                     path: path.clone(),
                     hash: *hash,
-                    analysis: CachedFile::from_analysis(fa),
+                    analysis: fa.clone(),
                 });
             }
         }
@@ -579,7 +540,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             .map(|(path, (hash, fa))| CacheEntry {
                 path: path.clone(),
                 hash: *hash,
-                analysis: CachedFile::from_analysis(fa),
+                analysis: fa.clone(),
             })
             .collect();
         let mono = decode_shard(&encode_doc(entries, fp), fp).unwrap();
@@ -587,7 +548,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         for e in mono {
             let (hash, fa) = &sharded[&e.path];
             assert_eq!(e.hash, *hash);
-            let rebuilt = e.analysis.into_analysis();
+            let rebuilt = e.analysis;
             assert_eq!(rebuilt.name, fa.name);
             assert_eq!(
                 serde_json::to_string(&rebuilt.sites).unwrap(),
@@ -955,6 +916,101 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             LoadOutcome::Discarded { reason } => assert!(reason.contains("configuration")),
             other => panic!("{other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A racy re-read (`select_sock`), a benign one the dataflow gate
+    /// drops (`rrd_take`), and a function with no site (`helper`).
+    const REREADS: &str = r#"struct reuse { int num; struct sock *socks[8]; int len; };
+void add_sock(struct reuse *r, struct sock *sk) {
+    r->socks[r->num] = sk;
+    r->len = 1;
+    smp_wmb();
+    r->num++;
+}
+void select_sock(struct reuse *r) {
+    int n = r->num;
+    int l = r->len;
+    smp_rmb();
+    if (n) {
+        pick(r->socks[r->num]);
+    }
+}
+struct rrd { int num; int data; };
+void rrd_pub(struct rrd *p, int v) {
+    p->data = v;
+    smp_wmb();
+    p->num = v;
+}
+int rrd_take(struct rrd *p) {
+    int n = p->num;
+    smp_rmb();
+    if (n) {
+        p->num = 0;
+        return p->num + p->data;
+    }
+    return 0;
+}
+int helper(int x) { return x + 1; }
+"#;
+
+    /// The re-read gate rebuilds a function's CFG from the AST an entry
+    /// stores, so a disk-loaded entry must judge re-reads exactly as the
+    /// cold run did. The entry stores only the functions holding a site.
+    #[test]
+    fn warm_reread_findings_and_patches_equal_cold() {
+        let dir = tempdir("reread");
+        let config = AnalysisConfig::default();
+        let files = vec![SourceFile::new("rr.c", REREADS)];
+        let mut cold = Engine::new(config.clone());
+        let r_cold = cold.analyze(&files);
+        cold.save_disk_cache(&dir).unwrap();
+        let rereads = |r: &crate::AnalysisResult| {
+            r.deviations
+                .iter()
+                .filter(|d| matches!(d.kind, crate::DeviationKind::RepeatedRead { .. }))
+                .map(|d| d.site.function.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rereads(&r_cold), ["select_sock"]);
+        let window = Engine::new(AnalysisConfig {
+            dataflow_reread: false,
+            ..config.clone()
+        })
+        .analyze(&files);
+        assert_eq!(
+            rereads(&window).len(),
+            2,
+            "the gate must have a re-read to drop"
+        );
+
+        let (map, _) = load(&dir, &config);
+        let (_, fa) = &map["rr.c"];
+        assert_eq!(fa.function_count, 5);
+        assert_eq!(fa.functions.len(), 4);
+        for f in &fa.functions {
+            assert!(
+                fa.sites.iter().any(|s| f.sig.name == s.site.function),
+                "{} holds no site",
+                f.sig.name
+            );
+        }
+
+        let mut warm = Engine::new(config);
+        warm.load_disk_cache(&dir);
+        let r_warm = warm.analyze(&files);
+        assert_eq!(r_warm.obs.count_of("engine_cache_hits"), 1);
+        let text = |r: &crate::AnalysisResult| {
+            (
+                serde_json::to_string(&r.deviations).unwrap(),
+                serde_json::to_string(&r.patches).unwrap(),
+            )
+        };
+        assert_eq!(text(&r_warm), text(&r_cold));
+        assert!(r_warm
+            .patches
+            .iter()
+            .any(|p| p.title.contains("racy re-read")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

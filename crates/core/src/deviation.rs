@@ -96,7 +96,8 @@ impl Deviation {
 }
 
 /// Per-run context threaded through the duo checkers: the per-file
-/// analyses give the checkers CFG access for dataflow evidence.
+/// analyses give the checkers the function ASTs their dataflow
+/// evidence is built from.
 pub(crate) struct CheckCtx<'a> {
     pub files: &'a [std::sync::Arc<FileAnalysis>],
     pub config: &'a AnalysisConfig,
@@ -131,7 +132,7 @@ pub fn check_all(
 ) -> Vec<Deviation> {
     let ctx = CheckCtx { files, config };
     let mut out = Vec::new();
-    let by_id = |id: BarrierId| sites.iter().find(|s| s.id == id).expect("site by id");
+    let by_id = |id: BarrierId| &sites[id.0 as usize];
 
     // §5.1 — unpaired barriers: unneeded-barrier elimination.
     for (id, _reason) in &pairing.unpaired {
@@ -427,10 +428,10 @@ fn reread_is_live(
     let Some(fa) = ctx.files.iter().find(|f| f.file == reader.site.file) else {
         return true;
     };
-    let Some(func) = fa.functions.iter().find(|f| f.name == reader.site.function) else {
+    let Some(func) = fa.function(&reader.site.function) else {
         return true;
     };
-    let cfg = &func.cfg;
+    let cfg = &cfgir::Cfg::build(func);
     let (Some(n_first), Some(n_second)) = (
         node_of_span(cfg, first.span),
         node_of_span(cfg, second.span),

@@ -8,7 +8,6 @@
 
 use crate::fingerprint::FindingRecord;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -224,27 +223,6 @@ pub fn records_from_json(doc: &serde_json::Value) -> Result<Vec<FindingRecord>, 
     Err("document has neither a 'findings' nor a 'deviations' array".to_string())
 }
 
-/// Partition `current` against a baseline's fingerprints: records not in
-/// the baseline (the ones `--fail-on=new` gates on) and the count of
-/// baselined ones.
-pub fn split_by_baseline(
-    current: &[FindingRecord],
-    baseline: &Baseline,
-) -> (Vec<FindingRecord>, usize) {
-    let known: HashSet<&str> = baseline
-        .findings
-        .iter()
-        .map(|f| f.fingerprint.as_str())
-        .collect();
-    let fresh: Vec<FindingRecord> = current
-        .iter()
-        .filter(|f| !known.contains(f.fingerprint.as_str()))
-        .cloned()
-        .collect();
-    let baselined = current.len() - fresh.len();
-    (fresh, baselined)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,14 +311,5 @@ mod tests {
         assert!(err.contains("schema_version 1"), "{err}");
         let doc = serde_json::json!({"stats": {}});
         assert!(records_from_json(&doc).is_err());
-    }
-
-    #[test]
-    fn split_by_baseline_finds_fresh() {
-        let b = Baseline::new("run-00", vec![rec("aa", "a.c", 1)]);
-        let current = vec![rec("aa", "a.c", 31), rec("bb", "a.c", 40)];
-        let (fresh, _) = split_by_baseline(&current, &b);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].fingerprint, "bb");
     }
 }

@@ -470,26 +470,6 @@ impl Engine {
             obs,
         }
     }
-
-    /// Figure 6: number of pairings as a function of the write-barrier
-    /// exploration window.
-    pub fn sweep_write_window(
-        files: &[SourceFile],
-        base: &AnalysisConfig,
-        windows: impl IntoIterator<Item = u32>,
-    ) -> Vec<(u32, usize)> {
-        windows
-            .into_iter()
-            .map(|w| {
-                let mut engine = Engine::new(AnalysisConfig {
-                    write_window: w,
-                    ..base.clone()
-                });
-                let r = engine.analyze(files);
-                (w, r.stats.pairings)
-            })
-            .collect()
-    }
 }
 
 /// Default length of the "slowest files" ranking (the historical top-5).
@@ -653,7 +633,16 @@ void writer(struct my_struct *b) {
     #[test]
     fn window_sweep_monotone_until_plateau() {
         let files = listing1_files();
-        let sweep = Engine::sweep_write_window(&files, &AnalysisConfig::default(), [1, 2, 5, 10]);
+        let sweep: Vec<(u32, usize)> = [1, 2, 5, 10]
+            .into_iter()
+            .map(|w| {
+                let config = AnalysisConfig {
+                    write_window: w,
+                    ..AnalysisConfig::default()
+                };
+                (w, Engine::new(config).analyze(&files).stats.pairings)
+            })
+            .collect();
         assert_eq!(sweep.len(), 4);
         // Pairings never decrease with a larger window on this corpus.
         for w in sweep.windows(2) {

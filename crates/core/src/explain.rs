@@ -229,7 +229,7 @@ pub fn explain_site_with(
     config: &AnalysisConfig,
     target: BarrierId,
 ) -> Option<Explanation> {
-    let t = sites.iter().find(|s| s.id == target)?;
+    let t = sites.get(target.0 as usize)?;
     let t_objects = t.objects();
     let my_pairing = pairing.pairing_of(target);
     let implicit_ipc = pairing
@@ -318,7 +318,7 @@ pub fn explain_site_with(
             members: mp
                 .members
                 .iter()
-                .filter_map(|&m| sites.iter().find(|s| s.id == m))
+                .filter_map(|&m| sites.get(m.0 as usize))
                 .map(summarize)
                 .collect(),
             objects: mp.objects.iter().map(obj_label).collect(),

@@ -93,7 +93,7 @@ fn detect_inner(
         .unpaired
         .iter()
         .filter(|(_, r)| *r == UnpairedReason::NoMatch)
-        .filter_map(|(id, _)| sites.iter().find(|s| s.id == *id))
+        .map(|(id, _)| &sites[id.0 as usize])
         .filter(|s| s.is_write_barrier() && s.seqcount.is_none() && s.wakeup_after.is_none())
         .collect();
     rec.count("missing_writers_examined", writers.len() as u64);
@@ -413,6 +413,39 @@ int consume(struct box *b) {
         assert_eq!(miss.len(), 1, "{:?}", r.deviations);
         assert_eq!(miss[0].site.file_name, "reader.c");
         assert_eq!(miss[0].site.function, "consume");
+    }
+
+    /// A fence-less reader in a file with no barrier still gets its fence
+    /// patch, and applying it pairs the writer and clears the finding.
+    #[test]
+    fn site_free_reader_file_gets_its_fence_patch() {
+        let (writer, reader) =
+            UNFENCED_READER.split_at(UNFENCED_READER.find("int consume").unwrap());
+        let reader = format!("struct box {{ int ready; int value; }};\n{reader}");
+        let mut files = vec![
+            SourceFile::new("writer.c", writer),
+            SourceFile::new("reader.c", reader.as_str()),
+        ];
+        let r = Engine::new(config_missing()).analyze(&files);
+        assert_eq!(missing_of(&r.deviations).len(), 1, "{:?}", r.deviations);
+        assert!(r.pairing.pairings.is_empty());
+        assert_eq!(r.patches.len(), 1, "{:?}", r.patches);
+        let patch = &r.patches[0];
+        assert_eq!(
+            patch.title,
+            "reader.c: insert missing read fence in consume()"
+        );
+        assert_eq!(patch.file, "reader.c");
+
+        let fixed = crate::patch::apply_edits(&reader, &patch.edits).unwrap();
+        assert!(
+            fixed.contains("smp_rmb();\n    return b->value;"),
+            "{fixed}"
+        );
+        files[1] = SourceFile::new("reader.c", fixed);
+        let r = Engine::new(config_missing()).analyze(&files);
+        assert!(missing_of(&r.deviations).is_empty(), "{:?}", r.deviations);
+        assert_eq!(r.pairing.pairings.len(), 1);
     }
 
     #[test]

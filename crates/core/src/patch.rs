@@ -7,8 +7,8 @@
 
 use crate::deviation::{Deviation, DeviationKind};
 use crate::ir::Side;
-use crate::sites::{FileAnalysis, FunctionInfo};
-use ckit::ast::{Stmt, StmtKind};
+use crate::sites::FileAnalysis;
+use ckit::ast::{FunctionDef, Stmt, StmtKind};
 use ckit::span::Span;
 use serde::{Deserialize, Serialize};
 
@@ -173,7 +173,18 @@ pub fn line_diff(old: &str, new: &str, file: &str) -> String {
 /// Returns `None` when a fix cannot be expressed as a safe span edit
 /// (the deviation is still reported, just without an automatic patch).
 pub fn synthesize(dev: &Deviation, fa: &FileAnalysis) -> Option<Patch> {
-    let func = fa.functions.iter().find(|f| f.name == dev.site.function)?;
+    // A missing-barrier reader holds no site, so `fa` keeps no AST of it:
+    // parse its file again, as the detector did, to find the statement.
+    let reparsed;
+    let func = if matches!(dev.kind, DeviationKind::MissingBarrier { .. }) {
+        reparsed = ckit::parse_string(&fa.name, &fa.source).ok()?;
+        reparsed
+            .unit
+            .functions()
+            .find(|f| f.sig.name == dev.site.function)?
+    } else {
+        fa.function(&dev.site.function)?
+    };
     let edits = match &dev.kind {
         DeviationKind::Misplaced { correct_side } => misplaced_edits(dev, fa, func, *correct_side)?,
         DeviationKind::WrongBarrierType { replacement } => {
@@ -186,7 +197,7 @@ pub fn synthesize(dev: &Deviation, fa: &FileAnalysis) -> Option<Patch> {
             repeated_read_edits(dev, fa, func, *first_read_span)?
         }
         DeviationKind::UnneededBarrier { .. } => {
-            let stmt = enclosing_stmt(&func.def.body, dev.site.span)?;
+            let stmt = enclosing_stmt(&func.body, dev.site.span)?;
             vec![delete_line_edit(&fa.source, stmt.span)]
         }
         DeviationKind::MissingOnce { .. } => return None, // handled by annotate
@@ -197,7 +208,7 @@ pub fn synthesize(dev: &Deviation, fa: &FileAnalysis) -> Option<Patch> {
             // the two — re-analysis then pairs the writer and the
             // diagnostic disappears (machine verification).
             let payload_span = dev.access_span?;
-            let stmt = enclosing_stmt(&func.def.body, payload_span)?;
+            let stmt = enclosing_stmt(&func.body, payload_span)?;
             let at = line_start(&fa.source, stmt.span.lo);
             let indent = line_indent(&fa.source, stmt.span.lo);
             vec![Edit {
@@ -237,12 +248,12 @@ fn title_for(dev: &Deviation) -> String {
 fn misplaced_edits(
     dev: &Deviation,
     fa: &FileAnalysis,
-    func: &FunctionInfo,
+    func: &FunctionDef,
     correct_side: Side,
 ) -> Option<Vec<Edit>> {
     let access_span = dev.access_span?;
-    let moved = enclosing_stmt(&func.def.body, access_span)?;
-    let barrier_stmt = enclosing_stmt(&func.def.body, dev.site.span)?;
+    let moved = enclosing_stmt(&func.body, access_span)?;
+    let barrier_stmt = enclosing_stmt(&func.body, dev.site.span)?;
     if moved.span.contains(barrier_stmt.span) {
         // The access lives in a construct wrapping the barrier (e.g. the
         // loop condition); moving it would drag the barrier along.
@@ -255,7 +266,7 @@ fn misplaced_edits(
     // manual intervention", §5.4).
     if correct_side == Side::Before && moved.span.lo > barrier_stmt.span.lo {
         let gap = Span::new(barrier_stmt.span.lo, moved.span.lo);
-        if moved_reads_assigned_in_gap(&func.def.body, moved, gap) {
+        if moved_reads_assigned_in_gap(&func.body, moved, gap) {
             return None;
         }
     }
@@ -264,7 +275,7 @@ fn misplaced_edits(
     // When the barrier sits in a do-while condition (the seqcount retry
     // idiom), "before the barrier" means the end of the loop body — not
     // before the whole loop, which would leave the access unprotected.
-    let dowhile = find_dowhile_cond(&func.def.body, dev.site.span);
+    let dowhile = find_dowhile_cond(&func.body, dev.site.span);
     let insert_at = match (correct_side, dowhile) {
         (Side::Before, Some(dw)) => {
             // Line of the closing `} while (...)` — insert just above it.
@@ -301,7 +312,7 @@ fn misplaced_edits(
 fn repeated_read_edits(
     dev: &Deviation,
     fa: &FileAnalysis,
-    func: &FunctionInfo,
+    func: &FunctionDef,
     first_read_span: Span,
 ) -> Option<Vec<Edit>> {
     let reread_span = dev.access_span?;
@@ -309,7 +320,7 @@ fn repeated_read_edits(
         return None;
     }
     // Find the variable that received the first read.
-    if let Some(var) = receiving_variable(&func.def.body, first_read_span) {
+    if let Some(var) = receiving_variable(&func.body, first_read_span) {
         return Some(vec![Edit {
             span: reread_span,
             replacement: var,
@@ -317,7 +328,7 @@ fn repeated_read_edits(
     }
     // No variable: hoist the first read into a fresh local before its
     // statement and reuse it at both sites.
-    let first_stmt = enclosing_stmt(&func.def.body, first_read_span)?;
+    let first_stmt = enclosing_stmt(&func.body, first_read_span)?;
     let obj = dev.object.as_ref()?;
     let var = format!("__{}", obj.field);
     let read_text = first_read_span.slice(&fa.source).to_string();

@@ -16,30 +16,26 @@ use ckit::ParsedFile;
 use kmodel::{BarrierKind, CallSemantics, ImpliedAccess, SeqcountOp};
 use std::collections::HashMap;
 
-/// A function retained for downstream passes (checkers, patches).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct FunctionInfo {
-    pub name: String,
-    pub cfg: Cfg,
-    pub span: Span,
-    /// The AST, kept for statement-level patch synthesis.
-    pub def: ckit::ast::FunctionDef,
-}
-
 /// Analysis result of one file.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct FileAnalysis {
+    /// Position in the corpus; not cached, re-stamped by the engine on
+    /// every cache hit.
+    #[serde(skip)]
     pub file: usize,
     pub name: String,
+    /// Not cached: a cache entry is used only when its content hash
+    /// matches the file, so the engine restores the live text on a hit.
+    #[serde(skip)]
     pub source: std::sync::Arc<str>,
     pub sites: Vec<BarrierSite>,
-    /// The file's functions with their CFG and AST — empty iff `sites`
-    /// is: every consumer (re-read dataflow gate, patch and annotation
-    /// synthesis) reaches a function only through a barrier site in the
-    /// same file, and the missing-barrier detector re-lowers from source.
-    pub functions: Vec<FunctionInfo>,
-    /// How many functions the file defines; always set, whether or not
-    /// `functions` holds them.
+    /// The ASTs of the functions that hold a barrier site, in source
+    /// order. Patch and annotation synthesis and the re-read dataflow gate
+    /// reach a function only through a site in it; the missing-barrier
+    /// detector and its patch parse the file's source again.
+    pub functions: Vec<ckit::ast::FunctionDef>,
+    /// How many functions the file defines, whether or not `functions`
+    /// holds them.
     pub function_count: usize,
     pub parse_error_count: usize,
     /// Composable per-function summaries (inter-procedural pass input),
@@ -167,6 +163,11 @@ fn extract_traced<'r>(
 }
 
 impl FileAnalysis {
+    /// The AST of the site-holding function named `name`.
+    pub fn function(&self, name: &str) -> Option<&ckit::ast::FunctionDef> {
+        self.functions.iter().find(|f| f.sig.name == name)
+    }
+
     /// The analysis of a file with no barrier site: only its counts.
     fn site_free(
         file: usize,
@@ -321,24 +322,16 @@ fn lower_and_extract<'r>(
     rec.count("extract_callee_expansions", ctr.callee_expansions);
     rec.count("extract_promoted_atomics", ctr.promoted_atomics);
 
-    // Files without barrier sites keep only their function count: on a
-    // kernel-shaped corpus most files have no barriers, so this drops the
-    // bulk of the retained AST/CFG memory and of the disk cache.
-    let functions = if sites.is_empty() {
-        Vec::new()
-    } else {
-        lowered
-            .functions
-            .iter()
-            .zip(&lowered.cfgs)
-            .map(|(f, cfg)| FunctionInfo {
-                name: f.sig.name.to_string(),
-                cfg: cfg.clone(),
-                span: f.span,
-                def: (*f).clone(),
-            })
-            .collect()
-    };
+    // Only the functions that hold a site are kept: on a kernel-shaped
+    // corpus most functions hold none, and the kept ASTs are the bulk of
+    // the retained memory and of the disk cache.
+    let functions = lowered
+        .functions
+        .iter()
+        .enumerate()
+        .filter(|(fi, _)| has_barrier[*fi])
+        .map(|(_, f)| (*f).clone())
+        .collect();
     let fa = FileAnalysis {
         file,
         name: parsed.map.file.clone(),

@@ -62,34 +62,15 @@ pub struct FnSummary {
     pub accesses: Vec<SummaryAccess>,
     /// Strongest barrier semantics on any path: `Explicit` forbids
     /// composing this function's accesses into a caller's window.
-    pub barrier: SummaryBarrierTag,
+    pub barrier: SummaryBarrier,
     /// Plain (non-primitive) callees invoked, deduped, in call order.
     pub callees: Vec<String>,
-}
-
-/// Serializable mirror of [`kmodel::SummaryBarrier`] (kmodel stays
-/// serde-free).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SummaryBarrierTag {
-    None,
-    Full,
-    Explicit,
-}
-
-impl From<SummaryBarrier> for SummaryBarrierTag {
-    fn from(b: SummaryBarrier) -> Self {
-        match b {
-            SummaryBarrier::None => SummaryBarrierTag::None,
-            SummaryBarrier::Full => SummaryBarrierTag::Full,
-            SummaryBarrier::Explicit => SummaryBarrierTag::Explicit,
-        }
-    }
 }
 
 impl FnSummary {
     /// May callers merge this function's accesses into their windows?
     pub fn composable(&self) -> bool {
-        self.barrier != SummaryBarrierTag::Explicit
+        self.barrier != SummaryBarrier::Explicit
     }
 }
 
@@ -164,7 +145,7 @@ pub fn extract_summaries(lowered: &LoweredFile<'_>, envs: &[TypeEnv<'_>]) -> Vec
             FnSummary {
                 name: f.sig.name.to_string(),
                 accesses,
-                barrier: barrier.into(),
+                barrier,
                 callees,
             }
         })
@@ -425,7 +406,7 @@ impl ComposedIndex {
         for _ in 0..=depth {
             let mut next = Vec::new();
             for &h in &frontier {
-                if self.nodes[h].1.barrier == SummaryBarrierTag::Explicit {
+                if self.nodes[h].1.barrier == SummaryBarrier::Explicit {
                     return true;
                 }
                 for callee in &self.nodes[h].1.callees {
@@ -605,7 +586,7 @@ void top(struct s *p) { mid(p); smp_wmb(); }
         assert_eq!(fa.summaries.len(), 3);
         let leaf = &fa.summaries[0];
         assert_eq!(leaf.name, "leaf");
-        assert_eq!(leaf.barrier, SummaryBarrierTag::None);
+        assert_eq!(leaf.barrier, SummaryBarrier::None);
         assert!(leaf
             .accesses
             .iter()
@@ -613,7 +594,7 @@ void top(struct s *p) { mid(p); smp_wmb(); }
         let mid = &fa.summaries[1];
         assert_eq!(mid.callees, vec!["leaf".to_string()]);
         let top = &fa.summaries[2];
-        assert_eq!(top.barrier, SummaryBarrierTag::Explicit);
+        assert_eq!(top.barrier, SummaryBarrier::Explicit);
         assert!(!top.composable());
     }
 
@@ -627,9 +608,23 @@ void f(struct s *p) { atomic_inc_and_test(&p->r); }
 void g(struct s *p) { atomic_inc(&p->r); }
 "#,
         );
-        assert_eq!(fa.summaries[0].barrier, SummaryBarrierTag::Full);
+        assert_eq!(fa.summaries[0].barrier, SummaryBarrier::Full);
         assert!(fa.summaries[0].composable());
-        assert_eq!(fa.summaries[1].barrier, SummaryBarrierTag::None);
+        assert_eq!(fa.summaries[1].barrier, SummaryBarrier::None);
+    }
+
+    /// A cached summary's `barrier` is the variant name, the string v5
+    /// caches already held, so `SUMMARY_VERSION` need not change.
+    #[test]
+    fn summary_barrier_serializes_as_its_variant_name() {
+        for (b, text) in [
+            (SummaryBarrier::None, "\"None\""),
+            (SummaryBarrier::Full, "\"Full\""),
+            (SummaryBarrier::Explicit, "\"Explicit\""),
+        ] {
+            assert_eq!(serde_json::to_string(&b).unwrap(), text);
+            assert_eq!(serde_json::from_str::<SummaryBarrier>(text).unwrap(), b);
+        }
     }
 
     #[test]

@@ -140,15 +140,6 @@ impl BarrierKind {
             _ => ImpliedAccess::None,
         }
     }
-
-    /// Number of call arguments the primitive takes.
-    pub fn arg_count(self) -> usize {
-        match self {
-            BarrierKind::StoreMb | BarrierKind::StoreRelease => 2,
-            BarrierKind::LoadAcquire => 1,
-            _ => 0,
-        }
-    }
 }
 
 impl fmt::Display for BarrierKind {
@@ -202,12 +193,5 @@ mod tests {
             ImpliedAccess::LoadBefore
         );
         assert_eq!(BarrierKind::Wmb.implied_access(), ImpliedAccess::None);
-    }
-
-    #[test]
-    fn arg_counts() {
-        assert_eq!(BarrierKind::StoreRelease.arg_count(), 2);
-        assert_eq!(BarrierKind::LoadAcquire.arg_count(), 1);
-        assert_eq!(BarrierKind::Mb.arg_count(), 0);
     }
 }

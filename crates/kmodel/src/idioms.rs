@@ -42,15 +42,6 @@ impl ReaderIdiom {
         }
     }
 
-    /// The write-side counterpart the fence pairs with.
-    pub fn write_side_counterpart(self) -> &'static str {
-        match self {
-            ReaderIdiom::InitFlag | ReaderIdiom::IndexGuard => "smp_wmb",
-            ReaderIdiom::PublishedPointer => "smp_store_release",
-            ReaderIdiom::SeqcountSection => "write_seqcount_begin",
-        }
-    }
-
     /// One-line description used in diagnostics.
     pub fn description(self) -> &'static str {
         match self {
@@ -89,13 +80,6 @@ mod tests {
         for idiom in ReaderIdiom::ALL {
             assert!(!idiom.name().is_empty());
             assert!(!idiom.description().is_empty());
-            // Every write-side counterpart is a write-side primitive.
-            let name = idiom.write_side_counterpart();
-            match crate::classify_call(name) {
-                crate::CallSemantics::Barrier(kind) => assert!(kind.is_write_side(), "{name}"),
-                crate::CallSemantics::Seqcount(op) => assert!(!op.is_reader(), "{name}"),
-                other => panic!("{name} is not a barrier: {other:?}"),
-            }
         }
     }
 

@@ -90,7 +90,7 @@ pub fn classify_call(name: &str) -> CallSemantics {
 /// What a callee contributes to an inter-procedural *function summary*
 /// (the unit the summary composition pass reasons about, as opposed to
 /// the per-call classification of [`classify_call`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SummaryBarrier {
     /// No ordering semantics: the call is transparent to composition.
     None,
@@ -126,13 +126,6 @@ impl SummaryBarrier {
             (Full, _) | (_, Full) => Full,
             _ => None,
         }
-    }
-
-    /// May a caller merge this callee's accesses into its own barrier
-    /// window? Only when no explicit barrier inside the callee would
-    /// bound the window first.
-    pub fn allows_composition(self) -> bool {
-        !matches!(self, SummaryBarrier::Explicit)
     }
 }
 
@@ -208,9 +201,6 @@ mod tests {
         assert_eq!(None.join(Full), Full);
         assert_eq!(Full.join(Explicit), Explicit);
         assert_eq!(None.join(None), None);
-        assert!(None.allows_composition());
-        assert!(Full.allows_composition());
-        assert!(!Explicit.allows_composition());
     }
 
     #[test]

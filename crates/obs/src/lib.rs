@@ -11,9 +11,8 @@
 //!   Perfetto-compatible span file (`ofence analyze --trace-out`),
 //! * [`Snapshot::prometheus_text`] — Prometheus text-format metrics
 //!   (`ofence analyze --metrics-out`),
-//! * phase aggregation ([`Snapshot::total_us_of`],
-//!   [`Snapshot::attr_totals`]) — the per-phase sub-timings and
-//!   "top 5 slowest files" lines of `Stats::render`.
+//! * phase aggregation ([`Snapshot::total_us_of`]) — the per-phase
+//!   sub-timings of `Stats::render`.
 //!
 //! ```
 //! let rec = obs::Recorder::new();
@@ -434,23 +433,6 @@ impl Snapshot {
         self.spans_named(name).map(|s| s.dur_us).sum()
     }
 
-    /// Sum span durations grouped by the value of an attribute (e.g. total
-    /// time per `file` across parse/cfg/extract spans), sorted descending.
-    pub fn attr_totals(&self, attr_key: &str) -> Vec<(String, u64)> {
-        let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-        for s in &self.spans {
-            if let Some(v) = s.attr(attr_key) {
-                *totals.entry(v).or_default() += s.dur_us;
-            }
-        }
-        let mut out: Vec<(String, u64)> = totals
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
     /// Chrome-tracing / Perfetto JSON (`{"traceEvents": [...]}` with
     /// complete `"ph": "X"` events).
     pub fn chrome_trace_json(&self) -> String {
@@ -715,20 +697,6 @@ mod tests {
         let totals = snap.totals();
         assert_eq!(totals.spans.len(), 2);
         assert_eq!(totals.prometheus_text(), snap.prometheus_text());
-    }
-
-    #[test]
-    fn attr_totals_sorted_descending() {
-        let rec = Recorder::new();
-        {
-            let _a = rec.span_with("parse", &[("file", "slow.c")]);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        drop(rec.span_with("parse", &[("file", "fast.c")]));
-        let totals = rec.snapshot().attr_totals("file");
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].0, "slow.c");
-        assert!(totals[0].1 >= totals[1].1);
     }
 
     #[test]

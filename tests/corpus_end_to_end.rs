@@ -145,9 +145,16 @@ fn pattern_counts_recorded() {
 fn figure6_shape_rising_then_plateau() {
     let corpus = generate(&CorpusSpec::paper_scale(42));
     let files = to_source_files(&corpus);
-    let sweep =
-        Engine::sweep_write_window(&files, &AnalysisConfig::default(), [1u32, 3, 5, 10, 20]);
-    let counts: Vec<usize> = sweep.iter().map(|&(_, p)| p).collect();
+    let counts: Vec<usize> = [1u32, 3, 5, 10, 20]
+        .into_iter()
+        .map(|w| {
+            let config = AnalysisConfig {
+                write_window: w,
+                ..AnalysisConfig::default()
+            };
+            Engine::new(config).analyze(&files).stats.pairings
+        })
+        .collect();
     // Rising edge: window 1 finds clearly fewer pairings than window 5.
     assert!(
         (counts[0] as f64) < 0.9 * counts[2] as f64,
