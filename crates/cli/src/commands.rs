@@ -291,10 +291,11 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
 /// behind newline-delimited JSON-RPC.
 /// Runs until a client sends `shutdown`.
 fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
-    // Fail fast on an unservable corpus (nonexistent path, no .c files)
-    // before loading the cache or binding anything.
-    ofence::collect_sources(&opts.run.paths)?;
     let (session, events) = open_session(&opts.run)?;
+    // Fail fast on an unservable corpus (nonexistent path, no .c files)
+    // before binding anything. This is the session's own first snapshot
+    // pass, so the first request only stats what it found.
+    session.snapshot_key()?;
     let session = Arc::new(session);
     let metrics = match &opts.metrics {
         Some(addr) => {

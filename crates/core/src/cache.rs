@@ -6,7 +6,7 @@
 //! second `ofence analyze` (or every iteration of `ofence watch`) only
 //! re-parses the files that actually changed.
 //!
-//! ## Format (v6)
+//! ## Format (v7)
 //!
 //! The cache is **sharded**: entries are distributed across
 //! [`SHARD_COUNT`] (256) files, `shard-00.json` … `shard-255.json`, by an
@@ -15,11 +15,11 @@
 //!
 //! ```json
 //! {
-//!   "format_version": 6,
+//!   "format_version": 7,
 //!   "summary_version": 1,
 //!   "tool_version": "0.1.0",
 //!   "config_fingerprint": 1234567890,
-//!   "entries": [ { "path": "...", "hash": 42, "analysis": { ... } } ]
+//!   "entries": [ { "path": "...", "hash": 42, "stamp": [...], "analysis": { ... } } ]
 //! }
 //! ```
 //!
@@ -36,11 +36,16 @@
 //!   its own entries (they become cold misses) instead of poisoning the
 //!   whole cache.
 //!
-//! A shard is dirty when an entry in it was inserted or evicted, when it
-//! was absent, corrupt or stale at load, when its last save failed, or
-//! when the save goes to a different directory than the one the store
-//! was loaded from or last saved to (or that directory has vanished).
-//! Every other shard on disk already holds exactly the store's entries.
+//! A shard is dirty when an entry in it was inserted or evicted, when a
+//! hit found its file's stamp changed (a `touch`, or a rename over the
+//! file with the same bytes), when it was absent, corrupt or stale at
+//! load, when its last save failed, or when the save goes to a different
+//! directory than the one the store was loaded from or last saved to (or
+//! that directory has vanished). Every other shard on disk already holds
+//! the store's entries, up to read times: a file read again with an
+//! unchanged stamp dirties nothing, and its new read time rides along on
+//! its shard's next write. So which shards a run writes never depends on
+//! when its snapshot passes happened to run.
 //! Shards written by different runs or processes can coexist: entries
 //! are keyed by path *and* content hash, so at worst a stale shard means
 //! a cold miss, never a wrong result.
@@ -68,6 +73,14 @@
 //! and read with no per-field copy, and it holds only what the analysis
 //! under its config reads:
 //!
+//! * The file's stamp, as `stamp`: its [`Slot`] as six integers
+//!   (`dev`, `ino`, `size`, `mtime`, then `ctime` and the read time as
+//!   offsets from `mtime`; see [`Slot::to_ints`]). One short array,
+//!   because every byte is decoded on every warm load. A new session
+//!   seeds its snapshot index from the stamps ([`Store::seeds`]), so its
+//!   first pass reads only the files whose stamp changed and the files
+//!   whose text a phase reads. An entry built from in-memory sources
+//!   has no stamp.
 //! * No source text and no corpus position (`#[serde(skip)]`): an entry
 //!   is only ever used when its content hash matches the file on disk,
 //!   so the engine restores `FileAnalysis::source` from the live corpus
@@ -84,6 +97,7 @@
 
 use crate::config::AnalysisConfig;
 use crate::sites::FileAnalysis;
+use crate::walk::Slot;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -99,14 +113,26 @@ use std::sync::{Arc, Mutex};
 /// v6: an entry's `analysis` is the `FileAnalysis` itself, and it keeps
 /// only the ASTs of the functions that hold a site: no CFGs, and no
 /// functions without a site.
-pub const CACHE_FORMAT_VERSION: u32 = 6;
+/// v7: an entry stores its file's stamp and read time (`stamp`).
+pub const CACHE_FORMAT_VERSION: u32 = 7;
 
 /// Number of shard files the cache is split into. Path-hash modulo; a
 /// power of two so the bucket spread is uniform under FNV.
 pub const SHARD_COUNT: usize = 256;
 
-/// path -> (content hash, cached per-file analysis).
-type Entries = HashMap<String, (u64, Arc<FileAnalysis>)>;
+/// One file's cache entry.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    /// Hash of the text `analysis` was computed from.
+    pub hash: u64,
+    pub analysis: Arc<FileAnalysis>,
+    /// The file's slot when it was last read from disk; `None` for an
+    /// in-memory source.
+    pub slot: Option<Slot>,
+}
+
+/// path -> cache entry.
+type Entries = HashMap<String, Entry>;
 
 /// Per-shard load result: `None` = file absent, `Ok` = decoded entries,
 /// `Err` = read failure, corruption or version reason.
@@ -184,6 +210,9 @@ struct CacheDoc {
 struct CacheEntry {
     path: String,
     hash: u64,
+    /// [`Slot::to_ints`] of the entry's slot, if it has one.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    stamp: Option<Vec<i64>>,
     analysis: Arc<FileAnalysis>,
 }
 
@@ -274,7 +303,12 @@ fn hydrate(outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
                 valid[i] = true;
                 entries += shard_entries.len();
                 for e in shard_entries {
-                    map.insert(e.path, (e.hash, e.analysis));
+                    let entry = Entry {
+                        hash: e.hash,
+                        analysis: e.analysis,
+                        slot: e.stamp.as_deref().and_then(Slot::from_ints),
+                    };
+                    map.insert(e.path, entry);
                 }
             }
             Err(reason) => {
@@ -326,17 +360,65 @@ impl Default for Store {
 }
 
 impl Store {
-    /// `path`'s entry. Edits through it dirty no shard: the engine only
-    /// re-stamps the corpus position and restores the source text, which
-    /// every hit on a loaded entry redoes anyway.
-    pub fn get_mut(&mut self, path: &str) -> Option<&mut (u64, Arc<FileAnalysis>)> {
-        self.entries.get_mut(path)
+    /// `path`'s analysis if it was computed from text hashing to `hash`;
+    /// the entry then records `slot`, the file's slot now. A changed
+    /// stamp dirties the shard; a new read time alone does not. Edits
+    /// through the analysis dirty no shard: the engine only re-stamps the
+    /// corpus position and restores the source text, which every hit on a
+    /// loaded entry redoes anyway.
+    pub fn hit(
+        &mut self,
+        path: &str,
+        hash: u64,
+        slot: Option<Slot>,
+    ) -> Option<&mut Arc<FileAnalysis>> {
+        let entry = self.entries.get_mut(path).filter(|e| e.hash == hash)?;
+        if entry.slot != slot {
+            if entry.slot.map(|s| s.stamp) != slot.map(|s| s.stamp) {
+                self.dirty[shard_of(path)] = true;
+            }
+            entry.slot = slot;
+        }
+        Some(&mut entry.analysis)
+    }
+
+    /// Whether `path`'s entry was computed from text hashing to `hash`.
+    pub fn holds(&self, path: &str, hash: u64) -> bool {
+        self.entries.get(path).is_some_and(|e| e.hash == hash)
     }
 
     /// Insert or replace `path`'s entry, dirtying its shard.
-    pub fn insert(&mut self, path: String, hash: u64, analysis: Arc<FileAnalysis>) {
+    pub fn insert(
+        &mut self,
+        path: String,
+        hash: u64,
+        slot: Option<Slot>,
+        analysis: Arc<FileAnalysis>,
+    ) {
         self.dirty[shard_of(&path)] = true;
-        self.entries.insert(path, (hash, analysis));
+        let entry = Entry {
+            hash,
+            analysis,
+            slot,
+        };
+        self.entries.insert(path, entry);
+    }
+
+    /// What a new session's snapshot index starts from (see
+    /// [`crate::walk::SourceIndex::seeded`]): name, hash and slot of each
+    /// entry with a slot whose analysis holds no site. Nothing at all if
+    /// any recorded read time lies after `now_ns`: the clock has stepped
+    /// back since, and no read time can be trusted.
+    pub fn seeds(&self, now_ns: i64) -> Vec<(&str, u64, Slot)> {
+        let slotted =
+            || (self.entries.iter()).filter_map(|(path, e)| Some((path.as_str(), e, e.slot?)));
+        if slotted().any(|(_, _, slot)| slot.read_at_ns > now_ns) {
+            return Vec::new();
+        }
+        slotted()
+            .filter(|(_, e, _)| e.analysis.sites.is_empty())
+            .map(|(path, e, slot)| (path, e.hash, slot))
+            .collect()
     }
 
     /// Evict every entry whose path fails `keep`, dirtying the evicted
@@ -400,12 +482,13 @@ impl Store {
         for &i in &todo {
             buckets[i] = Some(Vec::new());
         }
-        for (path, (hash, fa)) in &self.entries {
+        for (path, e) in &self.entries {
             if let Some(bucket) = &mut buckets[shard_of(path)] {
                 bucket.push(CacheEntry {
                     path: path.clone(),
-                    hash: *hash,
-                    analysis: fa.clone(),
+                    hash: e.hash,
+                    stamp: e.slot.and_then(Slot::to_ints),
+                    analysis: e.analysis.clone(),
                 });
             }
         }
@@ -537,16 +620,19 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         let fp = config_fingerprint(&config);
         let entries: Vec<CacheEntry> = sharded
             .iter()
-            .map(|(path, (hash, fa))| CacheEntry {
+            .map(|(path, e)| CacheEntry {
                 path: path.clone(),
-                hash: *hash,
-                analysis: fa.clone(),
+                hash: e.hash,
+                stamp: None,
+                analysis: e.analysis.clone(),
             })
             .collect();
         let mono = decode_shard(&encode_doc(entries, fp), fp).unwrap();
         assert_eq!(mono.len(), sharded.len());
         for e in mono {
-            let (hash, fa) = &sharded[&e.path];
+            let Entry {
+                hash, analysis: fa, ..
+            } = &sharded[&e.path];
             assert_eq!(e.hash, *hash);
             let rebuilt = e.analysis;
             assert_eq!(rebuilt.name, fa.name);
@@ -705,6 +791,51 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         again.load_disk_cache(&dir);
         assert_eq!(again.analyze(&files).obs.count_of("engine_cache_hits"), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file's slot rides in its entry. A hit whose stamp changed
+    /// dirties the entry's shard; one whose read time alone changed does
+    /// not, and the new read time is written with the shard next time.
+    #[test]
+    fn stamps_round_trip_and_only_a_changed_stamp_dirties() {
+        let root = tempdir("stamps");
+        let (src, dir) = (root.join("src"), root.join("cache"));
+        std::fs::create_dir_all(&src).unwrap();
+        for f in demo_files() {
+            std::fs::write(src.join(&f.name), &*f.content).unwrap();
+        }
+        let config = AnalysisConfig::default();
+        let files = crate::walk::collect_sources(&[src.display().to_string()]).unwrap();
+        let mut e = Engine::new(config.clone());
+        e.analyze(&files);
+        e.save_disk_cache(&dir).unwrap();
+        let (map, _) = load(&dir, &config);
+        for f in &files {
+            assert!(f.slot.is_some());
+            assert_eq!(map[&f.name].slot, f.slot, "{}", f.name);
+        }
+
+        let mut store = Store::default();
+        store.load(&dir, &config);
+        let (a, b) = (&files[0], &files[1]);
+        let mut later = a.slot.unwrap();
+        later.read_at_ns += 1;
+        assert!(store.hit(&a.name, a.hash(), Some(later)).is_some());
+        assert!(store.dirty_shards(&dir).is_empty());
+        let mut ints = b.slot.unwrap().to_ints().unwrap();
+        ints[3] += 1;
+        let touched = Slot::from_ints(&ints).unwrap();
+        assert!(store.hit(&b.name, b.hash(), Some(touched)).is_some());
+        assert!(store.hit(&b.name, b.hash() ^ 1, Some(touched)).is_none());
+        assert_eq!(store.dirty_shards(&dir), [shard_of(&b.name)]);
+        store.save(&dir, &config).unwrap();
+        let (map, _) = load(&dir, &config);
+        assert_eq!(map[&b.name].slot, Some(touched));
+        // a's new read time reached the disk only if b's write took it.
+        let same_shard = shard_of(&a.name) == shard_of(&b.name);
+        let expected = if same_shard { Some(later) } else { a.slot };
+        assert_eq!(map[&a.name].slot, expected);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -985,7 +1116,7 @@ int helper(int x) { return x + 1; }
         );
 
         let (map, _) = load(&dir, &config);
-        let (_, fa) = &map["rr.c"];
+        let fa = &map["rr.c"].analysis;
         assert_eq!(fa.function_count, 5);
         assert_eq!(fa.functions.len(), 4);
         for f in &fa.functions {
@@ -1026,7 +1157,7 @@ int helper(int x) { return x + 1; }
         // plain.c has no barriers: nothing of helper is stored.
         assert!(!text.contains("helper"), "expected slim entry: {text}");
         let (map, _) = load(&dir, &config);
-        let (_, fa) = &map["plain.c"];
+        let fa = &map["plain.c"].analysis;
         assert!(fa.functions.is_empty());
         assert_eq!(fa.function_count, 1);
 

@@ -15,6 +15,7 @@ use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
 use crate::report::{DistanceHistogram, Stats};
 use crate::sites::FileAnalysis;
+use crate::walk::Slot;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -22,9 +23,16 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone)]
 pub struct SourceFile {
     pub name: String,
+    /// The file's text, except for a file the walker took from a
+    /// disk-cache entry without reading it: then it is empty, and
+    /// [`SourceFile::text`] is `None`.
     pub content: std::sync::Arc<str>,
-    /// FNV-1a hash of `content`, computed once when the file was read.
+    /// FNV-1a hash of the text, computed once when the file was read (or
+    /// taken from the cache entry of an unread file).
     hashed: Hashed,
+    /// Stamp and read time of a file read from disk (see
+    /// [`crate::walk`]); `None` for an in-memory source.
+    pub(crate) slot: Option<Slot>,
 }
 
 /// A content hash and the text it was computed from. Holding that `Arc`
@@ -34,6 +42,8 @@ pub struct SourceFile {
 struct Hashed {
     of: Arc<str>,
     hash: u64,
+    /// False for a file whose text was never read.
+    read: bool,
 }
 
 impl SourceFile {
@@ -42,11 +52,29 @@ impl SourceFile {
         let hashed = Hashed {
             of: content.clone(),
             hash: fnv1a(content.as_bytes()),
+            read: true,
         };
         SourceFile {
             name: name.into(),
             content,
             hashed,
+            slot: None,
+        }
+    }
+
+    /// A file known by its cached hash and slot, without its text.
+    pub(crate) fn unread(name: &str, hash: u64, slot: Slot) -> Self {
+        let content: Arc<str> = Arc::from("");
+        let hashed = Hashed {
+            of: content.clone(),
+            hash,
+            read: false,
+        };
+        SourceFile {
+            name: name.to_string(),
+            content,
+            hashed,
+            slot: Some(slot),
         }
     }
 
@@ -59,11 +87,30 @@ impl SourceFile {
             fnv1a(self.content.as_bytes())
         }
     }
+
+    /// The file's text, or `None` if it was never read.
+    pub(crate) fn text(&self) -> Option<&Arc<str>> {
+        let read = self.hashed.read || !Arc::ptr_eq(&self.hashed.of, &self.content);
+        read.then_some(&self.content)
+    }
+
+    /// Whether `text` is this file's text: compared byte for byte, or by
+    /// hash if the file was never read.
+    pub(crate) fn holds(&self, text: &str) -> bool {
+        match self.text() {
+            Some(own) => **own == *text,
+            None => self.hash() == fnv1a(text.as_bytes()),
+        }
+    }
 }
 
 impl PartialEq for SourceFile {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.content == other.content
+        self.name == other.name
+            && match (self.text(), other.text()) {
+                (Some(a), Some(b)) => a == b,
+                _ => self.hash() == other.hash(),
+            }
     }
 }
 
@@ -71,10 +118,13 @@ impl Eq for SourceFile {}
 
 impl std::fmt::Debug for SourceFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SourceFile")
-            .field("name", &self.name)
-            .field("content", &self.content)
-            .finish()
+        let mut out = f.debug_struct("SourceFile");
+        out.field("name", &self.name);
+        match self.text() {
+            Some(text) => out.field("content", text),
+            None => out.field("unread_hash", &self.hash()),
+        };
+        out.finish()
     }
 }
 
@@ -295,19 +345,23 @@ impl Engine {
         let mut results: Vec<Option<Arc<FileAnalysis>>> = vec![None; files.len()];
         let mut todo: Vec<usize> = Vec::new();
         for (i, f) in files.iter().enumerate() {
-            match self.cache.get_mut(&f.name) {
-                Some((ch, fa)) if *ch == f.hash() => {
+            match self.cache.hit(&f.name, f.hash(), f.slot) {
+                Some(fa) => {
                     // Warm hit: a refcount bump. The cached entry is
                     // patched in place (copy-on-write) the first time it
-                    // is served at a new corpus position or without its
-                    // source text (disk-loaded entries carry none — the
-                    // hash match guarantees it equals the live content);
-                    // steady-state watch iterations clone nothing.
-                    if fa.file != i || fa.source.is_empty() {
+                    // is served at a new corpus position, or without its
+                    // source text when the snapshot read the file
+                    // (disk-loaded entries carry none — the hash match
+                    // guarantees it equals the live content). A file the
+                    // snapshot did not read has no text to restore; no
+                    // phase reads it. Steady-state watch iterations clone
+                    // nothing.
+                    let text = f.text().filter(|t| fa.source.is_empty() && !t.is_empty());
+                    if fa.file != i || text.is_some() {
                         let m = Arc::make_mut(fa);
                         m.file = i;
-                        if m.source.is_empty() {
-                            m.source = f.content.clone();
+                        if let Some(text) = text {
+                            m.source = text.clone();
                         }
                         for s in &mut m.sites {
                             s.site.file = i;
@@ -316,9 +370,13 @@ impl Engine {
                     results[i] = Some(fa.clone());
                     self.recorder.count("engine_cache_hits", 1);
                 }
-                _ => todo.push(i),
+                None => todo.push(i),
             }
         }
+        debug_assert!(
+            todo.iter().all(|&i| files[i].text().is_some()),
+            "a file to analyze was not read"
+        );
         self.recorder
             .count("engine_files_analyzed", todo.len() as u64);
         // Parallel per-file analysis of the remainder, largest files
@@ -348,15 +406,24 @@ impl Engine {
                 // The cache and the result share the same `Arc`: no deep
                 // clone on insert, and `finish`'s mutations copy-on-write
                 // only the files they touch.
+                let f = &files[i];
                 self.cache
-                    .insert(files[i].name.clone(), files[i].hash(), fa.clone());
+                    .insert(f.name.clone(), f.hash(), f.slot, fa.clone());
                 results[i] = Some(fa);
             }
         }
-        results
+        let results: Vec<Arc<FileAnalysis>> = results
             .into_iter()
             .map(|r| r.expect("every file analyzed"))
-            .collect()
+            .collect();
+        // Every record a phase reads the text of has it: site holders,
+        // and under `--missing` every file.
+        debug_assert!(
+            files.iter().zip(&results).all(|(f, fa)| f.text().is_some()
+                || (fa.sites.is_empty() && !self.config.detect_missing)),
+            "a record a phase reads has no text"
+        );
+        results
     }
 
     fn finish(&self, mut files: Vec<Arc<FileAnalysis>>, root: u64) -> AnalysisResult {

@@ -44,6 +44,29 @@
 //! agrees with pass 1, and the request would return {A_old, B_new}; a
 //! full pass 2 sees A's new stamp and retries.
 //!
+//! ## Seeded index: text only where a phase reads it
+//!
+//! A new session seeds its index from the disk cache it loaded
+//! ([`crate::walk::SourceIndex::seeded`]), so even its first pass stats
+//! rather than reads. It seeds every entry with a stamp whose analysis
+//! holds no site, and nothing under `detect_missing`, whose detector
+//! parses every file. A seeded file carries its cached hash and no text.
+//! The snapshot therefore holds the text of every file a phase reads:
+//! site-holding files (patches, annotations, suppressions and finding
+//! records read their lines), files the run re-analyzes (their stamp
+//! changed, so the pass read them), and under `--missing` every file. No
+//! phase loads text later, and the run stays a pure function of the
+//! snapshot. The one exception is a race: another request's run may
+//! evict an unread file's entry after this snapshot was taken, if the
+//! file left that run's snapshot. The run then reads the file and checks
+//! its hash, failing the request if the file changed.
+//!
+//! A seeded entry is read when its stamp changed or it is racily clean
+//! against the read time the cache recorded, not against the save time:
+//! the save comes later, so it would trust writes that landed between
+//! the read and the save. If any recorded read time lies in the future,
+//! the clock stepped back, and the session seeds nothing.
+//!
 //! ## Batching and coalescing
 //!
 //! Requests are keyed by `(corpus snapshot hash, config fingerprint)`.
@@ -62,6 +85,7 @@ use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::FindingRecord;
 use crate::ledger::Record;
 use crate::walk::{PassStats, SourceIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -213,12 +237,19 @@ impl Session {
     /// Create a session around an engine the caller configured (event
     /// sinks, slow-file ranking; its config must be `opts.config`) and
     /// hydrate it from the disk cache. A stale or corrupt cache is
-    /// discarded; the first run reports that as its `cache_load`.
+    /// discarded; the first run reports that as its `cache_load`. The
+    /// snapshot index is seeded from the loaded entries whose text no
+    /// phase reads (see module docs).
     pub fn with_engine(opts: SessionOptions, mut engine: Engine) -> Session {
         let cache_load = opts
             .cache_dir
             .as_ref()
             .map(|dir| engine.load_disk_cache(dir));
+        let index = if opts.config.detect_missing {
+            SourceIndex::default()
+        } else {
+            SourceIndex::seeded(engine.cache.seeds(crate::walk::wall_clock_ns()))
+        };
         let live = Arc::new(obs::Live::new());
         for name in COUNTERS {
             live.count(name, 0);
@@ -227,7 +258,7 @@ impl Session {
             opts,
             engine: Mutex::new(engine),
             cache_load: Mutex::new(cache_load),
-            index: Mutex::new(SourceIndex::default()),
+            index: Mutex::new(index),
             inflight: Mutex::new(HashMap::new()),
             live,
             request_seq: AtomicU64::new(0),
@@ -458,15 +489,16 @@ impl Session {
             panic!("injected lead_run panic");
         }
         self.live.count("serve_queue_enqueued", 1);
-        let run_span = ctx.rec.open("serve_run");
+        let run_span = ctx.rec.span("serve_run");
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
         self.live.count("serve_queue_dequeued", 1);
+        let sources = texts_for_evicted(&engine, sources)?;
         let cache_load = self
             .cache_load
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take();
-        let result = engine.analyze(sources);
+        let result = engine.analyze(&sources);
         // A full disk is not a failed analysis: the result stands, the
         // next save retries the dirty shards.
         let cache_save_error = self
@@ -478,7 +510,7 @@ impl Session {
         // tailing one (or a driver killed between runs) sees whole events.
         engine.recorder().flush_sinks();
         drop(engine);
-        ctx.rec.close(run_span);
+        drop(run_span);
         let ledger_span = ctx.rec.span("ledger");
         let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
             let records = result.deviation_records.clone();
@@ -680,6 +712,27 @@ impl Session {
     }
 }
 
+/// `sources` with a text for every file the engine has to analyze. A file
+/// the snapshot did not read had a cache entry when the index was
+/// seeded; a run that led since evicted it only if the file left that
+/// run's snapshot, after this one was taken. Then its text is read now,
+/// and must hash as this snapshot says, or the request fails.
+fn texts_for_evicted<'a>(
+    engine: &Engine,
+    sources: &'a [SourceFile],
+) -> Result<Cow<'a, [SourceFile]>, String> {
+    let evicted = |f: &SourceFile| f.text().is_none() && !engine.cache.holds(&f.name, f.hash());
+    if !sources.iter().any(evicted) {
+        return Ok(Cow::Borrowed(sources));
+    }
+    (sources.iter())
+        .map(|f| match evicted(f) {
+            true => crate::walk::read_text(f),
+            false => Ok(f.clone()),
+        })
+        .collect()
+}
+
 /// Append one record to its ledger in `dir` under an `append` span whose
 /// `ledger` attribute names the file.
 fn append_traced<T: Record>(rec: &obs::Recorder, dir: &Path, record: &T) -> Result<(), String> {
@@ -838,6 +891,194 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         assert_eq!(counter(&session, "serve_snapshot_files_statted"), 4);
         assert_eq!(counter(&session, "serve_snapshot_files_read"), 4);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Backdate `path`'s mtime past the racy window, so that a new
+    /// session trusts its stamp.
+    pub(super) fn age(path: &Path) {
+        let old = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
+        let file = std::fs::File::options().write(true).open(path).unwrap();
+        file.set_modified(old).unwrap();
+    }
+
+    /// A session over `dir` that keeps its cache in `cache`.
+    fn cached_session(dir: &Path, cache: &Path, config: AnalysisConfig) -> Session {
+        Session::new(SessionOptions {
+            config,
+            paths: vec![dir.display().to_string()],
+            cache_dir: Some(cache.to_path_buf()),
+            history_dir: None,
+        })
+    }
+
+    /// A tree of one file with two sites and four site-free files, all
+    /// aged past the racy window, under `root/src`, and a cache in
+    /// `root/cache` that one session run primed.
+    fn primed(tag: &str, config: &AnalysisConfig) -> (PathBuf, PathBuf, PathBuf) {
+        let root = tempdir(tag);
+        let (dir, cache) = (root.join("src"), root.join("cache"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("m.c"), CLEAN).unwrap();
+        for i in 0..4 {
+            let text = format!("int h{i}(int x) {{ return x + {i}; }}\n");
+            std::fs::write(dir.join(format!("h{i}.c")), text).unwrap();
+        }
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            age(&entry.unwrap().path());
+        }
+        cached_session(&dir, &cache, config.clone())
+            .current_run()
+            .unwrap();
+        (root, dir, cache)
+    }
+
+    /// A report with its run id, timings and counters nulled.
+    pub(super) fn scrubbed(result: &AnalysisResult) -> serde_json::Value {
+        let mut doc = result.to_json();
+        if let serde_json::Value::Object(map) = &mut doc {
+            for key in ["run_id", "stats", "observability"] {
+                map.insert(key.to_string(), serde_json::Value::Null);
+            }
+        }
+        doc
+    }
+
+    /// A cold analysis of the tree under `dir`.
+    fn cold(dir: &Path, config: &AnalysisConfig) -> AnalysisResult {
+        let sources = crate::walk::collect_sources(&[dir.display().to_string()]).unwrap();
+        Engine::new(config.clone()).analyze(&sources)
+    }
+
+    /// The first request of a new session over `dir` and `cache`: checks
+    /// that its report equals a cold analysis, and returns how many files
+    /// its snapshot read.
+    fn restart(dir: &Path, cache: &Path, config: &AnalysisConfig) -> u64 {
+        let session = cached_session(dir, cache, config.clone());
+        let served = session.current_run().unwrap();
+        assert_eq!(scrubbed(&served.result), scrubbed(&cold(dir, config)));
+        counter(&session, "serve_snapshot_files_read")
+    }
+
+    #[test]
+    fn restarted_session_reads_only_site_holding_files() {
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("restart", &config);
+        assert_eq!(restart(&dir, &cache, &config), 1, "only m.c holds a site");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn restarted_session_under_missing_reads_every_file() {
+        let config = AnalysisConfig {
+            detect_missing: true,
+            ..Default::default()
+        };
+        let (root, dir, cache) = primed("restart-missing", &config);
+        assert_eq!(restart(&dir, &cache, &config), 5);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A file written moments before the priming run read it is racily
+    /// clean in the cache, so a new session reads it on both passes.
+    #[test]
+    fn racily_clean_entry_is_reread_after_a_restart() {
+        let config = AnalysisConfig::default();
+        let root = tempdir("restart-racy");
+        let (dir, cache) = (root.join("src"), root.join("cache"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("h.c"), "int h(int x) { return x; }\n").unwrap();
+        age(&dir.join("h.c"));
+        std::fs::write(dir.join("racy.c"), "int r(int x) { return x; }\n").unwrap();
+        cached_session(&dir, &cache, config.clone())
+            .current_run()
+            .unwrap();
+        assert_eq!(restart(&dir, &cache, &config), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The same names over new inodes: every stamp differs, so every
+    /// file is read, and the cache records the new stamps.
+    #[test]
+    fn cache_beside_a_copy_of_the_tree_reads_every_file() {
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("restart-copy", &config);
+        let original = root.join("original");
+        std::fs::rename(&dir, &original).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&original).unwrap() {
+            let from = entry.unwrap().path();
+            let to = dir.join(from.file_name().unwrap());
+            std::fs::copy(&from, &to).unwrap();
+            age(&to);
+        }
+        assert_eq!(restart(&dir, &cache, &config), 5);
+        assert_eq!(restart(&dir, &cache, &config), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A read time after the present means the clock stepped back: the
+    /// session seeds nothing and reads every file.
+    #[test]
+    fn future_read_time_seeds_nothing() {
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("restart-future", &config);
+        let shard = cache.join(cache::shard_file_name(cache::shard_of(
+            &dir.join("h0.c").display().to_string(),
+        )));
+        let text = std::fs::read_to_string(&shard).unwrap();
+        let at = text.find("\"stamp\":[").unwrap();
+        let end = at + text[at..].find(']').unwrap();
+        let last = at + text[at..end].rfind(',').unwrap();
+        // The read time becomes ~32 years after the mtime.
+        let offset = 1_000_000_000_000_000_000i64;
+        let future = format!("{}{offset}{}", &text[..=last], &text[end..]);
+        std::fs::write(&shard, future).unwrap();
+        assert_eq!(restart(&dir, &cache, &config), 5);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A restarted session serves an unchanged site-free record as the
+    /// cached `Arc` itself on every request: no text is written into it.
+    #[test]
+    fn restarted_session_shares_unchanged_site_free_records() {
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("restart-shared", &config);
+        let session = cached_session(&dir, &cache, config);
+        let first = session.current_run().unwrap();
+        let second = session.current_run().unwrap();
+        let pairs = first.result.files.iter().zip(&second.result.files);
+        let site_free: Vec<_> = pairs.filter(|(a, _)| a.sites.is_empty()).collect();
+        assert_eq!(site_free.len(), 4);
+        for (a, b) in site_free {
+            assert!(Arc::ptr_eq(a, b), "{}", a.name);
+            assert!(a.source.is_empty(), "{} was not read", a.name);
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A snapshot holds an unread file whose cache entry a run evicted
+    /// after the snapshot was taken: the file is read at run time, and
+    /// a file that changed meanwhile fails the request.
+    #[test]
+    fn evicted_unread_file_is_read_at_run_time() {
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("restart-evicted", &config);
+        let session = cached_session(&dir, &cache, config.clone());
+        let rec = obs::Recorder::new();
+        let (sources, key, _) = session.snapshot_sources(&rec).unwrap();
+        let evict = |name: &str| {
+            let mut engine = session.engine.lock().unwrap();
+            engine.cache.retain(|path| !path.ends_with(name));
+        };
+        evict("h0.c");
+        let ctx = ctx(&session, "analyze");
+        let served = session.lead_run(&ctx, &sources, key).unwrap();
+        assert_eq!(scrubbed(&served.result), scrubbed(&cold(&dir, &config)));
+        evict("h1.c");
+        std::fs::write(dir.join("h1.c"), "int h1;\n").unwrap();
+        let err = session.lead_run(&ctx, &sources, key).err().unwrap();
+        assert!(err.contains("h1.c: changed during the request"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1335,6 +1576,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
 
 #[cfg(test)]
 mod snapshot_props {
+    use super::tests::{age, scrubbed};
     use super::*;
     use proptest::prelude::*;
 
@@ -1363,6 +1605,11 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
         Add(usize),
         Delete(usize),
         Rename(usize),
+        /// Rewrite a file in place at the same length, then put its old
+        /// mtime back: only the ctime shows the change.
+        RewriteSameSize(usize),
+        /// Drop the session and open a new one over the same cache.
+        Restart,
     }
 
     fn arb_step() -> impl Strategy<Value = Step> {
@@ -1371,7 +1618,29 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
             (0usize..TEXTS.len()).prop_map(Step::Add),
             (0usize..8).prop_map(Step::Delete),
             (0usize..8).prop_map(Step::Rename),
+            (0usize..8).prop_map(Step::RewriteSameSize),
+            Just(Step::Restart),
         ]
+    }
+
+    fn set_mtime(path: &std::path::Path, mtime: std::time::SystemTime) {
+        let file = std::fs::File::options().write(true).open(path).unwrap();
+        file.set_modified(mtime).unwrap();
+    }
+
+    /// `text` changed at one place, at the same length: a read fence
+    /// becomes a write fence and back, or else the first letter flips
+    /// case.
+    fn same_size_change(text: &str) -> String {
+        if text.contains("smp_rmb") {
+            text.replacen("smp_rmb", "smp_wmb", 1)
+        } else if text.contains("smp_wmb") {
+            text.replacen("smp_wmb", "smp_rmb", 1)
+        } else {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[0] ^= 0x20;
+            String::from_utf8(bytes).unwrap()
+        }
     }
 
     fn corpus_files(dir: &std::path::Path) -> Vec<PathBuf> {
@@ -1392,33 +1661,42 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
             .join(if serial.is_multiple_of(2) { "sub" } else { "" })
             .join(format!("n{serial}.c"));
         match step {
-            Step::Edit(f, t) => std::fs::write(&files[f % files.len()], TEXTS[t]).unwrap(),
-            Step::Add(t) => std::fs::write(fresh, TEXTS[t]).unwrap(),
+            Step::Edit(f, t) => {
+                let file = &files[f % files.len()];
+                std::fs::write(file, TEXTS[t]).unwrap();
+                age(file);
+            }
+            Step::Add(t) => {
+                std::fs::write(&fresh, TEXTS[t]).unwrap();
+                age(&fresh);
+            }
             // Never empty the corpus: an empty tree is an error, not a report.
             Step::Delete(f) if files.len() > 1 => {
                 std::fs::remove_file(&files[f % files.len()]).unwrap()
             }
             Step::Delete(_) => {}
             Step::Rename(f) => std::fs::rename(&files[f % files.len()], fresh).unwrap(),
-        }
-    }
-
-    fn scrubbed(result: &AnalysisResult) -> serde_json::Value {
-        let mut doc = result.to_json();
-        if let serde_json::Value::Object(map) = &mut doc {
-            for key in ["run_id", "stats", "observability"] {
-                map.insert(key.to_string(), serde_json::Value::Null);
+            Step::RewriteSameSize(f) => {
+                let file = &files[f % files.len()];
+                let mtime = std::fs::metadata(file).unwrap().modified().unwrap();
+                let text = same_size_change(&std::fs::read_to_string(file).unwrap());
+                // Let the clock move past the ctime the last pass saw.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::fs::write(file, text).unwrap();
+                set_mtime(file, mtime);
             }
+            Step::Restart => {}
         }
-        doc
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// Whatever the edit history and composition depth, a session's
-        /// report equals a cold analysis of the tree, and its dirty-shard
-        /// saves leave a cache that a new engine hits on every file.
+        /// Whatever the edit history, restarts included, and composition
+        /// depth, a session's report equals a cold analysis of the tree,
+        /// and its dirty-shard saves leave a cache that a new engine hits
+        /// on every file. Files are aged past the racy window, so a
+        /// restarted session takes their hashes from the cache unread.
         #[test]
         fn session_runs_match_cold_analysis(
             steps in proptest::collection::vec(arb_step(), 1..8),
@@ -1433,23 +1711,30 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
             let _ = std::fs::remove_dir_all(&root);
             std::fs::create_dir_all(dir.join("sub")).unwrap();
             for (i, text) in TEXTS.iter().enumerate() {
-                std::fs::write(dir.join(format!("f{i}.c")), text).unwrap();
+                let file = dir.join(format!("f{i}.c"));
+                std::fs::write(&file, text).unwrap();
+                age(&file);
             }
             let config = AnalysisConfig {
                 ipa_depth,
                 ..Default::default()
             };
             let paths = vec![dir.display().to_string()];
-            let session = Session::new(SessionOptions {
+            let open = || Session::new(SessionOptions {
                 config: config.clone(),
                 paths: paths.clone(),
                 cache_dir: Some(cache_dir.clone()),
                 history_dir: None,
             });
+            let mut session = open();
             session.current_run().unwrap();
             let mut serial = 0;
             for step in steps {
                 apply(&dir, step, &mut serial);
+                if let Step::Restart = step {
+                    drop(session);
+                    session = open();
+                }
                 let served = session.current_run().unwrap();
                 let sources = crate::walk::collect_sources(&paths).unwrap();
                 let cold = Engine::new(config.clone()).analyze(&sources);

@@ -20,6 +20,19 @@
 //! could leave the stamp unchanged (git's rule for its index). Such
 //! entries are re-read on every pass until a read happens well after
 //! their mtime.
+//!
+//! ## Seeded entries
+//!
+//! Every file read from disk carries its [`Slot`] (stamp and read time),
+//! and the disk cache stores the slot beside the file's entry. A new
+//! process's index is *seeded* from those entries
+//! ([`SourceIndex::seeded`]): a seeded file has its cached hash and no
+//! text, so its first pass costs a `stat` as every later pass does. It
+//! is read like any other entry when its stamp changed or it is racily
+//! clean, judged against the read time the cache recorded: the save came
+//! later, so judging against it would trust writes that landed just
+//! after the read. Only files whose text no phase reads are seeded (see
+//! [`crate::session`]); every other file holds its text.
 
 use crate::engine::SourceFile;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -33,7 +46,7 @@ use std::sync::Arc;
 /// How close an entry's mtime may come to the time it was read before
 /// the entry is re-read on every pass (2 s: the coarsest common
 /// timestamp granularity, FAT's).
-const RACY_WINDOW_NS: i128 = 2_000_000_000;
+const RACY_WINDOW_NS: i64 = 2_000_000_000;
 
 /// Load every `.c` file reachable from the given paths, sorted by path
 /// for deterministic output: one pass of a fresh [`SourceIndex`], which
@@ -46,17 +59,18 @@ pub fn collect_sources(paths: &[String]) -> Result<Vec<SourceFile>, String> {
 
 /// What identifies one version of a file without reading it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Stamp {
+pub(crate) struct Stamp {
     dev: u64,
     ino: u64,
     size: u64,
-    mtime_ns: i128,
-    ctime_ns: i128,
+    mtime_ns: i64,
+    ctime_ns: i64,
 }
 
 impl Stamp {
     fn of(meta: &Metadata) -> Stamp {
-        let ns = |secs: i64, nsec: i64| i128::from(secs) * 1_000_000_000 + i128::from(nsec);
+        // Saturating: ns since the epoch fit an `i64` until 2262.
+        let ns = |secs: i64, nsec: i64| secs.saturating_mul(1_000_000_000).saturating_add(nsec);
         Stamp {
             dev: meta.dev(),
             ino: meta.ino(),
@@ -67,20 +81,60 @@ impl Stamp {
     }
 }
 
-/// What the index knows about one file besides its text.
-#[derive(Clone, Copy)]
-struct Slot {
-    stamp: Stamp,
+/// What the index knows about one file besides its text. Every
+/// [`SourceFile`] read from disk carries its slot, and so does its
+/// disk-cache entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Slot {
+    pub stamp: Stamp,
     /// Wall clock (ns since the epoch) at the start of the pass that
     /// read the file.
-    read_at_ns: i128,
-    /// The last pass that found the file.
-    seen: u64,
+    pub read_at_ns: i64,
 }
 
 impl Slot {
     fn racily_clean(&self) -> bool {
-        self.stamp.mtime_ns > self.read_at_ns - RACY_WINDOW_NS
+        self.stamp.mtime_ns > self.read_at_ns.saturating_sub(RACY_WINDOW_NS)
+    }
+
+    /// The slot as the integers a cache entry stores: dev, ino and size
+    /// (bit for bit), the mtime in ns since the epoch, then the ctime and
+    /// the read time as ns after the mtime. Short offsets keep the entry
+    /// small: a plain write sets ctime to mtime. `None` when an offset
+    /// overflows: such a file is simply never seeded.
+    pub(crate) fn to_ints(self) -> Option<Vec<i64>> {
+        let Stamp {
+            dev,
+            ino,
+            size,
+            mtime_ns,
+            ctime_ns,
+        } = self.stamp;
+        Some(vec![
+            dev as i64,
+            ino as i64,
+            size as i64,
+            mtime_ns,
+            ctime_ns.checked_sub(mtime_ns)?,
+            self.read_at_ns.checked_sub(mtime_ns)?,
+        ])
+    }
+
+    /// Inverse of [`Slot::to_ints`]; `None` for any other shape.
+    pub(crate) fn from_ints(ints: &[i64]) -> Option<Slot> {
+        let &[dev, ino, size, mtime_ns, ctime_after, read_after] = ints else {
+            return None;
+        };
+        Some(Slot {
+            stamp: Stamp {
+                dev: dev as u64,
+                ino: ino as u64,
+                size: size as u64,
+                mtime_ns,
+                ctime_ns: mtime_ns.checked_add(ctime_after)?,
+            },
+            read_at_ns: mtime_ns.checked_add(read_after)?,
+        })
     }
 }
 
@@ -93,17 +147,18 @@ pub struct PassStats {
     pub read: usize,
 }
 
-/// Stamp and text of every file the last pass found. The texts are the
-/// same `Arc<str>`s the engine's cached analyses hold, never a second
-/// copy.
+/// Slot and text (or, for a seeded file, hash) of every file the last
+/// pass found. The texts are the same `Arc<str>`s the engine's cached
+/// analyses hold, never a second copy.
 #[derive(Default)]
 pub struct SourceIndex {
     /// The corpus as of the last pass, sorted by name, and shared with
     /// the callers of [`SourceIndex::refresh`]: a pass changes it through
     /// `Arc::make_mut`, so a snapshot a caller still holds never changes.
+    /// Every entry carries its slot.
     files: Arc<Vec<SourceFile>>,
-    /// One slot per entry of `files`, in the same order.
-    slots: Vec<Slot>,
+    /// The last pass that found each entry of `files`, in the same order.
+    seen: Vec<u64>,
     /// Position in `files` by [`name_hash`]: a lookup costs one probe
     /// and one name comparison, where a binary search over 12k names
     /// costs a dozen cache misses.
@@ -113,6 +168,24 @@ pub struct SourceIndex {
 }
 
 impl SourceIndex {
+    /// An index that already knows `files` (name, content hash and slot,
+    /// as a loaded disk cache recorded them) but holds none of their
+    /// texts. Its first pass reads such a file only if the stamp changed
+    /// or the recorded read time makes it racily clean; a file the pass
+    /// does not find leaves the index.
+    pub(crate) fn seeded<'a>(files: impl IntoIterator<Item = (&'a str, u64, Slot)>) -> SourceIndex {
+        let mut files: Vec<SourceFile> = (files.into_iter())
+            .map(|(name, hash, slot)| SourceFile::unread(name, hash, slot))
+            .collect();
+        files.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        SourceIndex {
+            by_hash: by_hash(&files),
+            seen: vec![0; files.len()],
+            files: Arc::new(files),
+            pass: 0,
+        }
+    }
+
     /// Walk `paths` and return the corpus as it is now, sorted by path,
     /// reading only the files whose stamp says they may have changed.
     pub fn refresh(
@@ -151,25 +224,21 @@ impl SourceIndex {
     /// Drop the files this pass did not find and add the ones it found
     /// for the first time, keeping `files` sorted. A pass in which no
     /// name came or went leaves the list (and its order) alone.
-    fn retire_and_merge(&mut self, fresh: BTreeMap<String, (SourceFile, Slot)>) {
+    fn retire_and_merge(&mut self, fresh: BTreeMap<String, SourceFile>) {
         let pass = self.pass;
-        if fresh.is_empty() && self.slots.iter().all(|s| s.seen == pass) {
+        if fresh.is_empty() && self.seen.iter().all(|&seen| seen == pass) {
             return;
         }
         let files = std::mem::take(Arc::make_mut(&mut self.files));
-        let mut merged: Vec<(SourceFile, Slot)> = files
-            .into_iter()
-            .zip(std::mem::take(&mut self.slots))
-            .filter(|(_, slot)| slot.seen == pass)
+        let mut merged: Vec<SourceFile> = (files.into_iter())
+            .zip(std::mem::take(&mut self.seen))
+            .filter_map(|(file, seen)| (seen == pass).then_some(file))
             .chain(fresh.into_values())
             .collect();
-        merged.sort_unstable_by(|a, b| a.0.name.cmp(&b.0.name));
-        let (files, slots): (Vec<SourceFile>, _) = merged.into_iter().unzip();
-        self.by_hash = (files.iter().enumerate())
-            .map(|(i, f)| (name_hash(&f.name), i))
-            .collect();
-        self.files = Arc::new(files);
-        self.slots = slots;
+        merged.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        self.by_hash = by_hash(&merged);
+        self.seen = vec![pass; merged.len()];
+        self.files = Arc::new(merged);
     }
 
     /// Where `name` sits in `files`. Two names that share a hash keep one
@@ -187,9 +256,9 @@ impl SourceIndex {
 /// One [`SourceIndex::refresh`] pass in progress.
 struct Walk<'a> {
     index: &'a mut SourceIndex,
-    pass_ns: i128,
+    pass_ns: i64,
     /// Files found for the first time, by name.
-    fresh: BTreeMap<String, (SourceFile, Slot)>,
+    fresh: BTreeMap<String, SourceFile>,
     /// Directories by (dev, ino): a symlink cycle is entered once.
     visited: HashSet<(u64, u64)>,
     stats: PassStats,
@@ -207,7 +276,7 @@ impl Walk<'_> {
         let index = &mut *self.index;
         let known = index.position(name);
         let visited = match known {
-            Some(i) => index.slots[i].seen == index.pass,
+            Some(i) => index.seen[i] == index.pass,
             None => self.fresh.contains_key(name),
         };
         if visited {
@@ -216,31 +285,33 @@ impl Walk<'_> {
         let meta = stat().map_err(|e| format!("{}: {e}", path.display()))?;
         let stamp = Stamp::of(&meta);
         self.stats.statted += 1;
-        let slot = Slot {
+        let slot = Some(Slot {
             stamp,
             read_at_ns: self.pass_ns,
-            seen: index.pass,
-        };
+        });
         let Some(i) = known else {
             self.stats.read += 1;
-            let file = SourceFile::new(name, read(path)?);
-            self.fresh.insert(name.to_string(), (file, slot));
+            let mut file = SourceFile::new(name, read(path)?);
+            file.slot = slot;
+            self.fresh.insert(name.to_string(), file);
             return Ok(());
         };
-        let old = index.slots[i];
-        index.slots[i].seen = index.pass;
-        if old.stamp == stamp && !old.racily_clean() {
-            return Ok(());
+        index.seen[i] = index.pass;
+        if let Some(old) = index.files[i].slot {
+            if old.stamp == stamp && !old.racily_clean() {
+                return Ok(());
+            }
         }
         self.stats.read += 1;
         let content = read(path)?;
-        index.slots[i] = slot;
-        // Unchanged bytes keep the text the engine already shares, so a
-        // `touch` costs no memory.
-        if *index.files[i].content != *content {
-            let file = &mut Arc::make_mut(&mut index.files)[i];
+        let file = &mut Arc::make_mut(&mut index.files)[i];
+        // Unchanged bytes keep the file as it was: the text the engine
+        // already shares, or no text for a seeded file. So a `touch`
+        // costs no memory.
+        if !file.holds(&content) {
             *file = SourceFile::new(std::mem::take(&mut file.name), content);
         }
+        file.slot = slot;
         Ok(())
     }
 
@@ -309,6 +380,12 @@ fn name_hash(name: &str) -> u64 {
     crate::cache::fnv1a_extend(crate::cache::FNV_OFFSET, name.as_bytes())
 }
 
+fn by_hash(files: &[SourceFile]) -> HashMap<u64, usize> {
+    (files.iter().enumerate())
+        .map(|(i, f)| (name_hash(&f.name), i))
+        .collect()
+}
+
 fn as_path(bytes: &[u8]) -> &Path {
     Path::new(OsStr::from_bytes(bytes))
 }
@@ -317,10 +394,23 @@ fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn wall_clock_ns() -> i128 {
+/// `file` with its text, read now: for a file a snapshot took without
+/// reading it. The text must hash as the snapshot says, or the file
+/// changed after the snapshot and this is an error.
+pub(crate) fn read_text(file: &SourceFile) -> Result<SourceFile, String> {
+    let content = read(Path::new(&file.name))?;
+    if !file.holds(&content) {
+        return Err(format!("{}: changed during the request", file.name));
+    }
+    let mut read = SourceFile::new(file.name.clone(), content);
+    read.slot = file.slot;
+    Ok(read)
+}
+
+pub(crate) fn wall_clock_ns() -> i64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as i128)
+        .map(|d| i64::try_from(d.as_nanos()).unwrap_or(i64::MAX))
         .unwrap_or(0)
 }
 
@@ -459,6 +549,96 @@ mod tests {
             .iter()
             .zip(second.iter())
             .all(|(a, b)| Arc::ptr_eq(&a.content, &b.content)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An index seeded with another index's names, hashes and slots
+    /// reads nothing on its first pass, holds no text, and still equals
+    /// the corpus; a rewrite it cannot see by size or mtime is read.
+    #[test]
+    fn seeded_entries_are_statted_not_read() {
+        let dir = tempdir("seeded");
+        for name in ["a.c", "b.c", "sub/c.c"] {
+            std::fs::write(dir.join(name), name).unwrap();
+            age(&dir.join(name));
+        }
+        let paths = [dir.display().to_string()];
+        let (read, _) = SourceIndex::default().refresh(&paths).unwrap();
+        let seeds = read
+            .iter()
+            .map(|f| (f.name.as_str(), f.hash(), f.slot.unwrap()));
+        let mut index = SourceIndex::seeded(seeds);
+        let (seeded, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(
+            pass,
+            PassStats {
+                statted: 3,
+                read: 0
+            }
+        );
+        assert_eq!(seeded, read);
+        assert!(seeded.iter().all(|f| f.text().is_none()));
+
+        let mtime = std::fs::metadata(dir.join("a.c"))
+            .unwrap()
+            .modified()
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        std::fs::write(dir.join("a.c"), "A.c").unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(dir.join("a.c"))
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass.read, 1);
+        assert_eq!(sources[0].text().map(|t| &**t), Some("A.c"));
+        assert!(sources[1..].iter().all(|f| f.text().is_none()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded from slots whose read time lies within the racy window of
+    /// the mtime, the first pass reads the file; a `touch` of a seeded
+    /// file reads it and keeps it unread, since the bytes are the same.
+    #[test]
+    fn seeded_racy_and_touched_entries_are_read() {
+        let dir = tempdir("seeded-racy");
+        std::fs::write(dir.join("a.c"), "int a;").unwrap();
+        std::fs::write(dir.join("b.c"), "int b;").unwrap();
+        age(&dir.join("b.c"));
+        let paths = [dir.display().to_string()];
+        let (read, _) = SourceIndex::default().refresh(&paths).unwrap();
+        let seeds = read
+            .iter()
+            .map(|f| (f.name.as_str(), f.hash(), f.slot.unwrap()));
+        let mut index = SourceIndex::seeded(seeds);
+        let (_, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass.read, 1, "a.c is racily clean");
+        std::fs::File::options()
+            .write(true)
+            .open(dir.join("b.c"))
+            .unwrap()
+            .set_modified(SystemTime::now() - Duration::from_secs(60))
+            .unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass.read, 2);
+        assert!(sources[1].text().is_none(), "same bytes stay unread");
+        assert_eq!(sources, read);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn slots_round_trip_through_their_integers() {
+        let dir = tempdir("slot-ints");
+        std::fs::write(dir.join("a.c"), "int a;").unwrap();
+        let (read, _) = SourceIndex::default()
+            .refresh(&[dir.display().to_string()])
+            .unwrap();
+        let slot = read[0].slot.unwrap();
+        let ints = slot.to_ints().unwrap();
+        assert_eq!(Slot::from_ints(&ints), Some(slot));
+        assert_eq!(Slot::from_ints(&ints[1..]), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,7 +26,6 @@ pub mod wakeup;
 
 pub use atomics::{classify_atomic, AtomicSemantics, BarrierStrength};
 pub use barriers::{BarrierKind, ImpliedAccess};
-pub use idioms::ReaderIdiom;
 pub use once::OnceKind;
 pub use seqcount::SeqcountOp;
 pub use wakeup::is_wakeup_function;
