@@ -44,8 +44,9 @@
 //! that directory has vanished). Every other shard on disk already holds
 //! the store's entries, up to read times: a file read again with an
 //! unchanged stamp dirties nothing, and its new read time rides along on
-//! its shard's next write. So which shards a run writes never depends on
-//! when its snapshot passes happened to run.
+//! its shard's next write. The one exception is a racily clean entry
+//! whose new read time settles it: its shard is written once, so that
+//! the next process trusts the file's stamp instead of reading it again.
 //! Shards written by different runs or processes can coexist: entries
 //! are keyed by path *and* content hash, so at worst a stale shard means
 //! a cold miss, never a wrong result.
@@ -362,7 +363,9 @@ impl Default for Store {
 impl Store {
     /// `path`'s analysis if it was computed from text hashing to `hash`;
     /// the entry then records `slot`, the file's slot now. A changed
-    /// stamp dirties the shard; a new read time alone does not. Edits
+    /// stamp dirties the shard, and so does a read time that settles a
+    /// racily clean slot: a new process can then trust the file unread.
+    /// Any other new read time does not. Edits
     /// through the analysis dirty no shard: the engine only re-stamps the
     /// corpus position and restores the source text, which every hit on a
     /// loaded entry redoes anyway.
@@ -374,7 +377,9 @@ impl Store {
     ) -> Option<&mut Arc<FileAnalysis>> {
         let entry = self.entries.get_mut(path).filter(|e| e.hash == hash)?;
         if entry.slot != slot {
-            if entry.slot.map(|s| s.stamp) != slot.map(|s| s.stamp) {
+            let racy = |slot: Option<Slot>| slot.is_some_and(|s| s.racily_clean());
+            let settled = racy(entry.slot) && !racy(slot);
+            if settled || entry.slot.map(|s| s.stamp) != slot.map(|s| s.stamp) {
                 self.dirty[shard_of(path)] = true;
             }
             entry.slot = slot;
@@ -478,28 +483,34 @@ impl Store {
         }
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let fp = config_fingerprint(config);
-        let mut buckets: Vec<Option<Vec<CacheEntry>>> = (0..SHARD_COUNT).map(|_| None).collect();
+        // Each job copies its own shard's entries into records, so a save
+        // that writes every shard holds a few shards' copies at a time,
+        // not the whole cache's.
+        let mut buckets: Vec<Option<Vec<(&String, &Entry)>>> =
+            (0..SHARD_COUNT).map(|_| None).collect();
         for &i in &todo {
             buckets[i] = Some(Vec::new());
         }
         for (path, e) in &self.entries {
             if let Some(bucket) = &mut buckets[shard_of(path)] {
-                bucket.push(CacheEntry {
+                bucket.push((path, e));
+            }
+        }
+        let jobs: Vec<(usize, Vec<(&String, &Entry)>)> = todo
+            .iter()
+            .map(|&i| (i, buckets[i].take().unwrap_or_default()))
+            .collect();
+        let results = Mutex::new(Vec::with_capacity(jobs.len()));
+        crate::pool::for_each(&jobs, None, |_w, (i, entries)| {
+            let records = (entries.iter())
+                .map(|&(path, e)| CacheEntry {
                     path: path.clone(),
                     hash: e.hash,
                     stamp: e.slot.and_then(Slot::to_ints),
                     analysis: e.analysis.clone(),
-                });
-            }
-        }
-        let jobs: Vec<(usize, Mutex<Vec<CacheEntry>>)> = todo
-            .iter()
-            .map(|&i| (i, Mutex::new(buckets[i].take().unwrap_or_default())))
-            .collect();
-        let results = Mutex::new(Vec::with_capacity(jobs.len()));
-        crate::pool::for_each(&jobs, None, |_w, (i, entries)| {
-            let entries = std::mem::take(&mut *entries.lock().expect("shard slot"));
-            let result = write_shard(dir, *i, encode_doc(entries, fp));
+                })
+                .collect();
+            let result = write_shard(dir, *i, encode_doc(records, fp));
             results.lock().expect("shard results").push((*i, result));
         });
         let mut first_error = None;

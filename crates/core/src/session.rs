@@ -29,20 +29,29 @@
 //! usual tmp+rename discipline). The analysis then runs entirely from
 //! that in-memory snapshot — the response is a pure function of it.
 //!
-//! A pass goes through the session's one [`SourceIndex`], so it costs a
-//! `stat` per file: only files whose stamp changed (or that are racily
-//! clean, see [`crate::walk`]) are read and hashed again, and the corpus
-//! key reuses each file's hash. An edit changes the stamp it lands in,
-//! so the double pass still catches it. Each request reports the files
-//! it statted and read as `snapshot_files_statted` / `snapshot_files_read`
-//! attributes on its `request` span.
+//! A pass goes through the session's one [`SourceIndex`], which keeps a
+//! change journal ([`crate::walk`]): only the session's first pass, and
+//! a pass that has to fall back, walks the tree and stats every file.
+//! Every other pass drains the journal and re-stats, and if needed reads,
+//! only the files its events name; a pass that drains nothing costs one
+//! `read(2)` and hands out the same shared corpus, and the corpus key
+//! reuses the index's digest, so it hashes nothing either. An edit
+//! raises an event that the next pass drains, so the double pass still
+//! catches it. Each request reports the files it statted and read as
+//! `snapshot_files_statted` / `snapshot_files_read` attributes on its
+//! `request` span, and each pass its `mode` (`full` or `journal`) and,
+//! when it replaced the journal, the `fallback` reason.
 //!
-//! Every pass stats every file. A second pass that re-stats only the
-//! files the first one read would tear snapshots under writers that
-//! rewrite files in place: pass 1 stats A (unchanged), an editor then
-//! rewrites A and B, and pass 1 reads the new B. Re-statting only B
-//! agrees with pass 1, and the request would return {A_old, B_new}; a
-//! full pass 2 sees A's new stamp and retries.
+//! Pass 2 may not re-stat only what pass 1 read: that tears snapshots
+//! under writers that rewrite files in place. Pass 1 stats A (unchanged),
+//! an editor then rewrites A and B, and pass 1 reads the new B.
+//! Re-statting only B agrees with pass 1, and the request would return
+//! {A_old, B_new}. A full pass 2 sees A's new stamp and retries; so does
+//! a journal pass 2, since A's write raised an event after pass 1
+//! drained. The journal's watches were added before the walk read each
+//! directory, and the kernel queues an event before the write returns,
+//! so no write after a file was read goes unseen. Racily clean entries
+//! need no re-read on a journal pass for the same reason.
 //!
 //! ## Seeded index: text only where a phase reads it
 //!
@@ -187,7 +196,7 @@ impl RequestCtx {
 /// and `serve_coalesced` are counted from each completed request's trace
 /// ([`obs::Live::record_trace`]); the wire layer adds the errors that
 /// never reach a session method. `serve_runs` is the live run count.
-const COUNTERS: [&str; 9] = [
+const COUNTERS: [&str; 10] = [
     "serve_requests",
     "serve_errors",
     "serve_coalesced",
@@ -198,6 +207,9 @@ const COUNTERS: [&str; 9] = [
     // Files statted / read by snapshot passes, all requests together.
     "serve_snapshot_files_statted",
     "serve_snapshot_files_read",
+    // Snapshot passes that walked the tree instead of draining the
+    // journal: a session's first, and every fallback.
+    "serve_snapshot_full_passes",
 ];
 
 pub struct Session {
@@ -250,6 +262,7 @@ impl Session {
         } else {
             SourceIndex::seeded(engine.cache.seeds(crate::walk::wall_clock_ns()))
         };
+        let index = index.journaled();
         let live = Arc::new(obs::Live::new());
         for name in COUNTERS {
             live.count(name, 0);
@@ -295,16 +308,17 @@ impl Session {
                 let prev_key = last.take().map(|(_, key)| key);
                 let _pass = rec.span("snapshot_pass");
                 let (sources, pass) = index.refresh(&self.opts.paths)?;
-                rec.annotate(
-                    "snapshot_pass",
-                    &[
-                        ("statted", &pass.statted.to_string()),
-                        ("read", &pass.read.to_string()),
-                    ],
-                );
+                let (statted, read) = (pass.statted.to_string(), pass.read.to_string());
+                let mode = if pass.journal { "journal" } else { "full" };
+                let mut attrs = vec![("statted", &*statted), ("read", &*read), ("mode", mode)];
+                attrs.extend(pass.fallback.map(|reason| ("fallback", reason)));
+                rec.annotate("snapshot_pass", &attrs);
+                if !pass.journal {
+                    self.live.count("serve_snapshot_full_passes", 1);
+                }
                 total.statted += pass.statted;
                 total.read += pass.read;
-                let key = corpus_key(&sources, &self.opts.config);
+                let key = self.key(&mut index, &sources);
                 match prev_key {
                     Some(prev_key) if prev_key == key => return Ok((sources, key)),
                     Some(_) => self.live.count("serve_snapshot_retries", 1),
@@ -329,7 +343,16 @@ impl Session {
     pub fn snapshot_key(&self) -> Result<u64, String> {
         let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
         let (sources, _) = index.refresh(&self.opts.paths)?;
-        Ok(corpus_key(&sources, &self.opts.config))
+        Ok(self.key(&mut index, &sources))
+    }
+
+    /// The corpus key of `sources`, the corpus of `index`'s last pass,
+    /// from the index's digest: a pass that changed no name and no text
+    /// costs no hashing.
+    fn key(&self, index: &mut SourceIndex, sources: &[SourceFile]) -> u64 {
+        let key = key_of(index.digest(), &self.opts.config);
+        debug_assert_eq!(key, corpus_key(sources, &self.opts.config));
+        key
     }
 
     /// A fresh server-assigned request id (`r000001`, `r000002`, ...).
@@ -763,13 +786,12 @@ pub fn name_matches(name: &str, wanted: &str) -> bool {
 /// same corpus bytes under the same analysis configuration. Each file's
 /// hash was computed when it was read, so the key costs O(paths).
 pub fn corpus_key(sources: &[SourceFile], config: &AnalysisConfig) -> u64 {
-    let mut h = cache::FNV_OFFSET;
-    for s in sources {
-        h = cache::fnv1a_extend(h, s.name.as_bytes());
-        h = cache::fnv1a_extend(h, &[0]);
-        h = cache::fnv1a_extend(h, &s.hash().to_le_bytes());
-    }
-    cache::fnv1a_extend(h, &cache::config_fingerprint(config).to_le_bytes())
+    key_of(crate::walk::digest(sources), config)
+}
+
+/// The corpus key of a corpus whose [`crate::walk::digest`] is `digest`.
+fn key_of(digest: u64, config: &AnalysisConfig) -> u64 {
+    cache::fnv1a_extend(digest, &cache::config_fingerprint(config).to_le_bytes())
 }
 
 #[cfg(test)]
@@ -808,7 +830,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         session.begin_request(method, None)
     }
 
-    fn counter(session: &Session, name: &str) -> u64 {
+    pub(super) fn counter(session: &Session, name: &str) -> u64 {
         session.live().counters()[name]
     }
 
@@ -884,12 +906,18 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         session.analyze_document(&ctx(&session, "analyze")).unwrap();
         let doc = session.trace_document("r000001").unwrap();
         let attrs = &doc["spans"][0]["attrs"];
-        // Two passes over two files; the second pass re-reads both
-        // because they were written moments before the first read them.
-        assert_eq!(attrs["snapshot_files_statted"], "4", "{doc}");
-        assert_eq!(attrs["snapshot_files_read"], "4", "{doc}");
-        assert_eq!(counter(&session, "serve_snapshot_files_statted"), 4);
-        assert_eq!(counter(&session, "serve_snapshot_files_read"), 4);
+        // A full pass stats and reads both files and arms the journal; the
+        // second pass drains it, finds nothing and stats nothing, though
+        // both files were written moments before the first pass read them.
+        assert_eq!(attrs["snapshot_files_statted"], "2", "{doc}");
+        assert_eq!(attrs["snapshot_files_read"], "2", "{doc}");
+        let passes = &doc["spans"][0]["children"][0]["children"];
+        assert_eq!(passes[0]["attrs"]["mode"], "full", "{doc}");
+        assert_eq!(passes[1]["attrs"]["mode"], "journal", "{doc}");
+        assert_eq!(passes[1]["attrs"]["statted"], "0", "{doc}");
+        assert_eq!(counter(&session, "serve_snapshot_files_statted"), 2);
+        assert_eq!(counter(&session, "serve_snapshot_files_read"), 2);
+        assert_eq!(counter(&session, "serve_snapshot_full_passes"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -979,7 +1007,8 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
     }
 
     /// A file written moments before the priming run read it is racily
-    /// clean in the cache, so a new session reads it on both passes.
+    /// clean in the cache, so a new session's full first pass reads it;
+    /// the journal pass after it does not.
     #[test]
     fn racily_clean_entry_is_reread_after_a_restart() {
         let config = AnalysisConfig::default();
@@ -992,7 +1021,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         cached_session(&dir, &cache, config.clone())
             .current_run()
             .unwrap();
-        assert_eq!(restart(&dir, &cache, &config), 2);
+        assert_eq!(restart(&dir, &cache, &config), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1079,6 +1108,57 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let err = session.lead_run(&ctx, &sources, key).err().unwrap();
         assert!(err.contains("h1.c: changed during the request"), "{err}");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A site-free file edited during a session is racily clean when the
+    /// run caches it. A run after the racy window settles its slot and
+    /// writes its shard, so a restarted session trusts the file's stamp
+    /// and reads only the site holder. So with the journal, and with
+    /// every pass a full one.
+    #[test]
+    fn settled_read_time_reaches_the_cache() {
+        let config = AnalysisConfig::default();
+        let trees = [("settle-journal", false), ("settle-full", true)].map(|(tag, full)| {
+            let (root, dir, cache) = primed(tag, &config);
+            let session = cached_session(&dir, &cache, config.clone());
+            session.index.lock().unwrap().expire_journals = full;
+            std::fs::write(dir.join("h0.c"), "int h0(int x) { return x * 2; }\n").unwrap();
+            session.current_run().unwrap();
+            (root, dir, cache, session)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(2100));
+        for (root, dir, cache, session) in trees {
+            session.current_run().unwrap();
+            drop(session);
+            assert_eq!(restart(&dir, &cache, &config), 1, "only m.c holds a site");
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    /// A lost journal (here a forced queue overflow) makes the next pass
+    /// a full one: its span says why, and the session counts it.
+    #[test]
+    fn overflow_forces_a_counted_full_pass() {
+        let dir = tempdir("overflow");
+        std::fs::write(dir.join("m.c"), CLEAN).unwrap();
+        let session = session_over(&dir);
+        session.current_run().unwrap();
+        assert_eq!(counter(&session, "serve_snapshot_full_passes"), 1);
+        session.index.lock().unwrap().overflow_next = true;
+        std::fs::write(dir.join("m.c"), format!("{CLEAN}\nint pad;\n")).unwrap();
+        let served = session.current_run().unwrap();
+        assert_eq!(
+            scrubbed(&served.result),
+            scrubbed(&cold(&dir, &AnalysisConfig::default()))
+        );
+        assert_eq!(counter(&session, "serve_snapshot_full_passes"), 2);
+        let doc = session.trace_document("r000002").unwrap();
+        let passes = &doc["spans"][0]["children"][0]["children"];
+        let attrs = &passes[0]["attrs"];
+        assert_eq!(attrs["mode"], "full", "{doc}");
+        assert_eq!(attrs["fallback"], "overflow", "{doc}");
+        assert_eq!(passes[1]["attrs"]["mode"], "journal", "{doc}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1576,7 +1656,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
 
 #[cfg(test)]
 mod snapshot_props {
-    use super::tests::{age, scrubbed};
+    use super::tests::{age, counter, scrubbed};
     use super::*;
     use proptest::prelude::*;
 
@@ -1689,68 +1769,104 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Whatever the edit history, restarts included, and composition
-        /// depth, a session's report equals a cold analysis of the tree,
-        /// and its dirty-shard saves leave a cache that a new engine hits
-        /// on every file. Files are aged past the racy window, so a
-        /// restarted session takes their hashes from the cache unread.
-        #[test]
-        fn session_runs_match_cold_analysis(
-            steps in proptest::collection::vec(arb_step(), 1..8),
-            ipa_depth in prop_oneof![Just(0u32), Just(2u32)],
-        ) {
-            let root = std::env::temp_dir().join(format!(
-                "ofence-session-props-{}-{}",
-                std::process::id(),
-                SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let (dir, cache_dir) = (root.join("src"), root.join("cache"));
-            let _ = std::fs::remove_dir_all(&root);
-            std::fs::create_dir_all(dir.join("sub")).unwrap();
-            for (i, text) in TEXTS.iter().enumerate() {
-                let file = dir.join(format!("f{i}.c"));
-                std::fs::write(&file, text).unwrap();
-                age(&file);
-            }
-            let config = AnalysisConfig {
-                ipa_depth,
-                ..Default::default()
-            };
-            let paths = vec![dir.display().to_string()];
-            let open = || Session::new(SessionOptions {
+    /// Whatever the edit history, restarts included, and composition
+    /// depth, a session's report equals a cold analysis of the tree, and
+    /// its dirty-shard saves leave a cache that a new engine hits on every
+    /// file. Files are aged past the racy window, so a restarted session
+    /// takes their hashes from the cache unread. `full_passes` makes every
+    /// pass after a session's first fall back from the journal to a walk.
+    fn runs_match_cold_analysis(
+        steps: Vec<Step>,
+        ipa_depth: u32,
+        full_passes: bool,
+    ) -> Result<(), TestCaseError> {
+        let root = std::env::temp_dir().join(format!(
+            "ofence-session-props-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let (dir, cache_dir) = (root.join("src"), root.join("cache"));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        for (i, text) in TEXTS.iter().enumerate() {
+            let file = dir.join(format!("f{i}.c"));
+            std::fs::write(&file, text).unwrap();
+            age(&file);
+        }
+        let config = AnalysisConfig {
+            ipa_depth,
+            ..Default::default()
+        };
+        let paths = vec![dir.display().to_string()];
+        let open = || {
+            let session = Session::new(SessionOptions {
                 config: config.clone(),
                 paths: paths.clone(),
                 cache_dir: Some(cache_dir.clone()),
                 history_dir: None,
             });
-            let mut session = open();
-            session.current_run().unwrap();
-            let mut serial = 0;
-            for step in steps {
-                apply(&dir, step, &mut serial);
-                if let Step::Restart = step {
-                    drop(session);
-                    session = open();
-                }
-                let served = session.current_run().unwrap();
-                let sources = crate::walk::collect_sources(&paths).unwrap();
-                let cold = Engine::new(config.clone()).analyze(&sources);
-                prop_assert_eq!(scrubbed(&served.result), scrubbed(&cold), "after {:?}", step);
-
-                let mut reloaded = Engine::new(config.clone());
-                reloaded.load_disk_cache(&cache_dir);
-                let warm = reloaded.analyze(&sources);
-                prop_assert_eq!(
-                    warm.obs.count_of("engine_cache_hits"),
-                    sources.len() as u64,
-                    "after {:?}",
-                    step
-                );
+            session.index.lock().unwrap().expire_journals = full_passes;
+            session
+        };
+        let mut session = open();
+        session.current_run().unwrap();
+        let mut serial = 0;
+        for step in steps {
+            apply(&dir, step, &mut serial);
+            if let Step::Restart = step {
+                drop(session);
+                session = open();
             }
-            let _ = std::fs::remove_dir_all(&root);
+            let served = session.current_run().unwrap();
+            let sources = crate::walk::collect_sources(&paths).unwrap();
+            let cold = Engine::new(config.clone()).analyze(&sources);
+            prop_assert_eq!(
+                scrubbed(&served.result),
+                scrubbed(&cold),
+                "after {:?}",
+                step
+            );
+
+            let mut reloaded = Engine::new(config.clone());
+            reloaded.load_disk_cache(&cache_dir);
+            let warm = reloaded.analyze(&sources);
+            prop_assert_eq!(
+                warm.obs.count_of("engine_cache_hits"),
+                sources.len() as u64,
+                "after {:?}",
+                step
+            );
+        }
+        // The last session walked once, or on every pass.
+        let walks = counter(&session, "serve_snapshot_full_passes");
+        prop_assert!(
+            if full_passes { walks >= 2 } else { walks == 1 },
+            "{} walks",
+            walks
+        );
+        let _ = std::fs::remove_dir_all(&root);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Every pass after a session's first drains the journal.
+        #[test]
+        fn session_runs_match_cold_analysis(
+            steps in proptest::collection::vec(arb_step(), 1..8),
+            ipa_depth in prop_oneof![Just(0u32), Just(2u32)],
+        ) {
+            runs_match_cold_analysis(steps, ipa_depth, false)?;
+        }
+
+        /// Every pass walks the tree: the journal's fallback.
+        #[test]
+        fn session_runs_match_cold_analysis_on_full_passes(
+            steps in proptest::collection::vec(arb_step(), 1..8),
+            ipa_depth in prop_oneof![Just(0u32), Just(2u32)],
+        ) {
+            runs_match_cold_analysis(steps, ipa_depth, true)?;
         }
     }
 

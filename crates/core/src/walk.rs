@@ -4,9 +4,11 @@
 //! analysis daemon all collect the corpus the same way. The daemon and
 //! `watch` do it again on every request or poll, so the walk is
 //! **stat-first**: a [`SourceIndex`] remembers each file's stamp
-//! `(dev, ino, size, mtime, ctime)` and its text, and a pass costs a
+//! `(dev, ino, size, mtime, ctime)` and its text, and a full pass costs a
 //! readdir plus one `stat` per file. Only new files, files whose stamp
-//! changed, and *racily clean* entries are read and hashed.
+//! changed, and *racily clean* entries are read and hashed. A session's
+//! index also keeps a change journal, so that only its first pass walks
+//! the tree (see below).
 //!
 //! A pass is also lean in memory: it updates the index in place, builds
 //! every path in one reused buffer, allocates only for names it has not
@@ -17,9 +19,9 @@
 //! An entry is racily clean when its mtime is less than
 //! [`RACY_WINDOW_NS`] older than the pass that read it: on a file system
 //! with coarse timestamps, a write landing in the same tick as that read
-//! could leave the stamp unchanged (git's rule for its index). Such
-//! entries are re-read on every pass until a read happens well after
-//! their mtime.
+//! could leave the stamp unchanged (git's rule for its index). A full
+//! pass re-reads such entries until a read happens well after their
+//! mtime.
 //!
 //! ## Seeded entries
 //!
@@ -33,8 +35,38 @@
 //! later, so judging against it would trust writes that landed just
 //! after the read. Only files whose text no phase reads are seeded (see
 //! [`crate::session`]); every other file holds its text.
+//!
+//! ## The change journal
+//!
+//! A [`SourceIndex::journaled`] index arms a Linux inotify journal
+//! (`journal.rs`) on every full pass: the pass adds a directory's watch
+//! before it reads that directory, so any change to an entry after the
+//! pass saw it raises an event. A later pass drains the queued events and
+//! re-stats, and if needed reads, only the `.c` paths they name; a pass
+//! that drains nothing costs one `read(2)` and returns the same shared
+//! corpus. Racily clean entries are not re-read on such a pass: their
+//! watch was in place before their read, so a write in the same mtime
+//! tick still raised an event. An entry no event named is as it was when
+//! read, so once a pass's start lies past the racy window, its slot
+//! takes that start as its read time, unread.
+//!
+//! A pass walks the tree in full, drops the journal and arms a fresh one
+//! when the journal cannot tell what changed ([`PassStats::fallback`]
+//! names why): the event queue overflowed; a watch could not be added
+//! (inotify instances and watches are a shared, limited kernel resource)
+//! or went away (`IN_IGNORED`, `IN_UNMOUNT`, `IN_DELETE_SELF`,
+//! `IN_MOVE_SELF`); an event names a directory; a root no longer resolves
+//! to the directory that was walked; the walk met a symlink, a file root
+//! or a file with more than one link, whose changes need not reach this
+//! tree's watches; the target has no inotify; the pass was asked for
+//! other paths than the walk that armed the journal; or the journal is
+//! older than [`BACKSTOP`], since a write through a shared mapping raises
+//! no event at all.
+
+mod journal;
 
 use crate::engine::SourceFile;
+use journal::{Fallback, Journal};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ffi::OsStr;
 use std::fs::Metadata;
@@ -42,11 +74,16 @@ use std::os::unix::ffi::OsStrExt;
 use std::os::unix::fs::MetadataExt;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// How close an entry's mtime may come to the time it was read before
-/// the entry is re-read on every pass (2 s: the coarsest common
+/// the entry is re-read on every full pass (2 s: the coarsest common
 /// timestamp granularity, FAT's).
 const RACY_WINDOW_NS: i64 = 2_000_000_000;
+
+/// The age at which a journal is replaced by a full pass however quiet
+/// it has been: the backstop for writes that raise no event.
+const BACKSTOP: Duration = Duration::from_secs(60);
 
 /// Load every `.c` file reachable from the given paths, sorted by path
 /// for deterministic output: one pass of a fresh [`SourceIndex`], which
@@ -93,7 +130,7 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    fn racily_clean(&self) -> bool {
+    pub(crate) fn racily_clean(&self) -> bool {
         self.stamp.mtime_ns > self.read_at_ns.saturating_sub(RACY_WINDOW_NS)
     }
 
@@ -141,10 +178,17 @@ impl Slot {
 /// What one [`SourceIndex::refresh`] pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassStats {
-    /// `.c` files found and statted.
+    /// `.c` paths statted: every file a full pass found, or every path a
+    /// journal pass's events named.
     pub statted: usize,
-    /// Files read and hashed: new, changed, or racily clean.
+    /// Files read and hashed: new, changed, or (on a full pass) racily
+    /// clean.
     pub read: usize,
+    /// Whether the pass drained the journal instead of walking the tree.
+    pub journal: bool,
+    /// Why a full pass replaced the journal. `None` for an index's first
+    /// pass and for every pass of an index that keeps no journal.
+    pub fallback: Option<&'static str>,
 }
 
 /// Slot and text (or, for a seeded file, hash) of every file the last
@@ -157,14 +201,52 @@ pub struct SourceIndex {
     /// `Arc::make_mut`, so a snapshot a caller still holds never changes.
     /// Every entry carries its slot.
     files: Arc<Vec<SourceFile>>,
-    /// The last pass that found each entry of `files`, in the same order.
+    /// The last full pass that found each entry of `files`, in the same
+    /// order; a journal pass keeps the number and zeroes what it removes.
     seen: Vec<u64>,
     /// Position in `files` by [`name_hash`]: a lookup costs one probe
     /// and one name comparison, where a binary search over 12k names
     /// costs a dozen cache misses.
     by_hash: HashMap<u64, usize>,
-    /// Number of the current (or last) pass.
+    /// Number of the current (or last) full pass.
     pass: u64,
+    /// Whether a full pass arms a journal for the passes after it.
+    journaled: bool,
+    /// The journal the last full pass armed, or why it could not. `None`
+    /// before the first pass, after a failed one, and in an index that
+    /// keeps no journal.
+    journal: Option<Result<Armed, Fallback>>,
+    /// Names of the entries that were racily clean when last read.
+    racy: Vec<String>,
+    /// [`digest`] of `files`, until a pass changes a name or a text.
+    digest: Option<u64>,
+    /// Test hook: the next drain meets a queue overflow.
+    #[cfg(test)]
+    pub(crate) overflow_next: bool,
+    /// Test hook: every journal is past the backstop.
+    #[cfg(test)]
+    pub(crate) expire_journals: bool,
+}
+
+/// A journal and what its full pass walked.
+struct Armed {
+    journal: Journal,
+    paths: Vec<String>,
+    /// `(dev, ino)` of the directory or file each path resolved to.
+    roots: Vec<(u64, u64)>,
+    /// When the full pass started.
+    at: Instant,
+}
+
+/// What one pass has found so far.
+#[derive(Default)]
+struct Found {
+    /// Wall clock at the start of the pass: the read time of what it
+    /// reads.
+    pass_ns: i64,
+    /// Files found for the first time, by name.
+    fresh: BTreeMap<String, SourceFile>,
+    stats: PassStats,
 }
 
 impl SourceIndex {
@@ -182,48 +264,264 @@ impl SourceIndex {
             by_hash: by_hash(&files),
             seen: vec![0; files.len()],
             files: Arc::new(files),
-            pass: 0,
+            ..SourceIndex::default()
         }
     }
 
-    /// Walk `paths` and return the corpus as it is now, sorted by path,
-    /// reading only the files whose stamp says they may have changed.
+    /// This index with a change journal: every pass after a full one
+    /// drains the journal instead of walking the tree, unless it has to
+    /// fall back (see module docs). For an index that makes many passes.
+    pub(crate) fn journaled(mut self) -> SourceIndex {
+        self.journaled = true;
+        self
+    }
+
+    /// Return the corpus as it is now, sorted by path, reading only the
+    /// files whose stamp says they may have changed: from the journal
+    /// when it can tell, else by walking `paths`.
     pub fn refresh(
         &mut self,
         paths: &[String],
     ) -> Result<(Arc<Vec<SourceFile>>, PassStats), String> {
-        self.pass += 1;
-        let mut walk = Walk {
-            index: self,
-            pass_ns: wall_clock_ns(),
-            fresh: BTreeMap::new(),
-            visited: HashSet::new(),
-            stats: PassStats::default(),
+        let pass_ns = wall_clock_ns();
+        let fallback = match self.journal.take() {
+            None => None,
+            Some(Err(reason)) => Some(reason),
+            Some(Ok(mut armed)) => match self.drain(&mut armed, paths, pass_ns) {
+                Ok(stats) => {
+                    self.journal = Some(Ok(armed));
+                    return self.corpus(stats);
+                }
+                Err(reason) => Some(reason),
+            },
         };
-        for p in paths {
-            let path = Path::new(p);
-            let missing = || format!("{p}: no such file or directory");
-            let meta = std::fs::metadata(path).map_err(|_| missing())?;
-            if meta.is_dir() {
-                let mut buf = p.as_bytes().to_vec();
-                walk.dir(&mut buf, &meta)?;
-            } else if meta.is_file() {
-                walk.file(p, path, || Ok(meta))?;
-            } else {
-                return Err(missing());
-            }
-        }
-        let Walk { fresh, stats, .. } = walk;
-        self.retire_and_merge(fresh);
+        let stats = self.walk(paths, pass_ns, fallback)?;
+        self.corpus(stats)
+    }
+
+    /// [`digest`] of the corpus as of the last pass: computed again only
+    /// after a pass changed a name or a text.
+    pub(crate) fn digest(&mut self) -> u64 {
+        *self.digest.get_or_insert_with(|| digest(&self.files))
+    }
+
+    fn corpus(&self, stats: PassStats) -> Result<(Arc<Vec<SourceFile>>, PassStats), String> {
         if self.files.is_empty() {
             return Err("no .c files found under the given paths".into());
         }
         Ok((self.files.clone(), stats))
     }
 
-    /// Drop the files this pass did not find and add the ones it found
-    /// for the first time, keeping `files` sorted. A pass in which no
-    /// name came or went leaves the list (and its order) alone.
+    /// A full pass: walk `paths`, stat every file, and arm a fresh
+    /// journal if this index keeps one.
+    fn walk(
+        &mut self,
+        paths: &[String],
+        pass_ns: i64,
+        fallback: Option<Fallback>,
+    ) -> Result<PassStats, String> {
+        self.pass += 1;
+        self.racy.clear();
+        let at = Instant::now();
+        let journal = self.journaled.then(Journal::new);
+        let mut walk = Walk {
+            index: self,
+            found: Found {
+                pass_ns,
+                stats: PassStats {
+                    fallback,
+                    ..PassStats::default()
+                },
+                ..Found::default()
+            },
+            visited: HashSet::new(),
+            journal,
+        };
+        let mut roots = Vec::with_capacity(paths.len());
+        for p in paths {
+            let path = Path::new(p);
+            let missing = || format!("{p}: no such file or directory");
+            let meta = std::fs::metadata(path).map_err(|_| missing())?;
+            roots.push((meta.dev(), meta.ino()));
+            if walk.journal.is_some()
+                && std::fs::symlink_metadata(path).is_ok_and(|m| m.is_symlink())
+            {
+                walk.lose("symlink");
+            }
+            if meta.is_dir() {
+                let mut buf = p.as_bytes().to_vec();
+                walk.dir(&mut buf, &meta)?;
+            } else if meta.is_file() {
+                walk.lose("file root");
+                walk.file(p, path, || Ok(meta))?;
+            } else {
+                return Err(missing());
+            }
+        }
+        let Walk { found, journal, .. } = walk;
+        self.retire_and_merge(found.fresh);
+        self.journal = journal.map(|journal| {
+            journal.map(|journal| Armed {
+                journal,
+                paths: paths.to_vec(),
+                roots,
+                at,
+            })
+        });
+        Ok(found.stats)
+    }
+
+    /// A journal pass: re-stat, and read if needed, only the paths the
+    /// queued events name. `Err` names why the journal cannot serve this
+    /// pass; the index may then be half updated, which the full pass
+    /// that follows puts right.
+    fn drain(
+        &mut self,
+        armed: &mut Armed,
+        paths: &[String],
+        pass_ns: i64,
+    ) -> Result<PassStats, Fallback> {
+        if armed.paths != paths {
+            return Err("paths changed");
+        }
+        #[cfg(test)]
+        if self.expire_journals {
+            return Err("backstop");
+        }
+        if armed.at.elapsed() >= BACKSTOP {
+            return Err("backstop");
+        }
+        #[cfg(test)]
+        if std::mem::take(&mut self.overflow_next) {
+            let overflow = journal::record(-1, journal::IN_Q_OVERFLOW, b"", 0);
+            armed.journal.injected.extend(overflow);
+        }
+        for (p, &root) in paths.iter().zip(&armed.roots) {
+            let meta = std::fs::metadata(p).map_err(|_| "root moved")?;
+            if (meta.dev(), meta.ino()) != root {
+                return Err("root moved");
+            }
+        }
+        let named = armed.journal.drain(|path| is_source(as_path(path)))?;
+        let mut found = Found {
+            pass_ns,
+            stats: PassStats {
+                journal: true,
+                ..PassStats::default()
+            },
+            ..Found::default()
+        };
+        // Stat every named path before the index changes: a path a full
+        // walk would treat differently falls back with nothing done.
+        let mut stamped = Vec::with_capacity(named.len());
+        for path in &named {
+            found.stats.statted += 1;
+            let meta = match std::fs::symlink_metadata(as_path(path)) {
+                Ok(meta) if meta.is_symlink() => return Err("symlink"),
+                Ok(meta) if meta.is_dir() => return Err("directory"),
+                Ok(meta) if meta.is_file() && meta.nlink() > 1 => return Err("hard link"),
+                // A FIFO or socket: a full walk skips it too.
+                Ok(meta) => Some(meta).filter(Metadata::is_file),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                Err(e) if e.kind() == std::io::ErrorKind::NotADirectory => None,
+                Err(_) => return Err("stat error"),
+            };
+            stamped.push((String::from_utf8_lossy(path), as_path(path), meta));
+        }
+        let racy = std::mem::take(&mut self.racy);
+        for (name, path, meta) in &stamped {
+            let known = self.position(name);
+            match meta {
+                Some(meta) => {
+                    let taken = self.take(known, name, path, meta, &mut found);
+                    taken.map_err(|_| "read error")?
+                }
+                None => {
+                    if let Some(i) = known {
+                        self.seen[i] = 0;
+                    }
+                }
+            }
+        }
+        // An entry no event named is as it was when read, and as it is
+        // now: once this pass's start settles it, its slot takes that as
+        // its read time. Until then, and while a caller still holds the
+        // corpus (a settle is not worth a copy), the corpus is left alone.
+        let named: HashSet<&str> = stamped.iter().map(|(name, ..)| name.as_ref()).collect();
+        for name in racy {
+            let Some(i) = self
+                .position(&name)
+                .filter(|_| !named.contains(name.as_str()))
+            else {
+                continue;
+            };
+            let Some(slot) = self.files[i].slot else {
+                continue;
+            };
+            let settled = Slot {
+                read_at_ns: pass_ns,
+                ..slot
+            };
+            match Arc::get_mut(&mut self.files) {
+                Some(files) if !settled.racily_clean() => files[i].slot = Some(settled),
+                _ => self.racy.push(name),
+            }
+        }
+        self.retire_and_merge(found.fresh);
+        Ok(found.stats)
+    }
+
+    /// Bring the entry for `name` at `path` up to date with `meta`, its
+    /// stat now. A new file is read into `found`; a known one (at
+    /// `known`) is marked found by this pass, and read again only when
+    /// its stamp changed or it is racily clean.
+    fn take(
+        &mut self,
+        known: Option<usize>,
+        name: &str,
+        path: &Path,
+        meta: &Metadata,
+        found: &mut Found,
+    ) -> Result<(), String> {
+        let slot = Slot {
+            stamp: Stamp::of(meta),
+            read_at_ns: found.pass_ns,
+        };
+        if let Some(i) = known {
+            self.seen[i] = self.pass;
+            if let Some(old) = self.files[i].slot {
+                if old.stamp == slot.stamp && !old.racily_clean() {
+                    return Ok(());
+                }
+            }
+        }
+        found.stats.read += 1;
+        let content = read(path)?;
+        if slot.racily_clean() {
+            self.racy.push(name.to_string());
+        }
+        let Some(i) = known else {
+            let mut file = SourceFile::new(name, content);
+            file.slot = Some(slot);
+            found.fresh.insert(name.to_string(), file);
+            return Ok(());
+        };
+        let file = &mut Arc::make_mut(&mut self.files)[i];
+        // Unchanged bytes keep the file as it was: the text the engine
+        // already shares, or no text for a seeded file. So a `touch`
+        // costs no memory.
+        if !file.holds(&content) {
+            *file = SourceFile::new(std::mem::take(&mut file.name), content);
+            self.digest = None;
+        }
+        file.slot = Some(slot);
+        Ok(())
+    }
+
+    /// Drop the files the last full pass did not find (or a journal pass
+    /// removed) and add the ones found for the first time, keeping
+    /// `files` sorted. A pass in which no name came or went leaves the
+    /// list (and its order) alone.
     fn retire_and_merge(&mut self, fresh: BTreeMap<String, SourceFile>) {
         let pass = self.pass;
         if fresh.is_empty() && self.seen.iter().all(|&seen| seen == pass) {
@@ -236,6 +534,7 @@ impl SourceIndex {
             .chain(fresh.into_values())
             .collect();
         merged.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        self.digest = None;
         self.by_hash = by_hash(&merged);
         self.seen = vec![pass; merged.len()];
         self.files = Arc::new(merged);
@@ -253,18 +552,26 @@ impl SourceIndex {
     }
 }
 
-/// One [`SourceIndex::refresh`] pass in progress.
+/// One full pass in progress.
 struct Walk<'a> {
     index: &'a mut SourceIndex,
-    pass_ns: i64,
-    /// Files found for the first time, by name.
-    fresh: BTreeMap<String, SourceFile>,
+    found: Found,
     /// Directories by (dev, ino): a symlink cycle is entered once.
     visited: HashSet<(u64, u64)>,
-    stats: PassStats,
+    /// The journal this pass arms, or why it cannot; `None` for an index
+    /// that keeps no journal.
+    journal: Option<Result<Journal, Fallback>>,
 }
 
 impl Walk<'_> {
+    /// This pass cannot arm a journal, for `reason` (the first one
+    /// counts).
+    fn lose(&mut self, reason: Fallback) {
+        if let Some(journal @ Ok(_)) = &mut self.journal {
+            *journal = Err(reason);
+        }
+    }
+
     /// Visit the file `name` at `path`, statting it with `stat` unless
     /// this pass already visited it (from an overlapping root).
     fn file(
@@ -277,52 +584,32 @@ impl Walk<'_> {
         let known = index.position(name);
         let visited = match known {
             Some(i) => index.seen[i] == index.pass,
-            None => self.fresh.contains_key(name),
+            None => self.found.fresh.contains_key(name),
         };
         if visited {
             return Ok(());
         }
         let meta = stat().map_err(|e| format!("{}: {e}", path.display()))?;
-        let stamp = Stamp::of(&meta);
-        self.stats.statted += 1;
-        let slot = Some(Slot {
-            stamp,
-            read_at_ns: self.pass_ns,
-        });
-        let Some(i) = known else {
-            self.stats.read += 1;
-            let mut file = SourceFile::new(name, read(path)?);
-            file.slot = slot;
-            self.fresh.insert(name.to_string(), file);
-            return Ok(());
-        };
-        index.seen[i] = index.pass;
-        if let Some(old) = index.files[i].slot {
-            if old.stamp == stamp && !old.racily_clean() {
-                return Ok(());
-            }
+        self.found.stats.statted += 1;
+        if meta.nlink() > 1 {
+            self.lose("hard link");
         }
-        self.stats.read += 1;
-        let content = read(path)?;
-        let file = &mut Arc::make_mut(&mut index.files)[i];
-        // Unchanged bytes keep the file as it was: the text the engine
-        // already shares, or no text for a seeded file. So a `touch`
-        // costs no memory.
-        if !file.holds(&content) {
-            *file = SourceFile::new(std::mem::take(&mut file.name), content);
-        }
-        file.slot = slot;
-        Ok(())
+        self.index.take(known, name, path, &meta, &mut self.found)
     }
 
     /// Visit the `.c` files under the directory whose path is in `buf`
-    /// (and whose metadata is `meta`). `readdir`'s file type answers
-    /// "directory?" for free; only symlinks need a `stat` to see what
-    /// they point at. Each entry's path is built by appending to `buf`
-    /// and truncating back.
+    /// (and whose metadata is `meta`), watching it first when this pass
+    /// arms a journal. `readdir`'s file type answers "directory?" for
+    /// free; only symlinks need a `stat` to see what they point at. Each
+    /// entry's path is built by appending to `buf` and truncating back.
     fn dir(&mut self, buf: &mut Vec<u8>, meta: &Metadata) -> Result<(), String> {
         if !self.visited.insert((meta.dev(), meta.ino())) {
             return Ok(());
+        }
+        if let Some(Ok(journal)) = &mut self.journal {
+            if let Err(reason) = journal.watch(buf) {
+                self.lose(reason);
+            }
         }
         let dir_err = |buf: &[u8], e: std::io::Error| format!("{}: {e}", as_path(buf).display());
         let base = buf.len();
@@ -348,8 +635,9 @@ impl Walk<'_> {
         kind: std::fs::FileType,
     ) -> Result<(), String> {
         let path = as_path(buf);
-        let is_c = path.extension().and_then(OsStr::to_str) == Some("c");
+        let is_c = is_source(path);
         let meta = if kind.is_symlink() {
+            self.lose("symlink");
             match std::fs::metadata(path) {
                 Ok(meta) => meta,
                 // A dangling link is skipped unless it claims to be source.
@@ -374,6 +662,25 @@ impl Walk<'_> {
             Ok(())
         }
     }
+}
+
+/// FNV over every file's name, a NUL and its content hash, in order: the
+/// part of a corpus key ([`crate::session::corpus_key`]) that the corpus
+/// decides. Each file's hash was computed when it was read, so this costs
+/// O(paths).
+pub(crate) fn digest(files: &[SourceFile]) -> u64 {
+    let mut h = crate::cache::FNV_OFFSET;
+    for f in files {
+        h = crate::cache::fnv1a_extend(h, f.name.as_bytes());
+        h = crate::cache::fnv1a_extend(h, &[0]);
+        h = crate::cache::fnv1a_extend(h, &f.hash().to_le_bytes());
+    }
+    h
+}
+
+/// Whether a directory walk collects the file at `path`.
+fn is_source(path: &Path) -> bool {
+    path.extension().and_then(OsStr::to_str) == Some("c")
 }
 
 fn name_hash(name: &str) -> u64 {
@@ -532,7 +839,8 @@ mod tests {
             pass,
             PassStats {
                 statted: 3,
-                read: 3
+                read: 3,
+                ..PassStats::default()
             }
         );
         let (second, pass) = index.refresh(&paths).unwrap();
@@ -540,7 +848,8 @@ mod tests {
             pass,
             PassStats {
                 statted: 3,
-                read: 0
+                read: 0,
+                ..PassStats::default()
             }
         );
         assert_eq!(first, second);
@@ -573,7 +882,8 @@ mod tests {
             pass,
             PassStats {
                 statted: 3,
-                read: 0
+                read: 0,
+                ..PassStats::default()
             }
         );
         assert_eq!(seeded, read);
@@ -685,7 +995,8 @@ mod tests {
             pass,
             PassStats {
                 statted: 2,
-                read: 1
+                read: 1,
+                ..PassStats::default()
             }
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -762,7 +1073,8 @@ mod tests {
             pass,
             PassStats {
                 statted: 2,
-                read: 2
+                read: 2,
+                ..PassStats::default()
             }
         );
         let (sources, pass) = index.refresh(&paths).unwrap();
@@ -771,7 +1083,8 @@ mod tests {
             pass,
             PassStats {
                 statted: 2,
-                read: 0
+                read: 0,
+                ..PassStats::default()
             }
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -822,6 +1135,210 @@ mod tests {
         assert_eq!(names(&sources), ["a.c", "x.c"]);
         assert_eq!(&*sources[1].content, "int x;");
         assert_eq!(pass.statted, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journaled index over `dir` after its first, full pass, with every
+    /// file under it aged.
+    fn journaled(dir: &Path, names: &[&str]) -> (SourceIndex, [String; 1]) {
+        for name in names {
+            std::fs::write(dir.join(name), name).unwrap();
+            age(&dir.join(name));
+        }
+        let paths = [dir.display().to_string()];
+        let mut index = SourceIndex::default().journaled();
+        let (_, pass) = index.refresh(&paths).unwrap();
+        assert!(!pass.journal);
+        assert_eq!(pass.fallback, None, "a first pass replaces no journal");
+        (index, paths)
+    }
+
+    fn stats(statted: usize, read: usize, journal: bool) -> PassStats {
+        PassStats {
+            statted,
+            read,
+            journal,
+            fallback: None,
+        }
+    }
+
+    /// After the first pass, a pass stats only what events name, and a
+    /// pass that drains nothing hands out the same corpus.
+    #[test]
+    fn journal_passes_stat_only_what_changed() {
+        let dir = tempdir("journal");
+        let (mut index, paths) = journaled(&dir, &["a.c", "b.c", "sub/c.c"]);
+        // The usual editor save: write a temporary file, rename it over.
+        std::fs::write(dir.join("sub/c.c.tmp"), "int c2;").unwrap();
+        std::fs::rename(dir.join("sub/c.c.tmp"), dir.join("sub/c.c")).unwrap();
+        std::fs::write(dir.join("notes.txt"), "not source").unwrap();
+        let (first, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(1, 1, true));
+        assert_eq!(&*first[2].content, "int c2;");
+        let (second, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(0, 0, true));
+        assert!(Arc::ptr_eq(&first, &second));
+        // Create, delete and rename, each named by its events.
+        std::fs::write(dir.join("sub/new.c"), "int n;").unwrap();
+        std::fs::remove_file(dir.join("a.c")).unwrap();
+        std::fs::rename(dir.join("b.c"), dir.join("z.c")).unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(4, 2, true));
+        assert_eq!(names(&sources), ["c.c", "new.c", "z.c"]);
+        assert_eq!(*sources, collect_sources(&paths).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// DESIGN.md §15's torn snapshot: between two passes an editor
+    /// rewrites A and B in place at the same size, with the old mtimes
+    /// put back. The next journal pass reads both, so two agreeing
+    /// passes never pair an old A with a new B.
+    #[test]
+    fn in_place_writers_between_passes_are_both_seen() {
+        let dir = tempdir("journal-torn");
+        let (mut index, paths) = journaled(&dir, &["a.c", "b.c"]);
+        let (before, _) = index.refresh(&paths).unwrap();
+        for name in ["a.c", "b.c"] {
+            let path = dir.join(name);
+            let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+            let mut file = std::fs::File::options().write(true).open(&path).unwrap();
+            std::io::Write::write_all(&mut file, name.to_uppercase().as_bytes()).unwrap();
+            file.set_modified(mtime).unwrap();
+        }
+        let (after, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(2, 2, true));
+        assert_ne!(before, after);
+        let texts: Vec<&str> = after.iter().map(|f| &*f.content).collect();
+        assert_eq!(texts, ["A.C", "B.C"]);
+        let (_, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(0, 0, true));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A queue overflow loses events: the pass walks the tree, picks up
+    /// the edit, and arms a journal that serves the next pass.
+    #[test]
+    fn overflow_falls_back_to_a_full_pass() {
+        let dir = tempdir("journal-overflow");
+        let (mut index, paths) = journaled(&dir, &["a.c", "b.c"]);
+        index.overflow_next = true;
+        std::fs::write(dir.join("a.c"), "int a2;").unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(
+            pass,
+            PassStats {
+                fallback: Some("overflow"),
+                ..stats(2, 1, false)
+            }
+        );
+        assert_eq!(&*sources[0].content, "int a2;");
+        let (_, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(0, 0, true));
+        index.expire_journals = true;
+        let (_, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass.fallback, Some("backstop"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory created or deleted is walked, not journaled; the walk
+    /// watches the new directory, so its files are journaled afterwards.
+    #[test]
+    fn directory_create_and_delete_fall_back() {
+        let dir = tempdir("journal-dirs");
+        let (mut index, paths) = journaled(&dir, &["a.c"]);
+        std::fs::create_dir(dir.join("new")).unwrap();
+        std::fs::write(dir.join("new/x.c"), "int x;").unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass.fallback, Some("directory"));
+        assert_eq!(names(&sources), ["a.c", "x.c"]);
+        std::fs::write(dir.join("new/x.c"), "int x2;").unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(1, 1, true));
+        assert_eq!(&*sources[1].content, "int x2;");
+        std::fs::remove_dir_all(dir.join("new")).unwrap();
+        let (sources, pass) = index.refresh(&paths).unwrap();
+        assert!(!pass.journal);
+        assert_eq!(names(&sources), ["a.c"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Trees whose changes need not reach the watches never use the
+    /// journal: a symlink (to a file or a directory, met by the walk or
+    /// created later), a file with a second link, a file root.
+    #[test]
+    fn links_and_file_roots_never_use_the_journal() {
+        type Link = fn(&Path);
+        let cases: [(&str, Link); 3] = [
+            ("symlink", |dir| {
+                std::os::unix::fs::symlink("a.c", dir.join("alias.c")).unwrap()
+            }),
+            ("symlink", |dir| {
+                std::os::unix::fs::symlink("sub", dir.join("tree")).unwrap()
+            }),
+            ("hard link", |dir| {
+                std::fs::hard_link(dir.join("a.c"), dir.join("sub/b.c")).unwrap()
+            }),
+        ];
+        for (i, (reason, link)) in cases.into_iter().enumerate() {
+            let dir = tempdir(&format!("journal-link-{i}"));
+            std::fs::write(dir.join("a.c"), "int a;").unwrap();
+            link(&dir);
+            let paths = [dir.display().to_string()];
+            let mut index = SourceIndex::default().journaled();
+            for _ in 0..3 {
+                let (_, pass) = index.refresh(&paths).unwrap();
+                assert!(!pass.journal, "{reason}");
+            }
+            assert_eq!(index.refresh(&paths).unwrap().1.fallback, Some(reason));
+            // A link made after the journal was armed: the same.
+            let _ = std::fs::remove_dir_all(&dir);
+            let (mut index, paths) = journaled(&tempdir(&format!("journal-late-{i}")), &["a.c"]);
+            let dir = Path::new(&paths[0]);
+            link(dir);
+            assert_eq!(index.refresh(&paths).unwrap().1.fallback, Some(reason));
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let dir = tempdir("journal-file-root");
+        std::fs::write(dir.join("a.c"), "int a;").unwrap();
+        let paths = [dir.join("a.c").display().to_string()];
+        let mut index = SourceIndex::default().journaled();
+        index.refresh(&paths).unwrap();
+        let (_, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass.fallback, Some("file root"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A racily clean entry is read by the full pass only. A journal pass
+    /// that no event for it reached leaves it be until the pass's start
+    /// lies past the racy window; that pass takes its start as the
+    /// entry's read time, unread.
+    #[test]
+    fn journal_passes_settle_racily_clean_entries_unread() {
+        let dir = tempdir("journal-racy");
+        let file = dir.join("a.c");
+        std::fs::write(&file, "int a;").unwrap();
+        let mtime = SystemTime::now() - Duration::from_millis(1500);
+        std::fs::File::options()
+            .write(true)
+            .open(&file)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        let paths = [dir.display().to_string()];
+        let mut index = SourceIndex::default().journaled();
+        let (first, _) = index.refresh(&paths).unwrap();
+        let read = first[0].slot.unwrap();
+        assert!(read.racily_clean());
+        let (second, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(0, 0, true));
+        assert!(Arc::ptr_eq(&first, &second), "nothing settled yet");
+        drop((first, second));
+        std::thread::sleep(Duration::from_millis(600));
+        let (settled, pass) = index.refresh(&paths).unwrap();
+        assert_eq!(pass, stats(0, 0, true));
+        let slot = settled[0].slot.unwrap();
+        assert_eq!(slot.stamp, read.stamp);
+        assert!(slot.read_at_ns > read.read_at_ns && !slot.racily_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

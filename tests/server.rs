@@ -1109,14 +1109,16 @@ fn one_edit_analyze_traces_cover_the_request() {
             ["snapshot", "serve_run", "ledger", "publish", "render"],
             "{doc}"
         );
-        // Two full stat passes, each reading only the edited file (racily
-        // clean on the second pass, as it was just written).
+        // Two journal passes: the first stats and reads only the edited
+        // file, the second finds nothing to stat (no racy re-read: the
+        // watch was in place before the read).
         let passes = children[0]["children"].as_array().unwrap();
         assert_eq!(passes.len(), 2, "{doc}");
-        for pass in passes {
+        for (pass, touched) in passes.iter().zip(["1", "0"]) {
             assert_eq!(pass["name"], "snapshot_pass");
-            assert_eq!(pass["attrs"]["statted"], "1200", "{doc}");
-            assert_eq!(pass["attrs"]["read"], "1", "{doc}");
+            assert_eq!(pass["attrs"]["mode"], "journal", "{doc}");
+            assert_eq!(pass["attrs"]["statted"], touched, "{doc}");
+            assert_eq!(pass["attrs"]["read"], touched, "{doc}");
         }
         coverages.push(coverage);
     }
