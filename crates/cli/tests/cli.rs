@@ -122,6 +122,35 @@ fn patch_apply_fixes_file_on_disk() {
 }
 
 #[test]
+fn a_one_line_fix_in_a_2500_line_file_gets_its_hunk() {
+    let dir = tempdir("long-patch");
+    let fixture = ofence_corpus::fixtures::PATCH1_BUGGY;
+    let filler: String = (0..2500)
+        .map(|i| format!("int pad{i}(int x) {{ return x + {i}; }}\n"))
+        .collect();
+    let hunk = |name: &str, text: &str| {
+        let f = dir.join(name);
+        std::fs::write(&f, text).unwrap();
+        let out = ofence()
+            .arg("patch")
+            .arg(&f)
+            .args(["--no-cache", "--no-history"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let at = stdout
+            .find("@@")
+            .unwrap_or_else(|| panic!("no hunk: {stdout}"));
+        stdout[at..].to_string()
+    };
+    let short = hunk("short.c", fixture);
+    assert!(short.contains("+\tsmp_rmb();"), "{short}");
+    assert_eq!(hunk("long.c", &format!("{fixture}{filler}")), short);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stats_json_is_parseable() {
     let dir = tempdir("json");
     let f = dir.join("clean.c");
@@ -396,6 +425,59 @@ fn cache_roundtrip_warm_run_hits() {
     let t2 = std::fs::read_to_string(&m2).unwrap();
     assert!(t2.contains("ofence_engine_cache_hits_total 3"), "{t2}");
     assert!(t2.contains("ofence_cache_loads_total 4"), "{t2}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_warm_run_streams_one_cache_hit_event() {
+    let dir = tempdir("hit-event");
+    let corpus = dir.join("corpus");
+    let cache = dir.join("cache");
+    let out = ofence()
+        .args(["gen", "--out"])
+        .arg(&corpus)
+        .args(["--files", "6", "--seed", "5"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let analyze = |events: Option<&Path>| {
+        let mut cmd = ofence();
+        cmd.arg("analyze")
+            .arg(&corpus)
+            .arg("--cache-dir")
+            .arg(&cache);
+        cmd.args(["--json", "--no-history"]);
+        if let Some(events) = events {
+            cmd.arg("--events-out").arg(events);
+        }
+        let out = cmd.output().unwrap();
+        assert!(matches!(out.status.code(), Some(0) | Some(1)), "{out:?}");
+        serde_json::from_slice::<serde_json::Value>(&out.stdout).unwrap()
+    };
+    analyze(None);
+    let edited = corpus.join("gen/unit0001.c");
+    let mut text = std::fs::read_to_string(&edited).unwrap();
+    text.push_str("\nint hit_event_added(void) { return 1; }\n");
+    std::fs::write(&edited, text).unwrap();
+    let events = dir.join("events.ndjson");
+    let report = analyze(Some(&events));
+    let hits: Vec<serde_json::Value> = std::fs::read_to_string(&events)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
+        .filter(|ev| ev["ev"] == "counter" && ev["name"] == "engine_cache_hits")
+        .collect();
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    let files = report["stats"]["files_total"].as_u64().unwrap();
+    let analyzed = report["observability"]["counters"]["engine_files_analyzed"]
+        .as_u64()
+        .unwrap();
+    assert_eq!(analyzed, 1, "{report}");
+    assert_eq!(
+        hits[0]["delta"].as_u64(),
+        Some(files - analyzed),
+        "{hits:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -426,6 +426,11 @@ impl Store {
             .collect()
     }
 
+    /// How many entries the store holds.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Evict every entry whose path fails `keep`, dirtying the evicted
     /// entries' shards. Returns how many were evicted.
     pub fn retain(&mut self, keep: impl Fn(&str) -> bool) -> usize {
@@ -858,11 +863,29 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         e.analyze(&files);
         e.save_disk_cache(&dir).unwrap();
         assert!(e.cache.dirty_shards(&dir).is_empty());
-        e.analyze(&files[..1]);
+        let r = e.analyze(&files[..1]);
+        assert_eq!(r.obs.count_of("cache_evictions"), 1);
         assert_eq!(e.cache.dirty_shards(&dir), [shard_of("plain.c")]);
         e.save_disk_cache(&dir).unwrap();
         let (map, _) = load(&dir, &config);
         assert!(map.contains_key("m.c") && !map.contains_key("plain.c"));
+        // A rename: the corpus keeps its size, the old path still leaves
+        // the cache and dirties its shard, beside the new path's.
+        let renamed = SourceFile::new("zz-renamed.c", files[0].content.clone());
+        let r = e.analyze(&[renamed]);
+        assert_eq!(r.obs.count_of("cache_evictions"), 1);
+        assert_eq!(e.cache.len(), 1);
+        let mut dirty = vec![shard_of("m.c"), shard_of("zz-renamed.c")];
+        dirty.sort_unstable();
+        dirty.dedup();
+        assert_eq!(e.cache.dirty_shards(&dir), dirty);
+        e.save_disk_cache(&dir).unwrap();
+        let (map, _) = load(&dir, &config);
+        assert!(map.contains_key("zz-renamed.c") && !map.contains_key("m.c"));
+        // An edit-free warm run evicts nothing and dirties nothing.
+        let r = e.analyze(&[SourceFile::new("zz-renamed.c", files[0].content.clone())]);
+        assert_eq!(r.obs.count_of("cache_evictions"), 0);
+        assert!(e.cache.dirty_shards(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -334,16 +334,18 @@ impl Engine {
     }
 
     fn analyze_files(&mut self, files: &[SourceFile]) -> Vec<Arc<FileAnalysis>> {
-        // Evict entries whose path is gone from the corpus: a rename or
-        // deletion must not leave a stale FileAnalysis that a future save
-        // would write back to disk.
-        let current: std::collections::HashSet<&str> =
-            files.iter().map(|f| f.name.as_str()).collect();
-        let evicted = self.cache.retain(|path| current.contains(path));
-        self.recorder.count("cache_evictions", evicted as u64);
-        // Split into cached and to-do.
+        debug_assert_eq!(
+            (files.iter().map(|f| f.name.as_str()))
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+            files.len(),
+            "corpus names are not unique"
+        );
+        // Split into cached and to-do. Hits are counted once per run, not
+        // once per file: a count takes the recorder's lock.
         let mut results: Vec<Option<Arc<FileAnalysis>>> = vec![None; files.len()];
         let mut todo: Vec<usize> = Vec::new();
+        let mut hits = 0;
         for (i, f) in files.iter().enumerate() {
             match self.cache.hit(&f.name, f.hash(), f.slot) {
                 Some(fa) => {
@@ -368,11 +370,12 @@ impl Engine {
                         }
                     }
                     results[i] = Some(fa.clone());
-                    self.recorder.count("engine_cache_hits", 1);
+                    hits += 1;
                 }
                 None => todo.push(i),
             }
         }
+        self.recorder.count("engine_cache_hits", hits);
         debug_assert!(
             todo.iter().all(|&i| files[i].text().is_some()),
             "a file to analyze was not read"
@@ -411,6 +414,17 @@ impl Engine {
                     .insert(f.name.clone(), f.hash(), f.slot, fa.clone());
                 results[i] = Some(fa);
             }
+        }
+        // Evict entries whose path is gone from the corpus: a rename or
+        // deletion must not leave a stale FileAnalysis that a future save
+        // would write back to disk. Every corpus path now has an entry,
+        // and the names are unique, so there is a stale entry exactly
+        // when the cache holds more entries than the corpus has files.
+        if self.cache.len() > files.len() {
+            let current: std::collections::HashSet<&str> =
+                files.iter().map(|f| f.name.as_str()).collect();
+            let evicted = self.cache.retain(|path| current.contains(path));
+            self.recorder.count("cache_evictions", evicted as u64);
         }
         let results: Vec<Arc<FileAnalysis>> = results
             .into_iter()

@@ -77,58 +77,36 @@ pub fn without_overlaps(mut edits: Vec<Edit>) -> (Vec<Edit>, usize) {
     (kept, dropped)
 }
 
+/// The largest LCS table [`line_diff`] fills (4 M cells: two changed
+/// regions of ~2 000 lines each).
+const MAX_DIFF_CELLS: usize = 4_000_000;
+
+/// Lines of context around each change.
+const CTX: usize = 3;
+
+/// One line of an edit script: its kind (`' '`, `'-'` or `'+'`), its
+/// line numbers in the old and in the new text, and its text.
+type Op<'t> = (char, usize, usize, &'t str);
+
 /// Render a unified diff (line-based LCS, 3 lines of context).
+///
+/// The LCS runs only over the lines between the longest runs of whole
+/// lines the two texts share at the start and at the end, found by
+/// comparing bytes, so a one-line fix in a file of any size splits and
+/// diffs a line or two (see [`edit_script`] for why the result equals
+/// an LCS over the whole file). Only a changed region of more than
+/// [`MAX_DIFF_CELLS`] prints `(diff too large)`.
 pub fn line_diff(old: &str, new: &str, file: &str) -> String {
-    let a: Vec<&str> = old.lines().collect();
-    let b: Vec<&str> = new.lines().collect();
-    // LCS DP (files are small; O(n*m) is fine, guarded by a cap).
-    if a.len() * b.len() > 4_000_000 {
+    let (head, tail) = shared_lines(old.as_bytes(), new.as_bytes());
+    let Some(ops) = edit_script(old, new, head, tail) else {
         return format!("--- a/{file}\n+++ b/{file}\n(diff too large)\n");
-    }
-    let n = a.len();
-    let m = b.len();
-    let mut dp = vec![0u32; (n + 1) * (m + 1)];
-    let idx = |i: usize, j: usize| i * (m + 1) + j;
-    for i in (0..n).rev() {
-        for j in (0..m).rev() {
-            dp[idx(i, j)] = if a[i] == b[j] {
-                dp[idx(i + 1, j + 1)] + 1
-            } else {
-                dp[idx(i + 1, j)].max(dp[idx(i, j + 1)])
-            };
-        }
-    }
-    // Build op list: (kind, old_line, new_line) where kind ∈ {' ', '-', '+'}.
-    let mut ops: Vec<(char, usize, usize)> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < n && j < m {
-        if a[i] == b[j] {
-            ops.push((' ', i, j));
-            i += 1;
-            j += 1;
-        } else if dp[idx(i + 1, j)] >= dp[idx(i, j + 1)] {
-            ops.push(('-', i, j));
-            i += 1;
-        } else {
-            ops.push(('+', i, j));
-            j += 1;
-        }
-    }
-    while i < n {
-        ops.push(('-', i, j));
-        i += 1;
-    }
-    while j < m {
-        ops.push(('+', i, j));
-        j += 1;
-    }
-    // Group into hunks with 3 lines of context.
-    const CTX: usize = 3;
+    };
+    // Group into hunks with CTX lines of context.
     let mut out = format!("--- a/{file}\n+++ b/{file}\n");
     let changes: Vec<usize> = ops
         .iter()
         .enumerate()
-        .filter(|(_, (k, _, _))| *k != ' ')
+        .filter(|(_, op)| op.0 != ' ')
         .map(|(p, _)| p)
         .collect();
     if changes.is_empty() {
@@ -150,22 +128,138 @@ pub fn line_diff(old: &str, new: &str, file: &str) -> String {
     for (s, e) in hunks {
         let old_start = ops[s].1 + 1;
         let new_start = ops[s].2 + 1;
-        let old_count = ops[s..e].iter().filter(|(k, _, _)| *k != '+').count();
-        let new_count = ops[s..e].iter().filter(|(k, _, _)| *k != '-').count();
+        let old_count = ops[s..e].iter().filter(|op| op.0 != '+').count();
+        let new_count = ops[s..e].iter().filter(|op| op.0 != '-').count();
         out.push_str(&format!(
             "@@ -{old_start},{old_count} +{new_start},{new_count} @@\n"
         ));
-        for &(k, oi, nj) in &ops[s..e] {
-            let text = match k {
-                '-' | ' ' => a.get(oi).copied().unwrap_or(""),
-                _ => b.get(nj).copied().unwrap_or(""),
-            };
+        for &(k, _, _, text) in &ops[s..e] {
             out.push(k);
             out.push_str(text);
             out.push('\n');
         }
     }
     out
+}
+
+/// Byte lengths of the whole lines that `a` and `b` share at their start
+/// (`head`) and, after that, at their end (`tail`). Both end at a line
+/// boundary, so splitting either text into lines splits its head, its
+/// middle and its tail in turn.
+fn shared_lines(a: &[u8], b: &[u8]) -> (usize, usize) {
+    let head = a[..common_prefix(a, b)]
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |i| i + 1);
+    let (a, b) = (&a[head..], &b[head..]);
+    let starts_line = |t: &[u8], k: usize| k == t.len() || t[t.len() - k - 1] == b'\n';
+    let tail = (0..=common_suffix(a, b))
+        .rev()
+        .find(|&k| starts_line(a, k) && starts_line(b, k))
+        .unwrap_or(0);
+    (head, tail)
+}
+
+/// How many bytes `a` and `b` share at the start: whole 64-byte blocks
+/// first, one slice comparison each, then byte by byte.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = (a.chunks_exact(64).zip(b.chunks_exact(64)))
+        .take_while(|(x, y)| x == y)
+        .count()
+        * 64;
+    blocks
+        + (a[blocks..].iter().zip(&b[blocks..]))
+            .take_while(|(x, y)| x == y)
+            .count()
+}
+
+/// How many bytes `a` and `b` share at the end (see [`common_prefix`]).
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = (a.rchunks_exact(64).zip(b.rchunks_exact(64)))
+        .take_while(|(x, y)| x == y)
+        .count()
+        * 64;
+    let (a, b) = (&a[..a.len() - blocks], &b[..b.len() - blocks]);
+    blocks
+        + (a.iter().rev().zip(b.iter().rev()))
+            .take_while(|(x, y)| x == y)
+            .count()
+}
+
+/// The edit script an LCS over all the lines of `old` and `new` yields,
+/// given that their first `head` and last `tail` bytes are whole lines
+/// the two share; `None` when the table it fills would pass
+/// [`MAX_DIFF_CELLS`]. Only the middle region goes through the table,
+/// and the script is still the whole-file one:
+///
+/// - the walk matches equal lines before it consults the table, so it
+///   steps through the shared head with `' '` ops either way;
+/// - `LCS(U·S, V·S) = LCS(U, V) + |S|` for a shared tail `S`, so every
+///   table comparison inside the middle decides the same way;
+/// - the walk can only diverge when it leaves the middle with lines
+///   left over on one side: there the whole-file walk matches a
+///   left-over line equal to the first tail line, where this one
+///   deletes or inserts it. Exactly then the table is filled again
+///   with no tail stripped.
+///
+/// Of the shared lines, only the `CTX` next to the middle become ops: a
+/// hunk reaches no further than `CTX` lines from a change, so ops
+/// beyond them never show.
+fn edit_script<'t>(old: &'t str, new: &'t str, head: usize, tail: usize) -> Option<Vec<Op<'t>>> {
+    let a: Vec<&str> = old[head..old.len() - tail].lines().collect();
+    let b: Vec<&str> = new[head..new.len() - tail].lines().collect();
+    let (n, m) = (a.len(), b.len());
+    if n * m > MAX_DIFF_CELLS {
+        return None;
+    }
+    let mut dp = vec![0u32; (n + 1) * (m + 1)];
+    let idx = |i: usize, j: usize| i * (m + 1) + j;
+    for i in (0..n).rev() {
+        for j in (0..m).rev() {
+            dp[idx(i, j)] = if a[i] == b[j] {
+                dp[idx(i + 1, j + 1)] + 1
+            } else {
+                dp[idx(i + 1, j)].max(dp[idx(i, j + 1)])
+            };
+        }
+    }
+    // The middle's first line number: the head holds whole lines.
+    let first = old.as_bytes()[..head]
+        .iter()
+        .filter(|&&c| c == b'\n')
+        .count();
+    let before: Vec<&str> = old[..head].lines().rev().take(CTX).collect();
+    let mut ops: Vec<Op> = (before.iter().rev())
+        .zip(first - before.len()..)
+        .map(|(&text, l)| (' ', l, l, text))
+        .collect();
+    let (mut i, mut j) = (0, 0);
+    while i < n && j < m {
+        if a[i] == b[j] {
+            ops.push((' ', first + i, first + j, a[i]));
+            i += 1;
+            j += 1;
+        } else if dp[idx(i + 1, j)] >= dp[idx(i, j + 1)] {
+            ops.push(('-', first + i, first + j, a[i]));
+            i += 1;
+        } else {
+            ops.push(('+', first + i, first + j, b[j]));
+            j += 1;
+        }
+    }
+    let mut after = old[old.len() - tail..].lines();
+    if let Some(s0) = after.clone().next() {
+        if a[i..].contains(&s0) || b[j..].contains(&s0) {
+            return edit_script(old, new, head, 0);
+        }
+    }
+    ops.extend((i..n).map(|i| ('-', first + i, first + j, a[i])));
+    ops.extend((j..m).map(|j| ('+', first + n, first + j, b[j])));
+    ops.extend(
+        (after.by_ref().take(CTX).zip(0..))
+            .map(|(text, k)| (' ', first + n + k, first + m + k, text)),
+    );
+    Some(ops)
 }
 
 /// Synthesize a patch for a deviation against its file's analysis.
@@ -670,6 +764,176 @@ mod tests {
     fn diff_empty_when_equal() {
         let diff = line_diff("same\n", "same\n", "t.c");
         assert!(!diff.contains("@@"));
+    }
+
+    /// One LCS over both whole files, split into lines: the reference
+    /// that [`line_diff`] must match byte for byte.
+    fn whole_file_line_diff(old: &str, new: &str, file: &str) -> String {
+        let a: Vec<&str> = old.lines().collect();
+        let b: Vec<&str> = new.lines().collect();
+        if a.len() * b.len() > 4_000_000 {
+            return format!("--- a/{file}\n+++ b/{file}\n(diff too large)\n");
+        }
+        let n = a.len();
+        let m = b.len();
+        let mut dp = vec![0u32; (n + 1) * (m + 1)];
+        let idx = |i: usize, j: usize| i * (m + 1) + j;
+        for i in (0..n).rev() {
+            for j in (0..m).rev() {
+                dp[idx(i, j)] = if a[i] == b[j] {
+                    dp[idx(i + 1, j + 1)] + 1
+                } else {
+                    dp[idx(i + 1, j)].max(dp[idx(i, j + 1)])
+                };
+            }
+        }
+        let mut ops: Vec<(char, usize, usize)> = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < n && j < m {
+            if a[i] == b[j] {
+                ops.push((' ', i, j));
+                i += 1;
+                j += 1;
+            } else if dp[idx(i + 1, j)] >= dp[idx(i, j + 1)] {
+                ops.push(('-', i, j));
+                i += 1;
+            } else {
+                ops.push(('+', i, j));
+                j += 1;
+            }
+        }
+        while i < n {
+            ops.push(('-', i, j));
+            i += 1;
+        }
+        while j < m {
+            ops.push(('+', i, j));
+            j += 1;
+        }
+        const CTX: usize = 3;
+        let mut out = format!("--- a/{file}\n+++ b/{file}\n");
+        let changes: Vec<usize> = ops
+            .iter()
+            .enumerate()
+            .filter(|(_, (k, _, _))| *k != ' ')
+            .map(|(p, _)| p)
+            .collect();
+        if changes.is_empty() {
+            return out;
+        }
+        let mut hunk_start = changes[0].saturating_sub(CTX);
+        let mut hunk_end = (changes[0] + CTX + 1).min(ops.len());
+        let mut hunks: Vec<(usize, usize)> = Vec::new();
+        for &c in &changes[1..] {
+            if c.saturating_sub(CTX) <= hunk_end {
+                hunk_end = (c + CTX + 1).min(ops.len());
+            } else {
+                hunks.push((hunk_start, hunk_end));
+                hunk_start = c.saturating_sub(CTX);
+                hunk_end = (c + CTX + 1).min(ops.len());
+            }
+        }
+        hunks.push((hunk_start, hunk_end));
+        for (s, e) in hunks {
+            let old_start = ops[s].1 + 1;
+            let new_start = ops[s].2 + 1;
+            let old_count = ops[s..e].iter().filter(|(k, _, _)| *k != '+').count();
+            let new_count = ops[s..e].iter().filter(|(k, _, _)| *k != '-').count();
+            out.push_str(&format!(
+                "@@ -{old_start},{old_count} +{new_start},{new_count} @@\n"
+            ));
+            for &(k, oi, nj) in &ops[s..e] {
+                let text = match k {
+                    '-' | ' ' => a.get(oi).copied().unwrap_or(""),
+                    _ => b.get(nj).copied().unwrap_or(""),
+                };
+                out.push(k);
+                out.push_str(text);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_left_over_line_equal_to_the_suffix_redoes_the_table_whole() {
+        // Shared suffix "a". The middle, "c" against "a b", leaves both
+        // new lines over, and the first equals the suffix's line: the
+        // whole-file walk keeps old "a" against new line 1.
+        let (old, new) = ("c\na\n", "a\nb\na\n");
+        let diff = line_diff(old, new, "t.c");
+        assert_eq!(diff, whole_file_line_diff(old, new, "t.c"));
+        assert_eq!(
+            diff,
+            "--- a/t.c\n+++ b/t.c\n@@ -1,2 +1,3 @@\n-c\n a\n+b\n+a\n"
+        );
+    }
+
+    #[test]
+    fn a_small_edit_in_a_long_file_gets_its_hunk() {
+        let filler: String = (0..2500).map(|i| format!("int f{i};\n")).collect();
+        let old = format!("{filler}x = 1;\n{filler}");
+        let new = format!("{filler}x = READ_ONCE(1);\n{filler}");
+        assert!(whole_file_line_diff(&old, &new, "t.c").contains("(diff too large)"));
+        let diff = line_diff(&old, &new, "t.c");
+        assert_eq!(
+            diff,
+            "--- a/t.c\n+++ b/t.c\n@@ -2498,7 +2498,7 @@\n int f2497;\n int f2498;\n \
+             int f2499;\n-x = 1;\n+x = READ_ONCE(1);\n int f0;\n int f1;\n int f2;\n"
+        );
+    }
+
+    /// Lines from a four-line alphabet: duplicates everywhere, so the
+    /// shared head and tail are often long and the fallback common. Its
+    /// `"a\r"` is the line `"a"` once a newline follows it, but not as
+    /// bytes, and its long line makes texts of several 64-byte blocks.
+    fn arb_lines() -> impl proptest::prelude::Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0usize..4, 0..40)
+    }
+
+    /// `lines` as text; `trailing` ends the last line with a newline.
+    fn text(lines: &[usize], trailing: bool) -> String {
+        const ALPHABET: [&str; 4] = ["a", "", "a\r", "\tp->flag = READ_ONCE(q->flag);"];
+        let mut s = lines
+            .iter()
+            .map(|&l| ALPHABET[l])
+            .collect::<Vec<_>>()
+            .join("\n");
+        if trailing && !lines.is_empty() {
+            s.push('\n');
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Random edit sets (insert, delete or replace a line at a random
+        /// place) applied to random texts.
+        #[test]
+        fn line_diff_matches_the_whole_file_lcs(
+            old in arb_lines(),
+            edits in proptest::collection::vec((0usize..32, 0usize..3, 0usize..4), 0..6),
+            trailing in 0usize..4,
+        ) {
+            let mut new = old.clone();
+            for (at, kind, line) in edits {
+                let at = at % (new.len() + 1);
+                match kind {
+                    0 => new.insert(at, line),
+                    _ if at == new.len() => new.push(line),
+                    1 => {
+                        new.remove(at);
+                    }
+                    _ => new[at] = line,
+                }
+            }
+            let (old, new) = (text(&old, trailing & 1 == 1), text(&new, trailing & 2 == 2));
+            proptest::prop_assert_eq!(
+                line_diff(&old, &new, "t.c"),
+                whole_file_line_diff(&old, &new, "t.c")
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::session::{panic_message, Session};
 use serde::Fields;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, IoSlice, Write};
 use std::net::TcpStream;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -163,13 +163,13 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
             LineRead::Eof => return ControlFlow::Continue(()),
             LineRead::Oversized => {
                 session.live().count("serve_errors", 1);
-                let resp = error_response(
+                let reply = error_response(
                     &serde_json::Value::Null,
                     &session.assign_request_id(),
                     "oversized",
                     &format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
                 );
-                if write_line(&mut writer, &resp).is_err() {
+                if reply.send(&mut writer).is_err() {
                     return ControlFlow::Continue(());
                 }
                 continue;
@@ -179,8 +179,8 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
         if line.iter().all(|b| b.is_ascii_whitespace()) {
             continue;
         }
-        let (response, shutdown) = respond(session, line);
-        if write_line(&mut writer, &response).is_err() {
+        let (reply, shutdown) = respond(session, line);
+        if reply.send(&mut writer).is_err() {
             return ControlFlow::Continue(());
         }
         if shutdown {
@@ -189,28 +189,62 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
     }
 }
 
-/// Write one response line (newline included) with a single write.
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
+/// One response line, newline included, in three parts: a success
+/// keeps its method's document (a whole report for an `analyze`) as the
+/// method rendered it, between the envelope's head and tail, so the
+/// document is never copied into a second string.
+struct Reply {
+    /// The envelope up to the `result` key; an error's whole line.
+    head: String,
+    /// The method's document as compact JSON text; empty for an error.
+    result: String,
+    /// What follows `result`.
+    tail: &'static str,
+}
+
+impl Reply {
+    /// Write the line with as few writes as the socket allows: the three
+    /// parts go to the kernel together (one `writev`), so the stream
+    /// carries exactly the bytes of the joined line, and no small
+    /// trailing write waits behind the big one for an acknowledgement.
+    fn send(&self, writer: &mut impl Write) -> std::io::Result<()> {
+        let mut parts = [
+            IoSlice::new(self.head.as_bytes()),
+            IoSlice::new(self.result.as_bytes()),
+            IoSlice::new(self.tail.as_bytes()),
+        ];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match writer.write_vectored(parts) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        writer.flush()
+    }
 }
 
 /// A success envelope around `result`, the method's document already
 /// rendered as compact JSON text, spliced in without re-parsing.
-fn ok_response(id: &serde_json::Value, request_id: &str, result: &str) -> String {
-    let mut line = String::with_capacity(result.len() + 64);
-    let mut w = serde_json::Writer::compact(&mut line);
+fn ok_response(id: &serde_json::Value, request_id: &str, result: String) -> Reply {
+    let mut head = String::with_capacity(64);
+    let mut w = serde_json::Writer::compact(&mut head);
     let mut envelope = w.object();
     envelope.field("id", id);
     envelope.field("request_id", request_id);
     envelope.field("ok", &true);
-    envelope.key("result").raw(result);
-    envelope.end();
-    line.push('\n');
-    line
+    // The object stays open: `tail` closes it after the document.
+    envelope.key("result");
+    Reply {
+        head,
+        result,
+        tail: "}\n",
+    }
 }
 
-fn error_response(id: &serde_json::Value, request_id: &str, code: &str, message: &str) -> String {
+fn error_response(id: &serde_json::Value, request_id: &str, code: &str, message: &str) -> Reply {
     let mut line = serde_json::to_string(&serde_json::json!({
         "id": id,
         "request_id": request_id,
@@ -219,7 +253,11 @@ fn error_response(id: &serde_json::Value, request_id: &str, code: &str, message:
     }))
     .expect("response serializes");
     line.push('\n');
-    line
+    Reply {
+        head: line,
+        result: String::new(),
+        tail: "",
+    }
 }
 
 /// A method's document as compact JSON text.
@@ -227,7 +265,7 @@ fn render(doc: serde_json::Value) -> String {
     serde_json::to_string(&doc).expect("document serializes")
 }
 
-/// Parse and dispatch one request line. Returns the response line and
+/// Parse and dispatch one request line. Returns the response and
 /// whether the client asked the daemon to shut down.
 ///
 /// Every response — success or any flavor of failure — carries a
@@ -238,7 +276,7 @@ fn render(doc: serde_json::Value) -> String {
 /// `requests.jsonl` line. Protocol errors and bad params (counted in
 /// `serve_errors` where they fail), `ping`, `status`, `trace` and
 /// `shutdown` leave none.
-fn respond(session: &Session, line: &[u8]) -> (String, bool) {
+fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
     let fail = |id: serde_json::Value, request_id: &str, e: RpcError| {
         session.live().count("serve_errors", 1);
         (error_response(&id, request_id, e.code, &e.message), false)
@@ -297,7 +335,7 @@ fn respond(session: &Session, line: &[u8]) -> (String, bool) {
     };
     if method == "shutdown" {
         let result = render(serde_json::json!({ "stopping": true }));
-        return (ok_response(&id, &request_id, &result), true);
+        return (ok_response(&id, &request_id, result), true);
     }
     let params = obj.get("params");
     // A handler panic must kill neither the daemon nor the connection:
@@ -307,7 +345,7 @@ fn respond(session: &Session, line: &[u8]) -> (String, bool) {
         dispatch(session, method, params, &request_id)
     }));
     match outcome {
-        Ok(Ok(result)) => (ok_response(&id, &request_id, &result), false),
+        Ok(Ok(result)) => (ok_response(&id, &request_id, result), false),
         Ok(Err(e)) => {
             // `failed` errors come from session methods, whose whole
             // bodies run inside the session's request tracking — already
@@ -484,6 +522,68 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
             self.send_raw(serde_json::to_string(&request).unwrap().as_bytes());
             self.recv()
         }
+    }
+
+    /// The success line built as one string, the document copied into
+    /// the envelope: the reference for a [`Reply`]'s bytes.
+    fn joined_ok_response(id: &serde_json::Value, request_id: &str, result: &str) -> String {
+        let mut line = String::with_capacity(result.len() + 64);
+        let mut w = serde_json::Writer::compact(&mut line);
+        let mut envelope = w.object();
+        envelope.field("id", id);
+        envelope.field("request_id", request_id);
+        envelope.field("ok", &true);
+        envelope.key("result").raw(result);
+        envelope.end();
+        line.push('\n');
+        line
+    }
+
+    /// A writer that takes at most three bytes per call, as a full
+    /// socket buffer might.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_sends_the_bytes_of_the_joined_line() {
+        let cases = [
+            (serde_json::json!(7), "r000001", r#"{"pong":true}"#),
+            (
+                serde_json::json!("a \"quoted\"\n\u{1}id é"),
+                "client\\id",
+                r#"{"findings":[],"files":[{"name":"m.c"}]}"#,
+            ),
+        ];
+        for (id, request_id, result) in cases {
+            let expected = joined_ok_response(&id, request_id, result);
+            let reply = ok_response(&id, request_id, result.to_string());
+            let mut sent = Vec::new();
+            reply.send(&mut sent).unwrap();
+            assert_eq!(String::from_utf8(sent).unwrap(), expected);
+            let mut trickled = Trickle(Vec::new());
+            reply.send(&mut trickled).unwrap();
+            assert_eq!(String::from_utf8(trickled.0).unwrap(), expected);
+        }
+        let error = error_response(&serde_json::json!(null), "r2", "busy", "try later");
+        let mut sent = Vec::new();
+        error.send(&mut sent).unwrap();
+        let line = String::from_utf8(sent).unwrap();
+        assert!(
+            line.ends_with("}\n") && line.matches('\n').count() == 1,
+            "{line}"
+        );
+        assert_eq!(line, error.head);
     }
 
     #[test]

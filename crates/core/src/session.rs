@@ -204,7 +204,8 @@ const COUNTERS: [&str; 10] = [
     "serve_queue_dequeued",
     "serve_snapshot_retries",
     "serve_snapshot_unstable",
-    // Files statted / read by snapshot passes, all requests together.
+    // Files statted / read by snapshot passes: every request's, and the
+    // key-only passes of `snapshot_key` (`serve` start-up, `watch` polls).
     "serve_snapshot_files_statted",
     "serve_snapshot_files_read",
     // Snapshot passes that walked the tree instead of draining the
@@ -313,12 +314,10 @@ impl Session {
                 let mut attrs = vec![("statted", &*statted), ("read", &*read), ("mode", mode)];
                 attrs.extend(pass.fallback.map(|reason| ("fallback", reason)));
                 rec.annotate("snapshot_pass", &attrs);
-                if !pass.journal {
-                    self.live.count("serve_snapshot_full_passes", 1);
-                }
+                self.count_pass(&pass);
                 total.statted += pass.statted;
                 total.read += pass.read;
-                let key = self.key(&mut index, &sources);
+                let key = self.key(&index, &sources);
                 match prev_key {
                     Some(prev_key) if prev_key == key => return Ok((sources, key)),
                     Some(_) => self.live.count("serve_snapshot_retries", 1),
@@ -329,12 +328,17 @@ impl Session {
             self.live.count("serve_snapshot_unstable", 1);
             Ok(last.expect("at least one snapshot pass ran"))
         };
-        let outcome = passes();
-        self.live
-            .count("serve_snapshot_files_statted", total.statted as u64);
-        self.live
-            .count("serve_snapshot_files_read", total.read as u64);
-        outcome.map(|(sources, key)| (sources, key, total))
+        passes().map(|(sources, key)| (sources, key, total))
+    }
+
+    /// Add one snapshot pass to the `serve_snapshot_*` counters.
+    fn count_pass(&self, pass: &PassStats) {
+        if !pass.journal {
+            self.live.count("serve_snapshot_full_passes", 1);
+        }
+        let live = &self.live;
+        live.count("serve_snapshot_files_statted", pass.statted as u64);
+        live.count("serve_snapshot_files_read", pass.read as u64);
     }
 
     /// One stat-first pass over the corpus, without analyzing: the key a
@@ -342,14 +346,15 @@ impl Session {
     /// with the last [`RunHandle::corpus_key`] to decide when to re-run.
     pub fn snapshot_key(&self) -> Result<u64, String> {
         let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
-        let (sources, _) = index.refresh(&self.opts.paths)?;
-        Ok(self.key(&mut index, &sources))
+        let (sources, pass) = index.refresh(&self.opts.paths)?;
+        self.count_pass(&pass);
+        Ok(self.key(&index, &sources))
     }
 
     /// The corpus key of `sources`, the corpus of `index`'s last pass,
-    /// from the index's digest: a pass that changed no name and no text
-    /// costs no hashing.
-    fn key(&self, index: &mut SourceIndex, sources: &[SourceFile]) -> u64 {
+    /// from the digest the index keeps current: no pass but a walk
+    /// hashes the whole corpus for it.
+    fn key(&self, index: &SourceIndex, sources: &[SourceFile]) -> u64 {
         let key = key_of(index.digest(), &self.opts.config);
         debug_assert_eq!(key, corpus_key(sources, &self.opts.config));
         key
@@ -781,10 +786,11 @@ pub fn name_matches(name: &str, wanted: &str) -> bool {
     name == wanted || name.ends_with(&format!("/{wanted}")) || wanted.ends_with(&format!("/{name}"))
 }
 
-/// The coalescing key: FNV over every `(path, content hash)` pair plus
-/// the config fingerprint. Two requests share a key iff they observe the
-/// same corpus bytes under the same analysis configuration. Each file's
-/// hash was computed when it was read, so the key costs O(paths).
+/// The coalescing key: the [`crate::walk::digest`] of every `(path,
+/// content hash)` pair, extended by the config fingerprint. Two requests
+/// share a key iff they observe the same corpus bytes under the same
+/// analysis configuration. Each file's hash was computed when it was
+/// read, so the key costs O(paths) from scratch.
 pub fn corpus_key(sources: &[SourceFile], config: &AnalysisConfig) -> u64 {
     key_of(crate::walk::digest(sources), config)
 }

@@ -218,8 +218,10 @@ pub struct SourceIndex {
     journal: Option<Result<Armed, Fallback>>,
     /// Names of the entries that were racily clean when last read.
     racy: Vec<String>,
-    /// [`digest`] of `files`, until a pass changes a name or a text.
-    digest: Option<u64>,
+    /// [`digest`] of `files` as of the last pass: a full pass computes
+    /// it afresh, and a journal pass (which only ever follows one) adds
+    /// and subtracts the terms of what it changed.
+    digest: u64,
     /// Test hook: the next drain meets a queue overflow.
     #[cfg(test)]
     pub(crate) overflow_next: bool,
@@ -299,10 +301,9 @@ impl SourceIndex {
         self.corpus(stats)
     }
 
-    /// [`digest`] of the corpus as of the last pass: computed again only
-    /// after a pass changed a name or a text.
-    pub(crate) fn digest(&mut self) -> u64 {
-        *self.digest.get_or_insert_with(|| digest(&self.files))
+    /// [`digest`] of the corpus as of the last pass.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
     }
 
     fn corpus(&self, stats: PassStats) -> Result<(Arc<Vec<SourceFile>>, PassStats), String> {
@@ -360,6 +361,7 @@ impl SourceIndex {
         }
         let Walk { found, journal, .. } = walk;
         self.retire_and_merge(found.fresh);
+        self.digest = digest(&self.files);
         self.journal = journal.map(|journal| {
             journal.map(|journal| Armed {
                 journal,
@@ -511,8 +513,10 @@ impl SourceIndex {
         // already shares, or no text for a seeded file. So a `touch`
         // costs no memory.
         if !file.holds(&content) {
+            let old = digest_term(&file.name, file.hash());
             *file = SourceFile::new(std::mem::take(&mut file.name), content);
-            self.digest = None;
+            let new = digest_term(&file.name, file.hash());
+            self.digest = self.digest.wrapping_sub(old).wrapping_add(new);
         }
         file.slot = Some(slot);
         Ok(())
@@ -528,13 +532,21 @@ impl SourceIndex {
             return;
         }
         let files = std::mem::take(Arc::make_mut(&mut self.files));
-        let mut merged: Vec<SourceFile> = (files.into_iter())
-            .zip(std::mem::take(&mut self.seen))
-            .filter_map(|(file, seen)| (seen == pass).then_some(file))
-            .chain(fresh.into_values())
-            .collect();
+        let mut merged: Vec<SourceFile> = Vec::with_capacity(files.len() + fresh.len());
+        for (file, seen) in files.into_iter().zip(std::mem::take(&mut self.seen)) {
+            if seen == pass {
+                merged.push(file);
+            } else {
+                let term = digest_term(&file.name, file.hash());
+                self.digest = self.digest.wrapping_sub(term);
+            }
+        }
+        for file in fresh.into_values() {
+            let term = digest_term(&file.name, file.hash());
+            self.digest = self.digest.wrapping_add(term);
+            merged.push(file);
+        }
         merged.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        self.digest = None;
         self.by_hash = by_hash(&merged);
         self.seen = vec![pass; merged.len()];
         self.files = Arc::new(merged);
@@ -664,18 +676,24 @@ impl Walk<'_> {
     }
 }
 
-/// FNV over every file's name, a NUL and its content hash, in order: the
-/// part of a corpus key ([`crate::session::corpus_key`]) that the corpus
-/// decides. Each file's hash was computed when it was read, so this costs
-/// O(paths).
+/// The wrapping sum of every file's [`digest_term`]: the part of a corpus
+/// key ([`crate::session::corpus_key`]) that the corpus decides. A sum,
+/// so an index keeps it current by adding and subtracting the terms of
+/// the files a pass changed, in any order. Each file's hash was computed
+/// when it was read, so computing it afresh costs O(paths).
 pub(crate) fn digest(files: &[SourceFile]) -> u64 {
-    let mut h = crate::cache::FNV_OFFSET;
-    for f in files {
-        h = crate::cache::fnv1a_extend(h, f.name.as_bytes());
-        h = crate::cache::fnv1a_extend(h, &[0]);
-        h = crate::cache::fnv1a_extend(h, &f.hash().to_le_bytes());
-    }
-    h
+    (files.iter()).fold(0, |sum, f| sum.wrapping_add(digest_term(&f.name, f.hash())))
+}
+
+/// One file's term of a [`digest`]: FNV over its name, a NUL and its
+/// content hash, finished with a 64-bit mixer (SplitMix64's), so that
+/// every input bit reaches every output bit before terms are summed.
+fn digest_term(name: &str, hash: u64) -> u64 {
+    let h = crate::cache::fnv1a_extend(name_hash(name), &[0]);
+    let mut z = crate::cache::fnv1a_extend(h, &hash.to_le_bytes());
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Whether a directory walk collects the file at `path`.
@@ -1186,6 +1204,64 @@ mod tests {
         assert_eq!(pass, stats(4, 2, true));
         assert_eq!(names(&sources), ["c.c", "new.c", "z.c"]);
         assert_eq!(*sources, collect_sources(&paths).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Journal passes keep the digest current by its terms alone: a
+    /// rename, an edit, an add, a delete and a swap of two files' texts
+    /// each change it, undoing each restores it, and it always equals
+    /// the digest computed afresh.
+    #[test]
+    fn journal_passes_keep_the_digest_current() {
+        let dir = tempdir("journal-digest");
+        let (mut index, paths) = journaled(&dir, &["a.c", "b.c", "sub/c.c"]);
+        let base = index.digest();
+        let write = |name: &str, text: &str| std::fs::write(dir.join(name), text).unwrap();
+        let rename = |from: &str, to: &str| std::fs::rename(dir.join(from), dir.join(to)).unwrap();
+        let remove = |name: &str| std::fs::remove_file(dir.join(name)).unwrap();
+        type Step<'a> = Box<dyn Fn() + 'a>;
+        let changes: [(&str, Step, Step); 5] = [
+            (
+                "rename",
+                Box::new(|| rename("b.c", "z.c")),
+                Box::new(|| rename("z.c", "b.c")),
+            ),
+            (
+                "edit",
+                Box::new(|| write("a.c", "int a2;")),
+                Box::new(|| write("a.c", "a.c")),
+            ),
+            (
+                "add",
+                Box::new(|| write("sub/n.c", "int n;")),
+                Box::new(|| remove("sub/n.c")),
+            ),
+            (
+                "delete",
+                Box::new(|| remove("sub/c.c")),
+                Box::new(|| write("sub/c.c", "sub/c.c")),
+            ),
+            (
+                "swap",
+                Box::new(|| {
+                    write("a.c", "b.c");
+                    write("b.c", "a.c");
+                }),
+                Box::new(|| {
+                    write("a.c", "a.c");
+                    write("b.c", "b.c");
+                }),
+            ),
+        ];
+        for (what, change, undo) in &changes {
+            for (step, changed) in [(change, true), (undo, false)] {
+                step();
+                let (sources, pass) = index.refresh(&paths).unwrap();
+                assert!(pass.journal, "{what}: {pass:?}");
+                assert_eq!(index.digest(), digest(&sources), "{what}");
+                assert_eq!(index.digest() != base, changed, "{what}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1056,6 +1056,36 @@ fn trace_coverage(doc: &Value) -> (Vec<Value>, f64) {
     (children, covered as f64 / total as f64)
 }
 
+/// `serve` checks the corpus with one pass before it listens, and that
+/// pass shows in the snapshot counters before any request.
+#[test]
+fn the_start_up_pass_is_counted_before_any_request() {
+    let corpus_dir = temp_dir("startup-corpus");
+    let cache_dir = temp_dir("startup-cache");
+    let history_dir = temp_dir("startup-history");
+    let corpus = generate(&CorpusSpec::small(5));
+    write_corpus(&corpus_dir, &corpus);
+    let mut daemon = Daemon::spawn(&corpus_dir, &cache_dir, &history_dir);
+    let status = daemon
+        .client()
+        .ok(serde_json::json!({"id": 1, "method": "status"}));
+    let counters = &status["counters"];
+    assert!(
+        counters["serve_snapshot_full_passes"].as_u64() >= Some(1),
+        "{status}"
+    );
+    let sources = corpus.files.iter().filter(|f| f.name.ends_with(".c"));
+    assert_eq!(
+        counters["serve_snapshot_files_statted"].as_u64(),
+        Some(sources.count() as u64),
+        "{status}"
+    );
+    daemon.shutdown();
+    for dir in [corpus_dir, cache_dir, history_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 #[test]
 fn one_edit_analyze_traces_cover_the_request() {
     let corpus_dir = temp_dir("cover-corpus");
