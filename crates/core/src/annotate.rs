@@ -14,11 +14,12 @@ use crate::sites::FileAnalysis;
 use ckit::ast::{AssignOp, ExprKind, Stmt, StmtKind};
 use ckit::span::Span;
 use kmodel::OnceKind;
+use std::collections::HashMap;
 
 /// Find unannotated concurrent accesses in paired barrier windows.
 pub fn find_missing_annotations(sites: &[BarrierSite], pairing: &PairingResult) -> Vec<Deviation> {
     let mut out = Vec::new();
-    let mut seen_spans: std::collections::HashSet<(usize, Span)> = Default::default();
+    let mut seen = SeenSpans::default();
     for p in &pairing.pairings {
         for &member in &p.members {
             let site = &sites[member.0 as usize];
@@ -38,16 +39,10 @@ pub fn find_missing_annotations(sites: &[BarrierSite], pairing: &PairingResult) 
                 if site.counter.as_ref() == Some(&a.object) {
                     continue;
                 }
-                if !seen_spans.insert((site.site.file, a.span)) {
-                    continue;
-                }
                 // Nested member chains (`l->fa->fb`) yield accesses with
                 // overlapping spans; annotating both would produce
                 // conflicting edits. Keep the first (outermost reported).
-                let overlaps = seen_spans.iter().any(|&(f, s)| {
-                    f == site.site.file && s != a.span && s.lo < a.span.hi && a.span.lo < s.hi
-                });
-                if overlaps {
+                if !seen.admit(site.site.file, a.span) {
                     continue;
                 }
                 let once = match a.kind {
@@ -77,6 +72,28 @@ pub fn find_missing_annotations(sites: &[BarrierSite], pairing: &PairingResult) 
         }
     }
     out
+}
+
+/// The access spans the annotation pass has met, per file. A span is
+/// admitted once, and only if it overlaps no span met before it in its
+/// file; a span that was met but not admitted still blocks the spans
+/// after it.
+#[derive(Default)]
+struct SeenSpans(HashMap<usize, Vec<Span>>);
+
+impl SeenSpans {
+    /// Meet `span` in `file`: true if it is new and overlaps no span met
+    /// before it. Overlap is strict (`s.lo < span.hi && span.lo < s.hi`),
+    /// so spans that only touch do not overlap.
+    fn admit(&mut self, file: usize, span: Span) -> bool {
+        let met = self.0.entry(file).or_default();
+        if met.contains(&span) {
+            return false;
+        }
+        let overlaps = met.iter().any(|s| s.lo < span.hi && span.lo < s.hi);
+        met.push(span);
+        !overlaps
+    }
 }
 
 /// Produce the annotation patch for a `MissingOnce` deviation.
@@ -387,5 +404,44 @@ void lonely(struct s *p) {
             "{:?}\n{patched}",
             reparsed.errors
         );
+    }
+
+    /// The overlap check as it was first written: a scan of every span
+    /// met so far, in every file. [`SeenSpans`] must agree with it on
+    /// every sequence.
+    #[derive(Default)]
+    struct ScannedSpans(std::collections::HashSet<(usize, Span)>);
+
+    impl ScannedSpans {
+        fn admit(&mut self, file: usize, span: Span) -> bool {
+            if !self.0.insert((file, span)) {
+                return false;
+            }
+            !self
+                .0
+                .iter()
+                .any(|&(f, s)| f == file && s != span && s.lo < span.hi && span.lo < s.hi)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Small coordinates make nested, identical, touching and empty
+        /// spans common.
+        #[test]
+        fn seen_spans_admit_what_the_scan_admits(
+            spans in proptest::collection::vec((0usize..3, 0u32..24, 0u32..8), 0..64),
+        ) {
+            let (mut fast, mut scan) = (SeenSpans::default(), ScannedSpans::default());
+            for (file, lo, len) in spans {
+                let span = Span::new(lo, lo + len);
+                proptest::prop_assert_eq!(
+                    fast.admit(file, span),
+                    scan.admit(file, span),
+                    "{:?} in file {}", span, file
+                );
+            }
+        }
     }
 }

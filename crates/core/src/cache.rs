@@ -25,11 +25,11 @@
 //!
 //! Sharding buys three things on monorepo-scale corpora:
 //!
-//! * **Dirty-shard saves.** A [`Store`] remembers which shards differ
-//!   from the copy on disk, and a save writes only those. A one-file edit
-//!   rewrites one shard — about 1/256 of the cache — instead of the
-//!   whole cache. v3 had 16 shards and rewrote all of them on every
-//!   save.
+//! * **Dirty-shard saves.** A [`Store`] keeps one map per shard, as on
+//!   disk, and remembers which shards differ from the copy on disk. A
+//!   save visits and writes only those: a one-file edit rewrites one
+//!   shard — about 1/256 of the cache — instead of the whole cache. v3
+//!   had 16 shards and rewrote all of them on every save.
 //! * **Parallel I/O.** A cold save or load spreads its shards over one
 //!   worker per core.
 //! * **Isolated corruption.** A truncated or hand-edited shard only drops
@@ -64,6 +64,7 @@
 //! * any read or decode failure — an unreadable, truncated or
 //!   hand-edited shard is dropped, not an error. Only a shard file that
 //!   does not exist counts as absent; every other failure is a discard.
+//!   So is a shard holding an entry whose path belongs to another shard.
 //!
 //! Per entry, the engine additionally compares the stored content hash
 //! against the current file content, so stale entries are simply misses.
@@ -132,12 +133,28 @@ pub(crate) struct Entry {
     pub slot: Option<Slot>,
 }
 
-/// path -> cache entry.
+/// path -> cache entry, for the paths of one shard.
 type Entries = HashMap<String, Entry>;
 
 /// Per-shard load result: `None` = file absent, `Ok` = decoded entries,
 /// `Err` = read failure, corruption or version reason.
-type ShardOutcome = Option<Result<Vec<CacheEntry>, String>>;
+type ShardOutcome = Option<Result<Entries, String>>;
+
+/// One corpus position of the last snapshot run (see [`crate::engine`]):
+/// the file's content hash, its reuse key, and the record the run
+/// returned for it, the same `Arc` as the file's entry. 24 bytes.
+pub(crate) struct Row {
+    pub hash: u64,
+    pub key: u64,
+    pub analysis: Arc<FileAnalysis>,
+}
+
+/// The rows of the last snapshot run, and its corpus's layout id.
+#[derive(Default)]
+struct Positions {
+    layout: u64,
+    rows: Vec<Row>,
+}
 
 /// Default cache directory name (relative to the working directory).
 pub const DEFAULT_CACHE_DIR: &str = ".ofence-cache";
@@ -244,10 +261,26 @@ fn doc_header_error(doc: &CacheDoc, fp: u64) -> Option<String> {
     None
 }
 
-/// Decode one shard's text into its entries, or the reason it is
+/// Decode shard `i`'s text into its entries, or the reason it is
 /// unusable. Each shard carries a full header, so a stale or truncated
 /// shard invalidates only itself.
-fn decode_shard(text: &str, fp: u64) -> Result<Vec<CacheEntry>, String> {
+fn decode_shard(i: usize, text: &str, fp: u64) -> Result<Entries, String> {
+    let mut entries = HashMap::new();
+    for e in decode_doc(text, fp)? {
+        if shard_of(&e.path) != i {
+            return Err(format!("entry {} belongs to another shard", e.path));
+        }
+        let entry = Entry {
+            hash: e.hash,
+            analysis: e.analysis,
+            slot: e.stamp.as_deref().and_then(Slot::from_ints),
+        };
+        entries.insert(e.path, entry);
+    }
+    Ok(entries)
+}
+
+fn decode_doc(text: &str, fp: u64) -> Result<Vec<CacheEntry>, String> {
     let doc: CacheDoc = serde_json::from_str(text).map_err(|e| format!("unreadable cache: {e}"))?;
     match doc_header_error(&doc, fp) {
         Some(reason) => Err(reason),
@@ -267,16 +300,17 @@ fn encode_doc(mut entries: Vec<CacheEntry>, fp: u64) -> String {
     serde_json::to_string(&doc).expect("cache serializes")
 }
 
-/// Read and decode every shard in `dir`, in parallel. Only a shard that
-/// does not exist is absent: any other read failure (permissions, a
-/// directory in its place, invalid UTF-8) is that shard's discard reason.
+/// Read and decode every shard in `dir` into its map, in parallel. Only
+/// a shard that does not exist is absent: any other read failure
+/// (permissions, a directory in its place, invalid UTF-8) is that shard's
+/// discard reason.
 fn read_shards(dir: &Path, fp: u64) -> Vec<ShardOutcome> {
     let slots: Vec<(usize, Mutex<ShardOutcome>)> =
         (0..SHARD_COUNT).map(|i| (i, Mutex::new(None))).collect();
     crate::pool::for_each(&slots, None, |_w, (i, slot)| {
         let path = dir.join(shard_file_name(*i));
         let outcome = match std::fs::read_to_string(&path) {
-            Ok(text) => Some(decode_shard(&text, fp)),
+            Ok(text) => Some(decode_shard(*i, &text, fp)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => Some(Err(format!("unreadable shard {}: {e}", path.display()))),
         };
@@ -288,36 +322,30 @@ fn read_shards(dir: &Path, fp: u64) -> Vec<ShardOutcome> {
         .collect()
 }
 
-/// The entries of every usable shard, what the load amounts to, and
-/// which shards were usable.
-fn hydrate(outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
-    let mut map = HashMap::new();
+/// The entries of every shard (empty where it was unusable), what the
+/// load amounts to, and which shards were usable.
+fn hydrate(outcomes: Vec<ShardOutcome>) -> (Vec<Entries>, LoadOutcome, Vec<bool>) {
+    let mut shards = Vec::with_capacity(SHARD_COUNT);
     let mut valid = vec![false; SHARD_COUNT];
     let mut entries = 0usize;
     let mut present = 0usize;
     let mut first_reason: Option<String> = None;
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let Some(result) = outcome else { continue };
-        present += 1;
-        match result {
-            Ok(shard_entries) => {
+        let shard = match outcome {
+            None => HashMap::new(),
+            Some(Ok(shard)) => {
+                present += 1;
                 valid[i] = true;
-                entries += shard_entries.len();
-                for e in shard_entries {
-                    let entry = Entry {
-                        hash: e.hash,
-                        analysis: e.analysis,
-                        slot: e.stamp.as_deref().and_then(Slot::from_ints),
-                    };
-                    map.insert(e.path, entry);
-                }
+                entries += shard.len();
+                shard
             }
-            Err(reason) => {
-                if first_reason.is_none() {
-                    first_reason = Some(reason);
-                }
+            Some(Err(reason)) => {
+                present += 1;
+                first_reason.get_or_insert(reason);
+                HashMap::new()
             }
-        }
+        };
+        shards.push(shard);
     }
     let outcome = match first_reason {
         // Some shards were unusable but others loaded: partial hydration.
@@ -326,7 +354,7 @@ fn hydrate(outcomes: Vec<ShardOutcome>) -> (Entries, LoadOutcome, Vec<bool>) {
         None if present == 0 => LoadOutcome::Missing,
         None => LoadOutcome::Loaded { entries },
     };
-    (map, outcome, valid)
+    (shards, outcome, valid)
 }
 
 /// What one [`Store::save`] did.
@@ -339,23 +367,30 @@ pub(crate) struct SaveStats {
 }
 
 /// The engine's per-file cache, plus what a save needs to write only the
-/// shards that changed (see the module docs for the dirty rules).
-#[derive(Debug)]
+/// shards that changed (see the module docs for the dirty rules), and the
+/// last snapshot run's per-position table.
 pub(crate) struct Store {
-    entries: Entries,
+    /// One map per disk shard: the entries of the paths [`shard_of`]
+    /// puts there.
+    shards: Vec<Entries>,
     /// Per shard: its entries may differ from the copy in `synced`.
     dirty: Vec<bool>,
-    /// The directory whose clean shards match `entries`: the last load or
+    /// The directory whose clean shards match `shards`: the last load or
     /// save target. `None` until then, when every shard is dirty.
     synced: Option<PathBuf>,
+    /// Every row's record is its path's entry, with the entry's hash and
+    /// slot. Only a run changes entries and keeps the table it leaves;
+    /// [`Store::load`] and [`Store::retain`] drop it.
+    positions: Positions,
 }
 
 impl Default for Store {
     fn default() -> Store {
         Store {
-            entries: HashMap::new(),
+            shards: (0..SHARD_COUNT).map(|_| HashMap::new()).collect(),
             dirty: vec![true; SHARD_COUNT],
             synced: None,
+            positions: Positions::default(),
         }
     }
 }
@@ -375,21 +410,19 @@ impl Store {
         hash: u64,
         slot: Option<Slot>,
     ) -> Option<&mut Arc<FileAnalysis>> {
-        let entry = self.entries.get_mut(path).filter(|e| e.hash == hash)?;
+        let shard = shard_of(path);
+        let entry = self.shards[shard]
+            .get_mut(path)
+            .filter(|e| e.hash == hash)?;
         if entry.slot != slot {
             let racy = |slot: Option<Slot>| slot.is_some_and(|s| s.racily_clean());
             let settled = racy(entry.slot) && !racy(slot);
             if settled || entry.slot.map(|s| s.stamp) != slot.map(|s| s.stamp) {
-                self.dirty[shard_of(path)] = true;
+                self.dirty[shard] = true;
             }
             entry.slot = slot;
         }
         Some(&mut entry.analysis)
-    }
-
-    /// Whether `path`'s entry was computed from text hashing to `hash`.
-    pub fn holds(&self, path: &str, hash: u64) -> bool {
-        self.entries.get(path).is_some_and(|e| e.hash == hash)
     }
 
     /// Insert or replace `path`'s entry, dirtying its shard.
@@ -400,13 +433,33 @@ impl Store {
         slot: Option<Slot>,
         analysis: Arc<FileAnalysis>,
     ) {
-        self.dirty[shard_of(&path)] = true;
+        let shard = shard_of(&path);
+        self.dirty[shard] = true;
         let entry = Entry {
             hash,
             analysis,
             slot,
         };
-        self.entries.insert(path, entry);
+        self.shards[shard].insert(path, entry);
+    }
+
+    /// The last snapshot run's rows if it ran over `layout`, or an empty
+    /// table (the old rows dropped) if not. The store keeps no table
+    /// until [`Store::keep_rows`] hands one back.
+    pub fn take_rows(&mut self, layout: Option<u64>) -> Vec<Row> {
+        let Positions {
+            layout: last,
+            mut rows,
+        } = std::mem::take(&mut self.positions);
+        if layout != Some(last) {
+            rows.clear();
+        }
+        rows
+    }
+
+    /// Keep `rows` as the table of a run whose corpus had `layout`.
+    pub fn keep_rows(&mut self, layout: u64, rows: Vec<Row>) {
+        self.positions = Positions { layout, rows };
     }
 
     /// What a new session's snapshot index starts from (see
@@ -415,8 +468,9 @@ impl Store {
     /// any recorded read time lies after `now_ns`: the clock has stepped
     /// back since, and no read time can be trusted.
     pub fn seeds(&self, now_ns: i64) -> Vec<(&str, u64, Slot)> {
-        let slotted =
-            || (self.entries.iter()).filter_map(|(path, e)| Some((path.as_str(), e, e.slot?)));
+        let slotted = || {
+            (self.shards.iter().flatten()).filter_map(|(path, e)| Some((path.as_str(), e, e.slot?)))
+        };
         if slotted().any(|(_, _, slot)| slot.read_at_ns > now_ns) {
             return Vec::new();
         }
@@ -428,22 +482,24 @@ impl Store {
 
     /// How many entries the store holds.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.shards.iter().map(HashMap::len).sum()
     }
 
     /// Evict every entry whose path fails `keep`, dirtying the evicted
-    /// entries' shards. Returns how many were evicted.
+    /// entries' shards, and drop the per-position table. Returns how many
+    /// were evicted.
     pub fn retain(&mut self, keep: impl Fn(&str) -> bool) -> usize {
-        let dirty = &mut self.dirty;
-        let before = self.entries.len();
-        self.entries.retain(|path, _| {
-            let kept = keep(path);
-            if !kept {
-                dirty[shard_of(path)] = true;
+        self.positions = Positions::default();
+        let mut evicted = 0;
+        for (shard, dirty) in self.shards.iter_mut().zip(&mut self.dirty) {
+            let before = shard.len();
+            shard.retain(|path, _| keep(path));
+            if shard.len() < before {
+                evicted += before - shard.len();
+                *dirty = true;
             }
-            kept
-        });
-        before - self.entries.len()
+        }
+        evicted
     }
 
     /// Which shards a save to `dir` would write.
@@ -457,20 +513,19 @@ impl Store {
     /// shards are dropped (reported in the outcome only when *nothing* was
     /// usable) and treated as empty. Shards are read and decoded in
     /// parallel. Afterwards a shard is clean iff it loaded cleanly and the
-    /// store held none of its paths before.
+    /// store held none of its paths before. The per-position table is
+    /// dropped.
     pub fn load(&mut self, dir: &Path, config: &AnalysisConfig) -> (usize, LoadOutcome) {
-        let (map, outcome, valid) = hydrate(read_shards(dir, config_fingerprint(config)));
-        let mut held = vec![false; SHARD_COUNT];
-        for path in self.entries.keys() {
-            held[shard_of(path)] = true;
-        }
-        for i in 0..SHARD_COUNT {
-            self.dirty[i] = held[i] || !valid[i];
+        self.positions = Positions::default();
+        let (loaded, outcome, valid) = hydrate(read_shards(dir, config_fingerprint(config)));
+        let mut count = 0;
+        for (i, shard) in loaded.into_iter().enumerate() {
+            self.dirty[i] = !self.shards[i].is_empty() || !valid[i];
+            count += shard.len();
+            self.shards[i].extend(shard);
         }
         self.synced = Some(dir.to_path_buf());
-        let loaded = map.len();
-        self.entries.extend(map);
-        (loaded, outcome)
+        (count, outcome)
     }
 
     /// Write the dirty shards to `dir` (created if needed), in parallel,
@@ -480,7 +535,7 @@ impl Store {
     pub fn save(&mut self, dir: &Path, config: &AnalysisConfig) -> Result<SaveStats, String> {
         let todo = self.dirty_shards(dir);
         let mut stats = SaveStats {
-            entries: self.entries.len(),
+            entries: self.len(),
             shards_written: 0,
         };
         if todo.is_empty() {
@@ -491,32 +546,18 @@ impl Store {
         // Each job copies its own shard's entries into records, so a save
         // that writes every shard holds a few shards' copies at a time,
         // not the whole cache's.
-        let mut buckets: Vec<Option<Vec<(&String, &Entry)>>> =
-            (0..SHARD_COUNT).map(|_| None).collect();
-        for &i in &todo {
-            buckets[i] = Some(Vec::new());
-        }
-        for (path, e) in &self.entries {
-            if let Some(bucket) = &mut buckets[shard_of(path)] {
-                bucket.push((path, e));
-            }
-        }
-        let jobs: Vec<(usize, Vec<(&String, &Entry)>)> = todo
-            .iter()
-            .map(|&i| (i, buckets[i].take().unwrap_or_default()))
-            .collect();
-        let results = Mutex::new(Vec::with_capacity(jobs.len()));
-        crate::pool::for_each(&jobs, None, |_w, (i, entries)| {
-            let records = (entries.iter())
-                .map(|&(path, e)| CacheEntry {
+        let results = Mutex::new(Vec::with_capacity(todo.len()));
+        crate::pool::for_each(&todo, None, |_w, &i| {
+            let records = (self.shards[i].iter())
+                .map(|(path, e)| CacheEntry {
                     path: path.clone(),
                     hash: e.hash,
                     stamp: e.slot.and_then(Slot::to_ints),
                     analysis: e.analysis.clone(),
                 })
                 .collect();
-            let result = write_shard(dir, *i, encode_doc(records, fp));
-            results.lock().expect("shard results").push((*i, result));
+            let result = write_shard(dir, i, encode_doc(records, fp));
+            results.lock().expect("shard results").push((i, result));
         });
         let mut first_error = None;
         for (i, result) in results.into_inner().expect("shard results") {
@@ -558,11 +599,11 @@ mod tests {
     use crate::engine::{Engine, SourceFile};
 
     /// Load `dir` into a fresh store, as the engine does, and hand back
-    /// its entries.
+    /// its entries, every shard's in one map.
     fn load(dir: &Path, config: &AnalysisConfig) -> (Entries, LoadOutcome) {
         let mut store = Store::default();
         let (_, outcome) = store.load(dir, config);
-        (store.entries, outcome)
+        (store.shards.into_iter().flatten().collect(), outcome)
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -643,7 +684,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
                 analysis: e.analysis.clone(),
             })
             .collect();
-        let mono = decode_shard(&encode_doc(entries, fp), fp).unwrap();
+        let mono = decode_doc(&encode_doc(entries, fp), fp).unwrap();
         assert_eq!(mono.len(), sharded.len());
         for e in mono {
             let Entry {

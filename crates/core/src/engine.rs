@@ -5,6 +5,18 @@
 //! runs the checkers, synthesizes patches, and computes statistics.
 //! A per-file cache keyed by content hash gives the paper's <30 s
 //! single-file incremental re-analysis (§6.1).
+//!
+//! A run over a session's snapshot ([`Engine::analyze_snapshot`]) also
+//! skips the cache lookup for every file that did not change. The cache
+//! keeps a table of the last such run: each corpus position's content
+//! hash, a key of its slot and read-ness, and its record. When the new
+//! corpus has the same layout (see [`Corpus`]), a position whose hash
+//! and key match reuses its record as is: the lookup would find the same
+//! entry with the same slot, so it would change nothing and return that
+//! record. Only the other positions are looked up, so a one-edit run
+//! makes one lookup, not one per file. A file the snapshot did not read
+//! whose lookup misses (another run evicted its entry since the snapshot
+//! was taken) is read then, and must hash as the snapshot says.
 
 use crate::annotate;
 use crate::config::AnalysisConfig;
@@ -15,7 +27,8 @@ use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
 use crate::report::{DistanceHistogram, Stats};
 use crate::sites::FileAnalysis;
-use crate::walk::Slot;
+use crate::walk::{Corpus, Slot};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -202,16 +215,24 @@ impl AnalysisResult {
 /// Per-worker result slot: locked only by its owning worker.
 type WorkerSlot = Mutex<Vec<(usize, Arc<FileAnalysis>)>>;
 
+/// The part of a position's reuse check besides its content hash: a key
+/// of the file's slot, and whether the snapshot read the file (a record
+/// served for a read file must hold its text).
+fn reuse_key(f: &SourceFile) -> u64 {
+    f.slot.map_or(0, Slot::key) ^ u64::from(f.text().is_some())
+}
+
 /// The analysis engine. Holds configuration, the incremental cache, and
 /// the run recorder.
 pub struct Engine {
     pub config: AnalysisConfig,
-    /// file path -> (content hash, cached per-file analysis). An entry is
-    /// used only when both the path and the content hash match; entries
-    /// whose path vanished from the corpus are evicted on every run.
-    /// Entries are `Arc`-shared with run results, so a warm hit is a
-    /// refcount bump instead of a deep `FileAnalysis` clone. The store
-    /// tracks which disk shards its inserts and evictions dirtied.
+    /// file path -> (content hash, slot, cached per-file analysis), in one
+    /// map per disk shard. An entry is used only when both the path and
+    /// the content hash match; a run evicts the entries whose path left
+    /// its corpus. Entries are `Arc`-shared with run results, so a warm
+    /// hit is a refcount bump instead of a deep `FileAnalysis` clone. The
+    /// store tracks which disk shards its inserts and evictions dirtied,
+    /// and keeps the last snapshot run's per-position table.
     pub(crate) cache: crate::cache::Store,
     /// Observability recorder, reset at the start of every run so spans
     /// and counters are per-run (never cumulative across incremental
@@ -317,14 +338,38 @@ impl Engine {
     /// Analyze a corpus: files whose path and content hash match a cache
     /// entry are served from the cache, the rest are analyzed and cached
     /// for the next run. Pairing and checking always run over every site.
+    /// Every file is looked up: only a snapshot run reuses positions.
     pub fn analyze(&mut self, files: &[SourceFile]) -> AnalysisResult {
+        self.run(files, None)
+            .unwrap_or_else(|e| panic!("an unread file could not be read: {e}"))
+    }
+
+    /// [`Engine::analyze`] of a session's snapshot, looking up only the
+    /// positions that changed since the last snapshot run (see module
+    /// docs). Fails when a file the snapshot did not read has to be read
+    /// now and cannot be, or no longer hashes as the snapshot says.
+    pub(crate) fn analyze_snapshot(&mut self, corpus: &Corpus) -> Result<AnalysisResult, String> {
+        self.run(corpus, Some(corpus.layout()))
+    }
+
+    fn run(&mut self, files: &[SourceFile], layout: Option<u64>) -> Result<AnalysisResult, String> {
         self.recorder.reset();
-        for (name, delta) in self.pending_counts.drain(..) {
-            self.recorder.count(&name, delta);
+        for (name, delta) in &self.pending_counts {
+            self.recorder.count(name, *delta);
         }
         let root = self.recorder.open("analyze");
-        let analyses = self.analyze_files(files);
-        self.finish(analyses, root)
+        match self.analyze_files(files, layout) {
+            Ok(analyses) => {
+                self.pending_counts.clear();
+                Ok(self.finish(analyses, root))
+            }
+            // No run happened: its span closes, and the queued counts
+            // wait for the next run.
+            Err(e) => {
+                self.recorder.close(root);
+                Err(e)
+            }
+        }
     }
 
     /// Alias of [`Engine::analyze`], kept only because the frozen
@@ -333,7 +378,11 @@ impl Engine {
         self.analyze(files)
     }
 
-    fn analyze_files(&mut self, files: &[SourceFile]) -> Vec<Arc<FileAnalysis>> {
+    fn analyze_files(
+        &mut self,
+        files: &[SourceFile],
+        layout: Option<u64>,
+    ) -> Result<Vec<Arc<FileAnalysis>>, String> {
         debug_assert_eq!(
             (files.iter().map(|f| f.name.as_str()))
                 .collect::<std::collections::HashSet<_>>()
@@ -341,13 +390,26 @@ impl Engine {
             files.len(),
             "corpus names are not unique"
         );
-        // Split into cached and to-do. Hits are counted once per run, not
-        // once per file: a count takes the recorder's lock.
+        // The last run's table, if it ran over this layout; it is empty
+        // otherwise, and its records are let go before any hit could
+        // copy one on write.
+        let mut rows = self.cache.take_rows(layout);
+        debug_assert!(rows.is_empty() || rows.len() == files.len());
+        // Split into reused, cached and to-do. Hits are counted once per
+        // run, not once per file: a count takes the recorder's lock.
         let mut results: Vec<Option<Arc<FileAnalysis>>> = vec![None; files.len()];
-        let mut todo: Vec<usize> = Vec::new();
-        let mut hits = 0;
+        let mut looked_up: Vec<usize> = Vec::new();
+        let mut todo: Vec<(usize, Cow<SourceFile>)> = Vec::new();
         for (i, f) in files.iter().enumerate() {
-            match self.cache.hit(&f.name, f.hash(), f.slot) {
+            let hash = f.hash();
+            if let Some(row) = rows.get(i) {
+                if row.hash == hash && row.key == reuse_key(f) {
+                    results[i] = Some(row.analysis.clone());
+                    continue;
+                }
+            }
+            looked_up.push(i);
+            match self.cache.hit(&f.name, hash, f.slot) {
                 Some(fa) => {
                     // Warm hit: a refcount bump. The cached entry is
                     // patched in place (copy-on-write) the first time it
@@ -356,8 +418,7 @@ impl Engine {
                     // (disk-loaded entries carry none — the hash match
                     // guarantees it equals the live content). A file the
                     // snapshot did not read has no text to restore; no
-                    // phase reads it. Steady-state watch iterations clone
-                    // nothing.
+                    // phase reads it.
                     let text = f.text().filter(|t| fa.source.is_empty() && !t.is_empty());
                     if fa.file != i || text.is_some() {
                         let m = Arc::make_mut(fa);
@@ -370,22 +431,29 @@ impl Engine {
                         }
                     }
                     results[i] = Some(fa.clone());
-                    hits += 1;
                 }
-                None => todo.push(i),
+                // A file the snapshot did not read had an entry when the
+                // snapshot was seeded, so a run evicted it since: read it
+                // now, as the snapshot says it is.
+                None => match f.text() {
+                    Some(_) => todo.push((i, Cow::Borrowed(f))),
+                    None => todo.push((i, Cow::Owned(crate::walk::read_text(f)?))),
+                },
             }
         }
-        self.recorder.count("engine_cache_hits", hits);
-        debug_assert!(
-            todo.iter().all(|&i| files[i].text().is_some()),
-            "a file to analyze was not read"
-        );
+        self.recorder
+            .count("engine_cache_hits", (files.len() - todo.len()) as u64);
+        // Only a snapshot run can look up fewer files than it has.
+        if layout.is_some() {
+            self.recorder
+                .count("engine_cache_lookups", looked_up.len() as u64);
+        }
         self.recorder
             .count("engine_files_analyzed", todo.len() as u64);
         // Parallel per-file analysis of the remainder, largest files
         // first: workers take files in order, so the heavy head spreads
         // across them and the tail is one small file.
-        todo.sort_by_key(|&i| std::cmp::Reverse(files[i].content.len()));
+        todo.sort_by_key(|(_, f)| std::cmp::Reverse(f.content.len()));
         let slots: Vec<WorkerSlot> = (0..crate::pool::threads().min(todo.len()))
             .map(|_| Mutex::new(Vec::new()))
             .collect();
@@ -393,17 +461,18 @@ impl Engine {
         let rec = &self.recorder;
         #[cfg(test)]
         let panic_on_file = &self.panic_on_file;
-        crate::pool::for_each(&todo, Some(rec), |w, &i| {
+        crate::pool::for_each(&todo, Some(rec), |w, (i, f)| {
             #[cfg(test)]
             if let Some(hook) = panic_on_file {
-                hook.hit(&files[i].name);
+                hook.hit(&f.name);
             }
-            let fa = crate::sites::analyze_source_traced(i, &files[i], config, rec);
+            let fa = crate::sites::analyze_source_traced(*i, f, config, rec);
             slots[w]
                 .lock()
                 .expect("worker slot")
-                .push((i, Arc::new(fa)));
+                .push((*i, Arc::new(fa)));
         });
+        drop(todo);
         for slot in slots {
             for (i, fa) in slot.into_inner().expect("worker slot") {
                 // The cache and the result share the same `Arc`: no deep
@@ -437,7 +506,24 @@ impl Engine {
                 || (fa.sites.is_empty() && !self.config.detect_missing)),
             "a record a phase reads has no text"
         );
-        results
+        // Keep this run's table for the next run over the same layout:
+        // updated in place at the positions looked up, or built afresh.
+        if let Some(layout) = layout {
+            let row = |i: usize| crate::cache::Row {
+                hash: files[i].hash(),
+                key: reuse_key(&files[i]),
+                analysis: results[i].clone(),
+            };
+            if rows.is_empty() {
+                rows.extend((0..files.len()).map(row));
+            } else {
+                for i in looked_up {
+                    rows[i] = row(i);
+                }
+            }
+            self.cache.keep_rows(layout, rows);
+        }
+        Ok(results)
     }
 
     fn finish(&self, mut files: Vec<Arc<FileAnalysis>>, root: u64) -> AnalysisResult {

@@ -67,8 +67,9 @@
 //! phase loads text later, and the run stays a pure function of the
 //! snapshot. The one exception is a race: another request's run may
 //! evict an unread file's entry after this snapshot was taken, if the
-//! file left that run's snapshot. The run then reads the file and checks
-//! its hash, failing the request if the file changed.
+//! file left that run's snapshot. The engine then reads the file when
+//! its lookup misses and checks its hash, failing the request if the
+//! file changed.
 //!
 //! A seeded entry is read when its stamp changed or it is racily clean
 //! against the read time the cache recorded, not against the save time:
@@ -93,8 +94,7 @@ use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::FindingRecord;
 use crate::ledger::Record;
-use crate::walk::{PassStats, SourceIndex};
-use std::borrow::Cow;
+use crate::walk::{Corpus, PassStats, SourceIndex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -290,19 +290,19 @@ impl Session {
 
     /// Snapshot the corpus from disk, passing over it until two
     /// consecutive passes hash identically (see module docs). Returns the
-    /// sources, the snapshot key (corpus hash ⊕ config fingerprint), and
-    /// the files the passes statted and read, all passes together. `rec`
-    /// gets a `snapshot` span, the wait for the index included, with one
-    /// `snapshot_pass` child per pass.
+    /// sources with their layout id, the snapshot key (corpus hash ⊕
+    /// config fingerprint), and the files the passes statted and read,
+    /// all passes together. `rec` gets a `snapshot` span, the wait for the
+    /// index included, with one `snapshot_pass` child per pass.
     fn snapshot_sources(
         &self,
         rec: &obs::Recorder,
-    ) -> Result<(Arc<Vec<SourceFile>>, u64, PassStats), String> {
+    ) -> Result<(Arc<Corpus>, u64, PassStats), String> {
         let _span = rec.span("snapshot");
         let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
         let mut total = PassStats::default();
         let mut passes = || {
-            let mut last: Option<(Arc<Vec<SourceFile>>, u64)> = None;
+            let mut last: Option<(Arc<Corpus>, u64)> = None;
             for _ in 0..SNAPSHOT_ATTEMPTS {
                 // Let go of the last pass's corpus first, so the index
                 // updates it in place instead of copying it.
@@ -505,11 +505,15 @@ impl Session {
         outcome
     }
 
-    /// Run the engine over a snapshot (leader side of a flight).
+    /// Run the engine over a snapshot (leader side of a flight). The
+    /// `serve_run` span has three children: `engine_lock` (the wait for
+    /// the engine), `engine` (the run, with the cache lookups it made and
+    /// the files it analyzed) and `cache_save` (the save and the event
+    /// sinks' flush).
     fn lead_run(
         &self,
         ctx: &RequestCtx,
-        sources: &[SourceFile],
+        sources: &Corpus,
         key: u64,
     ) -> Result<Arc<RunHandle>, String> {
         #[cfg(test)]
@@ -518,25 +522,45 @@ impl Session {
         }
         self.live.count("serve_queue_enqueued", 1);
         let run_span = ctx.rec.span("serve_run");
-        let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
+        let mut engine = {
+            let _span = ctx.rec.span("engine_lock");
+            self.engine.lock().unwrap_or_else(|e| e.into_inner())
+        };
         self.live.count("serve_queue_dequeued", 1);
-        let sources = texts_for_evicted(&engine, sources)?;
         let cache_load = self
             .cache_load
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take();
-        let result = engine.analyze(&sources);
-        // A full disk is not a failed analysis: the result stands, the
-        // next save retries the dirty shards.
-        let cache_save_error = self
-            .opts
-            .cache_dir
-            .as_ref()
-            .and_then(|dir| engine.save_disk_cache(dir).err());
-        // Event streams end every run on a line boundary, so a consumer
-        // tailing one (or a driver killed between runs) sees whole events.
-        engine.recorder().flush_sinks();
+        let result = {
+            let _span = ctx.rec.span("engine");
+            // A failed run still ends the event streams on a line
+            // boundary, its `analyze` span closed.
+            let result = engine.analyze_snapshot(sources).inspect_err(|_| {
+                engine.recorder().flush_sinks();
+            })?;
+            let counter = |name| result.obs.count_of(name).to_string();
+            ctx.rec.annotate(
+                "engine",
+                &[
+                    ("lookups", &counter("engine_cache_lookups")),
+                    ("analyzed", &counter("engine_files_analyzed")),
+                ],
+            );
+            result
+        };
+        let cache_save_error = {
+            let _span = ctx.rec.span("cache_save");
+            // A full disk is not a failed analysis: the result stands,
+            // the next save retries the dirty shards.
+            let saved =
+                (self.opts.cache_dir.as_ref()).and_then(|dir| engine.save_disk_cache(dir).err());
+            // Event streams end every run on a line boundary, so a
+            // consumer tailing one (or a driver killed between runs) sees
+            // whole events.
+            engine.recorder().flush_sinks();
+            saved
+        };
         drop(engine);
         drop(run_span);
         let ledger_span = ctx.rec.span("ledger");
@@ -738,27 +762,6 @@ impl Session {
         serde_json::from_str(&json)
             .map_err(|e| format!("internal: captured trace is not valid JSON: {e}"))
     }
-}
-
-/// `sources` with a text for every file the engine has to analyze. A file
-/// the snapshot did not read had a cache entry when the index was
-/// seeded; a run that led since evicted it only if the file left that
-/// run's snapshot, after this one was taken. Then its text is read now,
-/// and must hash as this snapshot says, or the request fails.
-fn texts_for_evicted<'a>(
-    engine: &Engine,
-    sources: &'a [SourceFile],
-) -> Result<Cow<'a, [SourceFile]>, String> {
-    let evicted = |f: &SourceFile| f.text().is_none() && !engine.cache.holds(&f.name, f.hash());
-    if !sources.iter().any(evicted) {
-        return Ok(Cow::Borrowed(sources));
-    }
-    (sources.iter())
-        .map(|f| match evicted(f) {
-            true => crate::walk::read_text(f),
-            false => Ok(f.clone()),
-        })
-        .collect()
 }
 
 /// Append one record to its ledger in `dir` under an `append` span whose
@@ -1091,6 +1094,41 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A `touch` of a site-free file between two runs of one session
+    /// changes its slot, not its hash. The second run reuses every other
+    /// position unlooked-up, but looks the touched file up, so its new
+    /// stamp reaches the cache: its shard is rewritten, and a restarted
+    /// session reads only the site holder.
+    #[test]
+    fn touched_file_is_looked_up_and_its_stamp_saved() {
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("touch-reuse", &config);
+        let session = cached_session(&dir, &cache, config.clone());
+        let first = session.current_run().unwrap();
+        assert_eq!(first.result.obs.count_of("engine_cache_lookups"), 5);
+        let touched = dir.join("h0.c");
+        let shard = cache.join(cache::shard_file_name(cache::shard_of(
+            &touched.display().to_string(),
+        )));
+        let inode = || std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(&shard).unwrap());
+        let before = inode();
+        let a_minute_ago = std::time::SystemTime::now() - std::time::Duration::from_secs(60);
+        let file = std::fs::File::options().write(true).open(&touched).unwrap();
+        file.set_modified(a_minute_ago).unwrap();
+        let second = session.current_run().unwrap();
+        assert_eq!(first.corpus_key, second.corpus_key);
+        assert_eq!(second.result.obs.count_of("engine_cache_lookups"), 1);
+        assert_eq!(second.result.obs.count_of("engine_cache_hits"), 5);
+        assert_ne!(
+            inode(),
+            before,
+            "the touched file's shard was not rewritten"
+        );
+        drop(session);
+        assert_eq!(restart(&dir, &cache, &config), 1, "only m.c holds a site");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A snapshot holds an unread file whose cache entry a run evicted
     /// after the snapshot was taken: the file is read at run time, and
     /// a file that changed meanwhile fails the request.
@@ -1113,6 +1151,59 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         std::fs::write(dir.join("h1.c"), "int h1;\n").unwrap();
         let err = session.lead_run(&ctx, &sources, key).err().unwrap();
         assert!(err.contains("h1.c: changed during the request"), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A run that fails on an evicted file that changed leaves no trace
+    /// half done: the event stream is flushed with the engine's `analyze`
+    /// span closed, and the counts queued by the last save reach the next
+    /// run that succeeds.
+    #[test]
+    fn failed_run_closes_its_span_and_keeps_queued_counts() {
+        #[derive(Clone, Default)]
+        struct Shared(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let config = AnalysisConfig::default();
+        let (root, dir, cache) = primed("failed-run", &config);
+        let session = cached_session(&dir, &cache, config.clone());
+        let evict = |name: &str| {
+            let mut engine = session.engine.lock().unwrap();
+            engine.cache.retain(|path| !path.ends_with(name));
+        };
+        session.current_run().unwrap();
+        // The run after this eviction writes h0.c's shard again.
+        evict("h0.c");
+        session.current_run().unwrap();
+        let out = Shared::default();
+        let sink = obs::NdjsonSink::new(std::io::BufWriter::new(out.clone()));
+        (session.engine.lock().unwrap().recorder()).add_sink(Arc::new(sink));
+        let rec = obs::Recorder::new();
+        let (sources, key, _) = session.snapshot_sources(&rec).unwrap();
+        evict("h1.c");
+        std::fs::write(dir.join("h1.c"), "int h1;\n").unwrap();
+        let ctx = ctx(&session, "analyze");
+        assert!(session.lead_run(&ctx, &sources, key).is_err());
+        let events = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+        assert!(events.ends_with('\n'), "{events}");
+        let analyze_spans = |ev: &str| {
+            let ev = format!("\"ev\":\"{ev}\"");
+            (events.lines())
+                .filter(|l| l.contains(&ev) && l.contains("\"name\":\"analyze\""))
+                .count()
+        };
+        assert_eq!(analyze_spans("span_open"), 1, "{events}");
+        assert_eq!(analyze_spans("span_close"), 1, "{events}");
+        let next = session.current_run().unwrap();
+        assert_eq!(scrubbed(&next.result), scrubbed(&cold(&dir, &config)));
+        assert_eq!(next.result.obs.count_of("cache_shards_written"), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1818,6 +1909,7 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
         session.current_run().unwrap();
         let mut serial = 0;
         for step in steps {
+            let names = corpus_files(&dir);
             apply(&dir, step, &mut serial);
             if let Step::Restart = step {
                 drop(session);
@@ -1832,6 +1924,20 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
                 "after {:?}",
                 step
             );
+            // Only what the step changed is looked up in the cache, or
+            // every file when the layout changed or the session is new.
+            let lookups = served.result.obs.count_of("engine_cache_lookups");
+            if matches!(step, Step::Restart) || corpus_files(&dir) != names {
+                prop_assert_eq!(lookups, sources.len() as u64, "after {:?}", step);
+            } else {
+                let changed = matches!(step, Step::Edit(..) | Step::RewriteSameSize(_));
+                prop_assert!(
+                    lookups <= u64::from(changed),
+                    "{} after {:?}",
+                    lookups,
+                    step
+                );
+            }
 
             let mut reloaded = Engine::new(config.clone());
             reloaded.load_disk_cache(&cache_dir);

@@ -73,6 +73,7 @@ use std::fs::Metadata;
 use std::os::unix::ffi::OsStrExt;
 use std::os::unix::fs::MetadataExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,9 +90,51 @@ const BACKSTOP: Duration = Duration::from_secs(60);
 /// for deterministic output: one pass of a fresh [`SourceIndex`], which
 /// reads every file.
 pub fn collect_sources(paths: &[String]) -> Result<Vec<SourceFile>, String> {
-    let files = SourceIndex::default().refresh(paths)?.0;
+    let corpus = SourceIndex::default().refresh(paths)?.0;
     // The index is gone, so this is the only reference.
-    Ok(Arc::try_unwrap(files).unwrap_or_else(|files| (*files).clone()))
+    Ok(Arc::try_unwrap(corpus).map_or_else(|corpus| corpus.files.clone(), |corpus| corpus.files))
+}
+
+/// The corpus as one pass found it: its files, sorted by name, and the
+/// id of their *layout*, which name sits at which position. An index
+/// issues a fresh id, from a process-wide counter, whenever it builds a
+/// new list of names; a pass that changes only texts and slots keeps the
+/// id. So two corpora with the same id hold the same names in the same
+/// order, and the engine reuses its last run's record at every position
+/// whose hash and slot also match (see [`crate::engine`]).
+#[derive(Clone, Debug, Default)]
+pub struct Corpus {
+    files: Vec<SourceFile>,
+    /// 0 for the empty corpus of an index that has found nothing yet.
+    layout: u64,
+}
+
+impl Corpus {
+    fn new(files: Vec<SourceFile>) -> Corpus {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        let layout = NEXT.fetch_add(1, Ordering::Relaxed);
+        Corpus { files, layout }
+    }
+
+    /// The id of this corpus's layout.
+    pub(crate) fn layout(&self) -> u64 {
+        self.layout
+    }
+}
+
+/// Equal files, whatever the layout ids.
+impl PartialEq for Corpus {
+    fn eq(&self, other: &Corpus) -> bool {
+        self.files == other.files
+    }
+}
+
+impl std::ops::Deref for Corpus {
+    type Target = [SourceFile];
+
+    fn deref(&self) -> &[SourceFile] {
+        &self.files
+    }
 }
 
 /// What identifies one version of a file without reading it.
@@ -132,6 +175,32 @@ pub(crate) struct Slot {
 impl Slot {
     pub(crate) fn racily_clean(&self) -> bool {
         self.stamp.mtime_ns > self.read_at_ns.saturating_sub(RACY_WINDOW_NS)
+    }
+
+    /// A 64-bit digest of the slot: what the engine's per-position table
+    /// keeps instead of the 48-byte slot. Two equal slots give equal
+    /// keys; a collision between unequal ones only leaves an older
+    /// stamp in the cache, which makes a later process read the file.
+    pub(crate) fn key(self) -> u64 {
+        let Stamp {
+            dev,
+            ino,
+            size,
+            mtime_ns,
+            ctime_ns,
+        } = self.stamp;
+        [
+            dev,
+            ino,
+            size,
+            mtime_ns as u64,
+            ctime_ns as u64,
+            self.read_at_ns as u64,
+        ]
+        .into_iter()
+        .fold(0, |h, x| {
+            (h ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+        })
     }
 
     /// The slot as the integers a cache entry stores: dev, ino and size
@@ -200,7 +269,7 @@ pub struct SourceIndex {
     /// the callers of [`SourceIndex::refresh`]: a pass changes it through
     /// `Arc::make_mut`, so a snapshot a caller still holds never changes.
     /// Every entry carries its slot.
-    files: Arc<Vec<SourceFile>>,
+    files: Arc<Corpus>,
     /// The last full pass that found each entry of `files`, in the same
     /// order; a journal pass keeps the number and zeroes what it removes.
     seen: Vec<u64>,
@@ -265,7 +334,7 @@ impl SourceIndex {
         SourceIndex {
             by_hash: by_hash(&files),
             seen: vec![0; files.len()],
-            files: Arc::new(files),
+            files: Arc::new(Corpus::new(files)),
             ..SourceIndex::default()
         }
     }
@@ -281,10 +350,7 @@ impl SourceIndex {
     /// Return the corpus as it is now, sorted by path, reading only the
     /// files whose stamp says they may have changed: from the journal
     /// when it can tell, else by walking `paths`.
-    pub fn refresh(
-        &mut self,
-        paths: &[String],
-    ) -> Result<(Arc<Vec<SourceFile>>, PassStats), String> {
+    pub fn refresh(&mut self, paths: &[String]) -> Result<(Arc<Corpus>, PassStats), String> {
         let pass_ns = wall_clock_ns();
         let fallback = match self.journal.take() {
             None => None,
@@ -306,7 +372,7 @@ impl SourceIndex {
         self.digest
     }
 
-    fn corpus(&self, stats: PassStats) -> Result<(Arc<Vec<SourceFile>>, PassStats), String> {
+    fn corpus(&self, stats: PassStats) -> Result<(Arc<Corpus>, PassStats), String> {
         if self.files.is_empty() {
             return Err("no .c files found under the given paths".into());
         }
@@ -465,7 +531,7 @@ impl SourceIndex {
                 ..slot
             };
             match Arc::get_mut(&mut self.files) {
-                Some(files) if !settled.racily_clean() => files[i].slot = Some(settled),
+                Some(corpus) if !settled.racily_clean() => corpus.files[i].slot = Some(settled),
                 _ => self.racy.push(name),
             }
         }
@@ -508,7 +574,7 @@ impl SourceIndex {
             found.fresh.insert(name.to_string(), file);
             return Ok(());
         };
-        let file = &mut Arc::make_mut(&mut self.files)[i];
+        let file = &mut Arc::make_mut(&mut self.files).files[i];
         // Unchanged bytes keep the file as it was: the text the engine
         // already shares, or no text for a seeded file. So a `touch`
         // costs no memory.
@@ -524,14 +590,14 @@ impl SourceIndex {
 
     /// Drop the files the last full pass did not find (or a journal pass
     /// removed) and add the ones found for the first time, keeping
-    /// `files` sorted. A pass in which no name came or went leaves the
-    /// list (and its order) alone.
+    /// `files` sorted, under a fresh layout id. A pass in which no name
+    /// came or went leaves the list (and its order and id) alone.
     fn retire_and_merge(&mut self, fresh: BTreeMap<String, SourceFile>) {
         let pass = self.pass;
         if fresh.is_empty() && self.seen.iter().all(|&seen| seen == pass) {
             return;
         }
-        let files = std::mem::take(Arc::make_mut(&mut self.files));
+        let files = std::mem::take(&mut Arc::make_mut(&mut self.files).files);
         let mut merged: Vec<SourceFile> = Vec::with_capacity(files.len() + fresh.len());
         for (file, seen) in files.into_iter().zip(std::mem::take(&mut self.seen)) {
             if seen == pass {
@@ -549,7 +615,7 @@ impl SourceIndex {
         merged.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         self.by_hash = by_hash(&merged);
         self.seen = vec![pass; merged.len()];
-        self.files = Arc::new(merged);
+        self.files = Arc::new(Corpus::new(merged));
     }
 
     /// Where `name` sits in `files`. Two names that share a hash keep one
@@ -1203,7 +1269,7 @@ mod tests {
         let (sources, pass) = index.refresh(&paths).unwrap();
         assert_eq!(pass, stats(4, 2, true));
         assert_eq!(names(&sources), ["c.c", "new.c", "z.c"]);
-        assert_eq!(*sources, collect_sources(&paths).unwrap());
+        assert_eq!(sources.to_vec(), collect_sources(&paths).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

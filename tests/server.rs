@@ -1117,6 +1117,7 @@ fn one_edit_analyze_traces_cover_the_request() {
         .content
         .clone();
     let mut coverages = Vec::new();
+    let mut run_coverages = Vec::new();
     for round in 0..3u64 {
         content.push_str(&format!(
             "int cover_edit_{round}(void) {{ return {round}; }}\n"
@@ -1151,10 +1152,28 @@ fn one_edit_analyze_traces_cover_the_request() {
             assert_eq!(pass["attrs"]["read"], touched, "{doc}");
         }
         coverages.push(coverage);
+        // `serve_run` splits into the engine-lock wait, the run, which
+        // looked up and analyzed only the edited file, and the save.
+        let run = &children[1]["children"];
+        let names: Vec<&str> = (run.as_array().unwrap().iter())
+            .map(|c| c["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(names, ["engine_lock", "engine", "cache_save"], "{doc}");
+        assert_eq!(run[1]["attrs"]["lookups"], "1", "{doc}");
+        assert_eq!(run[1]["attrs"]["analyzed"], "1", "{doc}");
+        let covered: u64 = (run.as_array().unwrap().iter())
+            .map(|c| c["dur_us"].as_u64().unwrap())
+            .sum();
+        let total = children[1]["dur_us"].as_u64().unwrap().max(1);
+        run_coverages.push(covered as f64 / total as f64);
     }
     assert!(
         coverages.iter().any(|&c| c >= 0.95),
         "no one-edit request had ≥ 95% of its time in child spans: {coverages:?}"
+    );
+    assert!(
+        run_coverages.iter().any(|&c| c >= 0.95),
+        "no one-edit serve_run had ≥ 95% of its time in child spans: {run_coverages:?}"
     );
     daemon.shutdown();
 }
