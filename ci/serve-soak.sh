@@ -13,7 +13,7 @@
 #      tree is balanced (node count == span_count),
 #   6. the traces add up: over every captured `analyze` trace, the median
 #      share of the `request` span covered by its child spans (snapshot,
-#      coalesce, serve_run, ledger, render) is at least 0.95,
+#      coalesce, serve_run, ledger, publish, render, send) is at least 0.95,
 #   7. the disk cache survives: a fresh single-shot run over the soaked
 #      cache dir reloads the shards instead of discarding them,
 #   8. the counters agree once the soak is over (no request in flight):

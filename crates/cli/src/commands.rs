@@ -82,13 +82,24 @@ fn open_session(opts: &RunOpts) -> Result<(ofence::Session, Option<Arc<NdjsonSin
 }
 
 /// Analyze `opts.paths` as a one-request session: the same snapshot,
-/// cache and ledger path the daemon serves from.
+/// cache and ledger path the daemon serves from. The session is not torn
+/// down: by now the run has appended its ledger lines and flushed the
+/// event sinks, and the process exits after printing, so freeing the
+/// engine and its cache (tens of milliseconds at 12k files) is waste.
 fn run_once(opts: &RunOpts) -> Result<Arc<RunHandle>, String> {
     let (session, events) = open_session(opts)?;
     let handle = session.current_run()?;
     check_faults(opts, &handle)?;
     finish_events(&events);
+    std::mem::forget(session);
     Ok(handle)
+}
+
+/// A one-shot command's exit code, its run left unfreed: everything it
+/// prints is out, and the process exits next.
+fn exit_with<R>(run: R, code: ExitCode) -> Result<ExitCode, String> {
+    std::mem::forget(run);
+    Ok(code)
 }
 
 /// The CLI's policy for a run's disk-side faults: a discarded cache is a
@@ -141,10 +152,11 @@ fn baseline_findings(opts: &RunOpts) -> Result<Vec<FindingRecord>, String> {
     }
 }
 
-/// The run's observability snapshot plus the finding delta against a
-/// baseline (`findings_new` / `findings_fixed`).
+/// The run's counters and span totals plus the finding delta against a
+/// baseline (`findings_new` / `findings_fixed`): all that the report and
+/// `--metrics-out` read, without a copy of every per-file span.
 fn with_delta(result: &AnalysisResult, delta: &DiffReport) -> ofence::obs::Snapshot {
-    result.obs.with_counters([
+    result.obs.totals().with_counters([
         ("findings_new".to_string(), delta.new.len() as u64),
         ("findings_fixed".to_string(), delta.fixed.len() as u64),
     ])
@@ -210,14 +222,21 @@ fn write_sarif(opts: &RunOpts, result: &AnalysisResult) -> Result<(), String> {
     Ok(())
 }
 
-/// Honor `--trace-out` / `--metrics-out` for any analysis subcommand.
-fn write_observability(opts: &RunOpts, obs: &ofence::obs::Snapshot) -> Result<(), String> {
+/// Honor `--trace-out` (the run's spans) / `--metrics-out` (`metrics`:
+/// the run's snapshot, or one with driver counters added) for any
+/// analysis subcommand.
+fn write_observability(
+    opts: &RunOpts,
+    result: &AnalysisResult,
+    metrics: &ofence::obs::Snapshot,
+) -> Result<(), String> {
     if let Some(path) = &opts.trace_out {
-        std::fs::write(path, obs.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
+        let trace = result.obs.chrome_trace_json();
+        std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, obs.prometheus_text()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, metrics.prometheus_text()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote metrics to {path}");
     }
     Ok(())
@@ -235,7 +254,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
     // regressions; without one, every finding counts as new.
     let delta = ofence::classify(&known, &result.deviation_records);
     let obs = with_delta(result, &delta);
-    write_observability(&opts, &obs)?;
+    write_observability(&opts, result, &obs)?;
     write_sarif(&opts, result)?;
     if opts.json {
         // The stable, versioned schema documented in docs/SCHEMA.md,
@@ -282,7 +301,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
     // Every current finding is new or known, so `any` fails on any
     // deviation at all.
     let fail = delta.fails(opts.fail_on.unwrap_or(FailOn::Any));
-    Ok(ExitCode::from(u8::from(fail)))
+    exit_with(handle, ExitCode::from(u8::from(fail)))
 }
 
 /// `ofence serve` — the long-running analysis daemon: one shared
@@ -481,19 +500,20 @@ fn render_trace_nodes(
 /// with `--baseline FILE` the given paths are analyzed and compared to
 /// the baseline. Exit code follows `--fail-on` (default `new`).
 fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
-    let report = match (&opts.old, &opts.new) {
+    let (report, handle) = match (&opts.old, &opts.new) {
         (Some(old), Some(new)) => {
             let old_records = resolve_operand(&opts.run, old)?;
             let new_records = resolve_operand(&opts.run, new)?;
-            ofence::classify(&old_records, &new_records)
+            (ofence::classify(&old_records, &new_records), None)
         }
         _ => {
             let known = baseline_findings(&opts.run)?;
             let handle = run_once(&opts.run)?;
             let report = ofence::classify(&known, &handle.result.deviation_records);
-            write_observability(&opts.run, &with_delta(&handle.result, &report))?;
+            let obs = with_delta(&handle.result, &report);
+            write_observability(&opts.run, &handle.result, &obs)?;
             write_sarif(&opts.run, &handle.result)?;
-            report
+            (report, Some(handle))
         }
     };
     if opts.run.json {
@@ -505,7 +525,7 @@ fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
         print!("{}", report.render());
     }
     let fail = report.fails(opts.run.fail_on.unwrap_or(FailOn::New));
-    Ok(ExitCode::from(u8::from(fail)))
+    exit_with(handle, ExitCode::from(u8::from(fail)))
 }
 
 /// Resolve a diff operand: an existing file is parsed as a JSON document
@@ -529,7 +549,7 @@ fn resolve_operand(opts: &RunOpts, operand: &str) -> Result<Vec<FindingRecord>, 
 /// current finding so future runs can gate on regressions only.
 fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts.run)?;
-    write_observability(&opts.run, &handle.result.obs)?;
+    write_observability(&opts.run, &handle.result, &handle.result.obs)?;
     let run_id = &handle.result.run_id;
     let count = handle.result.deviation_records.len();
     let baseline = ofence::Baseline::new(run_id, handle.result.deviation_records.clone());
@@ -539,13 +559,13 @@ fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
         "baseline: recorded {count} finding(s) from {run_id} to {}",
         opts.out
     );
-    Ok(ExitCode::SUCCESS)
+    exit_with(handle, ExitCode::SUCCESS)
 }
 
 /// `ofence patch` — print (or apply) the generated fixes.
 fn patch(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
-    write_observability(&opts, &handle.result.obs)?;
+    write_observability(&opts, &handle.result, &handle.result.obs)?;
     let result = &handle.result;
     let patches = &result.patches;
     if opts.json {
@@ -574,17 +594,14 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
                 .map(|p| (index[p.file.as_str()], p.edits.clone())),
         )?;
     }
-    Ok(if patches.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    let code = ExitCode::from(u8::from(!patches.is_empty()));
+    exit_with(handle, code)
 }
 
 /// `ofence annotate` — §7 READ_ONCE/WRITE_ONCE patches.
 fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
-    write_observability(&opts, &handle.result.obs)?;
+    write_observability(&opts, &handle.result, &handle.result.obs)?;
     let result = &handle.result;
     // Compose per file so nested read/write annotations merge.
     let mut by_file: std::collections::BTreeMap<usize, Vec<&ofence::Deviation>> =
@@ -617,34 +634,34 @@ fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
     if opts.apply {
         apply_grouped(result, grouped.into_iter())?;
     }
-    Ok(ExitCode::SUCCESS)
+    exit_with(handle, ExitCode::SUCCESS)
 }
 
 /// `ofence stats` — statistics only.
 fn stats(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
-    write_observability(&opts, &handle.result.obs)?;
+    write_observability(&opts, &handle.result, &handle.result.obs)?;
     let result = &handle.result;
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&result.stats).unwrap());
     } else {
         println!("{}", result.stats.render());
     }
-    Ok(ExitCode::SUCCESS)
+    exit_with(handle, ExitCode::SUCCESS)
 }
 
 /// `ofence explain <file:line>` — replay the pairing decision for one
 /// barrier: candidate set, shared-object overlap, weights, outcome.
 fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts.run)?;
-    write_observability(&opts.run, &handle.result.obs)?;
+    write_observability(&opts.run, &handle.result, &handle.result.obs)?;
     let explanation = ofence::explain_at(&handle.result, &opts.run.config, &opts.file, opts.line)?;
     if opts.run.json {
         println!("{}", serde_json::to_string_pretty(&explanation).unwrap());
     } else {
         print!("{}", explanation.render());
     }
-    Ok(ExitCode::SUCCESS)
+    exit_with(handle, ExitCode::SUCCESS)
 }
 
 /// `ofence watch` — a session plus a poll loop: re-run the analysis
@@ -686,7 +703,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         // Metrics files carry the session's cumulative counters too
         // (`serve_runs`: total runs so far).
         let obs = with_delta(result, &delta).with_counters(session.live().counters());
-        write_observability(&opts.run, &obs)?;
+        write_observability(&opts.run, result, &obs)?;
         println!(
             "watch: run {} — {} files, {} deviations ({} new, {} fixed)",
             runs,

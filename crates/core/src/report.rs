@@ -107,10 +107,10 @@ impl Stats {
             patches_generated,
             ..Default::default()
         };
+        // A phase ran when it has a span, however short it was.
         for phase in PHASES {
-            let total = obs.total_us_of(phase);
-            if total > 0 {
-                s.phase_us.insert(phase.to_string(), total);
+            if obs.spans_named(phase).next().is_some() {
+                s.phase_us.insert(phase.to_string(), obs.total_us_of(phase));
             }
         }
         let mut per_file: BTreeMap<String, u64> = BTreeMap::new();

@@ -30,7 +30,8 @@
 //! thread. The protocol fuzz suite in `tests/server.rs` holds the daemon
 //! to exactly that contract.
 
-use crate::session::{panic_message, Session};
+use crate::json::Text;
+use crate::session::{panic_message, ReplyTo, Session};
 use serde::Fields;
 use std::io::{BufRead, BufReader, IoSlice, Write};
 use std::net::TcpStream;
@@ -179,40 +180,42 @@ fn handle_connection(stream: TcpStream, session: &Session) -> ControlFlow<()> {
         if line.iter().all(|b| b.is_ascii_whitespace()) {
             continue;
         }
-        let (reply, shutdown) = respond(session, line);
-        if reply.send(&mut writer).is_err() {
-            return ControlFlow::Continue(());
-        }
-        if shutdown {
-            return ControlFlow::Break(());
+        match respond(session, line, &mut writer) {
+            Ok(false) => {}
+            Ok(true) => return ControlFlow::Break(()),
+            Err(_) => return ControlFlow::Continue(()),
         }
     }
 }
 
-/// One response line, newline included, in three parts: a success
-/// keeps its method's document (a whole report for an `analyze`) as the
-/// method rendered it, between the envelope's head and tail, so the
-/// document is never copied into a second string.
-struct Reply {
+/// One response line, newline included, in pieces: a success keeps its
+/// method's document as the method rendered it, between the envelope's
+/// head and tail, so the document is never copied into a second string.
+/// An `analyze` report's runs of `files` rows stay shared with the
+/// session's memo of them.
+struct Reply<'d> {
     /// The envelope up to the `result` key; an error's whole line.
     head: String,
-    /// The method's document as compact JSON text; empty for an error.
-    result: String,
+    /// The method's document; none for an error.
+    result: Option<&'d Text>,
     /// What follows `result`.
     tail: &'static str,
 }
 
-impl Reply {
-    /// Write the line with as few writes as the socket allows: the three
-    /// parts go to the kernel together (one `writev`), so the stream
-    /// carries exactly the bytes of the joined line, and no small
-    /// trailing write waits behind the big one for an acknowledgement.
+impl Reply<'_> {
+    /// Write the line with as few writes as the socket allows: the pieces
+    /// go to the kernel together (`writev`, which std hands at most
+    /// `IOV_MAX` of them per call), and the loop resumes after a partial
+    /// write. So the stream carries exactly the bytes of the joined line,
+    /// and no small trailing write waits behind the big one for an
+    /// acknowledgement.
     fn send(&self, writer: &mut impl Write) -> std::io::Result<()> {
-        let mut parts = [
-            IoSlice::new(self.head.as_bytes()),
-            IoSlice::new(self.result.as_bytes()),
-            IoSlice::new(self.tail.as_bytes()),
-        ];
+        let document = self.result.into_iter().flat_map(Text::pieces);
+        let mut parts: Vec<IoSlice<'_>> = std::iter::once(&*self.head)
+            .chain(document)
+            .chain(std::iter::once(self.tail))
+            .map(|piece| IoSlice::new(piece.as_bytes()))
+            .collect();
         let mut parts = &mut parts[..];
         while !parts.is_empty() {
             match writer.write_vectored(parts) {
@@ -228,7 +231,7 @@ impl Reply {
 
 /// A success envelope around `result`, the method's document already
 /// rendered as compact JSON text, spliced in without re-parsing.
-fn ok_response(id: &serde_json::Value, request_id: &str, result: String) -> Reply {
+fn ok_response<'d>(id: &serde_json::Value, request_id: &str, result: &'d Text) -> Reply<'d> {
     let mut head = String::with_capacity(64);
     let mut w = serde_json::Writer::compact(&mut head);
     let mut envelope = w.object();
@@ -239,12 +242,17 @@ fn ok_response(id: &serde_json::Value, request_id: &str, result: String) -> Repl
     envelope.key("result");
     Reply {
         head,
-        result,
+        result: Some(result),
         tail: "}\n",
     }
 }
 
-fn error_response(id: &serde_json::Value, request_id: &str, code: &str, message: &str) -> Reply {
+fn error_response(
+    id: &serde_json::Value,
+    request_id: &str,
+    code: &str,
+    message: &str,
+) -> Reply<'static> {
     let mut line = serde_json::to_string(&serde_json::json!({
         "id": id,
         "request_id": request_id,
@@ -255,36 +263,41 @@ fn error_response(id: &serde_json::Value, request_id: &str, code: &str, message:
     line.push('\n');
     Reply {
         head: line,
-        result: String::new(),
+        result: None,
         tail: "",
     }
 }
 
 /// A method's document as compact JSON text.
-fn render(doc: serde_json::Value) -> String {
-    serde_json::to_string(&doc).expect("document serializes")
+fn render(doc: serde_json::Value) -> Text {
+    Text::from(serde_json::to_string(&doc).expect("document serializes"))
 }
 
-/// Parse and dispatch one request line. Returns the response and
-/// whether the client asked the daemon to shut down.
+/// Parse, dispatch and answer one request line on `writer`. Returns
+/// whether the client asked the daemon to shut down, or why the reply
+/// could not be written.
 ///
 /// Every response — success or any flavor of failure — carries a
 /// `request_id`: the client's, when the envelope supplied a valid one,
 /// or a server-assigned id otherwise. Requests too broken to parse get a
 /// server-assigned id too. Only requests that reach a session method
 /// (`analyze`, `analyze-file`, `explain`, `diff`, `baseline-gate`) get a
-/// `requests.jsonl` line. Protocol errors and bad params (counted in
-/// `serve_errors` where they fail), `ping`, `status`, `trace` and
+/// `requests.jsonl` line; those methods send their own reply, success or
+/// failure, from inside the request. Protocol errors and bad params
+/// (counted in `serve_errors` here), `ping`, `status`, `trace` and
 /// `shutdown` leave none.
-fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
-    let fail = |id: serde_json::Value, request_id: &str, e: RpcError| {
+fn respond<W: Write>(session: &Session, line: &[u8], writer: &mut W) -> std::io::Result<bool> {
+    let fail = |writer: &mut W, id: serde_json::Value, request_id: &str, e: RpcError| {
         session.live().count("serve_errors", 1);
-        (error_response(&id, request_id, e.code, &e.message), false)
+        error_response(&id, request_id, e.code, &e.message)
+            .send(writer)
+            .map(|()| false)
     };
     let text = match std::str::from_utf8(line) {
         Ok(t) => t,
         Err(_) => {
             return fail(
+                writer,
                 serde_json::Value::Null,
                 &session.assign_request_id(),
                 RpcError::bad_request("request is not valid UTF-8"),
@@ -295,6 +308,7 @@ fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
         Ok(d) => d,
         Err(e) => {
             return fail(
+                writer,
                 serde_json::Value::Null,
                 &session.assign_request_id(),
                 RpcError::bad_request(format!("request is not JSON: {e}")),
@@ -303,6 +317,7 @@ fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
     };
     let Some(obj) = doc.as_object() else {
         return fail(
+            writer,
             serde_json::Value::Null,
             &session.assign_request_id(),
             RpcError::bad_request("request must be a JSON object"),
@@ -317,6 +332,7 @@ fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
             Some(s) if !s.is_empty() && s.chars().count() <= MAX_REQUEST_ID_CHARS => s.to_string(),
             _ => {
                 return fail(
+                    writer,
                     id,
                     &session.assign_request_id(),
                     RpcError::bad_request(format!(
@@ -328,6 +344,7 @@ fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
     };
     let Some(method) = obj.get("method").and_then(|m| m.as_str()) else {
         return fail(
+            writer,
             id,
             &request_id,
             RpcError::bad_request("missing string field `method`"),
@@ -335,89 +352,82 @@ fn respond(session: &Session, line: &[u8]) -> (Reply, bool) {
     };
     if method == "shutdown" {
         let result = render(serde_json::json!({ "stopping": true }));
-        return (ok_response(&id, &request_id, result), true);
+        ok_response(&id, &request_id, &result).send(writer)?;
+        return Ok(true);
     }
     let params = obj.get("params");
+    // The method answers through `reply`, which records whether a reply
+    // went out and how writing it ended.
+    let mut sent: Option<std::io::Result<()>> = None;
+    let mut reply = |outcome: Result<&Text, &str>| {
+        let response = match outcome {
+            Ok(result) => ok_response(&id, &request_id, result),
+            Err(message) => error_response(&id, &request_id, "failed", message),
+        };
+        sent = Some(response.send(writer));
+    };
     // A handler panic must kill neither the daemon nor the connection:
     // catch it and answer `internal`. Session state stays usable — its
     // locks recover from poisoning.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        dispatch(session, method, params, &request_id)
+        dispatch(session, method, params, &request_id, &mut reply)
     }));
-    match outcome {
-        Ok(Ok(result)) => (ok_response(&id, &request_id, result), false),
-        Ok(Err(e)) => {
-            // `failed` errors come from session methods, whose whole
-            // bodies run inside the session's request tracking — already
-            // counted in `serve_errors` from the request's trace.
-            // Protocol-level errors never reach a session method, so
-            // they are counted here.
-            if e.code != "failed" {
-                session.live().count("serve_errors", 1);
-            }
-            (error_response(&id, &request_id, e.code, &e.message), false)
-        }
-        Err(panic) => {
-            let message = panic_message(panic.as_ref());
-            session.live().count("serve_errors", 1);
-            (
-                error_response(
-                    &id,
-                    &request_id,
-                    "internal",
-                    &format!("handler panicked: {message}"),
-                ),
-                false,
-            )
-        }
+    if let Some(sent) = sent {
+        return sent.map(|()| false);
     }
+    let e = match outcome {
+        Ok(Ok(())) => RpcError {
+            code: "internal",
+            message: format!("method `{method}` sent no reply"),
+        },
+        Ok(Err(e)) => e,
+        Err(panic) => RpcError {
+            code: "internal",
+            message: format!("handler panicked: {}", panic_message(panic.as_ref())),
+        },
+    };
+    fail(writer, id, &request_id, e)
 }
 
-/// Run one method; its document comes back as compact JSON text.
+/// Run one method and answer it through `reply`. The session's tracked
+/// methods answer from inside their request, failures included; the
+/// errors returned here are the ones that never reached one.
 fn dispatch(
     session: &Session,
     method: &str,
     params: Option<&serde_json::Value>,
     request_id: &str,
-) -> Result<String, RpcError> {
+    reply: ReplyTo<'_>,
+) -> Result<(), RpcError> {
     // Tracked methods get a request context carrying the wire-level id,
     // so their spans, trace, and ledger line all correlate with the
     // response envelope.
     let ctx = || session.begin_request(method, Some(request_id.to_string()));
+    let answer = |reply: ReplyTo<'_>, doc| reply(Ok(&render(doc)));
     match method {
-        "ping" => Ok(render(serde_json::json!({ "pong": true }))),
-        "status" => Ok(render(session.status_document())),
+        "ping" => answer(reply, serde_json::json!({ "pong": true })),
+        "status" => answer(reply, session.status_document()),
         "trace" => {
             let wanted = param_str(params, "request_id")?;
-            // Untracked, so a failed lookup is counted here.
-            session.trace_document(wanted).map(render).map_err(|e| {
-                session.live().count("serve_errors", 1);
-                RpcError::failed(e)
-            })
+            let doc = session.trace_document(wanted).map_err(RpcError::failed)?;
+            answer(reply, doc);
         }
-        "analyze" => session.analyze_document(&ctx()).map_err(RpcError::failed),
+        "analyze" => {
+            let _ = session.analyze_document(&ctx(), Some(reply));
+        }
         "analyze-file" => {
             let file = param_str(params, "file")?;
-            session
-                .analyze_file_document(&ctx(), file)
-                .map(render)
-                .map_err(RpcError::failed)
+            let _ = session.analyze_file_document(&ctx(), file, Some(reply));
         }
         "explain" => {
             let file = param_str(params, "file")?;
             let line = param_u32(params, "line")?;
-            session
-                .explain_document(&ctx(), file, line)
-                .map(render)
-                .map_err(RpcError::failed)
+            let _ = session.explain_document(&ctx(), file, line, Some(reply));
         }
         "diff" => {
             let old = param_str(params, "old")?;
             let new = param_str(params, "new")?;
-            session
-                .diff_document(&ctx(), old, new)
-                .map(render)
-                .map_err(RpcError::failed)
+            let _ = session.diff_document(&ctx(), old, new, Some(reply));
         }
         "baseline-gate" => {
             let baseline = params
@@ -432,18 +442,18 @@ fn dispatch(
                     crate::diffing::FailOn::parse(s).map_err(RpcError::bad_request)?
                 }
             };
-            session
-                .baseline_gate_document(&ctx(), baseline, fail_on)
-                .map(render)
-                .map_err(RpcError::failed)
+            let _ = session.baseline_gate_document(&ctx(), baseline, fail_on, Some(reply));
         }
-        other => Err(RpcError {
-            code: "unknown_method",
-            message: format!(
-                "unknown method `{other}`; expected ping, status, trace, analyze, analyze-file, explain, diff, baseline-gate, or shutdown"
-            ),
-        }),
+        other => {
+            return Err(RpcError {
+                code: "unknown_method",
+                message: format!(
+                    "unknown method `{other}`; expected ping, status, trace, analyze, analyze-file, explain, diff, baseline-gate, or shutdown"
+                ),
+            })
+        }
     }
+    Ok(())
 }
 
 fn param_str<'p>(params: Option<&'p serde_json::Value>, key: &str) -> Result<&'p str, RpcError> {
@@ -555,35 +565,66 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         }
     }
 
+    /// `reply`'s bytes as a byte sink, a trickling writer and a socket
+    /// receive them.
+    fn sent_three_ways(reply: &Reply<'_>) -> [String; 3] {
+        let mut sent = Vec::new();
+        reply.send(&mut sent).unwrap();
+        let mut trickled = Trickle(Vec::new());
+        reply.send(&mut trickled).unwrap();
+        // A socket pair, drained by a thread: `writev` there takes at most
+        // `IOV_MAX` slices per call and writes what the buffer holds.
+        let (mut near, mut far) = std::os::unix::net::UnixStream::pair().unwrap();
+        let drain = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            far.read_to_end(&mut got).unwrap();
+            got
+        });
+        reply.send(&mut near).unwrap();
+        drop(near);
+        let socket = drain.join().unwrap();
+        [sent, trickled.0, socket].map(|bytes| String::from_utf8(bytes).unwrap())
+    }
+
     #[test]
     fn a_reply_sends_the_bytes_of_the_joined_line() {
+        // A document in more pieces than one `writev` takes.
+        let runs: Vec<Arc<str>> = (0..1100)
+            .map(|i| Arc::from(format!(",{{\"name\":\"f{i}.c\"}}")))
+            .collect();
+        let many = Text {
+            head: r#"{"files":[{"name":"first.c"}"#.to_string(),
+            runs,
+            tail: "]}".to_string(),
+        };
         let cases = [
-            (serde_json::json!(7), "r000001", r#"{"pong":true}"#),
+            (
+                serde_json::json!(7),
+                "r000001",
+                Text::from(r#"{"pong":true}"#.to_string()),
+            ),
             (
                 serde_json::json!("a \"quoted\"\n\u{1}id é"),
                 "client\\id",
-                r#"{"findings":[],"files":[{"name":"m.c"}]}"#,
+                Text::from(r#"{"findings":[],"files":[{"name":"m.c"}]}"#.to_string()),
             ),
+            (serde_json::json!(null), "r3", many),
         ];
         for (id, request_id, result) in cases {
-            let expected = joined_ok_response(&id, request_id, result);
-            let reply = ok_response(&id, request_id, result.to_string());
-            let mut sent = Vec::new();
-            reply.send(&mut sent).unwrap();
-            assert_eq!(String::from_utf8(sent).unwrap(), expected);
-            let mut trickled = Trickle(Vec::new());
-            reply.send(&mut trickled).unwrap();
-            assert_eq!(String::from_utf8(trickled.0).unwrap(), expected);
+            let expected = joined_ok_response(&id, request_id, &result.joined());
+            let reply = ok_response(&id, request_id, &result);
+            for sent in sent_three_ways(&reply) {
+                assert_eq!(sent, expected);
+            }
         }
         let error = error_response(&serde_json::json!(null), "r2", "busy", "try later");
-        let mut sent = Vec::new();
-        error.send(&mut sent).unwrap();
-        let line = String::from_utf8(sent).unwrap();
-        assert!(
-            line.ends_with("}\n") && line.matches('\n').count() == 1,
-            "{line}"
-        );
-        assert_eq!(line, error.head);
+        for line in sent_three_ways(&error) {
+            assert!(
+                line.ends_with("}\n") && line.matches('\n').count() == 1,
+                "{line}"
+            );
+            assert_eq!(line, error.head);
+        }
     }
 
     #[test]

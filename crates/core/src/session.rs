@@ -93,8 +93,10 @@ use crate::cache::{self, LoadOutcome};
 use crate::config::AnalysisConfig;
 use crate::engine::{AnalysisResult, Engine, SourceFile};
 use crate::fingerprint::FindingRecord;
+use crate::json::{RowMemo, Text};
 use crate::ledger::Record;
 use crate::walk::{Corpus, PassStats, SourceIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -107,6 +109,13 @@ use std::time::Instant;
 /// faster than it can be read twice is served best-effort from the last
 /// pass (counted in `serve_snapshot_unstable`).
 pub const SNAPSHOT_ATTEMPTS: usize = 8;
+
+/// Where a request's answer goes: the daemon passes one per request,
+/// which writes the reply around the method's document (`Ok`) or its
+/// error message (`Err`) to the connection. The session calls it inside
+/// the request, under a `send` span, so the request's latency, trace and
+/// ledger line end with the last byte written.
+pub type ReplyTo<'a> = &'a mut dyn FnMut(Result<&Text, &str>);
 
 /// How a session is wired to disk: what it analyzes and where it keeps
 /// its caches and ledgers. `None` directories disable that layer, the
@@ -227,6 +236,9 @@ pub struct Session {
     index: Mutex<SourceIndex>,
     /// In-flight analyses by snapshot key, for coalescing.
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
+    /// The `files` rows of the last `analyze` reply, which the next one
+    /// reuses where the records did not change.
+    rows: Mutex<RowMemo>,
     /// Live telemetry: every engine run is published to it, every
     /// completed request recorded in it, and every session counter kept
     /// in it; `ofence serve --metrics` and `status` read it.
@@ -274,6 +286,7 @@ impl Session {
             cache_load: Mutex::new(cache_load),
             index: Mutex::new(index),
             inflight: Mutex::new(HashMap::new()),
+            rows: Mutex::new(RowMemo::default()),
             live,
             request_seq: AtomicU64::new(0),
             started: Instant::now(),
@@ -384,18 +397,25 @@ impl Session {
         })
     }
 
-    /// Run one request around `f` (joins included), then finish it:
-    /// build its one trace, append the ledger line derived from it, and
-    /// record it in the live telemetry, which counts the request and
-    /// derives its latency metrics. A request is counted when it
-    /// completes.
+    /// Run one request around `f` (joins included) under its `request`
+    /// span, hand the outcome to `send` inside that span, then finish the
+    /// request: build its one trace, append the ledger line derived from
+    /// it, and record it in the live telemetry, which counts the request
+    /// and derives its latency metrics. A request is counted when it
+    /// completes, after its reply was sent.
     fn tracked<T>(
         &self,
         ctx: &RequestCtx,
         f: impl FnOnce() -> Result<T, String>,
+        send: impl FnOnce(&Result<T, String>),
     ) -> Result<T, String> {
         let t0 = Instant::now();
-        let out = f();
+        let out = {
+            let _span = self.request_span(ctx);
+            let out = f();
+            send(&out);
+            out
+        };
         let trace = obs::RequestTrace {
             request_id: ctx.id.clone(),
             method: ctx.method.clone(),
@@ -412,14 +432,31 @@ impl Session {
         out
     }
 
+    /// [`Self::tracked`] for a method with a document to answer: the
+    /// outcome goes through `reply`, when there is one, under a `send`
+    /// span.
+    fn answered<T: Answer>(
+        &self,
+        ctx: &RequestCtx,
+        reply: Option<ReplyTo<'_>>,
+        f: impl FnOnce() -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.tracked(ctx, f, |out| {
+            let Some(reply) = reply else { return };
+            let text = out.as_ref().map(|doc| doc.text(&ctx.rec));
+            let _span = ctx.rec.span("send");
+            match &text {
+                Ok(text) => reply(Ok(&**text)),
+                Err(message) => reply(Err(message.as_str())),
+            }
+        })
+    }
+
     /// The current analysis of the watched corpus: snapshot, coalesce,
     /// run. Every analysis-backed method funnels through here.
     pub fn current_run(&self) -> Result<Arc<RunHandle>, String> {
         let ctx = self.begin_request("analyze", None);
-        self.tracked(&ctx, || {
-            let _span = self.request_span(&ctx);
-            self.current_run_inner(&ctx)
-        })
+        self.tracked(&ctx, || self.current_run_inner(&ctx), |_| {})
     }
 
     fn current_run_inner(&self, ctx: &RequestCtx) -> Result<Arc<RunHandle>, String> {
@@ -594,18 +631,36 @@ impl Session {
 
     /// `analyze`: the full schema-v3 report as compact JSON text — the
     /// document `ofence analyze --json` prints for the same snapshot —
-    /// rendered straight from the result inside the request (its
-    /// `render` span).
-    pub fn analyze_document(&self, ctx: &RequestCtx) -> Result<String, String> {
-        self.tracked(ctx, || {
-            let _span = self.request_span(ctx);
+    /// rendered inside the request (its `render` span), the `files` rows
+    /// reused from the last reply where their records did not change.
+    pub fn analyze_document(
+        &self,
+        ctx: &RequestCtx,
+        reply: Option<ReplyTo<'_>>,
+    ) -> Result<Text, String> {
+        self.answered(ctx, reply, || {
             let handle = self.current_run_inner(ctx)?;
-            let _render = ctx.rec.span("render");
-            let text = serde_json::to_string(&handle.result.report()).expect("report serializes");
+            let text = self.render_report(ctx, &handle.result);
             // The last request to let go of a run frees it: inside the span.
             drop(handle);
             Ok(text)
         })
+    }
+
+    /// `result`'s report as [`Text`] under a `render` span, whose
+    /// `rows_reused` / `rows_rendered` attributes count the `files` rows
+    /// taken from the session's memo and rendered anew.
+    fn render_report(&self, ctx: &RequestCtx, result: &AnalysisResult) -> Text {
+        let _render = ctx.rec.span("render");
+        let (text, rows) = result.report().to_text(&self.rows);
+        ctx.rec.annotate(
+            "render",
+            &[
+                ("rows_reused", &rows.reused.to_string()),
+                ("rows_rendered", &rows.rendered.to_string()),
+            ],
+        );
+        text
     }
 
     /// `analyze-file`: the slice of the current run belonging to one
@@ -614,9 +669,9 @@ impl Session {
         &self,
         ctx: &RequestCtx,
         file: &str,
+        reply: Option<ReplyTo<'_>>,
     ) -> Result<serde_json::Value, String> {
-        self.tracked(ctx, || {
-            let _span = self.request_span(ctx);
+        self.answered(ctx, reply, || {
             let handle = self.current_run_inner(ctx)?;
             let result = &handle.result;
             let matches: Vec<usize> = result
@@ -661,9 +716,9 @@ impl Session {
         ctx: &RequestCtx,
         file: &str,
         line: u32,
+        reply: Option<ReplyTo<'_>>,
     ) -> Result<serde_json::Value, String> {
-        self.tracked(ctx, || {
-            let _span = self.request_span(ctx);
+        self.answered(ctx, reply, || {
             let handle = self.current_run_inner(ctx)?;
             let explanation =
                 crate::explain::explain_at(&handle.result, &self.opts.config, file, line)?;
@@ -679,9 +734,9 @@ impl Session {
         ctx: &RequestCtx,
         old: &str,
         new: &str,
+        reply: Option<ReplyTo<'_>>,
     ) -> Result<serde_json::Value, String> {
-        self.tracked(ctx, || {
-            let _span = self.request_span(ctx);
+        self.answered(ctx, reply, || {
             let dir = self
                 .opts
                 .history_dir
@@ -701,9 +756,9 @@ impl Session {
         ctx: &RequestCtx,
         baseline: &serde_json::Value,
         fail_on: crate::diffing::FailOn,
+        reply: Option<ReplyTo<'_>>,
     ) -> Result<serde_json::Value, String> {
-        self.tracked(ctx, || {
-            let _span = self.request_span(ctx);
+        self.answered(ctx, reply, || {
             let known = crate::diffing::records_from_json(baseline)
                 .map_err(|e| format!("baseline document: {e}"))?;
             let handle = self.current_run_inner(ctx)?;
@@ -761,6 +816,27 @@ impl Session {
         })?;
         serde_json::from_str(&json)
             .map_err(|e| format!("internal: captured trace is not valid JSON: {e}"))
+    }
+}
+
+/// A method's document, as the text a reply sends.
+trait Answer {
+    fn text(&self, rec: &obs::Recorder) -> Cow<'_, Text>;
+}
+
+/// The `analyze` report, rendered inside the method.
+impl Answer for Text {
+    fn text(&self, _: &obs::Recorder) -> Cow<'_, Text> {
+        Cow::Borrowed(self)
+    }
+}
+
+/// A tree document, rendered for the reply under a `render` span.
+impl Answer for serde_json::Value {
+    fn text(&self, rec: &obs::Recorder) -> Cow<'_, Text> {
+        let _span = rec.span("render");
+        let text = serde_json::to_string(self).expect("document serializes");
+        Cow::Owned(text.into())
     }
 }
 
@@ -848,8 +924,10 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         let dir = tempdir("doc");
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
-        let text = session.analyze_document(&ctx(&session, "analyze")).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let text = session
+            .analyze_document(&ctx(&session, "analyze"), None)
+            .unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&text.joined()).unwrap();
         assert_eq!(doc["schema_version"], crate::json::SCHEMA_VERSION);
         assert_eq!(doc["sites"].as_array().unwrap().len(), 2);
         assert_eq!(doc["pairings"].as_array().unwrap().len(), 1);
@@ -912,7 +990,9 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         std::fs::write(dir.join("a.c"), CLEAN).unwrap();
         std::fs::write(dir.join("b.c"), "int b;\n").unwrap();
         let session = session_over(&dir);
-        session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        session
+            .analyze_document(&ctx(&session, "analyze"), None)
+            .unwrap();
         let doc = session.trace_document("r000001").unwrap();
         let attrs = &doc["spans"][0]["attrs"];
         // A full pass stats and reads both files and arms the journal; the
@@ -1310,18 +1390,18 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
         let explanation = session
-            .explain_document(&ctx(&session, "explain"), "m.c", 2)
+            .explain_document(&ctx(&session, "explain"), "m.c", 2, None)
             .unwrap();
         assert!(explanation["target"].is_object(), "{explanation}");
         let slice = session
-            .analyze_file_document(&ctx(&session, "analyze-file"), "m.c")
+            .analyze_file_document(&ctx(&session, "analyze-file"), "m.c", None)
             .unwrap();
         assert_eq!(slice["barriers"], 2);
         assert!(session
-            .explain_document(&ctx(&session, "explain"), "m.c", 999)
+            .explain_document(&ctx(&session, "explain"), "m.c", 999, None)
             .is_err());
         assert!(session
-            .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c")
+            .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c", None)
             .is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1344,7 +1424,7 @@ void decode(struct rpc *req) {{ smp_rmb(); if (!req->recd) return; g(req->len); 
         std::fs::write(corpus.join("m.c"), buggy).unwrap();
         let b = session.current_run().unwrap().result.run_id.clone();
         let report = session
-            .diff_document(&ctx(&session, "diff"), &a, &b)
+            .diff_document(&ctx(&session, "diff"), &a, &b, None)
             .unwrap();
         assert_eq!(report["summary"]["new"], 1, "{report}");
         assert_eq!(report["summary"]["fixed"], 0, "{report}");
@@ -1366,17 +1446,21 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
                 &ctx(&session, "baseline-gate"),
                 &empty,
                 crate::diffing::FailOn::New,
+                None,
             )
             .unwrap();
         assert_eq!(out["pass"], false, "{out}");
         // Baseline = current findings: nothing new, the gate passes.
-        let text = session.analyze_document(&ctx(&session, "analyze")).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let text = session
+            .analyze_document(&ctx(&session, "analyze"), None)
+            .unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&text.joined()).unwrap();
         let out = session
             .baseline_gate_document(
                 &ctx(&session, "baseline-gate"),
                 &doc,
                 crate::diffing::FailOn::New,
+                None,
             )
             .unwrap();
         assert_eq!(out["pass"], true, "{out}");
@@ -1535,17 +1619,18 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         std::fs::write(dir.join("m.c"), CLEAN).unwrap();
         let session = session_over(&dir);
         assert!(session
-            .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c")
+            .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c", None)
             .is_err());
         assert!(session
-            .explain_document(&ctx(&session, "explain"), "m.c", 999)
+            .explain_document(&ctx(&session, "explain"), "m.c", 999, None)
             .is_err());
         let bad = serde_json::json!({ "findings": "not-a-list" });
         assert!(session
             .baseline_gate_document(
                 &ctx(&session, "baseline-gate"),
                 &bad,
-                crate::diffing::FailOn::New
+                crate::diffing::FailOn::New,
+                None
             )
             .is_err());
         // Each failed request counted exactly once — including failures
@@ -1601,7 +1686,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         let session = session_over(&dir);
         let ctx = session.begin_request("analyze", Some("ci-42".to_string()));
         assert_eq!(ctx.request_id(), "ci-42");
-        session.analyze_document(&ctx).unwrap();
+        session.analyze_document(&ctx, None).unwrap();
         let doc = session.trace_document("ci-42").unwrap();
         assert_eq!(doc["request_id"], "ci-42");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1649,16 +1734,20 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         // the fifth, a `diff` on a session with no ledger, fails without
         // producing a run.
         const N: u64 = 5;
-        session.analyze_document(&ctx(&session, "analyze")).unwrap();
-        session.analyze_document(&ctx(&session, "analyze")).unwrap();
         session
-            .explain_document(&ctx(&session, "explain"), "m.c", 2)
+            .analyze_document(&ctx(&session, "analyze"), None)
+            .unwrap();
+        session
+            .analyze_document(&ctx(&session, "analyze"), None)
+            .unwrap();
+        session
+            .explain_document(&ctx(&session, "explain"), "m.c", 2, None)
             .unwrap();
         assert!(session
-            .explain_document(&ctx(&session, "explain"), "m.c", 999)
+            .explain_document(&ctx(&session, "explain"), "m.c", 999, None)
             .is_err());
         assert!(session
-            .diff_document(&ctx(&session, "diff"), "a", "b")
+            .diff_document(&ctx(&session, "diff"), "a", "b", None)
             .is_err());
         // One scrape: the request and error counters, the all-methods
         // histogram, the per-method histograms, the quantile summaries,
@@ -1733,9 +1822,11 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
         std::fs::write(corpus.join("m.c"), CLEAN).unwrap();
         let ledger = dir.join("ledger");
         let session = session_with(&corpus, AnalysisConfig::default(), Some(ledger.clone()));
-        session.analyze_document(&ctx(&session, "analyze")).unwrap();
+        session
+            .analyze_document(&ctx(&session, "analyze"), None)
+            .unwrap();
         assert!(session
-            .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c")
+            .analyze_file_document(&ctx(&session, "analyze-file"), "nope.c", None)
             .is_err());
         let (records, skipped) =
             crate::ledger::load::<crate::perf::RequestRecord>(&ledger).unwrap();
@@ -1755,6 +1846,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
 mod snapshot_props {
     use super::tests::{age, counter, scrubbed};
     use super::*;
+    use crate::json::ROWS_PER_RUN;
     use proptest::prelude::*;
 
     /// Texts a step can write: a clean pair, a misplaced-access bug, a
@@ -1787,6 +1879,8 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
         RewriteSameSize(usize),
         /// Drop the session and open a new one over the same cache.
         Restart,
+        /// Add a file whose path sorts before every other one.
+        AddFirst(usize),
     }
 
     fn arb_step() -> impl Strategy<Value = Step> {
@@ -1863,6 +1957,11 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
                 set_mtime(file, mtime);
             }
             Step::Restart => {}
+            Step::AddFirst(t) => {
+                let first = dir.join(format!("a{serial}.c"));
+                std::fs::write(&first, TEXTS[t]).unwrap();
+                age(&first);
+            }
         }
     }
 
@@ -2030,6 +2129,81 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
         assert!(pairings[1] > pairings[0], "{pairings:?}");
         assert_eq!(pairings[2], pairings[0]);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Whatever the edit history, every `analyze` reply's text is the
+    /// compact report of the run it answered, though its `files` rows come
+    /// from the session's memo of the last reply. The corpus spans three
+    /// runs of rows. A step that keeps the layout renders at most one run
+    /// again; `hold` keeps the run's result alive across the next request.
+    fn replies_match_their_run(steps: Vec<(Step, bool)>) -> Result<(), TestCaseError> {
+        let dir = std::env::temp_dir().join(format!(
+            "ofence-session-replies-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let fillers = (0..140).map(|i| format!("int h{i}(int x) {{ return x + {i}; }}\n"));
+        for (i, text) in TEXTS
+            .iter()
+            .map(|t| t.to_string())
+            .chain(fillers)
+            .enumerate()
+        {
+            let file = dir.join(format!("f{i:03}.c"));
+            std::fs::write(&file, text).unwrap();
+            age(&file);
+        }
+        let session = Session::new(SessionOptions {
+            config: AnalysisConfig::default(),
+            paths: vec![dir.display().to_string()],
+            cache_dir: None,
+            history_dir: None,
+        });
+        // One request: the reply's text, the run it answered, and the
+        // rows its `render` span says were rendered again.
+        let request = || {
+            let ctx = session.begin_request("analyze", None);
+            let handle = session.current_run_inner(&ctx).unwrap();
+            let text = session.render_report(&ctx, &handle.result);
+            let spans = ctx.rec.snapshot();
+            let render = spans.spans_named("render").last().unwrap();
+            let rendered: usize = render.attr("rows_rendered").unwrap().parse().unwrap();
+            (text, handle, rendered)
+        };
+        let (_, mut held, _) = request();
+        let mut serial = 0;
+        for (step, hold) in steps {
+            let names = corpus_files(&dir);
+            apply(&dir, step, &mut serial);
+            if !hold {
+                drop(held);
+            }
+            let (text, handle, rendered) = request();
+            let report = serde_json::to_string(&handle.result.report()).unwrap();
+            prop_assert!(text.joined() == report, "after {:?}", step);
+            if corpus_files(&dir) == names {
+                prop_assert!(rendered <= ROWS_PER_RUN, "{} after {:?}", rendered, step);
+            }
+            held = handle;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn analyze_replies_match_their_run(
+            steps in proptest::collection::vec(
+                (prop_oneof![arb_step(), (0usize..TEXTS.len()).prop_map(Step::AddFirst)], any::<bool>()),
+                1..8,
+            ),
+        ) {
+            replies_match_their_run(steps)?;
+        }
     }
 
     static SEQ: AtomicU64 = AtomicU64::new(0);

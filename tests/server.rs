@@ -156,6 +156,22 @@ impl Daemon {
         panic!("daemon did not exit after shutdown");
     }
 
+    /// `status` once the daemon has counted `requests` completed requests.
+    /// A request is counted after its last byte is written, so a client
+    /// on another connection can read the reply a moment before that.
+    fn status_after(&self, requests: u64) -> Value {
+        let mut client = self.client();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let status = client.ok(serde_json::json!({"id": "s", "method": "status"}));
+            let counted = status["counters"]["serve_requests"].as_u64().unwrap();
+            if counted >= requests || Instant::now() > deadline {
+                return status;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     /// `Threads:` from /proc/<pid>/status — the daemon's live thread count.
     fn thread_count(&self) -> usize {
         let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id())).unwrap();
@@ -510,9 +526,7 @@ fn concurrent_identical_requests_coalesce() {
 
     assert_eq!(run_ids.len(), THREADS * ROUNDS);
     let distinct: HashSet<&String> = run_ids.iter().collect();
-    let status = daemon
-        .client()
-        .ok(serde_json::json!({"id": "s", "method": "status"}));
+    let status = daemon.status_after((THREADS * ROUNDS) as u64);
     let counter = |name: &str| status["counters"][name].as_u64().unwrap();
     // Every analyze either led a run or joined one; nothing is lost and
     // nothing is double-counted.
@@ -911,6 +925,8 @@ fn trace_round_trips_from_wire_to_debug_routes_to_cli() {
             });
         }
     });
+    // Every barrage request is recorded before the listings below.
+    daemon.status_after((1 + THREADS * ROUNDS) as u64);
 
     // Wire `trace`: the captured span tree of the first request.
     let doc = client.ok(serde_json::json!({
@@ -1137,7 +1153,14 @@ fn one_edit_analyze_traces_cover_the_request() {
             .collect();
         assert_eq!(
             names,
-            ["snapshot", "serve_run", "ledger", "publish", "render"],
+            [
+                "snapshot",
+                "serve_run",
+                "ledger",
+                "publish",
+                "render",
+                "send"
+            ],
             "{doc}"
         );
         // Two journal passes: the first stats and reads only the edited
@@ -1152,6 +1175,17 @@ fn one_edit_analyze_traces_cover_the_request() {
             assert_eq!(pass["attrs"]["read"], touched, "{doc}");
         }
         coverages.push(coverage);
+        // The edit kept the layout: one run of 64 rows is rendered at
+        // most, the rest come from the last reply.
+        let rows =
+            |key: &str| -> usize { children[4]["attrs"][key].as_str().unwrap().parse().unwrap() };
+        let sources = corpus.files.iter().filter(|f| f.name.ends_with(".c"));
+        assert!(rows("rows_rendered") <= 64, "{doc}");
+        assert_eq!(
+            rows("rows_reused") + rows("rows_rendered"),
+            sources.count(),
+            "{doc}"
+        );
         // `serve_run` splits into the engine-lock wait, the run, which
         // looked up and analyzed only the edited file, and the save.
         let run = &children[1]["children"];

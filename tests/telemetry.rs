@@ -277,7 +277,7 @@ fn interleaved_requests_keep_their_span_trees_balanced_and_attributed() {
             scope.spawn(move || {
                 let ctx = session.begin_request("analyze", Some(format!("interleaved-{t}")));
                 barrier.wait();
-                session.analyze_document(&ctx).unwrap();
+                session.analyze_document(&ctx, None).unwrap();
             });
         }
     });
