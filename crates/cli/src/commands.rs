@@ -285,7 +285,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
             println!("\nno barrier-ordering issues found.");
         } else {
             println!();
-            for d in &result.deviations {
+            for d in result.deviations.iter() {
                 println!("{}", d.render(&result.files[d.site.file].source));
             }
         }
@@ -552,7 +552,7 @@ fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
     write_observability(&opts.run, &handle.result, &handle.result.obs)?;
     let run_id = &handle.result.run_id;
     let count = handle.result.deviation_records.len();
-    let baseline = ofence::Baseline::new(run_id, handle.result.deviation_records.clone());
+    let baseline = ofence::Baseline::new(run_id, handle.result.deviation_records.to_vec());
     ofence::diffing::write_baseline(Path::new(&opts.out), &baseline)
         .map_err(|e| format!("baseline: {e}"))?;
     println!(
@@ -567,7 +567,7 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
     write_observability(&opts, &handle.result, &handle.result.obs)?;
     let result = &handle.result;
-    let patches = &result.patches;
+    let patches = &result.patches[..];
     if opts.json {
         println!("{}", serde_json::to_string_pretty(patches).unwrap());
     } else {
@@ -606,7 +606,7 @@ fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
     // Compose per file so nested read/write annotations merge.
     let mut by_file: std::collections::BTreeMap<usize, Vec<&ofence::Deviation>> =
         Default::default();
-    for d in &result.annotations {
+    for d in result.annotations.iter() {
         by_file.entry(d.site.file).or_default().push(d);
     }
     let mut grouped: Vec<(usize, Vec<ofence::patch::Edit>)> = Vec::new();
@@ -729,7 +729,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         for r in &delta.fixed {
             println!("  - {}", r.render_line());
         }
-        known = result.deviation_records.clone();
+        known = result.deviation_records.to_vec();
 
         if opts.max_iterations.is_some_and(|max| runs >= max) {
             finish_events(&events);

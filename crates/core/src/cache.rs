@@ -149,11 +149,25 @@ pub(crate) struct Row {
     pub analysis: Arc<FileAnalysis>,
 }
 
-/// The rows of the last snapshot run, and its corpus's layout id.
+/// What the last snapshot run leaves for the next run over its layout
+/// (see [`crate::engine`]): one row per corpus position, the [`Stats`]
+/// totals over the rows' records, and the run's global-phase memo.
+///
+/// [`Stats`]: crate::report::Stats
+#[derive(Default)]
+pub(crate) struct Table {
+    pub rows: Vec<Row>,
+    pub totals: crate::report::RecordTotals,
+    /// `None` when the run bypassed the memo, or since a run replaced a
+    /// site-holding record.
+    pub memo: Option<crate::engine::Global>,
+}
+
+/// The table of the last snapshot run, and its corpus's layout id.
 #[derive(Default)]
 struct Positions {
     layout: u64,
-    rows: Vec<Row>,
+    table: Table,
 }
 
 /// Default cache directory name (relative to the working directory).
@@ -443,23 +457,24 @@ impl Store {
         self.shards[shard].insert(path, entry);
     }
 
-    /// The last snapshot run's rows if it ran over `layout`, or an empty
-    /// table (the old rows dropped) if not. The store keeps no table
-    /// until [`Store::keep_rows`] hands one back.
-    pub fn take_rows(&mut self, layout: Option<u64>) -> Vec<Row> {
+    /// The last snapshot run's table if it ran over `layout`, or an empty
+    /// one (the old rows and memo dropped) if not. The store keeps no
+    /// table until [`Store::keep_table`] hands one back.
+    pub fn take_table(&mut self, layout: Option<u64>) -> Table {
         let Positions {
             layout: last,
-            mut rows,
+            mut table,
         } = std::mem::take(&mut self.positions);
         if layout != Some(last) {
-            rows.clear();
+            table.rows.clear();
+            table.memo = None;
         }
-        rows
+        table
     }
 
-    /// Keep `rows` as the table of a run whose corpus had `layout`.
-    pub fn keep_rows(&mut self, layout: u64, rows: Vec<Row>) {
-        self.positions = Positions { layout, rows };
+    /// Keep `table` as the table of a run whose corpus had `layout`.
+    pub fn keep_table(&mut self, layout: u64, table: Table) {
+        self.positions = Positions { layout, table };
     }
 
     /// What a new session's snapshot index starts from (see

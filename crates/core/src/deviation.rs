@@ -97,7 +97,8 @@ impl Deviation {
 
 /// Per-run context threaded through the duo checkers: the per-file
 /// analyses give the checkers the function ASTs their dataflow
-/// evidence is built from.
+/// evidence is built from. `files[i]` is the record of corpus position
+/// `i`, so a site's record is `files[site.file]`.
 pub(crate) struct CheckCtx<'a> {
     pub files: &'a [std::sync::Arc<FileAnalysis>],
     pub config: &'a AnalysisConfig,
@@ -425,9 +426,10 @@ fn reread_is_live(
     if first.cross_function || second.cross_function {
         return true;
     }
-    let Some(fa) = ctx.files.iter().find(|f| f.file == reader.site.file) else {
+    let Some(fa) = ctx.files.get(reader.site.file) else {
         return true;
     };
+    debug_assert_eq!(fa.file, reader.site.file, "records sit at their positions");
     let Some(func) = fa.function(&reader.site.function) else {
         return true;
     };

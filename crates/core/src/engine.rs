@@ -17,15 +17,33 @@
 //! makes one lookup, not one per file. A file the snapshot did not read
 //! whose lookup misses (another run evicted its entry since the snapshot
 //! was taken) is read then, and must hash as the snapshot says.
+//!
+//! The same table keeps the [`Stats`] totals over its records, updated
+//! at the looked-up positions only, and the *global-phase memo*: the
+//! outputs of site-id assignment, pair, check, suppression, patch,
+//! annotate and finding records. At depth 0 without `--missing` those
+//! phases read only the site-holding records, so their outputs are a
+//! function of the config and of the ordered (position, record) list of
+//! the site holders. A run over the same layout changes that list only
+//! at the positions it looked up; where the old or the new record there
+//! holds a site and the two are not the same `Arc`, the memo is dropped.
+//! Both records are alive while they are compared, and the rows hold
+//! every other key record, so no address is reused and no `make_mut`
+//! changes a key record in place. A run that finds the memo with its
+//! config's fingerprint puts the memo's id-stamped records back at their
+//! positions, shares its outputs and replays the decision counters the
+//! phases emitted (`global_phases_reused` 1). `--ipa-depth` ≥ 1 and
+//! `--missing` read more than the site holders and bypass the memo.
 
 use crate::annotate;
+use crate::cache::{Row, Table};
 use crate::config::AnalysisConfig;
 use crate::deviation::{check_all_traced, Deviation};
 use crate::fingerprint::{finding_records, FindingRecord};
 use crate::ir::*;
 use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
-use crate::report::{DistanceHistogram, Stats};
+use crate::report::{DistanceHistogram, RecordTotals, Stats};
 use crate::sites::FileAnalysis;
 use crate::walk::{Corpus, Slot};
 use std::borrow::Cow;
@@ -152,19 +170,21 @@ pub struct AnalysisResult {
     /// copy-on-write mutations (global site ids, IPA augmentation) touch
     /// only the files that actually have barrier sites.
     pub files: Vec<Arc<FileAnalysis>>,
-    /// All barrier sites, globally numbered.
-    pub sites: Vec<BarrierSite>,
-    pub pairing: PairingResult,
-    pub deviations: Vec<Deviation>,
-    pub patches: Vec<Patch>,
+    /// All barrier sites, globally numbered. This and the other outputs
+    /// of the global phases are shared with the engine's memo, and with
+    /// the next run's result when it reuses them (see module docs).
+    pub sites: Arc<Vec<BarrierSite>>,
+    pub pairing: Arc<PairingResult>,
+    pub deviations: Arc<Vec<Deviation>>,
+    pub patches: Arc<Vec<Patch>>,
     /// §7 annotation findings and patches, kept separate from bug fixes.
-    pub annotations: Vec<Deviation>,
-    pub annotation_patches: Vec<Patch>,
+    pub annotations: Arc<Vec<Deviation>>,
+    pub annotation_patches: Arc<Vec<Patch>>,
     /// Diffable, fingerprinted records of `deviations` / `annotations`,
     /// in report order: computed once per run, read by the JSON and SARIF
     /// reports, the history ledger, baselines and diffs.
-    pub deviation_records: Vec<FindingRecord>,
-    pub annotation_records: Vec<FindingRecord>,
+    pub deviation_records: Arc<Vec<FindingRecord>>,
+    pub annotation_records: Arc<Vec<FindingRecord>>,
     pub stats: Stats,
     /// Observability snapshot of this run: phase spans with per-file
     /// attribution, decision counters, histograms. Feeds `--trace-out`
@@ -181,7 +201,7 @@ impl AnalysisResult {
     /// Figure 7 data: distances of read accesses around read barriers.
     pub fn read_distance_histogram(&self) -> DistanceHistogram {
         let mut h = DistanceHistogram::default();
-        for s in &self.sites {
+        for s in self.sites.iter() {
             if !s.is_read_barrier() {
                 continue;
             }
@@ -198,7 +218,7 @@ impl AnalysisResult {
     /// barriers.
     pub fn write_distance_histogram(&self) -> DistanceHistogram {
         let mut h = DistanceHistogram::default();
-        for s in &self.sites {
+        for s in self.sites.iter() {
             if !s.is_write_barrier() {
                 continue;
             }
@@ -220,6 +240,15 @@ type WorkerSlot = Mutex<Vec<(usize, Arc<FileAnalysis>)>>;
 /// served for a read file must hold its text).
 fn reuse_key(f: &SourceFile) -> u64 {
     f.slot.map_or(0, Slot::key) ^ u64::from(f.text().is_some())
+}
+
+/// Position `i`'s row: its file's hash and reuse key, and its record.
+fn row(files: &[SourceFile], results: &[Arc<FileAnalysis>], i: usize) -> Row {
+    Row {
+        hash: files[i].hash(),
+        key: reuse_key(&files[i]),
+        analysis: results[i].clone(),
+    }
 }
 
 /// The analysis engine. Holds configuration, the incremental cache, and
@@ -358,10 +387,18 @@ impl Engine {
             self.recorder.count(name, *delta);
         }
         let root = self.recorder.open("analyze");
-        match self.analyze_files(files, layout) {
+        // The last run's table, if it ran over this layout; it is empty
+        // otherwise, and its records are let go before any hit could
+        // copy one on write.
+        let mut table = self.cache.take_table(layout);
+        match self.analyze_files(files, layout.is_some(), &mut table) {
             Ok(analyses) => {
                 self.pending_counts.clear();
-                Ok(self.finish(analyses, root))
+                let result = self.finish(analyses, &mut table, root);
+                if let Some(layout) = layout {
+                    self.cache.keep_table(layout, table);
+                }
+                Ok(result)
             }
             // No run happened: its span closes, and the queued counts
             // wait for the next run.
@@ -378,10 +415,14 @@ impl Engine {
         self.analyze(files)
     }
 
+    /// The run's per-file records, from `table`'s rows, the cache, or a
+    /// fresh analysis. A snapshot run (`keep`) leaves its rows in `table`;
+    /// every run leaves the [`RecordTotals`] over its records there.
     fn analyze_files(
         &mut self,
         files: &[SourceFile],
-        layout: Option<u64>,
+        keep: bool,
+        table: &mut Table,
     ) -> Result<Vec<Arc<FileAnalysis>>, String> {
         debug_assert_eq!(
             (files.iter().map(|f| f.name.as_str()))
@@ -390,11 +431,9 @@ impl Engine {
             files.len(),
             "corpus names are not unique"
         );
-        // The last run's table, if it ran over this layout; it is empty
-        // otherwise, and its records are let go before any hit could
-        // copy one on write.
-        let mut rows = self.cache.take_rows(layout);
+        let rows = &table.rows;
         debug_assert!(rows.is_empty() || rows.len() == files.len());
+        let scan = self.recorder.span("rows");
         // Split into reused, cached and to-do. Hits are counted once per
         // run, not once per file: a count takes the recorder's lock.
         let mut results: Vec<Option<Arc<FileAnalysis>>> = vec![None; files.len()];
@@ -441,10 +480,11 @@ impl Engine {
                 },
             }
         }
+        drop(scan);
         self.recorder
             .count("engine_cache_hits", (files.len() - todo.len()) as u64);
         // Only a snapshot run can look up fewer files than it has.
-        if layout.is_some() {
+        if keep {
             self.recorder
                 .count("engine_cache_lookups", looked_up.len() as u64);
         }
@@ -508,25 +548,38 @@ impl Engine {
         );
         // Keep this run's table for the next run over the same layout:
         // updated in place at the positions looked up, or built afresh.
-        if let Some(layout) = layout {
-            let row = |i: usize| crate::cache::Row {
-                hash: files[i].hash(),
-                key: reuse_key(&files[i]),
-                analysis: results[i].clone(),
-            };
-            if rows.is_empty() {
-                rows.extend((0..files.len()).map(row));
-            } else {
-                for i in looked_up {
-                    rows[i] = row(i);
-                }
+        let _update = self.recorder.span("rows");
+        if table.rows.is_empty() {
+            table.totals = RecordTotals::over(&results);
+            if keep {
+                table
+                    .rows
+                    .extend((0..files.len()).map(|i| row(files, &results, i)));
             }
-            self.cache.keep_rows(layout, rows);
+            return Ok(results);
         }
+        for i in looked_up {
+            let old = std::mem::replace(&mut table.rows[i], row(files, &results, i)).analysis;
+            let new = &results[i];
+            table.totals.replace(&old, new);
+            // The memo's key holds every site-holding record at its
+            // position, compared by `Arc`: it changed if one came, went
+            // or was replaced here.
+            let holds_sites = !old.sites.is_empty() || !new.sites.is_empty();
+            if holds_sites && !Arc::ptr_eq(&old, new) {
+                table.memo = None;
+            }
+        }
+        debug_assert_eq!(table.totals, RecordTotals::over(&results));
         Ok(results)
     }
 
-    fn finish(&self, mut files: Vec<Arc<FileAnalysis>>, root: u64) -> AnalysisResult {
+    fn finish(
+        &self,
+        mut files: Vec<Arc<FileAnalysis>>,
+        table: &mut Table,
+        root: u64,
+    ) -> AnalysisResult {
         let rec = &self.recorder;
         // Inter-procedural summary composition: merge (transitive) callee
         // accesses into barrier windows before pairing. Runs on the
@@ -556,38 +609,128 @@ impl Engine {
         } else {
             None
         };
+        let config = crate::cache::config_fingerprint(&self.config);
+        let memo = table.memo.take().filter(|memo| memo.config == config);
+        let global = match memo {
+            Some(memo) => {
+                let _span = rec.span("global_reuse");
+                for fa in &memo.holders {
+                    debug_assert_eq!(files[fa.file].name, fa.name);
+                    files[fa.file] = fa.clone();
+                }
+                for (name, delta) in &memo.counters {
+                    rec.count(name, *delta);
+                }
+                rec.count("global_phases_reused", 1);
+                memo
+            }
+            None => self.run_global_phases(&mut files, composed.as_ref(), config),
+        };
+        let mut stats = {
+            let _span = rec.span("stats");
+            Stats::compute(
+                files.len(),
+                table.totals,
+                &global.sites,
+                &global.pairing,
+                &global.deviations,
+                global.patches.len(),
+            )
+        };
+        // Close the root span so the snapshot contains it, then derive the
+        // run's wall-clock from that span (replaces the old ad-hoc Instant).
+        rec.close(root);
+        let obs = rec.snapshot();
+        stats.add_timings(&obs, self.slow_files);
+        let result = AnalysisResult {
+            run_id: fresh_run_id(config),
+            files,
+            sites: global.sites.clone(),
+            pairing: global.pairing.clone(),
+            deviations: global.deviations.clone(),
+            patches: global.patches.clone(),
+            annotations: global.annotations.clone(),
+            annotation_patches: global.annotation_patches.clone(),
+            deviation_records: global.deviation_records.clone(),
+            annotation_records: global.annotation_records.clone(),
+            stats,
+            obs,
+        };
+        if self.memoizes() {
+            table.memo = Some(global);
+        }
+        result
+    }
+
+    /// Whether a run keeps its global phases' outputs for the next run:
+    /// at depth 0 without `--missing`, where they read only the
+    /// site-holding records (see module docs).
+    fn memoizes(&self) -> bool {
+        self.config.ipa_depth == 0 && !self.config.detect_missing
+    }
+
+    /// What a run did with the global phases, for the request trace:
+    /// `reused` the last run's outputs, `ran` them, or `bypassed` the memo
+    /// (a mode whose phases read more than the site-holding records).
+    pub fn global_phases(&self, result: &AnalysisResult) -> &'static str {
+        if result.obs.count_of("global_phases_reused") > 0 {
+            "reused"
+        } else if self.memoizes() {
+            "ran"
+        } else {
+            "bypassed"
+        }
+    }
+
+    /// Site ids, pair, check, suppression, patch, annotate and finding
+    /// records over every site, stamping the ids into the site-holding
+    /// records of `files`.
+    fn run_global_phases(
+        &self,
+        files: &mut [Arc<FileAnalysis>],
+        composed: Option<&crate::summary::ComposedIndex>,
+        config: u64,
+    ) -> Global {
+        let rec = &self.recorder;
+        let before = rec.counters();
         // Assign global barrier ids, deterministic in file order.
         // Copy-on-write: only files that actually have sites are cloned
         // out of the cache-shared `Arc`s; site-free files stay shared.
         let mut sites: Vec<BarrierSite> = Vec::new();
-        for fa in &mut files {
-            if fa.sites.is_empty() {
-                continue;
-            }
-            let m = Arc::make_mut(fa);
-            for site in &mut m.sites {
-                site.id = BarrierId(sites.len() as u32);
-                sites.push(site.clone());
+        let mut holders = Vec::new();
+        {
+            let _span = rec.span("site_ids");
+            for fa in files.iter_mut() {
+                if fa.sites.is_empty() {
+                    continue;
+                }
+                let m = Arc::make_mut(fa);
+                for site in &mut m.sites {
+                    site.id = BarrierId(sites.len() as u32);
+                    sites.push(site.clone());
+                }
+                holders.push(fa.clone());
             }
         }
+        let files = &*files;
         let pairing = pair_barriers_traced(&sites, &self.config, rec);
-        let mut deviations = check_all_traced(&sites, &pairing, &files, &self.config, rec);
+        let mut deviations = check_all_traced(&sites, &pairing, files, &self.config, rec);
         if self.config.detect_missing {
             deviations.extend(crate::missing::detect_traced(
-                &files,
+                files,
                 &sites,
                 &pairing,
                 &self.config,
-                composed.as_ref(),
+                composed,
                 rec,
             ));
         }
         // Inline suppression: drop findings whose anchor line (or the
         // line above it) carries an `ofence-ignore` comment. Happens
         // before patch synthesis so suppressed findings produce nothing.
-        let before = deviations.len();
-        deviations.retain(|d| !suppressed(d, &files));
-        rec.count("suppressed", (before - deviations.len()) as u64);
+        let before_suppression = deviations.len();
+        deviations.retain(|d| !suppressed(d, files));
+        rec.count("suppressed", (before_suppression - deviations.len()) as u64);
         let patches: Vec<Patch> = {
             let _span = rec.span("patch");
             deviations
@@ -599,7 +742,7 @@ impl Engine {
         let (annotations, annotation_patches) = {
             let _span = rec.span("annotate");
             let mut annotations = annotate::find_missing_annotations(&sites, &pairing);
-            annotations.retain(|d| !suppressed(d, &files));
+            annotations.retain(|d| !suppressed(d, files));
             let annotation_patches: Vec<Patch> = annotations
                 .iter()
                 .filter_map(|d| annotate::synthesize_annotation(d, &files[d.site.file]))
@@ -607,36 +750,56 @@ impl Engine {
             (annotations, annotation_patches)
         };
         rec.count("annotations_emitted", annotations.len() as u64);
-        let deviation_records = finding_records(&deviations, &sites, &files);
-        let annotation_records = finding_records(&annotations, &sites, &files);
-        // Close the root span so the snapshot contains it, then derive the
-        // run's wall-clock from that span (replaces the old ad-hoc Instant).
-        rec.close(root);
-        let obs = rec.snapshot();
-        let stats = Stats::compute(
-            &files,
-            &sites,
-            &pairing,
-            &deviations,
-            patches.len(),
-            &obs,
-            self.slow_files,
-        );
-        AnalysisResult {
-            run_id: fresh_run_id(&self.config),
-            files,
-            sites,
-            pairing,
-            deviations,
-            patches,
-            annotations,
-            annotation_patches,
-            deviation_records,
-            annotation_records,
-            stats,
-            obs,
+        let (deviation_records, annotation_records) = {
+            let _span = rec.span("records");
+            (
+                finding_records(&deviations, &sites, files),
+                finding_records(&annotations, &sites, files),
+            )
+        };
+        let counters = (rec.counters().into_iter())
+            .filter_map(|(name, n)| {
+                let delta = n - before.get(&name).copied().unwrap_or(0);
+                (delta > 0).then_some((name, delta))
+            })
+            .collect();
+        Global {
+            config,
+            holders,
+            sites: Arc::new(sites),
+            pairing: Arc::new(pairing),
+            deviations: Arc::new(deviations),
+            patches: Arc::new(patches),
+            annotations: Arc::new(annotations),
+            annotation_patches: Arc::new(annotation_patches),
+            deviation_records: Arc::new(deviation_records),
+            annotation_records: Arc::new(annotation_records),
+            counters,
         }
     }
+}
+
+/// The outputs of one run's global phases. At depth 0 without
+/// `--missing` the engine keeps them in its table as the memo that the
+/// next run over the same layout reuses while no site-holding record
+/// changed (see module docs).
+pub(crate) struct Global {
+    /// Fingerprint of the config the phases ran with.
+    config: u64,
+    /// The id-stamped site-holding records, in corpus order; each one's
+    /// `file` is its position.
+    holders: Vec<Arc<FileAnalysis>>,
+    sites: Arc<Vec<BarrierSite>>,
+    pairing: Arc<PairingResult>,
+    deviations: Arc<Vec<Deviation>>,
+    patches: Arc<Vec<Patch>>,
+    annotations: Arc<Vec<Deviation>>,
+    annotation_patches: Arc<Vec<Patch>>,
+    deviation_records: Arc<Vec<FindingRecord>>,
+    annotation_records: Arc<Vec<FindingRecord>>,
+    /// The decision counters the phases added, replayed on a reuse so
+    /// the run's counters read as if they ran.
+    counters: Vec<(String, u64)>,
 }
 
 /// Default length of the "slowest files" ranking (the historical top-5).
@@ -676,7 +839,7 @@ fn suppressed(d: &Deviation, files: &[Arc<FileAnalysis>]) -> bool {
 /// a process-wide counter (so two runs in the same nanosecond still get
 /// distinct ids). Not content-derived on purpose — two identical runs
 /// are still two ledger entries.
-fn fresh_run_id(config: &AnalysisConfig) -> String {
+fn fresh_run_id(config_fingerprint: u64) -> String {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -684,8 +847,7 @@ fn fresh_run_id(config: &AnalysisConfig) -> String {
         .unwrap_or(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let seed = format!(
-        "{:016x}:{nanos}:{seq}:{}",
-        crate::cache::config_fingerprint(config),
+        "{config_fingerprint:016x}:{nanos}:{seq}:{}",
         std::process::id()
     );
     format!("run-{:016x}", fnv1a(seed.as_bytes()))
@@ -694,6 +856,7 @@ fn fresh_run_id(config: &AnalysisConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::tests::scrubbed;
 
     fn listing1_files() -> Vec<SourceFile> {
         vec![
@@ -817,6 +980,100 @@ void writer(struct my_struct *b) {
         }
     }
 
+    /// A snapshot run: one over the same layout as the last one.
+    fn rerun(engine: &mut Engine, files: &[SourceFile]) -> AnalysisResult {
+        engine.run(files, Some(1)).unwrap()
+    }
+
+    #[test]
+    fn edit_to_a_site_free_file_reuses_the_global_phases() {
+        let mut files = listing1_files();
+        files.push(SourceFile::new(
+            "helper.c",
+            "int helper(int x) { return x; }\n",
+        ));
+        let mut engine = Engine::new(AnalysisConfig::default());
+        let first = rerun(&mut engine, &files);
+        assert_eq!(first.obs.count_of("global_phases_reused"), 0);
+        assert_eq!(engine.global_phases(&first), "ran");
+        files[2] = SourceFile::new("helper.c", "int helper(int x) { return x + 1; }\n");
+        let second = rerun(&mut engine, &files);
+        assert_eq!(second.obs.count_of("global_phases_reused"), 1);
+        assert_eq!(engine.global_phases(&second), "reused");
+        assert!(Arc::ptr_eq(&first.pairing, &second.pairing));
+        assert!(Arc::ptr_eq(&first.files[0], &second.files[0]));
+        assert_eq!(first.stats.pairings, second.stats.pairings);
+        // A phase that did not run has no span, so no `phase_us` entry.
+        for phase in ["pair", "check", "patch", "annotate"] {
+            assert!(first.stats.phase_us.contains_key(phase), "{phase}");
+            assert!(!second.stats.phase_us.contains_key(phase), "{phase}");
+        }
+        let has = |r: &AnalysisResult, name| r.obs.spans_named(name).next().is_some();
+        for name in ["rows", "site_ids", "records", "stats"] {
+            assert!(has(&first, name), "{name}");
+        }
+        assert!(!has(&first, "global_reuse") && has(&second, "global_reuse"));
+        assert!(!has(&second, "site_ids") && !has(&second, "records"));
+        let cold = Engine::new(AnalysisConfig::default()).analyze(&files);
+        assert_eq!(scrubbed(&second), scrubbed(&cold));
+        assert_eq!(second.obs.count_of("pairings_formed"), 1);
+    }
+
+    #[test]
+    fn same_length_edit_to_a_site_holder_runs_the_global_phases() {
+        let mut files = listing1_files();
+        let mut engine = Engine::new(AnalysisConfig::default());
+        let first = rerun(&mut engine, &files);
+        // The reader's fence becomes a write fence: a new record of the
+        // same length.
+        let text = files[0].content.replace("smp_rmb", "smp_wmb");
+        files[0] = SourceFile::new("reader.c", text);
+        let edited = rerun(&mut engine, &files);
+        assert_eq!(edited.obs.count_of("global_phases_reused"), 0);
+        assert_ne!(scrubbed(&edited), scrubbed(&first));
+        let cold = Engine::new(AnalysisConfig::default()).analyze(&files);
+        assert_eq!(scrubbed(&edited), scrubbed(&cold));
+    }
+
+    #[test]
+    fn memo_misses_after_a_config_change() {
+        let files = listing1_files();
+        let mut engine = Engine::new(AnalysisConfig::default());
+        assert_eq!(rerun(&mut engine, &files).pairing.pairings.len(), 1);
+        // Listing 1's barriers share two objects: three unpairs them.
+        engine.config.min_shared_objects = 3;
+        let changed = rerun(&mut engine, &files);
+        assert_eq!(changed.obs.count_of("global_phases_reused"), 0);
+        assert!(changed.pairing.pairings.is_empty());
+        let cold = Engine::new(engine.config.clone()).analyze(&files);
+        assert_eq!(scrubbed(&changed), scrubbed(&cold));
+        let again = rerun(&mut engine, &files);
+        assert_eq!(again.obs.count_of("global_phases_reused"), 1);
+        assert_eq!(scrubbed(&again), scrubbed(&cold));
+    }
+
+    #[test]
+    fn depth_and_missing_bypass_the_memo() {
+        let files = listing1_files();
+        for config in [
+            AnalysisConfig {
+                ipa_depth: 1,
+                ..Default::default()
+            },
+            AnalysisConfig {
+                detect_missing: true,
+                ..Default::default()
+            },
+        ] {
+            let mut engine = Engine::new(config);
+            rerun(&mut engine, &files);
+            let second = rerun(&mut engine, &files);
+            assert_eq!(second.obs.count_of("global_phases_reused"), 0);
+            assert_eq!(engine.global_phases(&second), "bypassed");
+            assert!(second.stats.phase_us.contains_key("pair"));
+        }
+    }
+
     #[test]
     fn deterministic_across_runs() {
         let files = listing1_files();
@@ -884,7 +1141,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         let r = Engine::new(AnalysisConfig::default()).analyze(&files);
         assert_eq!(r.annotations.len(), 4); // init + y, both sides
         assert_eq!(r.annotation_patches.len(), 4);
-        for p in &r.annotation_patches {
+        for p in r.annotation_patches.iter() {
             assert!(p.diff.contains("ONCE("), "{}", p.diff);
         }
     }
@@ -905,7 +1162,7 @@ int r(struct s *p) { if (!smp_load_acquire(&p->flag)) return 0; return p->data; 
         })
         .analyze(&files);
         // The primitives' own accesses (flag) remain; data is outside.
-        for s in &r.sites {
+        for s in r.sites.iter() {
             assert!(s
                 .accesses
                 .iter()

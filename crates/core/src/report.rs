@@ -4,8 +4,10 @@
 use crate::deviation::{Deviation, DeviationKind};
 use crate::ir::*;
 use crate::pairing::PairingResult;
+use crate::sites::FileAnalysis;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Corpus-level statistics of one analysis run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -85,71 +87,85 @@ pub fn deviation_class(kind: &DeviationKind) -> &'static str {
     }
 }
 
+/// The part of [`Stats`] summed over every per-file record. A run over
+/// the last run's layout keeps it by delta (see [`crate::engine`]): it
+/// takes out the old record's share and adds the new one's at each
+/// position it looked up, so the site-free files it did not touch are
+/// never read.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RecordTotals {
+    functions_total: usize,
+    parse_errors: usize,
+    files_with_barriers: usize,
+    functions_with_barriers: usize,
+}
+
+impl RecordTotals {
+    /// The totals over `files`, computed in full.
+    pub fn over(files: &[Arc<FileAnalysis>]) -> RecordTotals {
+        let mut totals = RecordTotals::default();
+        for fa in files {
+            totals.add(&RecordTotals::of(fa));
+        }
+        totals
+    }
+
+    /// Replace `old`'s share of the totals by `new`'s.
+    pub fn replace(&mut self, old: &FileAnalysis, new: &FileAnalysis) {
+        let (old, new) = (RecordTotals::of(old), RecordTotals::of(new));
+        self.functions_total = self.functions_total - old.functions_total + new.functions_total;
+        self.parse_errors = self.parse_errors - old.parse_errors + new.parse_errors;
+        self.files_with_barriers =
+            self.files_with_barriers - old.files_with_barriers + new.files_with_barriers;
+        self.functions_with_barriers = self.functions_with_barriers - old.functions_with_barriers
+            + new.functions_with_barriers;
+    }
+
+    /// One record's share.
+    fn of(fa: &FileAnalysis) -> RecordTotals {
+        let mut fns: Vec<&str> = fa
+            .sites
+            .iter()
+            .map(|site| site.site.function.as_str())
+            .collect();
+        fns.sort_unstable();
+        fns.dedup();
+        RecordTotals {
+            functions_total: fa.function_count,
+            parse_errors: fa.parse_error_count,
+            files_with_barriers: usize::from(!fa.sites.is_empty()),
+            functions_with_barriers: fns.len(),
+        }
+    }
+
+    fn add(&mut self, other: &RecordTotals) {
+        self.functions_total += other.functions_total;
+        self.parse_errors += other.parse_errors;
+        self.files_with_barriers += other.files_with_barriers;
+        self.functions_with_barriers += other.functions_with_barriers;
+    }
+}
+
 impl Stats {
+    /// Everything but the timings: from the record totals and the global
+    /// phases' outputs, which hold only the site-holding files.
     pub(crate) fn compute(
-        files: &[std::sync::Arc<crate::sites::FileAnalysis>],
+        files_total: usize,
+        totals: RecordTotals,
         sites: &[BarrierSite],
         pairing: &PairingResult,
         deviations: &[Deviation],
         patches_generated: usize,
-        obs: &obs::Snapshot,
-        slow_files: usize,
     ) -> Stats {
-        let elapsed_ms = obs
-            .spans_named("analyze")
-            .map(|sp| sp.dur_us)
-            .max()
-            .unwrap_or(0)
-            / 1000;
         let mut s = Stats {
-            files_total: files.len(),
-            elapsed_ms,
+            files_total,
+            functions_total: totals.functions_total,
+            parse_errors: totals.parse_errors,
+            files_with_barriers: totals.files_with_barriers,
+            functions_with_barriers: totals.functions_with_barriers,
             patches_generated,
             ..Default::default()
         };
-        // A phase ran when it has a span, however short it was.
-        for phase in PHASES {
-            if obs.spans_named(phase).next().is_some() {
-                s.phase_us.insert(phase.to_string(), obs.total_us_of(phase));
-            }
-        }
-        let mut per_file: BTreeMap<String, u64> = BTreeMap::new();
-        for sp in &obs.spans {
-            if !PER_FILE_PHASES.contains(&sp.name.as_str()) {
-                continue;
-            }
-            if let Some(file) = sp.attr("file") {
-                *per_file.entry(file.to_string()).or_default() += sp.dur_us;
-            }
-        }
-        let mut ranked: Vec<(String, u64)> = per_file.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked.truncate(slow_files);
-        s.slowest_files = ranked;
-        s.workers = obs.count_of("workers") as usize;
-        s.worker_busy_us = obs.count_of("worker_busy_us");
-        s.worker_idle_us = obs.count_of("worker_idle_us");
-        let worker_wall = s.worker_busy_us + s.worker_idle_us;
-        s.worker_utilization = if worker_wall > 0 {
-            s.worker_busy_us as f64 / worker_wall as f64
-        } else {
-            0.0
-        };
-        for fa in files {
-            s.functions_total += fa.function_count;
-            s.parse_errors += fa.parse_error_count;
-            if !fa.sites.is_empty() {
-                s.files_with_barriers += 1;
-            }
-            let mut fns: Vec<&str> = fa
-                .sites
-                .iter()
-                .map(|site| site.site.function.as_str())
-                .collect();
-            fns.sort_unstable();
-            fns.dedup();
-            s.functions_with_barriers += fns.len();
-        }
         for site in sites {
             let key = if site.from_atomic.is_some() {
                 "atomic-rmw (pair_with_atomics)".to_string()
@@ -188,6 +204,46 @@ impl Stats {
             s.deviations_total += 1;
         }
         s
+    }
+
+    /// Fill in the timings from the run's snapshot, taken once its root
+    /// `analyze` span closed.
+    pub(crate) fn add_timings(&mut self, obs: &obs::Snapshot, slow_files: usize) {
+        self.elapsed_ms = obs
+            .spans_named("analyze")
+            .map(|sp| sp.dur_us)
+            .max()
+            .unwrap_or(0)
+            / 1000;
+        // A phase ran when it has a span, however short it was.
+        for phase in PHASES {
+            if obs.spans_named(phase).next().is_some() {
+                self.phase_us
+                    .insert(phase.to_string(), obs.total_us_of(phase));
+            }
+        }
+        let mut per_file: BTreeMap<String, u64> = BTreeMap::new();
+        for sp in &obs.spans {
+            if !PER_FILE_PHASES.contains(&sp.name.as_str()) {
+                continue;
+            }
+            if let Some(file) = sp.attr("file") {
+                *per_file.entry(file.to_string()).or_default() += sp.dur_us;
+            }
+        }
+        let mut ranked: Vec<(String, u64)> = per_file.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(slow_files);
+        self.slowest_files = ranked;
+        self.workers = obs.count_of("workers") as usize;
+        self.worker_busy_us = obs.count_of("worker_busy_us");
+        self.worker_idle_us = obs.count_of("worker_idle_us");
+        let worker_wall = self.worker_busy_us + self.worker_idle_us;
+        self.worker_utilization = if worker_wall > 0 {
+            self.worker_busy_us as f64 / worker_wall as f64
+        } else {
+            0.0
+        };
     }
 
     /// Human-readable one-screen summary.

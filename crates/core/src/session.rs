@@ -544,9 +544,9 @@ impl Session {
 
     /// Run the engine over a snapshot (leader side of a flight). The
     /// `serve_run` span has three children: `engine_lock` (the wait for
-    /// the engine), `engine` (the run, with the cache lookups it made and
-    /// the files it analyzed) and `cache_save` (the save and the event
-    /// sinks' flush).
+    /// the engine), `engine` (the run: its cache lookups, the files it
+    /// analyzed, and whether it reused, ran or bypassed the global phases)
+    /// and `cache_save` (the save and the event sinks' flush).
     fn lead_run(
         &self,
         ctx: &RequestCtx,
@@ -571,8 +571,7 @@ impl Session {
             .take();
         let result = {
             let _span = ctx.rec.span("engine");
-            // A failed run still ends the event streams on a line
-            // boundary, its `analyze` span closed.
+            // A failed run still ends the event streams whole, its `analyze` span closed.
             let result = engine.analyze_snapshot(sources).inspect_err(|_| {
                 engine.recorder().flush_sinks();
             })?;
@@ -582,6 +581,7 @@ impl Session {
                 &[
                     ("lookups", &counter("engine_cache_lookups")),
                     ("analyzed", &counter("engine_files_analyzed")),
+                    ("global", engine.global_phases(&result)),
                 ],
             );
             result
@@ -602,7 +602,7 @@ impl Session {
         drop(run_span);
         let ledger_span = ctx.rec.span("ledger");
         let ledger_error = self.opts.history_dir.as_ref().and_then(|dir| {
-            let records = result.deviation_records.clone();
+            let records = result.deviation_records.to_vec();
             let run_record = crate::history::record_of(&result, &self.opts.config, records);
             let history = append_traced(&ctx.rec, dir, &run_record);
             let perf_record = crate::perf::record_of(&result, &self.opts.config, None);
@@ -880,7 +880,7 @@ fn key_of(digest: u64, config: &AnalysisConfig) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -1050,8 +1050,12 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }\n";
     }
 
     /// A report with its run id, timings and counters nulled.
-    pub(super) fn scrubbed(result: &AnalysisResult) -> serde_json::Value {
-        let mut doc = result.to_json();
+    pub(crate) fn scrubbed(result: &AnalysisResult) -> serde_json::Value {
+        scrub(result.to_json())
+    }
+
+    /// `doc`, a report, with its run id, timings and counters nulled.
+    pub(super) fn scrub(mut doc: serde_json::Value) -> serde_json::Value {
         if let serde_json::Value::Object(map) = &mut doc {
             for key in ["run_id", "stats", "observability"] {
                 map.insert(key.to_string(), serde_json::Value::Null);
@@ -1844,7 +1848,7 @@ void decode(struct rpc *req) { smp_rmb(); if (!req->recd) return; g(req->len); }
 
 #[cfg(test)]
 mod snapshot_props {
-    use super::tests::{age, counter, scrubbed};
+    use super::tests::{age, counter, scrub, scrubbed};
     use super::*;
     use crate::json::ROWS_PER_RUN;
     use proptest::prelude::*;
@@ -1881,6 +1885,17 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
         Restart,
         /// Add a file whose path sorts before every other one.
         AddFirst(usize),
+        /// Put a call after a file's first write barrier, or take it out
+        /// again: an edit inside the barrier's window.
+        WindowEdit(usize),
+        /// Add a barrier call at the top of a file's first function body,
+        /// or remove it again.
+        ToggleBarrier(usize),
+        /// Put an `ofence-ignore` comment above a file's first read
+        /// barrier's line, or remove it again.
+        ToggleIgnore(usize),
+        /// Append a function to a file with no barrier call.
+        EditSiteFree(usize),
     }
 
     fn arb_step() -> impl Strategy<Value = Step> {
@@ -1891,7 +1906,35 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
             (0usize..8).prop_map(Step::Rename),
             (0usize..8).prop_map(Step::RewriteSameSize),
             Just(Step::Restart),
+            (0usize..8).prop_map(Step::WindowEdit),
+            (0usize..8).prop_map(Step::ToggleBarrier),
+            (0usize..8).prop_map(Step::ToggleIgnore),
+            (0usize..8).prop_map(Step::EditSiteFree),
         ]
+    }
+
+    /// `text` with `with` in place of the first `what`, or `what` in place
+    /// of the first `with`: a step that a second application undoes.
+    fn toggle(text: &str, what: &str, with: &str) -> String {
+        if text.contains(with) {
+            text.replacen(with, what, 1)
+        } else {
+            text.replacen(what, with, 1)
+        }
+    }
+
+    /// `text` with an `ofence-ignore` line above its first `smp_rmb` line,
+    /// or without the one it has.
+    fn toggle_ignore(text: &str) -> String {
+        const IGNORE: &str = "/* ofence-ignore */\n";
+        match text.find("smp_rmb") {
+            _ if text.contains(IGNORE) => text.replacen(IGNORE, "", 1),
+            Some(at) => {
+                let line = text[..at].rfind('\n').map_or(0, |i| i + 1);
+                format!("{}{IGNORE}{}", &text[..line], &text[line..])
+            }
+            None => text.to_string(),
+        }
     }
 
     fn set_mtime(path: &std::path::Path, mtime: std::time::SystemTime) {
@@ -1962,7 +2005,59 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
                 std::fs::write(&first, TEXTS[t]).unwrap();
                 age(&first);
             }
+            Step::WindowEdit(f) => rewrite(&files[f % files.len()], |text| {
+                toggle(text, "smp_wmb();", "smp_wmb(); kick();")
+            }),
+            Step::ToggleBarrier(f) => rewrite(&files[f % files.len()], |text| {
+                toggle(text, ") { ", ") { smp_mb(); ")
+            }),
+            Step::ToggleIgnore(f) => rewrite(&files[f % files.len()], toggle_ignore),
+            Step::EditSiteFree(f) => {
+                let read = |file: &PathBuf| std::fs::read_to_string(file).unwrap();
+                let free: Vec<&PathBuf> =
+                    files.iter().filter(|p| !read(p).contains("smp_")).collect();
+                if let Some(file) = free.get(f % free.len().max(1)) {
+                    let added = format!("int sf{serial}(void) {{ return {serial}; }}\n");
+                    rewrite(file, |text| format!("{text}{added}"));
+                }
+            }
         }
+    }
+
+    /// Rewrite `file` through `edit`, and age it.
+    fn rewrite(file: &std::path::Path, edit: impl Fn(&str) -> String) {
+        let text = std::fs::read_to_string(file).unwrap();
+        std::fs::write(file, edit(&text)).unwrap();
+        age(file);
+    }
+
+    /// Name and text of each site-holding record, in corpus order.
+    fn holders(result: &AnalysisResult) -> Vec<(String, Arc<str>)> {
+        (result.files.iter())
+            .filter(|fa| !fa.sites.is_empty())
+            .map(|fa| (fa.name.clone(), fa.source.clone()))
+            .collect()
+    }
+
+    /// The counters the global phases emit: what a run that reuses their
+    /// outputs must replay.
+    fn decision_counters(obs: &obs::Snapshot) -> Vec<(&String, &u64)> {
+        let phase = |name: &str| {
+            [
+                "pair",
+                "check_",
+                "barriers_",
+                "suppressed",
+                "patches_",
+                "annotations_",
+            ]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+        };
+        obs.counters
+            .iter()
+            .filter(|(name, _)| phase(name))
+            .collect()
     }
 
     /// Whatever the edit history, restarts included, and composition
@@ -2005,7 +2100,7 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
             session
         };
         let mut session = open();
-        session.current_run().unwrap();
+        let mut last = session.current_run().unwrap();
         let mut serial = 0;
         for step in steps {
             let names = corpus_files(&dir);
@@ -2014,12 +2109,40 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
                 drop(session);
                 session = open();
             }
-            let served = session.current_run().unwrap();
+            let ctx = session.begin_request("analyze", None);
+            let served = session.current_run_inner(&ctx).unwrap();
+            let reply = session.render_report(&ctx, &served.result).joined();
             let sources = crate::walk::collect_sources(&paths).unwrap();
             let cold = Engine::new(config.clone()).analyze(&sources);
             prop_assert_eq!(
                 scrubbed(&served.result),
                 scrubbed(&cold),
+                "after {:?}",
+                step
+            );
+            let cold_reply = serde_json::to_string(&cold.report()).unwrap();
+            let parsed = |text: &str| scrub(serde_json::from_str(text).unwrap());
+            prop_assert_eq!(parsed(&reply), parsed(&cold_reply));
+            // The per-record totals, kept by delta, equal a full count.
+            let (kept, full) = (&served.result.stats, &cold.stats);
+            prop_assert_eq!(
+                (kept.files_total, kept.functions_total, kept.parse_errors),
+                (full.files_total, full.functions_total, full.parse_errors)
+            );
+            prop_assert_eq!(
+                (kept.files_with_barriers, kept.functions_with_barriers),
+                (full.files_with_barriers, full.functions_with_barriers)
+            );
+            // The global phases are reused exactly when the step kept the
+            // layout and left every site-holding file as it was, and then
+            // their counters are replayed.
+            let same_layout = !matches!(step, Step::Restart) && corpus_files(&dir) == names;
+            let reusable = ipa_depth == 0 && same_layout && holders(&last.result) == holders(&cold);
+            let reused = served.result.obs.count_of("global_phases_reused");
+            prop_assert_eq!(reused, u64::from(reusable), "after {:?}", step);
+            prop_assert_eq!(
+                decision_counters(&served.result.obs),
+                decision_counters(&cold.obs),
                 "after {:?}",
                 step
             );
@@ -2029,7 +2152,7 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
             if matches!(step, Step::Restart) || corpus_files(&dir) != names {
                 prop_assert_eq!(lookups, sources.len() as u64, "after {:?}", step);
             } else {
-                let changed = matches!(step, Step::Edit(..) | Step::RewriteSameSize(_));
+                let changed = !matches!(step, Step::Delete(_) | Step::Restart);
                 prop_assert!(
                     lookups <= u64::from(changed),
                     "{} after {:?}",
@@ -2047,6 +2170,7 @@ void consume(struct c *p) { if (!p->flag) return; smp_rmb(); g(p->a); }\n",
                 "after {:?}",
                 step
             );
+            last = served;
         }
         // The last session walked once, or on every pass.
         let walks = counter(&session, "serve_snapshot_full_passes");

@@ -308,6 +308,12 @@ impl Recorder {
         }
     }
 
+    /// Copy out the counters alone: what a caller diffs to learn which
+    /// counts a stretch of work added, without copying its spans.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        self.lock().counters.clone()
+    }
+
     /// Copy out everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();

@@ -23,7 +23,7 @@ fn main() {
     );
 
     println!("== unannotated concurrent accesses");
-    for a in &result.annotations {
+    for a in result.annotations.iter() {
         println!("  {}", a.explanation);
     }
     assert!(
@@ -32,7 +32,7 @@ fn main() {
     );
 
     println!("\n== generated annotation patches (Patch 5)");
-    for p in &result.annotation_patches {
+    for p in result.annotation_patches.iter() {
         println!("{}", p.diff);
     }
 

@@ -50,7 +50,7 @@ fn main() {
     println!("{}", result.stats.render());
 
     println!("== findings");
-    for d in &result.deviations {
+    for d in result.deviations.iter() {
         println!("  {}:{} {}", d.site.file_name, d.site.line, d.explanation);
     }
 

@@ -46,7 +46,7 @@ fn main() {
     print!("{}", e.render());
 
     println!("\n== Every member of the group sees the same outcome\n");
-    for s in &r.sites {
+    for s in r.sites.iter() {
         let e = explain_site_with(&r.sites, &r.pairing, &config, s.id).unwrap();
         let outcome = match &e.outcome {
             ofence::explain::Outcome::Paired { members, multi, .. } => format!(

@@ -37,7 +37,7 @@ void writer(struct my_struct *b)
     let result = Engine::new(AnalysisConfig::default()).analyze(&files);
 
     println!("== barrier sites");
-    for site in &result.sites {
+    for site in result.sites.iter() {
         println!(
             "  {} {}() in {}() at line {}",
             site.id,
@@ -67,7 +67,7 @@ void writer(struct my_struct *b)
     if result.deviations.is_empty() {
         println!("  none — Listing 1 uses its barriers correctly");
     }
-    for d in &result.deviations {
+    for d in result.deviations.iter() {
         println!("  {}", d.explanation);
     }
 

@@ -69,7 +69,7 @@ fn main() {
     let result = Engine::new(AnalysisConfig::default())
         .analyze(&[SourceFile::new("drivers/net/dev_stats.c", BROKEN)]);
     assert!(!result.deviations.is_empty(), "the escape must be caught");
-    for d in &result.deviations {
+    for d in result.deviations.iter() {
         println!("finding: {}", d.explanation);
         if let Some(patch) = ofence::patch::synthesize(d, &result.files[d.site.file]) {
             println!("\n{}", patch.diff);

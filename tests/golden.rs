@@ -103,7 +103,7 @@ fn explain_patch1_matches_golden() {
     // Explain every barrier in the fixture, in site order, so the
     // snapshot pins the whole decision replay surface.
     let mut out = String::new();
-    for site in &r.sites {
+    for site in r.sites.iter() {
         let e =
             ofence::explain_site_with(&r.sites, &r.pairing, &AnalysisConfig::default(), site.id)
                 .expect("site id from this result");

@@ -53,7 +53,7 @@ fn every_patch_applies_and_eliminates_its_diagnostic() {
     let result = Engine::new(AnalysisConfig::default()).analyze(&files);
     assert!(!result.deviations.is_empty());
     let mut patched_count = 0;
-    for dev in &result.deviations {
+    for dev in result.deviations.iter() {
         let fa = &result.files[dev.site.file];
         let Some(patch) = ofence::patch::synthesize(dev, fa) else {
             continue;
@@ -100,7 +100,7 @@ fn every_patch_applies_and_eliminates_its_diagnostic() {
 fn patch_diffs_are_well_formed() {
     let files = bug_corpus(23);
     let result = Engine::new(AnalysisConfig::default()).analyze(&files);
-    for dev in &result.deviations {
+    for dev in result.deviations.iter() {
         let fa = &result.files[dev.site.file];
         if let Some(patch) = ofence::patch::synthesize(dev, fa) {
             assert!(patch.diff.starts_with("--- a/"), "{}", patch.diff);
@@ -124,7 +124,7 @@ fn annotation_patches_compose_per_file() {
     // conflict-resolving path.
     let mut by_file: std::collections::BTreeMap<usize, Vec<&ofence::Deviation>> =
         Default::default();
-    for dev in &result.annotations {
+    for dev in result.annotations.iter() {
         by_file.entry(dev.site.file).or_default().push(dev);
     }
     assert!(!by_file.is_empty(), "corpus must need annotations");
@@ -153,7 +153,7 @@ fn fixing_everything_yields_clean_corpus() {
     let mut fixed_files: Vec<SourceFile> = files.clone();
     let mut edits_by_file: std::collections::BTreeMap<usize, Vec<ofence::patch::Edit>> =
         Default::default();
-    for dev in &result.deviations {
+    for dev in result.deviations.iter() {
         let fa = &result.files[dev.site.file];
         if let Some(patch) = ofence::patch::synthesize(dev, fa) {
             edits_by_file

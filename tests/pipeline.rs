@@ -134,7 +134,7 @@ fn barrier_ids_stable_across_identical_runs() {
     ];
     let r1 = Engine::new(AnalysisConfig::default()).analyze(&files);
     let r2 = Engine::new(AnalysisConfig::default()).analyze(&files);
-    for (s1, s2) in r1.sites.iter().zip(&r2.sites) {
+    for (s1, s2) in r1.sites.iter().zip(r2.sites.iter()) {
         assert_eq!(s1.id, s2.id);
         assert_eq!(s1.site.function, s2.site.function);
     }

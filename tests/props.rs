@@ -92,11 +92,11 @@ proptest! {
         // Unpaired + paired partitions the sites.
         let unpaired: std::collections::HashSet<_> =
             r.pairing.unpaired.iter().map(|(id, _)| *id).collect();
-        for s in &r.sites {
+        for s in r.sites.iter() {
             prop_assert!(seen.contains(&s.id) != unpaired.contains(&s.id));
         }
         // Every deviation refers to an existing site and file.
-        for d in &r.deviations {
+        for d in r.deviations.iter() {
             prop_assert!(d.site.file < r.files.len());
             prop_assert!((d.barrier.0 as usize) < r.sites.len());
         }
@@ -124,7 +124,7 @@ proptest! {
         let corpus = generate(&spec);
         let files = harness::to_source_files(&corpus);
         let r = Engine::new(AnalysisConfig::default()).analyze(&files);
-        for d in &r.deviations {
+        for d in r.deviations.iter() {
             let fa = &r.files[d.site.file];
             if let Some(patch) = ofence::patch::synthesize(d, fa) {
                 let fixed = ofence::apply_edits(&fa.source, &patch.edits);
@@ -158,7 +158,7 @@ proptest! {
         })
         .analyze(&files);
         prop_assert_eq!(narrow.sites.len(), wide.sites.len());
-        for (n, w) in narrow.sites.iter().zip(&wide.sites) {
+        for (n, w) in narrow.sites.iter().zip(wide.sites.iter()) {
             prop_assert!(w.accesses.len() >= n.accesses.len());
         }
     }
