@@ -1,13 +1,13 @@
 //! Identifier interning.
 //!
 //! The `Box`+`String` AST was the front end's allocation hot spot: every
-//! identifier token allocated a fresh `String` in the lexer, and each of
-//! the parser/preprocessor/CFG layers that clone AST or token data paid
-//! for a full copy again. A [`Name`] is a shared `Arc<str>`; a per-file
-//! [`Interner`] (the file's symbol table) hands out one allocation per
-//! *distinct* identifier, so token clones, macro expansion, AST clones
-//! into `FileAnalysis::functions`, and CFG lowering all become
-//! reference-count bumps. An `Arc<str>` is used rather than a `u32` index so a `Name`
+//! identifier allocated a fresh `String`, and each of the layers that
+//! clone AST data paid for a full copy again. A [`Name`] is a shared
+//! `Arc<str>`; a per-file [`Interner`] (the file's symbol table, kept by
+//! the parser's AST sink) hands out one allocation per *distinct* name,
+//! so AST clones into `FileAnalysis::functions` and CFG lowering become
+//! reference-count bumps. Tokens need no interner: they borrow their
+//! text from the source. An `Arc<str>` is used rather than a `u32` index so a `Name`
 //! stays self-describing (no symbol-table handle to thread through
 //! spans, serde, or patch synthesis) and files can drop their interner
 //! after parsing without invalidating names.
@@ -31,6 +31,12 @@ pub struct Name(Arc<str>);
 impl Name {
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// Whether both names share one allocation, as equal names from one
+    /// interner do.
+    pub fn ptr_eq(a: &Name, b: &Name) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
     }
 }
 

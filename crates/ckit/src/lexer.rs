@@ -4,9 +4,11 @@
 //! [`crate::pp`] on the token stream). Comments and whitespace are skipped;
 //! line continuations (`\` + newline) are honoured inside directives by the
 //! preprocessor via the `at_line_start` flag on each token.
+//!
+//! Every token's payload is a slice of the source, so the token vector
+//! is the one allocation a lex makes.
 
 use crate::error::{Error, Result};
-use crate::intern::Interner;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
@@ -16,9 +18,6 @@ pub struct Lexer<'a> {
     pos: usize,
     /// True until the first token of the current line is produced.
     line_start: bool,
-    /// Per-file symbol table: identifiers (and integer-literal spellings)
-    /// are interned so every repeat is a refcount bump, not a `String`.
-    interner: Interner,
 }
 
 impl<'a> Lexer<'a> {
@@ -28,12 +27,11 @@ impl<'a> Lexer<'a> {
             bytes: src.as_bytes(),
             pos: 0,
             line_start: true,
-            interner: Interner::new(),
         }
     }
 
     /// Lex the whole input. The final token is always `Eof`.
-    pub fn tokenize(mut self) -> Result<Vec<Token>> {
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>> {
         let mut out = Vec::with_capacity(self.src.len() / 4);
         loop {
             let tok = self.next_token()?;
@@ -112,7 +110,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Token> {
+    fn next_token(&mut self) -> Result<Token<'a>> {
         self.skip_trivia()?;
         let at_line_start = self.line_start;
         self.line_start = false;
@@ -123,7 +121,7 @@ impl<'a> Lexer<'a> {
         Ok(tok)
     }
 
-    fn next_kind(&mut self, start: usize) -> Result<TokenKind> {
+    fn next_kind(&mut self, start: usize) -> Result<TokenKind<'a>> {
         use TokenKind::*;
         let c = self.peek();
         if c == 0 {
@@ -145,7 +143,7 @@ impl<'a> Lexer<'a> {
             return self.char_lit(start);
         }
         self.bump();
-        let two = |l: &mut Self, next: u8, yes: TokenKind, no: TokenKind| {
+        let two = |l: &mut Self, next: u8, yes: TokenKind<'a>, no: TokenKind<'a>| {
             if l.peek() == next {
                 l.bump();
                 yes
@@ -240,17 +238,17 @@ impl<'a> Lexer<'a> {
         })
     }
 
-    fn ident(&mut self, start: usize) -> TokenKind {
+    fn ident(&mut self, start: usize) -> TokenKind<'a> {
         while {
             let c = self.peek();
             c.is_ascii_alphanumeric() || c == b'_' || c == b'$'
         } {
             self.pos += 1;
         }
-        TokenKind::Ident(self.interner.intern(&self.src[start..self.pos]))
+        TokenKind::Ident(&self.src[start..self.pos])
     }
 
-    fn number(&mut self, start: usize) -> Result<TokenKind> {
+    fn number(&mut self, start: usize) -> Result<TokenKind<'a>> {
         let mut is_float = false;
         if self.peek() == b'0' && (self.peek2() | 0x20) == b'x' {
             self.pos += 2;
@@ -289,7 +287,7 @@ impl<'a> Lexer<'a> {
         }
         let raw = &self.src[start..self.pos];
         if is_float {
-            return Ok(TokenKind::Float(raw.to_string()));
+            return Ok(TokenKind::Float(raw));
         }
         let digits = raw.trim_end_matches(['u', 'U', 'l', 'L']);
         let value = if let Some(hex) = digits.strip_prefix("0x").or(digits.strip_prefix("0X")) {
@@ -299,13 +297,10 @@ impl<'a> Lexer<'a> {
         } else {
             digits.parse().unwrap_or(u64::MAX)
         };
-        Ok(TokenKind::Int {
-            raw: self.interner.intern(raw),
-            value,
-        })
+        Ok(TokenKind::Int { raw, value })
     }
 
-    fn string(&mut self, start: usize) -> Result<TokenKind> {
+    fn string(&mut self, start: usize) -> Result<TokenKind<'a>> {
         self.bump(); // opening quote
         while self.peek() != b'"' {
             match self.peek() {
@@ -322,10 +317,10 @@ impl<'a> Lexer<'a> {
             }
         }
         self.bump(); // closing quote
-        Ok(TokenKind::Str(self.src[start..self.pos].to_string()))
+        Ok(TokenKind::Str(&self.src[start..self.pos]))
     }
 
-    fn char_lit(&mut self, start: usize) -> Result<TokenKind> {
+    fn char_lit(&mut self, start: usize) -> Result<TokenKind<'a>> {
         self.bump(); // opening quote
         while self.peek() != b'\'' {
             match self.peek() {
@@ -340,12 +335,12 @@ impl<'a> Lexer<'a> {
             }
         }
         self.bump();
-        Ok(TokenKind::Char(self.src[start..self.pos].to_string()))
+        Ok(TokenKind::Char(&self.src[start..self.pos]))
     }
 }
 
 /// Convenience: lex a full source string.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>> {
     Lexer::new(src).tokenize()
 }
 
@@ -354,7 +349,7 @@ mod tests {
     use super::*;
     use TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src)
             .unwrap()
             .into_iter()
@@ -365,15 +360,12 @@ mod tests {
 
     #[test]
     fn punctuation_maximal_munch() {
-        assert_eq!(
-            kinds("a->b"),
-            vec![Ident("a".into()), Arrow, Ident("b".into())]
-        );
+        assert_eq!(kinds("a->b"), vec![Ident("a"), Arrow, Ident("b")]);
         assert_eq!(kinds("<<="), vec![ShlEq]);
         assert_eq!(kinds("< <="), vec![Lt, Le]);
         assert_eq!(
             kinds("a---b"),
-            vec![Ident("a".into()), MinusMinus, Minus, Ident("b".into())]
+            vec![Ident("a"), MinusMinus, Minus, Ident("b")]
         );
     }
 
@@ -383,15 +375,15 @@ mod tests {
             kinds("0x1fUL 42 010"),
             vec![
                 Int {
-                    raw: "0x1fUL".into(),
+                    raw: "0x1fUL",
                     value: 31
                 },
                 Int {
-                    raw: "42".into(),
+                    raw: "42",
                     value: 42
                 },
                 Int {
-                    raw: "010".into(),
+                    raw: "010",
                     value: 8
                 },
             ]
@@ -400,16 +392,16 @@ mod tests {
 
     #[test]
     fn floats() {
-        assert_eq!(kinds("1.5"), vec![Float("1.5".into())]);
-        assert_eq!(kinds("2e10"), vec![Float("2e10".into())]);
-        assert_eq!(kinds("3.0f"), vec![Float("3.0f".into())]);
+        assert_eq!(kinds("1.5"), vec![Float("1.5")]);
+        assert_eq!(kinds("2e10"), vec![Float("2e10")]);
+        assert_eq!(kinds("3.0f"), vec![Float("3.0f")]);
     }
 
     #[test]
     fn comments_skipped() {
         assert_eq!(
             kinds("a /* hi */ b // tail\nc"),
-            vec![Ident("a".into()), Ident("b".into()), Ident("c".into())]
+            vec![Ident("a"), Ident("b"), Ident("c")]
         );
     }
 
@@ -422,11 +414,7 @@ mod tests {
     fn strings_and_chars() {
         assert_eq!(
             kinds(r#""he\"y" 'x' '\n'"#),
-            vec![
-                Str(r#""he\"y""#.into()),
-                Char("'x'".into()),
-                Char(r"'\n'".into()),
-            ]
+            vec![Str(r#""he\"y""#), Char("'x'"), Char(r"'\n'")]
         );
     }
 
@@ -451,14 +439,8 @@ mod tests {
 
     #[test]
     fn ellipsis_vs_dots() {
-        assert_eq!(
-            kinds("f(...)"),
-            vec![Ident("f".into()), LParen, Ellipsis, RParen]
-        );
-        assert_eq!(
-            kinds("a.b"),
-            vec![Ident("a".into()), Dot, Ident("b".into())]
-        );
+        assert_eq!(kinds("f(...)"), vec![Ident("f"), LParen, Ellipsis, RParen]);
+        assert_eq!(kinds("a.b"), vec![Ident("a"), Dot, Ident("b")]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         Ok(self.sink.ternary(cond, then_expr, else_expr))
     }
 
-    fn binop(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    fn binop(kind: &TokenKind<'_>) -> Option<(BinOp, u8)> {
         use TokenKind::*;
         Some(match kind {
             PipePipe => (BinOp::Or, 1),
@@ -245,7 +245,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
     fn parse_primary(&mut self) -> Result<S::Expr> {
         let span = self.span();
         let tok = self.peek();
-        match tok {
+        match *tok {
             TokenKind::Ident(name) => {
                 if crate::token::is_keyword(name) && name != "sizeof" {
                     return Err(Error::parse(

@@ -15,12 +15,11 @@ mod tests;
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::intern::Name;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
-use sink::{Ast, Count, NodeList, Sink};
+use sink::{Ast, Count, NodeList, Sink, TypeName};
 use std::collections::HashSet;
-use std::sync::{LazyLock, OnceLock};
+use std::sync::OnceLock;
 
 /// Typedef names assumed known even without their headers: the common
 /// kernel and libc type vocabulary. Anything else can be registered through
@@ -131,7 +130,7 @@ fn may_be_attribute(name: &str) -> bool {
 }
 
 /// The name of an abstract declarator (and of an anonymous tag).
-static NO_NAME: LazyLock<Name> = LazyLock::new(Name::default);
+const NO_NAME: &str = "";
 
 /// Parser options.
 #[derive(Clone, Debug, Default)]
@@ -164,14 +163,14 @@ pub struct Counts {
 }
 
 /// Parse a preprocessed token stream.
-pub fn parse_tokens(tokens: Vec<Token>, config: &ParserConfig) -> ParseOutput {
+pub fn parse_tokens(tokens: Vec<Token<'_>>, config: &ParserConfig) -> ParseOutput {
     parse_token_slice(&tokens, config)
 }
 
 /// Parse a preprocessed token stream without taking it, so the same
 /// tokens can be parsed again (see [`count_tokens`]).
-pub fn parse_token_slice(tokens: &[Token], config: &ParserConfig) -> ParseOutput {
-    let mut p = Parser::new(tokens, config, Ast);
+pub fn parse_token_slice(tokens: &[Token<'_>], config: &ParserConfig) -> ParseOutput {
+    let mut p = Parser::new(tokens, config, Ast::default());
     let items = p.parse_unit();
     ParseOutput {
         unit: TranslationUnit { items },
@@ -184,7 +183,7 @@ pub fn parse_token_slice(tokens: &[Token], config: &ParserConfig) -> ParseOutput
 /// a full parse exactly. `watch` is asked about each call whose callee is
 /// a bare identifier, and only about those.
 pub fn count_tokens(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     config: &ParserConfig,
     watch: &dyn Fn(&str) -> bool,
 ) -> Counts {
@@ -198,12 +197,12 @@ pub fn count_tokens(
 }
 
 pub(crate) struct Parser<'t, S: Sink<'t>> {
-    toks: &'t [Token],
+    toks: &'t [Token<'t>],
     pos: usize,
     sink: S,
     /// Typedef names this file declares, plus [`ParserConfig::typedefs`];
     /// [`BUILTIN_TYPEDEFS`] is looked up separately.
-    typedefs: HashSet<Name>,
+    typedefs: HashSet<&'t str>,
     errors: Vec<Error>,
     /// Function definitions parsed so far.
     functions: usize,
@@ -214,16 +213,12 @@ pub(crate) struct Parser<'t, S: Sink<'t>> {
 }
 
 impl<'t, S: Sink<'t>> Parser<'t, S> {
-    fn new(toks: &'t [Token], config: &ParserConfig, sink: S) -> Self {
+    fn new(toks: &'t [Token<'t>], config: &'t ParserConfig, sink: S) -> Self {
         Parser {
             toks,
             pos: 0,
             sink,
-            typedefs: config
-                .typedefs
-                .iter()
-                .map(|t| Name::from(t.as_str()))
-                .collect(),
+            typedefs: config.typedefs.iter().map(String::as_str).collect(),
             errors: Vec::new(),
             functions: 0,
             last_params: Default::default(),
@@ -238,11 +233,11 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
 
     // ---- cursor -------------------------------------------------------
 
-    pub(crate) fn peek(&self) -> &'t TokenKind {
+    pub(crate) fn peek(&self) -> &'t TokenKind<'t> {
         &self.toks[self.pos.min(self.toks.len() - 1)].kind
     }
 
-    pub(crate) fn peek_n(&self, n: usize) -> &'t TokenKind {
+    pub(crate) fn peek_n(&self, n: usize) -> &'t TokenKind<'t> {
         &self.toks[(self.pos + n).min(self.toks.len() - 1)].kind
     }
 
@@ -260,7 +255,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         }
     }
 
-    pub(crate) fn at(&self, kind: &TokenKind) -> bool {
+    pub(crate) fn at(&self, kind: &TokenKind<'_>) -> bool {
         self.peek() == kind
     }
 
@@ -268,7 +263,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         self.peek().ident() == Some(name)
     }
 
-    pub(crate) fn eat(&mut self, kind: &TokenKind) -> bool {
+    pub(crate) fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -286,7 +281,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         }
     }
 
-    pub(crate) fn expect(&mut self, kind: &TokenKind) -> Result<Span> {
+    pub(crate) fn expect(&mut self, kind: &TokenKind<'_>) -> Result<Span> {
         if self.at(kind) {
             let sp = self.span();
             self.bump();
@@ -303,8 +298,8 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         }
     }
 
-    pub(crate) fn expect_ident(&mut self) -> Result<(&'t Name, Span)> {
-        match self.peek() {
+    pub(crate) fn expect_ident(&mut self) -> Result<(&'t str, Span)> {
+        match *self.peek() {
             TokenKind::Ident(s) => {
                 let sp = self.span();
                 self.bump();
@@ -445,7 +440,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         if name.is_empty() {
             return Err(Error::parse("typedef without a name", span));
         }
-        self.typedefs.insert(name.clone());
+        self.typedefs.insert(name);
         Ok(self.sink.typedef(name, ty, span))
     }
 
@@ -465,7 +460,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         let name = if has_name {
             self.expect_ident()?.0
         } else {
-            &*NO_NAME
+            NO_NAME
         };
         self.expect(&TokenKind::LBrace)?;
         let mut items = S::List::default();
@@ -482,12 +477,12 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         self.skip_attributes();
         // Optional trailing declarators: `struct s { ... } a, *b;`
         if !self.at(&TokenKind::Semi) {
-            let name = name.clone();
-            let base = self.sink.leaf_type(if keyword == "enum" {
-                Type::Enum(name)
-            } else {
-                Type::Struct { name, is_union }
-            });
+            let kind = match keyword {
+                "enum" => TypeName::Enum,
+                "union" => TypeName::Union,
+                _ => TypeName::Struct,
+            };
+            let base = self.sink.named_type(kind, name);
             let decl = self.parse_declarator_list(base, start)?;
             items.push(self.sink.global(decl));
         }
@@ -518,10 +513,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                 } else {
                     // named member of anonymous struct type: keep the member
                     let (mname, msp) = self.expect_ident()?;
-                    let ty = self.sink.leaf_type(Type::Struct {
-                        name: Name::default(),
-                        is_union: false,
-                    });
+                    let ty = self.sink.named_type(TypeName::Struct, NO_NAME);
                     fields.push(self.sink.field(mname, ty, msp));
                     self.expect(&TokenKind::Semi)?;
                 }

@@ -12,9 +12,14 @@
 //! [`Sink::func_arity`] (function definition vs. global) and
 //! [`Sink::expr_span`] (a `for` initializer's span). Every other span is
 //! passed in by the grammar or derived by the sink from its children.
+//!
+//! The grammar hands a sink names as the tokens' borrowed text. [`Ast`]
+//! interns each name it stores, one interner per file, so equal names in
+//! one tree share storage; [`Count`] stores none, so a counting parse
+//! interns nothing.
 
 use crate::ast::*;
-use crate::intern::Name;
+use crate::intern::{Interner, Name};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
@@ -52,6 +57,15 @@ impl<T> NodeList<T> for Discard {
     fn truncate(&mut self, _: usize) {}
 }
 
+/// What the name of a named leaf type names.
+#[derive(Clone, Copy)]
+pub(crate) enum TypeName {
+    Typedef,
+    Struct,
+    Union,
+    Enum,
+}
+
 /// What the grammar hands each recognized node to.
 ///
 /// `start`/`end` arguments are the spans of a node's first/last token as
@@ -76,8 +90,11 @@ pub(crate) trait Sink<'t> {
     fn expr_span(e: &Self::Expr) -> Span;
 
     // ---- types --------------------------------------------------------
-    /// A type with no child types (`int`, `struct s`, a typedef name...).
+    /// A type with no child types and no name (`int`, `void`...).
     fn leaf_type(&mut self, ty: Type) -> Self::Type;
+    /// A type with no child types that has a name (`struct s`, a typedef
+    /// name...); an anonymous tag's name is empty.
+    fn named_type(&mut self, kind: TypeName, name: &'t str) -> Self::Type;
     fn ptr(&mut self, to: Self::Type) -> Self::Type;
     fn array(&mut self, of: Self::Type, len: Option<u64>) -> Self::Type;
     fn func_type(
@@ -90,11 +107,11 @@ pub(crate) trait Sink<'t> {
     fn typeof_expr(&mut self, inner: &Self::Expr) -> Self::Type;
 
     // ---- expressions --------------------------------------------------
-    fn ident(&mut self, name: &'t Name, span: Span) -> Self::Expr;
+    fn ident(&mut self, name: &'t str, span: Span) -> Self::Expr;
     /// A literal token (integer, float, char).
-    fn literal(&mut self, tok: &TokenKind, span: Span) -> Self::Expr;
+    fn literal(&mut self, tok: &TokenKind<'t>, span: Span) -> Self::Expr;
     /// Adjacent string literals, concatenated.
-    fn string(&mut self, toks: &[Token], span: Span) -> Self::Expr;
+    fn string(&mut self, toks: &[Token<'t>], span: Span) -> Self::Expr;
     /// `( inner )`: the inner node, re-spanned to cover the parens.
     fn paren(&mut self, inner: Self::Expr, span: Span) -> Self::Expr;
     fn stmt_expr(&mut self, body: Self::List<Self::Stmt>, span: Span) -> Self::Expr;
@@ -106,21 +123,22 @@ pub(crate) trait Sink<'t> {
     fn ternary(&mut self, cond: Self::Expr, then: Self::Expr, els: Self::Expr) -> Self::Expr;
     fn call(&mut self, callee: Self::Expr, args: Self::List<Self::Expr>, end: Span) -> Self::Expr;
     fn index(&mut self, base: Self::Expr, index: Self::Expr, end: Span) -> Self::Expr;
-    fn member(&mut self, base: Self::Expr, field: &Name, arrow: bool, end: Span) -> Self::Expr;
+    fn member(&mut self, base: Self::Expr, field: &'t str, arrow: bool, end: Span) -> Self::Expr;
     fn cast(&mut self, ty: Self::Type, operand: Self::Expr, start: Span) -> Self::Expr;
     fn sizeof_type(&mut self, ty: Self::Type, span: Span) -> Self::Expr;
     fn sizeof_expr(&mut self, operand: Self::Expr, start: Span) -> Self::Expr;
     fn init_list(&mut self, inits: Self::List<Self::Init>, span: Span) -> Self::Expr;
-    fn initializer(&mut self, designator: Option<&Name>, value: Self::Expr) -> Self::Init;
+    fn initializer(&mut self, designator: Option<&'t str>, value: Self::Expr) -> Self::Init;
 
     // ---- statements ---------------------------------------------------
-    /// A statement with no child nodes (`break`, `goto l`, `;`...).
+    /// A statement with no child nodes and no name (`break`, `;`...).
     fn leaf_stmt(&mut self, kind: StmtKind, span: Span) -> Self::Stmt;
+    fn goto(&mut self, label: &'t str, span: Span) -> Self::Stmt;
     fn expr_stmt(&mut self, e: Self::Expr, span: Span) -> Self::Stmt;
     fn decl_stmt(&mut self, d: Self::DeclStmt) -> Self::Stmt;
     fn block(&mut self, stmts: Self::List<Self::Stmt>, span: Span) -> Self::Stmt;
     fn ret(&mut self, value: Option<Self::Expr>, span: Span) -> Self::Stmt;
-    fn label(&mut self, name: &Name, stmt: Self::Stmt, start: Span) -> Self::Stmt;
+    fn label(&mut self, name: &'t str, stmt: Self::Stmt, start: Span) -> Self::Stmt;
     fn case(&mut self, value: Option<Self::Expr>, stmt: Self::Stmt, start: Span) -> Self::Stmt;
     fn if_stmt(
         &mut self,
@@ -141,23 +159,23 @@ pub(crate) trait Sink<'t> {
     ) -> Self::Stmt;
     fn switch(&mut self, cond: Self::Expr, body: Self::Stmt, start: Span) -> Self::Stmt;
     /// `asm(...)`: `body` is the parenthesized token run, parens excluded.
-    fn asm(&mut self, volatile: bool, body: &[Token], span: Span) -> Self::Stmt;
+    fn asm(&mut self, volatile: bool, body: &[Token<'t>], span: Span) -> Self::Stmt;
 
     // ---- declarations and items --------------------------------------
     fn declarator(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         ty: Self::Type,
         init: Option<Self::Expr>,
         span: Span,
     ) -> Self::Decl;
     fn decls(&mut self, decls: Self::List<Self::Decl>, span: Span) -> Self::DeclStmt;
-    fn param(&mut self, name: &'t Name, ty: Self::Type, span: Span) -> Self::Param;
-    fn field(&mut self, name: &'t Name, ty: Self::Type, span: Span) -> Self::Field;
+    fn param(&mut self, name: &'t str, ty: Self::Type, span: Span) -> Self::Param;
+    fn field(&mut self, name: &'t str, ty: Self::Type, span: Span) -> Self::Field;
     /// A function signature; `ty` is a function type (see `func_arity`).
     fn sig(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         ty: &Self::Type,
         params: Self::List<Self::Param>,
         flags: SpecFlags,
@@ -166,34 +184,34 @@ pub(crate) trait Sink<'t> {
     fn function(&mut self, sig: Self::Sig, body: Self::List<Self::Stmt>, span: Span) -> Self::Item;
     fn prototype(&mut self, sig: Self::Sig) -> Self::Item;
     fn global(&mut self, decls: Self::DeclStmt) -> Self::Item;
-    fn typedef(&mut self, name: &'t Name, ty: Self::Type, span: Span) -> Self::Item;
+    fn typedef(&mut self, name: &'t str, ty: Self::Type, span: Span) -> Self::Item;
     fn struct_def(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         is_union: bool,
         fields: Self::List<Self::Field>,
         span: Span,
     ) -> Self::Item;
-    fn variant(&mut self, name: &'t Name, value: Option<Self::Expr>) -> Self::Variant;
+    fn variant(&mut self, name: &'t str, value: Option<Self::Expr>) -> Self::Variant;
     fn enum_def(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         variants: Self::List<Self::Variant>,
         span: Span,
     ) -> Self::Item;
 }
 
-/// Builds the [`TranslationUnit`].
-pub(crate) struct Ast;
+/// Builds the [`TranslationUnit`], interning every name it stores in the
+/// file's own symbol table. SipHash, not a faster hash: file contents
+/// are untrusted, and a fixed hash would let a file flood the table.
+#[derive(Default)]
+pub(crate) struct Ast {
+    names: Interner,
+}
 
-/// An owned copy of a name the grammar lent. The grammar's empty name is
-/// one process-wide value; giving each node its own keeps threads from
-/// sharing its refcount.
-fn own(name: &Name) -> Name {
-    if name.is_empty() {
-        Name::default()
-    } else {
-        name.clone()
+impl Ast {
+    fn name(&mut self, name: &str) -> Name {
+        self.names.intern(name)
     }
 }
 
@@ -226,6 +244,18 @@ impl<'t> Sink<'t> for Ast {
         ty
     }
 
+    fn named_type(&mut self, kind: TypeName, name: &'t str) -> Type {
+        let name = self.name(name);
+        match kind {
+            TypeName::Typedef => Type::Named(name),
+            TypeName::Struct | TypeName::Union => Type::Struct {
+                name,
+                is_union: matches!(kind, TypeName::Union),
+            },
+            TypeName::Enum => Type::Enum(name),
+        }
+    }
+
     fn ptr(&mut self, to: Type) -> Type {
         to.ptr()
     }
@@ -246,38 +276,38 @@ impl<'t> Sink<'t> for Ast {
     // `typeof(...)` text, so printing round-trips.
     fn typeof_type(&mut self, inner: &Type) -> Type {
         let inner = crate::pretty::print_decl(inner, "");
-        Type::Named(format!("typeof({inner})").into())
+        Type::Named(self.name(&format!("typeof({inner})")))
     }
 
     fn typeof_expr(&mut self, inner: &Expr) -> Type {
         let inner = crate::pretty::print_expr(inner);
-        Type::Named(format!("typeof({inner})").into())
+        Type::Named(self.name(&format!("typeof({inner})")))
     }
 
-    fn ident(&mut self, name: &'t Name, span: Span) -> Expr {
+    fn ident(&mut self, name: &'t str, span: Span) -> Expr {
         Expr {
-            kind: ExprKind::Ident(name.clone()),
+            kind: ExprKind::Ident(self.name(name)),
             span,
         }
     }
 
-    fn literal(&mut self, tok: &TokenKind, span: Span) -> Expr {
-        let kind = match tok {
+    fn literal(&mut self, tok: &TokenKind<'t>, span: Span) -> Expr {
+        let kind = match *tok {
             TokenKind::Int { raw, value } => ExprKind::IntLit {
-                raw: raw.clone(),
-                value: *value,
+                raw: self.name(raw),
+                value,
             },
-            TokenKind::Float(raw) => ExprKind::FloatLit(raw.clone()),
-            TokenKind::Char(c) => ExprKind::CharLit(c.clone()),
+            TokenKind::Float(raw) => ExprKind::FloatLit(raw.to_string()),
+            TokenKind::Char(c) => ExprKind::CharLit(c.to_string()),
             other => unreachable!("not a literal token: {other:?}"),
         };
         Expr { kind, span }
     }
 
-    fn string(&mut self, toks: &[Token], span: Span) -> Expr {
+    fn string(&mut self, toks: &[Token<'t>], span: Span) -> Expr {
         let mut text = String::new();
         for t in toks {
-            if let TokenKind::Str(s) = &t.kind {
+            if let TokenKind::Str(s) = t.kind {
                 text.push_str(s);
             }
         }
@@ -372,12 +402,12 @@ impl<'t> Sink<'t> for Ast {
         }
     }
 
-    fn member(&mut self, base: Expr, field: &Name, arrow: bool, end: Span) -> Expr {
+    fn member(&mut self, base: Expr, field: &'t str, arrow: bool, end: Span) -> Expr {
         let span = base.span.to(end);
         Expr {
             kind: ExprKind::Member {
                 base: Box::new(base),
-                field: field.clone(),
+                field: self.name(field),
                 arrow,
             },
             span,
@@ -414,15 +444,22 @@ impl<'t> Sink<'t> for Ast {
         }
     }
 
-    fn initializer(&mut self, designator: Option<&Name>, value: Expr) -> Initializer {
+    fn initializer(&mut self, designator: Option<&'t str>, value: Expr) -> Initializer {
         Initializer {
-            designator: designator.cloned(),
+            designator: designator.map(|d| self.name(d)),
             value,
         }
     }
 
     fn leaf_stmt(&mut self, kind: StmtKind, span: Span) -> Stmt {
         Stmt { kind, span }
+    }
+
+    fn goto(&mut self, label: &'t str, span: Span) -> Stmt {
+        Stmt {
+            kind: StmtKind::Goto(self.name(label)),
+            span,
+        }
     }
 
     fn expr_stmt(&mut self, e: Expr, span: Span) -> Stmt {
@@ -454,11 +491,11 @@ impl<'t> Sink<'t> for Ast {
         }
     }
 
-    fn label(&mut self, name: &Name, stmt: Stmt, start: Span) -> Stmt {
+    fn label(&mut self, name: &'t str, stmt: Stmt, start: Span) -> Stmt {
         let span = start.to(stmt.span);
         Stmt {
             kind: StmtKind::Label {
-                name: name.clone(),
+                name: self.name(name),
                 stmt: Box::new(stmt),
             },
             span,
@@ -540,13 +577,13 @@ impl<'t> Sink<'t> for Ast {
         }
     }
 
-    fn asm(&mut self, volatile: bool, body: &[Token], span: Span) -> Stmt {
+    fn asm(&mut self, volatile: bool, body: &[Token<'t>], span: Span) -> Stmt {
         let mut text = String::new();
         for t in body {
             if !text.is_empty() {
                 text.push(' ');
             }
-            match &t.kind {
+            match t.kind {
                 TokenKind::Ident(s) => text.push_str(s),
                 TokenKind::Str(s) => text.push_str(s),
                 TokenKind::Int { raw, .. } => text.push_str(raw),
@@ -564,13 +601,13 @@ impl<'t> Sink<'t> for Ast {
 
     fn declarator(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         ty: Type,
         init: Option<Expr>,
         span: Span,
     ) -> Declarator {
         Declarator {
-            name: own(name),
+            name: self.name(name),
             ty,
             init,
             span,
@@ -581,17 +618,17 @@ impl<'t> Sink<'t> for Ast {
         DeclStmt { decls, span }
     }
 
-    fn param(&mut self, name: &'t Name, ty: Type, span: Span) -> Param {
+    fn param(&mut self, name: &'t str, ty: Type, span: Span) -> Param {
         Param {
-            name: own(name),
+            name: self.name(name),
             ty,
             span,
         }
     }
 
-    fn field(&mut self, name: &'t Name, ty: Type, span: Span) -> FieldDecl {
+    fn field(&mut self, name: &'t str, ty: Type, span: Span) -> FieldDecl {
         FieldDecl {
-            name: own(name),
+            name: self.name(name),
             ty,
             span,
         }
@@ -599,7 +636,7 @@ impl<'t> Sink<'t> for Ast {
 
     fn sig(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         ty: &Type,
         params: Vec<Param>,
         flags: SpecFlags,
@@ -609,7 +646,7 @@ impl<'t> Sink<'t> for Ast {
             unreachable!("a signature needs a function type")
         };
         FunctionSig {
-            name: own(name),
+            name: self.name(name),
             ret: (**ret).clone(),
             params,
             variadic: *variadic,
@@ -631,9 +668,9 @@ impl<'t> Sink<'t> for Ast {
         Item::Global(decls)
     }
 
-    fn typedef(&mut self, name: &'t Name, ty: Type, span: Span) -> Item {
+    fn typedef(&mut self, name: &'t str, ty: Type, span: Span) -> Item {
         Item::Typedef(Typedef {
-            name: own(name),
+            name: self.name(name),
             ty,
             span,
         })
@@ -641,31 +678,26 @@ impl<'t> Sink<'t> for Ast {
 
     fn struct_def(
         &mut self,
-        name: &'t Name,
+        name: &'t str,
         is_union: bool,
         fields: Vec<FieldDecl>,
         span: Span,
     ) -> Item {
         Item::Struct(StructDef {
-            name: own(name),
+            name: self.name(name),
             is_union,
             fields,
             span,
         })
     }
 
-    fn variant(&mut self, name: &'t Name, value: Option<Expr>) -> (Name, Option<Expr>) {
-        (name.clone(), value)
+    fn variant(&mut self, name: &'t str, value: Option<Expr>) -> (Name, Option<Expr>) {
+        (self.name(name), value)
     }
 
-    fn enum_def(
-        &mut self,
-        name: &'t Name,
-        variants: Vec<(Name, Option<Expr>)>,
-        span: Span,
-    ) -> Item {
+    fn enum_def(&mut self, name: &'t str, variants: Vec<(Name, Option<Expr>)>, span: Span) -> Item {
         Item::Enum(EnumDef {
-            name: own(name),
+            name: self.name(name),
             variants,
             span,
         })
@@ -682,7 +714,7 @@ pub(crate) struct Count<'w> {
 
 /// A counted expression: the identifier it is, if it is a bare one (a
 /// parenthesized identifier still is, as in the AST).
-pub(crate) struct CountExpr<'t>(Option<&'t Name>);
+pub(crate) struct CountExpr<'t>(Option<&'t str>);
 
 /// A counted type: only whether it is a function type.
 #[derive(Clone, Copy)]
@@ -721,6 +753,10 @@ impl<'t> Sink<'t> for Count<'_> {
         NOT_FUNC
     }
 
+    fn named_type(&mut self, _: TypeName, _: &'t str) -> CountType {
+        NOT_FUNC
+    }
+
     fn ptr(&mut self, _: CountType) -> CountType {
         NOT_FUNC
     }
@@ -741,15 +777,15 @@ impl<'t> Sink<'t> for Count<'_> {
         NOT_FUNC
     }
 
-    fn ident(&mut self, name: &'t Name, _: Span) -> CountExpr<'t> {
+    fn ident(&mut self, name: &'t str, _: Span) -> CountExpr<'t> {
         CountExpr(Some(name))
     }
 
-    fn literal(&mut self, _: &TokenKind, _: Span) -> CountExpr<'t> {
+    fn literal(&mut self, _: &TokenKind<'t>, _: Span) -> CountExpr<'t> {
         OTHER
     }
 
-    fn string(&mut self, _: &[Token], _: Span) -> CountExpr<'t> {
+    fn string(&mut self, _: &[Token<'t>], _: Span) -> CountExpr<'t> {
         OTHER
     }
 
@@ -796,7 +832,7 @@ impl<'t> Sink<'t> for Count<'_> {
         OTHER
     }
 
-    fn member(&mut self, _: CountExpr<'t>, _: &Name, _: bool, _: Span) -> CountExpr<'t> {
+    fn member(&mut self, _: CountExpr<'t>, _: &'t str, _: bool, _: Span) -> CountExpr<'t> {
         OTHER
     }
 
@@ -816,11 +852,15 @@ impl<'t> Sink<'t> for Count<'_> {
         OTHER
     }
 
-    fn initializer(&mut self, _: Option<&Name>, _: CountExpr<'t>) -> Discard {
+    fn initializer(&mut self, _: Option<&'t str>, _: CountExpr<'t>) -> Discard {
         Discard
     }
 
     fn leaf_stmt(&mut self, _: StmtKind, _: Span) -> Discard {
+        Discard
+    }
+
+    fn goto(&mut self, _: &'t str, _: Span) -> Discard {
         Discard
     }
 
@@ -840,7 +880,7 @@ impl<'t> Sink<'t> for Count<'_> {
         Discard
     }
 
-    fn label(&mut self, _: &Name, _: Discard, _: Span) -> Discard {
+    fn label(&mut self, _: &'t str, _: Discard, _: Span) -> Discard {
         Discard
     }
 
@@ -875,13 +915,13 @@ impl<'t> Sink<'t> for Count<'_> {
         Discard
     }
 
-    fn asm(&mut self, _: bool, _: &[Token], _: Span) -> Discard {
+    fn asm(&mut self, _: bool, _: &[Token<'t>], _: Span) -> Discard {
         Discard
     }
 
     fn declarator(
         &mut self,
-        _: &'t Name,
+        _: &'t str,
         _: CountType,
         _: Option<CountExpr<'t>>,
         _: Span,
@@ -893,15 +933,15 @@ impl<'t> Sink<'t> for Count<'_> {
         Discard
     }
 
-    fn param(&mut self, _: &'t Name, _: CountType, _: Span) -> Discard {
+    fn param(&mut self, _: &'t str, _: CountType, _: Span) -> Discard {
         Discard
     }
 
-    fn field(&mut self, _: &'t Name, _: CountType, _: Span) -> Discard {
+    fn field(&mut self, _: &'t str, _: CountType, _: Span) -> Discard {
         Discard
     }
 
-    fn sig(&mut self, _: &'t Name, _: &CountType, _: Discard, _: SpecFlags, _: Span) -> Discard {
+    fn sig(&mut self, _: &'t str, _: &CountType, _: Discard, _: SpecFlags, _: Span) -> Discard {
         Discard
     }
 
@@ -917,19 +957,19 @@ impl<'t> Sink<'t> for Count<'_> {
         Discard
     }
 
-    fn typedef(&mut self, _: &'t Name, _: CountType, _: Span) -> Discard {
+    fn typedef(&mut self, _: &'t str, _: CountType, _: Span) -> Discard {
         Discard
     }
 
-    fn struct_def(&mut self, _: &'t Name, _: bool, _: Discard, _: Span) -> Discard {
+    fn struct_def(&mut self, _: &'t str, _: bool, _: Discard, _: Span) -> Discard {
         Discard
     }
 
-    fn variant(&mut self, _: &'t Name, _: Option<CountExpr<'t>>) -> Discard {
+    fn variant(&mut self, _: &'t str, _: Option<CountExpr<'t>>) -> Discard {
         Discard
     }
 
-    fn enum_def(&mut self, _: &'t Name, _: Discard, _: Span) -> Discard {
+    fn enum_def(&mut self, _: &'t str, _: Discard, _: Span) -> Discard {
         Discard
     }
 }

@@ -33,7 +33,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         // Label: `name: stmt` (but not `default:` which is handled below,
         // and not ternary — a label is an identifier directly followed by
         // `:` at statement position).
-        if let TokenKind::Ident(name) = self.peek() {
+        if let TokenKind::Ident(name) = *self.peek() {
             if !crate::token::is_keyword(name) && self.peek_n(1) == &TokenKind::Colon {
                 self.bump();
                 self.bump();
@@ -80,7 +80,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                     let (label, _) = self.expect_ident()?;
                     let span = start.to(self.span());
                     self.expect(&TokenKind::Semi)?;
-                    return Ok(self.sink.leaf_stmt(StmtKind::Goto(label.clone()), span));
+                    return Ok(self.sink.goto(label, span));
                 }
                 "return" => {
                     self.bump();

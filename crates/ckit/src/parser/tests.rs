@@ -569,7 +569,7 @@ fn every_skipped_attribute_passes_the_first_byte_filter() {
 }
 
 /// Tokens of `src`, preprocessed.
-fn pp_tokens(src: &str) -> Vec<crate::token::Token> {
+fn pp_tokens(src: &str) -> Vec<crate::token::Token<'_>> {
     let toks = crate::lexer::lex(src).unwrap();
     crate::pp::preprocess(toks, &Default::default())
         .unwrap()
@@ -616,4 +616,46 @@ fn counting_parse_watches_only_bare_callee_names() {
     assert!(!watched("void f(void) { void *p = smp_wmb; }"));
     assert!(!watched("void f(struct o *o) { o->smp_wmb(); }"));
     assert!(!watched("void f(void) { smp_rmb(); }"));
+}
+
+#[test]
+fn equal_names_of_one_parse_share_storage() {
+    use crate::intern::Name;
+    let src = "struct s { int flag; };\nint f(struct s *p) { int flag = p->flag; return flag; }";
+    let unit = parse_ok(src);
+    let (Item::Struct(def), Item::Function(f)) = (&unit.items[0], &unit.items[1]) else {
+        panic!("{unit:?}")
+    };
+    let StmtKind::Decl(local) = &f.body[0].kind else {
+        panic!("{f:?}")
+    };
+    let Some(ExprKind::Member { field, .. }) = local.decls[0].init.as_ref().map(|e| &e.kind) else {
+        panic!("{local:?}")
+    };
+    let StmtKind::Return(Some(Expr {
+        kind: ExprKind::Ident(used),
+        ..
+    })) = &f.body[1].kind
+    else {
+        panic!("{f:?}")
+    };
+    let flags = [&def.fields[0].name, &local.decls[0].name, field, used];
+    for name in flags {
+        assert_eq!(name, "flag");
+        assert!(Name::ptr_eq(name, flags[0]), "{name} is a second copy");
+    }
+    let Type::Ptr(param) = &f.sig.params[0].ty else {
+        panic!("{:?}", f.sig)
+    };
+    let Type::Struct { name: tag, .. } = &**param else {
+        panic!("{param:?}")
+    };
+    assert!(Name::ptr_eq(tag, &def.name));
+    // Another parse has its own symbol table.
+    let again = parse_ok(src);
+    let Item::Struct(other) = &again.items[0] else {
+        panic!("{again:?}")
+    };
+    assert_eq!(other.name, def.name);
+    assert!(!Name::ptr_eq(&other.name, &def.name));
 }

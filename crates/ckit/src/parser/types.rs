@@ -1,10 +1,9 @@
 //! Declaration specifiers and declarators.
 
-use super::sink::{NodeList, Sink};
+use super::sink::{NodeList, Sink, TypeName};
 use super::{Parser, SpecFlags, NO_NAME};
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::intern::Name;
 use crate::span::Span;
 use crate::token::TokenKind;
 
@@ -104,10 +103,10 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         let start = self.span();
         loop {
             self.skip_attributes();
-            let Some(name) = self.peek().ident_name() else {
+            let Some(name) = self.peek().ident() else {
                 break;
             };
-            match name.as_str() {
+            match name {
                 "const" | "volatile" | "register" | "restrict" | "auto" => {
                     self.bump();
                 }
@@ -188,12 +187,12 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                     let is_union = name == "union";
                     self.bump();
                     self.skip_attributes();
-                    let tag = match self.peek() {
+                    let tag = match *self.peek() {
                         TokenKind::Ident(n) => {
                             self.bump();
-                            n.clone()
+                            n
                         }
-                        _ => Name::default(),
+                        _ => NO_NAME,
                     };
                     // Inline body in a declaration context (e.g. inside
                     // another struct): parse and discard the body shape —
@@ -203,19 +202,21 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                         self.bump();
                         let _fields = self.parse_struct_body()?;
                     }
-                    base = Some(self.sink.leaf_type(Type::Struct {
-                        name: tag,
-                        is_union,
-                    }));
+                    let kind = if is_union {
+                        TypeName::Union
+                    } else {
+                        TypeName::Struct
+                    };
+                    base = Some(self.sink.named_type(kind, tag));
                 }
                 "enum" => {
                     self.bump();
-                    let tag = match self.peek() {
+                    let tag = match *self.peek() {
                         TokenKind::Ident(n) => {
                             self.bump();
-                            n.clone()
+                            n
                         }
-                        _ => Name::default(),
+                        _ => NO_NAME,
                     };
                     if self.at(&TokenKind::LBrace) {
                         // Skip the enumerator list.
@@ -236,7 +237,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                             self.bump();
                         }
                     }
-                    base = Some(self.sink.leaf_type(Type::Enum(tag)));
+                    base = Some(self.sink.named_type(TypeName::Enum, tag));
                 }
                 other => {
                     // Typedef name — only if we have no base yet and the
@@ -252,7 +253,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                         let next_is_declaratorish =
                             matches!(self.peek_n(1), TokenKind::Ident(_) | TokenKind::Star);
                         if known || next_is_declaratorish {
-                            base = Some(self.sink.leaf_type(Type::Named(name.clone())));
+                            base = Some(self.sink.named_type(TypeName::Typedef, name));
                             self.bump();
                         }
                     }
@@ -304,7 +305,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
     ///
     /// Handles pointers (`*`, with qualifiers), parenthesized declarators
     /// (function pointers), array suffixes, and function parameter lists.
-    pub(crate) fn parse_declarator(&mut self, base: S::Type) -> Result<(&'t Name, S::Type, Span)> {
+    pub(crate) fn parse_declarator(&mut self, base: S::Type) -> Result<(&'t str, S::Type, Span)> {
         let mut ty = base;
         self.skip_attributes();
         while self.at(&TokenKind::Star) {
@@ -318,7 +319,7 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
         }
         self.skip_attributes();
         // Direct declarator.
-        let (name, name_span, inner_is_ptr) = match self.peek() {
+        let (name, name_span, inner_is_ptr) = match *self.peek() {
             TokenKind::Ident(n) if !crate::token::is_keyword(n) => {
                 let sp = self.span();
                 self.bump();
@@ -333,18 +334,18 @@ impl<'t, S: Sink<'t>> Parser<'t, S> {
                     }
                 }
                 self.skip_attributes();
-                let (n, sp) = match self.peek() {
+                let (n, sp) = match *self.peek() {
                     TokenKind::Ident(n) => {
                         let sp = self.span();
                         self.bump();
                         (n, sp)
                     }
-                    _ => (&*NO_NAME, self.span()),
+                    _ => (NO_NAME, self.span()),
                 };
                 self.expect(&TokenKind::RParen)?;
                 (n, sp, true)
             }
-            _ => (&*NO_NAME, self.span(), false),
+            _ => (NO_NAME, self.span(), false),
         };
         // Suffixes: arrays and parameter lists.
         loop {

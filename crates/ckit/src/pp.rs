@@ -16,30 +16,35 @@
 //! * `#pragma`, `#error`, `#warning` — skipped.
 //!
 //! Expanded tokens keep the span of the macro *invocation site* so that all
-//! downstream diagnostics and patches point into real source text.
+//! downstream diagnostics and patches point into real source text; their
+//! text travels in their payloads.
 
 use crate::error::{Error, Result};
-use crate::intern::Name;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Mutex;
 
-/// A macro definition.
+/// A macro definition, borrowing its text from the source that defined
+/// it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MacroDef {
-    pub name: String,
+pub struct MacroDef<'src> {
+    pub name: &'src str,
     /// `None` for object-like macros; parameter names for function-like.
-    pub params: Option<Vec<String>>,
+    pub params: Option<Vec<&'src str>>,
     /// Whether a function-like macro is variadic (`...` last parameter).
     pub variadic: bool,
-    pub body: Vec<Token>,
+    pub body: Vec<Token<'src>>,
 }
 
 /// Preprocessor configuration: the initial define set (think `-D` flags and
 /// the kernel config).
 #[derive(Clone, Debug, Default)]
 pub struct PpConfig {
-    pub defines: HashMap<String, MacroDef>,
+    /// Its text lives as long as the process (see [`config_text`]), so the
+    /// tokens a pass expands these macros to outlive the pass and the
+    /// config both.
+    pub defines: HashMap<String, MacroDef<'static>>,
 }
 
 impl PpConfig {
@@ -48,12 +53,12 @@ impl PpConfig {
         self.defines.insert(
             name.to_string(),
             MacroDef {
-                name: name.to_string(),
+                name: config_text(name),
                 params: None,
                 variadic: false,
                 body: vec![Token::new(
                     TokenKind::Int {
-                        raw: value.to_string().into(),
+                        raw: config_text(&value.to_string()),
                         value,
                     },
                     Span::DUMMY,
@@ -64,26 +69,43 @@ impl PpConfig {
     }
 }
 
+/// Text a [`PpConfig`] makes up rather than finds in a file: kept once
+/// per distinct string for the life of the process, since a token
+/// borrows its text and a config's tokens end up in every file's output.
+/// Configs are few and small, so this set stays tiny.
+fn config_text(text: &str) -> &'static str {
+    static TEXT: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut set = TEXT.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&kept) = set.get(text) {
+        return kept;
+    }
+    let kept: &'static str = Box::leak(text.into());
+    set.insert(kept);
+    kept
+}
+
 /// Result of preprocessing one file.
 #[derive(Clone, Debug, Default)]
-pub struct PpOutput {
+pub struct PpOutput<'src> {
     /// Token stream ready for the parser (no `Hash` tokens, `Eof`-terminated).
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<Token<'src>>,
     /// Include paths seen, in order.
     pub includes: Vec<String>,
     /// Macros defined by the file itself (after processing).
-    pub defines: HashMap<String, MacroDef>,
+    pub defines: HashMap<&'src str, MacroDef<'src>>,
 }
 
 /// Preprocess a lexed token stream.
-pub fn preprocess(tokens: Vec<Token>, config: &PpConfig) -> Result<PpOutput> {
+pub fn preprocess<'src>(tokens: Vec<Token<'src>>, config: &PpConfig) -> Result<PpOutput<'src>> {
     // Most files define no macros, so the output is about as long as
     // the input: one allocation instead of a doubling series.
     let mut pp = Pp {
         out: Vec::with_capacity(tokens.len() + 1),
         toks: tokens,
         pos: 0,
-        macros: config.defines.clone(),
+        macros: (config.defines.values())
+            .map(|def| (def.name, def.clone()))
+            .collect(),
         includes: Vec::new(),
         // Condition stack: (currently_active, any_branch_taken_yet)
         conds: Vec::new(),
@@ -98,34 +120,29 @@ pub fn preprocess(tokens: Vec<Token>, config: &PpConfig) -> Result<PpOutput> {
     })
 }
 
-struct Pp {
-    /// The input. Tokens before `pos` may have been moved out (see
-    /// [`Pp::take`]); only their spans are left.
-    toks: Vec<Token>,
+struct Pp<'src> {
+    /// The input.
+    toks: Vec<Token<'src>>,
     pos: usize,
-    macros: HashMap<String, MacroDef>,
-    out: Vec<Token>,
+    macros: HashMap<&'src str, MacroDef<'src>>,
+    out: Vec<Token<'src>>,
     includes: Vec<String>,
     conds: Vec<(bool, bool)>,
 }
 
-impl Pp {
+impl<'src> Pp<'src> {
     fn active(&self) -> bool {
         self.conds.iter().all(|&(a, _)| a)
     }
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'src> {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
-    /// Move the current token out of the input and advance. The slot
-    /// keeps the token's span in a payload-free placeholder, so passing a
-    /// token through costs no refcount traffic and no allocation.
-    fn take(&mut self) -> Token {
-        let slot = &mut self.toks[self.pos];
-        let placeholder = Token::new(TokenKind::Eof, slot.span);
+    /// The current token; advance.
+    fn take(&mut self) -> Token<'src> {
         self.pos += 1;
-        std::mem::replace(slot, placeholder)
+        self.toks[self.pos - 1]
     }
 
     fn run(&mut self) -> Result<()> {
@@ -170,7 +187,7 @@ impl Pp {
     }
 
     /// Collect the remaining tokens of the current directive line.
-    fn directive_line(&mut self) -> Vec<Token> {
+    fn directive_line(&mut self) -> Vec<Token<'src>> {
         let mut line = Vec::new();
         while self.pos < self.toks.len() {
             let t = &self.toks[self.pos];
@@ -187,22 +204,19 @@ impl Pp {
         let Some(first) = line.first() else {
             return Ok(()); // null directive `#`
         };
-        let name = match first.kind.ident() {
-            Some(n) => n.to_string(),
-            None => {
-                // `#if` with weird shape etc.; tolerate unknown directives.
-                return Ok(());
-            }
+        let Some(name) = first.kind.ident() else {
+            // `#if` with weird shape etc.; tolerate unknown directives.
+            return Ok(());
         };
         let rest = &line[1..];
-        match name.as_str() {
+        match name {
             "include" if self.active() => {
                 let path = rest
                     .iter()
                     .map(|t| match &t.kind {
-                        TokenKind::Str(s) => s.trim_matches('"').to_string(),
-                        k if k.ident().is_some() => k.ident().unwrap().to_string(),
-                        k => k.lexeme().to_string(),
+                        TokenKind::Str(s) => s.trim_matches('"'),
+                        TokenKind::Ident(n) => n,
+                        k => k.lexeme(),
                     })
                     .collect::<String>();
                 self.includes.push(path);
@@ -254,14 +268,13 @@ impl Pp {
         Ok(())
     }
 
-    fn handle_define(&mut self, rest: &[Token], span: Span) -> Result<()> {
+    fn handle_define(&mut self, rest: &[Token<'src>], span: Span) -> Result<()> {
         let Some(name_tok) = rest.first() else {
             return Err(Error::pp("#define without a name", span));
         };
         let Some(name) = name_tok.kind.ident() else {
             return Err(Error::pp("#define name must be an identifier", span));
         };
-        let name = name.to_string();
         // Function-like iff `(` immediately follows the name with no space.
         // We approximate "no space" by adjacency of spans, which the lexer
         // guarantees for adjacent source bytes.
@@ -270,7 +283,7 @@ impl Pp {
             && rest[1].span.lo == name_tok.span.hi;
         if !is_fnlike {
             self.macros.insert(
-                name.clone(),
+                name,
                 MacroDef {
                     name,
                     params: None,
@@ -297,8 +310,8 @@ impl Pp {
                     variadic = true;
                     i += 1;
                 }
-                k if k.ident().is_some() => {
-                    params.push(k.ident().unwrap().to_string());
+                TokenKind::Ident(p) => {
+                    params.push(*p);
                     i += 1;
                 }
                 _ => {
@@ -310,7 +323,7 @@ impl Pp {
             }
         }
         self.macros.insert(
-            name.clone(),
+            name,
             MacroDef {
                 name,
                 params: Some(params),
@@ -322,7 +335,7 @@ impl Pp {
     }
 
     /// Emit a token, expanding macros.
-    fn emit(&mut self, tok: Token) -> Result<()> {
+    fn emit(&mut self, tok: Token<'src>) -> Result<()> {
         let expanded = self.expand_token(tok, &mut Vec::new())?;
         self.out.extend(expanded);
         Ok(())
@@ -331,14 +344,18 @@ impl Pp {
     /// Expand one token (possibly consuming following argument tokens from
     /// the main stream for function-like macros). `hide` is the set of macro
     /// names currently being expanded — the standard recursion guard.
-    fn expand_token(&mut self, tok: Token, hide: &mut Vec<Name>) -> Result<Vec<Token>> {
-        let Some(name) = tok.kind.ident_name().cloned() else {
+    fn expand_token(
+        &mut self,
+        tok: Token<'src>,
+        hide: &mut Vec<&'src str>,
+    ) -> Result<Vec<Token<'src>>> {
+        let Some(name) = tok.kind.ident() else {
             return Ok(vec![tok]);
         };
         if hide.contains(&name) {
             return Ok(vec![tok]);
         }
-        let Some(def) = self.macros.get(name.as_str()).cloned() else {
+        let Some(def) = self.macros.get(name).cloned() else {
             return Ok(vec![tok]);
         };
         match def.params {
@@ -358,12 +375,12 @@ impl Pp {
                 if args.len() < params.len() && !(params.is_empty() && args.is_empty()) {
                     // Tolerate too-few args (kernel macros get weird); pad.
                 }
-                let mut binding: HashMap<String, Vec<Token>> = HashMap::new();
-                for (i, p) in params.iter().enumerate() {
-                    binding.insert(p.clone(), args.get(i).cloned().unwrap_or_default());
+                let mut binding: HashMap<&str, Vec<Token<'src>>> = HashMap::new();
+                for (i, &p) in params.iter().enumerate() {
+                    binding.insert(p, args.get(i).cloned().unwrap_or_default());
                 }
                 if def.variadic {
-                    let extra: Vec<Token> = args
+                    let extra: Vec<Token<'src>> = args
                         .iter()
                         .skip(params.len())
                         .enumerate()
@@ -372,11 +389,11 @@ impl Pp {
                             if i > 0 {
                                 v.push(Token::new(TokenKind::Comma, tok.span));
                             }
-                            v.extend(a.clone());
+                            v.extend_from_slice(a);
                             v
                         })
                         .collect();
-                    binding.insert("__VA_ARGS__".to_string(), extra);
+                    binding.insert("__VA_ARGS__", extra);
                 }
                 hide.push(name);
                 let result = self.expand_body(&def.body, &binding, tok.span, hide)?;
@@ -387,9 +404,9 @@ impl Pp {
     }
 
     /// Collect macro call arguments after the opening paren (consumed).
-    fn collect_args(&mut self, call_span: Span) -> Result<Vec<Vec<Token>>> {
-        let mut args: Vec<Vec<Token>> = Vec::new();
-        let mut cur: Vec<Token> = Vec::new();
+    fn collect_args(&mut self, call_span: Span) -> Result<Vec<Vec<Token<'src>>>> {
+        let mut args: Vec<Vec<Token<'src>>> = Vec::new();
+        let mut cur: Vec<Token<'src>> = Vec::new();
         let mut depth = 0usize;
         let mut saw_any = false;
         loop {
@@ -436,11 +453,11 @@ impl Pp {
     /// expansions. All produced tokens take the invocation-site span.
     fn expand_body(
         &mut self,
-        body: &[Token],
-        binding: &HashMap<String, Vec<Token>>,
+        body: &[Token<'src>],
+        binding: &HashMap<&str, Vec<Token<'src>>>,
         site: Span,
-        hide: &mut Vec<Name>,
-    ) -> Result<Vec<Token>> {
+        hide: &mut Vec<&'src str>,
+    ) -> Result<Vec<Token<'src>>> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < body.len() {
@@ -452,8 +469,8 @@ impl Pp {
             }
             if let Some(name) = t.kind.ident() {
                 if let Some(arg) = binding.get(name) {
-                    for a in arg {
-                        let mut a = a.clone();
+                    for &a in arg {
+                        let mut a = a;
                         a.span = site;
                         a.at_line_start = false;
                         // Rescan argument tokens for nested object-like macros.
@@ -464,7 +481,7 @@ impl Pp {
                     continue;
                 }
                 // Nested macro in the body itself.
-                let mut t2 = t.clone();
+                let mut t2 = *t;
                 t2.span = site;
                 t2.at_line_start = false;
                 // Function-like nested macros need their args from the body,
@@ -477,7 +494,7 @@ impl Pp {
                 i += 1;
                 continue;
             }
-            let mut t2 = t.clone();
+            let mut t2 = *t;
             t2.span = site;
             t2.at_line_start = false;
             out.push(t2);
@@ -489,14 +506,18 @@ impl Pp {
     /// Expand a single token without access to the following main-stream
     /// tokens (so function-like macros are left alone unless their `(` is
     /// adjacent in the stream — handled by the caller at top level).
-    fn expand_inline(&mut self, tok: Token, hide: &mut Vec<Name>) -> Result<Vec<Token>> {
-        let Some(name) = tok.kind.ident_name().cloned() else {
+    fn expand_inline(
+        &mut self,
+        tok: Token<'src>,
+        hide: &mut Vec<&'src str>,
+    ) -> Result<Vec<Token<'src>>> {
+        let Some(name) = tok.kind.ident() else {
             return Ok(vec![tok]);
         };
         if hide.contains(&name) {
             return Ok(vec![tok]);
         }
-        let Some(def) = self.macros.get(name.as_str()).cloned() else {
+        let Some(def) = self.macros.get(name).cloned() else {
             return Ok(vec![tok]);
         };
         if def.params.is_some() {
@@ -509,9 +530,9 @@ impl Pp {
     }
 
     /// Evaluate a `#if`/`#elif` condition.
-    fn eval_condition(&mut self, toks: &[Token], span: Span) -> Result<i64> {
+    fn eval_condition(&mut self, toks: &[Token<'src>], span: Span) -> Result<i64> {
         // First pass: resolve `defined(X)` / `defined X`, expand macros.
-        let mut resolved: Vec<Token> = Vec::new();
+        let mut resolved: Vec<Token<'src>> = Vec::new();
         let mut i = 0;
         while i < toks.len() {
             let t = &toks[i];
@@ -525,22 +546,17 @@ impl Pp {
                         if toks.get(i + 3).map(|t| &t.kind) != Some(&TokenKind::RParen) {
                             return Err(Error::pp("malformed defined()", span));
                         }
-                        (n.to_string(), 4)
+                        (n, 4)
                     } else {
                         let n = toks
                             .get(i + 1)
                             .and_then(|t| t.kind.ident())
                             .ok_or_else(|| Error::pp("malformed defined", span))?;
-                        (n.to_string(), 2)
+                        (n, 2)
                     };
-                let v = u64::from(self.macros.contains_key(&name));
-                resolved.push(Token::new(
-                    TokenKind::Int {
-                        raw: v.to_string().into(),
-                        value: v,
-                    },
-                    t.span,
-                ));
+                let v = u64::from(self.macros.contains_key(name));
+                let raw = if v == 1 { "1" } else { "0" };
+                resolved.push(Token::new(TokenKind::Int { raw, value: v }, t.span));
                 i += consumed;
                 continue;
             }
@@ -549,23 +565,17 @@ impl Pp {
                     if def.params.is_none() {
                         // Substitute object-like macro body inline (shallow:
                         // one level is enough for config-style conditions).
-                        resolved.extend(def.body.iter().cloned());
+                        resolved.extend_from_slice(&def.body);
                         i += 1;
                         continue;
                     }
                 }
                 // Undefined identifier → 0, per the C standard.
-                resolved.push(Token::new(
-                    TokenKind::Int {
-                        raw: "0".into(),
-                        value: 0,
-                    },
-                    t.span,
-                ));
+                resolved.push(Token::new(TokenKind::Int { raw: "0", value: 0 }, t.span));
                 i += 1;
                 continue;
             }
-            resolved.push(t.clone());
+            resolved.push(*t);
             i += 1;
         }
         let mut ev = CondEval {
@@ -579,19 +589,19 @@ impl Pp {
 }
 
 /// Minimal Pratt evaluator for `#if` integer expressions.
-struct CondEval<'a> {
-    toks: &'a [Token],
+struct CondEval<'a, 'src> {
+    toks: &'a [Token<'src>],
     pos: usize,
     span: Span,
 }
 
-impl<'a> CondEval<'a> {
-    fn peek(&self) -> Option<&TokenKind> {
-        self.toks.get(self.pos).map(|t| &t.kind)
+impl<'src> CondEval<'_, 'src> {
+    fn peek(&self) -> Option<TokenKind<'src>> {
+        self.toks.get(self.pos).map(|t| t.kind)
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let k = self.toks.get(self.pos).map(|t| t.kind.clone());
+    fn bump(&mut self) -> Option<TokenKind<'src>> {
+        let k = self.peek();
         self.pos += 1;
         k
     }
@@ -617,7 +627,7 @@ impl<'a> CondEval<'a> {
 
     fn expr(&mut self, min_bp: u8) -> Result<i64> {
         let mut lhs = self.atom()?;
-        while let Some(op) = self.peek().cloned() {
+        while let Some(op) = self.peek() {
             let bp = match op {
                 TokenKind::Star | TokenKind::Slash | TokenKind::Percent => 10,
                 TokenKind::Plus | TokenKind::Minus => 9,
@@ -677,7 +687,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn pp(src: &str) -> PpOutput {
+    fn pp(src: &str) -> PpOutput<'_> {
         preprocess(lex(src).unwrap(), &PpConfig::default()).unwrap()
     }
 
@@ -688,7 +698,7 @@ mod tests {
             .map(|t| match &t.kind {
                 TokenKind::Ident(s) => s.to_string(),
                 TokenKind::Int { raw, .. } => raw.to_string(),
-                TokenKind::Str(s) => s.clone(),
+                TokenKind::Str(s) => s.to_string(),
                 k => k.lexeme().to_string(),
             })
             .collect()
@@ -819,6 +829,40 @@ mod tests {
     fn variadic_macro() {
         let out = pp("#define P(fmt, ...) printk(fmt, __VA_ARGS__)\nP(\"x\", a, b);");
         assert_eq!(texts(&out).join(" "), "printk ( \"x\" , a , b ) ;");
+    }
+
+    #[test]
+    fn expanded_identifiers_keep_their_own_text() {
+        // Every expanded token takes the call site's span, so its text
+        // must travel in its payload: the span slices to the macro name.
+        let mut cfg = PpConfig::default();
+        cfg.define_int("NR_SLOTS", 8);
+        let src = "#define FLAG ready\n#define LOAD(p, f) READ_ONCE((p)->f)\n\
+                   int x = FLAG + LOAD(ring, seq) + NR_SLOTS;";
+        let out = preprocess(lex(src).unwrap(), &cfg).unwrap();
+        assert_eq!(
+            texts(&out).join(" "),
+            "int x = ready + READ_ONCE ( ( ring ) -> seq ) + 8 ;"
+        );
+        let span_of = |text: &str| {
+            let tok = out.tokens.iter().find(|t| match t.kind {
+                TokenKind::Ident(s) | TokenKind::Int { raw: s, .. } => s == text,
+                _ => false,
+            });
+            tok.unwrap().span.slice(src)
+        };
+        assert_eq!(span_of("ready"), "FLAG");
+        for arg in ["READ_ONCE", "ring", "seq"] {
+            assert_eq!(span_of(arg), "LOAD");
+        }
+        assert_eq!(span_of("8"), "NR_SLOTS");
+        // The parser builds its names from that text, not from the spans.
+        let unit = crate::parser::parse_tokens(out.tokens, &Default::default()).unit;
+        let crate::ast::Item::Global(decls) = &unit.items[0] else {
+            panic!("{unit:?}")
+        };
+        let init = crate::pretty::print_expr(decls.decls[0].init.as_ref().unwrap());
+        assert_eq!(init, "ready + READ_ONCE(ring->seq) + 8");
     }
 
     #[test]

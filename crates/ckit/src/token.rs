@@ -1,6 +1,12 @@
 //! Token definitions for the kernel-C lexer.
+//!
+//! A token borrows its text from the source it was lexed from (or, for a
+//! token a [`crate::pp::PpConfig`] macro expands to, from text the config
+//! keeps for the life of the process), so a token is `Copy`: lexing
+//! allocates only the token vector, and the preprocessor's copies and the
+//! final drop cost nothing. Only the AST interns names (see
+//! [`crate::parser`]).
 
-use crate::intern::Name;
 use crate::span::Span;
 use std::fmt;
 
@@ -10,18 +16,22 @@ use std::fmt;
 /// parser via [`TokenKind::Ident`] text comparison against [`is_keyword`];
 /// kernel code is full of macro identifiers that shadow near-keywords, so a
 /// permissive lexer keeps the front end robust.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
-    Ident(Name),
+///
+/// Every payload is the token's own text. It cannot be recovered from
+/// the token's span: a macro expansion re-stamps the tokens it produces
+/// with the call site's span.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenKind<'src> {
+    Ident(&'src str),
     /// Integer literal; we keep the raw text (suffixes like `UL` included)
     /// and the decoded value when it fits in u64.
     Int {
-        raw: Name,
+        raw: &'src str,
         value: u64,
     },
-    Float(String),
-    Str(String),
-    Char(String),
+    Float(&'src str),
+    Str(&'src str),
+    Char(&'src str),
 
     // Punctuation / operators, one variant per lexeme.
     LParen,
@@ -76,18 +86,9 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    pub fn ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The interned name of an identifier token: clone this instead of
-    /// `ident().to_string()` — it's a refcount bump, not an allocation.
-    pub fn ident_name(&self) -> Option<&Name> {
-        match self {
+impl<'src> TokenKind<'src> {
+    pub fn ident(&self) -> Option<&'src str> {
+        match *self {
             TokenKind::Ident(s) => Some(s),
             _ => None,
         }
@@ -168,23 +169,23 @@ impl TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Token {
-    pub kind: TokenKind,
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Token<'src> {
+    pub kind: TokenKind<'src>,
     pub span: Span,
     /// True when this token is the first on its source line (pre-expansion);
     /// the preprocessor uses it to delimit directives.
     pub at_line_start: bool,
 }
 
-impl fmt::Debug for Token {
+impl fmt::Debug for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:?}@{:?}", self.kind, self.span)
     }
 }
 
-impl Token {
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+impl<'src> Token<'src> {
+    pub fn new(kind: TokenKind<'src>, span: Span) -> Self {
         Token {
             kind,
             span,
@@ -258,6 +259,6 @@ mod tests {
 
     #[test]
     fn describe_ident() {
-        assert_eq!(TokenKind::Ident("foo".into()).describe(), "`foo`");
+        assert_eq!(TokenKind::Ident("foo").describe(), "`foo`");
     }
 }

@@ -88,10 +88,25 @@ fn open_session(opts: &RunOpts) -> Result<(ofence::Session, Option<Arc<NdjsonSin
 /// engine and its cache (tens of milliseconds at 12k files) is waste.
 fn run_once(opts: &RunOpts) -> Result<Arc<RunHandle>, String> {
     let (session, events) = open_session(opts)?;
-    let handle = session.current_run()?;
+    let handle = run_traced(&session, opts)?;
     check_faults(opts, &handle)?;
     finish_events(&events);
     std::mem::forget(session);
+    Ok(handle)
+}
+
+/// One analysis request of `session`, and the `--trace-out` it asks for:
+/// the request's span tree (the one a daemon keeps for each request) and
+/// the engine's spans of its run, the cache load included, on one clock.
+fn run_traced(session: &ofence::Session, opts: &RunOpts) -> Result<Arc<RunHandle>, String> {
+    let ctx = session.begin_request("analyze", None);
+    let handle = session.run_request(&ctx)?;
+    if let Some(path) = &opts.trace_out {
+        let mut trace = ctx.rec.take_snapshot();
+        trace.spans.extend_from_slice(&handle.result.obs.spans);
+        std::fs::write(path, trace.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
+    }
     Ok(handle)
 }
 
@@ -222,19 +237,10 @@ fn write_sarif(opts: &RunOpts, result: &AnalysisResult) -> Result<(), String> {
     Ok(())
 }
 
-/// Honor `--trace-out` (the run's spans) / `--metrics-out` (`metrics`:
-/// the run's snapshot, or one with driver counters added) for any
-/// analysis subcommand.
-fn write_observability(
-    opts: &RunOpts,
-    result: &AnalysisResult,
-    metrics: &ofence::obs::Snapshot,
-) -> Result<(), String> {
-    if let Some(path) = &opts.trace_out {
-        let trace = result.obs.chrome_trace_json();
-        std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote trace to {path} (open in chrome://tracing or Perfetto)");
-    }
+/// Honor `--metrics-out` (`metrics`: the run's snapshot, or one with
+/// driver counters added) for any analysis subcommand; [`run_traced`]
+/// wrote the `--trace-out`.
+fn write_observability(opts: &RunOpts, metrics: &ofence::obs::Snapshot) -> Result<(), String> {
     if let Some(path) = &opts.metrics_out {
         std::fs::write(path, metrics.prometheus_text()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote metrics to {path}");
@@ -254,7 +260,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
     // regressions; without one, every finding counts as new.
     let delta = ofence::classify(&known, &result.deviation_records);
     let obs = with_delta(result, &delta);
-    write_observability(&opts, result, &obs)?;
+    write_observability(&opts, &obs)?;
     write_sarif(&opts, result)?;
     if opts.json {
         // The stable, versioned schema documented in docs/SCHEMA.md,
@@ -511,7 +517,7 @@ fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
             let handle = run_once(&opts.run)?;
             let report = ofence::classify(&known, &handle.result.deviation_records);
             let obs = with_delta(&handle.result, &report);
-            write_observability(&opts.run, &handle.result, &obs)?;
+            write_observability(&opts.run, &obs)?;
             write_sarif(&opts.run, &handle.result)?;
             (report, Some(handle))
         }
@@ -549,7 +555,7 @@ fn resolve_operand(opts: &RunOpts, operand: &str) -> Result<Vec<FindingRecord>, 
 /// current finding so future runs can gate on regressions only.
 fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts.run)?;
-    write_observability(&opts.run, &handle.result, &handle.result.obs)?;
+    write_observability(&opts.run, &handle.result.obs)?;
     let run_id = &handle.result.run_id;
     let count = handle.result.deviation_records.len();
     let baseline = ofence::Baseline::new(run_id, handle.result.deviation_records.to_vec());
@@ -565,7 +571,7 @@ fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
 /// `ofence patch` — print (or apply) the generated fixes.
 fn patch(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
-    write_observability(&opts, &handle.result, &handle.result.obs)?;
+    write_observability(&opts, &handle.result.obs)?;
     let result = &handle.result;
     let patches = &result.patches[..];
     if opts.json {
@@ -601,7 +607,7 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
 /// `ofence annotate` — §7 READ_ONCE/WRITE_ONCE patches.
 fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
-    write_observability(&opts, &handle.result, &handle.result.obs)?;
+    write_observability(&opts, &handle.result.obs)?;
     let result = &handle.result;
     // Compose per file so nested read/write annotations merge.
     let mut by_file: std::collections::BTreeMap<usize, Vec<&ofence::Deviation>> =
@@ -640,7 +646,7 @@ fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
 /// `ofence stats` — statistics only.
 fn stats(opts: RunOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts)?;
-    write_observability(&opts, &handle.result, &handle.result.obs)?;
+    write_observability(&opts, &handle.result.obs)?;
     let result = &handle.result;
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&result.stats).unwrap());
@@ -654,7 +660,7 @@ fn stats(opts: RunOpts) -> Result<ExitCode, String> {
 /// barrier: candidate set, shared-object overlap, weights, outcome.
 fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
     let handle = run_once(&opts.run)?;
-    write_observability(&opts.run, &handle.result, &handle.result.obs)?;
+    write_observability(&opts.run, &handle.result.obs)?;
     let explanation = ofence::explain_at(&handle.result, &opts.run.config, &opts.file, opts.line)?;
     if opts.run.json {
         println!("{}", serde_json::to_string_pretty(&explanation).unwrap());
@@ -694,7 +700,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         runs += 1;
         // The first run also fails fast on unwatchable paths
         // (nonexistent directory, no .c files).
-        let handle = session.current_run()?;
+        let handle = run_traced(&session, &opts.run)?;
         check_faults(&opts.run, &handle)?;
         let result = &handle.result;
         // The same fingerprint diff engine `ofence diff` uses: watch and
@@ -703,7 +709,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         // Metrics files carry the session's cumulative counters too
         // (`serve_runs`: total runs so far).
         let obs = with_delta(result, &delta).with_counters(session.live().counters());
-        write_observability(&opts.run, result, &obs)?;
+        write_observability(&opts.run, &obs)?;
         println!(
             "watch: run {} — {} files, {} deviations ({} new, {} fixed)",
             runs,

@@ -266,6 +266,72 @@ fn trace_out_writes_valid_chrome_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A CLI run is a one-request session, and its `--trace-out` holds that
+/// request's tree beside the engine's spans: a `request` root whose
+/// children (found by containment of the `X` events, as a trace viewer
+/// nests them) cover ≥ 95 % of it, and the cache load outside it.
+#[test]
+fn trace_out_holds_the_request_tree() {
+    let dir = tempdir("request-trace");
+    let corpus = dir.join("corpus");
+    let out = ofence()
+        .args(["gen", "--out"])
+        .arg(&corpus)
+        .args(["--files", "12", "--seed", "7", "--bugs"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let trace = dir.join("trace.json");
+    let out = ofence()
+        .arg("analyze")
+        .arg(&corpus)
+        .arg("--cache-dir")
+        .arg(dir.join("cache"))
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(matches!(out.status.code(), Some(0 | 1)), "{out:?}");
+    let v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).expect("valid trace JSON");
+    let events = v["traceEvents"].as_array().unwrap();
+    let field = |e: &serde_json::Value, k: &str| e[k].as_u64().unwrap();
+    // Microsecond rounding may push a child's end a tick past its parent's.
+    let within = |c: &serde_json::Value, p: &serde_json::Value| {
+        field(c, "tid") == field(p, "tid")
+            && field(c, "ts") + 2 >= field(p, "ts")
+            && field(c, "ts") + field(c, "dur") <= field(p, "ts") + field(p, "dur") + 2
+    };
+    let named = |name: &'static str| events.iter().filter(move |e| e["name"] == name);
+    let requests: Vec<_> = named("request").collect();
+    assert_eq!(requests.len(), 1, "{events:?}");
+    let request = requests[0];
+    let inside: Vec<_> = (events.iter())
+        .filter(|e| !std::ptr::eq(*e, request) && within(e, request))
+        .collect();
+    let children: Vec<_> = (inside.iter())
+        .filter(|e| !(inside.iter()).any(|o| field(o, "dur") > field(e, "dur") && within(e, o)))
+        .collect();
+    let mut names: Vec<&str> = children
+        .iter()
+        .map(|e| e["name"].as_str().unwrap())
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, ["ledger", "publish", "serve_run", "snapshot"]);
+    let covered: u64 = children.iter().map(|e| field(e, "dur")).sum();
+    let coverage = covered as f64 / field(request, "dur").max(1) as f64;
+    assert!(
+        coverage >= 0.95,
+        "children cover {coverage:.3} of the request"
+    );
+    // The engine's spans nest in the request's `engine` span.
+    let engine = named("engine").next().unwrap();
+    assert!(named("analyze").all(|a| within(a, engine)));
+    let load = named("cache_load").next().expect("a cache_load span");
+    assert!(!within(load, request));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn analyze_json_follows_schema() {
     let dir = tempdir("schema");

@@ -330,8 +330,9 @@ impl Engine {
     /// Hydrate the incremental cache from `dir` (see [`crate::cache`]).
     /// Stale or corrupt caches are discarded, never an error; the number
     /// of loaded entries is reported as `cache_loads` in the next run's
-    /// counters.
+    /// counters, and the load as a `cache_load` span in its spans.
     pub fn load_disk_cache(&mut self, dir: &std::path::Path) -> crate::cache::LoadOutcome {
+        let _span = self.recorder.span("cache_load");
         let t0 = std::time::Instant::now();
         let (loaded, outcome) = self.cache.load(dir, &self.config);
         self.pending_counts
@@ -400,10 +401,11 @@ impl Engine {
                 }
                 Ok(result)
             }
-            // No run happened: its span closes, and the queued counts
-            // wait for the next run.
+            // No run happened: its spans go, and the queued counts wait
+            // for the next run.
             Err(e) => {
                 self.recorder.close(root);
+                self.recorder.take_snapshot();
                 Err(e)
             }
         }
@@ -639,8 +641,9 @@ impl Engine {
         };
         // Close the root span so the snapshot contains it, then derive the
         // run's wall-clock from that span (replaces the old ad-hoc Instant).
+        // The spans move into the result: the recorder needs them no more.
         rec.close(root);
-        let obs = rec.snapshot();
+        let obs = rec.take_snapshot();
         stats.add_timings(&obs, self.slow_files);
         let result = AnalysisResult {
             run_id: fresh_run_id(config),

@@ -6,7 +6,7 @@ use crate::ir::*;
 use crate::pairing::PairingResult;
 use crate::sites::FileAnalysis;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Corpus-level statistics of one analysis run.
@@ -207,34 +207,40 @@ impl Stats {
     }
 
     /// Fill in the timings from the run's snapshot, taken once its root
-    /// `analyze` span closed.
+    /// `analyze` span closed: one pass over the spans, keyed by borrowed
+    /// names, allocating only the slowest files' names it keeps.
     pub(crate) fn add_timings(&mut self, obs: &obs::Snapshot, slow_files: usize) {
-        self.elapsed_ms = obs
-            .spans_named("analyze")
-            .map(|sp| sp.dur_us)
-            .max()
-            .unwrap_or(0)
-            / 1000;
+        let mut elapsed_us = 0;
         // A phase ran when it has a span, however short it was.
-        for phase in PHASES {
-            if obs.spans_named(phase).next().is_some() {
-                self.phase_us
-                    .insert(phase.to_string(), obs.total_us_of(phase));
-            }
-        }
-        let mut per_file: BTreeMap<String, u64> = BTreeMap::new();
+        let mut phase_us: [Option<u64>; PHASES.len()] = [None; PHASES.len()];
+        let mut per_file: HashMap<&str, u64> = HashMap::new();
         for sp in &obs.spans {
-            if !PER_FILE_PHASES.contains(&sp.name.as_str()) {
+            if sp.name == "analyze" {
+                elapsed_us = elapsed_us.max(sp.dur_us);
                 continue;
             }
-            if let Some(file) = sp.attr("file") {
-                *per_file.entry(file.to_string()).or_default() += sp.dur_us;
+            let Some(i) = PHASES.iter().position(|p| *p == sp.name) else {
+                continue;
+            };
+            *phase_us[i].get_or_insert(0) += sp.dur_us;
+            if PER_FILE_PHASES.contains(&PHASES[i]) {
+                if let Some(file) = sp.attr("file") {
+                    *per_file.entry(file).or_default() += sp.dur_us;
+                }
             }
         }
-        let mut ranked: Vec<(String, u64)> = per_file.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        self.elapsed_ms = elapsed_us / 1000;
+        for (phase, us) in PHASES.iter().zip(phase_us) {
+            if let Some(us) = us {
+                self.phase_us.insert(phase.to_string(), us);
+            }
+        }
+        let mut ranked: Vec<(&str, u64)> = per_file.into_iter().collect();
+        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         ranked.truncate(slow_files);
-        self.slowest_files = ranked;
+        self.slowest_files = (ranked.into_iter())
+            .map(|(file, us)| (file.to_string(), us))
+            .collect();
         self.workers = obs.count_of("workers") as usize;
         self.worker_busy_us = obs.count_of("worker_busy_us");
         self.worker_idle_us = obs.count_of("worker_idle_us");

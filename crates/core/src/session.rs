@@ -148,6 +148,7 @@ pub struct RunHandle {
 
 /// An in-flight analysis other requests can join: the leader publishes
 /// into `slot` and notifies; joiners wait on the condvar.
+#[derive(Default)]
 struct Flight {
     slot: Mutex<Option<Result<Arc<RunHandle>, String>>>,
     done: Condvar,
@@ -188,14 +189,11 @@ impl RequestCtx {
     /// The analysis run this request returned — for coalesced joiners,
     /// the leader's run.
     pub fn run_id(&self) -> Option<String> {
-        self.run_id
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        lock(&self.run_id).clone()
     }
 
     fn set_run_id(&self, run_id: &str) {
-        *self.run_id.lock().unwrap_or_else(|e| e.into_inner()) = Some(run_id.to_string());
+        *lock(&self.run_id) = Some(run_id.to_string());
     }
 }
 
@@ -245,6 +243,7 @@ pub struct Session {
     live: Arc<obs::Live>,
     /// Monotonic source of server-assigned request ids.
     request_seq: AtomicU64,
+    /// The engine recorder's epoch: uptime and every request's spans count from it.
     started: Instant,
     /// Test hook: make the next [`Session::lead_run`] panic, to prove
     /// flight cleanup survives an unwinding analysis.
@@ -282,6 +281,7 @@ impl Session {
         }
         Session {
             opts,
+            started: engine.recorder().epoch(),
             engine: Mutex::new(engine),
             cache_load: Mutex::new(cache_load),
             index: Mutex::new(index),
@@ -289,7 +289,6 @@ impl Session {
             rows: Mutex::new(RowMemo::default()),
             live,
             request_seq: AtomicU64::new(0),
-            started: Instant::now(),
             #[cfg(test)]
             panic_next_lead: std::sync::atomic::AtomicBool::new(false),
         }
@@ -312,7 +311,7 @@ impl Session {
         rec: &obs::Recorder,
     ) -> Result<(Arc<Corpus>, u64, PassStats), String> {
         let _span = rec.span("snapshot");
-        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let mut index = lock(&self.index);
         let mut total = PassStats::default();
         let mut passes = || {
             let mut last: Option<(Arc<Corpus>, u64)> = None;
@@ -358,7 +357,7 @@ impl Session {
     /// run would get if nothing changes meanwhile. A poller compares it
     /// with the last [`RunHandle::corpus_key`] to decide when to re-run.
     pub fn snapshot_key(&self) -> Result<u64, String> {
-        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        let mut index = lock(&self.index);
         let (sources, pass) = index.refresh(&self.opts.paths)?;
         self.count_pass(&pass);
         Ok(self.key(&index, &sources))
@@ -391,7 +390,7 @@ impl Session {
         Arc::new(RequestCtx {
             id,
             method: method.to_string(),
-            rec: obs::Recorder::new(),
+            rec: obs::Recorder::with_epoch(self.started),
             coalesced: AtomicBool::new(false),
             run_id: Mutex::new(None),
         })
@@ -455,8 +454,13 @@ impl Session {
     /// The current analysis of the watched corpus: snapshot, coalesce,
     /// run. Every analysis-backed method funnels through here.
     pub fn current_run(&self) -> Result<Arc<RunHandle>, String> {
-        let ctx = self.begin_request("analyze", None);
-        self.tracked(&ctx, || self.current_run_inner(&ctx), |_| {})
+        self.run_request(&self.begin_request("analyze", None))
+    }
+
+    /// [`Self::current_run`] as the request `ctx`, whose recorder keeps
+    /// the request's spans for the caller.
+    pub fn run_request(&self, ctx: &RequestCtx) -> Result<Arc<RunHandle>, String> {
+        self.tracked(ctx, || self.current_run_inner(ctx), |_| {})
     }
 
     fn current_run_inner(&self, ctx: &RequestCtx) -> Result<Arc<RunHandle>, String> {
@@ -470,14 +474,11 @@ impl Session {
         );
         // Join an in-flight run of the same snapshot, or lead a new one.
         let (flight, leader) = {
-            let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            let mut map = lock(&self.inflight);
             match map.get(&key) {
                 Some(f) => (f.clone(), false),
                 None => {
-                    let f = Arc::new(Flight {
-                        slot: Mutex::new(None),
-                        done: Condvar::new(),
-                    });
+                    let f = Arc::new(Flight::default());
                     map.insert(key, f.clone());
                     (f, true)
                 }
@@ -490,7 +491,7 @@ impl Session {
                 let _span = ctx
                     .rec
                     .span_with("coalesce", &[("request_id", ctx.request_id())]);
-                let mut slot = flight.slot.lock().unwrap_or_else(|e| e.into_inner());
+                let mut slot = lock(&flight.slot);
                 while slot.is_none() {
                     slot = flight.done.wait(slot).unwrap_or_else(|e| e.into_inner());
                 }
@@ -532,11 +533,8 @@ impl Session {
                 t0.elapsed().as_micros() as u64,
             );
         }
-        {
-            let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            map.remove(&key);
-        }
-        let mut slot = flight.slot.lock().unwrap_or_else(|e| e.into_inner());
+        lock(&self.inflight).remove(&key);
+        let mut slot = lock(&flight.slot);
         *slot = Some(outcome.clone());
         flight.done.notify_all();
         outcome
@@ -561,14 +559,10 @@ impl Session {
         let run_span = ctx.rec.span("serve_run");
         let mut engine = {
             let _span = ctx.rec.span("engine_lock");
-            self.engine.lock().unwrap_or_else(|e| e.into_inner())
+            lock(&self.engine)
         };
         self.live.count("serve_queue_dequeued", 1);
-        let cache_load = self
-            .cache_load
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
+        let cache_load = lock(&self.cache_load).take();
         let result = {
             let _span = ctx.rec.span("engine");
             // A failed run still ends the event streams whole, its `analyze` span closed.
@@ -845,6 +839,12 @@ impl Answer for serde_json::Value {
 fn append_traced<T: Record>(rec: &obs::Recorder, dir: &Path, record: &T) -> Result<(), String> {
     let _span = rec.span_with("append", &[("ledger", T::FILE_NAME)]);
     crate::ledger::append(dir, record)
+}
+
+/// `mutex`'s guard, poisoned or not: a request that panicked leaves the
+/// session's state whole.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Best-effort text of a caught panic payload (shared with the wire

@@ -67,14 +67,14 @@ mod journal;
 
 use crate::engine::SourceFile;
 use journal::{Fallback, Journal};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::ffi::OsStr;
 use std::fs::Metadata;
 use std::os::unix::ffi::OsStrExt;
 use std::os::unix::fs::MetadataExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How close an entry's mtime may come to the time it was read before
@@ -315,9 +315,39 @@ struct Found {
     /// Wall clock at the start of the pass: the read time of what it
     /// reads.
     pass_ns: i64,
-    /// Files found for the first time, by name.
-    fresh: BTreeMap<String, SourceFile>,
+    /// The files the pass has to read, in the order it statted them.
+    reads: Vec<Read>,
+    /// Where in `reads` the new file with each [`name_hash`] is (the
+    /// first, should two names share a hash).
+    new: HashMap<u64, usize>,
+    /// Files found for the first time, once read.
+    fresh: Vec<SourceFile>,
     stats: PassStats,
+}
+
+impl Found {
+    /// Whether this pass already plans to read the new file `name`.
+    fn plans_new(&self, name: &str) -> bool {
+        match self.new.get(&name_hash(name)) {
+            None => false,
+            Some(&i) if self.reads[i].name == name => true,
+            // Another new name with the same hash: rare enough to scan.
+            Some(_) => (self.reads.iter()).any(|r| r.known.is_none() && r.name == name),
+        }
+    }
+}
+
+/// A file a pass decided to read on its stat: a new file, or a known one
+/// whose stamp changed or that is racily clean.
+struct Read {
+    /// Its position in the index; `None` for a new file.
+    known: Option<usize>,
+    name: String,
+    path: PathBuf,
+    slot: Slot,
+    /// What the read gave: the file as read, nameless, or `None` when a
+    /// known file's bytes are unchanged.
+    got: OnceLock<Result<Option<SourceFile>, String>>,
 }
 
 impl SourceIndex {
@@ -405,27 +435,37 @@ impl SourceIndex {
             journal,
         };
         let mut roots = Vec::with_capacity(paths.len());
-        for p in paths {
-            let path = Path::new(p);
-            let missing = || format!("{p}: no such file or directory");
-            let meta = std::fs::metadata(path).map_err(|_| missing())?;
-            roots.push((meta.dev(), meta.ino()));
-            if walk.journal.is_some()
-                && std::fs::symlink_metadata(path).is_ok_and(|m| m.is_symlink())
-            {
-                walk.lose("symlink");
+        let mut traverse = || {
+            for p in paths {
+                let path = Path::new(p);
+                let missing = || format!("{p}: no such file or directory");
+                let meta = std::fs::metadata(path).map_err(|_| missing())?;
+                roots.push((meta.dev(), meta.ino()));
+                if walk.journal.is_some()
+                    && std::fs::symlink_metadata(path).is_ok_and(|m| m.is_symlink())
+                {
+                    walk.lose("symlink");
+                }
+                if meta.is_dir() {
+                    let mut buf = p.as_bytes().to_vec();
+                    walk.dir(&mut buf, &meta)?;
+                } else if meta.is_file() {
+                    walk.lose("file root");
+                    walk.file(p, path, || Ok(meta))?;
+                } else {
+                    return Err(missing());
+                }
             }
-            if meta.is_dir() {
-                let mut buf = p.as_bytes().to_vec();
-                walk.dir(&mut buf, &meta)?;
-            } else if meta.is_file() {
-                walk.lose("file root");
-                walk.file(p, path, || Ok(meta))?;
-            } else {
-                return Err(missing());
-            }
-        }
-        let Walk { found, journal, .. } = walk;
+            Ok(())
+        };
+        let traversed = traverse();
+        let Walk {
+            mut found, journal, ..
+        } = walk;
+        // Every read the traversal planned precedes the point where it
+        // failed, if it did: a failed read among them comes first.
+        self.read_planned(&mut found)?;
+        traversed?;
         self.retire_and_merge(found.fresh);
         self.digest = digest(&self.files);
         self.journal = journal.map(|journal| {
@@ -500,10 +540,7 @@ impl SourceIndex {
         for (name, path, meta) in &stamped {
             let known = self.position(name);
             match meta {
-                Some(meta) => {
-                    let taken = self.take(known, name, path, meta, &mut found);
-                    taken.map_err(|_| "read error")?
-                }
+                Some(meta) => self.plan(known, name, path, meta, &mut found),
                 None => {
                     if let Some(i) = known {
                         self.seen[i] = 0;
@@ -511,6 +548,7 @@ impl SourceIndex {
                 }
             }
         }
+        self.read_planned(&mut found).map_err(|_| "read error")?;
         // An entry no event named is as it was when read, and as it is
         // now: once this pass's start settles it, its slot takes that as
         // its read time. Until then, and while a caller still holds the
@@ -539,18 +577,19 @@ impl SourceIndex {
         Ok(found.stats)
     }
 
-    /// Bring the entry for `name` at `path` up to date with `meta`, its
-    /// stat now. A new file is read into `found`; a known one (at
-    /// `known`) is marked found by this pass, and read again only when
-    /// its stamp changed or it is racily clean.
-    fn take(
+    /// Decide what the entry for `name` at `path` needs, given `meta`, its
+    /// stat now. A new file is to be read; a known one (at `known`) is
+    /// marked found by this pass, and read again only when its stamp
+    /// changed or it is racily clean. Reads go into `found`, for
+    /// [`SourceIndex::read_planned`].
+    fn plan(
         &mut self,
         known: Option<usize>,
         name: &str,
         path: &Path,
         meta: &Metadata,
         found: &mut Found,
-    ) -> Result<(), String> {
+    ) {
         let slot = Slot {
             stamp: Stamp::of(meta),
             read_at_ns: found.pass_ns,
@@ -559,32 +598,63 @@ impl SourceIndex {
             self.seen[i] = self.pass;
             if let Some(old) = self.files[i].slot {
                 if old.stamp == slot.stamp && !old.racily_clean() {
-                    return Ok(());
+                    return;
                 }
             }
+        } else if found.plans_new(name) {
+            return;
+        } else {
+            let at = found.reads.len();
+            found.new.entry(name_hash(name)).or_insert(at);
         }
-        found.stats.read += 1;
-        let content = read(path)?;
-        if slot.racily_clean() {
-            self.racy.push(name.to_string());
+        found.reads.push(Read {
+            known,
+            name: name.to_string(),
+            path: path.to_path_buf(),
+            slot,
+            got: OnceLock::new(),
+        });
+    }
+
+    /// Read and hash the files `found` plans to read, on every core, then
+    /// bring their entries up to date serially, in the order they were
+    /// planned. `Err` is the first failed read in that order; the entries
+    /// planned before it are up to date.
+    fn read_planned(&mut self, found: &mut Found) -> Result<(), String> {
+        let files = &self.files;
+        crate::pool::for_each(&found.reads, None, |_, planned| {
+            let got = read(&planned.path, planned.slot.stamp.size).map(|content| {
+                // Unchanged bytes keep the file as it was: the text the
+                // engine already shares, or no text for a seeded file.
+                // So a `touch` costs no memory.
+                let same = planned.known.is_some_and(|i| files[i].holds(&content));
+                (!same).then(|| SourceFile::new(String::new(), content))
+            });
+            let _ = planned.got.set(got);
+        });
+        for planned in std::mem::take(&mut found.reads) {
+            found.stats.read += 1;
+            let got = planned.got.into_inner().expect("every planned read ran")?;
+            if planned.slot.racily_clean() {
+                self.racy.push(planned.name.clone());
+            }
+            let Some(i) = planned.known else {
+                let mut file = got.expect("a new file is never unchanged");
+                file.name = planned.name;
+                file.slot = Some(planned.slot);
+                found.fresh.push(file);
+                continue;
+            };
+            let file = &mut Arc::make_mut(&mut self.files).files[i];
+            if let Some(mut read) = got {
+                let old = digest_term(&file.name, file.hash());
+                read.name = std::mem::take(&mut file.name);
+                *file = read;
+                let new = digest_term(&file.name, file.hash());
+                self.digest = self.digest.wrapping_sub(old).wrapping_add(new);
+            }
+            file.slot = Some(planned.slot);
         }
-        let Some(i) = known else {
-            let mut file = SourceFile::new(name, content);
-            file.slot = Some(slot);
-            found.fresh.insert(name.to_string(), file);
-            return Ok(());
-        };
-        let file = &mut Arc::make_mut(&mut self.files).files[i];
-        // Unchanged bytes keep the file as it was: the text the engine
-        // already shares, or no text for a seeded file. So a `touch`
-        // costs no memory.
-        if !file.holds(&content) {
-            let old = digest_term(&file.name, file.hash());
-            *file = SourceFile::new(std::mem::take(&mut file.name), content);
-            let new = digest_term(&file.name, file.hash());
-            self.digest = self.digest.wrapping_sub(old).wrapping_add(new);
-        }
-        file.slot = Some(slot);
         Ok(())
     }
 
@@ -592,7 +662,7 @@ impl SourceIndex {
     /// removed) and add the ones found for the first time, keeping
     /// `files` sorted, under a fresh layout id. A pass in which no name
     /// came or went leaves the list (and its order and id) alone.
-    fn retire_and_merge(&mut self, fresh: BTreeMap<String, SourceFile>) {
+    fn retire_and_merge(&mut self, fresh: Vec<SourceFile>) {
         let pass = self.pass;
         if fresh.is_empty() && self.seen.iter().all(|&seen| seen == pass) {
             return;
@@ -607,7 +677,7 @@ impl SourceIndex {
                 self.digest = self.digest.wrapping_sub(term);
             }
         }
-        for file in fresh.into_values() {
+        for file in fresh {
             let term = digest_term(&file.name, file.hash());
             self.digest = self.digest.wrapping_add(term);
             merged.push(file);
@@ -662,7 +732,7 @@ impl Walk<'_> {
         let known = index.position(name);
         let visited = match known {
             Some(i) => index.seen[i] == index.pass,
-            None => self.found.fresh.contains_key(name),
+            None => self.found.plans_new(name),
         };
         if visited {
             return Ok(());
@@ -672,7 +742,8 @@ impl Walk<'_> {
         if meta.nlink() > 1 {
             self.lose("hard link");
         }
-        self.index.take(known, name, path, &meta, &mut self.found)
+        self.index.plan(known, name, path, &meta, &mut self.found);
+        Ok(())
     }
 
     /// Visit the `.c` files under the directory whose path is in `buf`
@@ -781,15 +852,27 @@ fn as_path(bytes: &[u8]) -> &Path {
     Path::new(OsStr::from_bytes(bytes))
 }
 
-fn read(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+/// The text of the file at `path`, whose stat said it holds `size`
+/// bytes: read into a buffer of that size, without the second stat
+/// `fs::read_to_string` makes for its size hint (a `Take` reads by the
+/// generic path, which asks the file nothing).
+fn read(path: &Path, size: u64) -> Result<String, String> {
+    use std::io::Read;
+    let mut text = String::new();
+    // A size too large to reserve just means a growing buffer.
+    let _ = text.try_reserve_exact(usize::try_from(size).unwrap_or(usize::MAX));
+    let file = std::fs::File::open(path);
+    let read = file.and_then(|file| file.take(u64::MAX).read_to_string(&mut text));
+    read.map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(text)
 }
 
 /// `file` with its text, read now: for a file a snapshot took without
 /// reading it. The text must hash as the snapshot says, or the file
 /// changed after the snapshot and this is an error.
 pub(crate) fn read_text(file: &SourceFile) -> Result<SourceFile, String> {
-    let content = read(Path::new(&file.name))?;
+    let size = file.slot.map_or(0, |slot| slot.stamp.size);
+    let content = read(Path::new(&file.name), size)?;
     if !file.holds(&content) {
         return Err(format!("{}: changed during the request", file.name));
     }
@@ -1481,6 +1564,142 @@ mod tests {
         let slot = settled[0].slot.unwrap();
         assert_eq!(slot.stamp, read.stamp);
         assert!(slot.read_at_ns > read.read_at_ns && !slot.racily_clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pass reads and hashes on every core, then merges in traversal
+    /// order. Over more files than the pool has threads × 50, in nested
+    /// directories, a seeded index's second pass gives the names, hashes,
+    /// slots, digest, racy list and counts of a reference built one file
+    /// at a time: new files and seeded files whose stamp changed or that
+    /// are racily clean are read, and the other seeded files are not.
+    #[test]
+    fn parallel_reads_match_a_file_by_file_reference() {
+        let dir = tempdir("fan-out");
+        let n = crate::pool::threads() * 50 + 7;
+        let path_of = |i: usize| dir.join(format!("d{}/e{}/f{i}.c", i % 5, i % 3));
+        for i in 0..n {
+            let path = path_of(i);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, format!("int f{i};")).unwrap();
+            // Kind 3 stays racily clean: written just now.
+            if i % 4 != 3 {
+                age(&path);
+            }
+        }
+        let paths = [dir.display().to_string()];
+        let (first, _) = SourceIndex::default().refresh(&paths).unwrap();
+        // Kind 0 is new: the seeds leave it out.
+        let kind = |name: &str| {
+            let i = name.rsplit("/f").next().unwrap().trim_end_matches(".c");
+            i.parse::<usize>().unwrap() % 4
+        };
+        let mut index = SourceIndex::seeded(
+            (first.iter().filter(|f| kind(&f.name) != 0))
+                .map(|f| (f.name.as_str(), f.hash(), f.slot.unwrap())),
+        );
+        for i in (0..n).filter(|i| i % 4 == 2) {
+            std::fs::write(path_of(i), format!("int f{i}; int changed;")).unwrap();
+            age(&path_of(i));
+        }
+        let before = wall_clock_ns();
+        let (corpus, pass) = index.refresh(&paths).unwrap();
+        let after = wall_clock_ns();
+        // The reference, one file at a time, in name order.
+        let read_at = corpus
+            .iter()
+            .filter_map(|f| f.text().and(f.slot))
+            .map(|s| s.read_at_ns);
+        let read_at: HashSet<i64> = read_at.collect();
+        assert_eq!(read_at.len(), 1, "one pass, one read time");
+        let pass_ns = *read_at.iter().next().unwrap();
+        assert!((before..=after).contains(&pass_ns));
+        let mut want: Vec<(String, u64, Slot)> = Vec::new();
+        let (mut read, mut racy) = (0, Vec::new());
+        for i in 0..n {
+            let name = path_of(i).display().to_string();
+            let text = std::fs::read_to_string(&name).unwrap();
+            let stamp = Stamp::of(&std::fs::metadata(&name).unwrap());
+            let slot = match (i % 4, first.iter().find(|f| f.name == name)) {
+                (1, Some(seed)) => seed.slot.unwrap(),
+                _ => {
+                    read += 1;
+                    let slot = Slot {
+                        stamp,
+                        read_at_ns: pass_ns,
+                    };
+                    if slot.racily_clean() {
+                        racy.push(name.clone());
+                    }
+                    slot
+                }
+            };
+            want.push((name, crate::cache::content_hash(text.as_bytes()), slot));
+        }
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        let got: Vec<(String, u64, Slot)> = (corpus.iter())
+            .map(|f| (f.name.clone(), f.hash(), f.slot.unwrap()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            pass,
+            PassStats {
+                statted: n,
+                read,
+                ..PassStats::default()
+            }
+        );
+        assert_eq!(index.digest(), digest(&corpus));
+        let reference: Vec<SourceFile> = (want.iter())
+            .map(|(name, ..)| {
+                SourceFile::new(name.as_str(), std::fs::read_to_string(name).unwrap())
+            })
+            .collect();
+        assert_eq!(index.digest(), digest(&reference));
+        let mut got_racy = index.racy.clone();
+        got_racy.sort();
+        racy.sort();
+        assert_eq!((got_racy.len(), got_racy), (n / 4, racy));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pass that meets two unreadable files fails with the error the
+    /// first of them in traversal order (depth first, in `readdir`
+    /// order) gives, however the reads were spread over the workers; so
+    /// does every pass after it.
+    #[test]
+    fn the_first_unreadable_file_in_traversal_order_fails_every_pass() {
+        let dir = tempdir("non-utf8");
+        std::fs::create_dir_all(dir.join("sub/deep")).unwrap();
+        for i in 0..crate::pool::threads() * 8 {
+            let name = ["a", "sub/b", "sub/deep/c"][i % 3];
+            std::fs::write(dir.join(format!("{name}{i}.c")), "int x;").unwrap();
+        }
+        let bad = [dir.join("sub/deep/bad.c"), dir.join("sub/bad.c")];
+        for path in &bad {
+            std::fs::write(path, b"int x; /* caf\xe9 */\n").unwrap();
+        }
+        fn traversal(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    traversal(&path, out);
+                } else {
+                    out.push(path);
+                }
+            }
+        }
+        let mut order = Vec::new();
+        traversal(&dir, &mut order);
+        let first = order.iter().find(|p| bad.contains(p)).unwrap();
+        let e = std::fs::read_to_string(first).unwrap_err();
+        let want = format!("{}: {e}", first.display());
+        let paths = [dir.display().to_string()];
+        for mut index in [SourceIndex::default(), SourceIndex::default().journaled()] {
+            for _ in 0..3 {
+                assert_eq!(index.refresh(&paths).unwrap_err(), want);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

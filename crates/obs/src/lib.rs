@@ -169,20 +169,32 @@ impl Default for Recorder {
 
 impl Recorder {
     pub fn new() -> Recorder {
+        Recorder::with_epoch(Instant::now())
+    }
+
+    /// A recorder whose span times count from `epoch`: recorders that
+    /// share an epoch put their spans on one clock, so their traces merge.
+    pub fn with_epoch(epoch: Instant) -> Recorder {
         Recorder {
-            epoch: Instant::now(),
+            epoch,
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// Drop all recorded data (spans, counters, histograms). Open spans
+    /// The instant span times count from.
+    pub fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
+    /// Drop the counters and histograms. Spans stay until a
+    /// [`Recorder::take_snapshot`] takes them, so spans recorded between
+    /// two runs (a cache load) land in the next run's snapshot. Open spans
     /// survive a reset: they re-register on close. The engine resets at
     /// the start of every run so incremental re-analysis reports per-run,
     /// not cumulative, numbers. Attached sinks survive resets: the event
     /// stream spans the process lifetime, not one run.
     pub fn reset(&self) {
         let mut inner = self.lock();
-        inner.spans.clear();
         inner.counters.clear();
         inner.histograms.clear();
     }
@@ -220,13 +232,15 @@ impl Recorder {
     /// whether the rest of a phase runs at all).
     pub fn span_since(&self, name: &str, attrs: &[(&str, &str)], start: Instant) -> SpanGuard<'_> {
         let tid = std::thread::current().id();
-        let mut inner = self.lock();
-        let id = inner.next_span_id;
-        inner.next_span_id += 1;
+        // Allocate before taking the lock every worker contends for.
         let attrs: Vec<(String, String)> = attrs
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
+        let owned_name = name.to_string();
+        let mut inner = self.lock();
+        let id = inner.next_span_id;
+        inner.next_span_id += 1;
         let tid_no = inner.tid_no(tid);
         if !inner.sinks.is_empty() {
             inner.emit(&Event::SpanOpen {
@@ -239,7 +253,7 @@ impl Recorder {
         }
         inner.open.entry(tid).or_default().push(OpenSpan {
             id,
-            name: name.to_string(),
+            name: owned_name,
             attrs,
             start,
         });
@@ -281,7 +295,13 @@ impl Recorder {
             return;
         }
         let mut inner = self.lock();
-        *inner.counters.entry(name.to_string()).or_default() += delta;
+        // Nearly every call finds its counter: look it up by `&str` first.
+        match inner.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                inner.counters.insert(name.to_string(), delta);
+            }
+        }
         if !inner.sinks.is_empty() {
             inner.emit(&Event::Counter {
                 name: name.to_string(),
@@ -294,11 +314,14 @@ impl Recorder {
     /// Record one observation into a named histogram.
     pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.lock();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        match inner.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => inner
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .observe(value),
+        }
         if !inner.sinks.is_empty() {
             inner.emit(&Event::Observe {
                 name: name.to_string(),
@@ -323,6 +346,23 @@ impl Recorder {
             spans,
             counters: inner.counters.clone(),
             histograms: inner.histograms.clone(),
+        }
+    }
+
+    /// [`Recorder::snapshot`], moving the finished spans out instead of
+    /// copying them: for the end of a run, after which nobody reads them
+    /// here again. Counters and histograms stay.
+    pub fn take_snapshot(&self) -> Snapshot {
+        let mut inner = self.lock();
+        let mut spans = std::mem::take(&mut inner.spans);
+        let (counters, histograms) = (inner.counters.clone(), inner.histograms.clone());
+        drop(inner);
+        // Span ids are unique, so an unstable sort gives the one order.
+        spans.sort_unstable_by_key(|s| (s.start_us, s.id));
+        Snapshot {
+            spans,
+            counters,
+            histograms,
         }
     }
 
@@ -703,6 +743,24 @@ mod tests {
         let totals = snap.totals();
         assert_eq!(totals.spans.len(), 2);
         assert_eq!(totals.prometheus_text(), snap.prometheus_text());
+    }
+
+    #[test]
+    fn take_snapshot_moves_the_spans_and_reset_keeps_them() {
+        let rec = Recorder::new();
+        drop(rec.span("load"));
+        rec.count("x", 1);
+        rec.reset();
+        drop(rec.span("run"));
+        let snap = rec.take_snapshot();
+        let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["load", "run"]);
+        assert_eq!(snap.count_of("x"), 0);
+        assert!(rec.take_snapshot().spans.is_empty());
+        // Recorders on one epoch share a clock.
+        let other = Recorder::with_epoch(rec.epoch());
+        drop(other.span("later"));
+        assert!(other.snapshot().spans[0].start_us >= snap.spans[1].start_us);
     }
 
     #[test]
